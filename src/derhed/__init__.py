@@ -18,9 +18,8 @@ from .hereditary import (Heart, HeartCheck, HereditaryReport, check_hereditary,
                          cohomology, extract_heart, truncate, verify_heart)
 from .linalg import DEFAULT_PRIME, PrimeField
 from .paths import (NEG_INF, POS_INF, DegenerateAperiodic, DegeneratePeriodic,
-                    NonDegenerate, PathEngine, PathReport, blocks,
-                    classify_degenerate, directing_objects, min_weight,
-                    negative_walk_objects, path_exists)
+                    NonDegenerate, PathEngine, PathReport, classify_degenerate,
+                    directing_objects)
 from .quiver import (Arrow, MonomialAlgebra, Quiver, Representation,
                      algebra_from_dict, algebra_to_dict, build_algebra,
                      euler_ext1_dim, euler_form, rep_hom_dim)
@@ -37,12 +36,12 @@ __all__ = [
     "NonDegenerate", "ObjRef", "Orbit", "POS_INF", "PathEngine", "PathReport",
     "PrimeField", "ProjComplex", "Quiver", "Representation", "ShiftGraph",
     "ValidationReport", "algebra_from_dict", "algebra_to_dict",
-    "are_isomorphic", "blocks", "build_algebra",
+    "are_isomorphic", "build_algebra",
     "build_shiftgraph_from_complexes", "check_complex", "check_hereditary",
     "classify_degenerate", "cohomology", "directing_objects",
     "euler_ext1_dim", "euler_form", "expand_hereditary", "extract_heart",
     "gen_a2_from_complexes", "gen_dual_numbers", "gen_dynkin_an",
     "gen_example_a2", "gen_semisimple_block", "hom_k_dim", "is_indecomposable",
-    "min_weight", "negative_walk_objects", "path_exists", "rep_hom_dim",
+    "rep_hom_dim",
     "shift_complex", "truncate", "validate", "verify_heart",
 ]

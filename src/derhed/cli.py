@@ -13,14 +13,14 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .complexes import ProjComplex, check_complex, hom_k_dim
 from .generators import (gen_dual_numbers, gen_dynkin_an, gen_example_a2,
                          gen_semisimple_block)
-from .hereditary import (Heart, IncompleteHeart, NotABlock, check_hereditary,
-                         verify_heart)
+from .hereditary import (Heart, IncompleteHeart, NegativeWalkAtSource,
+                         NotABlock, UnreachableOrbit, check_hereditary,
+                         extract_heart, verify_heart)
 from .linalg import PrimeField
 from .paths import PathEngine, classify_degenerate, directing_objects
 from .quiver import InfiniteDimensional, algebra_from_dict
@@ -124,20 +124,11 @@ def _cmd_blocks(args):
     return {"blocks": PathEngine(g).blocks()}, g, 0
 
 
-def _check_one_block(g: ShiftGraph, blk: list[str]) -> dict:
-    report = check_hereditary(g, blk, engine=PathEngine(g))
-    return report.to_dict()
-
-
 def _cmd_check(args):
     g = _load_graph(args.file)
     engine = PathEngine(g)
     blks = engine.blocks()
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            per_block = list(pool.map(lambda b: _check_one_block(g, b), blks))
-    else:
-        per_block = [check_hereditary(g, b, engine=engine).to_dict() for b in blks]
+    per_block = [check_hereditary(g, b, engine=engine).to_dict() for b in blks]
     verdicts = [r["verdict"] for r in per_block]
     if "not-hereditary" in verdicts:
         overall = "not-hereditary"
@@ -154,8 +145,6 @@ def _cmd_check(args):
 
 
 def _cmd_heart(args):
-    from .hereditary import extract_heart
-
     g = _load_graph(args.file)
     engine = PathEngine(g)
     source = args.source
@@ -286,7 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assert-hereditary", action="store_true",
                    help="exit 1 unless every block is hereditary")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="analyze blocks in parallel; merge order stays deterministic")
+                   help="ignored; blocks are always checked one after another "
+                        "(accepted so that existing scripts keep working)")
     p = add("heart", _cmd_heart, help="extract a heart from a source orbit")
     p.add_argument("file")
     p.add_argument("--from", dest="source", required=True, metavar="ORBIT")
@@ -342,7 +332,8 @@ def main(argv: list[str] | None = None) -> int:
                "error": {"type": "input", "message": str(exc)}}
         _emit(err, getattr(args, "pretty", False))
         return 2
-    except (UnknownOrbit, NotABlock, IncompleteHeart) as exc:
+    except (UnknownOrbit, NotABlock, IncompleteHeart, NegativeWalkAtSource,
+            UnreachableOrbit) as exc:
         err = {"tool": "derhed", "version": __version__, "command": args.command,
                "error": {"type": type(exc).__name__, "message": str(exc)}}
         _emit(err, getattr(args, "pretty", False))

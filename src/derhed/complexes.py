@@ -283,7 +283,7 @@ def _hom_reps(x: ProjComplex, y: ProjComplex, n: int, fld: PrimeField):
 
 
 def _compose_coords(alg: MonomialAlgebra, fld: PrimeField,
-                    f: np.ndarray, f_coords, f_pos_unused,
+                    f: np.ndarray, f_coords,
                     g: np.ndarray, g_coords,
                     out_pos) -> np.ndarray:
     """Coordinates of the composite (first f, then g) of two degree-0
@@ -341,7 +341,7 @@ class EndAlgebra:
         amb_u = (self.reps @ u) % self.fld.p
         amb_v = (self.reps @ v) % self.fld.p
         comp = _compose_coords(self.x.algebra, self.fld,
-                               amb_v, self.coords, None,
+                               amb_v, self.coords,
                                amb_u, self.coords, self.pos)
         return self.to_quotient(comp)
 
@@ -520,7 +520,7 @@ def are_isomorphic(x: ProjComplex, y: ProjComplex, fld: PrimeField) -> bool:
     for fi in range(f_reps.shape[1]):
         for gj in range(g_reps.shape[1]):
             comp = _compose_coords(x.algebra, fld,
-                                   f_reps[:, fi], f_coords, None,
+                                   f_reps[:, fi], f_coords,
                                    g_reps[:, gj], g_coords, end.pos)
             q = end.to_quotient(comp)
             if rad.shape[1] == 0:

@@ -111,10 +111,13 @@ def extract_heart(g: ShiftGraph, block: list[str], source: str,
     if source not in blk:
         raise NotABlock(f"source {source} does not lie in the block")
     if eng.min_weight(source, source) == NEG_INF:
-        raise NegativeWalkAtSource(source)
+        raise NegativeWalkAtSource(f"{source} lies on a negative closed walk")
     offsets = {}
     for y in blk:
         d = eng.min_weight(source, y)
+        if d == NEG_INF:
+            raise NegativeWalkAtSource(
+                f"walks from {source} to {y} can pass a negative closed walk")
         if d == POS_INF:
             raise UnreachableOrbit(
                 f"{y} unreachable from {source}"
@@ -157,7 +160,8 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     """The main decision: not-hereditary iff some orbit of the block lies
     on a negative closed walk (equivalently, admits a path from X[1] back
     to X), with the homogeneity of that indicator observable per orbit;
-    otherwise a heart is extracted from the least orbit and verified."""
+    otherwise the heart with the least offsets over all sources that reach
+    the whole block is extracted and verified."""
     eng = engine or PathEngine(g)
     blk = _require_block(eng, block)
     negative = {x for x in blk if eng.min_weight(x, x) == NEG_INF}
@@ -175,14 +179,20 @@ def check_hereditary(g: ShiftGraph, block: list[str],
             steps.append(PathStep("shift", ObjRef(x, offset)))
         return HereditaryReport(verdict="not-hereditary", indicator=indicator,
                                 witness=steps)
-    # every orbit is an admissible source here; pick the one whose heart
-    # has the least offsets (ties broken by orbit id) for a canonical answer
+    # the admissible sources are those reaching every orbit of the block;
+    # pick the one whose heart has the least offsets (ties broken by orbit
+    # id) for a canonical answer
     best = None
     for source in blk:
-        h = extract_heart(g, blk, source, engine=eng)
+        try:
+            h = extract_heart(g, blk, source, engine=eng)
+        except UnreachableOrbit:
+            continue
         key = (sorted(h.offsets.values()), source)
         if best is None or key < best[0]:
             best = (key, h)
+    if best is None:
+        raise UnreachableOrbit(f"no orbit of {blk} reaches every other orbit")
     heart = best[1]
     check = verify_heart(g, heart, blk)
     verdict = "hereditary-within-window" if g.windowed else "hereditary"
@@ -219,9 +229,3 @@ def truncate(g: ShiftGraph, heart: Heart, obj: FormalObject, n: int,
         if (side == "le" and p <= n) or (side == "ge" and p >= n):
             kept[ref] += mult
     return kept
-
-
-# convenience for tests and demos
-
-def heart_degree(heart: Heart, ref: ObjRef) -> int:
-    return heart.offsets[ref.orbit] - ref.offset

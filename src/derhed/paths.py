@@ -8,6 +8,11 @@ weighted multidigraph: a hom edge of weight n moves from (X, a) to
 through X has total weight <= -1", which Bellman-Ford style relaxation
 detects as a reachable negative cycle.
 
+Walks never leave the block they start in (the connected component of the
+hom-edge graph), so every solve relaxes only the edges of the source's
+block.  Periodic orbits need no special case: their mandatory invertible
+self-edges at weights -p and +p already form a negative closed walk.
+
 Witness construction for the zero-weight-closed-walk test (directing
 objects) uses shortest-walk potentials: with pi(v) the distance from a
 fixed source inside a strongly connected component free of negative
@@ -27,11 +32,6 @@ from .shiftgraph import ObjRef, ShiftGraph, UnknownOrbit
 
 NEG_INF = -math.inf
 POS_INF = math.inf
-
-
-class _NoConcreteWitness(Exception):
-    """A pair forced to -inf by the periodicity short-circuit without a
-    concrete negative cycle between the endpoints."""
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,12 @@ class DegeneratePeriodic:
 
 
 class PathEngine:
-    """All-pairs shortest-walk machinery over one immutable shift-graph.
+    """Shortest-walk machinery over one immutable shift-graph.
 
-    Per-source results are cached; blocks containing a periodic orbit are
-    short-circuited to -inf on reachable pairs, because the mandatory iso
-    edges at weights -p, +p already contain a negative closed walk that
-    any reachable pair can route through.
+    Each source is solved once, by Bellman-Ford over the edges of its own
+    block; targets in other blocks are at +inf.  The -inf pairs are the
+    forward closure of the vertices still relaxable after the passes,
+    which covers periodic orbits through their -p self-edges.
     """
 
     def __init__(self, g: ShiftGraph, proper_only: bool = False):
@@ -120,9 +120,11 @@ class PathEngine:
         for (a, b, w) in self.edges:
             self.succ[a].append((b, w))
         self.periodic = {o.id for o in g.orbits if o.period is not None}
-        self._proper_only = proper_only
         self._blocks = self._compute_blocks()
         self._block_of = {v: i for i, blk in enumerate(self._blocks) for v in blk}
+        self._block_edges: list[list[tuple[str, str, int]]] = [[] for _ in self._blocks]
+        for e in self.edges:
+            self._block_edges[self._block_of[e[0]]].append(e)
         self._dist_cache: dict[str, dict[str, float]] = {}
         self._pred_cache: dict[str, dict[str, tuple[str, int]]] = {}
 
@@ -150,9 +152,13 @@ class PathEngine:
     def blocks(self) -> list[list[str]]:
         return [list(b) for b in self._blocks]
 
-    def _reachable_from(self, s: str) -> set[str]:
-        seen = {s}
-        queue = deque([s])
+    def _edges_of(self, v: str) -> list[tuple[str, str, int]]:
+        """The edges of v's block, in the global sorted order."""
+        return self._block_edges[self._block_of[v]]
+
+    def _reachable_from(self, *starts: str) -> set[str]:
+        seen = set(starts)
+        queue = deque(starts)
         while queue:
             u = queue.popleft()
             for (v, _w) in self.succ[u]:
@@ -169,21 +175,15 @@ class PathEngine:
         if s in self._dist_cache:
             return
         block = self._blocks[self._block_of[s]]
-        if not self._proper_only and any(v in self.periodic for v in block):
-            reach = self._reachable_from(s)
-            self._dist_cache[s] = {
-                v: (NEG_INF if v in reach else POS_INF) for v in self.nodes}
-            self._pred_cache[s] = {}
-            return
+        edges = self._edges_of(s)
         # label-correcting relaxation with (weight, hom-steps) labels:
         # weight first, then fewer hom steps, so witnesses are minimal.
-        dist: dict[str, tuple[float, int]] = {v: (POS_INF, 0) for v in self.nodes}
+        dist: dict[str, tuple[float, int]] = {v: (POS_INF, 0) for v in block}
         pred: dict[str, tuple[str, int]] = {}
         dist[s] = (0, 0)
-        n = len(self.nodes)
-        for _ in range(n):
+        for _ in range(len(block)):
             changed = False
-            for (u, v, w) in self.edges:
+            for (u, v, w) in edges:
                 du = dist[u]
                 if du[0] == POS_INF:
                     continue
@@ -194,27 +194,11 @@ class PathEngine:
                     changed = True
             if not changed:
                 break
-        seeds = set()
-        for (u, v, w) in self.edges:
-            du = dist[u]
-            if du[0] != POS_INF and (du[0] + w, du[1] + 1) < dist[v]:
-                seeds.add(v)
-        neg = set()
-        queue = deque(seeds)
-        neg.update(seeds)
-        while queue:
-            u = queue.popleft()
-            for (v, _w) in self.succ[u]:
-                if v not in neg:
-                    neg.add(v)
-                    queue.append(v)
-        out = {}
-        for v in self.nodes:
-            if v in neg:
-                out[v] = NEG_INF
-            else:
-                out[v] = dist[v][0]
-        self._dist_cache[s] = out
+        # every reachable negative cycle keeps a relaxable edge
+        seeds = [v for (u, v, w) in edges
+                 if dist[u][0] != POS_INF and (dist[u][0] + w, dist[u][1] + 1) < dist[v]]
+        neg = self._reachable_from(*seeds)
+        self._dist_cache[s] = {v: (NEG_INF if v in neg else dist[v][0]) for v in block}
         self._pred_cache[s] = pred
 
     def min_weight(self, x: str, y: str) -> float:
@@ -223,7 +207,7 @@ class PathEngine:
         if y not in self.g._by_id:
             raise UnknownOrbit(y)
         self._run_source(x)
-        return self._dist_cache[x][y]
+        return self._dist_cache[x].get(y, POS_INF)
 
     def negative_walk_objects(self) -> set[str]:
         """Orbits on a negative closed walk: exactly those X admitting a
@@ -237,7 +221,7 @@ class PathEngine:
         as a list of hom edges (u, v, w); per node pair the lightest edge
         is used."""
         best_edge: dict[tuple[str, str], int] = {}
-        for (u, v, w) in self.edges:
+        for (u, v, w) in self._edges_of(s):
             if u in allowed and v in allowed:
                 key = (u, v)
                 if key not in best_edge or w < best_edge[key]:
@@ -266,12 +250,12 @@ class PathEngine:
         return path
 
     def _negative_cycle_within(self, allowed: set[str]) -> list[tuple[str, str, int]] | None:
-        """A negative cycle using only nodes in `allowed`, as a list of hom
-        edges, or None."""
+        """A negative cycle using only nodes in `allowed` (all in one
+        block), as a list of hom edges, or None."""
         nodes = sorted(allowed)
         if not nodes:
             return None
-        edges = [(u, v, w) for (u, v, w) in self.edges
+        edges = [(u, v, w) for (u, v, w) in self._edges_of(nodes[0])
                  if u in allowed and v in allowed]
         dist = {v: 0 for v in nodes}  # virtual super-source
         pred: dict[str, tuple[str, int]] = {}
@@ -319,14 +303,10 @@ class PathEngine:
             path.reverse()
             return path
         # -inf: pump a negative cycle lying between x and y.
-        reach = self._reachable_from(x)
-        coreach = {v for v in self.nodes if y in self._reachable_from(v)}
-        region = reach & coreach
+        block = self._blocks[self._block_of[x]]
+        coreach = {v for v in block if y in self._reachable_from(v)}
+        region = self._reachable_from(x) & coreach
         cycle = self._negative_cycle_within(region)
-        if cycle is None:
-            # periodic short-circuit decreed -inf for a pair with no
-            # concrete negative cycle between them; no witness exists
-            raise _NoConcreteWitness(x, y)
         c = cycle[0][0]
         p1 = self._bfs_path(x, c, region)
         p2 = self._bfs_path(c, y, region)
@@ -346,10 +326,7 @@ class PathEngine:
         mw = self.min_weight(src.orbit, dst.orbit)
         if mw > target:
             return PathReport(exists=False, min_weight=mw, witness=None)
-        try:
-            walk = self.walk_with_weight(src.orbit, dst.orbit, target)
-        except _NoConcreteWitness:
-            return PathReport(exists=True, min_weight=mw, witness=None)
+        walk = self.walk_with_weight(src.orbit, dst.orbit, target)
         steps = [PathStep("start", src)]
         offset = src.offset
         for (_u, v, w) in walk:
@@ -407,27 +384,6 @@ def _sccs(nodes: list[str], succ: dict[str, list[str]]) -> list[list[str]]:
 
 
 # -- public operations --
-
-def blocks(g: ShiftGraph, engine: PathEngine | None = None) -> list[list[str]]:
-    """Connected components of the undirected hom-edge graph: the orbit
-    sets of the triangulated blocks."""
-    return (engine or PathEngine(g)).blocks()
-
-
-def min_weight(g: ShiftGraph, x: str, y: str,
-               engine: PathEngine | None = None) -> float:
-    return (engine or PathEngine(g)).min_weight(x, y)
-
-
-def path_exists(g: ShiftGraph, src: ObjRef, dst: ObjRef,
-                engine: PathEngine | None = None) -> bool:
-    return (engine or PathEngine(g)).path_report(src, dst).exists
-
-
-def negative_walk_objects(g: ShiftGraph,
-                          engine: PathEngine | None = None) -> set[str]:
-    return (engine or PathEngine(g)).negative_walk_objects()
-
 
 def classify_degenerate(g: ShiftGraph, block: list[str]):
     """Degenerate blocks consist of the shifts of a single object with

@@ -100,8 +100,8 @@ def _negative_cycle_nodes(g) -> set:
 def min_weight_oracle(g, x: str, y: str) -> float:
     """Minimum total weight of a hom-edge walk x -> y (length 0 allowed
     when x == y); -inf when a negative simple cycle sits on some x -> y
-    corridor.  Aperiodic graphs only."""
-    assert all(o.period is None for o in g.orbits)
+    corridor.  A periodic orbit needs no special case: its invertible
+    self-edges at -p and +p are stored in g.homs like any other edge."""
     succ = _succ(g)
     reach_x = _reach(succ, x)
     tainted = _negative_cycle_nodes(g)
@@ -342,20 +342,29 @@ def rank_oracle_gauss(mat: np.ndarray, p: int) -> int:
 
 
 def random_graph(rng, max_orbits: int = 6, w_lo: int = -3, w_hi: int = 3,
-                 edge_prob: float = 0.35, name: str = "random"):
-    """Random aperiodic shift-graph with identity self-edges and uniform
-    extra hom edges; structurally valid by construction."""
+                 edge_prob: float = 0.35, name: str = "random",
+                 periodic_prob: float = 0.0, prefix: str = "O"):
+    """Random shift-graph with identity self-edges and uniform extra hom
+    edges; structurally valid by construction.  Each orbit is periodic with
+    probability periodic_prob, with period 1 or 2 and its invertible
+    self-edges at -p, 0 and +p.  With the default 0 no random draw goes to
+    periods, so the aperiodic graph drawn from a seed does not depend on
+    this option."""
     from derhed.shiftgraph import HomEdge, Orbit, ShiftGraph
 
     n = int(rng.integers(1, max_orbits + 1))
-    ids = [f"O{i}" for i in range(n)]
+    ids = [f"{prefix}{i}" for i in range(n)]
+    periods = {}
+    if periodic_prob:
+        for a in ids:
+            if rng.random() < periodic_prob:
+                periods[a] = int(rng.integers(1, 3))
     homs = {}
     for a in ids:
-        weights = {0}
+        p = periods.get(a)
+        iso = {0} if p is None else {-p, 0, p}
         for b in ids:
-            ws = set()
-            if a == b:
-                ws.add(0)
+            ws = set(iso) if a == b else set()
             for w in range(w_lo, w_hi + 1):
                 if w == 0 and a == b:
                     continue
@@ -363,8 +372,32 @@ def random_graph(rng, max_orbits: int = 6, w_lo: int = -3, w_hi: int = 3,
                     ws.add(w)
             if ws:
                 homs[(a, b)] = tuple(
-                    HomEdge(w, 1, all_iso=(a == b and w == 0)) for w in sorted(ws))
-    return ShiftGraph(name, [Orbit(i) for i in ids], homs)
+                    HomEdge(w, 1, all_iso=(a == b and w in iso)) for w in sorted(ws))
+    return ShiftGraph(name, [Orbit(i, periods.get(i)) for i in ids], homs)
+
+
+def disjoint_union(*graphs, name: str = "union"):
+    """One shift-graph holding the given graphs side by side; their orbit
+    ids must be distinct."""
+    from derhed.shiftgraph import ShiftGraph
+
+    return ShiftGraph(name, [o for g in graphs for o in g.orbits],
+                      {k: v for g in graphs for k, v in g.homs.items()})
+
+
+def periodic_sink():
+    """A -> B (weight 5) -> P (weight 0) with P of period 1 and nothing
+    leaving P: only pairs whose walks can enter P are at -inf."""
+    from derhed.shiftgraph import HomEdge, Orbit, ShiftGraph
+
+    ident = (HomEdge(0, 1, all_iso=True),)
+    return ShiftGraph("periodic_sink", [Orbit("A"), Orbit("B"), Orbit("P", 1)], {
+        ("A", "A"): ident,
+        ("B", "B"): ident,
+        ("P", "P"): tuple(HomEdge(w, 1, all_iso=True) for w in (-1, 0, 1)),
+        ("A", "B"): (HomEdge(5, 1),),
+        ("B", "P"): (HomEdge(0, 1),),
+    })
 
 
 def check_witness(g, steps, src, dst) -> bool:

@@ -1,10 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import derhed
 from derhed.cli import main
+from derhed.paths import PathStep
+from derhed.shiftgraph import HomEdge, ObjRef, Orbit, ShiftGraph
+
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -100,8 +106,6 @@ def test_blocks_and_dist_and_path(capsys, a2_files):
 
 
 def test_dist_unreachable_encoding(capsys, tmp_path):
-    from derhed.shiftgraph import HomEdge, Orbit, ShiftGraph
-
     g = ShiftGraph("two", [Orbit("X"), Orbit("Y")], {
         ("X", "X"): (HomEdge(0, 1, all_iso=True),),
         ("Y", "Y"): (HomEdge(0, 1, all_iso=True),),
@@ -110,6 +114,58 @@ def test_dist_unreachable_encoding(capsys, tmp_path):
     f.write_text(g.to_json())
     _, rep = run_cli(capsys, "dist", str(f), "X", "Y")
     assert rep["report"]["min_weight"] == "+inf"
+
+
+def test_periodic_sink(capsys, tmp_path):
+    g = oracles.periodic_sink()
+    f = tmp_path / "sink.json"
+    f.write_text(g.to_json())
+    _, rep = run_cli(capsys, "dist", str(f), "A", "B")
+    assert rep["report"]["min_weight"] == 5
+    _, rep = run_cli(capsys, "path", str(f), "A@0", "B@0")
+    assert rep["report"]["exists"] is False
+    code, rep = run_cli(capsys, "check", str(f))
+    assert code == 0
+    blk = rep["report"]["blocks"][0]
+    assert blk["verdict"] == "not-hereditary"
+    assert blk["negative_walk_indicator"] == {"A": False, "B": False, "P": True}
+    steps = [PathStep(s["kind"], ObjRef(s["orbit"], s["offset"]))
+             for s in blk["witness"]]
+    first, last = steps[0].at, steps[-1].at
+    assert first.orbit == last.orbit and first.offset - last.offset == 1
+    assert oracles.check_witness(g, steps, first, last)
+    # A is on no negative walk, but its walks reach one: no heart
+    code, rep = run_cli(capsys, "heart", str(f), "--from", "A")
+    assert code == 2 and rep["error"]["type"] == "NegativeWalkAtSource"
+
+
+def test_heart_from_negative_source_exit_2(capsys, dual_file):
+    code, rep = run_cli(capsys, "heart", str(dual_file), "--from", "C1")
+    assert code == 2
+    assert rep["error"]["type"] == "NegativeWalkAtSource"
+
+
+def test_check_one_way_block(capsys, tmp_path):
+    ident = (HomEdge(0, 1, all_iso=True),)
+    f = tmp_path / "one_way.json"
+    # only A reaches the whole block A -> B
+    f.write_text(ShiftGraph("one_way", [Orbit("A"), Orbit("B")], {
+        ("A", "A"): ident, ("B", "B"): ident, ("A", "B"): (HomEdge(1, 1),),
+    }).to_json())
+    code, rep = run_cli(capsys, "check", str(f))
+    assert code == 0
+    blk = rep["report"]["blocks"][0]
+    assert blk["heart"]["offsets"] == {"A": 0, "B": 1}
+    assert blk["heart_check"]["ok"]
+    code, rep = run_cli(capsys, "heart", str(f), "--from", "B")
+    assert code == 2 and rep["error"]["type"] == "UnreachableOrbit"
+    # A -> B <- C: no orbit reaches the whole block
+    homs = {(x, x): ident for x in "ABC"}
+    f.write_text(ShiftGraph("two_sources", [Orbit(x) for x in "ABC"], {
+        **homs, ("A", "B"): (HomEdge(0, 1),), ("C", "B"): (HomEdge(0, 1),),
+    }).to_json())
+    code, rep = run_cli(capsys, "check", str(f))
+    assert code == 2 and rep["error"]["type"] == "UnreachableOrbit"
 
 
 def test_classify_and_directing(capsys, dual_file, tmp_path):
@@ -195,7 +251,11 @@ def test_pretty_mode(capsys, a2_files):
 
 
 def test_console_script_entry_point(tmp_path):
+    # the child imports the same derhed as this test, installed or not
+    src = os.path.dirname(os.path.dirname(derhed.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "derhed.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("derhed ")

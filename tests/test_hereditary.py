@@ -9,10 +9,11 @@ from derhed.generators import (gen_dual_numbers, gen_dynkin_an, gen_example_a2,
                                gen_semisimple_block)
 from derhed.hereditary import (Heart, IncompleteHeart, NegativeWalkAtSource,
                                NotABlock, UnreachableOrbit, check_hereditary,
-                               cohomology, extract_heart, heart_degree,
-                               truncate, verify_heart)
+                               cohomology, extract_heart, truncate,
+                               verify_heart)
 from derhed.paths import PathEngine
-from derhed.shiftgraph import AbelianData, ObjRef, expand_hereditary
+from derhed.shiftgraph import (AbelianData, HomEdge, ObjRef, Orbit, ShiftGraph,
+                               expand_hereditary)
 
 import oracles
 
@@ -86,6 +87,31 @@ def test_negative_walk_at_source():
     g = gen_dual_numbers(2, 2)
     with pytest.raises(NegativeWalkAtSource):
         extract_heart(g, sorted(g.orbit_ids()), "C1")
+    # the source itself is on no negative walk, but reaches one
+    with pytest.raises(NegativeWalkAtSource):
+        extract_heart(oracles.periodic_sink(), ["A", "B", "P"], "A")
+
+
+def one_way(*edges):
+    """Aperiodic orbits with identities plus the given (a, b, weight) edges."""
+    ids = sorted({x for (a, b, _w) in edges for x in (a, b)})
+    homs = {(x, x): (HomEdge(0, 1, all_iso=True),) for x in ids}
+    homs.update({(a, b): (HomEdge(w, 1),) for (a, b, w) in edges})
+    return ShiftGraph("one_way", [Orbit(x) for x in ids], homs)
+
+
+def test_heart_from_the_source_reaching_the_block():
+    # B reaches nothing, so only A can anchor the heart
+    g = one_way(("A", "B", 1))
+    rep = check_hereditary(g, ["A", "B"])
+    assert rep.verdict == "hereditary"
+    assert rep.heart.offsets == {"A": 0, "B": 1}
+    assert rep.heart_check.ok
+    with pytest.raises(UnreachableOrbit):
+        extract_heart(g, ["A", "B"], "B")
+    # A -> C <- B: no orbit reaches the whole block
+    with pytest.raises(UnreachableOrbit):
+        check_hereditary(one_way(("A", "C", 0), ("B", "C", 0)), ["A", "B", "C"])
 
 
 def test_incomplete_heart(a2):
@@ -118,7 +144,8 @@ def test_cohomology(a2):
     parts = cohomology(a2, heart, obj)
     assert parts == {0: Counter({ObjRef("S1", 0): 1}),
                      2: Counter({ObjRef("I", 0): 3})}
-    assert heart_degree(heart, ObjRef("I", -2)) == 2
+    ref = ObjRef("I", -2)
+    assert heart.offsets[ref.orbit] - ref.offset == 2  # heart degree of I[-2]
 
 
 def test_cohomology_unknown_orbit(a2):

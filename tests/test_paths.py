@@ -7,10 +7,9 @@ from derhed.generators import (gen_dual_numbers, gen_example_a2,
                                gen_semisimple_block)
 from derhed.paths import (NEG_INF, POS_INF, DegenerateAperiodic,
                           DegeneratePeriodic, NonDegenerate, PathEngine,
-                          blocks, classify_degenerate, directing_objects,
-                          min_weight, path_exists)
+                          classify_degenerate, directing_objects)
 from derhed.shiftgraph import (AbelianData, HomEdge, ObjRef, Orbit, ShiftGraph,
-                               expand_hereditary)
+                               expand_hereditary, validate)
 
 import oracles
 
@@ -36,11 +35,12 @@ def test_a2_min_weights(a2):
 
 
 def test_a2_path_exists(a2):
-    assert path_exists(a2, ObjRef("S2", 0), ObjRef("S1", 0))
-    assert path_exists(a2, ObjRef("S2", 0), ObjRef("S1", 2))
-    assert not path_exists(a2, ObjRef("S1", 1), ObjRef("S1", 0))
-    assert not path_exists(a2, ObjRef("S2", 0), ObjRef("S1", -1))
-    assert path_exists(a2, ObjRef("S1", 0), ObjRef("S2", 1))
+    eng = PathEngine(a2)
+    assert eng.path_report(ObjRef("S2", 0), ObjRef("S1", 0)).exists
+    assert eng.path_report(ObjRef("S2", 0), ObjRef("S1", 2)).exists
+    assert not eng.path_report(ObjRef("S1", 1), ObjRef("S1", 0)).exists
+    assert not eng.path_report(ObjRef("S2", 0), ObjRef("S1", -1)).exists
+    assert eng.path_report(ObjRef("S1", 0), ObjRef("S2", 1)).exists
 
 
 def test_a2_no_negative_walks(a2):
@@ -48,7 +48,7 @@ def test_a2_no_negative_walks(a2):
 
 
 def test_a2_blocks(a2):
-    assert blocks(a2) == [["I", "S1", "S2"]]
+    assert PathEngine(a2).blocks() == [["I", "S1", "S2"]]
 
 
 def test_two_blocks():
@@ -56,8 +56,9 @@ def test_two_blocks():
         ("X", "X"): (HomEdge(0, 1, all_iso=True),),
         ("Y", "Y"): (HomEdge(0, 1, all_iso=True),),
     })
-    assert blocks(g) == [["X"], ["Y"]]
-    assert min_weight(g, "X", "Y") == POS_INF
+    eng = PathEngine(g)
+    assert eng.blocks() == [["X"], ["Y"]]
+    assert eng.min_weight("X", "Y") == POS_INF
 
 
 def test_dual_negative_everywhere(dual):
@@ -80,8 +81,26 @@ def test_periodic_short_circuit():
     g = gen_semisimple_block(2)
     eng = PathEngine(g)
     assert eng.min_weight("X", "X") == NEG_INF
-    rep = eng.path_report(ObjRef("X", 0), ObjRef("X", -5))
+    src, dst = ObjRef("X", 0), ObjRef("X", -5)
+    rep = eng.path_report(src, dst)
     assert rep.exists
+    assert oracles.check_witness(g, rep.witness, src, dst)
+
+
+def test_periodic_sink():
+    # only walks that enter the periodic orbit P can be pumped down
+    g = oracles.periodic_sink()
+    assert validate(g).ok
+    eng = PathEngine(g)
+    assert eng.min_weight("A", "B") == 5
+    assert eng.min_weight("B", "A") == POS_INF
+    assert eng.min_weight("A", "P") == NEG_INF
+    assert eng.negative_walk_objects() == {"P"}
+    rep = eng.path_report(ObjRef("A", 0), ObjRef("B", 0))
+    assert not rep.exists and rep.min_weight == 5 and rep.witness is None
+    src, dst = ObjRef("A", 0), ObjRef("P", -7)
+    rep = eng.path_report(src, dst)
+    assert rep.exists and oracles.check_witness(g, rep.witness, src, dst)
 
 
 def test_classify_degenerate(a2):
@@ -132,18 +151,28 @@ SEEDS = st.integers(0, 2**32 - 1)
 @settings(max_examples=80, deadline=None)
 @given(SEEDS)
 def test_min_weight_matches_oracle(seed):
-    g = oracles.random_graph(np.random.default_rng(seed), max_orbits=5)
-    eng = PathEngine(g)
-    for x in g.orbit_ids():
-        for y in g.orbit_ids():
-            assert eng.min_weight(x, y) == oracles.min_weight_oracle(g, x, y), (
-                g.to_json(), x, y)
+    # one graph with periodic orbits, and a disjoint union of two, whose
+    # cross pairs lie in different blocks and must come out +inf
+    rng = np.random.default_rng(seed)
+    single = oracles.random_graph(rng, max_orbits=5, periodic_prob=0.2)
+    union = oracles.disjoint_union(
+        oracles.random_graph(rng, max_orbits=3, periodic_prob=0.2, prefix="L"),
+        oracles.random_graph(rng, max_orbits=3, periodic_prob=0.2, prefix="R"))
+    assert PathEngine(union).min_weight("L0", "R0") == POS_INF
+    for g in (single, union):
+        assert validate(g).ok
+        eng = PathEngine(g)
+        for x in g.orbit_ids():
+            for y in g.orbit_ids():
+                assert eng.min_weight(x, y) == oracles.min_weight_oracle(g, x, y), (
+                    g.to_json(), x, y)
 
 
 @settings(max_examples=50, deadline=None)
 @given(SEEDS, st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2))
 def test_padding_law_and_shift_equivariance(seed, i, j, k):
-    g = oracles.random_graph(np.random.default_rng(seed), max_orbits=4)
+    g = oracles.random_graph(np.random.default_rng(seed), max_orbits=4,
+                             periodic_prob=0.2)
     eng = PathEngine(g)
     ids = g.orbit_ids()
     for x in ids:
@@ -157,14 +186,15 @@ def test_padding_law_and_shift_equivariance(seed, i, j, k):
 @settings(max_examples=40, deadline=None)
 @given(SEEDS)
 def test_reported_witnesses_are_walks(seed):
-    g = oracles.random_graph(np.random.default_rng(seed), max_orbits=4)
+    g = oracles.random_graph(np.random.default_rng(seed), max_orbits=4,
+                             periodic_prob=0.2)
     eng = PathEngine(g)
     for x in g.orbit_ids():
         for y in g.orbit_ids():
             for off in (-1, 0, 2):
                 src, dst = ObjRef(x, 0), ObjRef(y, off)
                 rep = eng.path_report(src, dst)
-                if rep.exists and rep.witness is not None:
+                if rep.exists:
                     assert oracles.check_witness(g, rep.witness, src, dst)
 
 
