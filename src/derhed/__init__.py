@@ -9,23 +9,44 @@ no orbit lies on a closed walk of negative total weight, and in that case
 shortest-walk weights from any source orbit assemble a heart.
 """
 
-from .complexes import (EndAlgebra, ProjComplex, are_isomorphic,
-                        build_shiftgraph_from_complexes, check_complex,
-                        hom_k_dim, is_indecomposable, shift_complex)
-from .generators import (gen_a2_from_complexes, gen_dual_numbers,
-                         gen_dynkin_an, gen_example_a2, gen_semisimple_block)
+import importlib
+
 from .hereditary import (Heart, HeartCheck, HereditaryReport, check_hereditary,
                          cohomology, extract_heart, truncate, verify_heart)
-from .linalg import DEFAULT_PRIME, PrimeField
 from .paths import (NEG_INF, POS_INF, DegenerateAperiodic, DegeneratePeriodic,
                     NonDegenerate, PathEngine, PathReport, classify_degenerate,
                     directing_objects)
-from .quiver import (Arrow, MonomialAlgebra, Quiver, Representation,
-                     algebra_from_dict, algebra_to_dict, build_algebra,
-                     euler_ext1_dim, euler_form, rep_hom_dim)
-from .shiftgraph import (AbelianData, FormalObject, HomEdge, ObjRef, Orbit,
-                         ShiftGraph, ValidationReport, expand_hereditary,
-                         validate)
+from .shiftgraph import (DEFAULT_PRIME, AbelianData, FormalObject, HomEdge,
+                         ObjRef, Orbit, ShiftGraph, ValidationReport,
+                         expand_hereditary, validate)
+
+# Names from the GF(p) modules, which load numpy: resolved on first use by
+# __getattr__ (PEP 562), so that path-only code never imports numpy.
+_LAZY = {name: module for module, names in {
+    "linalg": ["PrimeField"],
+    "quiver": ["Arrow", "MonomialAlgebra", "Quiver", "Representation",
+               "algebra_from_dict", "algebra_to_dict", "build_algebra",
+               "euler_ext1_dim", "euler_form", "rep_hom_dim"],
+    "complexes": ["EndAlgebra", "ProjComplex", "are_isomorphic",
+                  "build_shiftgraph_from_complexes", "check_complex",
+                  "hom_k_dim", "is_indecomposable", "shift_complex"],
+    "generators": ["gen_a2_from_complexes", "gen_dual_numbers",
+                   "gen_dynkin_an", "gen_example_a2", "gen_semisimple_block"],
+}.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups are plain attribute reads
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

@@ -15,23 +15,23 @@ import os
 import sys
 
 from . import __version__
-from .complexes import ProjComplex, check_complex, hom_k_dim
-from .generators import (gen_dual_numbers, gen_dynkin_an, gen_example_a2,
-                         gen_semisimple_block)
 from .hereditary import (Heart, IncompleteHeart, NegativeWalkAtSource,
                          NotABlock, UnreachableOrbit, check_hereditary,
                          extract_heart, verify_heart)
-from .linalg import PrimeField
 from .paths import PathEngine, classify_degenerate, directing_objects
-from .quiver import InfiniteDimensional, algebra_from_dict
 from .shiftgraph import ObjRef, ShiftGraph, UnknownOrbit, validate
+
+# The GF(p) modules (linalg, quiver, complexes, generators) load numpy; only
+# `gen` and `hom` need them, so they are imported inside those commands.
 
 
 class InputError(Exception):
     pass
 
 
-def _field() -> PrimeField:
+def _field():
+    from .linalg import PrimeField
+
     raw = os.environ.get("DERHED_FIELD_CHAR")
     if raw is None:
         return PrimeField()
@@ -206,6 +206,10 @@ def _cmd_directing(args):
 
 
 def _cmd_gen(args):
+    from .generators import (gen_dual_numbers, gen_dynkin_an, gen_example_a2,
+                             gen_semisimple_block)
+    from .quiver import InfiniteDimensional
+
     fld = _field()
     try:
         if args.family == "an":
@@ -231,6 +235,9 @@ def _cmd_gen(args):
 
 
 def _cmd_hom(args):
+    from .complexes import ProjComplex, check_complex, hom_k_dim
+    from .quiver import InfiniteDimensional, algebra_from_dict
+
     fld = _field()
     try:
         alg = algebra_from_dict(_load_json(args.algfile))

@@ -98,7 +98,8 @@ class HereditaryReport:
 
 def _require_block(engine: PathEngine, block: list[str]) -> list[str]:
     blk = sorted(block)
-    if blk not in engine.blocks():
+    i = engine._block_of.get(blk[0]) if blk else None
+    if i is None or engine._blocks[i] != blk:
         raise NotABlock(f"{blk} is not a block of this graph")
     return blk
 
@@ -140,18 +141,20 @@ def verify_heart(g: ShiftGraph, heart: Heart, block: list[str] | None = None) ->
     in_scope = set(scope)
     violations = []
     ms: Counter = Counter()
-    for (a, b), edges in sorted(g.homs.items()):
-        if a not in in_scope or b not in in_scope:
-            continue
-        for e in edges:
-            m = e.weight + heart.offsets[a] - heart.offsets[b]
-            ms[m] += 1
-            if m < 0:
-                violations.append((
-                    ObjRef(a, heart.offsets[a]),
-                    ObjRef(b, heart.offsets[b]),
-                    m,
-                ))
+    # the hom pairs inside the scope, in (a, b)-sorted order
+    for a in sorted(in_scope):
+        for b in g.targets(a):
+            if b not in in_scope:
+                continue
+            for e in g.homs[(a, b)]:
+                m = e.weight + heart.offsets[a] - heart.offsets[b]
+                ms[m] += 1
+                if m < 0:
+                    violations.append((
+                        ObjRef(a, heart.offsets[a]),
+                        ObjRef(b, heart.offsets[b]),
+                        m,
+                    ))
     return HeartCheck(ok=not violations, violations=violations, m_values=ms)
 
 

@@ -3,15 +3,22 @@
 Matrices are dense numpy int64 arrays with entries reduced into [0, p).
 The default characteristic 32003 is large enough that trace-form radical
 computations downstream stay valid (p must exceed every endomorphism-algebra
-dimension we ever see), while products of two reduced entries still fit
-comfortably in int64.
+dimension we ever see).
+
+Products use raw int64 ``@`` here and downstream (``matmul``,
+``EndAlgebra.mult``, ``left_mult_matrix``, ``radical``, ``_matpow_mod``),
+which is exact only while K * (p - 1)**2 < 2**63 for the inner dimension
+K.  PrimeField therefore accepts only p < MAX_PRIME = 2**20: then
+(p - 1)**2 < 2**40, and every product with K < 2**23 is exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_PRIME = 32003
+from .shiftgraph import DEFAULT_PRIME
+
+MAX_PRIME = 2 ** 20
 
 
 def _is_prime(n: int) -> bool:
@@ -31,6 +38,8 @@ class PrimeField:
     """Arithmetic and Gaussian elimination over GF(p)."""
 
     def __init__(self, p: int = DEFAULT_PRIME):
+        if p >= MAX_PRIME:
+            raise ValueError(f"field characteristic must be below 2**20, got {p}")
         if not _is_prime(p):
             raise ValueError(f"field characteristic must be prime, got {p}")
         self.p = p

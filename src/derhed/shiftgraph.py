@@ -15,11 +15,14 @@ for the infinite effective support.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .linalg import DEFAULT_PRIME
+# The instance schema's default field_char; derhed.linalg imports it from
+# here, so path-only code never loads numpy.
+DEFAULT_PRIME = 32003
 
 
 class UnknownOrbit(Exception):
@@ -70,6 +73,7 @@ class ShiftGraph:
     windowed: bool = False
     field_char: int = DEFAULT_PRIME
     _by_id: dict[str, Orbit] = field(default_factory=dict, repr=False)
+    _targets: dict[str, list[str]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self._by_id = {o.id: o for o in self.orbits}
@@ -81,6 +85,9 @@ class ShiftGraph:
                 raise UnknownOrbit(f"hom edge between undeclared orbits {a}, {b}")
             norm[(a, b)] = tuple(sorted(edges, key=lambda e: e.weight))
         self.homs = norm
+        self._targets = {o.id: [] for o in self.orbits}
+        for (a, b) in sorted(norm):
+            self._targets[a].append(b)
 
     def orbit(self, orbit_id: str) -> Orbit:
         try:
@@ -93,6 +100,10 @@ class ShiftGraph:
 
     def edges_between(self, a: str, b: str) -> tuple[HomEdge, ...]:
         return self.homs.get((a, b), ())
+
+    def targets(self, a: str) -> list[str]:
+        """The orbits b with a stored hom pair (a, b), sorted."""
+        return self._targets.get(a, [])
 
     def ref(self, orbit_id: str, offset: int) -> ObjRef:
         """ObjRef with the offset reduced mod the orbit period."""
@@ -177,8 +188,6 @@ def _effective_weight_residues(g: ShiftGraph, a: str, b: str,
     """Stored weights between a and b plus the modulus under which the
     effective (periodicity-translated) support repeats: (weights, modulus).
     modulus 0 means no periodic translation applies."""
-    import math
-
     pa = g.orbit(a).period or 0
     pb = g.orbit(b).period or 0
     mod = math.gcd(pa, pb)
@@ -195,8 +204,6 @@ def _cone_witness_exists(g: ShiftGraph, a: str, b: str, n: int) -> bool:
     non-invertible morphism X -> Y[n]: the triangle provides nonzero
     non-invertible maps Y[n] -> Z' and Z' -> X[1] for some indecomposable
     Z'."""
-    import math
-
     target = 1 - n
     for z in g.orbit_ids():
         w1, m1 = _effective_weight_residues(g, b, z, iso_only_excluded=True)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -250,12 +251,94 @@ def test_pretty_mode(capsys, a2_files):
     assert 'verdict: "hereditary"' in out
 
 
-def test_console_script_entry_point(tmp_path):
-    # the child imports the same derhed as this test, installed or not
+def test_field_char_above_bound_exit_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("DERHED_FIELD_CHAR", "2147483647")
+    code, rep = run_cli(capsys, "gen", "an", "--n", "3", "--orientation", "><",
+                        "--out", str(tmp_path / "a3.json"))
+    assert code == 2 and rep["error"]["type"] == "input"
+    assert "DERHED_FIELD_CHAR" in rep["error"]["message"]
+    assert not (tmp_path / "a3.json").exists()
+
+
+def run_child(*argv, cwd=None):
+    """A fresh interpreter that imports the same derhed as this test,
+    installed or not."""
     src = os.path.dirname(os.path.dirname(derhed.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "derhed.cli", "--version"],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, cwd=cwd,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_script_entry_point(a2_files):
+    proc = run_child("-m", "derhed.cli", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("derhed ")
+    proc = run_child("-m", "derhed.cli", "check", str(a2_files[0]))
+    assert proc.returncode == 0
+    rep = json.loads(proc.stdout)
+    assert rep["tool"] == "derhed" and rep["command"] == "check"
+    assert rep["instance"] == "example_a2"
+    assert rep["report"]["verdict"] == "hereditary"
+
+
+PATH_ONLY_CHILD = """
+import contextlib, io, sys
+import derhed
+import derhed.cli
+from derhed.cli import main
+inst, heart = sys.argv[1:]
+for argv in (["validate", inst], ["blocks", inst], ["check", inst],
+             ["heart", inst, "--from", "I"], ["verify-heart", inst, "--heart", heart],
+             ["dist", inst, "S1", "S2"], ["path", inst, "S1@0", "S2@1"],
+             ["classify", inst], ["directing", inst]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+assert "numpy" not in sys.modules, "a path-only command imported numpy"
+print("ok")
+"""
+
+
+def test_path_only_commands_never_import_numpy(a2_files):
+    proc = run_child("-c", PATH_ONLY_CHILD, *map(str, a2_files))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_gen_and_hom_in_a_fresh_process(tmp_path):
+    # gen and hom import the GF(p) modules on first use
+    proc = run_child("-m", "derhed.cli", "gen", "an", "--n", "3",
+                     "--orientation", "><", "--out", "a3.json", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["orbits"] == 6
+    assert len(json.loads((tmp_path / "a3.json").read_text())["orbits"]) == 6
+    (tmp_path / "alg.json").write_text(json.dumps({
+        "vertices": ["1", "2"],
+        "arrows": [{"id": "a", "from": "1", "to": "2"}],
+        "relations": [],
+    }))
+    for name, vertex in (("p1", "1"), ("p2", "2")):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"name": name.upper(), "degrees": {"0": [vertex]}, "differentials": {}}))
+    proc = run_child("-m", "derhed.cli", "hom", "alg.json", "p2.json", "p1.json",
+                     cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["dim"] == 1
+
+
+def test_package_namespace(monkeypatch):
+    # forget the lazily resolved names, so each goes through __getattr__
+    for name in derhed._LAZY:
+        monkeypatch.delitem(vars(derhed), name, raising=False)
+    assert set(derhed.__all__) <= set(dir(derhed))
+    for name in derhed.__all__:
+        value = getattr(derhed, name)
+        assert vars(derhed)[name] is value  # cached as a plain attribute
+        if name in derhed._LAZY:
+            module = importlib.import_module(f"derhed.{derhed._LAZY[name]}")
+            assert getattr(module, name) is value
+    star: dict = {}
+    exec("from derhed import *", star)
+    assert set(derhed.__all__) <= set(star)
+    with pytest.raises(AttributeError):
+        derhed.no_such_name

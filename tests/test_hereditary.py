@@ -180,3 +180,35 @@ def test_extracted_hearts_always_verify(seed):
             except UnreachableOrbit:
                 continue  # random graphs need not be mutually reachable
             assert verify_heart(g, heart, blk).ok
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs).to_dict()
+    except UnreachableOrbit as exc:
+        return str(exc)
+
+
+def test_many_small_blocks_match_one_block_graphs():
+    # per-block checks see only their block: a graph of many small blocks
+    # reports, block by block, exactly what each block alone reports, also
+    # for hearts with violations
+    rng = np.random.default_rng(20261018)
+    parts = [oracles.random_graph(rng, max_orbits=4, w_lo=-3 * (k % 2),
+                                  periodic_prob=0.3, prefix=f"B{k:02d}_")
+             for k in range(40)]
+    union = oracles.disjoint_union(*parts)
+    eng = PathEngine(union)
+    verdicts = Counter()
+    for blk in eng.blocks():
+        alone = ShiftGraph("alone", [union.orbit(x) for x in blk],
+                           {(a, b): union.homs[(a, b)]
+                            for a in blk for b in union.targets(a)})
+        assert PathEngine(alone).blocks() == [blk]
+        got = _outcome(check_hereditary, union, blk, engine=eng)
+        assert got == _outcome(check_hereditary, alone, blk)
+        verdicts[got["verdict"] if isinstance(got, dict) else "unreachable"] += 1
+        heart = Heart({x: int(rng.integers(-2, 3)) for x in blk})
+        assert (verify_heart(union, heart, blk).to_dict()
+                == verify_heart(alone, heart, blk).to_dict())
+    assert verdicts["hereditary"] and verdicts["not-hereditary"]

@@ -3,17 +3,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derhed.linalg import DEFAULT_PRIME, PrimeField
+from derhed.linalg import DEFAULT_PRIME, MAX_PRIME, PrimeField
 
 from oracles import rank_oracle
 
 fld = PrimeField()
+
+LARGEST_PRIME = 1048573  # the largest prime below MAX_PRIME = 2**20
+big = PrimeField(LARGEST_PRIME)
 
 
 def test_default_prime_is_prime():
     assert DEFAULT_PRIME == 32003
     with pytest.raises(ValueError):
         PrimeField(32004)
+
+
+def test_characteristic_bound():
+    # rejected before the primality test: a 61-bit prime would take about
+    # 1e9 trial divisions
+    for p in (MAX_PRIME, 2147483647, 2**61 - 1):
+        with pytest.raises(ValueError, match=r"below 2\*\*20"):
+            PrimeField(p)
+    assert PrimeField(LARGEST_PRIME).p == LARGEST_PRIME
 
 
 def test_small_field():
@@ -85,3 +97,34 @@ def test_rref_idempotent():
     r1, p1 = fld.rref(m)
     r2, p2 = fld.rref(r1)
     assert np.array_equal(r1, r2) and p1 == p2
+
+
+def _exact_product(a, b, p: int) -> np.ndarray:
+    return np.array((a.astype(object) @ b.astype(object)) % p, dtype=np.int64)
+
+
+# near the bound, entries reduce into [0, p) and every product must stay
+# exact in int64; rank-deficient inputs are built as products of thin factors
+
+big_entries = st.integers(0, LARGEST_PRIME - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_rank_near_bound_against_oracle(rows, cols, inner, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, LARGEST_PRIME, size=(rows, inner))
+    b = rng.integers(0, LARGEST_PRIME, size=(inner, cols))
+    m = _exact_product(a, b, LARGEST_PRIME)
+    assert big.rank(m) == rank_oracle(m, LARGEST_PRIME)
+    full = rng.integers(0, LARGEST_PRIME, size=(rows, cols))
+    assert big.rank(full) == rank_oracle(full, LARGEST_PRIME)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(big_entries, min_size=3, max_size=3), min_size=1, max_size=4),
+       st.lists(st.lists(big_entries, min_size=2, max_size=2), min_size=3, max_size=3))
+def test_matmul_exact_near_bound(a_rows, b_rows):
+    a, b = big.matrix(a_rows), big.matrix(b_rows)
+    assert np.array_equal(big.matmul(a, b), _exact_product(a, b, LARGEST_PRIME))
