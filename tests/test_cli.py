@@ -189,19 +189,25 @@ def test_gen_an(capsys, tmp_path):
     assert len(data["orbits"]) == 6
 
 
-def test_hom_subcommand(capsys, tmp_path):
-    alg = tmp_path / "alg.json"
+def write_a2_projectives(d):
+    """The path algebra of 1 -> 2 and its projectives P1, P2 as files."""
+    alg = d / "alg.json"
     alg.write_text(json.dumps({
         "vertices": ["1", "2"],
         "arrows": [{"id": "a", "from": "1", "to": "2"}],
         "relations": [],
     }))
-    p1 = tmp_path / "p1.json"
+    p1 = d / "p1.json"
     p1.write_text(json.dumps({"name": "P1", "degrees": {"0": ["1"]},
                               "differentials": {}}))
-    p2 = tmp_path / "p2.json"
+    p2 = d / "p2.json"
     p2.write_text(json.dumps({"name": "P2", "degrees": {"0": ["2"]},
                               "differentials": {}}))
+    return alg, p1, p2
+
+
+def test_hom_subcommand(capsys, tmp_path):
+    alg, p1, p2 = write_a2_projectives(tmp_path)
     code, rep = run_cli(capsys, "hom", str(alg), str(p2), str(p1), "--shift", "0")
     assert code == 0 and rep["report"]["dim"] == 1
     code, rep = run_cli(capsys, "hom", str(alg), str(p1), str(p2), "--shift", "0")
@@ -312,14 +318,7 @@ def test_gen_and_hom_in_a_fresh_process(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["report"]["orbits"] == 6
     assert len(json.loads((tmp_path / "a3.json").read_text())["orbits"]) == 6
-    (tmp_path / "alg.json").write_text(json.dumps({
-        "vertices": ["1", "2"],
-        "arrows": [{"id": "a", "from": "1", "to": "2"}],
-        "relations": [],
-    }))
-    for name, vertex in (("p1", "1"), ("p2", "2")):
-        (tmp_path / f"{name}.json").write_text(json.dumps(
-            {"name": name.upper(), "degrees": {"0": [vertex]}, "differentials": {}}))
+    write_a2_projectives(tmp_path)
     proc = run_child("-m", "derhed.cli", "hom", "alg.json", "p2.json", "p1.json",
                      cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
