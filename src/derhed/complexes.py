@@ -12,6 +12,12 @@ hom_k_dim computes Hom(X, Y[n]) in the homotopy category as the n-th
 cohomology of the total hom complex: degree-n maps modulo those of the
 form d s + (-1)^(n-1) s d.  Everything reduces to rank and nullspace over
 the configured prime field.
+
+build_shiftgraph_from_complexes works from one window table of hom
+dimensions per ordered pair of complexes (each hom-complex boundary
+built and ranked once) and one EndAlgebra per complex, and runs the
+exact isomorphism test only where an exact dimension filter allows an
+isomorphism.
 """
 
 from __future__ import annotations
@@ -249,19 +255,29 @@ def _check_same_algebra(x: ProjComplex, y: ProjComplex):
         raise AlgebraMismatch("complexes live over different algebras")
 
 
+def _hom_dims(x: ProjComplex, y: ProjComplex, lo: int, hi: int,
+              fld: PrimeField) -> dict[int, int]:
+    """{n: dim Hom(X, Y[n])} for lo <= n <= hi.  Each boundary d_m of the
+    hom complex (lo-1 <= m <= hi) is built and ranked at most once, and
+    d_(lo-1) not at all when there are no degree-lo maps."""
+    dims = {}
+    rank_prev = None  # rank of d_(n-1), once built
+    for n in range(lo, hi + 1):
+        d_n, coords, _ = _hom_boundary(x.algebra, x, y, n, fld)
+        rank_n = fld.rank(d_n)
+        if coords and rank_prev is None:
+            rank_prev = fld.rank(_hom_boundary(x.algebra, x, y, n - 1, fld)[0])
+        dims[n] = len(coords) - rank_n - rank_prev if coords else 0
+        rank_prev = rank_n
+    return dims
+
+
 def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
               fld: PrimeField | None = None) -> int:
     """dim Hom(X, Y[n]) in the homotopy category of bounded complexes of
     projectives."""
-    fld = fld or PrimeField()
     _check_same_algebra(x, y)
-    d_n, src_coords, _ = _hom_boundary(x.algebra, x, y, n, fld)
-    if not src_coords:
-        return 0
-    d_prev, prev_coords, _ = _hom_boundary(x.algebra, x, y, n - 1, fld)
-    cycles = len(src_coords) - fld.rank(d_n)
-    boundaries = fld.rank(d_prev) if prev_coords else 0
-    return cycles - boundaries
+    return _hom_dims(x, y, n, n, fld or PrimeField())[n]
 
 
 def _hom_reps(x: ProjComplex, y: ProjComplex, n: int, fld: PrimeField):
@@ -325,6 +341,7 @@ class EndAlgebra:
         self.dim = reps.shape[1]
         self._solve_basis = np.hstack([bmat, reps])
         self._struct: dict[tuple[int, int], np.ndarray] = {}
+        self._rad: np.ndarray | None = None
 
     def to_quotient(self, ambient: np.ndarray) -> np.ndarray:
         """Express an ambient cycle vector in the chosen End basis, modulo
@@ -370,18 +387,19 @@ class EndAlgebra:
 
     def radical(self) -> np.ndarray:
         """Basis (columns) of the Jacobson radical via the trace form of
-        the regular representation; valid since p > dim."""
+        the regular representation; valid since p > dim.  Computed once
+        per instance."""
         if self.fld.p <= self.dim:
             raise FieldTooSmall(
                 f"characteristic {self.fld.p} <= dim End = {self.dim}")
-        if self.dim == 0:
-            return np.zeros((0, 0), dtype=np.int64)
-        lmats = [self.left_mult_matrix(self._unit(i)) for i in range(self.dim)]
-        t = self.fld.zeros(self.dim, self.dim)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                t[i, j] = int(np.trace((lmats[i] @ lmats[j]) % self.fld.p)) % self.fld.p
-        return self.fld.nullspace(t)
+        if self._rad is None:
+            lmats = [self.left_mult_matrix(self._unit(i)) for i in range(self.dim)]
+            t = self.fld.zeros(self.dim, self.dim)
+            for i in range(self.dim):
+                for j in range(self.dim):
+                    t[i, j] = int(np.trace((lmats[i] @ lmats[j]) % self.fld.p)) % self.fld.p
+            self._rad = self.fld.nullspace(t)
+        return self._rad
 
     def is_local(self) -> bool:
         """Whether End is local: the semisimple quotient is a division
@@ -458,11 +476,19 @@ def build_shiftgraph_from_complexes(alg: MonomialAlgebra, reps: list[ProjComplex
     windowed.  Nonzero bounded complexes are never isomorphic to a proper
     shift of themselves (the minimal representative's degree support would
     move), so all orbits are aperiodic.
+
+    The work is one End(X) per complex, whose locality is the
+    indecomposability test and whose dimension is end_dim, and one table
+    {n: dim Hom(X, Y[n])} over |n| <= window per ordered pair, which gives
+    the edges.  An isomorphism X_i -> X_j[n] forces dim Hom(X_i, X_j[n]) =
+    dim End X_i = dim End X_j = dim Hom(X_j, X_i[-n]), so the exact
+    isomorphism test runs only where those four numbers agree.
     """
     from .shiftgraph import HomEdge, Orbit, ShiftGraph
 
     fld = fld or PrimeField()
     normed = []
+    ends = []
     for k, x in enumerate(reps):
         if x.algebra is not alg:
             raise AlgebraMismatch("complex not over the given algebra")
@@ -474,35 +500,33 @@ def build_shiftgraph_from_complexes(alg: MonomialAlgebra, reps: list[ProjComplex
         top = x.top_degree()
         if top != 0:
             x = shift_complex(x, -top, fld.p)
-        if not is_indecomposable(x, fld):
+        end = EndAlgebra(x, fld)
+        if not end.is_local():
             raise ValueError(f"complex {x.name or k} is not indecomposable")
         if not x.name:
             x.name = f"X{k}"
         normed.append(x)
+        ends.append(end)
     ids = [x.name for x in normed]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate complex names")
+    table = {(i, j): _hom_dims(x, y, -window, window, fld)
+             for i, x in enumerate(normed) for j, y in enumerate(normed)}
     for i in range(len(normed)):
         for j in range(i + 1, len(normed)):
             for n in range(-window, window + 1):
-                if are_isomorphic(normed[i], shift_complex(normed[j], n, fld.p), fld):
+                # ends are local, so these dimensions are all nonzero
+                if (table[i, j][n] == ends[i].dim == ends[j].dim == table[j, i][-n]
+                        and _isomorphic(ends[i], shift_complex(normed[j], n, fld.p))):
                     raise ValueError(
                         f"{ids[i]} and {ids[j]} are isomorphic up to shift {n}")
-    orbits = []
+    orbits = [Orbit(ids[i], period=None, end_dim=end.dim) for i, end in enumerate(ends)]
     homs = {}
-    for i, x in enumerate(normed):
-        end_dim = hom_k_dim(x, x, 0, fld)
-        orbits.append(Orbit(ids[i], period=None, end_dim=end_dim))
-    for i, x in enumerate(normed):
-        for j, y in enumerate(normed):
-            edges = []
-            for n in range(-window, window + 1):
-                d = hom_k_dim(x, y, n, fld)
-                if d > 0:
-                    all_iso = i == j and n == 0 and d == 1
-                    edges.append(HomEdge(n, d, all_iso=all_iso))
-            if edges:
-                homs[(ids[i], ids[j])] = tuple(edges)
+    for (i, j), dims in table.items():
+        edges = tuple(HomEdge(n, d, all_iso=i == j and n == 0 and d == 1)
+                      for n, d in dims.items() if d > 0)
+        if edges:
+            homs[(ids[i], ids[j])] = edges
     return ShiftGraph(name=name, orbits=orbits, homs=homs,
                       genuine=True, windowed=True, field_char=fld.p)
 
@@ -513,9 +537,15 @@ def are_isomorphic(x: ProjComplex, y: ProjComplex, fld: PrimeField) -> bool:
     _check_same_algebra(x, y)
     if hom_k_dim(x, y, 0, fld) == 0 or hom_k_dim(y, x, 0, fld) == 0:
         return False
+    return _isomorphic(EndAlgebra(x, fld), y)
+
+
+def _isomorphic(end: EndAlgebra, y: ProjComplex) -> bool:
+    """Whether some composite X -> Y -> X, X = end.x, avoids the radical
+    of End(X)."""
+    x, fld = end.x, end.fld
     f_coords, f_reps, _ = _hom_reps(x, y, 0, fld)
     g_coords, g_reps, _ = _hom_reps(y, x, 0, fld)
-    end = EndAlgebra(x, fld)
     rad = end.radical()
     for fi in range(f_reps.shape[1]):
         for gj in range(g_reps.shape[1]):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -323,6 +324,15 @@ def test_gen_and_hom_in_a_fresh_process(tmp_path):
                      cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["report"]["dim"] == 1
+
+
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    proc = run_child(str(demo), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_package_namespace(monkeypatch):

@@ -1,10 +1,11 @@
 import pytest
 
-from derhed.complexes import (FieldTooSmall, ProjComplex, are_isomorphic,
-                              check_complex, hom_k_dim, is_indecomposable,
-                              shift_complex)
+from derhed.complexes import (EndAlgebra, FieldTooSmall, ProjComplex,
+                              _hom_dims, are_isomorphic, check_complex,
+                              hom_k_dim, is_indecomposable, shift_complex)
 from derhed.generators import (a2_projective_resolutions,
-                               dual_numbers_algebra, dual_numbers_chain)
+                               dual_numbers_algebra, dual_numbers_chain,
+                               gen_dual_numbers)
 from derhed.linalg import PrimeField
 from derhed.quiver import Arrow, Quiver, build_algebra
 
@@ -88,6 +89,37 @@ def test_dual_numbers_match_oracle(dual, fld, n):
             assert hom_k_dim(x, y, n, fld) == hom_oracle(dual, x, y, n, fld.p)
 
 
+@pytest.mark.parametrize("family", ["dual", "a2"])
+def test_window_table_matches_per_call_dims(dual, fld, family):
+    """The builder's one table per pair equals the per-call hom_k_dim,
+    the oracle, and Hom(X, Y[n]) computed as Hom(X, shift(Y, n)) in
+    degree 0, which the isomorphism gate relies on."""
+    if family == "dual":
+        xs = [dual_numbers_chain(dual, l) for l in (1, 2, 3, 4)]
+    else:
+        xs = a2_projective_resolutions(fld)[1]
+    window = 3
+    for x in xs:
+        for y in xs:
+            table = _hom_dims(x, y, -window, window, fld)
+            assert sorted(table) == list(range(-window, window + 1))
+            for n, dim in table.items():
+                assert dim == hom_k_dim(x, y, n, fld)
+                assert dim == hom_oracle(x.algebra, x, y, n, fld.p)
+                assert dim == hom_k_dim(x, shift_complex(y, n, fld.p), 0, fld)
+
+
+def test_dual_numbers_graph_matches_per_call_dims(dual, fld):
+    g = gen_dual_numbers(5, 2, fld)
+    chains = {f"C{l}": dual_numbers_chain(dual, l) for l in range(1, 6)}
+    for a, x in chains.items():
+        assert g.orbit(a).end_dim == hom_k_dim(x, x, 0, fld)
+        for b, y in chains.items():
+            edges = {e.weight: e.dim for e in g.edges_between(a, b)}
+            for n in range(-2, 3):
+                assert edges.get(n, 0) == hom_k_dim(x, y, n, fld)
+
+
 def test_a2_projectives(fld):
     alg, (s1, i, s2) = a2_projective_resolutions(fld)
     # i is the stalk of P_1, s2 the stalk of P_2
@@ -154,6 +186,18 @@ def test_field_too_small(dual):
     c1 = dual_numbers_chain(dual, 1)  # End has dimension 2 = p
     with pytest.raises(FieldTooSmall):
         is_indecomposable(c1, tiny)
+
+
+def test_radical_computed_once(dual, fld):
+    end = EndAlgebra(dual_numbers_chain(dual, 2), fld)
+    rad = end.radical()
+    assert rad.shape == (end.dim, 1)
+    assert end.radical() is rad
+    assert end.is_local()
+    small = EndAlgebra(dual_numbers_chain(dual, 1), PrimeField(2))
+    for _ in range(2):
+        with pytest.raises(FieldTooSmall):
+            small.radical()
 
 
 def test_are_isomorphic(dual, fld):
