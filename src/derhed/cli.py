@@ -281,9 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--assert-hereditary", action="store_true",
                    help="exit 1 unless every block is hereditary")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="ignored; blocks are always checked one after another "
-                        "(accepted so that existing scripts keep working)")
     p = add("heart", _cmd_heart, help="extract a heart from a source orbit")
     p.add_argument("file")
     p.add_argument("--from", dest="source", required=True, metavar="ORBIT")

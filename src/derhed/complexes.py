@@ -224,9 +224,10 @@ def _hom_coords(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int):
 
 
 def _hom_boundary(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int,
-                  fld: PrimeField) -> tuple[np.ndarray, list, list]:
+                  fld: PrimeField) -> tuple[np.ndarray, list]:
     """Matrix of the hom-complex differential from degree-n maps to
-    degree-(n+1) maps: f -> d_Y f - (-1)^n f d_X."""
+    degree-(n+1) maps, f -> d_Y f - (-1)^n f d_X, and the coordinates of
+    the degree-n maps."""
     src_coords, _src_pos = _hom_coords(alg, x, y, n)
     tgt_coords, tgt_pos = _hom_coords(alg, x, y, n + 1)
     mat = fld.zeros(len(tgt_coords), len(src_coords))
@@ -247,7 +248,7 @@ def _hom_boundary(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int,
                 row = tgt_pos.get((i - 1, a2, b, idx))
                 if row is not None:
                     mat[row, col] = (mat[row, col] + sign * coeff) % fld.p
-    return mat, src_coords, tgt_coords
+    return mat, src_coords
 
 
 def _check_same_algebra(x: ProjComplex, y: ProjComplex):
@@ -263,7 +264,7 @@ def _hom_dims(x: ProjComplex, y: ProjComplex, lo: int, hi: int,
     dims = {}
     rank_prev = None  # rank of d_(n-1), once built
     for n in range(lo, hi + 1):
-        d_n, coords, _ = _hom_boundary(x.algebra, x, y, n, fld)
+        d_n, coords = _hom_boundary(x.algebra, x, y, n, fld)
         rank_n = fld.rank(d_n)
         if coords and rank_prev is None:
             rank_prev = fld.rank(_hom_boundary(x.algebra, x, y, n - 1, fld)[0])
@@ -284,11 +285,11 @@ def _hom_reps(x: ProjComplex, y: ProjComplex, n: int, fld: PrimeField):
     """Hom-space data: (coords, representative matrix whose columns are a
     basis of chain maps spanning Hom_K, boundary matrix)."""
     alg = x.algebra
-    d_n, src_coords, _ = _hom_boundary(alg, x, y, n, fld)
+    d_n, src_coords = _hom_boundary(alg, x, y, n, fld)
     if not src_coords:
         return src_coords, fld.zeros(0, 0), fld.zeros(0, 0)
     z = fld.nullspace(d_n)
-    d_prev, prev_coords, _ = _hom_boundary(alg, x, y, n - 1, fld)
+    d_prev, prev_coords = _hom_boundary(alg, x, y, n - 1, fld)
     bmat = d_prev if prev_coords else fld.zeros(len(src_coords), 0)
     if z.shape[1] == 0:
         return src_coords, z, bmat
@@ -499,7 +500,7 @@ def build_shiftgraph_from_complexes(alg: MonomialAlgebra, reps: list[ProjComplex
             raise ValueError("zero complex has no orbit")
         top = x.top_degree()
         if top != 0:
-            x = shift_complex(x, -top, fld.p)
+            x = shift_complex(x, top, fld.p)  # X[top] has top degree 0
         end = EndAlgebra(x, fld)
         if not end.is_local():
             raise ValueError(f"complex {x.name or k} is not indecomposable")

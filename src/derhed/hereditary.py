@@ -167,36 +167,22 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     the whole block is extracted and verified."""
     eng = engine or PathEngine(g)
     blk = _require_block(eng, block)
-    negative = {x for x in blk if eng.min_weight(x, x) == NEG_INF}
+    i = eng._block_of[blk[0]]
+    negative = eng._negative_in(i)
     indicator = {x: (x in negative) for x in blk}
     if negative:
         x = min(negative)
-        walk = eng.walk_with_weight(x, x, -1)
-        steps = [PathStep("start", ObjRef(x, 1))]
-        offset = 1
-        for (_u, v, w) in walk:
-            offset += w
-            steps.append(PathStep("hom", ObjRef(v, offset)))
-        while offset < 0:
-            offset += 1
-            steps.append(PathStep("shift", ObjRef(x, offset)))
+        witness = eng.path_report(ObjRef(x, 1), ObjRef(x, 0)).witness
         return HereditaryReport(verdict="not-hereditary", indicator=indicator,
-                                witness=steps)
-    # the admissible sources are those reaching every orbit of the block;
-    # pick the one whose heart has the least offsets (ties broken by orbit
-    # id) for a canonical answer
-    best = None
-    for source in blk:
-        try:
-            h = extract_heart(g, blk, source, engine=eng)
-        except UnreachableOrbit:
-            continue
-        key = (sorted(h.offsets.values()), source)
-        if best is None or key < best[0]:
-            best = (key, h)
-    if best is None:
+                                witness=witness)
+    # the admissible sources are the rows of the block's walk table with no
+    # +inf, those reaching every orbit; the one with the least sorted
+    # offsets (ties broken by orbit id) gives the canonical heart
+    rows = [(sorted(row), x, row) for x, row in zip(blk, eng._table(i))
+            if POS_INF not in row]
+    if not rows:
         raise UnreachableOrbit(f"no orbit of {blk} reaches every other orbit")
-    heart = best[1]
+    heart = Heart({y: int(w) for y, w in zip(blk, min(rows)[2])})
     check = verify_heart(g, heart, blk)
     verdict = "hereditary-within-window" if g.windowed else "hereditary"
     return HereditaryReport(verdict=verdict, indicator=indicator,

@@ -13,13 +13,14 @@ hom-edge graph), so every solve relaxes only the edges of the source's
 block.  Periodic orbits need no special case: their mandatory invertible
 self-edges at weights -p and +p already form a negative closed walk.
 
-Witness construction for the zero-weight-closed-walk test (directing
-objects) uses shortest-walk potentials: with pi(v) the distance from a
-fixed source inside a strongly connected component free of negative
-cycles, every edge has reduced weight pi(u) + w - pi(v) >= 0, so a closed
-walk has total weight zero exactly when all its edges are tight.  Hence
-the zero-weight closed walks through X are the cycles of tight edges
-through X.
+Block-wide questions (which orbits lie on a negative closed walk, the
+canonical heart, the directing orbits) are read off one all-pairs walk
+table per block, a Floyd-Warshall over the lightest edge of each ordered
+pair.  An orbit lies on a negative closed walk exactly when it reaches,
+and is reached from, an orbit whose diagonal entry went negative; such
+entries are clamped to -inf.  Single-source questions (min_weight and the
+witnesses) keep a Bellman-Ford per source, whose predecessor labels give
+the witness walks.
 """
 
 from __future__ import annotations
@@ -103,23 +104,19 @@ class PathEngine:
     Each source is solved once, by Bellman-Ford over the edges of its own
     block; targets in other blocks are at +inf.  The -inf pairs are the
     forward closure of the vertices still relaxable after the passes,
-    which covers periodic orbits through their -p self-edges.
+    which covers periodic orbits through their -p self-edges.  Each block
+    also gets one walk table (see _walk_table), built on first use, for
+    the negative-walk orbits and the canonical heart.
     """
 
-    def __init__(self, g: ShiftGraph, proper_only: bool = False):
+    def __init__(self, g: ShiftGraph):
         self.g = g
         self.nodes = sorted(g.orbit_ids())
-        self.edges: list[tuple[str, str, int]] = []
-        for (a, b), hom_edges in g.homs.items():
-            for e in hom_edges:
-                if proper_only and e.all_iso:
-                    continue
-                self.edges.append((a, b, e.weight))
-        self.edges.sort()
+        self.edges = sorted((a, b, e.weight)
+                            for (a, b), hom_edges in g.homs.items() for e in hom_edges)
         self.succ: dict[str, list[tuple[str, int]]] = {v: [] for v in self.nodes}
         for (a, b, w) in self.edges:
             self.succ[a].append((b, w))
-        self.periodic = {o.id for o in g.orbits if o.period is not None}
         self._blocks = self._compute_blocks()
         self._block_of = {v: i for i, blk in enumerate(self._blocks) for v in blk}
         self._block_edges: list[list[tuple[str, str, int]]] = [[] for _ in self._blocks]
@@ -127,6 +124,7 @@ class PathEngine:
             self._block_edges[self._block_of[e[0]]].append(e)
         self._dist_cache: dict[str, dict[str, float]] = {}
         self._pred_cache: dict[str, dict[str, tuple[str, int]]] = {}
+        self._tables: dict[int, list[list[float]]] = {}
 
     # -- structure --
 
@@ -209,10 +207,23 @@ class PathEngine:
         self._run_source(x)
         return self._dist_cache[x].get(y, POS_INF)
 
+    def _table(self, i: int) -> list[list[float]]:
+        """The walk table of block i; walks of length zero count."""
+        if i not in self._tables:
+            blk = self._blocks[i]
+            self._tables[i] = _walk_table(blk, self._block_edges[i] + [(v, v, 0) for v in blk])
+        return self._tables[i]
+
+    def _negative_in(self, i: int) -> set[str]:
+        """The orbits of block i on a negative closed walk."""
+        d = self._table(i)
+        blk = self._blocks[i]
+        return {blk[k] for k in _tied_to(d, [m for m in range(len(d)) if d[m][m] < 0])}
+
     def negative_walk_objects(self) -> set[str]:
         """Orbits on a negative closed walk: exactly those X admitting a
         path from X[1] back to X."""
-        return {v for v in self.nodes if self.min_weight(v, v) == NEG_INF}
+        return {v for i in range(len(self._blocks)) for v in self._negative_in(i)}
 
     # -- witnesses --
 
@@ -338,49 +349,45 @@ class PathEngine:
         return PathReport(exists=True, min_weight=mw, witness=steps)
 
 
-# -- strongly connected components (Kosaraju, deterministic order) --
+# -- all-pairs walk tables, one block at a time --
 
-def _sccs(nodes: list[str], succ: dict[str, list[str]]) -> list[list[str]]:
-    pred: dict[str, list[str]] = {v: [] for v in nodes}
-    for u in nodes:
-        for v in succ[u]:
-            pred[v].append(u)
-    order = []
-    seen = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        stack = [(start, iter(sorted(succ[start])))]
-        seen.add(start)
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append((v, iter(sorted(succ[v]))))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(u)
-                stack.pop()
-    comps = []
-    assigned = set()
-    for u in reversed(order):
-        if u in assigned:
-            continue
-        comp = [u]
-        assigned.add(u)
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            for y in pred[x]:
-                if y not in assigned:
-                    assigned.add(y)
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps
+def _walk_table(block: list[str], edges) -> list[list[float]]:
+    """Floyd-Warshall over the lightest edge of each ordered pair: d[i][j]
+    is the least weight of a walk of length >= 1 from block[i] to block[j]
+    along the edges (u, v, w).
+
+    A diagonal entry that goes negative is clamped to -inf, so the values
+    never grow into big ints.  Every finite entry is the weight of a walk,
+    every negative cycle leaves -inf on the diagonal at one of its orbits,
+    and +inf means no walk; without negative cycles the table is exact."""
+    n = len(block)
+    pos = {v: k for k, v in enumerate(block)}
+    d = [[POS_INF] * n for _ in range(n)]
+    for (u, v, w) in edges:
+        i, j = pos[u], pos[v]
+        if w < d[i][j]:
+            d[i][j] = w
+    for i in range(n):
+        if d[i][i] < 0:
+            d[i][i] = NEG_INF
+    for k in range(n):
+        row_k = [(j, w) for j, w in enumerate(d[k]) if w != POS_INF]
+        for i, row in enumerate(d):
+            dik = row[k]
+            if dik == POS_INF:
+                continue
+            for j, w in row_k:
+                if dik + w < row[j]:
+                    row[j] = dik + w
+            if row[i] < 0:
+                row[i] = NEG_INF
+    return d
+
+
+def _tied_to(d: list[list[float]], marked: list[int]) -> set[int]:
+    """Indices that reach, and are reached from, some marked index."""
+    return {i for i in range(len(d)) for m in marked
+            if i == m or (d[i][m] != POS_INF and d[m][i] != POS_INF)}
 
 
 # -- public operations --
@@ -405,49 +412,18 @@ def directing_objects(g: ShiftGraph) -> set[str]:
     zero, where proper walks use only non-invertible nonzero morphisms
     (edges with all_iso false) and shift steps.
 
-    A periodic orbit is never directing: p shift steps already close up.
-    Orbits sharing a strongly connected component with a periodic orbit
-    inherit this, since offsets can be reduced mod p while passing
-    through."""
-    eng = PathEngine(g, proper_only=True)
-    succ = {v: sorted({b for (b, _w) in eng.succ[v]}) for v in eng.nodes}
-    comps = _sccs(eng.nodes, succ)
-    non_directing: set[str] = set(eng.periodic)
-    for comp in comps:
-        comp_set = set(comp)
-        if comp_set & eng.periodic:
-            non_directing.update(comp)
-            continue
-        comp_edges = [(u, v, w) for (u, v, w) in eng.edges
-                      if u in comp_set and v in comp_set]
-        if not comp_edges:
-            continue
-        if eng._negative_cycle_within(comp_set) is not None:
-            # pad the <= -1 closed walk up to weight zero with shift steps
-            non_directing.update(comp)
-            continue
-        # potentials from the least node; all of comp is reachable from it
-        src = comp[0]
-        pi = {v: (0 if v == src else POS_INF) for v in comp}
-        for _ in range(len(comp)):
-            changed = False
-            for (u, v, w) in comp_edges:
-                if pi[u] != POS_INF and pi[u] + w < pi[v]:
-                    pi[v] = pi[u] + w
-                    changed = True
-            if not changed:
-                break
-        tight_succ = {v: [] for v in comp}
-        tight_loops = set()
-        for (u, v, w) in comp_edges:
-            if pi[u] != POS_INF and pi[u] + w == pi[v]:
-                if u == v:
-                    tight_loops.add(u)
-                else:
-                    tight_succ[u].append(v)
-        tight_succ = {v: sorted(set(ws)) for v, ws in tight_succ.items()}
-        for tc in _sccs(comp, tight_succ):
-            if len(tc) > 1:
-                non_directing.update(tc)
-        non_directing.update(tight_loops)
-    return set(eng.nodes) - non_directing
+    Shift steps pad a proper closed walk of weight <= 0 up to zero, so an
+    orbit is directing iff its proper walk table has a positive diagonal
+    entry and it is not strongly connected to an orbit with a negative
+    one.  A periodic orbit is never directing: p shift steps already
+    close up.  Orbits strongly connected to a periodic orbit inherit this,
+    since offsets can be reduced mod p while passing through."""
+    out = set()
+    for blk in PathEngine(g).blocks():
+        d = _walk_table(blk, [(a, b, e.weight) for a in blk for b in g.targets(a)
+                              for e in g.homs[(a, b)] if not e.all_iso])
+        closing = [k for k, x in enumerate(blk)
+                   if d[k][k] < 0 or g.orbit(x).period is not None]
+        tied = _tied_to(d, closing)
+        out.update(x for k, x in enumerate(blk) if d[k][k] > 0 and k not in tied)
+    return out

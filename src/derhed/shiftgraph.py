@@ -183,16 +183,14 @@ class ValidationReport:
         return {"ok": self.ok, "errors": self.errors, "warnings": self.warnings}
 
 
-def _effective_weight_residues(g: ShiftGraph, a: str, b: str,
-                               iso_only_excluded: bool = False):
-    """Stored weights between a and b plus the modulus under which the
-    effective (periodicity-translated) support repeats: (weights, modulus).
-    modulus 0 means no periodic translation applies."""
+def _effective_weight_residues(g: ShiftGraph, a: str, b: str):
+    """Non-invertible stored weights between a and b plus the modulus under
+    which the effective (periodicity-translated) support repeats:
+    (weights, modulus).  modulus 0 means no periodic translation applies."""
     pa = g.orbit(a).period or 0
     pb = g.orbit(b).period or 0
     mod = math.gcd(pa, pb)
-    weights = [e.weight for e in g.edges_between(a, b)
-               if not (iso_only_excluded and e.all_iso)]
+    weights = [e.weight for e in g.edges_between(a, b) if not e.all_iso]
     return weights, mod
 
 
@@ -206,8 +204,8 @@ def _cone_witness_exists(g: ShiftGraph, a: str, b: str, n: int) -> bool:
     Z'."""
     target = 1 - n
     for z in g.orbit_ids():
-        w1, m1 = _effective_weight_residues(g, b, z, iso_only_excluded=True)
-        w2, m2 = _effective_weight_residues(g, z, a, iso_only_excluded=True)
+        w1, m1 = _effective_weight_residues(g, b, z)
+        w2, m2 = _effective_weight_residues(g, z, a)
         mod = math.gcd(m1, m2)
         for u in w1:
             for v in w2:

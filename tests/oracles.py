@@ -74,27 +74,31 @@ def _reach(succ, start):
     return seen
 
 
+def _simple_cycles(w):
+    """Every simple cycle of the weighted pairs w ((u, v) -> weight), once
+    each (rooted at its least node), as (nodes, total weight)."""
+    succ = {}
+    for (a, b) in sorted(w):
+        succ.setdefault(a, []).append(b)
+    out = []
+
+    def extend(start, path, total):
+        for v in succ.get(path[-1], ()):
+            step = total + w[(path[-1], v)]
+            if v == start:
+                out.append((tuple(path), step))
+            elif v > start and v not in path:
+                extend(start, path + [v], step)
+
+    for s in succ:
+        extend(s, [s], 0)
+    return out
+
+
 def _negative_cycle_nodes(g) -> set:
     """Nodes lying on some simple hom-edge cycle of negative total weight."""
-    w = _min_edge_weights(g)
-    nodes = g.orbit_ids()
-    bad = set()
-    for v in nodes:
-        if w.get((v, v), 1) < 0:
-            bad.add(v)
-    for size in range(2, len(nodes) + 1):
-        for subset in itertools.combinations(nodes, size):
-            first = subset[0]
-            for rest in itertools.permutations(subset[1:]):
-                cycle = (first,) + rest
-                try:
-                    total = sum(w[(cycle[i], cycle[(i + 1) % size])]
-                                for i in range(size))
-                except KeyError:
-                    continue
-                if total < 0:
-                    bad.update(cycle)
-    return bad
+    return {v for nodes, total in _simple_cycles(_min_edge_weights(g))
+            if total < 0 for v in nodes}
 
 
 def min_weight_oracle(g, x: str, y: str) -> float:
@@ -122,6 +126,32 @@ def min_weight_oracle(g, x: str, y: str) -> float:
         for v in dist:
             best[v] = min(best[v], dist[v])
     return best[y]
+
+
+def directing_oracle(g) -> set:
+    """Orbits with no closed walk of length >= 1 made of non-invertible hom
+    edges and total weight <= 0 (shift steps pad it up to 0), and not
+    strongly connected through such edges to a periodic orbit.  Such a walk
+    exists through x exactly when a simple cycle through x weighs <= 0, or
+    x is strongly connected to a negative simple cycle (pump it)."""
+    w = {}
+    for (a, b), edges in g.homs.items():
+        ws = [e.weight for e in edges if not e.all_iso]
+        if ws:
+            w[(a, b)] = min(ws)
+    succ = {x: set() for x in g.orbit_ids()}
+    for (a, b) in w:
+        succ[a].add(b)
+    reach = {x: _reach(succ, x) for x in g.orbit_ids()}
+    seeds = {o.id for o in g.orbits if o.period is not None}
+    closing = set()
+    for nodes, total in _simple_cycles(w):
+        if total < 0:
+            seeds.update(nodes)
+        if total <= 0:
+            closing.update(nodes)
+    return {x for x in g.orbit_ids() if x not in closing
+            and not any(s in reach[x] and x in reach[s] for s in seeds)}
 
 
 def enumerate_hom_walks(g, x: str, max_steps: int):

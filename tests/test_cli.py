@@ -68,12 +68,12 @@ def test_check_assert_hereditary_exit_codes(capsys, a2_files, dual_file):
     assert blk["witness"]
 
 
-def test_check_jobs_deterministic(capsys, dual_file):
-    main(["check", str(dual_file)])
-    serial = capsys.readouterr().out
-    main(["check", str(dual_file), "--jobs", "4"])
-    parallel = capsys.readouterr().out
-    assert serial == parallel
+def test_check_rejects_jobs(capsys, dual_file):
+    # --jobs is gone: argparse refuses it with exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(dual_file), "--jobs", "4"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_byte_identical_reports(capsys, a2_files):

@@ -112,17 +112,31 @@ def test_complex_builder_rejects_shift_duplicates(fld):
     with pytest.raises(ValueError, match=r"^C1 and C1b are isomorphic up to shift 0$"):
         build_shiftgraph_from_complexes(alg, [c1, c1_again], 1, fld)
     # C1 plus a contractible summand in degrees 0, 1.  The builder's
-    # normalization, shift_complex(x, -top), moves it to degrees 1, 2,
-    # where it is isomorphic to C1[-1]: the shift found is n != 0
+    # normalization, shift_complex(x, top), moves it to degrees -1, 0,
+    # where it is isomorphic to C1[1]: the shift found is n != 0
     c1plus = ProjComplex(alg, {0: ["v", "v"], 1: ["v"]},
                          {0: [[{}], [{alg.index["e_v"]: 1}]]}, name="C1plus")
-    with pytest.raises(ValueError, match=r"^C1 and C1plus are isomorphic up to shift 1$"):
+    with pytest.raises(ValueError, match=r"^C1 and C1plus are isomorphic up to shift -1$"):
         build_shiftgraph_from_complexes(alg, [c1, c1plus], 1, fld)
-    with pytest.raises(ValueError, match=r"^C1plus and C1 are isomorphic up to shift -1$"):
+    with pytest.raises(ValueError, match=r"^C1plus and C1 are isomorphic up to shift 1$"):
         build_shiftgraph_from_complexes(alg, [c1plus, c1], 1, fld)
     c2 = dual_numbers_chain(alg, 2)
     g = build_shiftgraph_from_complexes(alg, [c2, c1plus], 1, fld)
     assert sorted(g.orbit_ids()) == ["C1plus", "C2"]
+
+
+def test_complex_builder_normalizes_top_degree_to_zero(fld):
+    from derhed.complexes import shift_complex
+
+    # C3 lives in degrees -2..0; C3[-1] in degrees -1..1 normalizes back
+    # to C3 itself, so even window 0 finds the duplicate
+    alg = dual_numbers_algebra()
+    c3 = dual_numbers_chain(alg, 3)
+    moved = shift_complex(c3, -1, fld.p)
+    moved.name = "C3up"
+    assert moved.top_degree() == 1
+    with pytest.raises(ValueError, match=r"^C3 and C3up are isomorphic up to shift 0$"):
+        build_shiftgraph_from_complexes(alg, [c3, moved], 0, fld)
 
 
 def test_field_char_propagates():

@@ -11,7 +11,7 @@ from derhed.hereditary import (Heart, IncompleteHeart, NegativeWalkAtSource,
                                NotABlock, UnreachableOrbit, check_hereditary,
                                cohomology, extract_heart, truncate,
                                verify_heart)
-from derhed.paths import PathEngine
+from derhed.paths import NEG_INF, POS_INF, PathEngine
 from derhed.shiftgraph import (AbelianData, HomEdge, ObjRef, Orbit, ShiftGraph,
                                expand_hereditary)
 
@@ -212,3 +212,72 @@ def test_many_small_blocks_match_one_block_graphs():
         assert (verify_heart(union, heart, blk).to_dict()
                 == verify_heart(alone, heart, blk).to_dict())
     assert verdicts["hereditary"] and verdicts["not-hereditary"]
+
+
+def random_blocks(seed):
+    """Three random graphs side by side, negative weights in every other
+    one, sparse to dense, periodic orbits anywhere: blocks of every kind,
+    including some that no orbit reaches in full."""
+    rng = np.random.default_rng(seed)
+    return oracles.disjoint_union(*(
+        oracles.random_graph(rng, max_orbits=4, w_lo=-3 * (k % 2),
+                             edge_prob=(0.15, 0.3, 0.5)[k], periodic_prob=0.2,
+                             prefix=f"B{k}_")
+        for k in range(3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_check_matches_oracle(seed):
+    g = random_blocks(seed)
+    eng = PathEngine(g)
+    for blk in eng.blocks():
+        rows = {s: [oracles.min_weight_oracle(g, s, y) for y in blk] for s in blk}
+        negative = {x for x in blk if rows[x][blk.index(x)] == NEG_INF}
+        reaching = [(sorted(r), s) for s, r in rows.items() if POS_INF not in r]
+        if not negative and not reaching:
+            with pytest.raises(UnreachableOrbit, match=r"reaches every other orbit$"):
+                check_hereditary(g, blk, engine=eng)
+            continue
+        rep = check_hereditary(g, blk, engine=eng)
+        assert rep.indicator == {x: x in negative for x in blk}
+        if negative:
+            x = min(negative)
+            assert rep.verdict == "not-hereditary" and rep.heart is None
+            assert oracles.check_witness(g, rep.witness, ObjRef(x, 1), ObjRef(x, 0))
+        else:
+            assert rep.verdict == "hereditary"
+            assert rep.heart.offsets == dict(zip(blk, rows[min(reaching)[1]]))
+    assert eng.negative_walk_objects() == {
+        x for x in g.orbit_ids() if oracles.min_weight_oracle(g, x, x) == NEG_INF}
+
+
+def test_long_negative_cycle():
+    # one cycle of 100 orbits and total weight -1: every orbit is on it,
+    # and the clamped walk table keeps its entries small
+    ids = [f"c{i:03d}" for i in range(100)]
+    g = one_way(*((ids[i], ids[(i + 1) % 100], -1 if i == 99 else 0)
+                  for i in range(100)))
+    eng = PathEngine(g)
+    rep = check_hereditary(g, ids, engine=eng)
+    assert rep.verdict == "not-hereditary"
+    assert rep.indicator == {x: True for x in ids}
+    assert oracles.check_witness(g, rep.witness, ObjRef("c000", 1), ObjRef("c000", 0))
+    assert eng.negative_walk_objects() == set(ids)
+    assert all(d == NEG_INF or abs(d) <= 100 for row in eng._table(0) for d in row)
+    # every pair at weight -1: unclamped, the entries would double with
+    # every pivot and reach -2**40
+    ids = [f"k{i:02d}" for i in range(40)]
+    g = one_way(*((a, b, -1) for a in ids for b in ids if a != b))
+    eng = PathEngine(g)
+    assert check_hereditary(g, ids, engine=eng).indicator == {x: True for x in ids}
+    assert all(d == NEG_INF for row in eng._table(0) for d in row)
+
+
+def test_walks_of_length_zero_count():
+    # without identity edges (validate refuses such a graph, check does not
+    # run validate) every orbit still reaches itself at weight 0
+    g = ShiftGraph("bare", [Orbit("A"), Orbit("B")], {("A", "B"): (HomEdge(1, 1),)})
+    rep = check_hereditary(g, ["A", "B"])
+    assert rep.heart.offsets == {"A": 0, "B": 1}
+    assert rep.indicator == {"A": False, "B": False}

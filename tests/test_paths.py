@@ -168,6 +168,28 @@ def test_min_weight_matches_oracle(seed):
                     g.to_json(), x, y)
 
 
+@settings(max_examples=80, deadline=None)
+@given(SEEDS)
+def test_directing_matches_oracle(seed):
+    rng = np.random.default_rng(seed)
+    g = oracles.disjoint_union(*(
+        oracles.random_graph(rng, max_orbits=4, w_lo=-1 - k, edge_prob=0.5,
+                             periodic_prob=0.2, prefix=f"B{k}_")
+        for k in range(3)))
+    assert directing_objects(g) == oracles.directing_oracle(g), g.to_json()
+
+
+def test_directing_long_cycles():
+    # a 100-orbit proper cycle is directing iff its weight is positive
+    ids = [f"c{i:03d}" for i in range(100)]
+    for last, expected in ((-1, set()), (0, set()), (1, set(ids))):
+        homs = {(x, x): (HomEdge(0, 1, all_iso=True),) for x in ids}
+        homs.update({(ids[i], ids[(i + 1) % 100]): (HomEdge(last if i == 99 else 0, 1),)
+                     for i in range(100)})
+        g = ShiftGraph("cycle", [Orbit(x) for x in ids], homs)
+        assert directing_objects(g) == expected
+
+
 @settings(max_examples=50, deadline=None)
 @given(SEEDS, st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2))
 def test_padding_law_and_shift_equivariance(seed, i, j, k):
