@@ -71,18 +71,16 @@ def _parse_ref(g: ShiftGraph, text: str) -> ObjRef:
     return ObjRef(orbit, offset)
 
 
-def _envelope(command: str, report: dict, g: ShiftGraph | None = None,
-              name: str | None = None) -> dict:
-    out = {
+def _envelope(command: str, report: dict, g: ShiftGraph | None = None) -> dict:
+    return {
         "tool": "derhed",
         "version": __version__,
         "command": command,
-        "instance": g.name if g is not None else (name or ""),
+        "instance": g.name if g is not None else "",
         "genuine": g.genuine if g is not None else None,
         "windowed": g.windowed if g is not None else None,
         "report": report,
     }
-    return out
 
 
 def _render_text(value, indent: int = 0, key: str | None = None) -> list[str]:

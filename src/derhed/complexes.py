@@ -29,6 +29,7 @@ import numpy as np
 
 from .linalg import PrimeField
 from .quiver import MonomialAlgebra
+from .shiftgraph import HomEdge, Orbit, ShiftGraph
 
 # an algebra element: basis index -> coefficient (nonzero, mod p)
 AlgElem = dict[int, int]
@@ -424,10 +425,10 @@ class EndAlgebra:
             sol = fld.solve(basis, v % fld.p)
             return sol[nrad:]
 
-        smul = {}
-        for i in range(sdim):
-            for j in range(sdim):
-                smul[(i, j)] = to_s(self.mult(s_reps[:, i], s_reps[:, j]))
+        # s_reps are unit columns: their products are in radical()'s table
+        st = self.structure()
+        smul = {(i, j): to_s(st[(comp_idx[i], comp_idx[j])])
+                for i in range(sdim) for j in range(sdim)}
         for i in range(sdim):
             for j in range(i):
                 if not np.array_equal(smul[(i, j)], smul[(j, i)]):
@@ -468,7 +469,7 @@ def is_indecomposable(x: ProjComplex, fld: PrimeField | None = None) -> bool:
 
 def build_shiftgraph_from_complexes(alg: MonomialAlgebra, reps: list[ProjComplex],
                                     window: int, fld: PrimeField | None = None,
-                                    name: str = "") -> "ShiftGraph":
+                                    name: str = "") -> ShiftGraph:
     """Package homotopy-category hom dimensions of the given
     indecomposable complexes into a shift-graph.
 
@@ -485,8 +486,6 @@ def build_shiftgraph_from_complexes(alg: MonomialAlgebra, reps: list[ProjComplex
     dim End X_i = dim End X_j = dim Hom(X_j, X_i[-n]), so the exact
     isomorphism test runs only where those four numbers agree.
     """
-    from .shiftgraph import HomEdge, Orbit, ShiftGraph
-
     fld = fld or PrimeField()
     normed = []
     ends = []

@@ -13,9 +13,10 @@ from __future__ import annotations
 from .complexes import ProjComplex, build_shiftgraph_from_complexes
 from .hereditary import Heart
 from .linalg import PrimeField
-from .quiver import (Arrow, Quiver, Representation, build_algebra,
-                     euler_ext1_dim, rep_hom_dim)
-from .shiftgraph import AbelianData, ShiftGraph, expand_hereditary
+from .quiver import (Arrow, Quiver, Representation, _ext1_from_hom,
+                     build_algebra, rep_hom_dim)
+from .shiftgraph import (AbelianData, HomEdge, Orbit, ShiftGraph,
+                         expand_hereditary)
 
 _ARROW_CHARS = {">": ">", "<": "<", "r": ">", "l": "<"}
 
@@ -60,25 +61,25 @@ def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,
     """Shift-graph of the bounded derived category of the A_n path algebra
     with the given orientation word over {>, <}.
 
-    The n(n+1)/2 interval representations exhaust the indecomposables;
-    each is re-verified indecomposable by its endomorphism solve before
-    the hereditary expansion."""
+    The n(n+1)/2 interval representations exhaust the indecomposables.
+    One Hom solve per ordered pair gives Hom and, by the Euler form, Ext^1;
+    the diagonal of the Hom table re-verifies each one indecomposable
+    before the hereditary expansion."""
     fld = fld or PrimeField()
     q = _an_quiver(n, orientation)
     alg = build_algebra(q, [])
     items = _interval_names_and_reps(alg, n)
     if names:
         items = [(names.get(nm, nm), rep) for nm, rep in items]
-    for nm, rep in items:
-        if rep_hom_dim(rep, rep, fld) != 1:
-            raise RuntimeError(f"interval module {nm} failed the indecomposability check")
     objs = tuple(nm for nm, _ in items)
     hom = {}
     ext1 = {}
     for nm_a, ra in items:
         for nm_b, rb in items:
             h = rep_hom_dim(ra, rb, fld)
-            e = euler_ext1_dim(ra, rb, fld)
+            if ra is rb and h != 1:
+                raise RuntimeError(f"interval module {nm_a} failed the indecomposability check")
+            e = _ext1_from_hom(ra, rb, h)
             if h:
                 hom[(nm_a, nm_b)] = h
             if e:
@@ -134,8 +135,6 @@ def gen_semisimple_block(period: int, end_dim: int = 1,
                          fld: PrimeField | None = None) -> ShiftGraph:
     """Single orbit with X = X[period]: a semisimple category with
     cyclically twisted translation.  All hom edges are invertible."""
-    from .shiftgraph import HomEdge, Orbit
-
     if period < 1:
         raise ValueError("period must be >= 1")
     fld = fld or PrimeField()

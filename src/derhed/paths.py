@@ -117,7 +117,7 @@ class PathEngine:
         self.succ: dict[str, list[tuple[str, int]]] = {v: [] for v in self.nodes}
         for (a, b, w) in self.edges:
             self.succ[a].append((b, w))
-        self._blocks = self._compute_blocks()
+        self._blocks = _blocks_of(g)
         self._block_of = {v: i for i, blk in enumerate(self._blocks) for v in blk}
         self._block_edges: list[list[tuple[str, str, int]]] = [[] for _ in self._blocks]
         for e in self.edges:
@@ -128,42 +128,12 @@ class PathEngine:
 
     # -- structure --
 
-    def _compute_blocks(self) -> list[list[str]]:
-        parent = {v: v for v in self.nodes}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (a, b), hom_edges in self.g.homs.items():
-            if a != b and hom_edges:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        groups: dict[str, list[str]] = {}
-        for v in self.nodes:
-            groups.setdefault(find(v), []).append(v)
-        return sorted([sorted(grp) for grp in groups.values()])
-
     def blocks(self) -> list[list[str]]:
         return [list(b) for b in self._blocks]
 
     def _edges_of(self, v: str) -> list[tuple[str, str, int]]:
         """The edges of v's block, in the global sorted order."""
         return self._block_edges[self._block_of[v]]
-
-    def _reachable_from(self, *starts: str) -> set[str]:
-        seen = set(starts)
-        queue = deque(starts)
-        while queue:
-            u = queue.popleft()
-            for (v, _w) in self.succ[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
 
     # -- shortest walks --
 
@@ -195,7 +165,7 @@ class PathEngine:
         # every reachable negative cycle keeps a relaxable edge
         seeds = [v for (u, v, w) in edges
                  if dist[u][0] != POS_INF and (dist[u][0] + w, dist[u][1] + 1) < dist[v]]
-        neg = self._reachable_from(*seeds)
+        neg = _reachable_from(self.succ, *seeds)
         self._dist_cache[s] = {v: (NEG_INF if v in neg else dist[v][0]) for v in block}
         self._pred_cache[s] = pred
 
@@ -227,16 +197,10 @@ class PathEngine:
 
     # -- witnesses --
 
-    def _bfs_path(self, s: str, t: str, allowed: set[str]) -> list[tuple[str, str, int]]:
-        """Deterministic unweighted path s -> t within `allowed`, returned
-        as a list of hom edges (u, v, w); per node pair the lightest edge
-        is used."""
-        best_edge: dict[tuple[str, str], int] = {}
-        for (u, v, w) in self._edges_of(s):
-            if u in allowed and v in allowed:
-                key = (u, v)
-                if key not in best_edge or w < best_edge[key]:
-                    best_edge[key] = w
+    def _bfs_path(self, s: str, t: str) -> list[tuple[str, str, int]]:
+        """Deterministic unweighted path s -> t, returned as a list of hom
+        edges (u, v, w).  Each succ list is sorted by (target, weight), so
+        the first edge seen to an orbit is the lightest one."""
         prev: dict[str, tuple[str, int]] = {}
         seen = {s}
         queue = deque([s])
@@ -244,21 +208,14 @@ class PathEngine:
             u = queue.popleft()
             if u == t:
                 break
-            for (v, w) in sorted(self.succ[u]):
-                if v in allowed and v not in seen and best_edge.get((u, v)) is not None:
+            for (v, w) in self.succ[u]:
+                if v not in seen:
                     seen.add(v)
-                    prev[v] = (u, best_edge[(u, v)])
+                    prev[v] = (u, w)
                     queue.append(v)
         if t not in seen:
             raise RuntimeError(f"no path {s} -> {t} during witness construction")
-        path = []
-        cur = t
-        while cur != s:
-            u, w = prev[cur]
-            path.append((u, cur, w))
-            cur = u
-        path.reverse()
-        return path
+        return _unwind(prev, s, t)
 
     def _negative_cycle_within(self, allowed: set[str]) -> list[tuple[str, str, int]] | None:
         """A negative cycle using only nodes in `allowed` (all in one
@@ -299,34 +256,29 @@ class PathEngine:
     def walk_with_weight(self, x: str, y: str, target: int) -> list[tuple[str, str, int]] | None:
         """Hom-edge walk x -> y of total weight <= target, minimal under the
         relaxation labels; None when min_weight(x, y) > target.  The
-        caller pads the difference with shift steps."""
+        caller pads the difference with shift steps.  At -inf a negative
+        cycle is pumped inside the region of orbits that x reaches (read
+        off x's solve) and that reach y (one reverse BFS).  No orbit
+        outside the region has an edge into it, so the plain BFS legs
+        x -> cycle -> y stay inside it."""
         mw = self.min_weight(x, y)
         if mw > target:
             return None
         if mw != NEG_INF:
-            pred = self._pred_cache[x]
-            path = []
-            cur = y
-            while cur != x:
-                u, w = pred[cur]
-                path.append((u, cur, w))
-                cur = u
-            path.reverse()
-            return path
+            return _unwind(self._pred_cache[x], x, y)
         # -inf: pump a negative cycle lying between x and y.
-        block = self._blocks[self._block_of[x]]
-        coreach = {v for v in block if y in self._reachable_from(v)}
-        region = self._reachable_from(x) & coreach
+        dist = self._dist_cache[x]
+        rev = {v: [] for v in dist}
+        for (u, v, w) in self._edges_of(x):
+            rev[v].append((u, w))
+        region = _reachable_from(rev, y).intersection(v for v in dist if dist[v] != POS_INF)
         cycle = self._negative_cycle_within(region)
         c = cycle[0][0]
-        p1 = self._bfs_path(x, c, region)
-        p2 = self._bfs_path(c, y, region)
-        w1 = sum(w for (_u, _v, w) in p1)
-        w2 = sum(w for (_u, _v, w) in p2)
+        p1 = self._bfs_path(x, c)
+        p2 = self._bfs_path(c, y)
+        excess = sum(w for (_u, _v, w) in p1 + p2) - target
         wc = sum(w for (_u, _v, w) in cycle)
-        k = 1
-        while w1 + k * wc + w2 > target:
-            k += 1
+        k = max(1, -(excess // wc))  # the least k >= 1 with excess + k * wc <= 0
         return p1 + cycle * k + p2
 
     def path_report(self, src: ObjRef, dst: ObjRef) -> PathReport:
@@ -349,7 +301,52 @@ class PathEngine:
         return PathReport(exists=True, min_weight=mw, witness=steps)
 
 
-# -- all-pairs walk tables, one block at a time --
+# -- blocks, reachability, walk unwinding and all-pairs walk tables --
+
+def _unwind(pred: dict[str, tuple[str, int]], s: str, t: str) -> list[tuple[str, str, int]]:
+    """The hom edges (u, v, w) of the walk s -> t along predecessor labels."""
+    path = []
+    while t != s:
+        u, w = pred[t]
+        path.append((u, t, w))
+        t = u
+    path.reverse()
+    return path
+
+
+def _blocks_of(g: ShiftGraph) -> list[list[str]]:
+    """The connected components of the hom-edge graph, sorted."""
+    parent = {v: v for v in g.orbit_ids()}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (a, b), hom_edges in g.homs.items():
+        if a != b and hom_edges:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    groups: dict[str, list[str]] = {}
+    for v in parent:
+        groups.setdefault(find(v), []).append(v)
+    return sorted(sorted(grp) for grp in groups.values())
+
+
+def _reachable_from(adj: dict[str, list[tuple[str, int]]], *starts: str) -> set[str]:
+    """The orbits reached from starts (included) along adj's (orbit, weight) lists."""
+    seen = set(starts)
+    queue = deque(starts)
+    while queue:
+        u = queue.popleft()
+        for (v, _w) in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
 
 def _walk_table(block: list[str], edges) -> list[list[float]]:
     """Floyd-Warshall over the lightest edge of each ordered pair: d[i][j]
@@ -419,7 +416,7 @@ def directing_objects(g: ShiftGraph) -> set[str]:
     close up.  Orbits strongly connected to a periodic orbit inherit this,
     since offsets can be reduced mod p while passing through."""
     out = set()
-    for blk in PathEngine(g).blocks():
+    for blk in _blocks_of(g):
         d = _walk_table(blk, [(a, b, e.weight) for a in blk for b in g.targets(a)
                               for e in g.homs[(a, b)] if not e.all_iso])
         closing = [k for k, x in enumerate(blk)

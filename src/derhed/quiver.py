@@ -255,18 +255,24 @@ def euler_form(q: Quiver, d: dict[str, int], e: dict[str, int]) -> int:
 def euler_ext1_dim(m: Representation, n: Representation,
                    fld: PrimeField | None = None) -> int:
     """dim Ext^1_A(M, N) over a hereditary path algebra, via
-    dim Hom(M, N) - <dim M, dim N>.
+    dim Hom(M, N) - <dim M, dim N>; callers that hold the Hom already
+    (gen_dynkin_an) call the Euler-form step _ext1_from_hom directly.
 
     Only valid when the algebra has no relations.
     """
+    return _ext1_from_hom(m, n, rep_hom_dim(m, n, fld))
+
+
+def _ext1_from_hom(m: Representation, n: Representation, hom: int) -> int:
+    """euler_ext1_dim(m, n) for a caller that already holds hom = dim Hom(M, N)."""
     if m.algebra.relations:
         raise ValueError("Euler-form Ext requires a path algebra without relations")
-    hom = rep_hom_dim(m, n, fld)
     ext = hom - euler_form(m.algebra.quiver, m.dim_vector, n.dim_vector)
     if ext < 0:
         raise NegativeResult(
             "negative Ext dimension: inputs are not representations of this quiver")
     return ext
+
 
 def algebra_to_dict(alg: MonomialAlgebra) -> dict:
     return {

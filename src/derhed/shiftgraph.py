@@ -203,7 +203,7 @@ def _cone_witness_exists(g: ShiftGraph, a: str, b: str, n: int) -> bool:
     non-invertible maps Y[n] -> Z' and Z' -> X[1] for some indecomposable
     Z'."""
     target = 1 - n
-    for z in g.orbit_ids():
+    for z in g.targets(b):  # an orbit z without a (b, z) pair has no weights
         w1, m1 = _effective_weight_residues(g, b, z)
         w2, m2 = _effective_weight_residues(g, z, a)
         mod = math.gcd(m1, m2)

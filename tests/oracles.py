@@ -9,6 +9,7 @@ dimensions from vector-space-level chain-map equations.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -366,6 +367,40 @@ def rank_oracle_gauss(mat: np.ndarray, p: int) -> int:
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+# -- cone closure by scanning every orbit --
+
+
+def cone_warnings_oracle(g) -> list:
+    """The cone-closure warnings validate gives a genuine, structurally
+    valid g: a non-invertible edge a -> b of weight n warns unless some
+    orbit z carries non-invertible edges b -> z of weight u and z -> a of
+    weight v with u + v = 1 - n, modulo the gcd of whichever of a, b and z
+    are periodic.  Every orbit z is tried, whether or not (b, z) is stored."""
+    if not g.genuine:
+        return []
+
+    def weights(u, v):
+        return [e.weight for e in g.homs.get((u, v), ()) if not e.all_iso]
+
+    out = []
+    for (a, b) in sorted(g.homs):
+        for e in g.homs[(a, b)]:
+            if e.all_iso:
+                continue
+            found = False
+            for z in g.orbit_ids():
+                periods = [g.orbit(o).period for o in (a, b, z) if g.orbit(o).period]
+                mod = math.gcd(*periods) if periods else 0
+                for u in weights(b, z):
+                    for v in weights(z, a):
+                        gap = u + v - (1 - e.weight)
+                        found = found or (gap == 0 if mod == 0 else gap % mod == 0)
+            if not found:
+                out.append(f"cone closure: no orbit completes the non-invertible edge "
+                           f"{a} -> {b} (weight {e.weight}) to a triangle path")
+    return out
 
 
 # -- random instances and witness checking --

@@ -31,6 +31,24 @@ def test_an_orbit_count_and_validity():
             assert rep.ok and rep.warnings == []
 
 
+def test_an_one_hom_solve_per_ordered_pair(monkeypatch):
+    import derhed.generators
+    import derhed.quiver
+
+    calls = []
+    real = derhed.quiver.rep_hom_dim
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(derhed.generators, "rep_hom_dim", counting)
+    monkeypatch.setattr(derhed.quiver, "rep_hom_dim", counting)
+    g = gen_dynkin_an(4, ">><")
+    assert len(g.orbits) == 10
+    assert len(calls) == len(g.orbits) ** 2
+
+
 def test_an_linear_matches_formulas():
     n = 4
     g = gen_dynkin_an(n, ">" * (n - 1))

@@ -233,3 +233,53 @@ def test_triangle_inequality(seed):
                            eng.min_weight(x, z))
                 if a < POS_INF and b < POS_INF:
                     assert c <= a + b
+
+
+def _pinned_block():
+    # X reaches Y only through the negative cycle P <-> Q; the tail T1 -> T2
+    # and the heavier cycle D1 <-> D2 hang off X without reaching Y, W reaches
+    # Y without being reached from X, and several pairs carry parallel edges
+    ident = (HomEdge(0, 1, all_iso=True),)
+    ids = ["D1", "D2", "P", "Q", "T1", "T2", "W", "X", "Y"]
+    homs = {(v, v): ident for v in ids}
+    for (a, b), ws in {
+        ("X", "D1"): (0,), ("D1", "D2"): (-5,), ("D2", "D1"): (0,),
+        ("X", "T1"): (-1, 2), ("T1", "T2"): (0,),
+        ("X", "P"): (1, 4), ("P", "Q"): (-2, 1), ("Q", "P"): (0,),
+        ("Q", "Y"): (0, 3), ("P", "T2"): (0,), ("Y", "T1"): (0,),
+        ("W", "P"): (0,), ("W", "Y"): (1,),
+    }.items():
+        homs[(a, b)] = tuple(HomEdge(w, 1) for w in ws)
+    return ShiftGraph("pinned", [Orbit(v) for v in ids], homs)
+
+
+# (source, target, target offset) -> witness as (kind, orbit, offset) steps
+PINNED_WITNESSES = {
+    ("X", "Y", -3): [("start", "X", 0), ("hom", "P", 1), ("hom", "Q", -1),
+                     ("hom", "P", -1), ("hom", "Q", -3), ("hom", "Y", -3)],
+    ("X", "T2", 0): [("start", "X", 0), ("hom", "P", 1), ("hom", "Q", -1),
+                     ("hom", "P", -1), ("hom", "Q", -3), ("hom", "P", -3),
+                     ("hom", "T2", -3)] + [("shift", "T2", k) for k in (-2, -1, 0)],
+    ("X", "D2", -1): [("start", "X", 0), ("hom", "D1", 0), ("hom", "D2", -5),
+                      ("hom", "D1", -5), ("hom", "D2", -10)]
+                     + [("shift", "D2", k) for k in range(-9, 0)],
+    ("P", "Y", 2): [("start", "P", 0), ("hom", "Q", -2), ("hom", "P", -2),
+                    ("hom", "Q", -4), ("hom", "Y", -4)]
+                   + [("shift", "Y", k) for k in range(-3, 3)],
+    ("W", "T2", -4): [("start", "W", 0), ("hom", "P", 0), ("hom", "Q", -2),
+                      ("hom", "P", -2), ("hom", "Q", -4), ("hom", "P", -4),
+                      ("hom", "T2", -4)],
+}
+
+
+def test_pinned_negative_infinity_witnesses():
+    g = _pinned_block()
+    eng = PathEngine(g)
+    assert eng.blocks() == [sorted(g.orbit_ids())]
+    for (x, y, off), steps in PINNED_WITNESSES.items():
+        src, dst = ObjRef(x, 0), ObjRef(y, off)
+        rep = eng.path_report(src, dst)
+        assert rep.to_dict() == {
+            "exists": True, "min_weight": "-inf",
+            "witness": [{"kind": k, "orbit": o, "offset": n} for (k, o, n) in steps]}
+        assert oracles.check_witness(g, rep.witness, src, dst)

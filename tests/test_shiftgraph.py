@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from derhed.generators import gen_example_a2, gen_semisimple_block
 from derhed.shiftgraph import (AbelianData, HomEdge, Orbit, ShiftGraph,
                                UnknownOrbit, expand_hereditary, validate)
+
+import oracles
 
 
 def test_hom_edge_requires_positive_dim():
@@ -82,6 +85,22 @@ def test_cone_closure_warning_on_genuine_only():
     assert validate(loose).warnings == []
     claimed = ShiftGraph("g", [Orbit("X"), Orbit("Y")], homs, genuine=True)
     assert any("cone closure" in w for w in validate(claimed).warnings)
+
+
+def test_cone_warnings_match_oracle():
+    # random genuine graphs, about a third of their orbits periodic so that
+    # the modular comparison runs; warnings must agree line for line
+    periodic_warned = 0
+    for seed in range(150):
+        g = oracles.random_graph(np.random.default_rng(seed), max_orbits=6,
+                                 periodic_prob=0.35)
+        g = ShiftGraph(g.name, g.orbits, g.homs, genuine=True)
+        rep = validate(g)
+        assert rep.ok
+        assert rep.warnings == oracles.cone_warnings_oracle(g), g.to_json()
+        if rep.warnings and any(o.period for o in g.orbits):
+            periodic_warned += 1
+    assert periodic_warned > 10
 
 
 def test_edges_sorted_by_weight():
