@@ -11,18 +11,19 @@ shortest-walk weights from any source orbit assemble a heart.
 
 import importlib
 
-from .hereditary import (Heart, HeartCheck, HereditaryReport, check_hereditary,
-                         cohomology, extract_heart, truncate, verify_heart)
-from .paths import (NEG_INF, POS_INF, DegenerateAperiodic, DegeneratePeriodic,
-                    NonDegenerate, PathEngine, PathReport, classify_degenerate,
-                    directing_objects)
-from .shiftgraph import (DEFAULT_PRIME, AbelianData, FormalObject, HomEdge,
-                         ObjRef, Orbit, ShiftGraph, ValidationReport,
-                         expand_hereditary, validate)
-
-# Names from the GF(p) modules, which load numpy: resolved on first use by
-# __getattr__ (PEP 562), so that path-only code never imports numpy.
+# Every public name is resolved on first use by __getattr__ (PEP 562), so
+# `import derhed` loads no submodule and each command loads only the
+# modules it runs: path-only code never imports hereditary, nor numpy,
+# which the GF(p) modules (linalg, quiver, complexes, generators) load.
 _LAZY = {name: module for module, names in {
+    "shiftgraph": ["DEFAULT_PRIME", "AbelianData", "FormalObject", "HomEdge",
+                   "ObjRef", "Orbit", "ShiftGraph", "ValidationReport",
+                   "expand_hereditary", "validate"],
+    "paths": ["NEG_INF", "POS_INF", "DegenerateAperiodic", "DegeneratePeriodic",
+              "NonDegenerate", "PathEngine", "PathReport", "classify_degenerate",
+              "directing_objects"],
+    "hereditary": ["Heart", "HeartCheck", "HereditaryReport", "check_hereditary",
+                   "cohomology", "extract_heart", "truncate", "verify_heart"],
     "linalg": ["PrimeField"],
     "quiver": ["Arrow", "MonomialAlgebra", "Quiver", "Representation",
                "algebra_from_dict", "algebra_to_dict", "build_algebra",

@@ -15,14 +15,15 @@ import os
 import sys
 
 from . import __version__
-from .hereditary import (Heart, IncompleteHeart, NegativeWalkAtSource,
-                         NotABlock, UnreachableOrbit, check_hereditary,
-                         extract_heart, verify_heart)
-from .paths import PathEngine, classify_degenerate, directing_objects
-from .shiftgraph import ObjRef, ShiftGraph, UnknownOrbit, validate
+from .paths import (PathEngine, _encode_weight, classify_degenerate,
+                    directing_objects)
+from .shiftgraph import (IncompleteHeart, NegativeWalkAtSource, NotABlock,
+                         ObjRef, ShiftGraph, UnknownOrbit, UnreachableOrbit,
+                         validate)
 
-# The GF(p) modules (linalg, quiver, complexes, generators) load numpy; only
-# `gen` and `hom` need them, so they are imported inside those commands.
+# Each command imports only what it runs: hereditary inside `check`, `heart`
+# and `verify-heart`, and the GF(p) modules (linalg, quiver, complexes,
+# generators), which load numpy, inside `gen` and `hom`.
 
 
 class InputError(Exception):
@@ -123,6 +124,8 @@ def _cmd_blocks(args):
 
 
 def _cmd_check(args):
+    from .hereditary import check_hereditary
+
     g = _load_graph(args.file)
     engine = PathEngine(g)
     blks = engine.blocks()
@@ -143,6 +146,8 @@ def _cmd_check(args):
 
 
 def _cmd_heart(args):
+    from .hereditary import extract_heart, verify_heart
+
     g = _load_graph(args.file)
     engine = PathEngine(g)
     source = args.source
@@ -156,6 +161,8 @@ def _cmd_heart(args):
 
 
 def _cmd_verify_heart(args):
+    from .hereditary import Heart, verify_heart
+
     g = _load_graph(args.file)
     try:
         heart = Heart.from_dict(_load_json(args.heart))
@@ -169,8 +176,6 @@ def _cmd_verify_heart(args):
 
 
 def _cmd_dist(args):
-    from .paths import _encode_weight
-
     g = _load_graph(args.file)
     for orbit in (args.src, args.dst):
         if orbit not in g.orbit_ids():

@@ -22,7 +22,6 @@ isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -61,16 +60,13 @@ def _compose(alg: MonomialAlgebra, first: AlgElem, second: AlgElem, p: int) -> A
     return elem_mul(alg, second, first, p)
 
 
-@dataclass
 class ProjComplex:
-    algebra: MonomialAlgebra
-    degrees: dict[int, list[str]]
-    diffs: dict[int, list[list[AlgElem]]] = field(default_factory=dict)
-    name: str = ""
-
-    def __post_init__(self):
-        self.degrees = {int(d): list(vs) for d, vs in self.degrees.items() if vs}
-        self.diffs = {int(d): m for d, m in self.diffs.items()}
+    def __init__(self, algebra: MonomialAlgebra, degrees: dict[int, list[str]],
+                 diffs: dict[int, list[list[AlgElem]]] | None = None, name: str = ""):
+        self.algebra = algebra
+        self.degrees = {int(d): list(vs) for d, vs in degrees.items() if vs}
+        self.diffs = {int(d): m for d, m in (diffs or {}).items()}
+        self.name = name
         known = set(self.algebra.quiver.vertices)
         bad = sorted({v for vs in self.degrees.values() for v in vs} - known)
         if bad:
@@ -153,9 +149,9 @@ def shift_complex(c: ProjComplex, k: int, p: int) -> ProjComplex:
     return _fix_shift_signs(c.shift(k), p)
 
 
-@dataclass
 class ComplexReport:
-    errors: list[str] = field(default_factory=list)
+    def __init__(self):
+        self.errors: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -14,36 +14,18 @@ non-negative heart degree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .paths import NEG_INF, POS_INF, PathEngine, PathStep
-from .shiftgraph import FormalObject, ObjRef, ShiftGraph
+from .shiftgraph import (FormalObject, IncompleteHeart, NegativeWalkAtSource,
+                         NotABlock, ObjRef, ShiftGraph, UnreachableOrbit)
 
 
-class NotABlock(Exception):
-    pass
-
-
-class NegativeWalkAtSource(Exception):
-    pass
-
-
-class UnreachableOrbit(Exception):
-    pass
-
-
-class IncompleteHeart(Exception):
-    def __init__(self, missing: list[str]):
-        super().__init__(f"heart offsets missing for orbits: {missing}")
-        self.missing = missing
-
-
-@dataclass
 class Heart:
     """One shift offset per orbit: the object Y[offsets[Y]] belongs to the
     candidate heart."""
 
-    offsets: dict[str, int]
+    def __init__(self, offsets: dict[str, int]):
+        self.offsets = offsets
 
     def to_dict(self) -> dict:
         return {"block": sorted(self.offsets), "offsets": dict(sorted(self.offsets.items()))}
@@ -53,11 +35,12 @@ class Heart:
         return cls(offsets={k: int(v) for k, v in d["offsets"].items()})
 
 
-@dataclass
 class HeartCheck:
-    ok: bool
-    violations: list[tuple[ObjRef, ObjRef, int]]
-    m_values: Counter
+    def __init__(self, ok: bool, violations: list[tuple[ObjRef, ObjRef, int]],
+                 m_values: Counter):
+        self.ok = ok
+        self.violations = violations
+        self.m_values = m_values
 
     def to_dict(self) -> dict:
         return {
@@ -71,13 +54,16 @@ class HeartCheck:
         }
 
 
-@dataclass
 class HereditaryReport:
-    verdict: str  # "hereditary" | "not-hereditary" | "hereditary-within-window"
-    indicator: dict[str, bool]  # orbit -> lies on a negative closed walk
-    heart: Heart | None = None
-    witness: list[PathStep] | None = None
-    heart_check: HeartCheck | None = None
+    def __init__(self, verdict: str, indicator: dict[str, bool],
+                 heart: Heart | None = None, witness: list[PathStep] | None = None,
+                 heart_check: HeartCheck | None = None):
+        # "hereditary" | "not-hereditary" | "hereditary-within-window"
+        self.verdict = verdict
+        self.indicator = indicator  # orbit -> lies on a negative closed walk
+        self.heart = heart
+        self.witness = witness
+        self.heart_check = heart_check
 
     def to_dict(self) -> dict:
         out = {

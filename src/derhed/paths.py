@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .shiftgraph import ObjRef, ShiftGraph, UnknownOrbit
 
@@ -35,17 +35,17 @@ NEG_INF = -math.inf
 POS_INF = math.inf
 
 
-@dataclass(frozen=True)
-class PathStep:
-    kind: str  # "hom" | "shift"
+class PathStep(NamedTuple):
+    kind: str  # "start" | "hom" | "shift"
     at: ObjRef
 
 
-@dataclass
 class PathReport:
-    exists: bool
-    min_weight: float  # int, or +-inf
-    witness: list[PathStep] | None = None
+    def __init__(self, exists: bool, min_weight: float,
+                 witness: list[PathStep] | None = None):
+        self.exists = exists
+        self.min_weight = min_weight  # int, or +-inf
+        self.witness = witness
 
     def to_dict(self) -> dict:
         return {
@@ -66,14 +66,12 @@ def _encode_weight(w) -> int | str:
     return int(w)
 
 
-@dataclass(frozen=True)
-class NonDegenerate:
+class NonDegenerate(NamedTuple):
     def to_dict(self):
         return {"kind": "non-degenerate"}
 
 
-@dataclass(frozen=True)
-class DegenerateAperiodic:
+class DegenerateAperiodic(NamedTuple):
     """Shifts of a single object, never self-isomorphic: the derived
     category of a division ring."""
 
@@ -84,8 +82,7 @@ class DegenerateAperiodic:
                 "model": "derived category of a division ring"}
 
 
-@dataclass(frozen=True)
-class DegeneratePeriodic:
+class DegeneratePeriodic(NamedTuple):
     """Shifts of a single object with X = X[period]: semisimple module
     category with a twisted translation."""
 

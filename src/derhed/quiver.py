@@ -13,8 +13,7 @@ P_v -> P_w is given by left multiplication with a path from w to v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,28 +32,31 @@ class NegativeResult(Exception):
     a representation of the stated quiver."""
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     id: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class Quiver:
+class _Quiver(NamedTuple):
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+
+class Quiver(_Quiver):
+    __slots__ = ()
+
+    def __new__(cls, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]):
+        if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex ids")
-        ids = [a.id for a in self.arrows]
+        ids = [a.id for a in arrows]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate arrow ids")
-        vs = set(self.vertices)
-        for a in self.arrows:
+        vs = set(vertices)
+        for a in arrows:
             if a.source not in vs or a.target not in vs:
                 raise ValueError(f"arrow {a.id} uses undeclared vertex")
+        return super().__new__(cls, vertices, arrows)
 
     def arrow(self, arrow_id: str) -> Arrow:
         for a in self.arrows:
@@ -63,8 +65,7 @@ class Quiver:
         raise KeyError(arrow_id)
 
 
-@dataclass(frozen=True)
-class BasisPath:
+class BasisPath(NamedTuple):
     """A relation-free path: source vertex, target vertex, arrow ids."""
 
     source: str
@@ -156,17 +157,16 @@ class MonomialAlgebra:
                 if bp.source == source and bp.target == target]
 
 
-@dataclass
 class Representation:
     """Finite dimensional representation: a space per vertex, a matrix per
     arrow mapping the source space to the target space."""
 
-    algebra: MonomialAlgebra
-    dims: dict[str, int]
-    maps: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        q = self.algebra.quiver
+    def __init__(self, algebra: MonomialAlgebra, dims: dict[str, int],
+                 maps: dict[str, np.ndarray] | None = None):
+        self.algebra = algebra
+        self.dims = dims
+        self.maps = {} if maps is None else maps
+        q = algebra.quiver
         unknown_v = set(self.dims) - set(q.vertices)
         unknown_a = set(self.maps) - {a.id for a in q.arrows}
         if unknown_v or unknown_a:

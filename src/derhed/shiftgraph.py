@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 # The instance schema's default field_char; derhed.linalg imports it from
@@ -25,32 +24,68 @@ from typing import NamedTuple
 DEFAULT_PRIME = 32003
 
 
+# The input errors of the path and heart layers, which the CLI reports with
+# exit code 2.  They live here so that handling them loads no hereditary.
+
+
 class UnknownOrbit(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class HomEdge:
+class NotABlock(Exception):
+    pass
+
+
+class NegativeWalkAtSource(Exception):
+    pass
+
+
+class UnreachableOrbit(Exception):
+    pass
+
+
+class IncompleteHeart(Exception):
+    def __init__(self, missing: list[str]):
+        super().__init__(f"heart offsets missing for orbits: {missing}")
+        self.missing = missing
+
+
+# Value records are NamedTuples and mutable records plain classes, which
+# need no module beyond typing: every CLI call pays for its own startup.
+# A value record that validates its fields does so in __new__ on a thin
+# subclass, since a NamedTuple body cannot define __new__.
+
+
+class _HomEdge(NamedTuple):
     weight: int
     dim: int
-    all_iso: bool = False
+    all_iso: bool
 
-    def __post_init__(self):
-        if self.dim < 1:
+
+class HomEdge(_HomEdge):
+    __slots__ = ()
+
+    def __new__(cls, weight: int, dim: int, all_iso: bool = False):
+        if dim < 1:
             raise ValueError("hom edges record nonzero hom-spaces: dim >= 1")
+        return super().__new__(cls, weight, dim, all_iso)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class _Orbit(NamedTuple):
     id: str
-    period: int | None = None
-    end_dim: int = 1
+    period: int | None
+    end_dim: int
 
-    def __post_init__(self):
-        if self.end_dim < 1:
+
+class Orbit(_Orbit):
+    __slots__ = ()
+
+    def __new__(cls, id: str, period: int | None = None, end_dim: int = 1):
+        if end_dim < 1:
             raise ValueError("end_dim >= 1 (identity morphism)")
-        if self.period is not None and self.period < 1:
+        if period is not None and period < 1:
             raise ValueError("period must be a positive integer")
+        return super().__new__(cls, id, period, end_dim)
 
 
 class ObjRef(NamedTuple):
@@ -64,28 +99,26 @@ class ObjRef(NamedTuple):
 FormalObject = Counter
 
 
-@dataclass
 class ShiftGraph:
-    name: str
-    orbits: list[Orbit]
-    homs: dict[tuple[str, str], tuple[HomEdge, ...]]
-    genuine: bool = False
-    windowed: bool = False
-    field_char: int = DEFAULT_PRIME
-    _by_id: dict[str, Orbit] = field(default_factory=dict, repr=False)
-    _targets: dict[str, list[str]] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._by_id = {o.id: o for o in self.orbits}
-        if len(self._by_id) != len(self.orbits):
+    def __init__(self, name: str, orbits: list[Orbit],
+                 homs: dict[tuple[str, str], tuple[HomEdge, ...]],
+                 genuine: bool = False, windowed: bool = False,
+                 field_char: int = DEFAULT_PRIME):
+        self.name = name
+        self.orbits = orbits
+        self.genuine = genuine
+        self.windowed = windowed
+        self.field_char = field_char
+        self._by_id = {o.id: o for o in orbits}
+        if len(self._by_id) != len(orbits):
             raise ValueError("duplicate orbit ids")
         norm = {}
-        for (a, b), edges in self.homs.items():
+        for (a, b), edges in homs.items():
             if a not in self._by_id or b not in self._by_id:
                 raise UnknownOrbit(f"hom edge between undeclared orbits {a}, {b}")
             norm[(a, b)] = tuple(sorted(edges, key=lambda e: e.weight))
         self.homs = norm
-        self._targets = {o.id: [] for o in self.orbits}
+        self._targets: dict[str, list[str]] = {o.id: [] for o in orbits}
         for (a, b) in sorted(norm):
             self._targets[a].append(b)
 
@@ -170,10 +203,10 @@ class ShiftGraph:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass
 class ValidationReport:
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    def __init__(self):
+        self.errors: list[str] = []
+        self.warnings: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -259,8 +292,7 @@ def validate(g: ShiftGraph) -> ValidationReport:
     return rep
 
 
-@dataclass(frozen=True)
-class AbelianData:
+class AbelianData(NamedTuple):
     """Hom and Ext^1 dimension tables of finitely many indecomposables of
     a hereditary abelian category."""
 

@@ -289,25 +289,39 @@ def test_console_script_entry_point(a2_files):
     assert rep["report"]["verdict"] == "hereditary"
 
 
+# Runs path-only commands in one process and fails if derhed added any of
+# the named modules to sys.modules.  The snapshot comes first, so a module
+# that a .pth file loads at startup does not count against derhed.
 PATH_ONLY_CHILD = """
 import contextlib, io, sys
-import derhed
-import derhed.cli
+before = set(sys.modules)
 from derhed.cli import main
-inst, heart = sys.argv[1:]
-for argv in (["validate", inst], ["blocks", inst], ["check", inst],
-             ["heart", inst, "--from", "I"], ["verify-heart", inst, "--heart", heart],
-             ["dist", inst, "S1", "S2"], ["path", inst, "S1@0", "S2@1"],
-             ["classify", inst], ["directing", inst]):
+inst, heart, commands, *forbidden = sys.argv[1:]
+argvs = [["validate", inst], ["blocks", inst], ["dist", inst, "S1", "S2"],
+         ["path", inst, "S1@0", "S2@1"], ["classify", inst], ["directing", inst]]
+if commands == "all":
+    argvs += [["check", inst], ["heart", inst, "--from", "I"],
+              ["verify-heart", inst, "--heart", heart]]
+for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-assert "numpy" not in sys.modules, "a path-only command imported numpy"
+added = sorted(set(forbidden) & (set(sys.modules) - before))
+assert not added, f"path-only commands imported {added}"
 print("ok")
 """
 
 
 def test_path_only_commands_never_import_numpy(a2_files):
-    proc = run_child("-c", PATH_ONLY_CHILD, *map(str, a2_files))
+    proc = run_child("-c", PATH_ONLY_CHILD, *map(str, a2_files), "all",
+                     "numpy", "dataclasses")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_walk_commands_never_import_hereditary(a2_files):
+    # validate, blocks, dist, path, classify and directing run no heart code
+    proc = run_child("-c", PATH_ONLY_CHILD, *map(str, a2_files), "walks",
+                     "numpy", "dataclasses", "derhed.hereditary")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
 

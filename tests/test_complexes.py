@@ -209,6 +209,13 @@ def test_are_isomorphic(dual, fld):
     assert not are_isomorphic(c1, shift_complex(c1, 1, fld.p), fld)
 
 
+def test_constructor_normalizes_degrees(dual):
+    c = ProjComplex(dual, {"-1": ("v",), "0": ["v"], "3": []})
+    assert c.degrees == {-1: ["v"], 0: ["v"]} and c.diffs == {}
+    with pytest.raises(ValueError, match="unknown vertices"):
+        ProjComplex(dual, {0: ["w"]})
+
+
 def test_json_round_trip(dual):
     c3 = dual_numbers_chain(dual, 3)
     d = c3.to_dict()

@@ -36,6 +36,25 @@ def ext_formula(n, a, b, c, d):
     return top - mid + hom_formula(a, b, c, d)
 
 
+def test_constructor_checks():
+    with pytest.raises(ValueError, match="duplicate vertex"):
+        Quiver(("1", "1"), ())
+    with pytest.raises(ValueError, match="duplicate arrow"):
+        Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("a", "2", "1")))
+    with pytest.raises(ValueError, match="undeclared vertex"):
+        Quiver(("1",), (Arrow("a", "1", "2"),))
+    alg = a2_algebra()
+    with pytest.raises(ValueError, match="unknown vertices"):
+        Representation(alg, {"3": 1})
+    with pytest.raises(ValueError, match="unknown vertices"):
+        Representation(alg, {"1": 1}, {"b": [[1]]})
+    with pytest.raises(ValueError, match="shape"):
+        Representation(alg, {"1": 1, "2": 1}, {"a1": [[1, 0]]})
+    m = Representation(alg, {"1": 1})
+    assert m.dims == {"1": 1, "2": 0}
+    assert m.maps["a1"].shape == (0, 1)
+
+
 def test_a2_basis():
     alg = a2_algebra()
     assert alg.dim == 3

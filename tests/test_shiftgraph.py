@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from derhed.generators import gen_example_a2, gen_semisimple_block
-from derhed.shiftgraph import (AbelianData, HomEdge, Orbit, ShiftGraph,
-                               UnknownOrbit, expand_hereditary, validate)
+from derhed.paths import (DegenerateAperiodic, DegeneratePeriodic,
+                          NonDegenerate, PathStep)
+from derhed.quiver import Arrow, BasisPath, Quiver
+from derhed.shiftgraph import (AbelianData, HomEdge, ObjRef, Orbit,
+                               ShiftGraph, UnknownOrbit, expand_hereditary,
+                               validate)
 
 import oracles
 
@@ -20,6 +24,40 @@ def test_orbit_validation():
         Orbit("X", end_dim=0)
     with pytest.raises(ValueError):
         Orbit("X", period=0)
+
+
+VALUE_RECORDS = [
+    lambda: HomEdge(0, 1),
+    lambda: Orbit("X", 2, 3),
+    lambda: PathStep("hom", ObjRef("X", 1)),
+    lambda: NonDegenerate(),
+    lambda: DegenerateAperiodic(2),
+    lambda: DegeneratePeriodic(2, 1),
+    lambda: AbelianData(("M",), {("M", "M"): 1}, {}),
+    lambda: Arrow("a", "1", "2"),
+    lambda: Quiver(("1", "2"), (Arrow("a", "1", "2"),)),
+    lambda: BasisPath("1", "2", ("a",)),
+]
+
+
+@pytest.mark.parametrize("make", VALUE_RECORDS,
+                         ids=lambda make: type(make()).__name__)
+def test_value_records(make):
+    a, b = make(), make()
+    assert a == b and a is not b
+    if not isinstance(a, AbelianData):  # its tables are dicts
+        assert hash(a) == hash(b)
+    for name in (*a._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a == b
+
+
+def test_record_repr_and_constructor():
+    assert repr(HomEdge(0, 1)) == "HomEdge(weight=0, dim=1, all_iso=False)"
+    assert HomEdge(0, 1) != HomEdge(0, 2)
+    with pytest.raises(TypeError):
+        ShiftGraph("g", [Orbit("X")], {}, _by_id={})
 
 
 def test_unknown_orbit_edge_rejected():
