@@ -51,19 +51,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianData", "Arrow", "DEFAULT_PRIME", "DegenerateAperiodic",
-    "DegeneratePeriodic", "EndAlgebra", "FormalObject", "Heart", "HeartCheck",
-    "HereditaryReport", "HomEdge", "MonomialAlgebra", "NEG_INF",
-    "NonDegenerate", "ObjRef", "Orbit", "POS_INF", "PathEngine", "PathReport",
-    "PrimeField", "ProjComplex", "Quiver", "Representation", "ShiftGraph",
-    "ValidationReport", "algebra_from_dict", "algebra_to_dict",
-    "are_isomorphic", "build_algebra",
-    "build_shiftgraph_from_complexes", "check_complex", "check_hereditary",
-    "classify_degenerate", "cohomology", "directing_objects",
-    "euler_ext1_dim", "euler_form", "expand_hereditary", "extract_heart",
-    "gen_a2_from_complexes", "gen_dual_numbers", "gen_dynkin_an",
-    "gen_example_a2", "gen_semisimple_block", "hom_k_dim", "is_indecomposable",
-    "rep_hom_dim",
-    "shift_complex", "truncate", "validate", "verify_heart",
-]
+__all__ = sorted(_LAZY)

@@ -319,7 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--end-dim", type=int, default=1, dest="end_dim")
     for q in (pa, pb, pc, pd):
         q.add_argument("--out", required=True, metavar="FILE")
-        q.add_argument("--pretty", action="store_true")
+        # SUPPRESS keeps `gen --pretty FAMILY` from being reset to False
+        q.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_gen)
 
     p = add("hom", _cmd_hom, help="hom dimension between two perfect complexes")
@@ -334,16 +335,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, g, code = args.fn(args)
-    except InputError as exc:
+    except (InputError, UnknownOrbit, NotABlock, IncompleteHeart,
+            NegativeWalkAtSource, UnreachableOrbit) as exc:
+        kind = "input" if isinstance(exc, InputError) else type(exc).__name__
         err = {"tool": "derhed", "version": __version__, "command": args.command,
-               "error": {"type": "input", "message": str(exc)}}
-        _emit(err, getattr(args, "pretty", False))
-        return 2
-    except (UnknownOrbit, NotABlock, IncompleteHeart, NegativeWalkAtSource,
-            UnreachableOrbit) as exc:
-        err = {"tool": "derhed", "version": __version__, "command": args.command,
-               "error": {"type": type(exc).__name__, "message": str(exc)}}
-        _emit(err, getattr(args, "pretty", False))
+               "error": {"type": kind, "message": str(exc)}}
+        _emit(err, args.pretty)
         return 2
     _emit(_envelope(args.command, report, g), args.pretty)
     return code

@@ -18,6 +18,11 @@ dimensions per ordered pair of complexes (each hom-complex boundary
 built and ranked once) and one EndAlgebra per complex, and runs the
 exact isomorphism test only where an exact dimension filter allows an
 isomorphism.
+
+EndAlgebra builds the multiplication table of End(X) once: it composes
+every ordered pair of basis chain maps and expresses all dim**2
+composites in the End basis with one stacked solve.  The radical (trace
+form) and the locality test read their matrices off that table.
 """
 
 from __future__ import annotations
@@ -43,21 +48,17 @@ class FieldTooSmall(Exception):
     dimension, so the trace-form radical computation is not valid."""
 
 
-def elem_mul(alg: MonomialAlgebra, x: AlgElem, y: AlgElem, p: int) -> AlgElem:
-    """Algebra product x * y (concatenate x then y) on coefficient dicts."""
+def _compose(alg: MonomialAlgebra, first: AlgElem, second: AlgElem, p: int) -> AlgElem:
+    """Composite of module maps: apply `first`, then `second`.  With maps
+    acting by left multiplication this is the algebra product second * first
+    (concatenate `second`, then `first`) on coefficient dicts."""
     out: AlgElem = {}
-    for i, ci in x.items():
-        for j, cj in y.items():
+    for i, ci in second.items():
+        for j, cj in first.items():
             k = alg.mul_basis(i, j)
             if k is not None:
                 out[k] = (out.get(k, 0) + ci * cj) % p
     return {k: c for k, c in out.items() if c}
-
-
-def _compose(alg: MonomialAlgebra, first: AlgElem, second: AlgElem, p: int) -> AlgElem:
-    """Composite of module maps: apply `first`, then `second`.  With maps
-    acting by left multiplication this is the product second * first."""
-    return elem_mul(alg, second, first, p)
 
 
 class ProjComplex:
@@ -88,18 +89,6 @@ class ProjComplex:
 
     def is_zero(self) -> bool:
         return not self.degrees
-
-    def shift(self, k: int) -> "ProjComplex":
-        """The complex X[k]: degrees move down by k, differentials pick up
-        the sign (-1)^k.  Coefficients may come out negative; callers
-        reduce mod p (see shift_complex)."""
-        sign = 1 if k % 2 == 0 else -1
-        degrees = {d - k: list(vs) for d, vs in self.degrees.items()}
-        diffs = {
-            d - k: [[{i: sign * c for i, c in e.items()} for e in row] for row in m]
-            for d, m in self.diffs.items()
-        }
-        return ProjComplex(self.algebra, degrees, diffs, name=self.name)
 
     def top_degree(self) -> Optional[int]:
         return max(self.degrees) if self.degrees else None
@@ -138,15 +127,15 @@ class ProjComplex:
         return cls(alg, degrees, diffs, name=d.get("name", ""))
 
 
-def _fix_shift_signs(c: ProjComplex, p: int) -> ProjComplex:
-    diffs = {d: [[{i: cc % p for i, cc in e.items() if cc % p} for e in row]
-                 for row in m]
-             for d, m in c.diffs.items()}
-    return ProjComplex(c.algebra, c.degrees, diffs, name=c.name)
-
-
 def shift_complex(c: ProjComplex, k: int, p: int) -> ProjComplex:
-    return _fix_shift_signs(c.shift(k), p)
+    """The complex X[k] over GF(p): degrees move down by k, and the
+    differentials pick up the sign (-1)^k, reduced into [0, p)."""
+    sign = -1 if k % 2 else 1
+    diffs = {d - k: [[{i: sign * cc % p for i, cc in e.items() if cc % p} for e in row]
+                     for row in m]
+             for d, m in c.diffs.items()}
+    return ProjComplex(c.algebra, {d - k: vs for d, vs in c.degrees.items()}, diffs,
+                       name=c.name)
 
 
 class ComplexReport:
@@ -164,11 +153,6 @@ def check_complex(c: ProjComplex, p: int | None = None) -> ComplexReport:
     p = p or PrimeField().p
     alg = c.algebra
     rep = ComplexReport()
-    vs = set(alg.quiver.vertices)
-    for d, summands in c.degrees.items():
-        for v in summands:
-            if v not in vs:
-                rep.errors.append(f"degree {d}: unknown vertex {v}")
     for d in sorted(c.diffs):
         src, tgt = c.summands(d), c.summands(d + 1)
         m = c.diffs[d]
@@ -211,13 +195,11 @@ def _hom_coords(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int):
     coords = []
     for i in x.support:
         ys = y.summands(i + n)
-        if not ys:
-            continue
         for a, va in enumerate(x.summands(i)):
             for b, vb in enumerate(ys):
                 for idx in alg.paths_between(vb, va):
                     coords.append((i, a, b, idx))
-    return coords, {c: k for k, c in enumerate(coords)}
+    return coords
 
 
 def _hom_boundary(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int,
@@ -225,9 +207,9 @@ def _hom_boundary(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int,
     """Matrix of the hom-complex differential from degree-n maps to
     degree-(n+1) maps, f -> d_Y f - (-1)^n f d_X, and the coordinates of
     the degree-n maps."""
-    src_coords, _src_pos = _hom_coords(alg, x, y, n)
-    tgt_coords, tgt_pos = _hom_coords(alg, x, y, n + 1)
-    mat = fld.zeros(len(tgt_coords), len(src_coords))
+    src_coords = _hom_coords(alg, x, y, n)
+    tgt_pos = {c: k for k, c in enumerate(_hom_coords(alg, x, y, n + 1))}
+    mat = fld.zeros(len(tgt_pos), len(src_coords))
     sign = -1 if n % 2 == 0 else 1  # coefficient of the f d_X term
     for col, (i, a, b, q) in enumerate(src_coords):
         unit: AlgElem = {q: 1}
@@ -280,20 +262,13 @@ def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
 
 def _hom_reps(x: ProjComplex, y: ProjComplex, n: int, fld: PrimeField):
     """Hom-space data: (coords, representative matrix whose columns are a
-    basis of chain maps spanning Hom_K, boundary matrix)."""
-    alg = x.algebra
-    d_n, src_coords = _hom_boundary(alg, x, y, n, fld)
-    if not src_coords:
-        return src_coords, fld.zeros(0, 0), fld.zeros(0, 0)
+    basis of chain maps spanning Hom_K, boundary matrix d_(n-1))."""
+    d_n, src_coords = _hom_boundary(x.algebra, x, y, n, fld)
     z = fld.nullspace(d_n)
-    d_prev, prev_coords = _hom_boundary(alg, x, y, n - 1, fld)
-    bmat = d_prev if prev_coords else fld.zeros(len(src_coords), 0)
-    if z.shape[1] == 0:
-        return src_coords, z, bmat
+    bmat = _hom_boundary(x.algebra, x, y, n - 1, fld)[0]
     _, pivots = fld.rref(np.hstack([bmat, z]))
     nb = bmat.shape[1]
-    rep_cols = [c - nb for c in pivots if c >= nb]
-    return src_coords, z[:, rep_cols], bmat
+    return src_coords, z[:, [c - nb for c in pivots if c >= nb]], bmat
 
 
 def _compose_coords(alg: MonomialAlgebra, fld: PrimeField,
@@ -331,71 +306,53 @@ class EndAlgebra:
     def __init__(self, x: ProjComplex, fld: PrimeField):
         self.x = x
         self.fld = fld
-        alg = x.algebra
-        self.coords, reps, bmat = _hom_reps(x, x, 0, fld)
+        self.coords, self.reps, self.bmat = _hom_reps(x, x, 0, fld)
+        # reps columns: a basis b_0, ..., b_(dim-1) of End in ambient coordinates
         self.pos = {c: k for k, c in enumerate(self.coords)}
-        self.reps = reps  # columns: basis of End in ambient coordinates
-        self.bmat = bmat
-        self.dim = reps.shape[1]
-        self._solve_basis = np.hstack([bmat, reps])
-        self._struct: dict[tuple[int, int], np.ndarray] = {}
+        self.dim = self.reps.shape[1]
+        self._solve_basis = np.hstack([self.bmat, self.reps])
+        self._struct: dict[tuple[int, int], np.ndarray] | None = None
         self._rad: np.ndarray | None = None
 
     def to_quotient(self, ambient: np.ndarray) -> np.ndarray:
-        """Express an ambient cycle vector in the chosen End basis, modulo
-        boundaries."""
-        if self.dim == 0:
-            return np.zeros(0, dtype=np.int64)
-        sol = self.fld.solve(self._solve_basis, ambient % self.fld.p)
+        """Express an ambient cycle vector, or a matrix of them as columns,
+        in the chosen End basis, modulo boundaries."""
+        sol = self.fld.solve(self._solve_basis, ambient)
         if sol is None:
             raise RuntimeError("vector not a cycle modulo boundaries")
         return sol[self.bmat.shape[1]:]
 
-    def mult(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Product u * v := u o v (apply v first) in End coordinates."""
-        amb_u = (self.reps @ u) % self.fld.p
-        amb_v = (self.reps @ v) % self.fld.p
-        comp = _compose_coords(self.x.algebra, self.fld,
-                               amb_v, self.coords,
-                               amb_u, self.coords, self.pos)
-        return self.to_quotient(comp)
-
-    def _unit(self, k: int) -> np.ndarray:
-        e = np.zeros(self.dim, dtype=np.int64)
-        e[k] = 1
-        return e
-
     def structure(self) -> dict[tuple[int, int], np.ndarray]:
-        if not self._struct:
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    self._struct[(i, j)] = self.mult(self._unit(i), self._unit(j))
+        """{(i, j): b_i o b_j (apply b_j first)} in End coordinates.  All
+        dim**2 composites of basis columns go to to_quotient as one
+        stacked solve."""
+        if self._struct is None:
+            pairs = [(i, j) for i in range(self.dim) for j in range(self.dim)]
+            comps = self.fld.zeros(len(self.coords), len(pairs))
+            for k, (i, j) in enumerate(pairs):
+                comps[:, k] = _compose_coords(self.x.algebra, self.fld,
+                                              self.reps[:, j], self.coords,
+                                              self.reps[:, i], self.coords, self.pos)
+            table = self.to_quotient(comps)
+            self._struct = {ij: table[:, k] for k, ij in enumerate(pairs)}
         return self._struct
-
-    def left_mult_matrix(self, u: np.ndarray) -> np.ndarray:
-        st = self.structure()
-        m = self.fld.zeros(self.dim, self.dim)
-        for j in range(self.dim):
-            col = np.zeros(self.dim, dtype=np.int64)
-            for i in range(self.dim):
-                if u[i] % self.fld.p:
-                    col = (col + u[i] * st[(i, j)]) % self.fld.p
-            m[:, j] = col
-        return m
 
     def radical(self) -> np.ndarray:
         """Basis (columns) of the Jacobson radical via the trace form of
         the regular representation; valid since p > dim.  Computed once
         per instance."""
-        if self.fld.p <= self.dim:
-            raise FieldTooSmall(
-                f"characteristic {self.fld.p} <= dim End = {self.dim}")
+        p = self.fld.p
+        if p <= self.dim:
+            raise FieldTooSmall(f"characteristic {p} <= dim End = {self.dim}")
         if self._rad is None:
-            lmats = [self.left_mult_matrix(self._unit(i)) for i in range(self.dim)]
+            st = self.structure()
+            # left multiplication by b_i: column j is b_i o b_j
+            lmats = [np.column_stack([st[(i, j)] for j in range(self.dim)])
+                     for i in range(self.dim)]
             t = self.fld.zeros(self.dim, self.dim)
             for i in range(self.dim):
                 for j in range(self.dim):
-                    t[i, j] = int(np.trace((lmats[i] @ lmats[j]) % self.fld.p)) % self.fld.p
+                    t[i, j] = int(np.trace((lmats[i] @ lmats[j]) % p)) % p
             self._rad = self.fld.nullspace(t)
         return self._rad
 
@@ -411,34 +368,23 @@ class EndAlgebra:
         sdim = self.dim - nrad
         if sdim == 0:
             raise RuntimeError("radical cannot be the whole unital algebra")
-        ext = np.hstack([rad, fld.identity(self.dim)])
-        _, pivots = fld.rref(ext)
+        _, pivots = fld.rref(np.hstack([rad, fld.identity(self.dim)]))
         comp_idx = [c - nrad for c in pivots if c >= nrad]
-        s_reps = fld.identity(self.dim)[:, comp_idx]  # in End coordinates
-        basis = np.hstack([rad, s_reps]) if nrad else s_reps
-
-        def to_s(v: np.ndarray) -> np.ndarray:
-            sol = fld.solve(basis, v % fld.p)
-            return sol[nrad:]
-
-        # s_reps are unit columns: their products are in radical()'s table
+        # the complement of the radical is spanned by unit columns, so the
+        # products of its basis s_0, ..., s_(sdim-1) are entries of
+        # structure(); one stacked solve reads them modulo the radical
         st = self.structure()
-        smul = {(i, j): to_s(st[(comp_idx[i], comp_idx[j])])
-                for i in range(sdim) for j in range(sdim)}
-        for i in range(sdim):
-            for j in range(i):
-                if not np.array_equal(smul[(i, j)], smul[(j, i)]):
-                    return False  # noncommutative semisimple quotient
-        # Frobenius fixed space counts the field factors
+        prods = np.column_stack([st[(ci, cj)] for ci in comp_idx for cj in comp_idx])
+        basis = np.hstack([rad, fld.identity(self.dim)[:, comp_idx]])
+        # smul[i, j]: s_i s_j in the quotient basis
+        smul = fld.solve(basis, prods)[nrad:].T.reshape(sdim, sdim, sdim)
+        if not np.array_equal(smul, smul.transpose(1, 0, 2)):
+            return False  # noncommutative semisimple quotient
+        # Frobenius fixed space counts the field factors; smul[i].T is
+        # left multiplication by s_i
         frob = fld.zeros(sdim, sdim)
         for i in range(sdim):
-            lm = fld.zeros(sdim, sdim)
-            for j in range(sdim):
-                lm[:, j] = smul[(i, j)]
-            power = _matpow_mod(lm, fld.p - 1, fld.p)
-            e = np.zeros(sdim, dtype=np.int64)
-            e[i] = 1
-            frob[:, i] = (power @ e) % fld.p
+            frob[:, i] = _matpow_mod(smul[i].T, fld.p - 1, fld.p)[:, i]
         fixed = fld.nullspace((frob - fld.identity(sdim)) % fld.p)
         return fixed.shape[1] == 1
 
@@ -548,10 +494,6 @@ def _isomorphic(end: EndAlgebra, y: ProjComplex) -> bool:
             comp = _compose_coords(x.algebra, fld,
                                    f_reps[:, fi], f_coords,
                                    g_reps[:, gj], g_coords, end.pos)
-            q = end.to_quotient(comp)
-            if rad.shape[1] == 0:
-                if q.any():
-                    return True
-            elif not fld.in_span(rad, q):
+            if not fld.in_span(rad, end.to_quotient(comp)):
                 return True
     return False

@@ -6,7 +6,7 @@ computations downstream stay valid (p must exceed every endomorphism-algebra
 dimension we ever see).
 
 Products use raw int64 ``@`` here and downstream (``matmul``,
-``EndAlgebra.mult``, ``left_mult_matrix``, ``radical``, ``_matpow_mod``),
+``EndAlgebra.radical``, ``_matpow_mod``),
 which is exact only while K * (p - 1)**2 < 2**63 for the inner dimension
 K.  PrimeField therefore accepts only p < MAX_PRIME = 2**20: then
 (p - 1)**2 < 2**40, and every product with K < 2**23 is exact.
@@ -102,11 +102,7 @@ class PrimeField:
         The basis size is always cols - rank(m); for a full-rank square
         matrix the result has zero columns.
         """
-        rows, cols = m.shape
-        if cols == 0:
-            return np.zeros((0, 0), dtype=np.int64)
-        if rows == 0:
-            return self.identity(cols)
+        cols = m.shape[1]
         r, pivots = self.rref(m)
         free = [c for c in range(cols) if c not in pivots]
         basis = np.zeros((cols, len(free)), dtype=np.int64)
@@ -123,7 +119,7 @@ class PrimeField:
         """
         vec = b.ndim == 1
         rhs = b.reshape(-1, 1) if vec else b
-        rows, cols = a.shape
+        cols = a.shape[1]
         aug = np.hstack([a % self.p, rhs % self.p])
         r, pivots = self.rref(aug)
         if any(c >= cols for c in pivots):

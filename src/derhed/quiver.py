@@ -191,9 +191,6 @@ class Representation:
     def dim_vector(self) -> dict[str, int]:
         return dict(self.dims)
 
-    def is_zero(self) -> bool:
-        return all(d == 0 for d in self.dims.values())
-
 
 def build_algebra(quiver: Quiver, relations: list[tuple[str, ...]],
                   bound: int = DEFAULT_PATH_BOUND) -> MonomialAlgebra:
@@ -283,7 +280,7 @@ def algebra_to_dict(alg: MonomialAlgebra) -> dict:
     }
 
 
-def algebra_from_dict(d: dict, bound: int = 64) -> MonomialAlgebra:
+def algebra_from_dict(d: dict) -> MonomialAlgebra:
     try:
         q = Quiver(
             tuple(str(v) for v in d["vertices"]),
@@ -292,4 +289,4 @@ def algebra_from_dict(d: dict, bound: int = 64) -> MonomialAlgebra:
         relations = [tuple(r) for r in d.get("relations", [])]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed algebra description: {exc}") from exc
-    return build_algebra(q, relations, bound=bound)
+    return build_algebra(q, relations)

@@ -190,6 +190,20 @@ def test_gen_an(capsys, tmp_path):
     assert len(data["orbits"]) == 6
 
 
+@pytest.mark.parametrize("before_family", [True, False])
+def test_gen_pretty_either_placement(capsys, tmp_path, before_family):
+    """`gen --pretty an ...` and `gen an ... --pretty` both print text."""
+    out = tmp_path / "a2.json"
+    family = ["an", "--n", "2", "--orientation", ">", "--out", str(out)]
+    argv = ["gen", "--pretty", *family] if before_family else ["gen", *family, "--pretty"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text.startswith('tool: "derhed"\n')
+    assert "  orbits: 3\n" in text
+    assert main(["gen", *family]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["orbits"] == 3
+
+
 def write_a2_projectives(d):
     """The path algebra of 1 -> 2 and its projectives P1, P2 as files."""
     alg = d / "alg.json"

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from derhed.complexes import (EndAlgebra, FieldTooSmall, ProjComplex,
-                              _hom_dims, are_isomorphic, check_complex,
-                              hom_k_dim, is_indecomposable, shift_complex)
+                              _compose_coords, _hom_dims, are_isomorphic,
+                              check_complex, hom_k_dim, is_indecomposable,
+                              shift_complex)
 from derhed.generators import (a2_projective_resolutions,
                                dual_numbers_algebra, dual_numbers_chain,
                                gen_dual_numbers)
@@ -207,6 +209,33 @@ def test_are_isomorphic(dual, fld):
     assert are_isomorphic(c1, other_c1, fld)
     assert not are_isomorphic(c1, c2, fld)
     assert not are_isomorphic(c1, shift_complex(c1, 1, fld.p), fld)
+
+
+def test_structure_table_of_noncommutative_end(fld):
+    """End(P_1 + P_2) over A_2 is the 3-dimensional upper triangular
+    algebra.  The stacked solve must give, for every pair, the product
+    b_i o b_j (b_j applied first) that a solve per pair gives."""
+    alg, _ = a2_projective_resolutions(fld)
+    end = EndAlgebra(ProjComplex(alg, {0: ["1", "2"]}), fld)
+    assert end.dim == 3
+    st = end.structure()
+    assert sorted(st) == [(i, j) for i in range(3) for j in range(3)]
+    for (i, j), prod in st.items():
+        comp = _compose_coords(alg, fld, end.reps[:, j], end.coords,
+                               end.reps[:, i], end.coords, end.pos)
+        assert np.array_equal(prod, end.to_quotient(comp))
+    assert any(not np.array_equal(st[(i, j)], st[(j, i)])
+               for i in range(3) for j in range(i))
+    assert end.radical().shape == (3, 1)
+    assert not end.is_local()
+
+
+def test_are_isomorphic_with_empty_radical(fld):
+    _, (_, _, s2) = a2_projective_resolutions(fld)
+    assert EndAlgebra(s2, fld).radical().shape == (1, 0)  # End(P_2) = k
+    renamed = ProjComplex(s2.algebra, s2.degrees, s2.diffs, name="again")
+    assert are_isomorphic(s2, renamed, fld)
+    assert not are_isomorphic(s2, shift_complex(s2, 1, fld.p), fld)
 
 
 def test_constructor_normalizes_degrees(dual):

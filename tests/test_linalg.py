@@ -92,6 +92,24 @@ def test_in_span():
     assert not fld.in_span(basis, np.array([0, 0, 1], dtype=np.int64))
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+def test_empty_shapes(rows, cols):
+    m = fld.zeros(rows, cols)
+    assert fld.rank(m) == 0
+    ns = fld.nullspace(m)
+    assert ns.shape == (cols, cols) and np.array_equal(ns, fld.identity(cols))
+    zero = np.zeros(rows, dtype=np.int64)
+    x = fld.solve(m, zero)
+    assert x.shape == (cols,) and not x.any()
+    assert fld.solve(m, fld.zeros(rows, 2)).shape == (cols, 2)
+    assert fld.in_span(m, zero)
+    if rows:
+        # the span of no columns (or of zero columns) is {0}
+        one = np.ones(rows, dtype=np.int64)
+        assert fld.solve(m, one) is None
+        assert not fld.in_span(m, one)
+
+
 def test_rref_idempotent():
     m = fld.matrix([[2, 4, 1], [1, 3, 3], [3, 7, 4]])
     r1, p1 = fld.rref(m)
