@@ -11,7 +11,10 @@ between projectives act by left multiplication, see quiver.py).
 hom_k_dim computes Hom(X, Y[n]) in the homotopy category as the n-th
 cohomology of the total hom complex: degree-n maps modulo those of the
 form d s + (-1)^(n-1) s d.  Everything reduces to rank and nullspace over
-the configured prime field.
+the configured prime field.  The coordinates of the degree-m maps are
+built once per degree m and shared by the two boundaries d_(m-1) and d_m
+that use them; each boundary is assembled as a list of rows and turned
+into one array.
 
 build_shiftgraph_from_complexes works from one window table of hom
 dimensions per ordered pair of complexes (each hom-complex boundary
@@ -203,31 +206,33 @@ def _hom_coords(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int):
 
 
 def _hom_boundary(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int,
-                  fld: PrimeField) -> tuple[np.ndarray, list]:
+                  src_coords: list, tgt_coords: list, p: int) -> np.ndarray:
     """Matrix of the hom-complex differential from degree-n maps to
-    degree-(n+1) maps, f -> d_Y f - (-1)^n f d_X, and the coordinates of
-    the degree-n maps."""
-    src_coords = _hom_coords(alg, x, y, n)
-    tgt_pos = {c: k for k, c in enumerate(_hom_coords(alg, x, y, n + 1))}
-    mat = fld.zeros(len(tgt_pos), len(src_coords))
+    degree-(n+1) maps, f -> d_Y f - (-1)^n f d_X, given the coordinates
+    of both (_hom_coords for n and n + 1)."""
+    tgt_pos = {c: k for k, c in enumerate(tgt_coords)}
+    rows = [[0] * len(src_coords) for _ in tgt_coords]
+    mul = alg.mul_basis
     sign = -1 if n % 2 == 0 else 1  # coefficient of the f d_X term
     for col, (i, a, b, q) in enumerate(src_coords):
-        unit: AlgElem = {q: 1}
-        dy = y.diff(i + n)
-        for c2 in range(len(y.summands(i + n + 1))):
-            term = _compose(alg, unit, dy[b][c2], fld.p)
-            for idx, coeff in term.items():
-                row = tgt_pos.get((i, a, c2, idx))
-                if row is not None:
-                    mat[row, col] = (mat[row, col] + coeff) % fld.p
-        dx = x.diff(i - 1)
-        for a2 in range(len(x.summands(i - 1))):
-            term = _compose(alg, dx[a2][a], unit, fld.p)
-            for idx, coeff in term.items():
-                row = tgt_pos.get((i - 1, a2, b, idx))
-                if row is not None:
-                    mat[row, col] = (mat[row, col] + sign * coeff) % fld.p
-    return mat, src_coords
+        # d_Y f: the unit path q, then the entries of row b of d_Y
+        dy = y.diffs.get(i + n)
+        if dy is not None:
+            for c2, e in enumerate(dy[b]):
+                for idx, coeff in e.items():
+                    # a zero product (None) matches no coordinate
+                    row = tgt_pos.get((i, a, c2, mul(idx, q)))
+                    if row is not None:
+                        rows[row][col] = (rows[row][col] + coeff) % p
+        # f d_X: the entries of column a of d_X, then q
+        dx = x.diffs.get(i - 1)
+        if dx is not None:
+            for a2, drow in enumerate(dx):
+                for idx, coeff in drow[a].items():
+                    row = tgt_pos.get((i - 1, a2, b, mul(q, idx)))
+                    if row is not None:
+                        rows[row][col] = (rows[row][col] + sign * coeff) % p
+    return np.array(rows, dtype=np.int64).reshape(len(tgt_coords), len(src_coords))
 
 
 def _check_same_algebra(x: ProjComplex, y: ProjComplex):
@@ -237,17 +242,20 @@ def _check_same_algebra(x: ProjComplex, y: ProjComplex):
 
 def _hom_dims(x: ProjComplex, y: ProjComplex, lo: int, hi: int,
               fld: PrimeField) -> dict[int, int]:
-    """{n: dim Hom(X, Y[n])} for lo <= n <= hi.  Each boundary d_m of the
-    hom complex (lo-1 <= m <= hi) is built and ranked at most once, and
+    """{n: dim Hom(X, Y[n])} for lo <= n <= hi.  The coordinates of each
+    degree lo-1 <= m <= hi+1 are built once, each boundary d_m of the hom
+    complex (lo-1 <= m <= hi) is built and ranked at most once, and
     d_(lo-1) not at all when there are no degree-lo maps."""
+    alg = x.algebra
+    coords = {m: _hom_coords(alg, x, y, m) for m in range(lo - 1, hi + 2)}
     dims = {}
     rank_prev = None  # rank of d_(n-1), once built
     for n in range(lo, hi + 1):
-        d_n, coords = _hom_boundary(x.algebra, x, y, n, fld)
-        rank_n = fld.rank(d_n)
-        if coords and rank_prev is None:
-            rank_prev = fld.rank(_hom_boundary(x.algebra, x, y, n - 1, fld)[0])
-        dims[n] = len(coords) - rank_n - rank_prev if coords else 0
+        rank_n = fld.rank(_hom_boundary(alg, x, y, n, coords[n], coords[n + 1], fld.p))
+        if coords[n] and rank_prev is None:
+            rank_prev = fld.rank(
+                _hom_boundary(alg, x, y, n - 1, coords[n - 1], coords[n], fld.p))
+        dims[n] = len(coords[n]) - rank_n - rank_prev if coords[n] else 0
         rank_prev = rank_n
     return dims
 
@@ -263,9 +271,11 @@ def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
 def _hom_reps(x: ProjComplex, y: ProjComplex, n: int, fld: PrimeField):
     """Hom-space data: (coords, representative matrix whose columns are a
     basis of chain maps spanning Hom_K, boundary matrix d_(n-1))."""
-    d_n, src_coords = _hom_boundary(x.algebra, x, y, n, fld)
-    z = fld.nullspace(d_n)
-    bmat = _hom_boundary(x.algebra, x, y, n - 1, fld)[0]
+    alg = x.algebra
+    prev_coords, src_coords, next_coords = (_hom_coords(alg, x, y, m)
+                                            for m in (n - 1, n, n + 1))
+    z = fld.nullspace(_hom_boundary(alg, x, y, n, src_coords, next_coords, fld.p))
+    bmat = _hom_boundary(alg, x, y, n - 1, prev_coords, src_coords, fld.p)
     _, pivots = fld.rref(np.hstack([bmat, z]))
     nb = bmat.shape[1]
     return src_coords, z[:, [c - nb for c in pivots if c >= nb]], bmat

@@ -97,6 +97,10 @@ class MonomialAlgebra:
         self.relations = tuple(tuple(r) for r in relations)
         self.basis: list[BasisPath] = self._enumerate_basis(bound)
         self.index = {bp.label: i for i, bp in enumerate(self.basis)}
+        # (source, target) -> basis indices of the paths between, in basis order
+        self._between: dict[tuple[str, str], list[int]] = {}
+        for i, bp in enumerate(self.basis):
+            self._between.setdefault((bp.source, bp.target), []).append(i)
 
     @staticmethod
     def _check_composable(quiver: Quiver, arrows: tuple[str, ...]):
@@ -153,8 +157,7 @@ class MonomialAlgebra:
 
     def paths_between(self, source: str, target: str) -> list[int]:
         """Basis indices of paths from source to target."""
-        return [i for i, bp in enumerate(self.basis)
-                if bp.source == source and bp.target == target]
+        return list(self._between.get((source, target), ()))
 
 
 class Representation:
@@ -216,29 +219,29 @@ def rep_hom_dim(m: Representation, n: Representation,
         total += n.dims[v] * m.dims[v]
     if total == 0:
         return 0
-    rows = []
+    rows: list[list[int]] = []
     for a in q.arrows:
         s, t = a.source, a.target
         nr, nc = n.dims[t], m.dims[s]
         if nr * nc == 0:
             continue
-        # constraint block: f_t M_a - N_a f_s = 0, one row per entry.
-        block = np.zeros((nr * nc, total), dtype=np.int64)
-        ma, na = m.maps[a.id], n.maps[a.id]
+        # constraint rows: f_t M_a - N_a f_s = 0, one row per entry (i, j).
+        ma, na = m.maps[a.id].tolist(), n.maps[a.id].tolist()
+        mt, ns = m.dims[t], n.dims[s]
+        ot, os_ = offsets[t], offsets[s]
         for i in range(nr):
             for j in range(nc):
-                r = i * nc + j
+                row = [0] * total
                 # (f_t M_a)[i, j] = sum_k f_t[i, k] * M_a[k, j]
-                for k in range(m.dims[t]):
-                    block[r, offsets[t] + i * m.dims[t] + k] += ma[k, j]
+                for k in range(mt):
+                    row[ot + i * mt + k] += ma[k][j]
                 # (N_a f_s)[i, j] = sum_k N_a[i, k] * f_s[k, j]
-                for k in range(n.dims[s]):
-                    block[r, offsets[s] + k * m.dims[s] + j] -= na[i, k]
-        rows.append(block % fld.p)
+                for k in range(ns):
+                    row[os_ + k * nc + j] -= na[i][k]
+                rows.append(row)
     if not rows:
         return total
-    system = np.vstack(rows)
-    return total - fld.rank(system)
+    return total - fld.rank(np.array(rows, dtype=np.int64))
 
 
 def euler_form(q: Quiver, d: dict[str, int], e: dict[str, int]) -> int:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from derhed.complexes import (EndAlgebra, FieldTooSmall, ProjComplex,
-                              _compose_coords, _hom_dims, are_isomorphic,
+                              _compose_coords, _hom_boundary, _hom_coords,
+                              _hom_dims, are_isomorphic,
                               check_complex, hom_k_dim, is_indecomposable,
                               shift_complex)
 from derhed.generators import (a2_projective_resolutions,
@@ -109,6 +110,36 @@ def test_window_table_matches_per_call_dims(dual, fld, family):
                 assert dim == hom_k_dim(x, y, n, fld)
                 assert dim == hom_oracle(x.algebra, x, y, n, fld.p)
                 assert dim == hom_k_dim(x, shift_complex(y, n, fld.p), 0, fld)
+
+
+@pytest.mark.parametrize("p", [32003, 3])
+@pytest.mark.parametrize("family", ["dual", "a2", "a3"])
+def test_hom_complex_squares_to_zero(dual, family, p):
+    """d_(n+1) d_n = 0 on the total hom complex, and the window table
+    equals the per-degree hom_k_dim, over C_1..C_6, the A_2 resolutions
+    and the interval resolutions of the linear A_3.  Only A_3 has nonzero
+    composites d_Y f d_X (a^2 = 0 in the dual numbers, and A_2 has no
+    path of length 2), so only there does a sign slip in the boundary
+    assembly break d^2 = 0."""
+    f = PrimeField(p)
+    if family == "dual":
+        xs = [dual_numbers_chain(dual, l) for l in range(1, 7)]
+    elif family == "a2":
+        xs = a2_projective_resolutions(f)[1]
+    else:
+        alg = linear_an(3)
+        xs = [interval_resolution(alg, 3, a, b) for a in range(1, 4) for b in range(a, 4)]
+    for x in xs:
+        for y in xs:
+            alg = x.algebra
+            coords = {m: _hom_coords(alg, x, y, m) for m in range(-4, 7)}
+            for n in range(-4, 5):
+                d_n = _hom_boundary(alg, x, y, n, coords[n], coords[n + 1], p)
+                d_next = _hom_boundary(alg, x, y, n + 1, coords[n + 1], coords[n + 2], p)
+                assert d_n.shape == (len(coords[n + 1]), len(coords[n]))
+                assert not np.any((d_next @ d_n) % p)
+            assert _hom_dims(x, y, -3, 3, f) == {n: hom_k_dim(x, y, n, f)
+                                                  for n in range(-3, 4)}
 
 
 def test_dual_numbers_graph_matches_per_call_dims(dual, fld):

@@ -15,8 +15,10 @@ big = PrimeField(LARGEST_PRIME)
 
 def test_default_prime_is_prime():
     assert DEFAULT_PRIME == 32003
-    with pytest.raises(ValueError):
-        PrimeField(32004)
+    # primality is memoized per p: a repeated construction raises too
+    for _ in range(2):
+        with pytest.raises(ValueError, match="prime"):
+            PrimeField(32004)
 
 
 def test_characteristic_bound():
@@ -146,3 +148,80 @@ def test_rank_near_bound_against_oracle(rows, cols, inner, seed):
 def test_matmul_exact_near_bound(a_rows, b_rows):
     a, b = big.matrix(a_rows), big.matrix(b_rows)
     assert np.array_equal(big.matmul(a, b), _exact_product(a, b, LARGEST_PRIME))
+
+
+# the RREF of a matrix is unique, so the kernel is tested by properties that
+# pin it down, at small and large p and on every shape up to 7 x 7
+
+small_primes = st.sampled_from([2, 3, 5, 32003, LARGEST_PRIME])
+
+
+@st.composite
+def matrices_mod_p(draw):
+    p = draw(small_primes)
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entries = st.one_of(st.just(0), st.integers(0, p - 1), st.integers(-3 * p, 3 * p))
+    m = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    return PrimeField(p), np.array(m, dtype=np.int64).reshape(rows, cols)
+
+
+def _invertible(rng, n: int, p: int) -> np.ndarray:
+    """A random product of elementary matrices mod p."""
+    e = np.eye(n, dtype=np.int64)
+    for _ in range(3 * n):
+        i, j = rng.integers(0, n, size=2)
+        if i != j:
+            e[i] = (e[i] + int(rng.integers(1, p)) * e[j]) % p
+        else:
+            e[i] = (e[i] * int(rng.integers(1, p))) % p
+    return e[rng.permutation(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_mod_p(), st.integers(0, 2**32 - 1))
+def test_rref_is_the_reduced_form(fm, seed):
+    f, m = fm
+    p = f.p
+    rows, cols = m.shape
+    r, pivots = f.rref(m)
+    assert r.dtype == np.int64 and r.shape == m.shape
+    assert r.min(initial=0) >= 0 and r.max(initial=0) < p
+    # reduced: pivots strictly increase, each pivot column is a unit
+    # vector, the first nonzero entry of row i is at pivots[i], and the
+    # zero rows come last
+    k = len(pivots)
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert r[:, c].tolist() == [int(i == j) for j in range(rows)]
+        assert not r[i, :c].any()
+    assert not r[k:].any()
+    assert f.rank(m) == k
+    # same row space: the rows of rref(m) add nothing to the rows of m
+    assert f.rank(np.vstack([m, r])) == k
+    # invariant under invertible row operations
+    rng = np.random.default_rng(seed)
+    if rows:
+        e = _invertible(rng, rows, p)
+        r2, p2 = f.rref(_exact_product(e, m % p, p))
+        assert np.array_equal(r2, r) and p2 == pivots
+    # nullspace and solve satisfy the equations
+    ns = f.nullspace(m)
+    assert ns.shape == (cols, cols - k) and ns.dtype == np.int64
+    assert not _exact_product(m % p, ns, p).any()
+    assert f.rank(ns.T) == cols - k
+    x = rng.integers(0, p, size=(cols, 2))
+    b = _exact_product(m % p, x, p)
+    got = f.solve(m, b)
+    assert got.shape == (cols, 2)
+    assert np.array_equal(_exact_product(m % p, got, p), b)
+    got = f.solve(m, b[:, 0])
+    assert got.shape == (cols,)
+    assert np.array_equal(_exact_product(m % p, got.reshape(-1, 1), p)[:, 0], b[:, 0])
+    if k < rows:
+        # y^T m = 0 for a nonzero y; a right-hand side b with y . b != 0
+        # lies outside the column space
+        y = f.nullspace(m.T)[:, 0]
+        b = np.zeros(rows, dtype=np.int64)
+        b[np.flatnonzero(y)[0]] = 1
+        assert f.solve(m, b) is None
