@@ -13,8 +13,8 @@ import importlib
 
 # Every public name is resolved on first use by __getattr__ (PEP 562), so
 # `import derhed` loads no submodule and each command loads only the
-# modules it runs: path-only code never imports hereditary, nor numpy,
-# which the GF(p) modules (linalg, quiver, complexes, generators) load.
+# modules it runs: path-only code never imports hereditary, nor the GF(p)
+# modules (linalg, quiver, complexes, generators).
 _LAZY = {name: module for module, names in {
     "shiftgraph": ["DEFAULT_PRIME", "AbelianData", "FormalObject", "HomEdge",
                    "ObjRef", "Orbit", "ShiftGraph", "ValidationReport",

@@ -23,7 +23,7 @@ from .shiftgraph import (IncompleteHeart, NegativeWalkAtSource, NotABlock,
 
 # Each command imports only what it runs: hereditary inside `check`, `heart`
 # and `verify-heart`, and the GF(p) modules (linalg, quiver, complexes,
-# generators), which load numpy, inside `gen` and `hom`.
+# generators) inside `gen` and `hom`.  No command loads numpy.
 
 
 class InputError(Exception):
@@ -209,6 +209,7 @@ def _cmd_directing(args):
 
 
 def _cmd_gen(args):
+    from .complexes import FieldTooSmall
     from .generators import (gen_dual_numbers, gen_dynkin_an, gen_example_a2,
                              gen_semisimple_block)
     from .quiver import InfiniteDimensional
@@ -229,6 +230,8 @@ def _cmd_gen(args):
             g = gen_semisimple_block(args.period, args.end_dim, fld)
     except (ValueError, InfiniteDimensional) as exc:
         raise InputError(str(exc)) from exc
+    except FieldTooSmall as exc:
+        raise InputError(f"{exc}; set DERHED_FIELD_CHAR to a larger prime") from exc
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(g.to_json() + "\n")

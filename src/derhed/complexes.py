@@ -13,8 +13,8 @@ cohomology of the total hom complex: degree-n maps modulo those of the
 form d s + (-1)^(n-1) s d.  Everything reduces to rank and nullspace over
 the configured prime field.  The coordinates of the degree-m maps are
 built once per degree m and shared by the two boundaries d_(m-1) and d_m
-that use them; each boundary is assembled as a list of rows and turned
-into one array.
+that use them; each boundary is a list of rows, as every GF(p) matrix
+is (see linalg.py).
 
 build_shiftgraph_from_complexes works from one window table of hom
 dimensions per ordered pair of complexes (each hom-complex boundary
@@ -30,9 +30,8 @@ form) and the locality test read their matrices off that table.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
-
-import numpy as np
 
 from .linalg import PrimeField
 from .quiver import MonomialAlgebra
@@ -112,9 +111,14 @@ class ProjComplex:
 
     @classmethod
     def from_dict(cls, alg: MonomialAlgebra, d: dict) -> "ProjComplex":
-        degrees = {int(k): list(v) for k, v in d.get("degrees", {}).items()}
+        if not isinstance(d, dict):
+            raise ValueError("a complex must be a JSON object")
+        raw_degrees, raw_diffs = d.get("degrees", {}), d.get("differentials", {})
+        if not isinstance(raw_degrees, dict) or not isinstance(raw_diffs, dict):
+            raise ValueError("degrees and differentials must be JSON objects")
+        degrees = {int(k): list(v) for k, v in raw_degrees.items()}
         diffs = {}
-        for k, rows in d.get("differentials", {}).items():
+        for k, rows in raw_diffs.items():
             mat = []
             for row in rows:
                 out_row = []
@@ -206,7 +210,7 @@ def _hom_coords(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int):
 
 
 def _hom_boundary(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int,
-                  src_coords: list, tgt_coords: list, p: int) -> np.ndarray:
+                  src_coords: list, tgt_coords: list, p: int) -> list[list[int]]:
     """Matrix of the hom-complex differential from degree-n maps to
     degree-(n+1) maps, f -> d_Y f - (-1)^n f d_X, given the coordinates
     of both (_hom_coords for n and n + 1)."""
@@ -232,7 +236,7 @@ def _hom_boundary(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int,
                     row = tgt_pos.get((i - 1, a2, b, mul(q, idx)))
                     if row is not None:
                         rows[row][col] = (rows[row][col] + sign * coeff) % p
-    return np.array(rows, dtype=np.int64).reshape(len(tgt_coords), len(src_coords))
+    return rows
 
 
 def _check_same_algebra(x: ProjComplex, y: ProjComplex):
@@ -269,33 +273,40 @@ def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
 
 
 def _hom_reps(x: ProjComplex, y: ProjComplex, n: int, fld: PrimeField):
-    """Hom-space data: (coords, representative matrix whose columns are a
-    basis of chain maps spanning Hom_K, boundary matrix d_(n-1))."""
+    """Hom-space data: (coords, a list of chain maps whose classes form a
+    basis of Hom_K, boundary matrix d_(n-1) with len(coords) rows, its
+    column count)."""
     alg = x.algebra
     prev_coords, src_coords, next_coords = (_hom_coords(alg, x, y, m)
                                             for m in (n - 1, n, n + 1))
-    z = fld.nullspace(_hom_boundary(alg, x, y, n, src_coords, next_coords, fld.p))
+    z = fld.nullspace(_hom_boundary(alg, x, y, n, src_coords, next_coords, fld.p),
+                      len(src_coords))
     bmat = _hom_boundary(alg, x, y, n - 1, prev_coords, src_coords, fld.p)
-    _, pivots = fld.rref(np.hstack([bmat, z]))
-    nb = bmat.shape[1]
-    return src_coords, z[:, [c - nb for c in pivots if c >= nb]], bmat
+    nb = len(prev_coords)
+    _, pivots = fld.rref(_beside(bmat, z))
+    return src_coords, [z[c - nb] for c in pivots if c >= nb], bmat, nb
+
+
+def _beside(m: list[list[int]], vectors: list[list[int]]) -> list[list[int]]:
+    """The matrix m with the vectors appended as columns."""
+    return [row + [v[i] for v in vectors] for i, row in enumerate(m)]
 
 
 def _compose_coords(alg: MonomialAlgebra, fld: PrimeField,
-                    f: np.ndarray, f_coords,
-                    g: np.ndarray, g_coords,
-                    out_pos) -> np.ndarray:
+                    f: list[int], f_coords,
+                    g: list[int], g_coords,
+                    out_pos) -> list[int]:
     """Coordinates of the composite (first f, then g) of two degree-0
     graded maps, in the coordinate system `out_pos`."""
-    out = np.zeros(len(out_pos), dtype=np.int64)
+    out = [0] * len(out_pos)
     fmap: dict[tuple[int, int, int], AlgElem] = {}
     for k, (i, a, b, q) in enumerate(f_coords):
         if f[k] % fld.p:
-            fmap.setdefault((i, a, b), {})[q] = int(f[k]) % fld.p
+            fmap.setdefault((i, a, b), {})[q] = f[k] % fld.p
     gmap: dict[tuple[int, int, int], AlgElem] = {}
     for k, (i, b, c, r) in enumerate(g_coords):
         if g[k] % fld.p:
-            gmap.setdefault((i, b, c), {})[r] = int(g[k]) % fld.p
+            gmap.setdefault((i, b, c), {})[r] = g[k] % fld.p
     for (i, a, b), fe in fmap.items():
         for (i2, b2, c), ge in gmap.items():
             if i2 != i or b2 != b:
@@ -311,59 +322,58 @@ def _compose_coords(alg: MonomialAlgebra, fld: PrimeField,
 class EndAlgebra:
     """The endomorphism algebra of a complex in the homotopy category,
     with enough structure to compute its radical and the semisimple
-    quotient."""
+    quotient.  An element of End is a vector of coordinates in the basis
+    `reps`."""
 
     def __init__(self, x: ProjComplex, fld: PrimeField):
         self.x = x
         self.fld = fld
-        self.coords, self.reps, self.bmat = _hom_reps(x, x, 0, fld)
-        # reps columns: a basis b_0, ..., b_(dim-1) of End in ambient coordinates
+        self.coords, self.reps, bmat, self._nb = _hom_reps(x, x, 0, fld)
+        # reps: a basis b_0, ..., b_(dim-1) of End, as cycles in ambient coordinates
         self.pos = {c: k for k, c in enumerate(self.coords)}
-        self.dim = self.reps.shape[1]
-        self._solve_basis = np.hstack([self.bmat, self.reps])
-        self._struct: dict[tuple[int, int], np.ndarray] | None = None
-        self._rad: np.ndarray | None = None
+        self.dim = len(self.reps)
+        self._solve_basis = _beside(bmat, self.reps)
+        self._struct: dict[tuple[int, int], list[int]] | None = None
+        self._rad: list[list[int]] | None = None
 
-    def to_quotient(self, ambient: np.ndarray) -> np.ndarray:
-        """Express an ambient cycle vector, or a matrix of them as columns,
-        in the chosen End basis, modulo boundaries."""
-        sol = self.fld.solve(self._solve_basis, ambient)
+    def to_quotient(self, ambient: list[list[int]]) -> list[list[int]]:
+        """Express each of a list of ambient cycle vectors in the End
+        basis, modulo boundaries."""
+        sol = self.fld.solve(self._solve_basis, ambient, self._nb + self.dim)
         if sol is None:
             raise RuntimeError("vector not a cycle modulo boundaries")
-        return sol[self.bmat.shape[1]:]
+        return [v[self._nb:] for v in sol]
 
-    def structure(self) -> dict[tuple[int, int], np.ndarray]:
+    def structure(self) -> dict[tuple[int, int], list[int]]:
         """{(i, j): b_i o b_j (apply b_j first)} in End coordinates.  All
-        dim**2 composites of basis columns go to to_quotient as one
-        stacked solve."""
+        dim**2 composites of basis maps go to to_quotient as one stacked
+        solve."""
         if self._struct is None:
             pairs = [(i, j) for i in range(self.dim) for j in range(self.dim)]
-            comps = self.fld.zeros(len(self.coords), len(pairs))
-            for k, (i, j) in enumerate(pairs):
-                comps[:, k] = _compose_coords(self.x.algebra, self.fld,
-                                              self.reps[:, j], self.coords,
-                                              self.reps[:, i], self.coords, self.pos)
-            table = self.to_quotient(comps)
-            self._struct = {ij: table[:, k] for k, ij in enumerate(pairs)}
+            comps = [_compose_coords(self.x.algebra, self.fld,
+                                     self.reps[j], self.coords,
+                                     self.reps[i], self.coords, self.pos)
+                     for i, j in pairs]
+            self._struct = dict(zip(pairs, self.to_quotient(comps)))
         return self._struct
 
-    def radical(self) -> np.ndarray:
-        """Basis (columns) of the Jacobson radical via the trace form of
-        the regular representation; valid since p > dim.  Computed once
-        per instance."""
-        p = self.fld.p
-        if p <= self.dim:
-            raise FieldTooSmall(f"characteristic {p} <= dim End = {self.dim}")
+    def radical(self) -> list[list[int]]:
+        """A basis of the Jacobson radical via the trace form of the
+        regular representation; valid since p > dim.  Computed once per
+        instance."""
+        p, n = self.fld.p, self.dim
+        if p <= n:
+            raise FieldTooSmall(f"characteristic {p} <= dim End = {n}")
         if self._rad is None:
             st = self.structure()
-            # left multiplication by b_i: column j is b_i o b_j
-            lmats = [np.column_stack([st[(i, j)] for j in range(self.dim)])
-                     for i in range(self.dim)]
-            t = self.fld.zeros(self.dim, self.dim)
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    t[i, j] = int(np.trace((lmats[i] @ lmats[j]) % p)) % p
-            self._rad = self.fld.nullspace(t)
+            # left multiplication L_i by b_i has column l = st[(i, l)], so
+            # tr(L_i L_j) = sum_{k,l} st[(i, l)][k] * st[(j, k)][l]: L_i read
+            # row by row dotted with L_j read column by column
+            by_rows = [[st[(i, l)][k] for k in range(n) for l in range(n)]
+                       for i in range(n)]
+            by_cols = [[e for k in range(n) for e in st[(j, k)]] for j in range(n)]
+            t = [[sum(map(operator.mul, r, c)) % p for c in by_cols] for r in by_rows]
+            self._rad = self.fld.nullspace(t, n)
         return self._rad
 
     def is_local(self) -> bool:
@@ -374,38 +384,41 @@ class EndAlgebra:
         if self.dim == 0:
             return False
         rad = self.radical()
-        nrad = rad.shape[1]
+        nrad = len(rad)
         sdim = self.dim - nrad
         if sdim == 0:
             raise RuntimeError("radical cannot be the whole unital algebra")
-        _, pivots = fld.rref(np.hstack([rad, fld.identity(self.dim)]))
+        units = fld.identity(self.dim)
+        _, pivots = fld.rref(_beside(fld.zeros(self.dim, 0), rad + units))
         comp_idx = [c - nrad for c in pivots if c >= nrad]
-        # the complement of the radical is spanned by unit columns, so the
+        # the complement of the radical is spanned by unit vectors, so the
         # products of its basis s_0, ..., s_(sdim-1) are entries of
         # structure(); one stacked solve reads them modulo the radical
         st = self.structure()
-        prods = np.column_stack([st[(ci, cj)] for ci in comp_idx for cj in comp_idx])
-        basis = np.hstack([rad, fld.identity(self.dim)[:, comp_idx]])
-        # smul[i, j]: s_i s_j in the quotient basis
-        smul = fld.solve(basis, prods)[nrad:].T.reshape(sdim, sdim, sdim)
-        if not np.array_equal(smul, smul.transpose(1, 0, 2)):
+        prods = [st[(ci, cj)] for ci in comp_idx for cj in comp_idx]
+        basis = _beside(fld.zeros(self.dim, 0), rad + [units[c] for c in comp_idx])
+        sol = fld.solve(basis, prods, self.dim)
+        # smul[i][j]: s_i s_j in the quotient basis
+        smul = [[sol[i * sdim + j][nrad:] for j in range(sdim)] for i in range(sdim)]
+        if smul != [list(col) for col in zip(*smul)]:
             return False  # noncommutative semisimple quotient
-        # Frobenius fixed space counts the field factors; smul[i].T is
-        # left multiplication by s_i
-        frob = fld.zeros(sdim, sdim)
-        for i in range(sdim):
-            frob[:, i] = _matpow_mod(smul[i].T, fld.p - 1, fld.p)[:, i]
-        fixed = fld.nullspace((frob - fld.identity(sdim)) % fld.p)
-        return fixed.shape[1] == 1
+        # Frobenius fixed space counts the field factors; left
+        # multiplication by s_i has columns smul[i], and the Frobenius
+        # sends s_i to column i of its (p - 1)-th power
+        frob = [[row[i] for row in _matpow_mod(_beside(fld.zeros(sdim, 0), smul[i]),
+                                               fld.p - 1, fld)]
+                for i in range(sdim)]
+        fixed = fld.nullspace([[frob[i][k] - (i == k) for i in range(sdim)]
+                               for k in range(sdim)], sdim)
+        return len(fixed) == 1
 
 
-def _matpow_mod(m: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.eye(m.shape[0], dtype=np.int64)
-    base = m % p
+def _matpow_mod(m: list[list[int]], e: int, fld: PrimeField) -> list[list[int]]:
+    out = fld.identity(len(m))
     while e:
         if e & 1:
-            out = (out @ base) % p
-        base = (base @ base) % p
+            out = fld.matmul(out, m)
+        m = fld.matmul(m, m)
         e >>= 1
     return out
 
@@ -496,14 +509,12 @@ def _isomorphic(end: EndAlgebra, y: ProjComplex) -> bool:
     """Whether some composite X -> Y -> X, X = end.x, avoids the radical
     of End(X)."""
     x, fld = end.x, end.fld
-    f_coords, f_reps, _ = _hom_reps(x, y, 0, fld)
-    g_coords, g_reps, _ = _hom_reps(y, x, 0, fld)
+    f_coords, f_reps, *_ = _hom_reps(x, y, 0, fld)
+    g_coords, g_reps, *_ = _hom_reps(y, x, 0, fld)
     rad = end.radical()
-    for fi in range(f_reps.shape[1]):
-        for gj in range(g_reps.shape[1]):
-            comp = _compose_coords(x.algebra, fld,
-                                   f_reps[:, fi], f_coords,
-                                   g_reps[:, gj], g_coords, end.pos)
-            if not fld.in_span(rad, end.to_quotient(comp)):
+    for f in f_reps:
+        for g in g_reps:
+            comp = _compose_coords(x.algebra, fld, f, f_coords, g, g_coords, end.pos)
+            if not fld.in_span(rad, end.to_quotient([comp])[0]):
                 return True
     return False

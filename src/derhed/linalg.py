@@ -1,34 +1,29 @@
 """Exact linear algebra over a prime field GF(p).
 
-Matrices are dense numpy int64 arrays with entries reduced into [0, p):
-every function here takes and returns them.  The default characteristic
-32003 is large enough that trace-form radical computations downstream
-stay valid (p must exceed every endomorphism-algebra dimension we ever
-see).
+A matrix is a list of rows, each a list of Python ints reduced into
+[0, p); a vector is a flat list of such ints, and a family of vectors
+(the basis a nullspace returns, the right-hand sides and solutions of a
+stacked solve) is a list of vectors.  A matrix with no rows has no
+width, so the functions whose answer depends on the width (nullspace,
+solve) take the column count from the caller.  Every function here
+reduces its input mod p, so entries may be any ints.
 
 Gaussian elimination (rref, rank, nullspace, solve) runs one
-Gauss-Jordan loop, _eliminate, on the rows as lists of Python ints: the
-matrices the homotopy and quiver engines reduce have at most a few
-hundred cells, mostly zeros, and there a per-pivot numpy call costs more
-than the arithmetic.  The loop loses to numpy on larger inputs.  Timed
-on a 2-core VM (one rref of a random matrix mod 32003): with dense
-entries the lists lose from about 10 rows on (0.29 against 0.17 ms at
-10x12, 1.8 against 0.38 ms at 20x25); with 12% nonzero entries, as in
-the hom complexes, from about 20 rows on (0.39 against 0.47 ms at 20x25,
-2.2 against 0.83 ms at 30x35).  No caller reduces a matrix that large.
+Gauss-Jordan loop, _eliminate, on the rows: the matrices the homotopy
+and quiver engines reduce have at most a few hundred cells, mostly
+zeros, and the loop touches only the rows with a nonzero entry in the
+pivot column.  Python ints never overflow, so every product is exact.
 
-Products use raw int64 ``@`` here and downstream (``matmul``,
-``EndAlgebra.radical``, ``_matpow_mod``), which is exact only while
-K * (p - 1)**2 < 2**63 for the inner dimension K.  PrimeField therefore
-accepts only p < MAX_PRIME = 2**20: then (p - 1)**2 < 2**40, and every
-product with K < 2**23 is exact.
+The default characteristic 32003 is large enough that trace-form radical
+computations downstream stay valid (p must exceed every
+endomorphism-algebra dimension we ever see).  PrimeField accepts only
+p < MAX_PRIME = 2**20, so that checking primality by trial division
+costs at most about 500 divisions.
 """
 
 from __future__ import annotations
 
 from functools import cache
-
-import numpy as np
 
 from .shiftgraph import DEFAULT_PRIME
 
@@ -51,14 +46,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _eliminate(m, p: int) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan over GF(p) on the rows of m as Python int lists: the
-    reduced row echelon form as a list of rows, and its pivot columns.
-    A pivot row is scaled only when its pivot is not 1, and only rows
-    with a nonzero entry in the pivot column are updated."""
-    m = np.asarray(m, dtype=np.int64)
-    a = (m % p).tolist()
-    rows, cols = m.shape
+def _eliminate(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan over GF(p) on the rows of m: the reduced row echelon
+    form as a new list of rows, and its pivot columns.  A pivot row is
+    scaled only when its pivot is not 1, and only rows with a nonzero
+    entry in the pivot column are updated."""
+    a = [[x % p for x in row] for row in m]
+    rows, cols = len(a), len(a[0]) if a else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -102,68 +96,69 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    def matrix(self, rows) -> np.ndarray:
-        m = np.asarray(rows, dtype=np.int64) % self.p
-        if m.ndim != 2:
-            raise ValueError("expected a two-dimensional array")
+    def matrix(self, rows) -> list[list[int]]:
+        """The rows as a matrix with entries reduced into [0, p)."""
+        m = [[int(x) % self.p for x in row] for row in rows]
+        if any(len(row) != len(m[0]) for row in m):
+            raise ValueError("rows of a matrix must have equal length")
         return m
 
-    def zeros(self, rows: int, cols: int) -> np.ndarray:
-        return np.zeros((rows, cols), dtype=np.int64)
+    def zeros(self, rows: int, cols: int) -> list[list[int]]:
+        return [[0] * cols for _ in range(rows)]
 
-    def identity(self, n: int) -> np.ndarray:
-        return np.eye(n, dtype=np.int64)
+    def identity(self, n: int) -> list[list[int]]:
+        return [[int(i == j) for j in range(n)] for i in range(n)]
 
     def inv(self, a: int) -> int:
-        return pow(int(a) % self.p, self.p - 2, self.p)
+        """The inverse of a mod p; ValueError when a is 0 mod p."""
+        return pow(int(a), -1, self.p)
 
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a @ b) % self.p
+    def matmul(self, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+        """The product a b; b must have at least one row."""
+        p = self.p
+        cols = list(zip(*b))
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in cols]
+                for row in a]
 
-    def rref(self, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    def rref(self, m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
-        r, pivots = _eliminate(m, self.p)
-        return np.array(r, dtype=np.int64).reshape(np.shape(m)), pivots
+        return _eliminate(m, self.p)
 
-    def rank(self, m: np.ndarray) -> int:
-        if m.size == 0:
-            return 0
+    def rank(self, m: list[list[int]]) -> int:
         return len(_eliminate(m, self.p)[1])
 
-    def nullspace(self, m: np.ndarray) -> np.ndarray:
-        """Basis of {v : m v = 0}, returned as columns of a matrix.
-
-        The basis size is always cols - rank(m); for a full-rank square
-        matrix the result has zero columns.
-        """
-        cols = m.shape[1]
+    def nullspace(self, m: list[list[int]], cols: int) -> list[list[int]]:
+        """A basis of {v : m v = 0} for a matrix with cols columns, as a
+        list of cols - rank(m) vectors (none for a full-rank square m)."""
         r, pivots = _eliminate(m, self.p)
         pivot_set = set(pivots)
-        free = [c for c in range(cols) if c not in pivot_set]
-        basis = [[0] * len(free) for _ in range(cols)]
-        for k, fc in enumerate(free):
-            basis[fc][k] = 1
-            for i, pc in enumerate(pivots):
-                basis[pc][k] = -r[i][fc] % self.p
-        return np.array(basis, dtype=np.int64).reshape(cols, len(free))
+        basis = []
+        for fc in range(cols):
+            if fc not in pivot_set:
+                v = [0] * cols
+                v[fc] = 1
+                for i, pc in enumerate(pivots):
+                    v[pc] = -r[i][fc] % self.p
+                basis.append(v)
+        return basis
 
-    def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        """One solution x of a x = b, or None when inconsistent.
-
-        b may be a vector or a matrix of stacked right-hand sides.
-        """
-        vec = b.ndim == 1
-        rhs = b.reshape(-1, 1) if vec else b
-        cols, k = a.shape[1], rhs.shape[1]
-        r, pivots = _eliminate(np.hstack([a, rhs]), self.p)
+    def solve(self, a: list[list[int]], bs: list[list[int]],
+              cols: int) -> list[list[int]] | None:
+        """For a matrix a with cols columns and a list of right-hand sides
+        b (each a vector with one entry per row of a), one solution x of
+        a x = b for each, or None when some system is inconsistent."""
+        k = len(bs)
+        r, pivots = _eliminate([row + [b[i] for b in bs] for i, row in enumerate(a)],
+                               self.p)
         if pivots and pivots[-1] >= cols:
             return None
-        x = [[0] * k for _ in range(cols)]
+        xs = [[0] * cols for _ in range(k)]
         for i, pc in enumerate(pivots):
-            x[pc] = r[i][cols:]
-        x = np.array(x, dtype=np.int64).reshape(cols, k)
-        return x[:, 0] if vec else x
+            for j in range(k):
+                xs[j][pc] = r[i][cols + j]
+        return xs
 
-    def in_span(self, basis: np.ndarray, v: np.ndarray) -> bool:
-        """Whether column vector v lies in the column span of basis."""
-        return self.solve(basis, v) is not None
+    def in_span(self, vectors: list[list[int]], v: list[int]) -> bool:
+        """Whether v lies in the span of the vectors (each as long as v)."""
+        a = [[u[i] for u in vectors] for i in range(len(v))]
+        return self.solve(a, [v], len(vectors)) is not None

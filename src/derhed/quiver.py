@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .linalg import PrimeField
 
 DEFAULT_PATH_BOUND = 64
@@ -162,10 +160,11 @@ class MonomialAlgebra:
 
 class Representation:
     """Finite dimensional representation: a space per vertex, a matrix per
-    arrow mapping the source space to the target space."""
+    arrow mapping the source space to the target space, held as a list
+    of rows of Python ints (dims[target] rows of dims[source] entries)."""
 
     def __init__(self, algebra: MonomialAlgebra, dims: dict[str, int],
-                 maps: dict[str, np.ndarray] | None = None):
+                 maps: dict[str, list[list[int]]] | None = None):
         self.algebra = algebra
         self.dims = dims
         self.maps = {} if maps is None else maps
@@ -180,15 +179,15 @@ class Representation:
             self.dims.setdefault(v, 0)
         for a in q.arrows:
             m = self.maps.get(a.id)
-            shape = (self.dims[a.target], self.dims[a.source])
+            rows, cols = self.dims[a.target], self.dims[a.source]
             if m is None:
-                self.maps[a.id] = np.zeros(shape, dtype=np.int64)
-            else:
-                m = np.asarray(m, dtype=np.int64)
-                if m.shape != shape:
-                    raise ValueError(
-                        f"map for arrow {a.id} has shape {m.shape}, expected {shape}")
-                self.maps[a.id] = m
+                self.maps[a.id] = [[0] * cols for _ in range(rows)]
+                continue
+            m = [[int(x) for x in row] for row in m]
+            if len(m) != rows or any(len(row) != cols for row in m):
+                raise ValueError(
+                    f"map for arrow {a.id} is not of shape ({rows}, {cols})")
+            self.maps[a.id] = m
 
     @property
     def dim_vector(self) -> dict[str, int]:
@@ -226,7 +225,7 @@ def rep_hom_dim(m: Representation, n: Representation,
         if nr * nc == 0:
             continue
         # constraint rows: f_t M_a - N_a f_s = 0, one row per entry (i, j).
-        ma, na = m.maps[a.id].tolist(), n.maps[a.id].tolist()
+        ma, na = m.maps[a.id], n.maps[a.id]
         mt, ns = m.dims[t], n.dims[s]
         ot, os_ = offsets[t], offsets[s]
         for i in range(nr):
@@ -239,9 +238,7 @@ def rep_hom_dim(m: Representation, n: Representation,
                 for k in range(ns):
                     row[os_ + k * nc + j] -= na[i][k]
                 rows.append(row)
-    if not rows:
-        return total
-    return total - fld.rank(np.array(rows, dtype=np.int64))
+    return total - fld.rank(rows)
 
 
 def euler_form(q: Quiver, d: dict[str, int], e: dict[str, int]) -> int:

@@ -20,7 +20,7 @@ from collections import Counter
 from typing import NamedTuple
 
 # The instance schema's default field_char; derhed.linalg imports it from
-# here, so path-only code never loads numpy.
+# here, so path-only code never loads the GF(p) modules.
 DEFAULT_PRIME = 32003
 
 

@@ -272,6 +272,29 @@ def test_pretty_mode(capsys, a2_files):
     assert 'verdict: "hereditary"' in out
 
 
+def test_hom_non_object_complex_exit_2(capsys, tmp_path):
+    alg, p1, _ = write_a2_projectives(tmp_path)
+    for text in ("[]", "[1, 2]", '"P1"', '{"degrees": ["1"]}',
+                 '{"degrees": {"0": ["1"]}, "differentials": []}'):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for x, y in ((bad, p1), (p1, bad)):
+            code, rep = run_cli(capsys, "hom", str(alg), str(x), str(y))
+            assert code == 2 and rep["error"]["type"] == "input", text
+            assert "malformed complex file" in rep["error"]["message"]
+
+
+def test_gen_dual_field_too_small_exit_2(capsys, tmp_path, monkeypatch):
+    # End(C_1) over the dual numbers has dimension 2, so p = 2 is too small
+    monkeypatch.setenv("DERHED_FIELD_CHAR", "2")
+    out = tmp_path / "dual.json"
+    code, rep = run_cli(capsys, "gen", "dual", "--max-length", "3", "--window", "1",
+                        "--out", str(out))
+    assert code == 2 and rep["error"]["type"] == "input"
+    assert "characteristic 2" in rep["error"]["message"]
+    assert not out.exists()
+
+
 def test_field_char_above_bound_exit_2(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("DERHED_FIELD_CHAR", "2147483647")
     code, rep = run_cli(capsys, "gen", "an", "--n", "3", "--orientation", "><",
@@ -303,9 +326,11 @@ def test_console_script_entry_point(a2_files):
     assert rep["report"]["verdict"] == "hereditary"
 
 
-# Runs path-only commands in one process and fails if derhed added any of
-# the named modules to sys.modules.  The snapshot comes first, so a module
-# that a .pth file loads at startup does not count against derhed.
+# Runs commands in one process and fails if derhed added any of the named
+# modules to sys.modules: the walk commands, with "heart" also check, heart
+# and verify-heart, and with "every" also each gen family and hom, whose
+# files live in the working directory.  The snapshot comes first, so a
+# module that a .pth file loads at startup does not count against derhed.
 PATH_ONLY_CHILD = """
 import contextlib, io, sys
 before = set(sys.modules)
@@ -313,9 +338,16 @@ from derhed.cli import main
 inst, heart, commands, *forbidden = sys.argv[1:]
 argvs = [["validate", inst], ["blocks", inst], ["dist", inst, "S1", "S2"],
          ["path", inst, "S1@0", "S2@1"], ["classify", inst], ["directing", inst]]
-if commands == "all":
+if commands in ("heart", "every"):
     argvs += [["check", inst], ["heart", inst, "--from", "I"],
               ["verify-heart", inst, "--heart", heart]]
+if commands == "every":
+    argvs += [["gen", "an", "--n", "3", "--orientation", "><", "--out", "an.json"],
+              ["gen", "a2", "--out", "a2.json", "--bad-heart-out", "bad.json"],
+              ["gen", "dual", "--max-length", "3", "--window", "1", "--out", "dual.json"],
+              ["gen", "semisimple", "--period", "2", "--out", "ss.json"],
+              ["hom", "alg.json", "p2.json", "p1.json", "--shift", "0"],
+              ["hom", "alg.json", "p1.json", "p2.json", "--shift", "1"]]
 for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
@@ -325,9 +357,11 @@ print("ok")
 """
 
 
-def test_path_only_commands_never_import_numpy(a2_files):
-    proc = run_child("-c", PATH_ONLY_CHILD, *map(str, a2_files), "all",
-                     "numpy", "dataclasses")
+def test_path_only_commands_never_import_numpy(a2_files, tmp_path):
+    # every command, gen and hom included: derhed has no numpy
+    write_a2_projectives(tmp_path)
+    proc = run_child("-c", PATH_ONLY_CHILD, *map(str, a2_files), "every",
+                     "numpy", "dataclasses", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
 

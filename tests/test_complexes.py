@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from derhed.complexes import (EndAlgebra, FieldTooSmall, ProjComplex,
@@ -136,8 +135,11 @@ def test_hom_complex_squares_to_zero(dual, family, p):
             for n in range(-4, 5):
                 d_n = _hom_boundary(alg, x, y, n, coords[n], coords[n + 1], p)
                 d_next = _hom_boundary(alg, x, y, n + 1, coords[n + 1], coords[n + 2], p)
-                assert d_n.shape == (len(coords[n + 1]), len(coords[n]))
-                assert not np.any((d_next @ d_n) % p)
+                assert len(d_n) == len(coords[n + 1])
+                assert all(len(row) == len(coords[n]) for row in d_n)
+                # (d_next d_n)[i][j] = sum_k d_next[i][k] d_n[k][j] = 0 mod p
+                assert all(sum(c * d_n[k][j] for k, c in enumerate(row)) % p == 0
+                           for row in d_next for j in range(len(coords[n])))
             assert _hom_dims(x, y, -3, 3, f) == {n: hom_k_dim(x, y, n, f)
                                                   for n in range(-3, 4)}
 
@@ -224,7 +226,7 @@ def test_field_too_small(dual):
 def test_radical_computed_once(dual, fld):
     end = EndAlgebra(dual_numbers_chain(dual, 2), fld)
     rad = end.radical()
-    assert rad.shape == (end.dim, 1)
+    assert len(rad) == 1 and len(rad[0]) == end.dim
     assert end.radical() is rad
     assert end.is_local()
     small = EndAlgebra(dual_numbers_chain(dual, 1), PrimeField(2))
@@ -252,18 +254,18 @@ def test_structure_table_of_noncommutative_end(fld):
     st = end.structure()
     assert sorted(st) == [(i, j) for i in range(3) for j in range(3)]
     for (i, j), prod in st.items():
-        comp = _compose_coords(alg, fld, end.reps[:, j], end.coords,
-                               end.reps[:, i], end.coords, end.pos)
-        assert np.array_equal(prod, end.to_quotient(comp))
-    assert any(not np.array_equal(st[(i, j)], st[(j, i)])
-               for i in range(3) for j in range(i))
-    assert end.radical().shape == (3, 1)
+        comp = _compose_coords(alg, fld, end.reps[j], end.coords,
+                               end.reps[i], end.coords, end.pos)
+        assert prod == end.to_quotient([comp])[0]
+    assert any(st[(i, j)] != st[(j, i)] for i in range(3) for j in range(i))
+    rad = end.radical()
+    assert len(rad) == 1 and len(rad[0]) == 3
     assert not end.is_local()
 
 
 def test_are_isomorphic_with_empty_radical(fld):
     _, (_, _, s2) = a2_projective_resolutions(fld)
-    assert EndAlgebra(s2, fld).radical().shape == (1, 0)  # End(P_2) = k
+    assert EndAlgebra(s2, fld).radical() == []  # End(P_2) = k
     renamed = ProjComplex(s2.algebra, s2.degrees, s2.diffs, name="again")
     assert are_isomorphic(s2, renamed, fld)
     assert not are_isomorphic(s2, shift_complex(s2, 1, fld.p), fld)

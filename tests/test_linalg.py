@@ -33,7 +33,24 @@ def test_characteristic_bound():
 def test_small_field():
     f5 = PrimeField(5)
     assert f5.inv(2) == 3
-    assert f5.matrix([[7, -1]]).tolist() == [[2, 4]]
+    assert f5.matrix([[7, -1]]) == [[2, 4]]
+
+
+def test_inv_of_zero_raises():
+    f5 = PrimeField(5)
+    assert f5.inv(-2) == 2 and f5.inv(9) == 4
+    for a in (0, 5, -10):
+        with pytest.raises(ValueError):
+            f5.inv(a)
+
+
+def _transpose(m, cols: int):
+    return [[row[c] for row in m] for c in range(cols)]
+
+
+def _apply(m, vectors, p: int):
+    """m v mod p for each vector v, by the definition of the product."""
+    return [[sum(a * b for a, b in zip(row, v)) % p for row in m] for v in vectors]
 
 
 def test_rank_against_minor_oracle():
@@ -59,72 +76,73 @@ matrices = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_rank_nullity(m):
-    ns = fld.nullspace(m)
-    assert ns.shape == (m.shape[1], m.shape[1] - fld.rank(m))
-    if ns.shape[1]:
-        assert not np.any(fld.matmul(m, ns))
+    ns = fld.nullspace(m, 4)
+    assert len(ns) == 4 - fld.rank(m) and all(len(v) == 4 for v in ns)
+    if ns:
+        assert not any(x for row in fld.matmul(m, _transpose(ns, 4)) for x in row)
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices, st.permutations(list(range(4))))
 def test_rank_column_permutation_invariant(m, perm):
-    assert fld.rank(m) == fld.rank(m[:, perm])
-    assert fld.rank(m) == fld.rank(m.T)
+    assert fld.rank(m) == fld.rank([[row[c] for c in perm] for row in m])
+    assert fld.rank(m) == fld.rank(_transpose(m, 4))
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices, st.lists(st.integers(-20, 20), min_size=4, max_size=4))
 def test_solve_consistent_systems(m, xs):
-    x = np.array(xs, dtype=np.int64) % fld.p
-    b = fld.matmul(m, x)
-    got = fld.solve(m, b)
-    assert got is not None
-    assert np.array_equal(fld.matmul(m, got), b)
+    x = [[v % fld.p] for v in xs]
+    b = [row[0] for row in fld.matmul(m, x)]
+    got = fld.solve(m, [b], 4)
+    assert got is not None and len(got) == 1
+    assert [row[0] for row in fld.matmul(m, [[v] for v in got[0]])] == b
 
 
 def test_solve_inconsistent():
     a = fld.matrix([[1, 0], [1, 0]])
-    b = np.array([1, 2], dtype=np.int64)
-    assert fld.solve(a, b) is None
+    assert fld.solve(a, [[1, 2]], 2) is None
 
 
 def test_in_span():
-    basis = fld.matrix([[1, 0], [0, 1], [0, 0]])
-    assert fld.in_span(basis, np.array([3, 4, 0], dtype=np.int64))
-    assert not fld.in_span(basis, np.array([0, 0, 1], dtype=np.int64))
+    basis = [[1, 0, 0], [0, 1, 0]]
+    assert fld.in_span(basis, [3, 4, 0])
+    assert not fld.in_span(basis, [0, 0, 1])
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
 def test_empty_shapes(rows, cols):
     m = fld.zeros(rows, cols)
+    assert len(m) == rows and all(row == [0] * cols for row in m)
     assert fld.rank(m) == 0
-    ns = fld.nullspace(m)
-    assert ns.shape == (cols, cols) and np.array_equal(ns, fld.identity(cols))
-    zero = np.zeros(rows, dtype=np.int64)
-    x = fld.solve(m, zero)
-    assert x.shape == (cols,) and not x.any()
-    assert fld.solve(m, fld.zeros(rows, 2)).shape == (cols, 2)
-    assert fld.in_span(m, zero)
+    ns = fld.nullspace(m, cols)
+    assert ns == fld.identity(cols)
+    zero = [0] * rows
+    assert fld.solve(m, [zero], cols) == [[0] * cols]
+    assert fld.solve(m, [zero, zero], cols) == [[0] * cols, [0] * cols]
+    columns = _transpose(m, cols)
+    assert fld.in_span(columns, zero)
     if rows:
         # the span of no columns (or of zero columns) is {0}
-        one = np.ones(rows, dtype=np.int64)
-        assert fld.solve(m, one) is None
-        assert not fld.in_span(m, one)
+        one = [1] * rows
+        assert fld.solve(m, [one], cols) is None
+        assert not fld.in_span(columns, one)
 
 
 def test_rref_idempotent():
     m = fld.matrix([[2, 4, 1], [1, 3, 3], [3, 7, 4]])
     r1, p1 = fld.rref(m)
     r2, p2 = fld.rref(r1)
-    assert np.array_equal(r1, r2) and p1 == p2
+    assert r1 == r2 and p1 == p2
 
 
-def _exact_product(a, b, p: int) -> np.ndarray:
-    return np.array((a.astype(object) @ b.astype(object)) % p, dtype=np.int64)
+def _exact_product(a, b, p: int):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) % p
+             for j in range(len(b[0]))] for i in range(len(a))]
 
 
 # near the bound, entries reduce into [0, p) and every product must stay
-# exact in int64; rank-deficient inputs are built as products of thin factors
+# exact; rank-deficient inputs are built as products of thin factors
 
 big_entries = st.integers(0, LARGEST_PRIME - 1)
 
@@ -134,11 +152,11 @@ big_entries = st.integers(0, LARGEST_PRIME - 1)
        st.integers(0, 2**32 - 1))
 def test_rank_near_bound_against_oracle(rows, cols, inner, seed):
     rng = np.random.default_rng(seed)
-    a = rng.integers(0, LARGEST_PRIME, size=(rows, inner))
-    b = rng.integers(0, LARGEST_PRIME, size=(inner, cols))
+    a = rng.integers(0, LARGEST_PRIME, size=(rows, inner)).tolist()
+    b = rng.integers(0, LARGEST_PRIME, size=(inner, cols)).tolist()
     m = _exact_product(a, b, LARGEST_PRIME)
     assert big.rank(m) == rank_oracle(m, LARGEST_PRIME)
-    full = rng.integers(0, LARGEST_PRIME, size=(rows, cols))
+    full = rng.integers(0, LARGEST_PRIME, size=(rows, cols)).tolist()
     assert big.rank(full) == rank_oracle(full, LARGEST_PRIME)
 
 
@@ -147,7 +165,7 @@ def test_rank_near_bound_against_oracle(rows, cols, inner, seed):
        st.lists(st.lists(big_entries, min_size=2, max_size=2), min_size=3, max_size=3))
 def test_matmul_exact_near_bound(a_rows, b_rows):
     a, b = big.matrix(a_rows), big.matrix(b_rows)
-    assert np.array_equal(big.matmul(a, b), _exact_product(a, b, LARGEST_PRIME))
+    assert big.matmul(a, b) == _exact_product(a, b, LARGEST_PRIME)
 
 
 # the RREF of a matrix is unique, so the kernel is tested by properties that
@@ -163,65 +181,66 @@ def matrices_mod_p(draw):
     entries = st.one_of(st.just(0), st.integers(0, p - 1), st.integers(-3 * p, 3 * p))
     m = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
                       min_size=rows, max_size=rows))
-    return PrimeField(p), np.array(m, dtype=np.int64).reshape(rows, cols)
+    return PrimeField(p), m, cols
 
 
-def _invertible(rng, n: int, p: int) -> np.ndarray:
+def _invertible(rng, n: int, p: int):
     """A random product of elementary matrices mod p."""
-    e = np.eye(n, dtype=np.int64)
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(3 * n):
-        i, j = rng.integers(0, n, size=2)
+        i, j = (int(v) for v in rng.integers(0, n, size=2))
+        c = int(rng.integers(1, p))
         if i != j:
-            e[i] = (e[i] + int(rng.integers(1, p)) * e[j]) % p
+            e[i] = [(x + c * y) % p for x, y in zip(e[i], e[j])]
         else:
-            e[i] = (e[i] * int(rng.integers(1, p))) % p
-    return e[rng.permutation(n)]
+            e[i] = [x * c % p for x in e[i]]
+    return [e[int(i)] for i in rng.permutation(n)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices_mod_p(), st.integers(0, 2**32 - 1))
 def test_rref_is_the_reduced_form(fm, seed):
-    f, m = fm
+    f, m, cols = fm
     p = f.p
-    rows, cols = m.shape
+    rows = len(m)
     r, pivots = f.rref(m)
-    assert r.dtype == np.int64 and r.shape == m.shape
-    assert r.min(initial=0) >= 0 and r.max(initial=0) < p
+    assert len(r) == rows and all(len(row) == cols for row in r)
+    assert all(type(x) is int and 0 <= x < p for row in r for x in row)
     # reduced: pivots strictly increase, each pivot column is a unit
     # vector, the first nonzero entry of row i is at pivots[i], and the
     # zero rows come last
     k = len(pivots)
     assert pivots == sorted(set(pivots))
     for i, c in enumerate(pivots):
-        assert r[:, c].tolist() == [int(i == j) for j in range(rows)]
-        assert not r[i, :c].any()
-    assert not r[k:].any()
+        assert [row[c] for row in r] == [int(i == j) for j in range(rows)]
+        assert not any(r[i][:c])
+    assert not any(x for row in r[k:] for x in row)
     assert f.rank(m) == k
     # same row space: the rows of rref(m) add nothing to the rows of m
-    assert f.rank(np.vstack([m, r])) == k
+    assert f.rank(m + r) == k
     # invariant under invertible row operations
     rng = np.random.default_rng(seed)
     if rows:
         e = _invertible(rng, rows, p)
-        r2, p2 = f.rref(_exact_product(e, m % p, p))
-        assert np.array_equal(r2, r) and p2 == pivots
+        r2, p2 = f.rref(_exact_product(e, m, p))
+        assert r2 == r and p2 == pivots
     # nullspace and solve satisfy the equations
-    ns = f.nullspace(m)
-    assert ns.shape == (cols, cols - k) and ns.dtype == np.int64
-    assert not _exact_product(m % p, ns, p).any()
-    assert f.rank(ns.T) == cols - k
-    x = rng.integers(0, p, size=(cols, 2))
-    b = _exact_product(m % p, x, p)
-    got = f.solve(m, b)
-    assert got.shape == (cols, 2)
-    assert np.array_equal(_exact_product(m % p, got, p), b)
-    got = f.solve(m, b[:, 0])
-    assert got.shape == (cols,)
-    assert np.array_equal(_exact_product(m % p, got.reshape(-1, 1), p)[:, 0], b[:, 0])
+    ns = f.nullspace(m, cols)
+    assert len(ns) == cols - k
+    assert all(type(x) is int and 0 <= x < p for v in ns for x in v)
+    assert not any(x for v in _apply(m, ns, p) for x in v)
+    assert f.rank(ns) == cols - k
+    xs = rng.integers(0, p, size=(2, cols)).tolist()
+    bs = _apply(m, xs, p)
+    got = f.solve(m, bs, cols)
+    assert len(got) == 2 and all(len(x) == cols for x in got)
+    assert _apply(m, got, p) == bs
+    got = f.solve(m, bs[:1], cols)
+    assert len(got) == 1 and _apply(m, got, p) == bs[:1]
     if k < rows:
         # y^T m = 0 for a nonzero y; a right-hand side b with y . b != 0
         # lies outside the column space
-        y = f.nullspace(m.T)[:, 0]
-        b = np.zeros(rows, dtype=np.int64)
-        b[np.flatnonzero(y)[0]] = 1
-        assert f.solve(m, b) is None
+        y = f.nullspace(_transpose(m, cols), rows)[0]
+        b = [0] * rows
+        b[next(i for i, v in enumerate(y) if v)] = 1
+        assert f.solve(m, [b], cols) is None

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from derhed.quiver import (Arrow, InfiniteDimensional, Quiver, Representation,
@@ -52,7 +51,9 @@ def test_constructor_checks():
         Representation(alg, {"1": 1, "2": 1}, {"a1": [[1, 0]]})
     m = Representation(alg, {"1": 1})
     assert m.dims == {"1": 1, "2": 0}
-    assert m.maps["a1"].shape == (0, 1)
+    assert m.maps["a1"] == []  # no rows: the target space is 0
+    m = Representation(alg, {"1": 2, "2": 1}, {"a1": ((3, -1),)})
+    assert m.maps["a1"] == [[3, -1]] and type(m.maps["a1"][0][0]) is int
 
 
 def test_a2_basis():
@@ -121,13 +122,10 @@ def test_direct_sum_additivity(fld):
     dims = {v: m1.dims[v] + m2.dims[v] for v in m1.dims}
     maps = {}
     for arrow in alg.quiver.arrows:
-        a1 = np.asarray(m1.maps[arrow.id])
-        a2 = np.asarray(m2.maps[arrow.id])
-        blk = np.zeros((a1.shape[0] + a2.shape[0], a1.shape[1] + a2.shape[1]),
-                       dtype=np.int64)
-        blk[:a1.shape[0], :a1.shape[1]] = a1
-        blk[a1.shape[0]:, a1.shape[1]:] = a2
-        maps[arrow.id] = blk
+        a1, a2 = m1.maps[arrow.id], m2.maps[arrow.id]
+        c1, c2 = m1.dims[arrow.source], m2.dims[arrow.source]
+        maps[arrow.id] = ([row + [0] * c2 for row in a1]
+                          + [[0] * c1 + row for row in a2])
     total = Representation(alg, dims, maps)
     assert (rep_hom_dim(total, target, fld)
             == rep_hom_dim(m1, target, fld) + rep_hom_dim(m2, target, fld))
