@@ -14,7 +14,12 @@ form d s + (-1)^(n-1) s d.  Everything reduces to rank and nullspace over
 the configured prime field.  The coordinates of the degree-m maps are
 built once per degree m and shared by the two boundaries d_(m-1) and d_m
 that use them; each boundary is a list of rows, as every GF(p) matrix
-is (see linalg.py).
+is (see linalg.py).  _hom_coords builds a coordinate list in one pass
+over the degree lists of both complexes and the algebra's index of paths
+by (source, target), in ascending degree of X, so the order of the
+coordinates (and with it the End basis) is fixed.  The boundaries and
+composites read every product of basis paths from the algebra's product
+table, built once per algebra (see quiver.py).
 
 build_shiftgraph_from_complexes works from one window table of hom
 dimensions per ordered pair of complexes (each hom-complex boundary
@@ -55,9 +60,11 @@ def _compose(alg: MonomialAlgebra, first: AlgElem, second: AlgElem, p: int) -> A
     acting by left multiplication this is the algebra product second * first
     (concatenate `second`, then `first`) on coefficient dicts."""
     out: AlgElem = {}
+    mul = alg._mul
     for i, ci in second.items():
+        products = mul[i]
         for j, cj in first.items():
-            k = alg.mul_basis(i, j)
+            k = products.get(j)
             if k is not None:
                 out[k] = (out.get(k, 0) + ci * cj) % p
     return {k: c for k, c in out.items() if c}
@@ -116,7 +123,11 @@ class ProjComplex:
         raw_degrees, raw_diffs = d.get("degrees", {}), d.get("differentials", {})
         if not isinstance(raw_degrees, dict) or not isinstance(raw_diffs, dict):
             raise ValueError("degrees and differentials must be JSON objects")
-        degrees = {int(k): list(v) for k, v in raw_degrees.items()}
+        degrees = {}
+        for k, vs in raw_degrees.items():
+            if not isinstance(vs, list) or not all(isinstance(v, str) for v in vs):
+                raise ValueError(f"degree {k}: summands must be a list of vertex names")
+            degrees[int(k)] = vs
         diffs = {}
         for k, rows in raw_diffs.items():
             mat = []
@@ -127,7 +138,11 @@ class ProjComplex:
                     for label, coeff in entry:
                         if label not in alg.index:
                             raise ValueError(f"unknown basis path {label!r}")
-                        e[alg.index[label]] = int(coeff)
+                        # bool is an int subclass; JSON true is not a coefficient
+                        if not isinstance(coeff, int) or isinstance(coeff, bool):
+                            raise ValueError(f"coefficient {coeff!r} of {label!r} "
+                                             "is not an integer")
+                        e[alg.index[label]] = coeff
                     out_row.append(e)
                 mat.append(out_row)
             diffs[int(k)] = mat
@@ -198,15 +213,13 @@ def check_complex(c: ProjComplex, p: int | None = None) -> ComplexReport:
 def _hom_coords(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int):
     """Coordinates of the space of degree-n graded maps X -> Y: one per
     (degree i, X-summand a, Y-summand b at i+n, basis path of
-    e_{vb} A e_{va})."""
-    coords = []
-    for i in x.support:
-        ys = y.summands(i + n)
-        for a, va in enumerate(x.summands(i)):
-            for b, vb in enumerate(ys):
-                for idx in alg.paths_between(vb, va):
-                    coords.append((i, a, b, idx))
-    return coords
+    e_{vb} A e_{va}), in ascending order of i."""
+    between, ydeg = alg._between, y.degrees
+    return [(i, a, b, idx)
+            for i, xs in sorted(x.degrees.items()) if i + n in ydeg
+            for a, va in enumerate(xs)
+            for b, vb in enumerate(ydeg[i + n])
+            for idx in between.get((vb, va), ())]
 
 
 def _hom_boundary(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int,
@@ -216,7 +229,7 @@ def _hom_boundary(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int,
     of both (_hom_coords for n and n + 1)."""
     tgt_pos = {c: k for k, c in enumerate(tgt_coords)}
     rows = [[0] * len(src_coords) for _ in tgt_coords]
-    mul = alg.mul_basis
+    mul = alg._mul
     sign = -1 if n % 2 == 0 else 1  # coefficient of the f d_X term
     for col, (i, a, b, q) in enumerate(src_coords):
         # d_Y f: the unit path q, then the entries of row b of d_Y
@@ -225,15 +238,16 @@ def _hom_boundary(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int,
             for c2, e in enumerate(dy[b]):
                 for idx, coeff in e.items():
                     # a zero product (None) matches no coordinate
-                    row = tgt_pos.get((i, a, c2, mul(idx, q)))
+                    row = tgt_pos.get((i, a, c2, mul[idx].get(q)))
                     if row is not None:
                         rows[row][col] = (rows[row][col] + coeff) % p
         # f d_X: the entries of column a of d_X, then q
         dx = x.diffs.get(i - 1)
         if dx is not None:
+            products = mul[q]
             for a2, drow in enumerate(dx):
                 for idx, coeff in drow[a].items():
-                    row = tgt_pos.get((i - 1, a2, b, mul(q, idx)))
+                    row = tgt_pos.get((i - 1, a2, b, products.get(idx)))
                     if row is not None:
                         rows[row][col] = (rows[row][col] + sign * coeff) % p
     return rows

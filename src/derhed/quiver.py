@@ -4,7 +4,11 @@ A path is a walk in the quiver written left to right: ``(a, b)`` means
 "traverse arrow a, then arrow b" and requires target(a) = source(b).
 The algebra product of two basis paths is their concatenation when
 composable and relation-free, and zero otherwise.  Monomial relations
-keep the basis computable by plain subword exclusion.
+keep the basis computable by plain subword exclusion, and since the basis
+holds every relation-free path, a concatenation is nonzero exactly when
+it is itself a basis path.  MonomialAlgebra tabulates these products once,
+at construction, storing only the nonzero ones: the table's size grows
+with the number of nonzero products, not with dim**2.
 
 Module convention: the indecomposable projective attached to vertex v has
 basis the paths starting at v, and a module map between projectives
@@ -83,6 +87,12 @@ class MonomialAlgebra:
     Finite dimensionality is enforced at construction: if a relation-free
     path longer than ``bound`` exists, the enumeration would not
     terminate and InfiniteDimensional is raised.
+
+    The product table ``_mul`` is built at construction too: ``_mul[i]``
+    maps j to the index of basis[i] * basis[j] for every nonzero product.
+    It is filled by pairing each path with the paths that start at its
+    target, so it holds one entry per nonzero product (a linear A_n has
+    about n**3/6 of them against a dim**2 of about n**4/4).
     """
 
     def __init__(self, quiver: Quiver, relations: list[tuple[str, ...]],
@@ -99,6 +109,7 @@ class MonomialAlgebra:
         self._between: dict[tuple[str, str], list[int]] = {}
         for i, bp in enumerate(self.basis):
             self._between.setdefault((bp.source, bp.target), []).append(i)
+        self._mul = self._product_table()
 
     @staticmethod
     def _check_composable(quiver: Quiver, arrows: tuple[str, ...]):
@@ -136,6 +147,31 @@ class MonomialAlgebra:
             frontier = nxt
         return out
 
+    def _product_table(self) -> list[dict[int, int]]:
+        """[{j: index of basis[i] * basis[j]} for each i], nonzero products
+        only.  A concatenation is relation-free exactly when it is a basis
+        path, so one dict lookup replaces the relation scan."""
+        by_arrows = {bp.arrows: i for i, bp in enumerate(self.basis) if bp.arrows}
+        # vertex -> (index, arrows) of the basis paths starting there
+        starting: dict[str, list[tuple[int, tuple[str, ...]]]] = {
+            v: [] for v in self.quiver.vertices}
+        for j, (source, _, tail) in enumerate(self.basis):
+            starting[source].append((j, tail))
+        table = []
+        for i, (_, target, arrows) in enumerate(self.basis):
+            row: dict[int, int] = {}
+            for j, tail in starting[target]:
+                if not tail:
+                    row[j] = i  # basis[i] * e_target
+                elif not arrows:
+                    row[j] = j  # e_source * basis[j]
+                else:
+                    k = by_arrows.get(arrows + tail)
+                    if k is not None:
+                        row[j] = k
+            table.append(row)
+        return table
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -145,13 +181,7 @@ class MonomialAlgebra:
 
     def mul_basis(self, i: int, j: int) -> Optional[int]:
         """Index of basis[i] * basis[j] (concatenation), or None for zero."""
-        p, q = self.basis[i], self.basis[j]
-        if p.target != q.source:
-            return None
-        arrows = p.arrows + q.arrows
-        if not self._relation_free(arrows):
-            return None
-        return self.index["*".join(arrows) if arrows else f"e_{p.source}"]
+        return self._mul[i].get(j)
 
     def paths_between(self, source: str, target: str) -> list[int]:
         """Basis indices of paths from source to target."""

@@ -181,6 +181,22 @@ def _proj_basis(alg, v: str):
     return [i for i, b in enumerate(alg.basis) if b.source == v]
 
 
+def concat_product(alg, i: int, j: int):
+    """Index of basis[i] * basis[j] by the definition, without the
+    algebra's product table: concatenate the arrows, return None when the
+    paths do not compose or the result contains a relation as a subword,
+    and otherwise find the basis path with that source and those arrows."""
+    p, q = alg.basis[i], alg.basis[j]
+    if p.target != q.source:
+        return None
+    arrows = p.arrows + q.arrows
+    for rel in alg.relations:
+        if any(arrows[s:s + len(rel)] == rel for s in range(len(arrows) - len(rel) + 1)):
+            return None
+    return next(k for k, b in enumerate(alg.basis)
+                if b.source == p.source and b.arrows == arrows)
+
+
 def _premult_matrix(alg, g_idx: int, src_vertex: str, dst_vertex: str,
                     p: int) -> np.ndarray:
     """Matrix of left multiplication by basis path g (a path dst -> src)
@@ -190,7 +206,7 @@ def _premult_matrix(alg, g_idx: int, src_vertex: str, dst_vertex: str,
     pos = {k: r for r, k in enumerate(dst_basis)}
     m = np.zeros((len(dst_basis), len(src_basis)), dtype=np.int64)
     for c, k in enumerate(src_basis):
-        prod = alg.mul_basis(g_idx, k)
+        prod = concat_product(alg, g_idx, k)
         if prod is not None:
             m[pos[prod], c] = 1
     return m % p

@@ -284,6 +284,31 @@ def test_hom_non_object_complex_exit_2(capsys, tmp_path):
             assert "malformed complex file" in rep["error"]["message"]
 
 
+def test_hom_misread_complex_exit_2(capsys, tmp_path):
+    """A degree given as a string and a float coefficient are refused,
+    not read as P_v + P_v or truncated to 1."""
+    alg = tmp_path / "dual.json"
+    alg.write_text(json.dumps({"vertices": ["v"],
+                               "arrows": [{"id": "a", "from": "v", "to": "v"}],
+                               "relations": [["a", "a"]]}))
+    c1 = tmp_path / "c1.json"
+    c1.write_text(json.dumps({"name": "C1", "degrees": {"0": ["v"]}}))
+    string_degree = {"name": "S", "degrees": {"0": "vv"}}
+    float_coeff = {"name": "C2", "degrees": {"-1": ["v"], "0": ["v"]},
+                   "differentials": {"-1": [[[["a", 1.7]]]]}}
+    for bad_dict, msg in ((string_degree, "list of vertex names"),
+                          (float_coeff, "is not an integer")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(bad_dict))
+        for x, y in ((bad, c1), (c1, bad)):
+            code, rep = run_cli(capsys, "hom", str(alg), str(x), str(y))
+            assert code == 2 and rep["error"]["type"] == "input"
+            assert msg in rep["error"]["message"]
+    bad.write_text(json.dumps(dict(float_coeff, differentials={"-1": [[[["a", 1]]]]})))
+    code, rep = run_cli(capsys, "hom", str(alg), str(bad), str(c1))
+    assert code == 0 and rep["report"]["dim"] == 1
+
+
 def test_gen_dual_field_too_small_exit_2(capsys, tmp_path, monkeypatch):
     # End(C_1) over the dual numbers has dimension 2, so p = 2 is too small
     monkeypatch.setenv("DERHED_FIELD_CHAR", "2")

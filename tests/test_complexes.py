@@ -111,6 +111,45 @@ def test_window_table_matches_per_call_dims(dual, fld, family):
                 assert dim == hom_k_dim(x, shift_complex(y, n, fld.p), 0, fld)
 
 
+def a3_shortcut_complexes():
+    """ROADMAP item 1's seven complexes over 1 -> 2 -> 3 (arrows a, b)
+    plus 1 -> 3 (arrow c) modulo a*b: P1, P2, P3, P2->P1, P3->P1, P3->P2
+    and P3->P2->P1, each with top degree 0."""
+    q = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                                 Arrow("c", "1", "3")))
+    alg = build_algebra(q, [("a", "b")])
+    a, b, c = (alg.index[x] for x in "abc")
+
+    def cx(name, *vs_and_maps):
+        vs, maps = vs_and_maps[::2], vs_and_maps[1::2]
+        top = len(vs) - 1
+        return ProjComplex(alg, {d - top: [v] for d, v in enumerate(vs)},
+                           {d - top: [[{m: 1}]] for d, m in enumerate(maps)}, name=name)
+
+    return alg, [cx("P1", "1"), cx("P2", "2"), cx("P3", "3"),
+                 cx("P2P1", "2", a, "1"), cx("P3P1", "3", c, "1"),
+                 cx("P3P2", "3", b, "2"), cx("P3P2P1", "3", b, "2", a, "1")]
+
+
+def test_a3_shortcut_matches_oracle(fld):
+    """hom_k_dim, the window table and the vector-space oracle agree on
+    every ordered pair of the seven complexes and every n in -3..3."""
+    alg, xs = a3_shortcut_complexes()
+    for x in xs:
+        assert check_complex(x, fld.p).ok, x.name
+    nonzero = 0
+    for x in xs:
+        for y in xs:
+            table = _hom_dims(x, y, -3, 3, fld)
+            for n in range(-3, 4):
+                want = hom_oracle(alg, x, y, n, fld.p)
+                assert hom_k_dim(x, y, n, fld) == want == table[n], (x.name, y.name, n)
+                nonzero += want > 0
+    assert nonzero > 0
+    # the weight-2 self-extension of P3->P2->P1 (its Ext^2)
+    assert hom_k_dim(xs[-1], xs[-1], 2, fld) == 1
+
+
 @pytest.mark.parametrize("p", [32003, 3])
 @pytest.mark.parametrize("family", ["dual", "a2", "a3"])
 def test_hom_complex_squares_to_zero(dual, family, p):
@@ -285,3 +324,24 @@ def test_json_round_trip(dual):
     assert back.to_dict() == d
     with pytest.raises((ValueError, KeyError)):
         ProjComplex.from_dict(dual, {"degrees": {"0": ["nope"]}})
+
+
+@pytest.mark.parametrize("summands", ["vv", {"v": 1}, None, [["v"]], ["v", 1]],
+                         ids=["string", "object", "null", "nested", "number"])
+def test_from_dict_refuses_non_list_degree(dual, summands):
+    """A degree value must be a list of vertex names; a string used to
+    be split into one summand per character."""
+    with pytest.raises(ValueError, match="list of vertex names"):
+        ProjComplex.from_dict(dual, {"degrees": {"0": summands}})
+
+
+@pytest.mark.parametrize("coeff", [1.7, 1.0, "1", True, None])
+def test_from_dict_refuses_non_integer_coefficient(dual, coeff):
+    """A coefficient must be a JSON integer; a float used to be
+    truncated by int()."""
+    d = dual_numbers_chain(dual, 2).to_dict()
+    d["differentials"]["-1"] = [[[["a", coeff]]]]
+    with pytest.raises(ValueError, match="is not an integer"):
+        ProjComplex.from_dict(dual, d)
+    d["differentials"]["-1"] = [[[["a", -1]]]]
+    assert ProjComplex.from_dict(dual, d).diffs == {-1: [[{dual.index["a"]: -1}]]}

@@ -4,6 +4,8 @@ from derhed.quiver import (Arrow, InfiniteDimensional, Quiver, Representation,
                            algebra_from_dict, algebra_to_dict, build_algebra,
                            euler_ext1_dim, euler_form, rep_hom_dim)
 
+from oracles import concat_product
+
 
 def a2_algebra():
     return linear_an(2)
@@ -81,6 +83,51 @@ def test_mul_basis():
     assert alg.mul_basis(a, e2) == a
     assert alg.mul_basis(a, a) is None
     assert alg.mul_basis(e2, a) is None
+
+
+def two_loops():
+    """One vertex, loops x and y, modulo x^3, yx^2, yxy and y^3.  The
+    relation-free words avoid those four, and the longest is xxyyx, so
+    the products reach length 5 before they vanish."""
+    q = Quiver(("v",), (Arrow("x", "v", "v"), Arrow("y", "v", "v")))
+    return build_algebra(q, [("x", "x", "x"), ("y", "x", "x"),
+                             ("y", "x", "y"), ("y", "y", "y")])
+
+
+def a3_with_shortcut():
+    """1 -> 2 -> 3 (arrows a, b) plus 1 -> 3 (arrow c), modulo a*b."""
+    q = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                                 Arrow("c", "1", "3")))
+    return build_algebra(q, [("a", "b")])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_algebra(Quiver(("v",), (Arrow("a", "v", "v"),)), [("a", "a")]),
+    lambda: linear_an(8),
+    a3_with_shortcut,
+    two_loops,
+], ids=["dual", "a8", "a3-shortcut", "two-loops"])
+def test_product_table_is_concatenation(make):
+    """mul_basis, read from the table built at construction, equals the
+    concatenation rule on every ordered pair of basis paths, None
+    included, and the table stores the nonzero products only."""
+    alg = make()
+    nonzero = 0
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            want = concat_product(alg, i, j)
+            assert alg.mul_basis(i, j) == want, (alg.basis[i], alg.basis[j])
+            nonzero += want is not None
+    assert sum(map(len, alg._mul)) == nonzero
+
+
+def test_two_loops_basis():
+    alg = two_loops()
+    assert alg.dim == 15
+    assert max(len(bp.arrows) for bp in alg.basis) == 5
+    xxyy, x = alg.index["x*x*y*y"], alg.index["x"]
+    assert alg.mul_basis(xxyy, x) == alg.index["x*x*y*y*x"]
+    assert alg.mul_basis(x, xxyy) is None  # contains x^3
 
 
 def test_paths_between():
