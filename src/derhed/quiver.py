@@ -134,15 +134,15 @@ class MonomialAlgebra:
         length = 0
         while frontier:
             length += 1
-            if length > bound:
-                raise InfiniteDimensional(
-                    f"relation-free paths of length > {bound} exist")
             nxt = []
             for bp in frontier:
                 for a in by_source[bp.target]:
                     arrows = bp.arrows + (a.id,)
                     if self._relation_free(arrows):
                         nxt.append(BasisPath(bp.source, a.target, arrows))
+            if nxt and length > bound:
+                raise InfiniteDimensional(
+                    f"relation-free paths of length > {bound} exist")
             out.extend(nxt)
             frontier = nxt
         return out
@@ -219,10 +219,6 @@ class Representation:
                     f"map for arrow {a.id} is not of shape ({rows}, {cols})")
             self.maps[a.id] = m
 
-    @property
-    def dim_vector(self) -> dict[str, int]:
-        return dict(self.dims)
-
 
 def build_algebra(quiver: Quiver, relations: list[tuple[str, ...]],
                   bound: int = DEFAULT_PATH_BOUND) -> MonomialAlgebra:
@@ -249,13 +245,12 @@ def rep_hom_dim(m: Representation, n: Representation,
     if total == 0:
         return 0
     rows: list[list[int]] = []
-    for a in q.arrows:
-        s, t = a.source, a.target
+    for aid, s, t in q.arrows:
         nr, nc = n.dims[t], m.dims[s]
         if nr * nc == 0:
             continue
         # constraint rows: f_t M_a - N_a f_s = 0, one row per entry (i, j).
-        ma, na = m.maps[a.id], n.maps[a.id]
+        ma, na = m.maps[aid], n.maps[aid]
         mt, ns = m.dims[t], n.dims[s]
         ot, os_ = offsets[t], offsets[s]
         for i in range(nr):
@@ -274,8 +269,8 @@ def rep_hom_dim(m: Representation, n: Representation,
 def euler_form(q: Quiver, d: dict[str, int], e: dict[str, int]) -> int:
     """<d, e> = sum_v d_v e_v - sum_{a: u->v} d_u e_v."""
     val = sum(d.get(v, 0) * e.get(v, 0) for v in q.vertices)
-    for a in q.arrows:
-        val -= d.get(a.source, 0) * e.get(a.target, 0)
+    for _, s, t in q.arrows:
+        val -= d.get(s, 0) * e.get(t, 0)
     return val
 
 
@@ -294,7 +289,7 @@ def _ext1_from_hom(m: Representation, n: Representation, hom: int) -> int:
     """euler_ext1_dim(m, n) for a caller that already holds hom = dim Hom(M, N)."""
     if m.algebra.relations:
         raise ValueError("Euler-form Ext requires a path algebra without relations")
-    ext = hom - euler_form(m.algebra.quiver, m.dim_vector, n.dim_vector)
+    ext = hom - euler_form(m.algebra.quiver, m.dims, n.dims)
     if ext < 0:
         raise NegativeResult(
             "negative Ext dimension: inputs are not representations of this quiver")

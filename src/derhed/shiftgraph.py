@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 # The instance schema's default field_char; derhed.linalg imports it from
@@ -98,6 +99,13 @@ class ObjRef(NamedTuple):
 # A formal direct sum of shifted indecomposables.
 FormalObject = Counter
 
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """The indented JSON array of the given item texts, closed at indent."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
 
 class ShiftGraph:
     def __init__(self, name: str, orbits: list[Orbit],
@@ -171,24 +179,69 @@ class ShiftGraph:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """json.dumps(self.to_dict(), indent=2, sort_keys=True), written out
+        field by field: with indent set, json drops its C encoder for the
+        pure-Python one.  Keys appear in sorted order; strings go through
+        the C escaper that json.dumps itself uses."""
+        q = encode_basestring_ascii
+        orbits = [
+            f'    {{\n      "end_dim": {o.end_dim},\n      "id": {q(o.id)},\n'
+            f'      "period": {"null" if o.period is None else o.period}\n    }}'
+            for o in sorted(self.orbits, key=lambda o: o.id)
+        ]
+        homs = []
+        for (a, b) in sorted(self.homs):
+            edges = _json_array([
+                f'        {{\n          "all_iso": {_JSON_BOOL[iso]},\n'
+                f'          "dim": {dim},\n          "weight": {w}\n        }}'
+                for w, dim, iso in self.homs[(a, b)]
+            ], "      ")
+            homs.append(f'    {{\n      "edges": {edges},\n      "from": {q(a)},\n'
+                        f'      "to": {q(b)}\n    }}')
+        return (f'{{\n  "field_char": {self.field_char},\n'
+                f'  "genuine": {_JSON_BOOL[self.genuine]},\n'
+                f'  "homs": {_json_array(homs, "  ")},\n'
+                f'  "name": {q(self.name)},\n'
+                f'  "orbits": {_json_array(orbits, "  ")},\n'
+                f'  "windowed": {_JSON_BOOL[self.windowed]}\n}}')
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShiftGraph":
+        """Read an instance, refusing with ValueError a missing field or a
+        field of the wrong JSON type: name, id, from and to are strings;
+        weight, dim, end_dim and a non-null period are integers (a bool is
+        not); all_iso is a bool."""
+        bad = "malformed shift-graph instance"
         try:
-            orbits = [
-                Orbit(o["id"], o.get("period"), o.get("end_dim", 1))
-                for o in d["orbits"]
-            ]
-            homs = {
-                (h["from"], h["to"]): tuple(
-                    HomEdge(e["weight"], e["dim"], e.get("all_iso", False))
-                    for e in h["edges"]
-                )
-                for h in d["homs"]
-            }
+            orbits = []
+            for o in d["orbits"]:
+                oid, period, end_dim = o["id"], o.get("period"), o.get("end_dim", 1)
+                if (type(oid) is not str or type(end_dim) is not int
+                        or (period is not None and type(period) is not int)):
+                    raise ValueError(
+                        f"{bad}: orbit {o!r} needs a string id, an integer end_dim "
+                        f"and an integer or null period")
+                orbits.append(Orbit(oid, period, end_dim))
+            homs = {}
+            for h in d["homs"]:
+                a, b = h["from"], h["to"]
+                if type(a) is not str or type(b) is not str:
+                    raise ValueError(f"{bad}: hom from {a!r} to {b!r}: from and to "
+                                     f"must be orbit id strings")
+                edges = []
+                for e in h["edges"]:
+                    w, dim, iso = e["weight"], e["dim"], e.get("all_iso", False)
+                    if type(w) is not int or type(dim) is not int or type(iso) is not bool:
+                        raise ValueError(
+                            f"{bad}: edge {e!r} from {a} to {b} needs an integer "
+                            f"weight and dim and a bool all_iso")
+                    edges.append(HomEdge(w, dim, iso))
+                homs[(a, b)] = tuple(edges)
+            name = d.get("name", "")
+            if type(name) is not str:
+                raise ValueError(f"{bad}: name {name!r} is not a string")
             return cls(
-                name=d.get("name", ""),
+                name=name,
                 orbits=orbits,
                 homs=homs,
                 genuine=bool(d.get("genuine", False)),
@@ -196,7 +249,7 @@ class ShiftGraph:
                 field_char=int(d.get("field_char", DEFAULT_PRIME)),
             )
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed shift-graph instance: {exc}") from exc
+            raise ValueError(f"{bad}: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "ShiftGraph":
@@ -216,20 +269,23 @@ class ValidationReport:
         return {"ok": self.ok, "errors": self.errors, "warnings": self.warnings}
 
 
-def _effective_weight_residues(g: ShiftGraph, a: str, b: str):
-    """Non-invertible stored weights between a and b plus the modulus under
-    which the effective (periodicity-translated) support repeats:
-    (weights, modulus).  modulus 0 means no periodic translation applies."""
-    pa = g.orbit(a).period or 0
-    pb = g.orbit(b).period or 0
-    mod = math.gcd(pa, pb)
-    weights = [e.weight for e in g.edges_between(a, b) if not e.all_iso]
-    return weights, mod
+def _cone_residues(g: ShiftGraph) -> dict[tuple[str, str], tuple[list[int], int]]:
+    """(a, b) -> (non-invertible stored weights from a to b, the modulus
+    under which the effective, periodicity-translated support repeats) for
+    every stored pair.  The modulus is the gcd of the periods of a and b;
+    0 means no periodic translation applies."""
+    period = {o.id: o.period or 0 for o in g.orbits}
+    return {
+        (a, b): ([w for w, _, iso in edges if not iso],
+                 math.gcd(period[a], period[b]))
+        for (a, b), edges in g.homs.items()
+    }
 
 
-def _cone_witness_exists(g: ShiftGraph, a: str, b: str, n: int) -> bool:
+def _cone_witness_exists(g: ShiftGraph, residues, a: str, b: str, n: int) -> bool:
     """Whether some orbit Z admits non-invertible hom edges (b, Z, m) and
-    (Z, a, n') with m + n' = 1 - n up to periodicity translation.
+    (Z, a, n') with m + n' = 1 - n up to periodicity translation; residues
+    is the table of _cone_residues.
 
     This is the shape forced by forming the cone of a nonzero
     non-invertible morphism X -> Y[n]: the triangle provides nonzero
@@ -237,8 +293,10 @@ def _cone_witness_exists(g: ShiftGraph, a: str, b: str, n: int) -> bool:
     Z'."""
     target = 1 - n
     for z in g.targets(b):  # an orbit z without a (b, z) pair has no weights
-        w1, m1 = _effective_weight_residues(g, b, z)
-        w2, m2 = _effective_weight_residues(g, z, a)
+        back = residues.get((z, a))
+        if back is None:  # nor one without a (z, a) pair
+            continue
+        (w1, m1), (w2, m2) = residues[(b, z)], back
         mod = math.gcd(m1, m2)
         for u in w1:
             for v in w2:
@@ -281,14 +339,13 @@ def validate(g: ShiftGraph) -> ValidationReport:
                         f"all_iso edge {a} -> {a} at weight {e.weight} is not a "
                         f"multiple of the period")
     if g.genuine and rep.ok:
-        for (a, b), edges in sorted(g.homs.items()):
-            for e in edges:
-                if e.all_iso:
-                    continue
-                if not _cone_witness_exists(g, a, b, e.weight):
+        residues = _cone_residues(g)
+        for (a, b) in sorted(residues):
+            for w in residues[(a, b)][0]:
+                if not _cone_witness_exists(g, residues, a, b, w):
                     rep.warnings.append(
                         f"cone closure: no orbit completes the non-invertible edge "
-                        f"{a} -> {b} (weight {e.weight}) to a triangle path")
+                        f"{a} -> {b} (weight {w}) to a triangle path")
     return rep
 
 

@@ -8,6 +8,7 @@ dimensions from vector-space-level chain-map equations.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 
@@ -501,3 +502,30 @@ def check_witness(g, steps, src, dst) -> bool:
             return False
         cur = s.at
     return cur == dst
+
+
+# One field of an instance dict per entry, set to a value of the wrong JSON
+# type; ShiftGraph.from_dict must refuse each.  The values are ones that
+# int(), bool() or a comparison would let through.
+WRONG_FIELD_TYPES = [
+    ("name", 5),
+    ("id", 7),
+    ("from", 5),
+    ("to", None),
+    ("weight", True),
+    ("dim", 1.0),
+    ("end_dim", True),
+    ("period", 2.0),
+    ("all_iso", 1),
+]
+
+
+def with_field(inst: dict, field: str, value) -> dict:
+    """A deep copy of an instance dict with field set to value in the
+    top level, the first orbit, the first hom or its first edge."""
+    inst = copy.deepcopy(inst)
+    record = {"name": inst, "id": inst["orbits"][0], "end_dim": inst["orbits"][0],
+              "period": inst["orbits"][0], "from": inst["homs"][0],
+              "to": inst["homs"][0]}.get(field, inst["homs"][0]["edges"][0])
+    record[field] = value
+    return inst

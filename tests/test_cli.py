@@ -258,6 +258,17 @@ def test_input_errors_exit_2(capsys, tmp_path, a2_files):
     assert code == 2
 
 
+@pytest.mark.parametrize("field,value", oracles.WRONG_FIELD_TYPES,
+                         ids=[f for f, _ in oracles.WRONG_FIELD_TYPES])
+def test_validate_wrong_field_type_exit_2(capsys, tmp_path, field, value):
+    inst = derhed.gen_semisimple_block(2).to_dict()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(oracles.with_field(inst, field, value)))
+    code, rep = run_cli(capsys, "validate", str(bad))
+    assert code == 2 and rep["error"]["type"] == "input"
+    assert "malformed shift-graph instance" in rep["error"]["message"]
+
+
 def test_heart_subcommand(capsys, a2_files):
     code, rep = run_cli(capsys, "heart", str(a2_files[0]), "--from", "I")
     assert code == 0

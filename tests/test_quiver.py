@@ -76,6 +76,15 @@ def test_free_loop_is_infinite_dimensional():
         build_algebra(q, [], bound=32)
 
 
+def test_bound_allows_paths_of_exactly_bound_arrows():
+    # the longest path of a linear A_n has n - 1 arrows
+    q = Quiver(("1", "2", "3"), (Arrow("a1", "1", "2"), Arrow("a2", "2", "3")))
+    assert build_algebra(q, [], bound=2).dim == 6
+    with pytest.raises(InfiniteDimensional):
+        build_algebra(q, [], bound=1)
+    assert linear_an(65).dim == 65 * 66 // 2  # the default bound is 64
+
+
 def test_mul_basis():
     alg = a2_algebra()
     e1, e2, a = alg.index["e_1"], alg.index["e_2"], alg.index["a1"]

@@ -1,9 +1,14 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from derhed.generators import gen_example_a2, gen_semisimple_block
+from derhed.generators import (gen_a2_from_complexes, gen_dual_numbers,
+                               gen_dynkin_an, gen_example_a2,
+                               gen_semisimple_block)
 from derhed.paths import (DegenerateAperiodic, DegeneratePeriodic,
                           NonDegenerate, PathStep)
 from derhed.quiver import Arrow, BasisPath, Quiver
@@ -176,6 +181,63 @@ def test_json_deterministic_under_insertion_order():
     assert build(keys).to_json() == build(list(reversed(keys))).to_json()
 
 
+def assert_json_is_dumps(g):
+    text = g.to_json()
+    assert text == json.dumps(g.to_dict(), indent=2, sort_keys=True)
+    assert ShiftGraph.from_json(text).to_json() == text
+
+
+# ids and names with JSON escapes, brackets, non-ASCII and astral characters
+labels = st.text(alphabet='ab"\\/[]{},: \n\té\u2603\U0001f600\x00', max_size=6)
+
+
+@st.composite
+def shift_graphs(draw):
+    ids = draw(st.lists(labels, max_size=5, unique=True))
+    orbits = [Orbit(i, draw(st.none() | st.integers(1, 4)), draw(st.integers(1, 3)))
+              for i in ids]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                          unique=True)) if ids else []
+    homs = {
+        pair: tuple(HomEdge(w, draw(st.integers(1, 5)), draw(st.booleans()))
+                    for w in draw(st.lists(st.integers(-9, 9), max_size=4, unique=True)))
+        for pair in pairs
+    }
+    return ShiftGraph(draw(labels), orbits, homs, genuine=draw(st.booleans()),
+                      windowed=draw(st.booleans()),
+                      field_char=draw(st.sampled_from([2, 101, 32003])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shift_graphs())
+@example(ShiftGraph("", [], {}))
+@example(ShiftGraph('q"\\[]é', [Orbit('a"\\[', 2), Orbit("ü]")],
+                    {('a"\\[', "ü]"): ()}))
+def test_to_json_is_json_dumps(g):
+    assert_json_is_dumps(g)
+
+
+AN_ORIENTATIONS = [(n, word) for n in range(2, 9)
+                   for word in sorted({
+                       ">" * (n - 1), "<" * (n - 1),
+                       "".join(itertools.islice(itertools.cycle("><"), n - 1)),
+                       "".join(itertools.islice(itertools.cycle("<<>"), n - 1))})]
+
+
+@pytest.mark.parametrize("n,word", AN_ORIENTATIONS)
+def test_to_json_an_is_json_dumps(n, word):
+    assert_json_is_dumps(gen_dynkin_an(n, word))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_dual_numbers(4, 2), lambda: gen_dual_numbers(3, -1),
+    lambda: gen_a2_from_complexes(2), lambda: gen_semisimple_block(3, 2),
+    lambda: gen_example_a2()[0],
+])
+def test_to_json_generators_is_json_dumps(make):
+    assert_json_is_dumps(make())
+
+
 def test_from_dict_malformed():
     with pytest.raises(ValueError):
         ShiftGraph.from_dict({"orbits": [{"id": "X"}]})
@@ -184,6 +246,15 @@ def test_from_dict_malformed():
     with pytest.raises(ValueError):
         ShiftGraph.from_json(json.dumps({"orbits": [{"id": "X"}],
                                          "homs": [{"from": "X"}]}))
+
+
+@pytest.mark.parametrize("field,value", oracles.WRONG_FIELD_TYPES,
+                         ids=[f for f, _ in oracles.WRONG_FIELD_TYPES])
+def test_from_dict_refuses_wrong_field_type(field, value):
+    inst = gen_semisimple_block(2).to_dict()  # a periodic orbit, so period is set
+    ShiftGraph.from_dict(inst)
+    with pytest.raises(ValueError, match="malformed shift-graph instance"):
+        ShiftGraph.from_dict(oracles.with_field(inst, field, value))
 
 
 def test_expand_hereditary_structure():
