@@ -27,7 +27,7 @@ _LAZY = {name: module for module, names in {
     "linalg": ["PrimeField"],
     "quiver": ["Arrow", "MonomialAlgebra", "Quiver", "Representation",
                "algebra_from_dict", "algebra_to_dict", "build_algebra",
-               "euler_ext1_dim", "euler_form", "rep_hom_dim"],
+               "euler_ext1_dim", "rep_hom_dim"],
     "complexes": ["EndAlgebra", "ProjComplex", "are_isomorphic",
                   "build_shiftgraph_from_complexes", "check_complex",
                   "hom_k_dim", "is_indecomposable", "shift_complex"],

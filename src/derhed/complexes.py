@@ -260,22 +260,18 @@ def _check_same_algebra(x: ProjComplex, y: ProjComplex):
 
 def _hom_dims(x: ProjComplex, y: ProjComplex, lo: int, hi: int,
               fld: PrimeField) -> dict[int, int]:
-    """{n: dim Hom(X, Y[n])} for lo <= n <= hi.  The coordinates of each
-    degree lo-1 <= m <= hi+1 are built once, each boundary d_m of the hom
-    complex (lo-1 <= m <= hi) is built and ranked at most once, and
-    d_(lo-1) not at all when there are no degree-lo maps."""
-    alg = x.algebra
+    """{n: dim Hom(X, Y[n])} for lo <= n <= hi, from a table of the ranks
+    of the hom-complex boundaries d_m (lo-1 <= m <= hi): dim_n =
+    len(coords[n]) - rank[n] - rank[n-1].  The coordinates of each degree
+    lo-1 <= m <= hi+1 are built once, and d_m is built and ranked once,
+    only when it has both a source and a target coordinate (its rank is 0
+    by shape otherwise)."""
+    alg, p = x.algebra, fld.p
     coords = {m: _hom_coords(alg, x, y, m) for m in range(lo - 1, hi + 2)}
-    dims = {}
-    rank_prev = None  # rank of d_(n-1), once built
-    for n in range(lo, hi + 1):
-        rank_n = fld.rank(_hom_boundary(alg, x, y, n, coords[n], coords[n + 1], fld.p))
-        if coords[n] and rank_prev is None:
-            rank_prev = fld.rank(
-                _hom_boundary(alg, x, y, n - 1, coords[n - 1], coords[n], fld.p))
-        dims[n] = len(coords[n]) - rank_n - rank_prev if coords[n] else 0
-        rank_prev = rank_n
-    return dims
+    rank = {m: fld.rank(_hom_boundary(alg, x, y, m, coords[m], coords[m + 1], p))
+            if coords[m] and coords[m + 1] else 0
+            for m in range(lo - 1, hi + 1)}
+    return {n: len(coords[n]) - rank[n] - rank[n - 1] for n in range(lo, hi + 1)}
 
 
 def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
@@ -476,9 +472,9 @@ def build_shiftgraph_from_complexes(alg: MonomialAlgebra, reps: list[ProjComplex
             raise ValueError(f"invalid complex {x.name or k}: " + "; ".join(rep.errors))
         if x.is_zero():
             raise ValueError("zero complex has no orbit")
-        top = x.top_degree()
-        if top != 0:
-            x = shift_complex(x, top, fld.p)  # X[top] has top degree 0
+        # X[top] has top degree 0; shift_complex copies, so naming the copy
+        # below leaves the caller's complex as it was
+        x = shift_complex(x, x.top_degree(), fld.p)
         end = EndAlgebra(x, fld)
         if not end.is_local():
             raise ValueError(f"complex {x.name or k} is not indecomposable")
@@ -514,21 +510,20 @@ def are_isomorphic(x: ProjComplex, y: ProjComplex, fld: PrimeField) -> bool:
     """Iso test for indecomposable complexes: some composite
     X -> Y -> X avoids the radical of End(X)."""
     _check_same_algebra(x, y)
-    if hom_k_dim(x, y, 0, fld) == 0 or hom_k_dim(y, x, 0, fld) == 0:
-        return False
     return _isomorphic(EndAlgebra(x, fld), y)
 
 
 def _isomorphic(end: EndAlgebra, y: ProjComplex) -> bool:
     """Whether some composite X -> Y -> X, X = end.x, avoids the radical
-    of End(X)."""
+    of End(X): all composites of basis maps go to to_quotient as one
+    stacked solve, and one rank says whether they reach outside the
+    radical.  No composite (Hom(X, Y) or Hom(Y, X) is 0) answers False."""
     x, fld = end.x, end.fld
     f_coords, f_reps, *_ = _hom_reps(x, y, 0, fld)
     g_coords, g_reps, *_ = _hom_reps(y, x, 0, fld)
+    comps = [_compose_coords(x.algebra, fld, f, f_coords, g, g_coords, end.pos)
+             for f in f_reps for g in g_reps]
+    if not comps:
+        return False
     rad = end.radical()
-    for f in f_reps:
-        for g in g_reps:
-            comp = _compose_coords(x.algebra, fld, f, f_coords, g, g_coords, end.pos)
-            if not fld.in_span(rad, end.to_quotient([comp])[0]):
-                return True
-    return False
+    return fld.rank(rad + end.to_quotient(comps)) > len(rad)

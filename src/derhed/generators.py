@@ -13,8 +13,7 @@ from __future__ import annotations
 from .complexes import ProjComplex, build_shiftgraph_from_complexes
 from .hereditary import Heart
 from .linalg import PrimeField
-from .quiver import (Arrow, Quiver, Representation, _ext1_from_hom,
-                     build_algebra, rep_hom_dim)
+from .quiver import Arrow, Quiver, Representation, _hom_ext, build_algebra
 from .shiftgraph import (AbelianData, HomEdge, Orbit, ShiftGraph,
                          expand_hereditary)
 
@@ -62,9 +61,9 @@ def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,
     with the given orientation word over {>, <}.
 
     The n(n+1)/2 interval representations exhaust the indecomposables.
-    One Hom solve per ordered pair gives Hom and, by the Euler form, Ext^1;
-    the diagonal of the Hom table re-verifies each one indecomposable
-    before the hereditary expansion."""
+    One Hom system per ordered pair gives Hom and Ext^1 as its kernel and
+    cokernel (the algebra is hereditary); the diagonal of the Hom table
+    re-verifies each one indecomposable before the hereditary expansion."""
     fld = fld or PrimeField()
     q = _an_quiver(n, orientation)
     alg = build_algebra(q, [])
@@ -76,10 +75,9 @@ def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,
     ext1 = {}
     for nm_a, ra in items:
         for nm_b, rb in items:
-            h = rep_hom_dim(ra, rb, fld)
+            h, e = _hom_ext(ra, rb, fld)
             if ra is rb and h != 1:
                 raise RuntimeError(f"interval module {nm_a} failed the indecomposability check")
-            e = _ext1_from_hom(ra, rb, h)
             if h:
                 hom[(nm_a, nm_b)] = h
             if e:
@@ -100,10 +98,10 @@ def gen_example_a2(fld: PrimeField | None = None) -> tuple[ShiftGraph, Heart]:
     return g, bad_heart
 
 
-def dual_numbers_algebra(bound: int = 16):
+def dual_numbers_algebra():
     """k<a>/(a^2): one vertex, one loop, one monomial relation."""
     q = Quiver(("v",), (Arrow("a", "v", "v"),))
-    return build_algebra(q, [("a", "a")], bound=bound)
+    return build_algebra(q, [("a", "a")])
 
 
 def dual_numbers_chain(alg, length: int, name: str = "") -> ProjComplex:
@@ -147,11 +145,10 @@ def gen_semisimple_block(period: int, end_dim: int = 1,
         genuine=True, windowed=False, field_char=fld.p)
 
 
-def a2_projective_resolutions(fld: PrimeField | None = None):
+def a2_projective_resolutions():
     """The A_2 path algebra together with projective resolutions of its
     three indecomposables, named to match gen_example_a2: S2 = P_2 and
     I = P_1 are stalks, S1 resolves as P_2 -> P_1."""
-    fld = fld or PrimeField()
     q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
     alg = build_algebra(q, [])
     ai = alg.index["a"]
@@ -165,6 +162,6 @@ def gen_a2_from_complexes(window: int = 2, fld: PrimeField | None = None) -> Shi
     """The A_2 shift-graph recomputed through the homotopy engine; agrees
     with gen_example_a2 edge for edge."""
     fld = fld or PrimeField()
-    alg, reps = a2_projective_resolutions(fld)
+    alg, reps = a2_projective_resolutions()
     return build_shiftgraph_from_complexes(alg, reps, window, fld,
                                            name=f"a2_complexes(w{window})")

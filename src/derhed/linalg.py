@@ -157,8 +157,3 @@ class PrimeField:
             for j in range(k):
                 xs[j][pc] = r[i][cols + j]
         return xs
-
-    def in_span(self, vectors: list[list[int]], v: list[int]) -> bool:
-        """Whether v lies in the span of the vectors (each as long as v)."""
-        a = [[u[i] for u in vectors] for i in range(len(v))]
-        return self.solve(a, [v], len(vectors)) is not None

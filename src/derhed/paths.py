@@ -108,16 +108,15 @@ class PathEngine:
 
     def __init__(self, g: ShiftGraph):
         self.g = g
-        self.nodes = sorted(g.orbit_ids())
-        self.edges = sorted((a, b, e.weight)
-                            for (a, b), hom_edges in g.homs.items() for e in hom_edges)
-        self.succ: dict[str, list[tuple[str, int]]] = {v: [] for v in self.nodes}
-        for (a, b, w) in self.edges:
+        edges = sorted((a, b, e.weight)
+                       for (a, b), hom_edges in g.homs.items() for e in hom_edges)
+        self.succ: dict[str, list[tuple[str, int]]] = {v: [] for v in sorted(g.orbit_ids())}
+        for (a, b, w) in edges:
             self.succ[a].append((b, w))
         self._blocks = _blocks_of(g)
         self._block_of = {v: i for i, blk in enumerate(self._blocks) for v in blk}
         self._block_edges: list[list[tuple[str, str, int]]] = [[] for _ in self._blocks]
-        for e in self.edges:
+        for e in edges:
             self._block_edges[self._block_of[e[0]]].append(e)
         self._dist_cache: dict[str, dict[str, float]] = {}
         self._pred_cache: dict[str, dict[str, tuple[str, int]]] = {}

@@ -29,11 +29,6 @@ class InfiniteDimensional(Exception):
     unbounded length."""
 
 
-class NegativeResult(Exception):
-    """The Euler-form Ext computation came out negative; the input is not
-    a representation of the stated quiver."""
-
-
 class Arrow(NamedTuple):
     id: str
     source: str
@@ -225,15 +220,17 @@ def build_algebra(quiver: Quiver, relations: list[tuple[str, ...]],
     return MonomialAlgebra(quiver, relations, bound=bound)
 
 
-def rep_hom_dim(m: Representation, n: Representation,
-                fld: PrimeField | None = None) -> int:
-    """dim Hom_A(M, N) over a path algebra: the dimension of the space of
-    families (f_v) with f_{t(a)} M_a = N_a f_{s(a)} for every arrow a.
+def _hom_ext(m: Representation, n: Representation, fld: PrimeField) -> tuple[int, int]:
+    """(dim Hom_A(M, N), dim Ext^1_A(M, N)) over the path algebra of the
+    quiver: the kernel and cokernel dimensions of the one linear map
 
-    Solved as the nullspace of one assembled linear system whose unknowns
-    are the entries of all the f_v.
+        (f_v) -> (f_t(a) M_a - N_a f_s(a)),
+        sum_v Hom(M_v, N_v) -> sum_a Hom(M_s(a), N_t(a)),
+
+    whose unknowns are the entries of all the f_v and whose rows are one
+    per entry of each target (Ringel's standard exact sequence; the
+    cokernel is Ext^1 only when the algebra has no relations).
     """
-    fld = fld or PrimeField()
     if m.algebra is not n.algebra and m.algebra.quiver != n.algebra.quiver:
         raise ValueError("representations live over different quivers")
     q = m.algebra.quiver
@@ -242,18 +239,13 @@ def rep_hom_dim(m: Representation, n: Representation,
     for v in q.vertices:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
-    if total == 0:
-        return 0
     rows: list[list[int]] = []
     for aid, s, t in q.arrows:
-        nr, nc = n.dims[t], m.dims[s]
-        if nr * nc == 0:
-            continue
-        # constraint rows: f_t M_a - N_a f_s = 0, one row per entry (i, j).
+        # one row per entry (i, j) of f_t M_a - N_a f_s
         ma, na = m.maps[aid], n.maps[aid]
-        mt, ns = m.dims[t], n.dims[s]
+        mt, ns, nc = m.dims[t], n.dims[s], m.dims[s]
         ot, os_ = offsets[t], offsets[s]
-        for i in range(nr):
+        for i in range(n.dims[t]):
             for j in range(nc):
                 row = [0] * total
                 # (f_t M_a)[i, j] = sum_k f_t[i, k] * M_a[k, j]
@@ -263,37 +255,26 @@ def rep_hom_dim(m: Representation, n: Representation,
                 for k in range(ns):
                     row[os_ + k * nc + j] -= na[i][k]
                 rows.append(row)
-    return total - fld.rank(rows)
+    rank = fld.rank(rows) if rows and total else 0  # 0 by shape otherwise
+    return total - rank, len(rows) - rank
 
 
-def euler_form(q: Quiver, d: dict[str, int], e: dict[str, int]) -> int:
-    """<d, e> = sum_v d_v e_v - sum_{a: u->v} d_u e_v."""
-    val = sum(d.get(v, 0) * e.get(v, 0) for v in q.vertices)
-    for _, s, t in q.arrows:
-        val -= d.get(s, 0) * e.get(t, 0)
-    return val
+def rep_hom_dim(m: Representation, n: Representation,
+                fld: PrimeField | None = None) -> int:
+    """dim Hom_A(M, N) over a path algebra: the dimension of the space of
+    families (f_v) with f_{t(a)} M_a = N_a f_{s(a)} for every arrow a."""
+    return _hom_ext(m, n, fld or PrimeField())[0]
 
 
 def euler_ext1_dim(m: Representation, n: Representation,
                    fld: PrimeField | None = None) -> int:
-    """dim Ext^1_A(M, N) over a hereditary path algebra, via
-    dim Hom(M, N) - <dim M, dim N>; callers that hold the Hom already
-    (gen_dynkin_an) call the Euler-form step _ext1_from_hom directly.
-
-    Only valid when the algebra has no relations.
-    """
-    return _ext1_from_hom(m, n, rep_hom_dim(m, n, fld))
-
-
-def _ext1_from_hom(m: Representation, n: Representation, hom: int) -> int:
-    """euler_ext1_dim(m, n) for a caller that already holds hom = dim Hom(M, N)."""
+    """dim Ext^1_A(M, N) over a hereditary path algebra: the cokernel of
+    the Hom system (see _hom_ext).  Only valid when the algebra has no
+    relations."""
     if m.algebra.relations:
-        raise ValueError("Euler-form Ext requires a path algebra without relations")
-    ext = hom - euler_form(m.algebra.quiver, m.dims, n.dims)
-    if ext < 0:
-        raise NegativeResult(
-            "negative Ext dimension: inputs are not representations of this quiver")
-    return ext
+        raise ValueError("Ext^1 from the Hom system requires a path algebra "
+                         "without relations")
+    return _hom_ext(m, n, fld or PrimeField())[1]
 
 
 def algebra_to_dict(alg: MonomialAlgebra) -> dict:

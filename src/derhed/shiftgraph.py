@@ -207,10 +207,11 @@ class ShiftGraph:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShiftGraph":
-        """Read an instance, refusing with ValueError a missing field or a
-        field of the wrong JSON type: name, id, from and to are strings;
-        weight, dim, end_dim and a non-null period are integers (a bool is
-        not); all_iso is a bool."""
+        """Read an instance, refusing with ValueError a missing field, a
+        field of the wrong JSON type or a (from, to) pair listed twice:
+        name, id, from and to are strings; weight, dim, end_dim, field_char
+        and a non-null period are integers (a bool is not); all_iso,
+        genuine and windowed are bools."""
         bad = "malformed shift-graph instance"
         try:
             orbits = []
@@ -228,6 +229,8 @@ class ShiftGraph:
                 if type(a) is not str or type(b) is not str:
                     raise ValueError(f"{bad}: hom from {a!r} to {b!r}: from and to "
                                      f"must be orbit id strings")
+                if (a, b) in homs:
+                    raise ValueError(f"{bad}: hom from {a} to {b} is listed twice")
                 edges = []
                 for e in h["edges"]:
                     w, dim, iso = e["weight"], e["dim"], e.get("all_iso", False)
@@ -240,14 +243,14 @@ class ShiftGraph:
             name = d.get("name", "")
             if type(name) is not str:
                 raise ValueError(f"{bad}: name {name!r} is not a string")
-            return cls(
-                name=name,
-                orbits=orbits,
-                homs=homs,
-                genuine=bool(d.get("genuine", False)),
-                windowed=bool(d.get("windowed", False)),
-                field_char=int(d.get("field_char", DEFAULT_PRIME)),
-            )
+            genuine, windowed = d.get("genuine", False), d.get("windowed", False)
+            field_char = d.get("field_char", DEFAULT_PRIME)
+            if (type(genuine) is not bool or type(windowed) is not bool
+                    or type(field_char) is not int):
+                raise ValueError(f"{bad}: genuine {genuine!r} and windowed {windowed!r} "
+                                 f"must be bools and field_char {field_char!r} an integer")
+            return cls(name=name, orbits=orbits, homs=homs, genuine=genuine,
+                       windowed=windowed, field_char=field_char)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{bad}: {exc}") from exc
 

@@ -386,6 +386,32 @@ def rank_oracle_gauss(mat: np.ndarray, p: int) -> int:
     return rank
 
 
+# -- A_n representations: the Euler form and closed-form interval dims --
+
+
+def euler_form(q, d: dict[str, int], e: dict[str, int]) -> int:
+    """<d, e> = sum_v d_v e_v - sum_{a: u->v} d_u e_v, which on a
+    hereditary path algebra equals dim Hom - dim Ext^1."""
+    val = sum(d.get(v, 0) * e.get(v, 0) for v in q.vertices)
+    for a in q.arrows:
+        val -= d.get(a.source, 0) * e.get(a.target, 0)
+    return val
+
+
+# closed-form answers for the interval modules [a, b] and [c, d] over the
+# linearly oriented A_n (the projective at i is the interval [i, n]; a
+# one-step projective resolution of [a, b] gives the ext formula)
+
+def hom_formula(a, b, c, d):
+    return 1 if (c <= a <= d <= b) else 0
+
+
+def ext_formula(n, a, b, c, d):
+    top = 1 if (b + 1 <= n and c <= b + 1 <= d) else 0
+    mid = 1 if (c <= a <= d) else 0
+    return top - mid + hom_formula(a, b, c, d)
+
+
 # -- cone closure by scanning every orbit --
 
 
@@ -517,6 +543,9 @@ WRONG_FIELD_TYPES = [
     ("end_dim", True),
     ("period", 2.0),
     ("all_iso", 1),
+    ("genuine", "false"),
+    ("windowed", 1),
+    ("field_char", 101.9),
 ]
 
 
@@ -524,7 +553,8 @@ def with_field(inst: dict, field: str, value) -> dict:
     """A deep copy of an instance dict with field set to value in the
     top level, the first orbit, the first hom or its first edge."""
     inst = copy.deepcopy(inst)
-    record = {"name": inst, "id": inst["orbits"][0], "end_dim": inst["orbits"][0],
+    record = {"name": inst, "genuine": inst, "windowed": inst, "field_char": inst,
+              "id": inst["orbits"][0], "end_dim": inst["orbits"][0],
               "period": inst["orbits"][0], "from": inst["homs"][0],
               "to": inst["homs"][0]}.get(field, inst["homs"][0]["edges"][0])
     record[field] = value

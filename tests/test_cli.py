@@ -269,6 +269,16 @@ def test_validate_wrong_field_type_exit_2(capsys, tmp_path, field, value):
     assert "malformed shift-graph instance" in rep["error"]["message"]
 
 
+def test_validate_duplicate_hom_pair_exit_2(capsys, tmp_path, a2_files):
+    inst = json.loads(a2_files[0].read_text())
+    inst["homs"].append(inst["homs"][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(inst))
+    code, rep = run_cli(capsys, "validate", str(bad))
+    assert code == 2 and rep["error"]["type"] == "input"
+    assert "is listed twice" in rep["error"]["message"]
+
+
 def test_heart_subcommand(capsys, a2_files):
     code, rep = run_cli(capsys, "heart", str(a2_files[0]), "--from", "I")
     assert code == 0

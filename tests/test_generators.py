@@ -10,15 +10,7 @@ from derhed.generators import (a2_projective_resolutions, dual_numbers_algebra,
 from derhed.linalg import PrimeField
 from derhed.shiftgraph import validate
 
-
-def hom_formula(a, b, c, d):
-    return 1 if (c <= a <= d <= b) else 0
-
-
-def ext_formula(n, a, b, c, d):
-    top = 1 if (b + 1 <= n and c <= b + 1 <= d) else 0
-    mid = 1 if (c <= a <= d) else 0
-    return top - mid + hom_formula(a, b, c, d)
+from oracles import ext_formula, hom_formula
 
 
 def test_an_orbit_count_and_validity():
@@ -36,17 +28,24 @@ def test_an_one_hom_solve_per_ordered_pair(monkeypatch):
     import derhed.quiver
 
     calls = []
-    real = derhed.quiver.rep_hom_dim
+    hom_calls = []
+    real, real_hom = derhed.quiver._hom_ext, derhed.quiver.rep_hom_dim
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(derhed.generators, "rep_hom_dim", counting)
-    monkeypatch.setattr(derhed.quiver, "rep_hom_dim", counting)
+    def counting_hom(*args, **kwargs):
+        hom_calls.append(args)
+        return real_hom(*args, **kwargs)
+
+    monkeypatch.setattr(derhed.generators, "_hom_ext", counting)
+    monkeypatch.setattr(derhed.quiver, "_hom_ext", counting)
+    monkeypatch.setattr(derhed.quiver, "rep_hom_dim", counting_hom)
     g = gen_dynkin_an(4, ">><")
     assert len(g.orbits) == 10
     assert len(calls) == len(g.orbits) ** 2
+    assert hom_calls == []
 
 
 def test_an_linear_matches_formulas():
@@ -157,10 +156,21 @@ def test_complex_builder_normalizes_top_degree_to_zero(fld):
         build_shiftgraph_from_complexes(alg, [c3, moved], 0, fld)
 
 
+def test_complex_builder_leaves_caller_names(fld):
+    # nameless complexes are named X0, X1, ... in the graph, not in place
+    alg = dual_numbers_algebra()
+    reps = [dual_numbers_chain(alg, 1, name="X0"), dual_numbers_chain(alg, 2, name="X1")]
+    want = build_shiftgraph_from_complexes(alg, reps, 1, fld).to_json()
+    for x in reps:
+        x.name = ""
+    assert build_shiftgraph_from_complexes(alg, reps, 1, fld).to_json() == want
+    assert [x.name for x in reps] == ["", ""]
+
+
 def test_field_char_propagates():
     fld = PrimeField(101)
     g = gen_dynkin_an(2, ">", fld)
     assert g.field_char == 101
-    alg, reps = a2_projective_resolutions(fld)
+    alg, reps = a2_projective_resolutions()
     g2 = build_shiftgraph_from_complexes(alg, reps, 1, fld)
     assert g2.field_char == 101

@@ -1,10 +1,13 @@
+import itertools
+
 import pytest
 
 from derhed.quiver import (Arrow, InfiniteDimensional, Quiver, Representation,
                            algebra_from_dict, algebra_to_dict, build_algebra,
-                           euler_ext1_dim, euler_form, rep_hom_dim)
+                           euler_ext1_dim, rep_hom_dim)
+from derhed.generators import _an_quiver, _interval_names_and_reps
 
-from oracles import concat_product
+from oracles import concat_product, euler_form, ext_formula, hom_formula
 
 
 def a2_algebra():
@@ -21,20 +24,6 @@ def interval(alg, n, a, b):
     dims = {str(v): (1 if a <= v <= b else 0) for v in range(1, n + 1)}
     maps = {f"a{i}": [[1]] for i in range(a, b)}
     return Representation(alg, dims, maps)
-
-
-# closed-form answers for interval modules over the linearly oriented A_n
-# (projective at i is the interval [i, n]; a one-step projective resolution
-# of [a, b] gives the ext formula)
-
-def hom_formula(a, b, c, d):
-    return 1 if (c <= a <= d <= b) else 0
-
-
-def ext_formula(n, a, b, c, d):
-    top = 1 if (b + 1 <= n and c <= b + 1 <= d) else 0
-    mid = 1 if (c <= a <= d) else 0
-    return top - mid + hom_formula(a, b, c, d)
 
 
 def test_constructor_checks():
@@ -193,6 +182,19 @@ def test_euler_form():
     e = {"1": 0, "2": 1, "3": 1}
     # sum d_v e_v = 1; arrow terms: d_1 e_2 + d_2 e_3 = 2
     assert euler_form(alg.quiver, d, e) == -1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_hom_minus_ext_is_euler_form(n, fld):
+    # Hom and Ext^1 are the kernel and the cokernel of one map, whose
+    # columns minus rows is the Euler form of the dimension vectors
+    for word in itertools.product("><", repeat=n - 1):
+        alg = build_algebra(_an_quiver(n, "".join(word)), [])
+        reps = [rep for _, rep in _interval_names_and_reps(alg, n)]
+        for m in reps:
+            for nn in reps:
+                assert (rep_hom_dim(m, nn, fld) - euler_ext1_dim(m, nn, fld)
+                        == euler_form(alg.quiver, m.dims, nn.dims))
 
 
 def test_euler_ext_requires_no_relations(fld):

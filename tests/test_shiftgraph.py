@@ -248,6 +248,13 @@ def test_from_dict_malformed():
                                          "homs": [{"from": "X"}]}))
 
 
+def test_from_dict_refuses_duplicate_hom_pair():
+    inst = gen_semisimple_block(2).to_dict()
+    inst["homs"].append(inst["homs"][0])
+    with pytest.raises(ValueError, match="hom from X to X is listed twice"):
+        ShiftGraph.from_dict(inst)
+
+
 @pytest.mark.parametrize("field,value", oracles.WRONG_FIELD_TYPES,
                          ids=[f for f, _ in oracles.WRONG_FIELD_TYPES])
 def test_from_dict_refuses_wrong_field_type(field, value):
