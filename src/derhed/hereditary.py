@@ -1,21 +1,22 @@
 """Hereditary decision procedures on a shift-graph block.
 
-The decision is pure negative-walk detection: a block is hereditary
-exactly when no orbit lies on a closed walk of total weight <= -1.  In
-that case a heart is extracted constructively: fixing a source orbit X
-with no negative closed walk, the offset of every orbit Y is the minimum
-walk weight from X to Y.  The membership (Y, n) in the reachability class
-of X holds exactly for n >= d_Y, so the intersection defining the heart
-picks each orbit at its minimal reachable shift, and the shortest-walk
-triangle inequality d_Z <= d_Y + w makes every hom edge land in
-non-negative heart degree.
+The decision is negative-walk detection: a block is refuted when some
+orbit lies on a closed walk of total weight <= -1.  Otherwise a heart is
+extracted constructively: fixing a source orbit X with no negative closed
+walk, the offset of every orbit Y is the minimum walk weight from X to Y.
+The membership (Y, n) in the reachability class of X holds exactly for
+n >= d_Y, so the intersection defining the heart picks each orbit at its
+minimal reachable shift, and the shortest-walk triangle inequality
+d_Z <= d_Y + w makes every hom edge land in non-negative heart degree.
+On genuine instances the other half of the heart condition, every degree
+at most 1, is then tested too (see _degree_witness).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .paths import NEG_INF, POS_INF, PathEngine, PathStep
+from .paths import NEG_INF, POS_INF, PathEngine, PathStep, _negative_cycle
 from .shiftgraph import (FormalObject, IncompleteHeart, NegativeWalkAtSource,
                          NotABlock, ObjRef, ShiftGraph, UnreachableOrbit)
 
@@ -32,7 +33,13 @@ class Heart:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Heart":
-        return cls(offsets={k: int(v) for k, v in d["offsets"].items()})
+        offsets = d["offsets"]
+        if not isinstance(offsets, dict):
+            raise TypeError("offsets must be an object")
+        for k, v in offsets.items():
+            if type(v) is not int:
+                raise TypeError(f"offset of {k} must be an integer, not {v!r}")
+        return cls(offsets=dict(offsets))
 
 
 class HeartCheck:
@@ -57,13 +64,15 @@ class HeartCheck:
 class HereditaryReport:
     def __init__(self, verdict: str, indicator: dict[str, bool],
                  heart: Heart | None = None, witness: list[PathStep] | None = None,
-                 heart_check: HeartCheck | None = None):
+                 heart_check: HeartCheck | None = None,
+                 degree_witness: list[dict] | None = None):
         # "hereditary" | "not-hereditary" | "hereditary-within-window"
         self.verdict = verdict
         self.indicator = indicator  # orbit -> lies on a negative closed walk
         self.heart = heart
         self.witness = witness
         self.heart_check = heart_check
+        self.degree_witness = degree_witness
 
     def to_dict(self) -> dict:
         out = {
@@ -79,6 +88,8 @@ class HereditaryReport:
                 {"kind": s.kind, "orbit": s.at.orbit, "offset": s.at.offset}
                 for s in self.witness
             ]
+        if self.degree_witness is not None:
+            out["degree_witness"] = self.degree_witness
         return out
 
 
@@ -150,7 +161,9 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     on a negative closed walk (equivalently, admits a path from X[1] back
     to X), with the homogeneity of that indicator observable per orbit;
     otherwise the heart with the least offsets over all sources that reach
-    the whole block is extracted and verified."""
+    the whole block is extracted and verified.  On a genuine instance
+    where that heart has a degree m >= 2, the block is also refuted when
+    no heart has every degree in {0, 1} (see _degree_witness)."""
     eng = engine or PathEngine(g)
     blk = _require_block(eng, block)
     i = eng._block_of[blk[0]]
@@ -171,8 +184,32 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     heart = Heart({y: int(w) for y, w in zip(blk, min(rows)[2])})
     check = verify_heart(g, heart, blk)
     verdict = "hereditary-within-window" if g.windowed else "hereditary"
-    return HereditaryReport(verdict=verdict, indicator=indicator,
-                            heart=heart, heart_check=check)
+    degree_witness = None
+    if g.genuine and max(check.m_values, default=0) >= 2:
+        degree_witness = _degree_witness(g, blk)
+        if degree_witness is not None:
+            verdict = "not-hereditary"
+    return HereditaryReport(verdict=verdict, indicator=indicator, heart=heart,
+                            heart_check=check, degree_witness=degree_witness)
+
+
+def _degree_witness(g: ShiftGraph, blk: list[str]) -> list[dict] | None:
+    """The m <= 1 half of the heart condition: in a hereditary category
+    every hom edge (a, b, w) lands in heart degree m = w + d_a - d_b in
+    {0, 1}, since Ext^2 vanishes.  Such offsets d are a potential of the
+    constraint edges (a, b, w) and (b, a, 1 - w); a negative cycle of them
+    proves that no heart has every m in {0, 1}, and it is returned as its
+    hom edges, each traversed "forward" or "reversed".  A partial object
+    list or hom window only drops constraints, so the proof stays sound."""
+    hom = [(a, b, e.weight) for a in blk for b in g.targets(a) for e in g.homs[(a, b)]]
+    cycle = _negative_cycle(blk, hom + [(b, a, 1 - w) for (a, b, w) in hom])
+    if cycle is None:
+        return None
+    forward = set(hom)
+    return [{"from": u, "to": v, "weight": w, "direction": "forward"}
+            if (u, v, w) in forward else
+            {"from": v, "to": u, "weight": 1 - w, "direction": "reversed"}
+            for (u, v, w) in cycle]
 
 
 def cohomology(g: ShiftGraph, heart: Heart, obj: FormalObject) -> dict[int, FormalObject]:

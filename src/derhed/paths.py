@@ -14,13 +14,15 @@ block.  Periodic orbits need no special case: their mandatory invertible
 self-edges at weights -p and +p already form a negative closed walk.
 
 Block-wide questions (which orbits lie on a negative closed walk, the
-canonical heart, the directing orbits) are read off one all-pairs walk
-table per block, a Floyd-Warshall over the lightest edge of each ordered
-pair.  An orbit lies on a negative closed walk exactly when it reaches,
-and is reached from, an orbit whose diagonal entry went negative; such
-entries are clamped to -inf.  Single-source questions (min_weight and the
-witnesses) keep a Bellman-Ford per source, whose predecessor labels give
-the witness walks.
+canonical heart) are read off one all-pairs walk table per block, a
+Floyd-Warshall over the lightest edge of each ordered pair.  An orbit
+lies on a negative closed walk exactly when it reaches, and is reached
+from, an orbit whose diagonal entry went negative; such entries are
+clamped to -inf.  Single-source questions (min_weight and the witnesses)
+keep a Bellman-Ford per source, whose predecessor labels give the witness
+walks.  The directing orbits need no table: one Bellman-Ford potential
+per strongly connected component of the non-invertible edges decides
+them (see directing_objects).
 """
 
 from __future__ import annotations
@@ -213,42 +215,6 @@ class PathEngine:
             raise RuntimeError(f"no path {s} -> {t} during witness construction")
         return _unwind(prev, s, t)
 
-    def _negative_cycle_within(self, allowed: set[str]) -> list[tuple[str, str, int]] | None:
-        """A negative cycle using only nodes in `allowed` (all in one
-        block), as a list of hom edges, or None."""
-        nodes = sorted(allowed)
-        if not nodes:
-            return None
-        edges = [(u, v, w) for (u, v, w) in self._edges_of(nodes[0])
-                 if u in allowed and v in allowed]
-        dist = {v: 0 for v in nodes}  # virtual super-source
-        pred: dict[str, tuple[str, int]] = {}
-        relaxed_v = None
-        for i in range(len(nodes) + 1):
-            relaxed_v = None
-            for (u, v, w) in edges:
-                if dist[u] + w < dist[v]:
-                    dist[v] = dist[u] + w
-                    pred[v] = (u, w)
-                    relaxed_v = v
-            if relaxed_v is None:
-                return None
-        # walk predecessors until we are guaranteed to sit on a cycle
-        x = relaxed_v
-        for _ in range(len(nodes)):
-            x = pred[x][0]
-        cycle = []
-        cur = x
-        while True:
-            u, w = pred[cur]
-            cycle.append((u, cur, w))
-            cur = u
-            if cur == x:
-                break
-        cycle.reverse()
-        assert sum(w for (_u, _v, w) in cycle) < 0
-        return cycle
-
     def walk_with_weight(self, x: str, y: str, target: int) -> list[tuple[str, str, int]] | None:
         """Hom-edge walk x -> y of total weight <= target, minimal under the
         relaxation labels; None when min_weight(x, y) > target.  The
@@ -268,7 +234,8 @@ class PathEngine:
         for (u, v, w) in self._edges_of(x):
             rev[v].append((u, w))
         region = _reachable_from(rev, y).intersection(v for v in dist if dist[v] != POS_INF)
-        cycle = self._negative_cycle_within(region)
+        cycle = _negative_cycle(sorted(region), [e for e in self._edges_of(x)
+                                                 if e[0] in region and e[1] in region])
         c = cycle[0][0]
         p1 = self._bfs_path(x, c)
         p2 = self._bfs_path(c, y)
@@ -344,6 +311,98 @@ def _reachable_from(adj: dict[str, list[tuple[str, int]]], *starts: str) -> set[
     return seen
 
 
+def _negative_cycle(nodes: list[str], edges) -> list[tuple[str, str, int]] | None:
+    """A negative cycle of the edges (u, v, w) on nodes, as a list of edges,
+    or None: a Bellman-Ford from a virtual source with a weight-0 edge to
+    every node."""
+    dist = dict.fromkeys(nodes, 0)
+    pred: dict[str, tuple[str, int]] = {}
+    for _ in range(len(nodes) + 1):
+        relaxed_v = None
+        for (u, v, w) in edges:
+            if dist[u] + w < dist[v]:
+                dist[v] = dist[u] + w
+                pred[v] = (u, w)
+                relaxed_v = v
+        if relaxed_v is None:
+            return None
+    # walk predecessors until we are guaranteed to sit on a cycle
+    x = relaxed_v
+    for _ in range(len(nodes)):
+        x = pred[x][0]
+    cycle = []
+    cur = x
+    while True:
+        u, w = pred[cur]
+        cycle.append((u, cur, w))
+        cur = u
+        if cur == x:
+            break
+    cycle.reverse()
+    assert sum(w for (_u, _v, w) in cycle) < 0
+    return cycle
+
+
+def _potential(nodes: list[str], edges) -> dict[str, int] | None:
+    """Bellman-Ford from a virtual source with a weight-0 edge to every
+    node: pi with pi[v] <= pi[u] + w on every edge (u, v, w), or None when
+    the edges hold a negative cycle.  A label walk of len(nodes) edges
+    repeats a node whose label fell in between, so it passes one."""
+    pi = dict.fromkeys(nodes, 0)
+    hops = dict.fromkeys(nodes, 0)
+    for _ in range(len(nodes)):
+        settled = True
+        for (u, v, w) in edges:
+            if pi[u] + w < pi[v]:
+                pi[v] = pi[u] + w
+                hops[v] = hops[u] + 1
+                if hops[v] >= len(nodes):
+                    return None
+                settled = False
+        if settled:
+            return pi
+    return None
+
+
+def _sccs(nodes: list[str], edges) -> list[list[str]]:
+    """The strongly connected components of the edges (u, v, ...) on nodes,
+    by Tarjan's algorithm with an explicit stack.  A finished node's index
+    becomes +inf, so later edges into it lower no low-link."""
+    succ: dict[str, list[str]] = {v: [] for v in nodes}
+    for e in edges:
+        succ[e[0]].append(e[1])
+    index: dict[str, float] = {}
+    low: dict[str, float] = {}
+    stack, comps = [], []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for u in it:
+                if u not in index:
+                    index[u] = low[u] = len(index)
+                    stack.append(u)
+                    work.append((u, iter(succ[u])))
+                    break
+                if index[u] < low[v]:
+                    low[v] = index[u]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        index[comp[-1]] = POS_INF
+                    comps.append(comp)
+    return comps
+
+
 def _walk_table(block: list[str], edges) -> list[list[float]]:
     """Floyd-Warshall over the lightest edge of each ordered pair: d[i][j]
     is the least weight of a walk of length >= 1 from block[i] to block[j]
@@ -405,18 +464,31 @@ def directing_objects(g: ShiftGraph) -> set[str]:
     zero, where proper walks use only non-invertible nonzero morphisms
     (edges with all_iso false) and shift steps.
 
-    Shift steps pad a proper closed walk of weight <= 0 up to zero, so an
-    orbit is directing iff its proper walk table has a positive diagonal
-    entry and it is not strongly connected to an orbit with a negative
-    one.  A periodic orbit is never directing: p shift steps already
-    close up.  Orbits strongly connected to a periodic orbit inherit this,
-    since offsets can be reduced mod p while passing through."""
-    out = set()
-    for blk in _blocks_of(g):
-        d = _walk_table(blk, [(a, b, e.weight) for a in blk for b in g.targets(a)
-                              for e in g.homs[(a, b)] if not e.all_iso])
-        closing = [k for k, x in enumerate(blk)
-                   if d[k][k] < 0 or g.orbit(x).period is not None]
-        tied = _tied_to(d, closing)
-        out.update(x for k, x in enumerate(blk) if d[k][k] > 0 and k not in tied)
-    return out
+    A closed walk stays in one strongly connected component of the proper
+    edges, and shift steps pad weight <= 0 up to zero.  So no orbit is
+    directing in a component with a negative cycle, or with a periodic
+    orbit (p shift steps close up, and offsets reduce mod p on the way).
+    Any other component has a potential pi, under which a closed walk
+    weighs 0 iff every edge on it is tight, pi(u) + w = pi(v): the orbits
+    on a tight self-edge or in a tight component of two or more orbits
+    are not directing, and the rest are."""
+    proper = [(a, b, e.weight) for (a, b), hom_edges in g.homs.items()
+              for e in hom_edges if not e.all_iso]
+    comps = _sccs(g.orbit_ids(), proper)
+    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+    inner: list[list[tuple[str, str, int]]] = [[] for _ in comps]
+    for e in proper:
+        if comp_of[e[0]] == comp_of[e[1]]:
+            inner[comp_of[e[0]]].append(e)
+    free: list[str] = []
+    tight: list[tuple[str, str]] = []
+    for comp, edges in zip(comps, inner):
+        if any(g.orbit(v).period is not None for v in comp):
+            continue
+        pi = _potential(comp, edges)
+        if pi is not None:
+            free += comp
+            tight += [(u, v) for (u, v, w) in edges if pi[u] + w == pi[v]]
+    closed = {u for (u, v) in tight if u == v}
+    closed.update(v for comp in _sccs(free, tight) if len(comp) > 1 for v in comp)
+    return set(free) - closed

@@ -530,6 +530,29 @@ def check_witness(g, steps, src, dst) -> bool:
     return cur == dst
 
 
+def check_degree_witness(g, steps) -> bool:
+    """Whether a reported degree witness is a closed chain of heart-degree
+    constraints of negative total weight, each read off a hom edge of g:
+    a "forward" edge (a, b, w) asks d_b <= d_a + w (m >= 0), a "reversed"
+    one d_a <= d_b + 1 - w (m <= 1).  Summing the constraints round the
+    chain gives 0 <= total, so no offsets satisfy them all."""
+    if not steps:
+        return False
+    chain = []
+    for s in steps:
+        a, b, w = s["from"], s["to"], s["weight"]
+        if not any(e.weight == w for e in g.edges_between(a, b)):
+            return False
+        if s["direction"] == "forward":
+            chain.append((a, b, w))
+        elif s["direction"] == "reversed":
+            chain.append((b, a, 1 - w))
+        else:
+            return False
+    closed = all(chain[k][1] == chain[(k + 1) % len(chain)][0] for k in range(len(chain)))
+    return closed and sum(w for (_a, _b, w) in chain) < 0
+
+
 # One field of an instance dict per entry, set to a value of the wrong JSON
 # type; ShiftGraph.from_dict must refuse each.  The values are ones that
 # int(), bool() or a comparison would let through.

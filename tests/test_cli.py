@@ -93,6 +93,43 @@ def test_verify_heart_violation(capsys, a2_files):
                                  "to": {"orbit": "I", "offset": 1}, "m": -1}]
 
 
+@pytest.mark.parametrize("offsets", [
+    {"S1": 1.7, "S2": "0", "I": True},
+    {"I": 0, "S1": 1.0, "S2": 0},
+    {"I": 0, "S1": 0, "S2": "0"},
+    {"I": False, "S1": 0, "S2": 0},
+    [["I", 0], ["S1", 0], ["S2", 0]],
+    "I",
+], ids=["mixed", "float", "string", "bool", "list", "not-an-object"])
+def test_verify_heart_non_integer_offsets_exit_2(capsys, tmp_path, a2_files, offsets):
+    heart = tmp_path / "heart.json"
+    heart.write_text(json.dumps({"block": ["I", "S1", "S2"], "offsets": offsets}))
+    code, rep = run_cli(capsys, "verify-heart", str(a2_files[0]), "--heart", str(heart))
+    assert code == 2 and rep["error"]["type"] == "input"
+    assert "malformed heart file" in rep["error"]["message"]
+
+
+def test_check_refutes_the_seven_complexes(capsys, tmp_path):
+    # no negative walk, but no heart with every degree in {0, 1}: the
+    # block is not hereditary, --assert-hereditary exits 1, and the
+    # degree witness replays against the instance's edges
+    from derhed.complexes import build_shiftgraph_from_complexes
+    from test_complexes import a3_shortcut_complexes
+
+    g = build_shiftgraph_from_complexes(*a3_shortcut_complexes(), 3)
+    inst = tmp_path / "a3.json"
+    inst.write_text(g.to_json())
+    code, rep = run_cli(capsys, "check", str(inst), "--assert-hereditary")
+    assert code == 1
+    [blk] = rep["report"]["blocks"]
+    assert rep["report"]["verdict"] == blk["verdict"] == "not-hereditary"
+    assert blk["heart_check"]["m_values"] == {"0": 20, "1": 12, "2": 4}
+    assert "witness" not in blk
+    assert oracles.check_degree_witness(g, blk["degree_witness"])
+    code, _ = run_cli(capsys, "check", str(inst))
+    assert code == 0
+
+
 def test_blocks_and_dist_and_path(capsys, a2_files):
     inst = str(a2_files[0])
     code, rep = run_cli(capsys, "blocks", inst)

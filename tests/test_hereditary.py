@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -5,17 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derhed.generators import (gen_dual_numbers, gen_dynkin_an, gen_example_a2,
+from derhed.complexes import build_shiftgraph_from_complexes
+from derhed.generators import (gen_a2_from_complexes, gen_dual_numbers,
+                               gen_dynkin_an, gen_example_a2,
                                gen_semisimple_block)
 from derhed.hereditary import (Heart, IncompleteHeart, NegativeWalkAtSource,
-                               NotABlock, UnreachableOrbit, check_hereditary,
-                               cohomology, extract_heart, truncate,
-                               verify_heart)
+                               NotABlock, UnreachableOrbit, _degree_witness,
+                               check_hereditary, cohomology, extract_heart,
+                               truncate, verify_heart)
 from derhed.paths import NEG_INF, POS_INF, PathEngine
 from derhed.shiftgraph import (AbelianData, HomEdge, ObjRef, Orbit, ShiftGraph,
                                expand_hereditary)
 
 import oracles
+from test_complexes import a3_shortcut_complexes
 
 
 @pytest.fixture(scope="module")
@@ -281,3 +285,56 @@ def test_walks_of_length_zero_count():
     rep = check_hereditary(g, ["A", "B"])
     assert rep.heart.offsets == {"A": 0, "B": 1}
     assert rep.indicator == {"A": False, "B": False}
+
+
+@pytest.mark.parametrize("window", [2, 3, 5])
+def test_ext2_refutes_the_seven_complexes(window):
+    # 1 -> 2 -> 3 plus 1 -> 3 modulo a*b is derived-discrete and not
+    # piecewise hereditary.  No walk is negative, but P3->P2->P1 has a
+    # weight-2 self-edge (its Ext^2), so no heart has every m in {0, 1}
+    alg, xs = a3_shortcut_complexes()
+    g = build_shiftgraph_from_complexes(alg, xs, window)
+    assert g.genuine
+    eng = PathEngine(g)
+    [blk] = eng.blocks()
+    rep = check_hereditary(g, blk, engine=eng)
+    assert rep.verdict == "not-hereditary"
+    assert not any(rep.indicator.values()) and rep.witness is None
+    assert rep.heart_check.ok and max(rep.heart_check.m_values) == 2
+    assert oracles.check_degree_witness(g, rep.degree_witness)
+    assert rep.to_dict()["degree_witness"] == rep.degree_witness
+    assert "witness" not in rep.to_dict()
+
+
+def test_degree_check_on_genuine_blocks_only():
+    # the canonical heart puts B -> C in degree 2, but B moved down by one
+    # gives degrees 1, 0 and 1: hereditary, and no degree witness
+    g = one_way(("A", "B", 0), ("A", "C", 0), ("B", "C", 2))
+    g.genuine = True
+    rep = check_hereditary(g, ["A", "B", "C"])
+    assert max(rep.heart_check.m_values) == 2
+    assert rep.verdict == "hereditary" and rep.degree_witness is None
+    assert verify_heart(g, Heart({"A": 0, "B": -1, "C": 0})).m_values == Counter({0: 4, 1: 2})
+    # with A -> C in degree 2 over A -> B -> C in degree 0, every heart
+    # puts C at least one above A and at most B, which is at most A; only
+    # a genuine instance promises the m <= 1 half
+    g = one_way(("A", "B", 0), ("B", "C", 0), ("A", "C", 2))
+    assert check_hereditary(g, ["A", "B", "C"]).verdict == "hereditary"
+    g.genuine = True
+    rep = check_hereditary(g, ["A", "B", "C"])
+    assert rep.verdict == "not-hereditary" and rep.heart_check.ok
+    assert oracles.check_degree_witness(g, rep.degree_witness)
+
+
+def test_degree_check_refutes_no_genuine_generator():
+    # forced past its m >= 2 gate, the m <= 1 check still finds a heart
+    # with every degree in {0, 1} on every hereditary generator instance
+    graphs = [gen_dynkin_an(n, "".join(word)) for n in range(2, 6)
+              for word in itertools.product("<>", repeat=n - 1)]
+    graphs += [gen_a2_from_complexes(w) for w in range(4)] + [gen_example_a2()[0]]
+    for g in graphs:
+        assert g.genuine
+        eng = PathEngine(g)
+        for blk in eng.blocks():
+            assert check_hereditary(g, blk, engine=eng).degree_witness is None
+            assert _degree_witness(g, blk) is None

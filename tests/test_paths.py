@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from derhed import paths
 from derhed.generators import (gen_dual_numbers, gen_example_a2,
                                gen_semisimple_block)
 from derhed.paths import (NEG_INF, POS_INF, DegenerateAperiodic,
@@ -143,6 +144,57 @@ def test_directing_periodic_orbit_not_directing():
     assert directing_objects(g) == set()
 
 
+def proper_graph(*edges, periods=None, self_edges=None):
+    """Orbits with identity self-edges (or the given self-edges; a periodic
+    orbit's at -p, 0 and +p) and the non-invertible edges (a, b, w)."""
+    periods = periods or {}
+    self_edges = self_edges or {}
+    ids = sorted({x for e in edges for x in e[:2]} | set(periods) | set(self_edges))
+    homs = {}
+    for x in ids:
+        p = periods.get(x, 0)
+        homs[(x, x)] = self_edges.get(
+            x, tuple(HomEdge(w, 1, all_iso=True) for w in sorted({-p, 0, p})))
+    for (a, b, w) in edges:
+        homs[(a, b)] = homs.get((a, b), ()) + (HomEdge(w, 1),)
+    return ShiftGraph("proper", [Orbit(x, periods.get(x)) for x in ids], homs)
+
+
+def test_directing_proper_self_edges():
+    # a non-invertible weight-0 endomorphism closes up at once; a lone
+    # positive one needs negative shift steps, which do not exist
+    g = proper_graph(("A", "B", 1), self_edges={"A": (HomEdge(0, 2),),
+                                                "B": (HomEdge(0, 1, all_iso=True),
+                                                      HomEdge(2, 1))})
+    assert directing_objects(g) == {"B"}
+
+
+def test_directing_reaching_a_negative_cycle():
+    # A and Z only reach, or are only reached from, the negative cycle
+    # P <-> Q: they lie on no closed walk at all
+    g = proper_graph(("A", "P", 0), ("P", "Q", -2), ("Q", "P", 0), ("Q", "Z", -5))
+    assert directing_objects(g) == {"A", "Z"}
+
+
+def test_directing_strongly_connected_to_a_periodic_orbit():
+    # A and B share a component with the periodic X through heavy edges;
+    # C only reaches X and D is only reached from it
+    g = proper_graph(("A", "X", 3), ("X", "B", 3), ("B", "A", 3), ("C", "X", 1),
+                     ("X", "D", 1), periods={"X": 2})
+    assert directing_objects(g) == {"C", "D"}
+
+
+def test_directing_builds_no_walk_table(monkeypatch, a2, dual):
+    calls = []
+    real = paths._walk_table
+    monkeypatch.setattr(paths, "_walk_table", lambda *args: calls.append(args) or real(*args))
+    for g in (a2, dual, _pinned_block()):
+        directing_objects(g)
+    assert calls == []
+    PathEngine(dual).negative_walk_objects()  # the counter does see a table
+    assert calls
+
+
 # -- randomized cross-checks against the brute-force oracle --
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -179,15 +231,37 @@ def test_directing_matches_oracle(seed):
     assert directing_objects(g) == oracles.directing_oracle(g), g.to_json()
 
 
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_directing_matches_oracle_six_orbit_blocks(seed):
+    rng = np.random.default_rng(seed)
+    g = oracles.disjoint_union(*(
+        oracles.random_graph(rng, max_orbits=6, w_lo=-1 - k, edge_prob=(0.25, 0.45)[k],
+                             periodic_prob=0.15, prefix=f"B{k}_")
+        for k in range(2)))
+    assert directing_objects(g) == oracles.directing_oracle(g), g.to_json()
+
+
+def _proper_cycle(n: int, last: int):
+    """One proper cycle through n orbits, weight 0 on every edge but the
+    last, which weighs `last`."""
+    ids = [f"c{i:04d}" for i in range(n)]
+    return ids, proper_graph(*((ids[i], ids[(i + 1) % n], last if i == n - 1 else 0)
+                               for i in range(n)))
+
+
 def test_directing_long_cycles():
     # a 100-orbit proper cycle is directing iff its weight is positive
-    ids = [f"c{i:03d}" for i in range(100)]
-    for last, expected in ((-1, set()), (0, set()), (1, set(ids))):
-        homs = {(x, x): (HomEdge(0, 1, all_iso=True),) for x in ids}
-        homs.update({(ids[i], ids[(i + 1) % 100]): (HomEdge(last if i == 99 else 0, 1),)
-                     for i in range(100)})
-        g = ShiftGraph("cycle", [Orbit(x) for x in ids], homs)
-        assert directing_objects(g) == expected
+    for last in (-1, 0, 1):
+        ids, g = _proper_cycle(100, last)
+        assert directing_objects(g) == (set(ids) if last > 0 else set())
+
+
+def test_directing_very_long_cycle():
+    # 5,000 orbits in one component: no recursion and no all-pairs table
+    for last in (-1, 0, 1):
+        ids, g = _proper_cycle(5000, last)
+        assert directing_objects(g) == (set(ids) if last > 0 else set())
 
 
 @settings(max_examples=50, deadline=None)
