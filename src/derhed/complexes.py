@@ -331,8 +331,8 @@ def _compose_coords(alg: MonomialAlgebra, fld: PrimeField,
 
 class EndAlgebra:
     """The endomorphism algebra of a complex in the homotopy category,
-    with enough structure to compute its radical and the semisimple
-    quotient.  An element of End is a vector of coordinates in the basis
+    with enough structure to compute its radical and to decide whether it
+    is local.  An element of End is a vector of coordinates in the basis
     `reps`."""
 
     def __init__(self, x: ProjComplex, fld: PrimeField):
@@ -387,40 +387,28 @@ class EndAlgebra:
         return self._rad
 
     def is_local(self) -> bool:
-        """Whether End is local: the semisimple quotient is a division
-        ring.  Over the prime field this means commutative with exactly
-        one field factor, counted by the fixed space of the Frobenius."""
-        fld = self.fld
-        if self.dim == 0:
-            return False
+        """Whether End is local: E/J, J the radical, is a division ring.
+        Over the prime field, E/J must be commutative with exactly one field
+        factor (the zero algebra has none).  The unit vectors off the pivots
+        of rref(J) span E modulo J, so E/J is commutative iff their
+        commutators lie in J; then x -> x^p - x is linear on E/J, and its
+        kernel, of dim - rank(J + [u^p - u for those unit vectors u]), has
+        one dimension per field factor."""
+        fld, n = self.fld, self.dim
         rad = self.radical()
-        nrad = len(rad)
-        sdim = self.dim - nrad
-        if sdim == 0:
-            raise RuntimeError("radical cannot be the whole unital algebra")
-        units = fld.identity(self.dim)
-        _, pivots = fld.rref(_beside(fld.zeros(self.dim, 0), rad + units))
-        comp_idx = [c - nrad for c in pivots if c >= nrad]
-        # the complement of the radical is spanned by unit vectors, so the
-        # products of its basis s_0, ..., s_(sdim-1) are entries of
-        # structure(); one stacked solve reads them modulo the radical
         st = self.structure()
-        prods = [st[(ci, cj)] for ci in comp_idx for cj in comp_idx]
-        basis = _beside(fld.zeros(self.dim, 0), rad + [units[c] for c in comp_idx])
-        sol = fld.solve(basis, prods, self.dim)
-        # smul[i][j]: s_i s_j in the quotient basis
-        smul = [[sol[i * sdim + j][nrad:] for j in range(sdim)] for i in range(sdim)]
-        if smul != [list(col) for col in zip(*smul)]:
+        units = sorted(set(range(n)).difference(fld.rref(rad)[1]))
+        comms = [[x - y for x, y in zip(st[(i, j)], st[(j, i)])]
+                 for i in units for j in units if i < j]
+        if fld.rank(rad + comms) > len(rad):
             return False  # noncommutative semisimple quotient
-        # Frobenius fixed space counts the field factors; left
-        # multiplication by s_i has columns smul[i], and the Frobenius
-        # sends s_i to column i of its (p - 1)-th power
-        frob = [[row[i] for row in _matpow_mod(_beside(fld.zeros(sdim, 0), smul[i]),
-                                               fld.p - 1, fld)]
-                for i in range(sdim)]
-        fixed = fld.nullspace([[frob[i][k] - (i == k) for i in range(sdim)]
-                               for k in range(sdim)], sdim)
-        return len(fixed) == 1
+        # left multiplication by b_i has columns st[(i, l)], so b_i^p is
+        # row i of the (p - 1)-th power of its transpose
+        frob = []
+        for i in units:
+            power = _matpow_mod([st[(i, l)] for l in range(n)], fld.p - 1, fld)
+            frob.append([x - (k == i) for k, x in enumerate(power[i])])
+        return n - fld.rank(rad + frob) == 1
 
 
 def _matpow_mod(m: list[list[int]], e: int, fld: PrimeField) -> list[list[int]]:

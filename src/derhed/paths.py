@@ -20,9 +20,10 @@ lies on a negative closed walk exactly when it reaches, and is reached
 from, an orbit whose diagonal entry went negative; such entries are
 clamped to -inf.  Single-source questions (min_weight and the witnesses)
 keep a Bellman-Ford per source, whose predecessor labels give the witness
-walks.  The directing orbits need no table: one Bellman-Ford potential
-per strongly connected component of the non-invertible edges decides
-them (see directing_objects).
+walks; a walk at -inf pumps a negative cycle between two breadth-first
+legs (_bfs_tree).  Tarjan's strongly connected components (_sccs) give
+the blocks, from the links run both ways, and the directing orbits, with
+one potential per component of the non-invertible edges.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ class PathEngine:
         # every reachable negative cycle keeps a relaxable edge
         seeds = [v for (u, v, w) in edges
                  if dist[u][0] != POS_INF and (dist[u][0] + w, dist[u][1] + 1) < dist[v]]
-        neg = _reachable_from(self.succ, *seeds)
+        neg = _bfs_tree(self.succ, *seeds)
         self._dist_cache[s] = {v: (NEG_INF if v in neg else dist[v][0]) for v in block}
         self._pred_cache[s] = pred
 
@@ -195,26 +196,6 @@ class PathEngine:
 
     # -- witnesses --
 
-    def _bfs_path(self, s: str, t: str) -> list[tuple[str, str, int]]:
-        """Deterministic unweighted path s -> t, returned as a list of hom
-        edges (u, v, w).  Each succ list is sorted by (target, weight), so
-        the first edge seen to an orbit is the lightest one."""
-        prev: dict[str, tuple[str, int]] = {}
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if u == t:
-                break
-            for (v, w) in self.succ[u]:
-                if v not in seen:
-                    seen.add(v)
-                    prev[v] = (u, w)
-                    queue.append(v)
-        if t not in seen:
-            raise RuntimeError(f"no path {s} -> {t} during witness construction")
-        return _unwind(prev, s, t)
-
     def walk_with_weight(self, x: str, y: str, target: int) -> list[tuple[str, str, int]] | None:
         """Hom-edge walk x -> y of total weight <= target, minimal under the
         relaxation labels; None when min_weight(x, y) > target.  The
@@ -233,12 +214,12 @@ class PathEngine:
         rev = {v: [] for v in dist}
         for (u, v, w) in self._edges_of(x):
             rev[v].append((u, w))
-        region = _reachable_from(rev, y).intersection(v for v in dist if dist[v] != POS_INF)
+        region = {v for v in _bfs_tree(rev, y) if dist[v] != POS_INF}
         cycle = _negative_cycle(sorted(region), [e for e in self._edges_of(x)
                                                  if e[0] in region and e[1] in region])
         c = cycle[0][0]
-        p1 = self._bfs_path(x, c)
-        p2 = self._bfs_path(c, y)
+        p1 = _unwind(_bfs_tree(self.succ, x), x, c)
+        p2 = _unwind(_bfs_tree(self.succ, c), c, y)
         excess = sum(w for (_u, _v, w) in p1 + p2) - target
         wc = sum(w for (_u, _v, w) in cycle)
         k = max(1, -(excess // wc))  # the least k >= 1 with excess + k * wc <= 0
@@ -278,37 +259,26 @@ def _unwind(pred: dict[str, tuple[str, int]], s: str, t: str) -> list[tuple[str,
 
 
 def _blocks_of(g: ShiftGraph) -> list[list[str]]:
-    """The connected components of the hom-edge graph, sorted."""
-    parent = {v: v for v in g.orbit_ids()}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (a, b), hom_edges in g.homs.items():
-        if a != b and hom_edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[str, list[str]] = {}
-    for v in parent:
-        groups.setdefault(find(v), []).append(v)
-    return sorted(sorted(grp) for grp in groups.values())
+    """The sorted connected components of the hom-edge graph: the strongly
+    connected components of its links between distinct orbits, run both ways."""
+    links = [e for (a, b), hom_edges in g.homs.items() if a != b and hom_edges
+             for e in ((a, b), (b, a))]
+    return sorted(sorted(comp) for comp in _sccs(g.orbit_ids(), links))
 
 
-def _reachable_from(adj: dict[str, list[tuple[str, int]]], *starts: str) -> set[str]:
-    """The orbits reached from starts (included) along adj's (orbit, weight) lists."""
-    seen = set(starts)
-    queue = deque(starts)
+def _bfs_tree(adj: dict[str, list[tuple[str, int]]], *starts: str) -> dict:
+    """Each orbit reached from starts along adj's (orbit, weight) lists,
+    breadth first, mapped to the step (u, w) that first reached it (None
+    for a start); along the sorted succ lists that step is the lightest."""
+    tree = dict.fromkeys(starts)
+    queue = deque(tree)
     while queue:
         u = queue.popleft()
-        for (v, _w) in adj[u]:
-            if v not in seen:
-                seen.add(v)
+        for (v, w) in adj[u]:
+            if v not in tree:
+                tree[v] = (u, w)
                 queue.append(v)
-    return seen
+    return tree
 
 
 def _negative_cycle(nodes: list[str], edges) -> list[tuple[str, str, int]] | None:
@@ -345,23 +315,29 @@ def _negative_cycle(nodes: list[str], edges) -> list[tuple[str, str, int]] | Non
 
 def _potential(nodes: list[str], edges) -> dict[str, int] | None:
     """Bellman-Ford from a virtual source with a weight-0 edge to every
-    node: pi with pi[v] <= pi[u] + w on every edge (u, v, w), or None when
-    the edges hold a negative cycle.  A label walk of len(nodes) edges
-    repeats a node whose label fell in between, so it passes one."""
+    node, scanning nodes from a FIFO queue: pi with pi[v] <= pi[u] + w on
+    every edge (u, v, w), or None when the edges hold a negative cycle.  A
+    label walk of len(nodes) edges repeats a node whose label fell in
+    between, so it passes one."""
+    succ: dict[str, list[tuple[str, int]]] = {v: [] for v in nodes}
+    for (u, v, w) in edges:
+        succ[u].append((v, w))
     pi = dict.fromkeys(nodes, 0)
     hops = dict.fromkeys(nodes, 0)
-    for _ in range(len(nodes)):
-        settled = True
-        for (u, v, w) in edges:
+    queue, queued = deque(nodes), set(nodes)
+    while queue:
+        u = queue.popleft()
+        queued.discard(u)
+        for (v, w) in succ[u]:
             if pi[u] + w < pi[v]:
                 pi[v] = pi[u] + w
                 hops[v] = hops[u] + 1
                 if hops[v] >= len(nodes):
                     return None
-                settled = False
-        if settled:
-            return pi
-    return None
+                if v not in queued:
+                    queued.add(v)
+                    queue.append(v)
+    return pi
 
 
 def _sccs(nodes: list[str], edges) -> list[list[str]]:

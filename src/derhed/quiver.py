@@ -287,12 +287,22 @@ def algebra_to_dict(alg: MonomialAlgebra) -> dict:
 
 
 def algebra_from_dict(d: dict) -> MonomialAlgebra:
+    """The algebra an algebra_to_dict description names.  Vertex ids,
+    arrow ids and arrow endpoints must be strings, and each relation a list
+    of known arrow ids; anything else raises ValueError."""
     try:
-        q = Quiver(
-            tuple(str(v) for v in d["vertices"]),
-            tuple(Arrow(a["id"], a["from"], a["to"]) for a in d["arrows"]),
-        )
-        relations = [tuple(r) for r in d.get("relations", [])]
+        vertices = d["vertices"]
+        arrows = [Arrow(a["id"], a["from"], a["to"]) for a in d["arrows"]]
+        relations = d.get("relations", [])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed algebra description: {exc}") from exc
-    return build_algebra(q, relations)
+    if not isinstance(vertices, list) or not all(
+            isinstance(x, str) for x in vertices + [x for a in arrows for x in a]):
+        raise ValueError("vertex ids, arrow ids and arrow endpoints must be strings")
+    ids = {a.id for a in arrows}
+    if not isinstance(relations, list) or not all(
+            isinstance(r, list) and all(isinstance(x, str) and x in ids for x in r)
+            for r in relations):
+        raise ValueError("each relation must be a list of known arrow ids")
+    q = Quiver(tuple(vertices), tuple(arrows))
+    return build_algebra(q, [tuple(r) for r in relations])

@@ -367,6 +367,21 @@ def test_hom_misread_complex_exit_2(capsys, tmp_path):
     assert code == 0 and rep["report"]["dim"] == 1
 
 
+def test_hom_malformed_algebra_exit_2(capsys, tmp_path):
+    """A malformed algebra file exits 2 as an input error, with no traceback
+    and no silent misreading."""
+    _, p1, p2 = write_a2_projectives(tmp_path)
+    arrows = [{"id": "a", "from": "1", "to": "2"}]
+    for bad_dict in ({"vertices": ["1", "2"], "arrows": arrows, "relations": [["a", "zz"]]},
+                     {"vertices": ["1", "2"], "arrows": arrows, "relations": ["aa"]},
+                     {"vertices": ["1", "2"], "arrows": [{"id": 5, "from": "1", "to": "2"}]},
+                     {"vertices": [1, "2"], "arrows": arrows, "relations": []}):
+        bad = tmp_path / "bad_alg.json"
+        bad.write_text(json.dumps(bad_dict))
+        code, rep = run_cli(capsys, "hom", str(bad), str(p2), str(p1))
+        assert code == 2 and rep["error"]["type"] == "input", bad_dict
+
+
 def test_gen_dual_field_too_small_exit_2(capsys, tmp_path, monkeypatch):
     # End(C_1) over the dual numbers has dimension 2, so p = 2 is too small
     monkeypatch.setenv("DERHED_FIELD_CHAR", "2")

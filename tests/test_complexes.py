@@ -255,6 +255,27 @@ def test_is_indecomposable_a2(fld):
         assert is_indecomposable(x, fld)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_is_indecomposable_kronecker_bands(p):
+    """Over the Kronecker quiver 1 => 2 (arrows a, b), X = P2^2 -> P1^2
+    with differential a*I + b*C, C the companion matrix of f = x^2 + c1*x
+    + c0, resolves the module k[x]/(f).  It is indecomposable unless f has
+    two distinct roots mod p; an irreducible f makes End(X)/J the field
+    GF(p^2), which the Frobenius step tells from GF(p) x GF(p)."""
+    q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
+    alg = build_algebra(q, [])
+    a, b = alg.index["a"], alg.index["b"]
+    fld = PrimeField(p)
+    for c0 in range(p):
+        for c1 in range(p):
+            comp = [[0, -c0 % p], [1, -c1 % p]]
+            diff = [[{k: v for k, v in ((a, int(i == j)), (b, comp[i][j])) if v}
+                     for j in range(2)] for i in range(2)]
+            x = ProjComplex(alg, {-1: ["2", "2"], 0: ["1", "1"]}, {-1: diff})
+            roots = {r for r in range(p) if (r * r + c1 * r + c0) % p == 0}
+            assert is_indecomposable(x, fld) == (len(roots) != 2), (c0, c1)
+
+
 def test_field_too_small(dual):
     tiny = PrimeField(2)
     c1 = dual_numbers_chain(dual, 1)  # End has dimension 2 = p

@@ -53,13 +53,16 @@ def test_a2_blocks(a2):
 
 
 def test_two_blocks():
-    g = ShiftGraph("two", [Orbit("X"), Orbit("Y")], {
-        ("X", "X"): (HomEdge(0, 1, all_iso=True),),
-        ("Y", "Y"): (HomEdge(0, 1, all_iso=True),),
-    })
-    eng = PathEngine(g)
-    assert eng.blocks() == [["X"], ["Y"]]
-    assert eng.min_weight("X", "Y") == POS_INF
+    # a stored pair with no edges links nothing
+    for extra in ({}, {("X", "Y"): ()}):
+        g = ShiftGraph("two", [Orbit("X"), Orbit("Y")], {
+            ("X", "X"): (HomEdge(0, 1, all_iso=True),),
+            ("Y", "Y"): (HomEdge(0, 1, all_iso=True),),
+            **extra,
+        })
+        eng = PathEngine(g)
+        assert eng.blocks() == [["X"], ["Y"]]
+        assert eng.min_weight("X", "Y") == POS_INF
 
 
 def test_dual_negative_everywhere(dual):
@@ -242,12 +245,13 @@ def test_directing_matches_oracle_six_orbit_blocks(seed):
     assert directing_objects(g) == oracles.directing_oracle(g), g.to_json()
 
 
-def _proper_cycle(n: int, last: int):
+def _proper_cycle(n: int, last: int, reverse: bool = False):
     """One proper cycle through n orbits, weight 0 on every edge but the
-    last, which weighs `last`."""
+    last, which weighs `last`.  Its edges go from c(i) to c(i+1), or with
+    reverse from c(i+1) to c(i), listed by i either way."""
     ids = [f"c{i:04d}" for i in range(n)]
-    return ids, proper_graph(*((ids[i], ids[(i + 1) % n], last if i == n - 1 else 0)
-                               for i in range(n)))
+    edges = [(ids[i], ids[(i + 1) % n], last if i == n - 1 else 0) for i in range(n)]
+    return ids, proper_graph(*((b, a, w) if reverse else (a, b, w) for (a, b, w) in edges))
 
 
 def test_directing_long_cycles():
@@ -258,10 +262,13 @@ def test_directing_long_cycles():
 
 
 def test_directing_very_long_cycle():
-    # 5,000 orbits in one component: no recursion and no all-pairs table
-    for last in (-1, 0, 1):
-        ids, g = _proper_cycle(5000, last)
-        assert directing_objects(g) == (set(ids) if last > 0 else set())
+    # 5,000 orbits in one component: no recursion and no all-pairs table;
+    # with the edges listed against the cycle, a pass-based Bellman-Ford
+    # would move a label only one hop per pass
+    for reverse in (False, True):
+        for last in (-1, 0, 1):
+            ids, g = _proper_cycle(5000, last, reverse)
+            assert directing_objects(g) == (set(ids) if last > 0 else set())
 
 
 @settings(max_examples=50, deadline=None)

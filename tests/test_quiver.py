@@ -214,3 +214,36 @@ def test_algebra_dict_round_trip():
     assert alg2.dim == alg.dim
     with pytest.raises(ValueError):
         algebra_from_dict({"vertices": ["v"]})
+
+
+def _a3_dict(**changes):
+    """The description of 1 -> 2 -> 3 (arrows a, b) modulo a*b, changed."""
+    return dict({"vertices": ["1", "2", "3"],
+                 "arrows": [{"id": "a", "from": "1", "to": "2"},
+                            {"id": "b", "from": "2", "to": "3"}],
+                 "relations": [["a", "b"]]}, **changes)
+
+
+MALFORMED_ALGEBRAS = {
+    "unknown-arrow": _a3_dict(relations=[["a", "zz"]]),
+    "relation-string": _a3_dict(relations=["ab"]),
+    "relation-string-long-ids": _a3_dict(
+        arrows=[{"id": "a1", "from": "1", "to": "2"}, {"id": "a2", "from": "2", "to": "3"}],
+        relations=["a1a2"]),
+    "relation-not-list": _a3_dict(relations="ab"),
+    "relation-nested-list": _a3_dict(relations=[["a", ["b"]]]),
+    "integer-arrow-id": _a3_dict(arrows=[{"id": 5, "from": "1", "to": "2"}], relations=[]),
+    "integer-vertex": _a3_dict(vertices=[1, "2", "3"]),
+    "integer-endpoint": _a3_dict(arrows=[{"id": "a", "from": 1, "to": "2"}], relations=[]),
+    "vertices-string": _a3_dict(vertices="123"),
+}
+
+
+@pytest.mark.parametrize("d", MALFORMED_ALGEBRAS.values(), ids=MALFORMED_ALGEBRAS.keys())
+def test_algebra_from_dict_refuses_malformed(d):
+    """Ids that are not strings and relations that are not lists of known
+    arrow ids are refused, not misread (the string "ab" as a*b, the vertex
+    1 as "1") or left to fail later with KeyError or TypeError."""
+    with pytest.raises(ValueError):
+        algebra_from_dict(d)
+    assert algebra_from_dict(_a3_dict()).relations == (("a", "b"),)
