@@ -13,10 +13,11 @@ cohomology of the total hom complex: degree-n maps modulo those of the
 form d s + (-1)^(n-1) s d.  Everything reduces to rank and nullspace over
 the configured prime field.  The coordinates of the degree-m maps are
 built once per degree m and shared by the two boundaries d_(m-1) and d_m
-that use them; each boundary is a list of rows, as every GF(p) matrix
-is (see linalg.py).  _hom_coords builds a coordinate list in one pass
-over the degree lists of both complexes and the algebra's index of paths
-by (source, target), in ascending degree of X, so the order of the
+that use them; each boundary is a list of sparse rows, one dict of
+nonzero entries per target coordinate, which the GF(p) kernels take as
+they are (see linalg.py).  _hom_coords builds a coordinate list in one
+pass over the degree lists of both complexes and the algebra's index of
+paths by (source, target), in ascending degree of X, so the order of the
 coordinates (and with it the End basis) is fixed.  The boundaries and
 composites read every product of basis paths from the algebra's product
 table, built once per algebra (see quiver.py).
@@ -123,30 +124,29 @@ class ProjComplex:
         raw_degrees, raw_diffs = d.get("degrees", {}), d.get("differentials", {})
         if not isinstance(raw_degrees, dict) or not isinstance(raw_diffs, dict):
             raise ValueError("degrees and differentials must be JSON objects")
+        name = d.get("name", "")
+        if not isinstance(name, str):
+            raise ValueError(f"complex name {name!r} is not a string")
         degrees = {}
         for k, vs in raw_degrees.items():
             if not isinstance(vs, list) or not all(isinstance(v, str) for v in vs):
                 raise ValueError(f"degree {k}: summands must be a list of vertex names")
             degrees[int(k)] = vs
-        diffs = {}
-        for k, rows in raw_diffs.items():
-            mat = []
-            for row in rows:
-                out_row = []
-                for entry in row:
-                    e: AlgElem = {}
-                    for label, coeff in entry:
-                        if label not in alg.index:
-                            raise ValueError(f"unknown basis path {label!r}")
-                        # bool is an int subclass; JSON true is not a coefficient
-                        if not isinstance(coeff, int) or isinstance(coeff, bool):
-                            raise ValueError(f"coefficient {coeff!r} of {label!r} "
-                                             "is not an integer")
-                        e[alg.index[label]] = coeff
-                    out_row.append(e)
-                mat.append(out_row)
-            diffs[int(k)] = mat
-        return cls(alg, degrees, diffs, name=d.get("name", ""))
+
+        def term(label, coeff):
+            if label not in alg.index:
+                raise ValueError(f"unknown basis path {label!r}")
+            # bool is an int subclass; JSON true is not a coefficient
+            if not isinstance(coeff, int) or isinstance(coeff, bool):
+                raise ValueError(f"coefficient {coeff!r} of {label!r} is not an integer")
+            return alg.index[label], coeff
+
+        diffs = {int(k): [[dict(term(*t) for t in entry) for entry in row] for row in rows]
+                 for k, rows in raw_diffs.items()}
+        # keys such as "0", " 0" and "+0" all name degree 0
+        if len(degrees) < len(raw_degrees) or len(diffs) < len(raw_diffs):
+            raise ValueError("two keys of degrees or differentials name the same degree")
+        return cls(alg, degrees, diffs, name=name)
 
 
 def shift_complex(c: ProjComplex, k: int, p: int) -> ProjComplex:
@@ -223,12 +223,15 @@ def _hom_coords(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int):
 
 
 def _hom_boundary(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int,
-                  src_coords: list, tgt_coords: list, p: int) -> list[list[int]]:
+                  src_coords: list, tgt_coords: list, p: int) -> list[dict[int, int]]:
     """Matrix of the hom-complex differential from degree-n maps to
     degree-(n+1) maps, f -> d_Y f - (-1)^n f d_X, given the coordinates
-    of both (_hom_coords for n and n + 1)."""
+    of both (_hom_coords for n and n + 1), as one dict of nonzero entries
+    per target coordinate.  No entry gets two terms: d_Y f lands in
+    degree i, f d_X in degree i - 1, and a path product fixes each
+    factor given the other."""
     tgt_pos = {c: k for k, c in enumerate(tgt_coords)}
-    rows = [[0] * len(src_coords) for _ in tgt_coords]
+    rows: list[dict[int, int]] = [{} for _ in tgt_coords]
     mul = alg._mul
     sign = -1 if n % 2 == 0 else 1  # coefficient of the f d_X term
     for col, (i, a, b, q) in enumerate(src_coords):
@@ -238,18 +241,18 @@ def _hom_boundary(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int,
             for c2, e in enumerate(dy[b]):
                 for idx, coeff in e.items():
                     # a zero product (None) matches no coordinate
-                    row = tgt_pos.get((i, a, c2, mul[idx].get(q)))
-                    if row is not None:
-                        rows[row][col] = (rows[row][col] + coeff) % p
+                    k = tgt_pos.get((i, a, c2, mul[idx].get(q)))
+                    if k is not None and coeff % p:
+                        rows[k][col] = coeff % p
         # f d_X: the entries of column a of d_X, then q
         dx = x.diffs.get(i - 1)
         if dx is not None:
             products = mul[q]
             for a2, drow in enumerate(dx):
                 for idx, coeff in drow[a].items():
-                    row = tgt_pos.get((i - 1, a2, b, products.get(idx)))
-                    if row is not None:
-                        rows[row][col] = (rows[row][col] + sign * coeff) % p
+                    k = tgt_pos.get((i - 1, a2, b, products.get(idx)))
+                    if k is not None and sign * coeff % p:
+                        rows[k][col] = sign * coeff % p
     return rows
 
 
@@ -284,8 +287,8 @@ def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
 
 def _hom_reps(x: ProjComplex, y: ProjComplex, n: int, fld: PrimeField):
     """Hom-space data: (coords, a list of chain maps whose classes form a
-    basis of Hom_K, boundary matrix d_(n-1) with len(coords) rows, its
-    column count)."""
+    basis of Hom_K, the sparse rows of the boundary d_(n-1), one per
+    coordinate, and its column count)."""
     alg = x.algebra
     prev_coords, src_coords, next_coords = (_hom_coords(alg, x, y, m)
                                             for m in (n - 1, n, n + 1))
@@ -293,13 +296,14 @@ def _hom_reps(x: ProjComplex, y: ProjComplex, n: int, fld: PrimeField):
                       len(src_coords))
     bmat = _hom_boundary(alg, x, y, n - 1, prev_coords, src_coords, fld.p)
     nb = len(prev_coords)
-    _, pivots = fld.rref(_beside(bmat, z))
+    _, pivots = fld.rref(_beside(bmat, nb, z))
     return src_coords, [z[c - nb] for c in pivots if c >= nb], bmat, nb
 
 
-def _beside(m: list[list[int]], vectors: list[list[int]]) -> list[list[int]]:
-    """The matrix m with the vectors appended as columns."""
-    return [row + [v[i] for v in vectors] for i, row in enumerate(m)]
+def _beside(m: list[dict[int, int]], cols: int, vectors: list[list[int]]) -> list[dict]:
+    """The sparse rows m with the vectors appended as columns cols, cols + 1, ..."""
+    return [{**row, **{cols + j: v[i] for j, v in enumerate(vectors) if v[i]}}
+            for i, row in enumerate(m)]
 
 
 def _compose_coords(alg: MonomialAlgebra, fld: PrimeField,
@@ -342,7 +346,7 @@ class EndAlgebra:
         # reps: a basis b_0, ..., b_(dim-1) of End, as cycles in ambient coordinates
         self.pos = {c: k for k, c in enumerate(self.coords)}
         self.dim = len(self.reps)
-        self._solve_basis = _beside(bmat, self.reps)
+        self._solve_basis = _beside(bmat, self._nb, self.reps)
         self._struct: dict[tuple[int, int], list[int]] | None = None
         self._rad: list[list[int]] | None = None
 

@@ -1,18 +1,22 @@
 """Exact linear algebra over a prime field GF(p).
 
-A matrix is a list of rows, each a list of Python ints reduced into
-[0, p); a vector is a flat list of such ints, and a family of vectors
-(the basis a nullspace returns, the right-hand sides and solutions of a
-stacked solve) is a list of vectors.  A matrix with no rows has no
-width, so the functions whose answer depends on the width (nullspace,
-solve) take the column count from the caller.  Every function here
-reduces its input mod p, so entries may be any ints.
+A matrix is a list of rows, and each row is either a list of Python ints
+or a dict {column: entry} of its nonzero entries (explicit zeros are
+allowed); one matrix may mix both.  A vector is a flat list of ints, and
+a family of vectors (the basis a nullspace returns, the right-hand sides
+and solutions of a stacked solve) is a list of vectors.  A matrix with
+no rows has no width, and a dict row names no width, so nullspace and
+solve take the column count from the caller.  Every function here
+reduces its input mod p, so entries may be any ints, and every result is
+dense, with entries in [0, p).
 
-Gaussian elimination (rref, rank, nullspace, solve) runs one
-Gauss-Jordan loop, _eliminate, on the rows: the matrices the homotopy
-and quiver engines reduce have at most a few hundred cells, mostly
-zeros, and the loop touches only the rows with a nonzero entry in the
-pivot column.  Python ints never overflow, so every product is exact.
+Gaussian elimination runs one forward loop, _eliminate, over sparse
+rows: each row is reduced at its least column against the pivot row
+there, so it touches only nonzero entries.  The Hom systems of the
+homotopy and quiver engines have at most a few hundred cells and about
+a tenth of them nonzero.  rank counts the pivots of that loop; rref,
+nullspace and solve then finish with a Gauss-Jordan back-substitution
+(_reduced).  Python ints never overflow, so every product is exact.
 
 The default characteristic 32003 is large enough that trace-form radical
 computations downstream stay valid (p must exceed every
@@ -28,6 +32,7 @@ from functools import cache
 from .shiftgraph import DEFAULT_PRIME
 
 MAX_PRIME = 2 ** 20
+Row = list[int] | dict[int, int]  # a list of entries, or {column: entry}
 
 
 # trial division runs once per p; PrimeField checks p < MAX_PRIME first,
@@ -46,38 +51,50 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _eliminate(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan over GF(p) on the rows of m: the reduced row echelon
-    form as a new list of rows, and its pivot columns.  A pivot row is
-    scaled only when its pivot is not 1, and only rows with a nonzero
-    entry in the pivot column are updated."""
-    a = [[x % p for x in row] for row in m]
-    rows, cols = len(a), len(a[0]) if a else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        for k in range(r, rows):
-            if a[k][c]:
-                break
+def _subtract(row: dict[int, int], f: int, pivot: dict[int, int], p: int) -> None:
+    """row -= f * pivot in place, keeping only nonzero entries."""
+    for k, y in pivot.items():
+        x = (row.get(k, 0) - f * y) % p
+        if x:
+            row[k] = x
         else:
-            continue
-        row = a[k]
-        if k != r:
-            a[k] = a[r]
-        v = row[c]
-        if v != 1:
-            inv = pow(v, -1, p)
-            row = [x * inv % p for x in row]
-        a[r] = row
-        for k in range(rows):
-            f = a[k][c]
-            if f and k != r:
-                a[k] = [(x - f * y) % p for x, y in zip(a[k], row)]
-        pivots.append(c)
-        r += 1
-    return a, pivots
+            del row[k]  # f * y is nonzero, so k was in the row
+
+
+def _eliminate(m: list[Row], p: int) -> dict[int, dict[int, int]]:
+    """Forward elimination over GF(p): {pivot column: echelon row}, each
+    row a dict of nonzero entries whose least column is its pivot, scaled
+    to 1.  Each row of m in turn is reduced at its least column against
+    the pivot row there until it is zero or opens a new pivot."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in m:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {c: x % p for c, x in items if x % p}
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                v = row[c]
+                if v != 1:
+                    inv = pow(v, -1, p)
+                    row = {k: x * inv % p for k, x in row.items()}
+                pivots[c] = row
+                break
+            _subtract(row, row[c], pivot, p)
+    return pivots
+
+
+def _reduced(m: list[Row], p: int) -> tuple[list[int], dict[int, dict[int, int]]]:
+    """The pivot columns of m, ascending, and {pivot column: row} of its
+    reduced row echelon form: back-substitution, from the last pivot up,
+    clears the other pivot columns of each echelon row."""
+    pivots = _eliminate(m, p)
+    cols = sorted(pivots)
+    for c in reversed(cols):
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            _subtract(row, row[k], pivots[k], p)
+    return cols, pivots
 
 
 class PrimeField:
@@ -120,40 +137,43 @@ class PrimeField:
         return [[sum(x * y for x, y in zip(row, col)) % p for col in cols]
                 for row in a]
 
-    def rref(self, m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
-        return _eliminate(m, self.p)
+    def rref(self, m: list[Row]) -> tuple[list[list[int]], list[int]]:
+        """Reduced row echelon form, one dense row per row of m with the
+        zero rows last, and the list of pivot columns.  The rows are as
+        wide as the widest row of m: a list row is as wide as its length,
+        a dict row reaches one past its greatest key."""
+        pivots, reduced = _reduced(m, self.p)
+        width = max((max(row, default=-1) + 1 if isinstance(row, dict) else len(row)
+                     for row in m), default=0)
+        rows = [[reduced[c].get(k, 0) for k in range(width)] for c in pivots]
+        return rows + self.zeros(len(m) - len(rows), width), pivots
 
-    def rank(self, m: list[list[int]]) -> int:
-        return len(_eliminate(m, self.p)[1])
+    def rank(self, m: list[Row]) -> int:
+        return len(_eliminate(m, self.p))
 
-    def nullspace(self, m: list[list[int]], cols: int) -> list[list[int]]:
+    def nullspace(self, m: list[Row], cols: int) -> list[list[int]]:
         """A basis of {v : m v = 0} for a matrix with cols columns, as a
         list of cols - rank(m) vectors (none for a full-rank square m)."""
-        r, pivots = _eliminate(m, self.p)
-        pivot_set = set(pivots)
-        basis = []
-        for fc in range(cols):
-            if fc not in pivot_set:
-                v = [0] * cols
-                v[fc] = 1
-                for i, pc in enumerate(pivots):
-                    v[pc] = -r[i][fc] % self.p
-                basis.append(v)
-        return basis
+        _, reduced = _reduced(m, self.p)
+        basis = {fc: [int(c == fc) for c in range(cols)]
+                 for fc in range(cols) if fc not in reduced}
+        for pc, row in reduced.items():
+            for fc, x in row.items():
+                if fc != pc:
+                    basis[fc][pc] = -x % self.p
+        return list(basis.values())
 
-    def solve(self, a: list[list[int]], bs: list[list[int]],
+    def solve(self, a: list[Row], bs: list[list[int]],
               cols: int) -> list[list[int]] | None:
         """For a matrix a with cols columns and a list of right-hand sides
         b (each a vector with one entry per row of a), one solution x of
         a x = b for each, or None when some system is inconsistent."""
-        k = len(bs)
-        r, pivots = _eliminate([row + [b[i] for b in bs] for i, row in enumerate(a)],
-                               self.p)
+        pivots, reduced = _reduced(
+            [{**(row if isinstance(row, dict) else dict(enumerate(row))),
+              **{cols + j: b[i] for j, b in enumerate(bs)}} for i, row in enumerate(a)],
+            self.p)
         if pivots and pivots[-1] >= cols:
             return None
-        xs = [[0] * cols for _ in range(k)]
-        for i, pc in enumerate(pivots):
-            for j in range(k):
-                xs[j][pc] = r[i][cols + j]
-        return xs
+        # the free unknowns are 0; pivot unknown c reads its row's right side
+        return [[reduced.get(c, {}).get(cols + j, 0) for c in range(cols)]
+                for j in range(len(bs))]

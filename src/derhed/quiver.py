@@ -239,21 +239,22 @@ def _hom_ext(m: Representation, n: Representation, fld: PrimeField) -> tuple[int
     for v in q.vertices:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     for aid, s, t in q.arrows:
-        # one row per entry (i, j) of f_t M_a - N_a f_s
+        # one row per entry (i, j) of f_t M_a - N_a f_s, as a dict {unknown:
+        # coefficient} (only a loop, s = t, can leave a zero in it)
         ma, na = m.maps[aid], n.maps[aid]
         mt, ns, nc = m.dims[t], n.dims[s], m.dims[s]
         ot, os_ = offsets[t], offsets[s]
         for i in range(n.dims[t]):
             for j in range(nc):
-                row = [0] * total
                 # (f_t M_a)[i, j] = sum_k f_t[i, k] * M_a[k, j]
-                for k in range(mt):
-                    row[ot + i * mt + k] += ma[k][j]
+                row = {ot + i * mt + k: ma[k][j] for k in range(mt) if ma[k][j]}
                 # (N_a f_s)[i, j] = sum_k N_a[i, k] * f_s[k, j]
                 for k in range(ns):
-                    row[os_ + k * nc + j] -= na[i][k]
+                    if na[i][k]:
+                        c = os_ + k * nc + j
+                        row[c] = row.get(c, 0) - na[i][k]
                 rows.append(row)
     rank = fld.rank(rows) if rows and total else 0  # 0 by shape otherwise
     return total - rank, len(rows) - rank

@@ -367,6 +367,26 @@ def test_hom_misread_complex_exit_2(capsys, tmp_path):
     assert code == 0 and rep["report"]["dim"] == 1
 
 
+@pytest.mark.parametrize("bad_dict, msg", [
+    ({"name": "X", "degrees": {" 0": ["1"], "+0": ["2"]}}, "name the same degree"),
+    ({"name": "X", "degrees": {"-1": ["2"], "0": ["1"]},
+      "differentials": {"-1": [[[["a", 1]]]], "-01": [[[["a", 1]]]]}},
+     "name the same degree"),
+    ({"name": 5, "degrees": {"0": ["1"]}}, "is not a string"),
+    ({"name": None, "degrees": {"0": ["1"]}}, "is not a string"),
+], ids=["repeated-degree", "repeated-differential", "number-name", "null-name"])
+def test_hom_ambiguous_complex_exit_2(capsys, tmp_path, bad_dict, msg):
+    """Degree keys that name one integer twice and a name that is not a
+    string are refused, not merged into P2 alone or reported as "x": 5."""
+    alg, p1, _ = write_a2_projectives(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(bad_dict))
+    for x, y in ((bad, p1), (p1, bad)):
+        code, rep = run_cli(capsys, "hom", str(alg), str(x), str(y))
+        assert code == 2 and rep["error"]["type"] == "input"
+        assert msg in rep["error"]["message"]
+
+
 def test_hom_malformed_algebra_exit_2(capsys, tmp_path):
     """A malformed algebra file exits 2 as an input error, with no traceback
     and no silent misreading."""

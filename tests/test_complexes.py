@@ -174,10 +174,14 @@ def test_hom_complex_squares_to_zero(dual, family, p):
             for n in range(-4, 5):
                 d_n = _hom_boundary(alg, x, y, n, coords[n], coords[n + 1], p)
                 d_next = _hom_boundary(alg, x, y, n + 1, coords[n + 1], coords[n + 2], p)
-                assert len(d_n) == len(coords[n + 1])
-                assert all(len(row) == len(coords[n]) for row in d_n)
+                # one sparse row per target coordinate, keyed by source
+                # coordinates, holding only entries reduced into [1, p)
+                for d, src, tgt in ((d_n, n, n + 1), (d_next, n + 1, n + 2)):
+                    assert len(d) == len(coords[tgt])
+                    assert all(0 <= c < len(coords[src]) and 0 < v < p
+                               for row in d for c, v in row.items())
                 # (d_next d_n)[i][j] = sum_k d_next[i][k] d_n[k][j] = 0 mod p
-                assert all(sum(c * d_n[k][j] for k, c in enumerate(row)) % p == 0
+                assert all(sum(c * d_n[k].get(j, 0) for k, c in row.items()) % p == 0
                            for row in d_next for j in range(len(coords[n])))
             assert _hom_dims(x, y, -3, 3, f) == {n: hom_k_dim(x, y, n, f)
                                                   for n in range(-3, 4)}
@@ -369,3 +373,28 @@ def test_from_dict_refuses_non_integer_coefficient(dual, coeff):
         ProjComplex.from_dict(dual, d)
     d["differentials"]["-1"] = [[[["a", -1]]]]
     assert ProjComplex.from_dict(dual, d).diffs == {-1: [[{dual.index["a"]: -1}]]}
+
+
+@pytest.mark.parametrize("keys", [(" 0", "+0"), ("0", "00"), ("-1", " -1 ")],
+                         ids=["space-plus", "leading-zero", "spaces"])
+def test_from_dict_refuses_repeated_degree(keys):
+    """Two keys that name the same integer are refused in degrees and in
+    differentials; they used to merge, the last one silently winning."""
+    alg = linear_an(2)
+    first, second = keys
+    with pytest.raises(ValueError, match="name the same degree"):
+        ProjComplex.from_dict(alg, {"degrees": {first: ["1"], second: ["2"]}})
+    a = [[[["a1", 1]]]]
+    good = {"degrees": {"-1": ["2"], "0": ["1"]}, "differentials": {"-1": a}}
+    assert ProjComplex.from_dict(alg, good).diffs == {-1: [[{alg.index["a1"]: 1}]]}
+    with pytest.raises(ValueError, match="name the same degree"):
+        ProjComplex.from_dict(alg, dict(good, differentials={first: a, second: a}))
+
+
+@pytest.mark.parametrize("name", [5, None, True, ["P"], {"n": "P"}])
+def test_from_dict_refuses_non_string_name(name):
+    alg = linear_an(2)
+    with pytest.raises(ValueError, match="is not a string"):
+        ProjComplex.from_dict(alg, {"name": name, "degrees": {"0": ["1"]}})
+    assert ProjComplex.from_dict(alg, {"degrees": {"0": ["1"]}}).name == ""
+    assert ProjComplex.from_dict(alg, {"name": "P", "degrees": {"0": ["1"]}}).name == "P"

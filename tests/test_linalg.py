@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from derhed.linalg import DEFAULT_PRIME, MAX_PRIME, PrimeField
 
-from oracles import rank_oracle
+from oracles import rank_oracle, rank_oracle_gauss
 
 fld = PrimeField()
 
@@ -234,3 +234,88 @@ def test_rref_is_the_reduced_form(fm, seed):
         b = [0] * rows
         b[next(i for i, v in enumerate(y) if v)] = 1
         assert f.solve(m, [b], cols) is None
+
+
+# a row may be a list or a dict {column: entry}; the kernels must answer
+# the same on both, whatever the dict holds: entries >= p, negative
+# entries, explicit zeros (0 or a multiple of p), or nothing at all
+
+
+def _declared_width(rows) -> int:
+    return max((max(r, default=-1) + 1 if isinstance(r, dict) else len(r) for r in rows),
+               default=0)
+
+
+def _assert_same_answers(f, dense, sparse, cols, bs):
+    """rank, rref, nullspace and solve on the rows `sparse` (dicts, or a
+    mix of dicts and lists) agree with the same rows `dense` as lists,
+    and rank agrees with both oracles.  No kernel changes its input."""
+    p = f.p
+    before = [r.copy() for r in sparse]
+    k = f.rank(dense)
+    assert f.rank(sparse) == k
+    if dense:
+        assert k == rank_oracle_gauss(dense, p)
+        if len(dense) <= 5 and cols <= 5:
+            assert k == rank_oracle(dense, p)
+    else:
+        assert k == 0
+    r_dense, piv_dense = f.rref(dense)
+    r_sparse, piv_sparse = f.rref(sparse)
+    # dict rows name no trailing zero columns, so rref of the dict rows is
+    # as wide as the widest row given; the dense columns past it are zero
+    w = _declared_width(sparse)
+    assert piv_sparse == piv_dense and len(piv_dense) == k
+    assert r_sparse == [row[:w] for row in r_dense]
+    assert not any(x for row in r_dense for x in row[w:])
+    assert f.nullspace(sparse, cols) == f.nullspace(dense, cols)
+    assert f.solve(sparse, bs, cols) == f.solve(dense, bs, cols)
+    assert sparse == before
+
+
+@st.composite
+def dense_and_sparse(draw):
+    p = draw(small_primes)
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = st.one_of(st.just(0), st.integers(p, 3 * p), st.integers(-3 * p, -1),
+                        st.sampled_from([p, -p, 2 * p]), st.integers(0, p - 1))
+    dense = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+    sparse = []
+    for row in dense:
+        # one row in four stays a list; the others become dicts that keep
+        # some of their zeros
+        keep = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+        sparse.append(row if draw(st.integers(0, 3)) == 0
+                      else {c: x for c, x in enumerate(row) if x or keep[c]})
+    bs = draw(st.lists(st.lists(entries, min_size=rows, max_size=rows), max_size=2))
+    return PrimeField(p), dense, sparse, cols, bs
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_and_sparse())
+@example((PrimeField(5), [[0, 0, 7]], [{2: 7}], 3, [[1]]))  # only pivot: last column
+@example((PrimeField(5), [[0, 0], [0, 0]], [{}, {0: 0, 1: 10}], 2, [[0, 0], [1, 0]]))
+@example((PrimeField(3), [], [], 4, [[]]))
+def test_dict_rows_answer_as_dense_rows(case):
+    _assert_same_answers(*case)
+
+
+@pytest.mark.parametrize("p", [2, 5, 32003, LARGEST_PRIME])
+def test_dict_rows_edge_shapes(p):
+    f = PrimeField(p)
+    # all-zero matrices, as empty dicts and as dicts of explicit zeros
+    for cols in (0, 1, 3):
+        for rows in (1, 3):
+            dense = f.zeros(rows, cols)
+            for sparse in ([{}] * rows, [{c: 0 for c in range(cols)}] * rows,
+                           [{c: p * (c + 1) for c in range(cols)}] * rows):
+                _assert_same_answers(f, dense, sparse, cols, [[0] * rows, [1] * rows])
+                assert f.rank(sparse) == 0 and f.nullspace(sparse, cols) == f.identity(cols)
+    # the only pivot is in the last column, with entries >= p and negative
+    dense = [[0, 0, 0, p + 3], [0, 0, 0, -(p + 3)], [p, -p, 0, 0]]
+    sparse = [{3: p + 3}, {0: 0, 3: -(p + 3)}, {0: p, 1: -p}]
+    assert f.rref(sparse)[1] == [3] and f.rank(sparse) == 1
+    _assert_same_answers(f, dense, sparse, 4, [[1, -1, 0], [1, 0, 0]])
+    assert f.solve(sparse, [[1, -1, 0]], 4) == [[0, 0, 0, f.inv(p + 3)]]
+    assert f.solve(sparse, [[1, 0, 0]], 4) is None
