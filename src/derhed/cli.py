@@ -43,9 +43,19 @@ def _field():
 
 
 def _load_json(path: str) -> dict:
+    """The JSON file at path; a key given twice in one object is refused,
+    where json.load would keep the last value."""
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            key = next(k for k in keys if keys.count(k) > 1)
+            raise InputError(f"{path} repeats the key {key!r} in one object")
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -499,23 +499,23 @@ def build_shiftgraph_from_complexes(alg: MonomialAlgebra, reps: list[ProjComplex
 
 
 def are_isomorphic(x: ProjComplex, y: ProjComplex, fld: PrimeField) -> bool:
-    """Iso test for indecomposable complexes: some composite
-    X -> Y -> X avoids the radical of End(X)."""
+    """Iso test for indecomposable complexes: the composites X -> Y -> X
+    span End(X)."""
     _check_same_algebra(x, y)
     return _isomorphic(EndAlgebra(x, fld), y)
 
 
 def _isomorphic(end: EndAlgebra, y: ProjComplex) -> bool:
-    """Whether some composite X -> Y -> X, X = end.x, avoids the radical
-    of End(X): all composites of basis maps go to to_quotient as one
-    stacked solve, and one rank says whether they reach outside the
-    radical.  No composite (Hom(X, Y) or Hom(Y, X) is 0) answers False."""
+    """Whether X = end.x, whose End is local, is a summand of Y, so
+    X = Y for an indecomposable Y.  The composites X -> Y -> X span a
+    two-sided ideal of End(X), which is all of End(X) exactly when it
+    holds a unit, that is when X is a summand of Y.  All composites of
+    basis maps go to to_quotient as one stacked solve, and one rank says
+    whether they span End(X); no radical is needed.  No composite
+    (Hom(X, Y) or Hom(Y, X) is 0) answers False."""
     x, fld = end.x, end.fld
     f_coords, f_reps, *_ = _hom_reps(x, y, 0, fld)
     g_coords, g_reps, *_ = _hom_reps(y, x, 0, fld)
     comps = [_compose_coords(x.algebra, fld, f, f_coords, g, g_coords, end.pos)
              for f in f_reps for g in g_reps]
-    if not comps:
-        return False
-    rad = end.radical()
-    return fld.rank(rad + end.to_quotient(comps)) > len(rad)
+    return bool(comps) and fld.rank(end.to_quotient(comps)) == end.dim

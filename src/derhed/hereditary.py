@@ -9,14 +9,16 @@ n >= d_Y, so the intersection defining the heart picks each orbit at its
 minimal reachable shift, and the shortest-walk triangle inequality
 d_Z <= d_Y + w makes every hom edge land in non-negative heart degree.
 On genuine instances the other half of the heart condition, every degree
-at most 1, is then tested too (see _degree_witness).
+at most 1, is then tested too: where that heart has a degree m >= 2, a
+heart with every degree in {0, 1} takes its place, or the block is
+refuted when there is none (see _degree_witness).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .paths import NEG_INF, POS_INF, PathEngine, PathStep, _negative_cycle
+from .paths import NEG_INF, POS_INF, PathEngine, PathStep, _negative_cycle, _potential
 from .shiftgraph import (FormalObject, IncompleteHeart, NegativeWalkAtSource,
                          NotABlock, ObjRef, ShiftGraph, UnreachableOrbit)
 
@@ -162,8 +164,10 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     to X), with the homogeneity of that indicator observable per orbit;
     otherwise the heart with the least offsets over all sources that reach
     the whole block is extracted and verified.  On a genuine instance
-    where that heart has a degree m >= 2, the block is also refuted when
-    no heart has every degree in {0, 1} (see _degree_witness)."""
+    where that heart has a degree m >= 2, the block is refuted when no
+    heart has every degree in {0, 1} (see _degree_witness); otherwise a
+    potential of the constraint edges, shifted to put the canonical source
+    at 0, is reported as the heart, with every degree in {0, 1}."""
     eng = engine or PathEngine(g)
     blk = _require_block(eng, block)
     i = eng._block_of[blk[0]]
@@ -181,28 +185,41 @@ def check_hereditary(g: ShiftGraph, block: list[str],
             if POS_INF not in row]
     if not rows:
         raise UnreachableOrbit(f"no orbit of {blk} reaches every other orbit")
-    heart = Heart({y: int(w) for y, w in zip(blk, min(rows)[2])})
+    _, source, row = min(rows)
+    heart = Heart({y: int(w) for y, w in zip(blk, row)})
     check = verify_heart(g, heart, blk)
     verdict = "hereditary-within-window" if g.windowed else "hereditary"
     degree_witness = None
     if g.genuine and max(check.m_values, default=0) >= 2:
-        degree_witness = _degree_witness(g, blk)
-        if degree_witness is not None:
+        pi = _potential(blk, _constraint_edges(g, blk)[1])
+        if pi is None:
+            degree_witness = _degree_witness(g, blk)
             verdict = "not-hereditary"
+        else:
+            heart = Heart({y: pi[y] - pi[source] for y in blk})
+            check = verify_heart(g, heart, blk)
     return HereditaryReport(verdict=verdict, indicator=indicator, heart=heart,
                             heart_check=check, degree_witness=degree_witness)
 
 
+def _constraint_edges(g: ShiftGraph, blk: list[str]):
+    """The hom edges (a, b, w) of the block, and with them the constraint
+    edges (a, b, w) and (b, a, 1 - w): offsets d put every hom edge in
+    heart degree m = w + d_a - d_b in {0, 1} exactly when they are a
+    potential of the constraint edges."""
+    hom = [(a, b, e.weight) for a in blk for b in g.targets(a) for e in g.homs[(a, b)]]
+    return hom, hom + [(b, a, 1 - w) for (a, b, w) in hom]
+
+
 def _degree_witness(g: ShiftGraph, blk: list[str]) -> list[dict] | None:
     """The m <= 1 half of the heart condition: in a hereditary category
-    every hom edge (a, b, w) lands in heart degree m = w + d_a - d_b in
-    {0, 1}, since Ext^2 vanishes.  Such offsets d are a potential of the
-    constraint edges (a, b, w) and (b, a, 1 - w); a negative cycle of them
-    proves that no heart has every m in {0, 1}, and it is returned as its
-    hom edges, each traversed "forward" or "reversed".  A partial object
-    list or hom window only drops constraints, so the proof stays sound."""
-    hom = [(a, b, e.weight) for a in blk for b in g.targets(a) for e in g.homs[(a, b)]]
-    cycle = _negative_cycle(blk, hom + [(b, a, 1 - w) for (a, b, w) in hom])
+    every hom edge lands in heart degree 0 or 1, since Ext^2 vanishes.  A
+    negative cycle of the constraint edges (see _constraint_edges) proves
+    that no heart has every m in {0, 1}, and it is returned as its hom
+    edges, each traversed "forward" or "reversed".  A partial object list
+    or hom window only drops constraints, so the proof stays sound."""
+    hom, constraints = _constraint_edges(g, blk)
+    cycle = _negative_cycle(blk, constraints)
     if cycle is None:
         return None
     forward = set(hom)

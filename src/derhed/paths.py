@@ -13,17 +13,19 @@ hom-edge graph), so every solve relaxes only the edges of the source's
 block.  Periodic orbits need no special case: their mandatory invertible
 self-edges at weights -p and +p already form a negative closed walk.
 
-Block-wide questions (which orbits lie on a negative closed walk, the
-canonical heart) are read off one all-pairs walk table per block, a
-Floyd-Warshall over the lightest edge of each ordered pair.  An orbit
-lies on a negative closed walk exactly when it reaches, and is reached
-from, an orbit whose diagonal entry went negative; such entries are
-clamped to -inf.  Single-source questions (min_weight and the witnesses)
-keep a Bellman-Ford per source, whose predecessor labels give the witness
-walks; a walk at -inf pumps a negative cycle between two breadth-first
-legs (_bfs_tree).  Tarjan's strongly connected components (_sccs) give
-the blocks, from the links run both ways, and the directing orbits, with
-one potential per component of the non-invertible edges.
+Whether an orbit lies on a negative closed walk is decided once, per
+strongly connected component (_components): a closed walk stays in one
+component, and a component's edges hold a negative cycle exactly when
+they have no potential.  Single-source questions (min_weight and the
+witnesses) keep a Bellman-Ford per source over the edges into the orbits
+the source's negative orbits do not reach; its predecessor labels give
+the witness walks, and a walk at -inf pumps a negative cycle between two
+breadth-first legs (_bfs_tree).  The canonical heart alone reads one
+exact all-pairs walk table per block with no negative orbit, a
+Floyd-Warshall over the lightest edge of each ordered pair.  Tarjan's
+strongly connected components (_sccs) also give the blocks, from the
+links run both ways, and the directing orbits, from _components of the
+non-invertible edges.
 """
 
 from __future__ import annotations
@@ -101,12 +103,12 @@ class DegeneratePeriodic(NamedTuple):
 class PathEngine:
     """Shortest-walk machinery over one immutable shift-graph.
 
-    Each source is solved once, by Bellman-Ford over the edges of its own
-    block; targets in other blocks are at +inf.  The -inf pairs are the
-    forward closure of the vertices still relaxable after the passes,
-    which covers periodic orbits through their -p self-edges.  Each block
-    also gets one walk table (see _walk_table), built on first use, for
-    the negative-walk orbits and the canonical heart.
+    Each source is solved once, over the edges of its own block; targets
+    in other blocks are at +inf.  The -inf targets are the forward closure
+    of the block's negative orbits (_negative_in) that the source reaches,
+    and a Bellman-Ford over the edges into the other orbits gives the
+    rest.  A block with no negative orbit also gets one walk table (see
+    _walk_table), built on first use, for the canonical heart.
     """
 
     def __init__(self, g: ShiftGraph):
@@ -124,6 +126,7 @@ class PathEngine:
         self._dist_cache: dict[str, dict[str, float]] = {}
         self._pred_cache: dict[str, dict[str, tuple[str, int]]] = {}
         self._tables: dict[int, list[list[float]]] = {}
+        self._negative: dict[int, set[str]] = {}
 
     # -- structure --
 
@@ -141,8 +144,13 @@ class PathEngine:
             raise UnknownOrbit(s)
         if s in self._dist_cache:
             return
-        block = self._blocks[self._block_of[s]]
-        edges = self._edges_of(s)
+        i = self._block_of[s]
+        block = self._blocks[i]
+        # -inf: the forward closure of the negative orbits that s reaches;
+        # the edges into the other orbits hold no negative cycle
+        negative = self._negative_in(i)
+        neg = _bfs_tree(self.succ, *(v for v in _bfs_tree(self.succ, s) if v in negative))
+        edges = [e for e in self._block_edges[i] if e[1] not in neg]
         # label-correcting relaxation with (weight, hom-steps) labels:
         # weight first, then fewer hom steps, so witnesses are minimal.
         dist: dict[str, tuple[float, int]] = {v: (POS_INF, 0) for v in block}
@@ -161,10 +169,6 @@ class PathEngine:
                     changed = True
             if not changed:
                 break
-        # every reachable negative cycle keeps a relaxable edge
-        seeds = [v for (u, v, w) in edges
-                 if dist[u][0] != POS_INF and (dist[u][0] + w, dist[u][1] + 1) < dist[v]]
-        neg = _bfs_tree(self.succ, *seeds)
         self._dist_cache[s] = {v: (NEG_INF if v in neg else dist[v][0]) for v in block}
         self._pred_cache[s] = pred
 
@@ -177,17 +181,20 @@ class PathEngine:
         return self._dist_cache[x].get(y, POS_INF)
 
     def _table(self, i: int) -> list[list[float]]:
-        """The walk table of block i; walks of length zero count."""
+        """The walk table of block i, which holds no negative orbit; walks
+        of length zero count."""
         if i not in self._tables:
             blk = self._blocks[i]
             self._tables[i] = _walk_table(blk, self._block_edges[i] + [(v, v, 0) for v in blk])
         return self._tables[i]
 
     def _negative_in(self, i: int) -> set[str]:
-        """The orbits of block i on a negative closed walk."""
-        d = self._table(i)
-        blk = self._blocks[i]
-        return {blk[k] for k in _tied_to(d, [m for m in range(len(d)) if d[m][m] < 0])}
+        """The orbits of block i on a negative closed walk: those whose
+        strongly connected component has no potential."""
+        if i not in self._negative:
+            comps = _components(self._blocks[i], self._block_edges[i])
+            self._negative[i] = {v for comp, _, pi in comps if pi is None for v in comp}
+        return self._negative[i]
 
     def negative_walk_objects(self) -> set[str]:
         """Orbits on a negative closed walk: exactly those X admitting a
@@ -379,15 +386,26 @@ def _sccs(nodes: list[str], edges) -> list[list[str]]:
     return comps
 
 
+def _components(nodes: list[str], edges) -> list[tuple[list[str], list, dict[str, int] | None]]:
+    """Each strongly connected component of the edges (u, v, w) on nodes,
+    with its inner edges and their _potential, None when those edges hold
+    a negative cycle.  A closed walk stays in one component, so an orbit
+    lies on a negative closed walk exactly when its component has no
+    potential."""
+    comps = _sccs(nodes, edges)
+    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+    inner: list[list[tuple[str, str, int]]] = [[] for _ in comps]
+    for e in edges:
+        if comp_of[e[0]] == comp_of[e[1]]:
+            inner[comp_of[e[0]]].append(e)
+    return [(comp, es, _potential(comp, es)) for comp, es in zip(comps, inner)]
+
+
 def _walk_table(block: list[str], edges) -> list[list[float]]:
     """Floyd-Warshall over the lightest edge of each ordered pair: d[i][j]
     is the least weight of a walk of length >= 1 from block[i] to block[j]
-    along the edges (u, v, w).
-
-    A diagonal entry that goes negative is clamped to -inf, so the values
-    never grow into big ints.  Every finite entry is the weight of a walk,
-    every negative cycle leaves -inf on the diagonal at one of its orbits,
-    and +inf means no walk; without negative cycles the table is exact."""
+    along the edges (u, v, w), or +inf when there is none.  The edges
+    hold no negative cycle, so the table is exact."""
     n = len(block)
     pos = {v: k for k, v in enumerate(block)}
     d = [[POS_INF] * n for _ in range(n)]
@@ -395,27 +413,16 @@ def _walk_table(block: list[str], edges) -> list[list[float]]:
         i, j = pos[u], pos[v]
         if w < d[i][j]:
             d[i][j] = w
-    for i in range(n):
-        if d[i][i] < 0:
-            d[i][i] = NEG_INF
     for k in range(n):
         row_k = [(j, w) for j, w in enumerate(d[k]) if w != POS_INF]
-        for i, row in enumerate(d):
+        for row in d:
             dik = row[k]
             if dik == POS_INF:
                 continue
             for j, w in row_k:
                 if dik + w < row[j]:
                     row[j] = dik + w
-            if row[i] < 0:
-                row[i] = NEG_INF
     return d
-
-
-def _tied_to(d: list[list[float]], marked: list[int]) -> set[int]:
-    """Indices that reach, and are reached from, some marked index."""
-    return {i for i in range(len(d)) for m in marked
-            if i == m or (d[i][m] != POS_INF and d[m][i] != POS_INF)}
 
 
 # -- public operations --
@@ -450,19 +457,10 @@ def directing_objects(g: ShiftGraph) -> set[str]:
     are not directing, and the rest are."""
     proper = [(a, b, e.weight) for (a, b), hom_edges in g.homs.items()
               for e in hom_edges if not e.all_iso]
-    comps = _sccs(g.orbit_ids(), proper)
-    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
-    inner: list[list[tuple[str, str, int]]] = [[] for _ in comps]
-    for e in proper:
-        if comp_of[e[0]] == comp_of[e[1]]:
-            inner[comp_of[e[0]]].append(e)
     free: list[str] = []
     tight: list[tuple[str, str]] = []
-    for comp, edges in zip(comps, inner):
-        if any(g.orbit(v).period is not None for v in comp):
-            continue
-        pi = _potential(comp, edges)
-        if pi is not None:
+    for comp, edges, pi in _components(g.orbit_ids(), proper):
+        if pi is not None and all(g.orbit(v).period is None for v in comp):
             free += comp
             tight += [(u, v) for (u, v, w) in edges if pi[u] + w == pi[v]]
     closed = {u for (u, v) in tight if u == v}

@@ -256,7 +256,7 @@ def _hom_ext(m: Representation, n: Representation, fld: PrimeField) -> tuple[int
                         c = os_ + k * nc + j
                         row[c] = row.get(c, 0) - na[i][k]
                 rows.append(row)
-    rank = fld.rank(rows) if rows and total else 0  # 0 by shape otherwise
+    rank = fld.rank(rows)
     return total - rank, len(rows) - rank
 
 

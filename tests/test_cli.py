@@ -387,6 +387,30 @@ def test_hom_ambiguous_complex_exit_2(capsys, tmp_path, bad_dict, msg):
         assert msg in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("kind", ["instance", "heart", "algebra", "complex"])
+def test_repeated_key_exit_2(capsys, tmp_path, a2_files, kind):
+    """A key given twice in one object is refused in every file kind,
+    where JSON parsing alone would keep the last value and accept it."""
+    alg, p1, _ = write_a2_projectives(tmp_path)
+    bad = tmp_path / "bad.json"
+    if kind == "instance":
+        bad.write_text('{"genuine": false,' + a2_files[0].read_text()[1:])
+        argv = ["validate", str(bad)]
+    elif kind == "heart":
+        bad.write_text('{"block": ["S1", "S2"], "offsets": {"S1": 0, "S1": 1, "S2": 0}}')
+        argv = ["verify-heart", str(a2_files[0]), "--heart", str(bad)]
+    elif kind == "algebra":
+        bad.write_text('{"vertices": ["1"], "vertices": ["1", "2"], '
+                       '"arrows": [{"id": "a", "from": "1", "to": "2"}], "relations": []}')
+        argv = ["hom", str(bad), str(p1), str(p1)]
+    else:
+        bad.write_text('{"name": "X", "degrees": {"0": ["1"], "0": ["2"]}}')
+        argv = ["hom", str(alg), str(bad), str(p1)]
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2 and rep["error"]["type"] == "input"
+    assert "repeats the key" in rep["error"]["message"]
+
+
 def test_hom_malformed_algebra_exit_2(capsys, tmp_path):
     """A malformed algebra file exits 2 as an input error, with no traceback
     and no silent misreading."""

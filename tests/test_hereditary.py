@@ -3,9 +3,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from derhed import paths
 from derhed.complexes import build_shiftgraph_from_complexes
 from derhed.generators import (gen_a2_from_complexes, gen_dual_numbers,
                                gen_dynkin_an, gen_example_a2,
@@ -256,9 +257,12 @@ def test_check_matches_oracle(seed):
         x for x in g.orbit_ids() if oracles.min_weight_oracle(g, x, x) == NEG_INF}
 
 
-def test_long_negative_cycle():
+def test_long_negative_cycle(monkeypatch):
     # one cycle of 100 orbits and total weight -1: every orbit is on it,
-    # and the clamped walk table keeps its entries small
+    # and no walk table is built for the refuted block
+    tables = []
+    real = paths._walk_table
+    monkeypatch.setattr(paths, "_walk_table", lambda *args: tables.append(args) or real(*args))
     ids = [f"c{i:03d}" for i in range(100)]
     g = one_way(*((ids[i], ids[(i + 1) % 100], -1 if i == 99 else 0)
                   for i in range(100)))
@@ -268,14 +272,13 @@ def test_long_negative_cycle():
     assert rep.indicator == {x: True for x in ids}
     assert oracles.check_witness(g, rep.witness, ObjRef("c000", 1), ObjRef("c000", 0))
     assert eng.negative_walk_objects() == set(ids)
-    assert all(d == NEG_INF or abs(d) <= 100 for row in eng._table(0) for d in row)
-    # every pair at weight -1: unclamped, the entries would double with
-    # every pivot and reach -2**40
+    # every pair at weight -1
     ids = [f"k{i:02d}" for i in range(40)]
     g = one_way(*((a, b, -1) for a in ids for b in ids if a != b))
     eng = PathEngine(g)
     assert check_hereditary(g, ids, engine=eng).indicator == {x: True for x in ids}
-    assert all(d == NEG_INF for row in eng._table(0) for d in row)
+    assert eng.min_weight("k00", "k39") == NEG_INF
+    assert tables == [] and eng._tables == {}
 
 
 def test_walks_of_length_zero_count():
@@ -308,13 +311,18 @@ def test_ext2_refutes_the_seven_complexes(window):
 
 def test_degree_check_on_genuine_blocks_only():
     # the canonical heart puts B -> C in degree 2, but B moved down by one
-    # gives degrees 1, 0 and 1: hereditary, and no degree witness
+    # gives degrees 1, 0 and 1: hereditary, no degree witness, and that
+    # heart is the one reported
     g = one_way(("A", "B", 0), ("A", "C", 0), ("B", "C", 2))
     g.genuine = True
     rep = check_hereditary(g, ["A", "B", "C"])
-    assert max(rep.heart_check.m_values) == 2
+    assert set(rep.heart_check.m_values) <= {0, 1}
     assert rep.verdict == "hereditary" and rep.degree_witness is None
-    assert verify_heart(g, Heart({"A": 0, "B": -1, "C": 0})).m_values == Counter({0: 4, 1: 2})
+    assert rep.heart.offsets == {"A": 0, "B": -1, "C": 0}
+    assert rep.heart_check.m_values == Counter({0: 4, 1: 2})
+    # not genuine, the canonical heart stands, degree 2 included
+    g.genuine = False
+    assert max(check_hereditary(g, ["A", "B", "C"]).heart_check.m_values) == 2
     # with A -> C in degree 2 over A -> B -> C in degree 0, every heart
     # puts C at least one above A and at most B, which is at most A; only
     # a genuine instance promises the m <= 1 half
@@ -324,6 +332,30 @@ def test_degree_check_on_genuine_blocks_only():
     rep = check_hereditary(g, ["A", "B", "C"])
     assert rep.verdict == "not-hereditary" and rep.heart_check.ok
     assert oracles.check_degree_witness(g, rep.degree_witness)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(-3, 3, 0.35), (0, 2, 0.2)]))
+@example(3, (0, 2, 0.2)).via("a canonical heart with m = 2 on a hereditary block")
+@example(17, (0, 2, 0.2)).via("a canonical heart with m = 2 on a hereditary block")
+def test_hereditary_verdict_shows_hereditary_heart(seed, weights):
+    # on a genuine instance a hereditary verdict carries a heart with every
+    # degree in {0, 1}, and a degree refutation a checkable witness
+    w_lo, w_hi, edge_prob = weights
+    g = oracles.random_graph(np.random.default_rng(seed), max_orbits=6,
+                             w_lo=w_lo, w_hi=w_hi, edge_prob=edge_prob)
+    g.genuine = True
+    eng = PathEngine(g)
+    for blk in eng.blocks():
+        try:
+            rep = check_hereditary(g, blk, engine=eng)
+        except UnreachableOrbit:
+            continue
+        if rep.verdict == "hereditary":
+            assert set(rep.heart_check.m_values) <= {0, 1} and rep.heart_check.ok
+            assert rep.heart_check.to_dict() == verify_heart(g, rep.heart, blk).to_dict()
+        elif rep.degree_witness is not None:
+            assert oracles.check_degree_witness(g, rep.degree_witness)
 
 
 def test_degree_check_refutes_no_genuine_generator():

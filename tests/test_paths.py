@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from derhed import paths
 from derhed.generators import (gen_dual_numbers, gen_example_a2,
                                gen_semisimple_block)
+from derhed.hereditary import check_hereditary
 from derhed.paths import (NEG_INF, POS_INF, DegenerateAperiodic,
                           DegeneratePeriodic, NonDegenerate, PathEngine,
                           classify_degenerate, directing_objects)
 from derhed.shiftgraph import (AbelianData, HomEdge, ObjRef, Orbit, ShiftGraph,
-                               expand_hereditary, validate)
+                               UnreachableOrbit, expand_hereditary, validate)
 
 import oracles
 
@@ -194,8 +195,40 @@ def test_directing_builds_no_walk_table(monkeypatch, a2, dual):
     for g in (a2, dual, _pinned_block()):
         directing_objects(g)
     assert calls == []
-    PathEngine(dual).negative_walk_objects()  # the counter does see a table
+    check_hereditary(a2, PathEngine(a2).blocks()[0])  # the counter does see a table
     assert calls
+
+
+def test_refuted_blocks_build_no_walk_table(monkeypatch):
+    # negativity is read off the components, so only a block with no
+    # negative orbit gets a walk table, and check still gives the oracle's
+    # indicator on the others
+    tables = []
+    real = paths._walk_table
+    monkeypatch.setattr(paths, "_walk_table", lambda *args: tables.append(args[0]) or real(*args))
+    rng = np.random.default_rng(20261018)
+    refuted = 0
+    for _ in range(40):
+        g = oracles.random_graph(rng, max_orbits=5, periodic_prob=0.2)
+        eng = PathEngine(g)
+        for blk in eng.blocks():
+            negative = {x for x in blk if oracles.min_weight_oracle(g, x, x) == NEG_INF}
+            tables.clear()
+            try:
+                rep = check_hereditary(g, blk, engine=eng)
+            except UnreachableOrbit:
+                assert not negative
+            if negative:
+                refuted += 1
+                assert rep.indicator == {x: x in negative for x in blk}
+                assert tables == []
+            else:
+                assert tables == [blk]
+        for x in g.orbit_ids():
+            for y in g.orbit_ids():
+                eng.min_weight(x, y)
+        assert not any(eng._negative_in(i) for i in eng._tables)
+    assert refuted
 
 
 # -- randomized cross-checks against the brute-force oracle --
