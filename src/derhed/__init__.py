@@ -26,8 +26,8 @@ _LAZY = {name: module for module, names in {
                    "cohomology", "extract_heart", "truncate", "verify_heart"],
     "linalg": ["PrimeField"],
     "quiver": ["Arrow", "MonomialAlgebra", "Quiver", "Representation",
-               "algebra_from_dict", "algebra_to_dict", "build_algebra",
-               "euler_ext1_dim", "rep_hom_dim"],
+               "algebra_from_dict", "algebra_to_dict", "euler_ext1_dim",
+               "rep_hom_dim"],
     "complexes": ["EndAlgebra", "ProjComplex", "are_isomorphic",
                   "build_shiftgraph_from_complexes", "check_complex",
                   "hom_k_dim", "is_indecomposable", "shift_complex"],

@@ -69,6 +69,12 @@ def _load_graph(path: str) -> ShiftGraph:
         raise InputError(str(exc)) from exc
 
 
+def _known_orbit(g: ShiftGraph, orbit: str) -> str:
+    if orbit not in g.orbit_ids():
+        raise InputError(f"unknown orbit {orbit!r}")
+    return orbit
+
+
 def _parse_ref(g: ShiftGraph, text: str) -> ObjRef:
     orbit, sep, off = text.partition("@")
     if not sep:
@@ -77,9 +83,15 @@ def _parse_ref(g: ShiftGraph, text: str) -> ObjRef:
         offset = int(off)
     except ValueError as exc:
         raise InputError(f"bad object reference {text!r}: offset must be an integer") from exc
-    if orbit not in g.orbit_ids():
-        raise InputError(f"unknown orbit {orbit!r}")
-    return ObjRef(orbit, offset)
+    return ObjRef(_known_orbit(g, orbit), offset)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _envelope(command: str, report: dict, g: ShiftGraph | None = None) -> dict:
@@ -160,9 +172,7 @@ def _cmd_heart(args):
 
     g = _load_graph(args.file)
     engine = PathEngine(g)
-    source = args.source
-    if source not in g.orbit_ids():
-        raise InputError(f"unknown orbit {source!r}")
+    source = _known_orbit(g, args.source)
     blk = next(b for b in engine.blocks() if source in b)
     heart = extract_heart(g, blk, source, engine=engine)
     check = verify_heart(g, heart, blk)
@@ -187,10 +197,7 @@ def _cmd_verify_heart(args):
 
 def _cmd_dist(args):
     g = _load_graph(args.file)
-    for orbit in (args.src, args.dst):
-        if orbit not in g.orbit_ids():
-            raise InputError(f"unknown orbit {orbit!r}")
-    w = PathEngine(g).min_weight(args.src, args.dst)
+    w = PathEngine(g).min_weight(_known_orbit(g, args.src), _known_orbit(g, args.dst))
     return {"from": args.src, "to": args.dst,
             "min_weight": _encode_weight(w)}, g, 0
 
@@ -231,9 +238,8 @@ def _cmd_gen(args):
         elif args.family == "a2":
             g, bad = gen_example_a2(fld)
             if args.bad_heart_out:
-                with open(args.bad_heart_out, "w", encoding="utf-8") as fh:
-                    json.dump(bad.to_dict(), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                _write(args.bad_heart_out,
+                       json.dumps(bad.to_dict(), indent=2, sort_keys=True) + "\n")
         elif args.family == "dual":
             g = gen_dual_numbers(args.max_length, args.window, fld)
         else:
@@ -242,11 +248,7 @@ def _cmd_gen(args):
         raise InputError(str(exc)) from exc
     except FieldTooSmall as exc:
         raise InputError(f"{exc}; set DERHED_FIELD_CHAR to a larger prime") from exc
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(g.to_json() + "\n")
-    except OSError as exc:
-        raise InputError(f"cannot write {args.out}: {exc}") from exc
+    _write(args.out, g.to_json() + "\n")
     return {"written": args.out, "orbits": len(g.orbits)}, g, 0
 
 

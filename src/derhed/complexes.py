@@ -83,19 +83,8 @@ class ProjComplex:
         if bad:
             raise ValueError(f"summands at unknown vertices: {bad}")
 
-    @property
-    def support(self) -> list[int]:
-        return sorted(self.degrees)
-
     def summands(self, d: int) -> list[str]:
         return self.degrees.get(d, [])
-
-    def diff(self, d: int) -> list[list[AlgElem]]:
-        src, tgt = self.summands(d), self.summands(d + 1)
-        m = self.diffs.get(d)
-        if m is None:
-            return [[{} for _ in tgt] for _ in src]
-        return m
 
     def is_zero(self) -> bool:
         return not self.degrees
@@ -111,9 +100,9 @@ class ProjComplex:
                 str(d): [
                     [sorted([self.algebra.basis[i].label, int(c)] for i, c in e.items())
                      for e in row]
-                    for row in self.diff(d)
+                    for row in m
                 ]
-                for d in sorted(self.diffs)
+                for d, m in sorted(self.diffs.items())
             },
         }
 
@@ -191,15 +180,14 @@ def check_complex(c: ProjComplex, p: int | None = None) -> ComplexReport:
                             f"e_{tgt[j]} A e_{src[i]}")
     if rep.errors:
         return rep
-    for d in sorted(c.degrees):
-        src, mid, tgt = c.summands(d), c.summands(d + 1), c.summands(d + 2)
-        if not src or not mid or not tgt:
-            continue
-        d1, d2 = c.diff(d), c.diff(d + 1)
-        for i in range(len(src)):
-            for k in range(len(tgt)):
+    for d, d1 in sorted(c.diffs.items()):
+        d2 = c.diffs.get(d + 1)
+        if d2 is None:
+            continue  # a missing differential is zero
+        for i in range(len(d1)):
+            for k in range(len(c.summands(d + 2))):
                 acc: AlgElem = {}
-                for j in range(len(mid)):
+                for j in range(len(d2)):
                     term = _compose(alg, d1[i][j], d2[j][k], p)
                     for b, cc in term.items():
                         acc[b] = (acc.get(b, 0) + cc) % p

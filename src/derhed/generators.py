@@ -13,11 +13,9 @@ from __future__ import annotations
 from .complexes import ProjComplex, build_shiftgraph_from_complexes
 from .hereditary import Heart
 from .linalg import PrimeField
-from .quiver import Arrow, Quiver, Representation, _hom_ext, build_algebra
+from .quiver import Arrow, MonomialAlgebra, Quiver, Representation, _hom_ext
 from .shiftgraph import (AbelianData, HomEdge, Orbit, ShiftGraph,
                          expand_hereditary)
-
-_ARROW_CHARS = {">": ">", "<": "<", "r": ">", "l": "<"}
 
 
 def _an_quiver(n: int, orientation: str) -> Quiver:
@@ -27,13 +25,12 @@ def _an_quiver(n: int, orientation: str) -> Quiver:
         raise ValueError(f"orientation word must have length {n - 1}")
     arrows = []
     for i, ch in enumerate(orientation, start=1):
-        c = _ARROW_CHARS.get(ch)
-        if c is None:
-            raise ValueError(f"orientation characters must be > or <, got {ch!r}")
-        if c == ">":
+        if ch == ">":
             arrows.append(Arrow(f"a{i}", str(i), str(i + 1)))
-        else:
+        elif ch == "<":
             arrows.append(Arrow(f"a{i}", str(i + 1), str(i)))
+        else:
+            raise ValueError(f"orientation characters must be > or <, got {ch!r}")
     return Quiver(tuple(str(v) for v in range(1, n + 1)), tuple(arrows))
 
 
@@ -66,7 +63,7 @@ def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,
     re-verifies each one indecomposable before the hereditary expansion."""
     fld = fld or PrimeField()
     q = _an_quiver(n, orientation)
-    alg = build_algebra(q, [])
+    alg = MonomialAlgebra(q, [])
     items = _interval_names_and_reps(alg, n)
     if names:
         items = [(names.get(nm, nm), rep) for nm, rep in items]
@@ -101,7 +98,7 @@ def gen_example_a2(fld: PrimeField | None = None) -> tuple[ShiftGraph, Heart]:
 def dual_numbers_algebra():
     """k<a>/(a^2): one vertex, one loop, one monomial relation."""
     q = Quiver(("v",), (Arrow("a", "v", "v"),))
-    return build_algebra(q, [("a", "a")])
+    return MonomialAlgebra(q, [("a", "a")])
 
 
 def dual_numbers_chain(alg, length: int, name: str = "") -> ProjComplex:
@@ -150,7 +147,7 @@ def a2_projective_resolutions():
     three indecomposables, named to match gen_example_a2: S2 = P_2 and
     I = P_1 are stalks, S1 resolves as P_2 -> P_1."""
     q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
-    alg = build_algebra(q, [])
+    alg = MonomialAlgebra(q, [])
     ai = alg.index["a"]
     s2 = ProjComplex(alg, {0: ["2"]}, {}, name="S2")
     i = ProjComplex(alg, {0: ["1"]}, {}, name="I")

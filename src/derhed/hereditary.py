@@ -86,10 +86,7 @@ class HereditaryReport:
         if self.heart_check is not None:
             out["heart_check"] = self.heart_check.to_dict()
         if self.witness is not None:
-            out["witness"] = [
-                {"kind": s.kind, "orbit": s.at.orbit, "offset": s.at.offset}
-                for s in self.witness
-            ]
+            out["witness"] = [s.to_dict() for s in self.witness]
         if self.degree_witness is not None:
             out["degree_witness"] = self.degree_witness
         return out

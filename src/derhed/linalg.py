@@ -107,28 +107,14 @@ class PrimeField:
             raise ValueError(f"field characteristic must be prime, got {p}")
         self.p = p
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-    def matrix(self, rows) -> list[list[int]]:
-        """The rows as a matrix with entries reduced into [0, p)."""
-        m = [[int(x) % self.p for x in row] for row in rows]
-        if any(len(row) != len(m[0]) for row in m):
-            raise ValueError("rows of a matrix must have equal length")
-        return m
 
     def zeros(self, rows: int, cols: int) -> list[list[int]]:
         return [[0] * cols for _ in range(rows)]
 
     def identity(self, n: int) -> list[list[int]]:
         return [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def inv(self, a: int) -> int:
-        """The inverse of a mod p; ValueError when a is 0 mod p."""
-        return pow(int(a), -1, self.p)
 
     def matmul(self, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
         """The product a b; b must have at least one row."""

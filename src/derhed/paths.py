@@ -44,6 +44,9 @@ class PathStep(NamedTuple):
     kind: str  # "start" | "hom" | "shift"
     at: ObjRef
 
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "orbit": self.at.orbit, "offset": self.at.offset}
+
 
 class PathReport:
     def __init__(self, exists: bool, min_weight: float,
@@ -57,9 +60,7 @@ class PathReport:
             "exists": self.exists,
             "min_weight": _encode_weight(self.min_weight),
             "witness": None if self.witness is None else [
-                {"kind": s.kind, "orbit": s.at.orbit, "offset": s.at.offset}
-                for s in self.witness
-            ],
+                s.to_dict() for s in self.witness],
         }
 
 

@@ -171,16 +171,9 @@ class MonomialAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def unit_index(self, vertex: str) -> int:
-        return self.index[f"e_{vertex}"]
-
     def mul_basis(self, i: int, j: int) -> Optional[int]:
         """Index of basis[i] * basis[j] (concatenation), or None for zero."""
         return self._mul[i].get(j)
-
-    def paths_between(self, source: str, target: str) -> list[int]:
-        """Basis indices of paths from source to target."""
-        return list(self._between.get((source, target), ()))
 
 
 class Representation:
@@ -213,11 +206,6 @@ class Representation:
                 raise ValueError(
                     f"map for arrow {a.id} is not of shape ({rows}, {cols})")
             self.maps[a.id] = m
-
-
-def build_algebra(quiver: Quiver, relations: list[tuple[str, ...]],
-                  bound: int = DEFAULT_PATH_BOUND) -> MonomialAlgebra:
-    return MonomialAlgebra(quiver, relations, bound=bound)
 
 
 def _hom_ext(m: Representation, n: Representation, fld: PrimeField) -> tuple[int, int]:
@@ -306,4 +294,4 @@ def algebra_from_dict(d: dict) -> MonomialAlgebra:
             for r in relations):
         raise ValueError("each relation must be a list of known arrow ids")
     q = Quiver(tuple(vertices), tuple(arrows))
-    return build_algebra(q, [tuple(r) for r in relations])
+    return MonomialAlgebra(q, [tuple(r) for r in relations])

@@ -14,7 +14,6 @@ for the infinite effective support.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from json.encoder import encode_basestring_ascii
@@ -146,13 +145,6 @@ class ShiftGraph:
         """The orbits b with a stored hom pair (a, b), sorted."""
         return self._targets.get(a, [])
 
-    def ref(self, orbit_id: str, offset: int) -> ObjRef:
-        """ObjRef with the offset reduced mod the orbit period."""
-        o = self.orbit(orbit_id)
-        if o.period is not None:
-            offset %= o.period
-        return ObjRef(orbit_id, offset)
-
     # -- serialization (the authoritative instance JSON schema) --
 
     def to_dict(self) -> dict:
@@ -253,10 +245,6 @@ class ShiftGraph:
                        windowed=windowed, field_char=field_char)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{bad}: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShiftGraph":
-        return cls.from_dict(json.loads(text))
 
 
 class ValidationReport:

@@ -295,6 +295,72 @@ def test_input_errors_exit_2(capsys, tmp_path, a2_files):
     assert code == 2
 
 
+def _input_error(fragment):
+    return lambda rep, run: (rep["error"]["type"] == "input"
+                             and fragment in rep["error"]["message"])
+
+
+# argv with {name} standing for a file of the branch_files fixture, the
+# exit code, and a check of the printed envelope (run repeats the CLI)
+CLI_BRANCHES = {
+    "check-within-window": (
+        ["check", "{win}"], 0,
+        lambda rep, run: rep["report"]["verdict"] == "hereditary-within-window"),
+    "path-bare-orbit": (
+        ["path", "{a2}", "S1", "S2@1"], 0,
+        lambda rep, run: rep == run("path", "{a2}", "S1@0", "S2@1")),
+    "path-unknown-orbit": (
+        ["path", "{a2}", "S1@0", "ZZ@1"], 2, _input_error("unknown orbit 'ZZ'")),
+    "verify-heart-unknown-orbit": (
+        ["verify-heart", "{a2}", "--heart", "{heart}"], 2,
+        _input_error("heart names unknown orbits: ['ZZ']")),
+    "gen-an-n-9": (
+        ["gen", "an", "--n", "9", "--orientation", ">" * 8, "--out", "{dir}/a9.json"], 2,
+        _input_error("n must be between 2 and 8")),
+    "gen-an-letter-orientation": (
+        ["gen", "an", "--n", "3", "--orientation", "rl", "--out", "{dir}/a3.json"], 2,
+        _input_error("orientation characters must be > or <, got 'r'")),
+    "gen-out-missing-dir": (
+        ["gen", "semisimple", "--period", "2", "--out", "{dir}/missing/g.json"], 2,
+        _input_error("cannot write")),
+    "gen-bad-heart-out-missing-dir": (
+        ["gen", "a2", "--out", "{dir}/a2.json", "--bad-heart-out", "{dir}/missing/h.json"], 2,
+        _input_error("cannot write")),
+    "hom-rejected-complex": (
+        ["hom", "{alg}", "{bad}", "{p1}"], 2,
+        _input_error("not in e_1 A e_1")),
+}
+
+
+@pytest.fixture(scope="module")
+def branch_files(tmp_path_factory, a2_files):
+    from derhed.generators import gen_a2_from_complexes
+
+    d = tmp_path_factory.mktemp("branches")
+    win = d / "a2_win.json"
+    win.write_text(gen_a2_from_complexes(2).to_json() + "\n")
+    heart = d / "heart.json"
+    heart.write_text(json.dumps({"offsets": {"I": 0, "S1": 0, "S2": 0, "ZZ": 0}}))
+    alg, p1, _ = write_a2_projectives(d)
+    # a map P1 -> P1 must lie in e_1 A e_1, which does not hold the arrow
+    bad = d / "bad.json"
+    bad.write_text(json.dumps({"name": "B", "degrees": {"-1": ["1"], "0": ["1"]},
+                               "differentials": {"-1": [[[["a", 1]]]]}}))
+    return {"a2": a2_files[0], "win": win, "heart": heart, "alg": alg,
+            "p1": p1, "bad": bad, "dir": d}
+
+
+@pytest.mark.parametrize("argv, code, check", CLI_BRANCHES.values(),
+                         ids=list(CLI_BRANCHES))
+def test_cli_branches(capsys, branch_files, argv, code, check):
+    def run(*argv):
+        return run_cli(capsys, *(a.format(**branch_files) for a in argv))
+
+    got, rep = run(*argv)
+    assert got == code
+    assert check(rep, lambda *argv: run(*argv)[1])
+
+
 @pytest.mark.parametrize("field,value", oracles.WRONG_FIELD_TYPES,
                          ids=[f for f, _ in oracles.WRONG_FIELD_TYPES])
 def test_validate_wrong_field_type_exit_2(capsys, tmp_path, field, value):

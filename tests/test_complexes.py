@@ -9,7 +9,7 @@ from derhed.generators import (a2_projective_resolutions,
                                dual_numbers_algebra, dual_numbers_chain,
                                gen_dual_numbers)
 from derhed.linalg import PrimeField
-from derhed.quiver import Arrow, Quiver, build_algebra
+from derhed.quiver import Arrow, MonomialAlgebra, Quiver
 
 from oracles import hom_oracle
 
@@ -22,7 +22,7 @@ def dual():
 def linear_an(n):
     q = Quiver(tuple(str(v) for v in range(1, n + 1)),
                tuple(Arrow(f"a{i}", str(i), str(i + 1)) for i in range(1, n)))
-    return build_algebra(q, [])
+    return MonomialAlgebra(q, [])
 
 
 def interval_resolution(alg, n, a, b, name=""):
@@ -117,7 +117,7 @@ def a3_shortcut_complexes():
     and P3->P2->P1, each with top degree 0."""
     q = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3"),
                                  Arrow("c", "1", "3")))
-    alg = build_algebra(q, [("a", "b")])
+    alg = MonomialAlgebra(q, [("a", "b")])
     a, b, c = (alg.index[x] for x in "abc")
 
     def cx(name, *vs_and_maps):
@@ -148,6 +148,37 @@ def test_a3_shortcut_matches_oracle(fld):
     assert nonzero > 0
     # the weight-2 self-extension of P3->P2->P1 (its Ext^2)
     assert hom_k_dim(xs[-1], xs[-1], 2, fld) == 1
+
+
+def test_oracle_reads_no_engine_index(fld):
+    """The oracle lists the paths between two vertices from alg.basis, not
+    from the (source, target) index that hom_k_dim reads: with the arrow a
+    dropped from that index, the two disagree on Hom(P2, P1), where no
+    differential is involved."""
+    alg, xs = a3_shortcut_complexes()
+    p1, p2 = xs[:2]
+    alg._between[("1", "2")].remove(alg.index["a"])
+    assert hom_k_dim(p2, p1, 0, fld) == 0
+    assert hom_oracle(alg, p2, p1, 0, fld.p) == 1
+
+
+def test_missing_differential_is_zero(fld):
+    """Adjacent nonempty degrees with no differential between them: P2[1]
+    + P1 over A_2, and P2 -> P2 -> P1 with only the last map given."""
+    alg, reps = a2_projective_resolutions()
+    split = ProjComplex(alg, {-1: ["2"], 0: ["1"]}, name="split")
+    gap = ProjComplex(alg, {-2: ["2"], -1: ["2"], 0: ["1"]},
+                      {-1: [[{alg.index["a"]: 1}]]}, name="gap")
+    xs = reps + [split, gap]
+    for x in xs:
+        assert check_complex(x, fld.p).ok, x.name
+        for y in xs:
+            for n in range(-3, 4):
+                assert hom_k_dim(x, y, n, fld) == hom_oracle(alg, x, y, n, fld.p), (
+                    x.name, y.name, n)
+    # End(P2) + End(P1), and the arrow P2 -> P1 as a degree-1 map
+    assert hom_k_dim(split, split, 0, fld) == 2
+    assert hom_k_dim(split, split, 1, fld) == 1
 
 
 @pytest.mark.parametrize("p", [32003, 3])
@@ -267,7 +298,7 @@ def test_is_indecomposable_kronecker_bands(p):
     two distinct roots mod p; an irreducible f makes End(X)/J the field
     GF(p^2), which the Frobenius step tells from GF(p) x GF(p)."""
     q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
-    alg = build_algebra(q, [])
+    alg = MonomialAlgebra(q, [])
     a, b = alg.index["a"], alg.index["b"]
     fld = PrimeField(p)
     for c0 in range(p):
