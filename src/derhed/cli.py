@@ -86,12 +86,17 @@ def _parse_ref(g: ShiftGraph, text: str) -> ObjRef:
     return ObjRef(_known_orbit(g, orbit), offset)
 
 
-def _write(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+def _write(*files: tuple[str, str]) -> None:
+    """Write each (path, text); a missing or read-only directory refuses all."""
+    for path, _ in files:
+        if not os.access(os.path.dirname(path) or ".", os.W_OK):
+            raise InputError(f"cannot write {path}: its directory is missing or read-only")
+    for path, text in files:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _envelope(command: str, report: dict, g: ShiftGraph | None = None) -> dict:
@@ -231,15 +236,15 @@ def _cmd_gen(args):
                              gen_semisimple_block)
     from .quiver import InfiniteDimensional
 
-    fld = _field()
+    fld, heart = _field(), []
     try:
         if args.family == "an":
             g = gen_dynkin_an(args.n, args.orientation, fld)
         elif args.family == "a2":
             g, bad = gen_example_a2(fld)
             if args.bad_heart_out:
-                _write(args.bad_heart_out,
-                       json.dumps(bad.to_dict(), indent=2, sort_keys=True) + "\n")
+                heart = [(args.bad_heart_out,
+                          json.dumps(bad.to_dict(), indent=2, sort_keys=True) + "\n")]
         elif args.family == "dual":
             g = gen_dual_numbers(args.max_length, args.window, fld)
         else:
@@ -248,7 +253,7 @@ def _cmd_gen(args):
         raise InputError(str(exc)) from exc
     except FieldTooSmall as exc:
         raise InputError(f"{exc}; set DERHED_FIELD_CHAR to a larger prime") from exc
-    _write(args.out, g.to_json() + "\n")
+    _write(*heart, (args.out, g.to_json() + "\n"))
     return {"written": args.out, "orbits": len(g.orbits)}, g, 0
 
 

@@ -1,26 +1,24 @@
 """Bounded complexes of projectives over a monomial algebra, and hom
 computation in their homotopy category.
 
-A complex stores, per degree, a list of vertices (each naming one
-indecomposable projective summand) and, per degree d, a matrix of algebra
-elements: entry (i, j) is the component from summand i of degree d to
-summand j of degree d+1 and lies in e_w A e_v, where v is the vertex of
-the source summand and w the vertex of the target summand (module maps
-between projectives act by left multiplication, see quiver.py).
+A complex stores, per degree (in ascending order), a list of vertices,
+each naming one indecomposable projective summand, and, per degree d, a
+matrix of algebra elements: entry (i, j) is the component from summand i
+of degree d to summand j of degree d+1 and lies in e_w A e_v, v and w the
+vertices of the source and target summands (module maps between
+projectives act by left multiplication, see quiver.py).
 
 hom_k_dim computes Hom(X, Y[n]) in the homotopy category as the n-th
 cohomology of the total hom complex: degree-n maps modulo those of the
 form d s + (-1)^(n-1) s d.  Everything reduces to rank and nullspace over
-the configured prime field.  The coordinates of the degree-m maps are
-built once per degree m and shared by the two boundaries d_(m-1) and d_m
-that use them; each boundary is a list of sparse rows, one dict of
-nonzero entries per target coordinate, which the GF(p) kernels take as
-they are (see linalg.py).  _hom_coords builds a coordinate list in one
-pass over the degree lists of both complexes and the algebra's index of
-paths by (source, target), in ascending degree of X, so the order of the
-coordinates (and with it the End basis) is fixed.  The boundaries and
-composites read every product of basis paths from the algebra's product
-table, built once per algebra (see quiver.py).
+the configured prime field.  The degree-m maps have one coordinate per
+(degree i, X-summand a, Y-summand b at i+m, basis path of e_{vb} A
+e_{va}), in blocks: _hom_blocks gives each (i, a, b) with a path an
+offset, ascending with i, then a, then b (which fixes the End basis), and
+path k of the block sits at offset + alg._slot[k].  The blocks of degree
+m are built once and shared by the boundaries d_(m-1) and d_m, each a list
+of sparse rows, one dict of nonzero entries per target coordinate, as the
+GF(p) kernels take them.  Every path product comes from the algebra's table.
 
 build_shiftgraph_from_complexes works from one window table of hom
 dimensions per ordered pair of complexes (each hom-complex boundary
@@ -75,7 +73,7 @@ class ProjComplex:
     def __init__(self, algebra: MonomialAlgebra, degrees: dict[int, list[str]],
                  diffs: dict[int, list[list[AlgElem]]] | None = None, name: str = ""):
         self.algebra = algebra
-        self.degrees = {int(d): list(vs) for d, vs in degrees.items() if vs}
+        self.degrees = dict(sorted((int(d), list(vs)) for d, vs in degrees.items() if vs))
         self.diffs = {int(d): m for d, m in (diffs or {}).items()}
         self.name = name
         known = set(self.algebra.quiver.vertices)
@@ -198,49 +196,56 @@ def check_complex(c: ProjComplex, p: int | None = None) -> ComplexReport:
 
 # -- hom complex assembly --
 
-def _hom_coords(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int):
-    """Coordinates of the space of degree-n graded maps X -> Y: one per
-    (degree i, X-summand a, Y-summand b at i+n, basis path of
-    e_{vb} A e_{va}), in ascending order of i."""
+def _hom_blocks(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int):
+    """The blocks {(i, a, b): (offset, paths)} of the degree-n graded maps
+    X -> Y, paths the basis of e_{vb} A e_{va}, and their coordinate count."""
     between, ydeg = alg._between, y.degrees
-    return [(i, a, b, idx)
-            for i, xs in sorted(x.degrees.items()) if i + n in ydeg
-            for a, va in enumerate(xs)
-            for b, vb in enumerate(ydeg[i + n])
-            for idx in between.get((vb, va), ())]
+    blocks, size = {}, 0
+    for i, xs in x.degrees.items():
+        ys = ydeg.get(i + n)
+        for a, va in enumerate(xs if ys else ()):
+            for b, vb in enumerate(ys):
+                paths = between.get((vb, va))
+                if paths:
+                    blocks[i, a, b] = (size, paths)
+                    size += len(paths)
+    return blocks, size
 
 
 def _hom_boundary(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int,
-                  src_coords: list, tgt_coords: list, p: int) -> list[dict[int, int]]:
+                  src, tgt, p: int) -> list[dict[int, int]]:
     """Matrix of the hom-complex differential from degree-n maps to
-    degree-(n+1) maps, f -> d_Y f - (-1)^n f d_X, given the coordinates
-    of both (_hom_coords for n and n + 1), as one dict of nonzero entries
-    per target coordinate.  No entry gets two terms: d_Y f lands in
-    degree i, f d_X in degree i - 1, and a path product fixes each
-    factor given the other."""
-    tgt_pos = {c: k for k, c in enumerate(tgt_coords)}
-    rows: list[dict[int, int]] = [{} for _ in tgt_coords]
-    mul = alg._mul
+    degree-(n+1) maps, f -> d_Y f - (-1)^n f d_X, given the blocks of both
+    (_hom_blocks for n and n + 1), as one dict of nonzero entries per
+    target coordinate.  Product k lands at offset + slot[k] of the target
+    block, found once per source block and differential entry; an entry off
+    the vertices of its summands (check_complex refuses it) adds nothing,
+    and no entry gets two terms, as a path product fixes each factor."""
+    (blocks, _), (tgt_blocks, size) = src, tgt
+    rows: list[dict[int, int]] = [{} for _ in range(size)]
+    mul, slot, basis = alg._mul, alg._slot, alg.basis
     sign = -1 if n % 2 == 0 else 1  # coefficient of the f d_X term
-    for col, (i, a, b, q) in enumerate(src_coords):
-        # d_Y f: the unit path q, then the entries of row b of d_Y
+    for (i, a, b), (off, paths) in blocks.items():
+        # d_Y f: the path q, then entry (b, c) of d_Y, into block (i, a, c)
         dy = y.diffs.get(i + n)
-        if dy is not None:
-            for c2, e in enumerate(dy[b]):
-                for idx, coeff in e.items():
-                    # a zero product (None) matches no coordinate
-                    k = tgt_pos.get((i, a, c2, mul[idx].get(q)))
-                    if k is not None and coeff % p:
-                        rows[k][col] = coeff % p
-        # f d_X: the entries of column a of d_X, then q
-        dx = x.diffs.get(i - 1)
-        if dx is not None:
-            products = mul[q]
-            for a2, drow in enumerate(dx):
-                for idx, coeff in drow[a].items():
-                    k = tgt_pos.get((i - 1, a2, b, products.get(idx)))
-                    if k is not None and sign * coeff % p:
-                        rows[k][col] = sign * coeff % p
+        for c, e in enumerate(dy[b] if dy is not None else ()):
+            t = tgt_blocks.get((i, a, c))
+            for idx, coeff in e.items() if t is not None else ():
+                if coeff % p and basis[idx].source == y.degrees[i + n + 1][c]:
+                    products = mul[idx]
+                    for col, q in enumerate(paths, off):
+                        k = products.get(q)
+                        if k is not None:
+                            rows[t[0] + slot[k]][col] = coeff % p
+        # f d_X: entry (a2, a) of d_X, then the path q, into block (i - 1, a2, b)
+        for a2, drow in enumerate(x.diffs.get(i - 1, ())):
+            t = tgt_blocks.get((i - 1, a2, b))
+            for idx, coeff in drow[a].items() if t is not None else ():
+                if sign * coeff % p and basis[idx].target == x.degrees[i - 1][a2]:
+                    for col, q in enumerate(paths, off):
+                        k = mul[q].get(idx)
+                        if k is not None:
+                            rows[t[0] + slot[k]][col] = sign * coeff % p
     return rows
 
 
@@ -253,16 +258,15 @@ def _hom_dims(x: ProjComplex, y: ProjComplex, lo: int, hi: int,
               fld: PrimeField) -> dict[int, int]:
     """{n: dim Hom(X, Y[n])} for lo <= n <= hi, from a table of the ranks
     of the hom-complex boundaries d_m (lo-1 <= m <= hi): dim_n =
-    len(coords[n]) - rank[n] - rank[n-1].  The coordinates of each degree
-    lo-1 <= m <= hi+1 are built once, and d_m is built and ranked once,
-    only when it has both a source and a target coordinate (its rank is 0
-    by shape otherwise)."""
+    size[n] - rank[n] - rank[n-1].  The blocks of each degree are built
+    once, and d_m is built and its nonempty rows ranked once, only when it
+    has both a source and a target coordinate (else its rank is 0)."""
     alg, p = x.algebra, fld.p
-    coords = {m: _hom_coords(alg, x, y, m) for m in range(lo - 1, hi + 2)}
-    rank = {m: fld.rank(_hom_boundary(alg, x, y, m, coords[m], coords[m + 1], p))
-            if coords[m] and coords[m + 1] else 0
+    blk = {m: _hom_blocks(alg, x, y, m) for m in range(lo - 1, hi + 2)}
+    rank = {m: fld.rank([r for r in _hom_boundary(alg, x, y, m, blk[m], blk[m + 1], p) if r])
+            if blk[m][1] and blk[m + 1][1] else 0
             for m in range(lo - 1, hi + 1)}
-    return {n: len(coords[n]) - rank[n] - rank[n - 1] for n in range(lo, hi + 1)}
+    return {n: blk[n][1] - rank[n] - rank[n - 1] for n in range(lo, hi + 1)}
 
 
 def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
@@ -274,18 +278,15 @@ def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
 
 
 def _hom_reps(x: ProjComplex, y: ProjComplex, n: int, fld: PrimeField):
-    """Hom-space data: (coords, a list of chain maps whose classes form a
-    basis of Hom_K, the sparse rows of the boundary d_(n-1), one per
-    coordinate, and its column count)."""
+    """Hom-space data: (the blocks of the degree-n maps, a list of chain
+    maps whose classes form a basis of Hom_K, the sparse rows of the
+    boundary d_(n-1), one per coordinate, and its column count)."""
     alg = x.algebra
-    prev_coords, src_coords, next_coords = (_hom_coords(alg, x, y, m)
-                                            for m in (n - 1, n, n + 1))
-    z = fld.nullspace(_hom_boundary(alg, x, y, n, src_coords, next_coords, fld.p),
-                      len(src_coords))
-    bmat = _hom_boundary(alg, x, y, n - 1, prev_coords, src_coords, fld.p)
-    nb = len(prev_coords)
+    prev, src, nxt = (_hom_blocks(alg, x, y, m) for m in (n - 1, n, n + 1))
+    z = fld.nullspace(_hom_boundary(alg, x, y, n, src, nxt, fld.p), src[1])
+    bmat, nb = _hom_boundary(alg, x, y, n - 1, prev, src, fld.p), prev[1]
     _, pivots = fld.rref(_beside(bmat, nb, z))
-    return src_coords, [z[c - nb] for c in pivots if c >= nb], bmat, nb
+    return src, [z[c - nb] for c in pivots if c >= nb], bmat, nb
 
 
 def _beside(m: list[dict[int, int]], cols: int, vectors: list[list[int]]) -> list[dict]:
@@ -295,30 +296,22 @@ def _beside(m: list[dict[int, int]], cols: int, vectors: list[list[int]]) -> lis
 
 
 def _compose_coords(alg: MonomialAlgebra, fld: PrimeField,
-                    f: list[int], f_coords,
-                    g: list[int], g_coords,
-                    out_pos) -> list[int]:
-    """Coordinates of the composite (first f, then g) of two degree-0
-    graded maps, in the coordinate system `out_pos`."""
-    out = [0] * len(out_pos)
-    fmap: dict[tuple[int, int, int], AlgElem] = {}
-    for k, (i, a, b, q) in enumerate(f_coords):
-        if f[k] % fld.p:
-            fmap.setdefault((i, a, b), {})[q] = f[k] % fld.p
-    gmap: dict[tuple[int, int, int], AlgElem] = {}
-    for k, (i, b, c, r) in enumerate(g_coords):
-        if g[k] % fld.p:
-            gmap.setdefault((i, b, c), {})[r] = g[k] % fld.p
-    for (i, a, b), fe in fmap.items():
-        for (i2, b2, c), ge in gmap.items():
-            if i2 != i or b2 != b:
-                continue
-            term = _compose(alg, fe, ge, fld.p)
-            for idx, coeff in term.items():
-                pos = out_pos.get((i, a, c, idx))
-                if pos is not None:
-                    out[pos] = (out[pos] + coeff) % fld.p
-    return out
+                    f: list[int], f_blocks, g: list[int], g_blocks, out) -> list[int]:
+    """Coordinates on the blocks `out` of the composite (first f, then g)
+    of degree-0 graded maps X -> Y -> Z given on f_blocks and g_blocks:
+    block (i, a, b) of f meets blocks (i, b, c) of g in block (i, a, c)."""
+    p, slot, vec = fld.p, alg._slot, [0] * out[1]
+    g_from: dict[tuple[int, int], list] = {}
+    for (i, b, c), (off, paths) in g_blocks[0].items():
+        g_from.setdefault((i, b), []).append(
+            (c, {r: g[col] % p for col, r in enumerate(paths, off) if g[col] % p}))
+    for (i, a, b), (off, paths) in f_blocks[0].items():
+        fe = {q: f[col] % p for col, q in enumerate(paths, off) if f[col] % p}
+        for c, ge in g_from.get((i, b), ()):
+            for idx, coeff in _compose(alg, fe, ge, p).items():
+                k = out[0][i, a, c][0] + slot[idx]
+                vec[k] = (vec[k] + coeff) % p
+    return vec
 
 
 class EndAlgebra:
@@ -330,9 +323,8 @@ class EndAlgebra:
     def __init__(self, x: ProjComplex, fld: PrimeField):
         self.x = x
         self.fld = fld
-        self.coords, self.reps, bmat, self._nb = _hom_reps(x, x, 0, fld)
+        self.blocks, self.reps, bmat, self._nb = _hom_reps(x, x, 0, fld)
         # reps: a basis b_0, ..., b_(dim-1) of End, as cycles in ambient coordinates
-        self.pos = {c: k for k, c in enumerate(self.coords)}
         self.dim = len(self.reps)
         self._solve_basis = _beside(bmat, self._nb, self.reps)
         self._struct: dict[tuple[int, int], list[int]] | None = None
@@ -352,9 +344,8 @@ class EndAlgebra:
         solve."""
         if self._struct is None:
             pairs = [(i, j) for i in range(self.dim) for j in range(self.dim)]
-            comps = [_compose_coords(self.x.algebra, self.fld,
-                                     self.reps[j], self.coords,
-                                     self.reps[i], self.coords, self.pos)
+            comps = [_compose_coords(self.x.algebra, self.fld, self.reps[j], self.blocks,
+                                     self.reps[i], self.blocks, self.blocks)
                      for i, j in pairs]
             self._struct = dict(zip(pairs, self.to_quotient(comps)))
         return self._struct
@@ -502,8 +493,8 @@ def _isomorphic(end: EndAlgebra, y: ProjComplex) -> bool:
     whether they span End(X); no radical is needed.  No composite
     (Hom(X, Y) or Hom(Y, X) is 0) answers False."""
     x, fld = end.x, end.fld
-    f_coords, f_reps, *_ = _hom_reps(x, y, 0, fld)
-    g_coords, g_reps, *_ = _hom_reps(y, x, 0, fld)
-    comps = [_compose_coords(x.algebra, fld, f, f_coords, g, g_coords, end.pos)
+    f_blocks, f_reps, *_ = _hom_reps(x, y, 0, fld)
+    g_blocks, g_reps, *_ = _hom_reps(y, x, 0, fld)
+    comps = [_compose_coords(x.algebra, fld, f, f_blocks, g, g_blocks, end.blocks)
              for f in f_reps for g in g_reps]
     return bool(comps) and fld.rank(end.to_quotient(comps)) == end.dim

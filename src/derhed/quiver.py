@@ -87,7 +87,9 @@ class MonomialAlgebra:
     maps j to the index of basis[i] * basis[j] for every nonzero product.
     It is filled by pairing each path with the paths that start at its
     target, so it holds one entry per nonzero product (a linear A_n has
-    about n**3/6 of them against a dim**2 of about n**4/4).
+    about n**3/6 of them against a dim**2 of about n**4/4).  ``_between``
+    lists the paths from s to t under (s, t), in basis order, and
+    ``_slot[i]`` is the place of path i in its list (hom-complex offsets).
     """
 
     def __init__(self, quiver: Quiver, relations: list[tuple[str, ...]],
@@ -100,10 +102,12 @@ class MonomialAlgebra:
         self.relations = tuple(tuple(r) for r in relations)
         self.basis: list[BasisPath] = self._enumerate_basis(bound)
         self.index = {bp.label: i for i, bp in enumerate(self.basis)}
-        # (source, target) -> basis indices of the paths between, in basis order
         self._between: dict[tuple[str, str], list[int]] = {}
+        self._slot: list[int] = []
         for i, bp in enumerate(self.basis):
-            self._between.setdefault((bp.source, bp.target), []).append(i)
+            paths = self._between.setdefault((bp.source, bp.target), [])
+            self._slot.append(len(paths))
+            paths.append(i)
         self._mul = self._product_table()
 
     @staticmethod

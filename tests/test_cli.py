@@ -326,6 +326,9 @@ CLI_BRANCHES = {
     "gen-bad-heart-out-missing-dir": (
         ["gen", "a2", "--out", "{dir}/a2.json", "--bad-heart-out", "{dir}/missing/h.json"], 2,
         _input_error("cannot write")),
+    "gen-a2-out-missing-dir": (
+        ["gen", "a2", "--out", "{dir}/missing/a2.json", "--bad-heart-out", "{dir}/h.json"], 2,
+        _input_error("cannot write")),
     "hom-rejected-complex": (
         ["hom", "{alg}", "{bad}", "{p1}"], 2,
         _input_error("not in e_1 A e_1")),
@@ -359,6 +362,10 @@ def test_cli_branches(capsys, branch_files, argv, code, check):
     got, rep = run(*argv)
     assert got == code
     assert check(rep, lambda *argv: run(*argv)[1])
+    if code == 2:  # a refused command writes no file
+        for flag, path in zip(argv, argv[1:]):
+            if flag in ("--out", "--bad-heart-out"):
+                assert not os.path.exists(path.format(**branch_files)), path
 
 
 @pytest.mark.parametrize("field,value", oracles.WRONG_FIELD_TYPES,

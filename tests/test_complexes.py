@@ -1,7 +1,7 @@
 import pytest
 
 from derhed.complexes import (EndAlgebra, FieldTooSmall, ProjComplex,
-                              _compose_coords, _hom_boundary, _hom_coords,
+                              _compose_coords, _hom_blocks, _hom_boundary,
                               _hom_dims, are_isomorphic,
                               check_complex, hom_k_dim, is_indecomposable,
                               shift_complex)
@@ -201,21 +201,94 @@ def test_hom_complex_squares_to_zero(dual, family, p):
     for x in xs:
         for y in xs:
             alg = x.algebra
-            coords = {m: _hom_coords(alg, x, y, m) for m in range(-4, 7)}
+            blocks = {m: _hom_blocks(alg, x, y, m) for m in range(-4, 7)}
+            size = {m: blocks[m][1] for m in blocks}
             for n in range(-4, 5):
-                d_n = _hom_boundary(alg, x, y, n, coords[n], coords[n + 1], p)
-                d_next = _hom_boundary(alg, x, y, n + 1, coords[n + 1], coords[n + 2], p)
+                d_n = _hom_boundary(alg, x, y, n, blocks[n], blocks[n + 1], p)
+                d_next = _hom_boundary(alg, x, y, n + 1, blocks[n + 1], blocks[n + 2], p)
                 # one sparse row per target coordinate, keyed by source
                 # coordinates, holding only entries reduced into [1, p)
                 for d, src, tgt in ((d_n, n, n + 1), (d_next, n + 1, n + 2)):
-                    assert len(d) == len(coords[tgt])
-                    assert all(0 <= c < len(coords[src]) and 0 < v < p
+                    assert len(d) == size[tgt]
+                    assert all(0 <= c < size[src] and 0 < v < p
                                for row in d for c, v in row.items())
                 # (d_next d_n)[i][j] = sum_k d_next[i][k] d_n[k][j] = 0 mod p
                 assert all(sum(c * d_n[k].get(j, 0) for k, c in row.items()) % p == 0
-                           for row in d_next for j in range(len(coords[n])))
+                           for row in d_next for j in range(size[n]))
             assert _hom_dims(x, y, -3, 3, f) == {n: hom_k_dim(x, y, n, f)
                                                   for n in range(-3, 4)}
+
+
+def direct_sum(x, y, name=""):
+    """X + Y: in every degree the summands of Y after those of X, and the
+    differentials block-diagonal (a missing one is zero)."""
+    degs = sorted(set(x.degrees) | set(y.degrees))
+
+    def rows(c, d, before, after):
+        m = c.diffs.get(d) or [[{} for _ in c.summands(d + 1)] for _ in c.summands(d)]
+        return [[{} for _ in range(before)] + list(row) + [{} for _ in range(after)]
+                for row in m]
+
+    return ProjComplex(
+        x.algebra, {d: x.summands(d) + y.summands(d) for d in degs},
+        {d: rows(x, d, 0, len(y.summands(d + 1))) + rows(y, d, len(x.summands(d + 1)), 0)
+         for d in degs if d + 1 in degs}, name=name)
+
+
+def assert_homs_match_oracle(alg, xs, fld):
+    """hom_k_dim, the window table and the oracle agree on every ordered
+    pair of xs at shifts -3..3; returns how many of those homs are nonzero."""
+    nonzero = 0
+    for x in xs:
+        for y in xs:
+            table = _hom_dims(x, y, -3, 3, fld)
+            for n in range(-3, 4):
+                want = hom_oracle(alg, x, y, n, fld.p)
+                assert hom_k_dim(x, y, n, fld) == table[n] == want, (x.name, y.name, n)
+                nonzero += want > 0
+    return nonzero
+
+
+@pytest.mark.parametrize("p", [3, 32003])
+def test_kronecker_band_homs_match_oracle(p):
+    """Two summands in each degree and two paths (a and b) in each block,
+    so a coordinate is found at a nonzero offset plus a nonzero slot."""
+    alg, fld = kronecker(), PrimeField(p)
+    coeffs = ([(c0, c1) for c0 in range(p) for c1 in range(p)] if p == 3
+              else [(0, 0), (1, 0), (2, 3), (p - 1, 5)])
+    xs = [kronecker_band(alg, p, c0, c1) for c0, c1 in coeffs]
+    assert assert_homs_match_oracle(alg, xs, fld) > 0
+
+
+# (X, Y, k) for the sums X + Y[k], as indices into the family
+SUM_PLAN = [(0, 1, 1), (1, 2, -1), (2, 0, 0), (1, 1, 2)]
+
+
+@pytest.mark.parametrize("p", [3, 32003])
+@pytest.mark.parametrize("family", ["dual", "a2", "a3"])
+def test_direct_sum_homs_match_oracle(dual, family, p):
+    """Direct sums X + Y[k] put summands of two complexes side by side in
+    one degree.  hom_k_dim and the window table agree with the oracle on
+    the family and the sums; each sum is decomposable, and are_isomorphic
+    finds exactly its summands among the family."""
+    fld = PrimeField(p)
+    if family == "dual":
+        xs = [dual_numbers_chain(dual, l, name=f"C{l}") for l in (1, 2, 3)]
+    elif family == "a2":
+        xs = a2_projective_resolutions()[1]
+    else:
+        xs = a3_shortcut_complexes()[1][3:6]
+    alg = xs[0].algebra
+    sums = [direct_sum(xs[i], shift_complex(xs[j], k, p), f"{xs[i].name}+{xs[j].name}[{k}]")
+            for i, j, k in SUM_PLAN]
+    for s in sums:
+        assert check_complex(s, p).ok, s.name
+    assert assert_homs_match_oracle(alg, xs + sums, fld) > 0
+    for s, (i, j, k) in zip(sums, SUM_PLAN):
+        if p > 3:  # the trace-form radical needs p > dim End
+            assert not is_indecomposable(s, fld), s.name
+        for z, x in enumerate(xs):
+            assert are_isomorphic(x, s, fld) == (z == i or (z == j and k == 0)), (x.name, s.name)
 
 
 def test_dual_numbers_graph_matches_per_call_dims(dual, fld):
@@ -290,23 +363,32 @@ def test_is_indecomposable_a2(fld):
         assert is_indecomposable(x, fld)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_is_indecomposable_kronecker_bands(p):
+def kronecker_band(alg, p, c0, c1):
     """Over the Kronecker quiver 1 => 2 (arrows a, b), X = P2^2 -> P1^2
     with differential a*I + b*C, C the companion matrix of f = x^2 + c1*x
-    + c0, resolves the module k[x]/(f).  It is indecomposable unless f has
-    two distinct roots mod p; an irreducible f makes End(X)/J the field
-    GF(p^2), which the Frobenius step tells from GF(p) x GF(p)."""
-    q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
-    alg = MonomialAlgebra(q, [])
+    + c0; it resolves the module k[x]/(f)."""
     a, b = alg.index["a"], alg.index["b"]
+    comp = [[0, -c0 % p], [1, -c1 % p]]
+    diff = [[{k: v for k, v in ((a, int(i == j)), (b, comp[i][j])) if v}
+             for j in range(2)] for i in range(2)]
+    return ProjComplex(alg, {-1: ["2", "2"], 0: ["1", "1"]}, {-1: diff}, name=f"B{c0},{c1}")
+
+
+def kronecker():
+    q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
+    return MonomialAlgebra(q, [])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_is_indecomposable_kronecker_bands(p):
+    """The band complex of f is indecomposable unless f has two distinct
+    roots mod p; an irreducible f makes End(X)/J the field GF(p^2), which
+    the Frobenius step tells from GF(p) x GF(p)."""
+    alg = kronecker()
     fld = PrimeField(p)
     for c0 in range(p):
         for c1 in range(p):
-            comp = [[0, -c0 % p], [1, -c1 % p]]
-            diff = [[{k: v for k, v in ((a, int(i == j)), (b, comp[i][j])) if v}
-                     for j in range(2)] for i in range(2)]
-            x = ProjComplex(alg, {-1: ["2", "2"], 0: ["1", "1"]}, {-1: diff})
+            x = kronecker_band(alg, p, c0, c1)
             roots = {r for r in range(p) if (r * r + c1 * r + c0) % p == 0}
             assert is_indecomposable(x, fld) == (len(roots) != 2), (c0, c1)
 
@@ -355,8 +437,8 @@ def test_structure_table_of_noncommutative_end(fld):
     st = end.structure()
     assert sorted(st) == [(i, j) for i in range(3) for j in range(3)]
     for (i, j), prod in st.items():
-        comp = _compose_coords(alg, fld, end.reps[j], end.coords,
-                               end.reps[i], end.coords, end.pos)
+        comp = _compose_coords(alg, fld, end.reps[j], end.blocks,
+                               end.reps[i], end.blocks, end.blocks)
         assert prod == end.to_quotient([comp])[0]
     assert any(st[(i, j)] != st[(j, i)] for i in range(3) for j in range(i))
     rad = end.radical()
