@@ -87,16 +87,32 @@ def _parse_ref(g: ShiftGraph, text: str) -> ObjRef:
 
 
 def _write(*files: tuple[str, str]) -> None:
-    """Write each (path, text); a missing or read-only directory refuses all."""
+    """Write each (path, text), all of them or none.  A missing or read-only
+    directory, or a path that is a directory, refuses all.  Each text goes
+    to a temporary file beside its path, and the temporary files replace
+    their paths, in order, only once every one is written; on any failure
+    they are deleted.  So when two paths are the same, the last text wins."""
     for path, _ in files:
         if not os.access(os.path.dirname(path) or ".", os.W_OK):
             raise InputError(f"cannot write {path}: its directory is missing or read-only")
-    for path, text in files:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
+        if os.path.isdir(path):
+            raise InputError(f"cannot write {path}: it is a directory")
+    temps: list[str] = []
+    try:
+        for i, (path, text) in enumerate(files):
+            head, tail = os.path.split(path)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
+            with open(tmp, "x", encoding="utf-8") as fh:
+                temps.append(tmp)
                 fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc}") from exc
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    finally:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _envelope(command: str, report: dict, g: ShiftGraph | None = None) -> dict:

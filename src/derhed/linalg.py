@@ -69,7 +69,7 @@ def _eliminate(m: list[Row], p: int) -> dict[int, dict[int, int]]:
     pivots: dict[int, dict[int, int]] = {}
     for row in m:
         items = row.items() if isinstance(row, dict) else enumerate(row)
-        row = {c: x % p for c, x in items if x % p}
+        row = {c: y for c, x in items if (y := x % p)}
         while row:
             c = min(row)
             pivot = pivots.get(c)

@@ -100,7 +100,7 @@ class MonomialAlgebra:
             self._check_composable(quiver, rel)
         self.quiver = quiver
         self.relations = tuple(tuple(r) for r in relations)
-        self.basis: list[BasisPath] = self._enumerate_basis(bound)
+        self.basis, steps = self._enumerate_basis(bound)
         self.index = {bp.label: i for i, bp in enumerate(self.basis)}
         self._between: dict[tuple[str, str], list[int]] = {}
         self._slot: list[int] = []
@@ -108,7 +108,7 @@ class MonomialAlgebra:
             paths = self._between.setdefault((bp.source, bp.target), [])
             self._slot.append(len(paths))
             paths.append(i)
-        self._mul = self._product_table()
+        self._mul = self._product_table(steps)
 
     @staticmethod
     def _check_composable(quiver: Quiver, arrows: tuple[str, ...]):
@@ -124,50 +124,55 @@ class MonomialAlgebra:
                     return False
         return True
 
-    def _enumerate_basis(self, bound: int) -> list[BasisPath]:
+    def _enumerate_basis(self, bound: int) -> tuple[list[BasisPath],
+                                                    list[tuple[int, str] | None]]:
+        """The basis, by length (so a path comes after its prefix), and per
+        path its (prefix index, last arrow), None for a trivial path."""
         out = [BasisPath(v, v, ()) for v in self.quiver.vertices]
-        frontier = list(out)
+        steps: list[tuple[int, str] | None] = [None] * len(out)
+        frontier = range(len(out))
         by_source: dict[str, list[Arrow]] = {v: [] for v in self.quiver.vertices}
         for a in self.quiver.arrows:
             by_source[a.source].append(a)
         length = 0
         while frontier:
             length += 1
-            nxt = []
-            for bp in frontier:
-                for a in by_source[bp.target]:
-                    arrows = bp.arrows + (a.id,)
-                    if self._relation_free(arrows):
-                        nxt.append(BasisPath(bp.source, a.target, arrows))
-            if nxt and length > bound:
+            start = len(out)
+            for i in frontier:
+                source, target, arrows = out[i]
+                for a in by_source[target]:
+                    path = arrows + (a.id,)
+                    if self._relation_free(path):
+                        out.append(BasisPath(source, a.target, path))
+                        steps.append((i, a.id))
+            frontier = range(start, len(out))
+            if frontier and length > bound:
                 raise InfiniteDimensional(
                     f"relation-free paths of length > {bound} exist")
-            out.extend(nxt)
-            frontier = nxt
-        return out
+        return out, steps
 
-    def _product_table(self) -> list[dict[int, int]]:
+    def _product_table(self, steps: list[tuple[int, str] | None]) -> list[dict[int, int]]:
         """[{j: index of basis[i] * basis[j]} for each i], nonzero products
-        only.  A concatenation is relation-free exactly when it is a basis
-        path, so one dict lookup replaces the relation scan."""
-        by_arrows = {bp.arrows: i for i, bp in enumerate(self.basis) if bp.arrows}
-        # vertex -> (index, arrows) of the basis paths starting there
-        starting: dict[str, list[tuple[int, tuple[str, ...]]]] = {
+        only, from each path's (prefix index, last arrow).  Row i is filled
+        along the paths j that start at the target of basis[i], in basis
+        order, so the product with the prefix of j is known before j:
+        basis[i] * basis[j] is that product extended by the last arrow of
+        j, and it is nonzero exactly when that extension is a basis path.
+        Each entry costs two dict lookups, whatever the path lengths."""
+        ext = {step: k for k, step in enumerate(steps) if step is not None}
+        vertex = {v: i for i, v in enumerate(self.quiver.vertices)}  # e_v is basis[i]
+        starting: dict[str, list[tuple[int, int, str]]] = {
             v: [] for v in self.quiver.vertices}
-        for j, (source, _, tail) in enumerate(self.basis):
-            starting[source].append((j, tail))
+        for j, bp in enumerate(self.basis):
+            if steps[j] is not None:
+                starting[bp.source].append((j, *steps[j]))
         table = []
-        for i, (_, target, arrows) in enumerate(self.basis):
-            row: dict[int, int] = {}
-            for j, tail in starting[target]:
-                if not tail:
-                    row[j] = i  # basis[i] * e_target
-                elif not arrows:
-                    row[j] = j  # e_source * basis[j]
-                else:
-                    k = by_arrows.get(arrows + tail)
-                    if k is not None:
-                        row[j] = k
+        for i, bp in enumerate(self.basis):
+            row = {vertex[bp.target]: i}  # basis[i] * e_target
+            for j, prefix, arrow in starting[bp.target]:
+                k = row.get(prefix)
+                if k is not None and (k := ext.get((k, arrow))) is not None:
+                    row[j] = k
             table.append(row)
         return table
 
@@ -183,13 +188,26 @@ class MonomialAlgebra:
 class Representation:
     """Finite dimensional representation: a space per vertex, a matrix per
     arrow mapping the source space to the target space, held as a list
-    of rows of Python ints (dims[target] rows of dims[source] entries)."""
+    of rows of Python ints (dims[target] rows of dims[source] entries).
+
+    The constructor copies dims and maps, filling in 0 for a missing
+    vertex and a zero matrix for a missing arrow, so the caller's dicts
+    are never changed.  It also records, once, the sparse data the Hom
+    system reads (see _hom_ext):
+
+    - ``_support``: the (vertex, dim) pairs with M_v != 0, in vertex order;
+    - ``_cols``: for each arrow (id, s, t) with M_s != 0, in arrow order,
+      the tuple (id, s, t, columns), where columns[j] lists the
+      (k, M_a[k][j]) with M_a[k][j] != 0;
+    - ``_rows[id]``: for each arrow with M_t != 0, the list whose entry i
+      lists the (k, M_a[i][k]) with M_a[i][k] != 0.
+    """
 
     def __init__(self, algebra: MonomialAlgebra, dims: dict[str, int],
                  maps: dict[str, list[list[int]]] | None = None):
         self.algebra = algebra
-        self.dims = dims
-        self.maps = {} if maps is None else maps
+        self.dims = dict(dims)
+        self.maps = {} if maps is None else dict(maps)
         q = algebra.quiver
         unknown_v = set(self.dims) - set(q.vertices)
         unknown_a = set(self.maps) - {a.id for a in q.arrows}
@@ -199,17 +217,26 @@ class Representation:
                 f"or arrows {sorted(unknown_a)}")
         for v in q.vertices:
             self.dims.setdefault(v, 0)
+        self._cols: list[tuple[str, str, str, list[list[tuple[int, int]]]]] = []
+        self._rows: dict[str, list[list[tuple[int, int]]]] = {}
         for a in q.arrows:
             m = self.maps.get(a.id)
             rows, cols = self.dims[a.target], self.dims[a.source]
             if m is None:
-                self.maps[a.id] = [[0] * cols for _ in range(rows)]
-                continue
-            m = [[int(x) for x in row] for row in m]
-            if len(m) != rows or any(len(row) != cols for row in m):
-                raise ValueError(
-                    f"map for arrow {a.id} is not of shape ({rows}, {cols})")
+                m = [[0] * cols for _ in range(rows)]
+            else:
+                m = [[int(x) for x in row] for row in m]
+                if len(m) != rows or any(len(row) != cols for row in m):
+                    raise ValueError(
+                        f"map for arrow {a.id} is not of shape ({rows}, {cols})")
             self.maps[a.id] = m
+            if cols:
+                self._cols.append((*a, [[(k, row[j]) for k, row in enumerate(m) if row[j]]
+                                        for j in range(cols)]))
+            if rows:
+                self._rows[a.id] = [[(k, x) for k, x in enumerate(row) if x]
+                                    for row in m]
+        self._support = tuple((v, self.dims[v]) for v in q.vertices if self.dims[v])
 
 
 def _hom_ext(m: Representation, n: Representation, fld: PrimeField) -> tuple[int, int]:
@@ -222,31 +249,40 @@ def _hom_ext(m: Representation, n: Representation, fld: PrimeField) -> tuple[int
     whose unknowns are the entries of all the f_v and whose rows are one
     per entry of each target (Ringel's standard exact sequence; the
     cokernel is Ext^1 only when the algebra has no relations).
+
+    The system is assembled from the data each Representation records at
+    construction: unknowns are numbered only at the vertices in both
+    supports, rows are written only for the arrows with M_s(a) != 0 and
+    N_t(a) != 0 (every other target is 0), and each coefficient comes from
+    the nonzero entries of a column of M_a or a row of N_a.
     """
     if m.algebra is not n.algebra and m.algebra.quiver != n.algebra.quiver:
         raise ValueError("representations live over different quivers")
-    q = m.algebra.quiver
     offsets: dict[str, int] = {}
     total = 0
-    for v in q.vertices:
-        offsets[v] = total
-        total += n.dims[v] * m.dims[v]
+    for v, mv in m._support:
+        if nv := n.dims[v]:
+            offsets[v] = total
+            total += nv * mv
     rows: list[dict[int, int]] = []
-    for aid, s, t in q.arrows:
+    for aid, s, t, mcols in m._cols:
+        nrows = n._rows.get(aid)
+        if nrows is None:
+            continue
         # one row per entry (i, j) of f_t M_a - N_a f_s, as a dict {unknown:
-        # coefficient} (only a loop, s = t, can leave a zero in it)
-        ma, na = m.maps[aid], n.maps[aid]
-        mt, ns, nc = m.dims[t], n.dims[s], m.dims[s]
-        ot, os_ = offsets[t], offsets[s]
-        for i in range(n.dims[t]):
-            for j in range(nc):
+        # coefficient}; a column of M_a is empty when M_t = 0, and a row of
+        # N_a when N_s = 0, so a missing offset is never read (only a loop,
+        # s = t, can leave a zero in a row)
+        ot, os_ = offsets.get(t), offsets.get(s)
+        mt, nc = m.dims[t], m.dims[s]
+        for i, nrow in enumerate(nrows):
+            for j, mcol in enumerate(mcols):
                 # (f_t M_a)[i, j] = sum_k f_t[i, k] * M_a[k, j]
-                row = {ot + i * mt + k: ma[k][j] for k in range(mt) if ma[k][j]}
+                row = {ot + i * mt + k: x for k, x in mcol}
                 # (N_a f_s)[i, j] = sum_k N_a[i, k] * f_s[k, j]
-                for k in range(ns):
-                    if na[i][k]:
-                        c = os_ + k * nc + j
-                        row[c] = row.get(c, 0) - na[i][k]
+                for k, x in nrow:
+                    c = os_ + k * nc + j
+                    row[c] = row.get(c, 0) - x
                 rows.append(row)
     rank = fld.rank(rows)
     return total - rank, len(rows) - rank

@@ -389,6 +389,39 @@ def rank_oracle_gauss(mat: np.ndarray, p: int) -> int:
     return rank
 
 
+# -- quiver representations: the Hom system from its definition --
+
+
+def hom_ext_oracle(vertices, arrows, mdims: dict, mmaps: dict, ndims: dict,
+                   nmaps: dict, p: int) -> tuple[int, int]:
+    """(kernel, cokernel) dimensions over GF(p) of the map
+    (f_v) -> (f_t M_a - N_a f_s)_a, with f_v an N_v x M_v matrix, written
+    from the definition: one column per entry of each f_v, the image of
+    the unit family of that entry computed by matrix products entry by
+    entry, ranked by rank_oracle_gauss.  arrows are (id, source, target)
+    triples; a vertex missing from a dims dict has dim 0, and an arrow
+    missing from a maps dict carries the zero map."""
+    dm = {v: mdims.get(v, 0) for v in vertices}
+    dn = {v: ndims.get(v, 0) for v in vertices}
+
+    def matrix(maps, aid, rows, cols):
+        return maps.get(aid) or [[0] * cols for _ in range(rows)]
+
+    unknowns = [(v, r, c) for v in vertices for r in range(dn[v]) for c in range(dm[v])]
+    targets = [(a, i, j) for a in arrows for i in range(dn[a[2]]) for j in range(dm[a[1]])]
+    mat = np.zeros((len(targets), len(unknowns)), dtype=object)
+    for col, unit in enumerate(unknowns):
+        f = {v: [[int((v, r, c) == unit) for c in range(dm[v])] for r in range(dn[v])]
+             for v in vertices}
+        for row, ((aid, s, t), i, j) in enumerate(targets):
+            ma = matrix(mmaps, aid, dm[t], dm[s])
+            na = matrix(nmaps, aid, dn[t], dn[s])
+            mat[row, col] = (sum(f[t][i][k] * ma[k][j] for k in range(dm[t]))
+                             - sum(na[i][k] * f[s][k][j] for k in range(dn[s])))
+    rank = rank_oracle_gauss(mat, p)
+    return len(unknowns) - rank, len(targets) - rank
+
+
 # -- A_n representations: the Euler form and closed-form interval dims --
 
 

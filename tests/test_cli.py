@@ -227,6 +227,33 @@ def test_gen_an(capsys, tmp_path):
     assert len(data["orbits"]) == 6
 
 
+def test_gen_a2_writes_all_files_or_none(capsys, tmp_path, monkeypatch):
+    """An --out that is a directory refuses the command before anything is
+    written, a failure after the texts are written leaves neither file nor
+    temporary file, and one path given for both keeps the graph."""
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    heart = tmp_path / "h.json"
+    code, rep = run_cli(capsys, "gen", "a2", "--out", str(outdir),
+                        "--bad-heart-out", str(heart))
+    assert code == 2 and rep["error"]["message"] == f"cannot write {outdir}: it is a directory"
+    assert sorted(os.listdir(tmp_path)) == ["outdir"] and not os.listdir(outdir)
+
+    def refuse(src, dst):
+        raise OSError("no room")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "a2.json"
+    code, rep = run_cli(capsys, "gen", "a2", "--out", str(out), "--bad-heart-out", str(heart))
+    assert code == 2 and rep["error"]["message"].endswith("no room")
+    assert sorted(os.listdir(tmp_path)) == ["outdir"]
+    monkeypatch.undo()
+
+    code, _ = run_cli(capsys, "gen", "a2", "--out", str(out), "--bad-heart-out", str(out))
+    assert code == 0 and sorted(os.listdir(tmp_path)) == ["a2.json", "outdir"]
+    assert json.loads(out.read_text())["name"] == "example_a2"
+
+
 @pytest.mark.parametrize("before_family", [True, False])
 def test_gen_pretty_either_placement(capsys, tmp_path, before_family):
     """`gen --pretty an ...` and `gen an ... --pretty` both print text."""

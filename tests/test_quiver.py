@@ -1,13 +1,18 @@
+import copy
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from derhed.linalg import PrimeField
 from derhed.quiver import (Arrow, InfiniteDimensional, MonomialAlgebra, Quiver,
-                           Representation, algebra_from_dict, algebra_to_dict,
-                           euler_ext1_dim, rep_hom_dim)
+                           Representation, _hom_ext, algebra_from_dict,
+                           algebra_to_dict, euler_ext1_dim, rep_hom_dim)
 from derhed.generators import _an_quiver, _interval_names_and_reps
 
-from oracles import concat_product, euler_form, ext_formula, hom_formula
+from oracles import (concat_product, euler_form, ext_formula, hom_ext_oracle,
+                     hom_formula)
 
 
 def a2_algebra():
@@ -45,6 +50,25 @@ def test_constructor_checks():
     assert m.maps["a1"] == []  # no rows: the target space is 0
     m = Representation(alg, {"1": 2, "2": 1}, {"a1": ((3, -1),)})
     assert m.maps["a1"] == [[3, -1]] and type(m.maps["a1"][0][0]) is int
+
+
+def test_constructor_leaves_its_arguments_alone():
+    """The constructor fills in and normalizes copies: the caller's dims
+    and maps, and the matrices inside, are unchanged, so one dict can be
+    reused for another representation."""
+    alg = linear_an(3)
+    dims, maps = {"1": 1}, {}
+    m = Representation(alg, dims, maps)
+    assert dims == {"1": 1} and maps == {}
+    assert m.dims == {"1": 1, "2": 0, "3": 0} and m.maps["a1"] == []
+    dims, maps = {"1": 1, "2": 2}, {"a1": [[1], [-1]]}
+    before = copy.deepcopy((dims, maps))
+    m = Representation(alg, dims, maps)
+    assert (dims, maps) == before
+    dims["2"] = 0
+    maps["a1"][0][0] = 5
+    assert m.dims["2"] == 2 and m.maps["a1"] == [[1], [-1]]
+    assert rep_hom_dim(m, m) == 3  # k -> k^2 is the sum of k -> k and 0 -> k
 
 
 def test_a2_basis():
@@ -189,6 +213,85 @@ def test_hom_minus_ext_is_euler_form(n, fld):
             for nn in reps:
                 assert (rep_hom_dim(m, nn, fld) - euler_ext1_dim(m, nn, fld)
                         == euler_form(alg.quiver, m.dims, nn.dims))
+
+
+def _algebra(vertices, arrows):
+    """The path algebra when the quiver is acyclic (on at most 4 vertices a
+    path then has at most 3 arrows), else the algebra with radical square
+    zero."""
+    q = Quiver(tuple(vertices), tuple(Arrow(*a) for a in arrows))
+    try:
+        return MonomialAlgebra(q, [], bound=3)
+    except InfiniteDimensional:
+        return MonomialAlgebra(q, [(a.id, b.id) for a in q.arrows for b in q.arrows
+                                   if a.target == b.source])
+
+
+def _check_hom_ext(vertices, arrows, m_data, n_data, p):
+    """_hom_ext on the two representations against the dense oracle: Hom
+    always, Ext^1 when the algebra has no relations.  Returns the
+    engine's pair."""
+    alg = _algebra(vertices, arrows)
+    m, n = (Representation(alg, dims, maps) for dims, maps in (m_data, n_data))
+    got = _hom_ext(m, n, PrimeField(p))
+    want = hom_ext_oracle(vertices, arrows, *m_data, *n_data, p)
+    assert got[0] == want[0]
+    if not alg.relations:
+        assert got[1] == want[1]
+    return got
+
+
+@st.composite
+def hom_systems(draw):
+    """A quiver on 1-4 vertices with up to 5 arrows (loops and parallel
+    arrows allowed), two representations with dims 0-3, entries that
+    include negatives and multiples of p, and p.  A representation may
+    leave out a vertex of dim 0 and any arrow (the zero map)."""
+    p = draw(st.sampled_from([3, 32003]))
+    vertices = [str(v) for v in range(draw(st.integers(1, 4)))]
+    vertex = st.sampled_from(vertices)
+    arrows = [(f"a{i}", draw(vertex), draw(vertex))
+              for i in range(draw(st.integers(0, 5)))]
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from([p, -p, 2 * p, p + 1]))
+
+    def rep():
+        dims = {v: d for v in vertices if (d := draw(st.integers(0, 3))) or draw(st.booleans())}
+        maps = {aid: [[draw(entry) for _ in range(dims.get(s, 0))]
+                      for _ in range(dims.get(t, 0))]
+                for aid, s, t in arrows if draw(st.booleans())}
+        return dims, maps
+
+    return vertices, arrows, rep(), rep(), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(hom_systems())
+def test_hom_ext_matches_dense_oracle(case):
+    _check_hom_ext(*case)
+
+
+PINNED_HOM_SYSTEMS = {
+    # Hom(0, N) = Ext^1(0, N) = 0 over 1 -> 2
+    "zero-representation": (["1", "2"], [("a", "1", "2")],
+                            ({}, {}), ({"1": 1, "2": 1}, {"a": [[1]]}), 32003, (0, 0)),
+    # the 2 x 2 nilpotent Jordan block on a loop: End is k[x]/x^2
+    "loop-jordan-block": (["v"], [("x", "v", "v")],
+                          ({"v": 2}, {"x": [[0, 0], [1, 0]]}),
+                          ({"v": 2}, {"x": [[0, 0], [4, 0]]}), 3, (2, None)),
+    # S1 + S2 over 1 -> 2 with the zero map: End = k^2, Ext^1(S1, S2) = k
+    "all-maps-zero": (["1", "2"], [("a", "1", "2")],
+                      ({"1": 1, "2": 1}, {"a": [[0]]}),
+                      ({"1": 1, "2": 1}, {"a": [[3]]}), 3, (2, 1)),
+}
+
+
+@pytest.mark.parametrize("vertices, arrows, m_data, n_data, p, want",
+                         PINNED_HOM_SYSTEMS.values(), ids=PINNED_HOM_SYSTEMS.keys())
+def test_hom_ext_pinned(vertices, arrows, m_data, n_data, p, want):
+    hom, ext = _check_hom_ext(vertices, arrows, m_data, n_data, p)
+    assert hom == want[0]
+    if want[1] is not None:
+        assert ext == want[1]
 
 
 def test_euler_ext_requires_no_relations(fld):
