@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .paths import NEG_INF, POS_INF, PathEngine, PathStep, _negative_cycle, _potential
+from .paths import (NEG_INF, POS_INF, PathEngine, PathStep, _bfs_tree, _distances,
+                    _negative_cycle, _potential, _sccs)
 from .shiftgraph import (FormalObject, IncompleteHeart, NegativeWalkAtSource,
                          NotABlock, ObjRef, ShiftGraph, UnreachableOrbit)
 
@@ -175,14 +176,52 @@ def check_hereditary(g: ShiftGraph, block: list[str],
         witness = eng.path_report(ObjRef(x, 1), ObjRef(x, 0)).witness
         return HereditaryReport(verdict="not-hereditary", indicator=indicator,
                                 witness=witness)
-    # the admissible sources are the rows of the block's walk table with no
-    # +inf, those reaching every orbit; the one with the least sorted
-    # offsets (ties broken by orbit id) gives the canonical heart
-    rows = [(sorted(row), x, row) for x, row in zip(blk, eng._table(i))
-            if POS_INF not in row]
-    if not rows:
+    # The admissible sources are those whose row of walk weights d(x, .)
+    # has no +inf; the one with the least sorted row (ties broken by orbit
+    # id) gives the canonical heart.  Few rows need solving.  pi is the
+    # least weight of a walk into each orbit, so pi <= 0 and
+    # d(x, y) >= pi(y) - pi(x); an edge is tight when pi(u) + w = pi(v),
+    # and d(x, y) = pi(y) - pi(x) exactly when tight edges lead from x to y.
+    # - Non-zero pi never wins: pi(z) < 0 means d(x, z) < 0 for some x,
+    #   and if z is admissible so is x, which reaches z, with
+    #   row_x <= row_z + d(x, z) < row_z entrywise.
+    # - For pi(x) = pi(z) = 0, if tight edges lead from x to z then
+    #   row_x <= row_z entrywise, strictly at x unless they also lead back;
+    #   then the rows are equal and the least id wins.  So the candidates
+    #   are the least pi = 0 orbit of each component of the tight edges
+    #   that no earlier candidate reaches along them, taking the
+    #   components in topological order.
+    # - A candidate's row is at least its bound: pi(y) where tight edges
+    #   lead from x to y, pi(y) + 1 elsewhere (weights are ints).  So the
+    #   candidates are solved in the order of (sorted bound, id), until
+    #   that passes the best (sorted row, id) found.
+    # The winner is a candidate, so when no solved row is admissible, no
+    # row is.
+    edges = eng._block_edges[i]
+    pi = _potential(blk, edges)
+    tight: dict[str, list[tuple[str, int]]] = {v: [] for v in blk}
+    for (u, v, w) in edges:
+        if pi[u] + w == pi[v]:
+            tight[u].append((v, w))
+    bounds, reached = [], set()
+    for comp in reversed(_sccs(blk, [(u, v) for u in blk for (v, _w) in tight[u]])):
+        x = min((v for v in comp if pi[v] == 0), default=None)
+        if x is None or x in reached:
+            continue
+        ahead = _bfs_tree(tight, x)
+        reached.update(ahead)
+        bounds.append((sorted(pi[y] if y in ahead else pi[y] + 1 for y in blk), x))
+    best = None  # ((sorted row, id), row) of the least admissible row so far
+    for bound, x in sorted(bounds):
+        if best and (bound, x) > best[0]:
+            break
+        dist = _distances(eng.succ, blk, x)
+        row = [dist[y] for y in blk]
+        if POS_INF not in row and (best is None or (sorted(row), x) < best[0]):
+            best = ((sorted(row), x), row)
+    if best is None:
         raise UnreachableOrbit(f"no orbit of {blk} reaches every other orbit")
-    _, source, row = min(rows)
+    (_, source), row = best
     heart = Heart({y: int(w) for y, w in zip(blk, row)})
     check = verify_heart(g, heart, blk)
     verdict = "hereditary-within-window" if g.windowed else "hereditary"

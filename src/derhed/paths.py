@@ -20,12 +20,15 @@ they have no potential.  Single-source questions (min_weight and the
 witnesses) keep a Bellman-Ford per source over the edges into the orbits
 the source's negative orbits do not reach; its predecessor labels give
 the witness walks, and a walk at -inf pumps a negative cycle between two
-breadth-first legs (_bfs_tree).  The canonical heart alone reads one
-exact all-pairs walk table per block with no negative orbit, a
-Floyd-Warshall over the lightest edge of each ordered pair.  Tarjan's
-strongly connected components (_sccs) also give the blocks, from the
-links run both ways, and the directing orbits, from _components of the
-non-invertible edges.
+breadth-first legs (_bfs_tree).  Potentials and the solves behind the
+canonical heart share one FIFO label-correcting loop (_relax), which
+meets a negative cycle as a cycle of its parent pointers.  The canonical
+heart of a block with no negative orbit takes a few single-source solves
+(_distances) from sources of the block's tight edges under its
+potential, and no all-pairs table (see hereditary.check_hereditary).
+Tarjan's strongly connected components (_sccs) also give the blocks,
+from the links run both ways, and the directing orbits, from
+_components of the non-invertible edges.
 """
 
 from __future__ import annotations
@@ -108,8 +111,9 @@ class PathEngine:
     in other blocks are at +inf.  The -inf targets are the forward closure
     of the block's negative orbits (_negative_in) that the source reaches,
     and a Bellman-Ford over the edges into the other orbits gives the
-    rest.  A block with no negative orbit also gets one walk table (see
-    _walk_table), built on first use, for the canonical heart.
+    rest.  The engine keeps these solves and the negative orbits of each
+    block, and nothing for the canonical heart, whose solves
+    check_hereditary runs over succ and the block's edges.
     """
 
     def __init__(self, g: ShiftGraph):
@@ -126,7 +130,6 @@ class PathEngine:
             self._block_edges[self._block_of[e[0]]].append(e)
         self._dist_cache: dict[str, dict[str, float]] = {}
         self._pred_cache: dict[str, dict[str, tuple[str, int]]] = {}
-        self._tables: dict[int, list[list[float]]] = {}
         self._negative: dict[int, set[str]] = {}
 
     # -- structure --
@@ -180,14 +183,6 @@ class PathEngine:
             raise UnknownOrbit(y)
         self._run_source(x)
         return self._dist_cache[x].get(y, POS_INF)
-
-    def _table(self, i: int) -> list[list[float]]:
-        """The walk table of block i, which holds no negative orbit; walks
-        of length zero count."""
-        if i not in self._tables:
-            blk = self._blocks[i]
-            self._tables[i] = _walk_table(blk, self._block_edges[i] + [(v, v, 0) for v in blk])
-        return self._tables[i]
 
     def _negative_in(self, i: int) -> set[str]:
         """The orbits of block i on a negative closed walk: those whose
@@ -253,7 +248,7 @@ class PathEngine:
         return PathReport(exists=True, min_weight=mw, witness=steps)
 
 
-# -- blocks, reachability, walk unwinding and all-pairs walk tables --
+# -- blocks, reachability, walk unwinding and label-correcting solves --
 
 def _unwind(pred: dict[str, tuple[str, int]], s: str, t: str) -> list[tuple[str, str, int]]:
     """The hom edges (u, v, w) of the walk s -> t along predecessor labels."""
@@ -322,30 +317,67 @@ def _negative_cycle(nodes: list[str], edges) -> list[tuple[str, str, int]] | Non
 
 
 def _potential(nodes: list[str], edges) -> dict[str, int] | None:
-    """Bellman-Ford from a virtual source with a weight-0 edge to every
-    node, scanning nodes from a FIFO queue: pi with pi[v] <= pi[u] + w on
-    every edge (u, v, w), or None when the edges hold a negative cycle.  A
-    label walk of len(nodes) edges repeats a node whose label fell in
-    between, so it passes one."""
+    """pi with pi[v] <= pi[u] + w on every edge (u, v, w), or None when the
+    edges hold a negative cycle: the least weight of a walk into each node,
+    walks of length zero included (a virtual source with a weight-0 edge
+    to every node), so pi <= 0."""
     succ: dict[str, list[tuple[str, int]]] = {v: [] for v in nodes}
     for (u, v, w) in edges:
         succ[u].append((v, w))
-    pi = dict.fromkeys(nodes, 0)
-    hops = dict.fromkeys(nodes, 0)
-    queue, queued = deque(nodes), set(nodes)
+    return _relax(succ, dict.fromkeys(nodes, 0))
+
+
+def _distances(succ: dict[str, list[tuple[str, int]]], nodes: list[str],
+               source: str) -> dict[str, float]:
+    """The least weight of a walk from source to each of nodes along succ,
+    +inf where there is none; the edges among nodes hold no negative
+    cycle, and succ leads from nodes only to nodes."""
+    dist = dict.fromkeys(nodes, POS_INF)
+    dist[source] = 0
+    return _relax(succ, dist)
+
+
+def _relax(succ: dict[str, list[tuple[str, int]]], dist: dict[str, float]):
+    """Bellman-Ford from the finite labels of dist along succ's (node,
+    weight) lists, scanning nodes from a FIFO queue: dist, lowered in place
+    to exact least walk weights, or None when a negative cycle is met.
+
+    Two tests end a run on a negative cycle.  Every cycle of the parent
+    pointers is negative (Tarjan 1981), so after every len(dist)
+    relaxations the pointers are walked from the last relaxed node, and a
+    repeat ends the run at O(len(dist)) cost per len(dist) relaxations.
+    The hop bound guarantees the end: a label walk of len(dist) edges
+    repeats a node whose label fell in between, so it passes a negative
+    cycle."""
+    n = len(dist)
+    hops = dict.fromkeys(dist, 0)
+    parent: dict[str, str] = {}
+    queue = deque(v for v, d in dist.items() if d != POS_INF)
+    queued = set(queue)
+    relaxed = 0
     while queue:
         u = queue.popleft()
         queued.discard(u)
+        du, hu = dist[u], hops[u] + 1
         for (v, w) in succ[u]:
-            if pi[u] + w < pi[v]:
-                pi[v] = pi[u] + w
-                hops[v] = hops[u] + 1
-                if hops[v] >= len(nodes):
+            if du + w < dist[v]:
+                dist[v] = du + w
+                hops[v] = hu
+                parent[v] = u
+                if hu >= n:
                     return None
+                relaxed += 1
+                if relaxed % n == 0:
+                    seen, x = set(), v
+                    while x in parent:
+                        if x in seen:
+                            return None
+                        seen.add(x)
+                        x = parent[x]
                 if v not in queued:
                     queued.add(v)
                     queue.append(v)
-    return pi
+    return dist
 
 
 def _sccs(nodes: list[str], edges) -> list[list[str]]:
@@ -400,30 +432,6 @@ def _components(nodes: list[str], edges) -> list[tuple[list[str], list, dict[str
         if comp_of[e[0]] == comp_of[e[1]]:
             inner[comp_of[e[0]]].append(e)
     return [(comp, es, _potential(comp, es)) for comp, es in zip(comps, inner)]
-
-
-def _walk_table(block: list[str], edges) -> list[list[float]]:
-    """Floyd-Warshall over the lightest edge of each ordered pair: d[i][j]
-    is the least weight of a walk of length >= 1 from block[i] to block[j]
-    along the edges (u, v, w), or +inf when there is none.  The edges
-    hold no negative cycle, so the table is exact."""
-    n = len(block)
-    pos = {v: k for k, v in enumerate(block)}
-    d = [[POS_INF] * n for _ in range(n)]
-    for (u, v, w) in edges:
-        i, j = pos[u], pos[v]
-        if w < d[i][j]:
-            d[i][j] = w
-    for k in range(n):
-        row_k = [(j, w) for j, w in enumerate(d[k]) if w != POS_INF]
-        for row in d:
-            dik = row[k]
-            if dik == POS_INF:
-                continue
-            for j, w in row_k:
-                if dik + w < row[j]:
-                    row[j] = dik + w
-    return d
 
 
 # -- public operations --

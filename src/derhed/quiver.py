@@ -192,7 +192,8 @@ class Representation:
 
     The constructor copies dims and maps, filling in 0 for a missing
     vertex and a zero matrix for a missing arrow, so the caller's dicts
-    are never changed.  It also records, once, the sparse data the Hom
+    are never changed.  It refuses a dimension that is not a non-negative
+    int, a bool included.  It also records, once, the sparse data the Hom
     system reads (see _hom_ext):
 
     - ``_support``: the (vertex, dim) pairs with M_v != 0, in vertex order;
@@ -215,6 +216,10 @@ class Representation:
             raise ValueError(
                 f"representation mentions unknown vertices {sorted(unknown_v)} "
                 f"or arrows {sorted(unknown_a)}")
+        for v, d in self.dims.items():
+            if type(d) is not int or d < 0:
+                raise ValueError(
+                    f"dimension at vertex {v} must be a non-negative int, not {d!r}")
         for v in q.vertices:
             self.dims.setdefault(v, 0)
         self._cols: list[tuple[str, str, str, list[list[tuple[int, int]]]]] = []

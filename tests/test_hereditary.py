@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from derhed import paths
 from derhed.complexes import build_shiftgraph_from_complexes
 from derhed.generators import (gen_a2_from_complexes, gen_dual_numbers,
                                gen_dynkin_an, gen_example_a2,
@@ -21,6 +20,7 @@ from derhed.shiftgraph import (AbelianData, HomEdge, ObjRef, Orbit, ShiftGraph,
 
 import oracles
 from test_complexes import a3_shortcut_complexes
+from test_paths import count_solves
 
 
 @pytest.fixture(scope="module")
@@ -231,18 +231,63 @@ def random_blocks(seed):
         for k in range(3)))
 
 
+def pruning_shapes(seed):
+    """Graphs of at most 8 orbits in the shapes where check_hereditary
+    solves from few sources: all weights 0; a star of tight sources into
+    one hub; a chain of components whose top one alone reaches the block;
+    and sources that no other orbit reaches."""
+    rng = np.random.default_rng(seed)
+
+    def draw(lo, hi):  # an int in [lo, hi]
+        return int(rng.integers(lo, hi + 1))
+
+    zeros = oracles.random_graph(rng, max_orbits=8, w_lo=0, w_hi=0, edge_prob=0.2,
+                                 prefix="Z")
+    # k sources into the hub H at one weight w <= 0, all tight, and heavier
+    # edges back, some missing
+    k, w = draw(1, 7), draw(-2, 0)
+    star = one_way(*((f"S{j}", "H", w) for j in range(k)),
+                   *(("H", f"S{j}", draw(1 - w, 3 - w)) for j in range(k)
+                     if rng.random() < 0.8))
+    # components C0 -> C1 -> C2, each a cycle of weight >= 0, with edges
+    # downwards only
+    comps = [[f"C{c}{j}" for j in range(draw(1, 2))] for c in range(3)]
+    chain = []
+    for comp in comps:
+        ws = [draw(-1, 2) for _ in comp]
+        ws[-1] = max(ws[-1], -sum(ws[:-1]))
+        chain += [(a, b, x) for a, b, x in zip(comp, comp[1:] + comp[:1], ws) if a != b]
+    for upper, lower in zip(comps, comps[1:]):
+        chain += [(upper[draw(0, len(upper) - 1)], lower[draw(0, len(lower) - 1)],
+                   draw(-2, 2)) for _ in range(draw(1, 2))]
+    # sources U into a path R0 -> R1 -> ... with shortcuts down the path
+    rest = [f"R{j}" for j in range(draw(1, 4))]
+    fan = ([(f"U{j}", rest[draw(0, len(rest) - 1)], draw(-2, 2)) for j in range(draw(2, 3))]
+           + [(a, b, draw(-2, 2)) for a, b in zip(rest, rest[1:])]
+           + [(rest[a], rest[b], draw(-2, 2)) for a in range(len(rest))
+              for b in range(a + 2, len(rest)) if rng.random() < 0.5])
+    return [zeros, star, one_way(*chain), one_way(*fan)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_check_matches_oracle(seed):
-    g = random_blocks(seed)
+    for g in (random_blocks(seed), *pruning_shapes(seed)):
+        _check_matches_oracle(g)
+
+
+def _check_matches_oracle(g):
+    """check_hereditary on every block of g against the brute-force rule:
+    the least (sorted row, orbit) over the oracle's rows with no +inf."""
     eng = PathEngine(g)
     for blk in eng.blocks():
         rows = {s: [oracles.min_weight_oracle(g, s, y) for y in blk] for s in blk}
         negative = {x for x in blk if rows[x][blk.index(x)] == NEG_INF}
         reaching = [(sorted(r), s) for s, r in rows.items() if POS_INF not in r]
         if not negative and not reaching:
-            with pytest.raises(UnreachableOrbit, match=r"reaches every other orbit$"):
+            with pytest.raises(UnreachableOrbit) as exc:
                 check_hereditary(g, blk, engine=eng)
+            assert str(exc.value) == f"no orbit of {blk} reaches every other orbit"
             continue
         rep = check_hereditary(g, blk, engine=eng)
         assert rep.indicator == {x: x in negative for x in blk}
@@ -259,14 +304,13 @@ def test_check_matches_oracle(seed):
 
 def test_long_negative_cycle(monkeypatch):
     # one cycle of 100 orbits and total weight -1: every orbit is on it,
-    # and no walk table is built for the refuted block
-    tables = []
-    real = paths._walk_table
-    monkeypatch.setattr(paths, "_walk_table", lambda *args: tables.append(args) or real(*args))
+    # and the refuted block runs no solve for a heart
+    sources = count_solves(monkeypatch)
     ids = [f"c{i:03d}" for i in range(100)]
     g = one_way(*((ids[i], ids[(i + 1) % 100], -1 if i == 99 else 0)
                   for i in range(100)))
     eng = PathEngine(g)
+    fields = set(vars(eng))
     rep = check_hereditary(g, ids, engine=eng)
     assert rep.verdict == "not-hereditary"
     assert rep.indicator == {x: True for x in ids}
@@ -278,7 +322,46 @@ def test_long_negative_cycle(monkeypatch):
     eng = PathEngine(g)
     assert check_hereditary(g, ids, engine=eng).indicator == {x: True for x in ids}
     assert eng.min_weight("k00", "k39") == NEG_INF
-    assert tables == [] and eng._tables == {}
+    assert sources == [] and set(vars(eng)) == fields
+
+
+def test_heart_solves_only_from_tight_sources(monkeypatch):
+    sources = count_solves(monkeypatch)
+    # a chain at weight 0 with heavier edges back: A reaches every other
+    # orbit along tight edges, so one solve settles the heart
+    g = one_way(("A", "B", 0), ("B", "C", 0), ("C", "D", 0),
+                ("B", "A", 1), ("C", "B", 1), ("D", "C", 1))
+    rep = check_hereditary(g, ["A", "B", "C", "D"])
+    assert sources == ["A"]
+    assert rep.heart.offsets == {"A": 0, "B": 0, "C": 0, "D": 0}
+    # a star of four tight sources into H, with edges back at weight
+    # `back`: the rows tie, so the least id gives the heart.  Each source
+    # bounds its row by 0 at itself and H and by 1 elsewhere; at back = 1
+    # the first row meets the other bounds, at back = 2 it passes them
+    star = [f"S{j}" for j in range(4)]
+    for back, solved in ((1, ["S0"]), (2, star)):
+        sources.clear()
+        g = one_way(*((s, "H", 0) for s in star), *(("H", s, back) for s in star))
+        rep = check_hereditary(g, ["H", *star])
+        assert sources == solved
+        assert rep.heart.offsets == {"H": 0, "S0": 0, "S1": back, "S2": back, "S3": back}
+    # two tight components {A, D} and {B, C} whose sorted rows tie: the
+    # heart comes from A, the least orbit of either, not from C
+    sources.clear()
+    g = one_way(("A", "D", 0), ("D", "A", 0), ("B", "C", 0), ("C", "B", 0),
+                ("A", "B", 1), ("B", "A", 1))
+    rep = check_hereditary(g, ["A", "B", "C", "D"])
+    assert sources == ["A"]
+    assert rep.heart.offsets == {"A": 0, "B": 1, "C": 1, "D": 0}
+    # X, Y and Z each bound their rows; X and Z reach M at pi(M) = -2
+    # along tight edges and Y does not, so Y's bound passes Z's row and
+    # Y is never solved, while X's row stays above Z's bound
+    sources.clear()
+    g = one_way(("X", "M", -2), ("Y", "M", -1), ("Z", "M", -2),
+                ("M", "X", 3), ("M", "Y", 3), ("M", "Z", 5))
+    rep = check_hereditary(g, ["M", "X", "Y", "Z"])
+    assert sources == ["X", "Z"]
+    assert rep.heart.offsets == {"M": -2, "X": 1, "Y": 1, "Z": 0}
 
 
 def test_walks_of_length_zero_count():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derhed import paths
+from derhed import hereditary, paths
 from derhed.generators import (gen_dual_numbers, gen_example_a2,
                                gen_semisimple_block)
 from derhed.hereditary import check_hereditary
@@ -188,32 +188,45 @@ def test_directing_strongly_connected_to_a_periodic_orbit():
     assert directing_objects(g) == {"C", "D"}
 
 
-def test_directing_builds_no_walk_table(monkeypatch, a2, dual):
-    calls = []
-    real = paths._walk_table
-    monkeypatch.setattr(paths, "_walk_table", lambda *args: calls.append(args) or real(*args))
+def count_solves(monkeypatch) -> list[str]:
+    """The source of each single-source solve from here on: each call of
+    paths._distances, also through the name hereditary imports."""
+    sources = []
+    real = paths._distances
+
+    def counting(succ, nodes, source):
+        sources.append(source)
+        return real(succ, nodes, source)
+
+    for mod in (paths, hereditary):
+        monkeypatch.setattr(mod, "_distances", counting)
+    return sources
+
+
+def test_directing_runs_no_solve(monkeypatch, a2, dual):
+    sources = count_solves(monkeypatch)
     for g in (a2, dual, _pinned_block()):
         directing_objects(g)
-    assert calls == []
-    check_hereditary(a2, PathEngine(a2).blocks()[0])  # the counter does see a table
-    assert calls
+    assert sources == []
+    check_hereditary(a2, PathEngine(a2).blocks()[0])  # the counter does see a solve
+    assert sources
 
 
-def test_refuted_blocks_build_no_walk_table(monkeypatch):
+def test_refuted_blocks_run_no_solve(monkeypatch):
     # negativity is read off the components, so only a block with no
-    # negative orbit gets a walk table, and check still gives the oracle's
-    # indicator on the others
-    tables = []
-    real = paths._walk_table
-    monkeypatch.setattr(paths, "_walk_table", lambda *args: tables.append(args[0]) or real(*args))
+    # negative orbit runs solves for its heart, and check still gives the
+    # oracle's indicator on the others; the engine keeps none of them
+    sources = count_solves(monkeypatch)
     rng = np.random.default_rng(20261018)
     refuted = 0
     for _ in range(40):
         g = oracles.random_graph(rng, max_orbits=5, periodic_prob=0.2)
         eng = PathEngine(g)
+        fields = set(vars(eng))
         for blk in eng.blocks():
             negative = {x for x in blk if oracles.min_weight_oracle(g, x, x) == NEG_INF}
-            tables.clear()
+            sources.clear()
+            cached = dict(eng._dist_cache)
             try:
                 rep = check_hereditary(g, blk, engine=eng)
             except UnreachableOrbit:
@@ -221,13 +234,14 @@ def test_refuted_blocks_build_no_walk_table(monkeypatch):
             if negative:
                 refuted += 1
                 assert rep.indicator == {x: x in negative for x in blk}
-                assert tables == []
+                assert sources == []
             else:
-                assert tables == [blk]
+                assert sources and set(sources) <= set(blk)
+                assert eng._dist_cache == cached
         for x in g.orbit_ids():
             for y in g.orbit_ids():
                 eng.min_weight(x, y)
-        assert not any(eng._negative_in(i) for i in eng._tables)
+        assert set(vars(eng)) == fields
     assert refuted
 
 
@@ -302,6 +316,40 @@ def test_directing_very_long_cycle():
         for last in (-1, 0, 1):
             ids, g = _proper_cycle(5000, last, reverse)
             assert directing_objects(g) == (set(ids) if last > 0 else set())
+
+
+class CountedWeight(int):
+    """An edge weight that counts the labels added to it: each is one edge
+    scan of the relaxation."""
+
+    scans = 0
+
+    def __radd__(self, label):
+        CountedWeight.scans += 1
+        return label + int(self)
+
+
+def test_negative_cycle_in_tarjan_order_is_decided_in_linear_scans():
+    # a 2,000-orbit cycle of weight -1 per edge, with its orbits in the
+    # order _components hands them over, against the cycle: the labels go
+    # round once per 2,000 pops, so the hop bound alone would need about
+    # 2,000 laps; the parent pointers close into a cycle within the first
+    n = 2000
+    ids = [f"c{i:04d}" for i in range(n)]
+    edges = [(ids[i], ids[(i + 1) % n], CountedWeight(-1)) for i in range(n)]
+    (comp,) = paths._sccs(ids, edges)
+    assert comp[0] == ids[-1]
+    CountedWeight.scans = 0
+    assert paths._potential(comp, edges) is None
+    assert CountedWeight.scans <= 2 * n
+    # with the last edge at +(n - 1) the cycle weighs 0, and the parent
+    # checks must not stop the run: the walk of i edges from the first
+    # orbit into the i-th is the lightest walk into it
+    n = 200
+    ids = [f"c{i:04d}" for i in range(n)]
+    edges = [(ids[i], ids[i + 1], -1) for i in range(n - 1)] + [(ids[-1], ids[0], n - 1)]
+    (comp,) = paths._sccs(ids, edges)
+    assert paths._potential(comp, edges) == {v: -i for i, v in enumerate(ids)}
 
 
 @settings(max_examples=50, deadline=None)

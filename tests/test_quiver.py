@@ -45,6 +45,9 @@ def test_constructor_checks():
         Representation(alg, {"1": 1}, {"b": [[1]]})
     with pytest.raises(ValueError, match="shape"):
         Representation(alg, {"1": 1, "2": 1}, {"a1": [[1, 0]]})
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="non-negative int"):
+            Representation(alg, {"1": bad})
     m = Representation(alg, {"1": 1})
     assert m.dims == {"1": 1, "2": 0}
     assert m.maps["a1"] == []  # no rows: the target space is 0
