@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .paths import (NEG_INF, POS_INF, PathEngine, PathStep, _bfs_tree, _distances,
-                    _negative_cycle, _potential, _sccs)
+                    _potential, _sccs)
 from .shiftgraph import (FormalObject, IncompleteHeart, NegativeWalkAtSource,
                          NotABlock, ObjRef, ShiftGraph, UnreachableOrbit)
 
@@ -178,8 +178,8 @@ def check_hereditary(g: ShiftGraph, block: list[str],
                                 witness=witness)
     # The admissible sources are those whose row of walk weights d(x, .)
     # has no +inf; the one with the least sorted row (ties broken by orbit
-    # id) gives the canonical heart.  Few rows need solving.  pi is the
-    # least weight of a walk into each orbit, so pi <= 0 and
+    # id) gives the canonical heart.  Few rows need solving.  pi, kept by
+    # the engine, is the least weight of a walk into each orbit, so pi <= 0 and
     # d(x, y) >= pi(y) - pi(x); an edge is tight when pi(u) + w = pi(v),
     # and d(x, y) = pi(y) - pi(x) exactly when tight edges lead from x to y.
     # - Non-zero pi never wins: pi(z) < 0 means d(x, z) < 0 for some x,
@@ -197,10 +197,9 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     #   that passes the best (sorted row, id) found.
     # The winner is a candidate, so when no solved row is admissible, no
     # row is.
-    edges = eng._block_edges[i]
-    pi = _potential(blk, edges)
+    pi = eng._pi[i]
     tight: dict[str, list[tuple[str, int]]] = {v: [] for v in blk}
-    for (u, v, w) in edges:
+    for (u, v, w) in eng._block_edges[i]:
         if pi[u] + w == pi[v]:
             tight[u].append((v, w))
     bounds, reached = [], set()
@@ -227,9 +226,10 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     verdict = "hereditary-within-window" if g.windowed else "hereditary"
     degree_witness = None
     if g.genuine and max(check.m_values, default=0) >= 2:
-        pi = _potential(blk, _constraint_edges(g, blk)[1])
-        if pi is None:
-            degree_witness = _degree_witness(g, blk)
+        hom, constraints = _constraint_edges(g, blk)
+        pi = _potential(blk, constraints)
+        if isinstance(pi, list):
+            degree_witness = _degree_witness(hom, pi)
             verdict = "not-hereditary"
         else:
             heart = Heart({y: pi[y] - pi[source] for y in blk})
@@ -247,17 +247,14 @@ def _constraint_edges(g: ShiftGraph, blk: list[str]):
     return hom, hom + [(b, a, 1 - w) for (a, b, w) in hom]
 
 
-def _degree_witness(g: ShiftGraph, blk: list[str]) -> list[dict] | None:
+def _degree_witness(hom: list[tuple[str, str, int]], cycle: list) -> list[dict]:
     """The m <= 1 half of the heart condition: in a hereditary category
     every hom edge lands in heart degree 0 or 1, since Ext^2 vanishes.  A
-    negative cycle of the constraint edges (see _constraint_edges) proves
-    that no heart has every m in {0, 1}, and it is returned as its hom
-    edges, each traversed "forward" or "reversed".  A partial object list
-    or hom window only drops constraints, so the proof stays sound."""
-    hom, constraints = _constraint_edges(g, blk)
-    cycle = _negative_cycle(blk, constraints)
-    if cycle is None:
-        return None
+    negative cycle of the constraint edges (see _constraint_edges), from
+    their _potential, proves that no heart has every m in {0, 1}; it is
+    written out as the hom edges it reads, each traversed "forward" or
+    "reversed".  A partial object list or hom window only drops
+    constraints, so the proof stays sound."""
     forward = set(hom)
     return [{"from": u, "to": v, "weight": w, "direction": "forward"}
             if (u, v, w) in forward else

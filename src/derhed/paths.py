@@ -13,22 +13,21 @@ hom-edge graph), so every solve relaxes only the edges of the source's
 block.  Periodic orbits need no special case: their mandatory invertible
 self-edges at weights -p and +p already form a negative closed walk.
 
-Whether an orbit lies on a negative closed walk is decided once, per
-strongly connected component (_components): a closed walk stays in one
-component, and a component's edges hold a negative cycle exactly when
-they have no potential.  Single-source questions (min_weight and the
-witnesses) keep a Bellman-Ford per source over the edges into the orbits
-the source's negative orbits do not reach; its predecessor labels give
-the witness walks, and a walk at -inf pumps a negative cycle between two
-breadth-first legs (_bfs_tree).  Potentials and the solves behind the
-canonical heart share one FIFO label-correcting loop (_relax), which
-meets a negative cycle as a cycle of its parent pointers.  The canonical
-heart of a block with no negative orbit takes a few single-source solves
-(_distances) from sources of the block's tight edges under its
-potential, and no all-pairs table (see hereditary.check_hereditary).
-Tarjan's strongly connected components (_sccs) also give the blocks,
-from the links run both ways, and the directing orbits, from
-_components of the non-invertible edges.
+Whether an orbit lies on a negative closed walk is decided per block:
+one potential over the block's edges settles a block with none, and
+only a block without one is split into strongly connected components
+(_components), since a closed walk stays in one component.  These runs
+and the solves behind the canonical heart (_distances, from sources of
+the block's tight edges under its potential; see
+hereditary.check_hereditary) share one FIFO label-correcting loop
+(_relax), which finds a potential or hands back the negative cycle its
+parent pointers close.  A walk at -inf pumps that cycle between two
+breadth-first legs (_bfs_tree).  min_weight and the finite witnesses
+keep a Bellman-Ford per source over the edges into the orbits the
+source's negative orbits do not reach, whose predecessor labels give
+the walks.  Tarjan's strongly connected components (_sccs) also give
+the blocks, from the links run both ways, and the directing orbits,
+from _components of the non-invertible edges.
 """
 
 from __future__ import annotations
@@ -111,9 +110,9 @@ class PathEngine:
     in other blocks are at +inf.  The -inf targets are the forward closure
     of the block's negative orbits (_negative_in) that the source reaches,
     and a Bellman-Ford over the edges into the other orbits gives the
-    rest.  The engine keeps these solves and the negative orbits of each
-    block, and nothing for the canonical heart, whose solves
-    check_hereditary runs over succ and the block's edges.
+    rest.  The engine keeps these solves and, per block, its potential
+    (_pi) or a negative cycle of each negative component (_negative_in),
+    which the -inf witnesses pump; check_hereditary reads the potential.
     """
 
     def __init__(self, g: ShiftGraph):
@@ -130,7 +129,8 @@ class PathEngine:
             self._block_edges[self._block_of[e[0]]].append(e)
         self._dist_cache: dict[str, dict[str, float]] = {}
         self._pred_cache: dict[str, dict[str, tuple[str, int]]] = {}
-        self._negative: dict[int, set[str]] = {}
+        self._negative: dict[int, dict[str, list[tuple[str, str, int]]]] = {}
+        self._pi: dict[int, dict[str, int]] = {}
 
     # -- structure --
 
@@ -184,12 +184,18 @@ class PathEngine:
         self._run_source(x)
         return self._dist_cache[x].get(y, POS_INF)
 
-    def _negative_in(self, i: int) -> set[str]:
-        """The orbits of block i on a negative closed walk: those whose
-        strongly connected component has no potential."""
+    def _negative_in(self, i: int) -> dict[str, list[tuple[str, str, int]]]:
+        """The orbits of block i on a negative closed walk, each mapped to a
+        negative cycle of its strongly connected component; none when the
+        block has a potential, which _pi[i] keeps."""
         if i not in self._negative:
-            comps = _components(self._blocks[i], self._block_edges[i])
-            self._negative[i] = {v for comp, _, pi in comps if pi is None for v in comp}
+            blk, edges = self._blocks[i], self._block_edges[i]
+            pi = _potential(blk, edges)
+            if isinstance(pi, dict):
+                self._pi[i], self._negative[i] = pi, {}
+            else:
+                self._negative[i] = {v: cycle for comp, _, cycle in _components(blk, edges)
+                                     if isinstance(cycle, list) for v in comp}
         return self._negative[i]
 
     def negative_walk_objects(self) -> set[str]:
@@ -202,11 +208,12 @@ class PathEngine:
     def walk_with_weight(self, x: str, y: str, target: int) -> list[tuple[str, str, int]] | None:
         """Hom-edge walk x -> y of total weight <= target, minimal under the
         relaxation labels; None when min_weight(x, y) > target.  The
-        caller pads the difference with shift steps.  At -inf a negative
-        cycle is pumped inside the region of orbits that x reaches (read
-        off x's solve) and that reach y (one reverse BFS).  No orbit
-        outside the region has an edge into it, so the plain BFS legs
-        x -> cycle -> y stay inside it."""
+        caller pads the difference with shift steps.  At -inf the orbits
+        that x reaches (read off x's solve) and that reach y (one reverse
+        BFS) hold the whole component of each negative orbit among them,
+        and the cycle kept for the least one's is pumped between BFS legs
+        x -> cycle -> y; it starts at its least orbit, so a walk from X
+        back to X with X on it has no legs."""
         mw = self.min_weight(x, y)
         if mw > target:
             return None
@@ -217,9 +224,9 @@ class PathEngine:
         rev = {v: [] for v in dist}
         for (u, v, w) in self._edges_of(x):
             rev[v].append((u, w))
-        region = {v for v in _bfs_tree(rev, y) if dist[v] != POS_INF}
-        cycle = _negative_cycle(sorted(region), [e for e in self._edges_of(x)
-                                                 if e[0] in region and e[1] in region])
+        negative = self._negative_in(self._block_of[x])
+        cycle = negative[min(v for v in _bfs_tree(rev, y)
+                             if v in negative and dist[v] != POS_INF)]
         c = cycle[0][0]
         p1 = _unwind(_bfs_tree(self.succ, x), x, c)
         p2 = _unwind(_bfs_tree(self.succ, c), c, y)
@@ -284,43 +291,11 @@ def _bfs_tree(adj: dict[str, list[tuple[str, int]]], *starts: str) -> dict:
     return tree
 
 
-def _negative_cycle(nodes: list[str], edges) -> list[tuple[str, str, int]] | None:
-    """A negative cycle of the edges (u, v, w) on nodes, as a list of edges,
-    or None: a Bellman-Ford from a virtual source with a weight-0 edge to
-    every node."""
-    dist = dict.fromkeys(nodes, 0)
-    pred: dict[str, tuple[str, int]] = {}
-    for _ in range(len(nodes) + 1):
-        relaxed_v = None
-        for (u, v, w) in edges:
-            if dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
-                pred[v] = (u, w)
-                relaxed_v = v
-        if relaxed_v is None:
-            return None
-    # walk predecessors until we are guaranteed to sit on a cycle
-    x = relaxed_v
-    for _ in range(len(nodes)):
-        x = pred[x][0]
-    cycle = []
-    cur = x
-    while True:
-        u, w = pred[cur]
-        cycle.append((u, cur, w))
-        cur = u
-        if cur == x:
-            break
-    cycle.reverse()
-    assert sum(w for (_u, _v, w) in cycle) < 0
-    return cycle
-
-
-def _potential(nodes: list[str], edges) -> dict[str, int] | None:
-    """pi with pi[v] <= pi[u] + w on every edge (u, v, w), or None when the
-    edges hold a negative cycle: the least weight of a walk into each node,
-    walks of length zero included (a virtual source with a weight-0 edge
-    to every node), so pi <= 0."""
+def _potential(nodes: list[str], edges) -> dict[str, int] | list[tuple[str, str, int]]:
+    """pi with pi[v] <= pi[u] + w on every edge (u, v, w), or a negative
+    cycle of the edges from _relax: the least weight of a walk into each
+    node, walks of length zero included (a virtual source with a weight-0
+    edge to every node), so pi <= 0."""
     succ: dict[str, list[tuple[str, int]]] = {v: [] for v in nodes}
     for (u, v, w) in edges:
         succ[u].append((v, w))
@@ -340,21 +315,22 @@ def _distances(succ: dict[str, list[tuple[str, int]]], nodes: list[str],
 def _relax(succ: dict[str, list[tuple[str, int]]], dist: dict[str, float]):
     """Bellman-Ford from the finite labels of dist along succ's (node,
     weight) lists, scanning nodes from a FIFO queue: dist, lowered in place
-    to exact least walk weights, or None when a negative cycle is met.
-
-    Two tests end a run on a negative cycle.  Every cycle of the parent
-    pointers is negative (Tarjan 1981), so after every len(dist)
-    relaxations the pointers are walked from the last relaxed node, and a
-    repeat ends the run at O(len(dist)) cost per len(dist) relaxations.
-    The hop bound guarantees the end: a label walk of len(dist) edges
-    repeats a node whose label fell in between, so it passes a negative
-    cycle."""
+    to exact least walk weights, or the first cycle the parent pointers
+    close (_parent_cycle); every such cycle is negative (Tarjan 1981).
+    After every len(dist) relaxations the pointers are walked from the
+    last relaxed node (Cherkassky and Goldberg 1999).  The hop bound
+    guarantees the end: a label walk of len(dist) edges repeats a node
+    whose label fell in between, so it passes a negative cycle and the
+    labels would fall for ever; from then on the pointers are walked after
+    every relaxation.  While they hold no cycle each label is at least a
+    root's plus a simple path's weight, so one forms, through the node
+    just relaxed."""
     n = len(dist)
     hops = dict.fromkeys(dist, 0)
-    parent: dict[str, str] = {}
+    parent: dict[str, tuple[str, int]] = {}
     queue = deque(v for v, d in dist.items() if d != POS_INF)
     queued = set(queue)
-    relaxed = 0
+    relaxed, every = 0, n
     while queue:
         u = queue.popleft()
         queued.discard(u)
@@ -363,21 +339,38 @@ def _relax(succ: dict[str, list[tuple[str, int]]], dist: dict[str, float]):
             if du + w < dist[v]:
                 dist[v] = du + w
                 hops[v] = hu
-                parent[v] = u
+                parent[v] = (u, w)
                 if hu >= n:
-                    return None
+                    every = 1
                 relaxed += 1
-                if relaxed % n == 0:
-                    seen, x = set(), v
-                    while x in parent:
-                        if x in seen:
-                            return None
-                        seen.add(x)
-                        x = parent[x]
+                if relaxed % every == 0:
+                    cycle = _parent_cycle(parent, v)
+                    if cycle:
+                        return cycle
                 if v not in queued:
                     queued.add(v)
                     queue.append(v)
     return dist
+
+
+def _parent_cycle(parent: dict[str, tuple[str, int]], v: str) -> list[tuple[str, str, int]]:
+    """The cycle of the parent pointers (v -> (u, w)) that the walk from v
+    runs into, as its edges (u, v, w) from its least node; [] when the
+    walk ends at a node with no parent."""
+    seen = set()
+    while v not in seen:
+        if v not in parent:
+            return []
+        seen.add(v)
+        v = parent[v][0]
+    cycle, x = [], v
+    while not cycle or x != v:
+        u, w = parent[x]
+        cycle.append((u, x, w))
+        x = u
+    cycle.reverse()
+    k = cycle.index(min(cycle))
+    return cycle[k:] + cycle[:k]
 
 
 def _sccs(nodes: list[str], edges) -> list[list[str]]:
@@ -419,12 +412,11 @@ def _sccs(nodes: list[str], edges) -> list[list[str]]:
     return comps
 
 
-def _components(nodes: list[str], edges) -> list[tuple[list[str], list, dict[str, int] | None]]:
+def _components(nodes: list[str], edges) -> list[tuple[list[str], list, dict | list]]:
     """Each strongly connected component of the edges (u, v, w) on nodes,
-    with its inner edges and their _potential, None when those edges hold
-    a negative cycle.  A closed walk stays in one component, so an orbit
-    lies on a negative closed walk exactly when its component has no
-    potential."""
+    with its inner edges and their _potential, a negative cycle when they
+    have none.  A closed walk stays in one component, so an orbit lies on
+    a negative closed walk exactly when its component has no potential."""
     comps = _sccs(nodes, edges)
     comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
     inner: list[list[tuple[str, str, int]]] = [[] for _ in comps]
@@ -469,7 +461,7 @@ def directing_objects(g: ShiftGraph) -> set[str]:
     free: list[str] = []
     tight: list[tuple[str, str]] = []
     for comp, edges, pi in _components(g.orbit_ids(), proper):
-        if pi is not None and all(g.orbit(v).period is None for v in comp):
+        if isinstance(pi, dict) and all(g.orbit(v).period is None for v in comp):
             free += comp
             tight += [(u, v) for (u, v, w) in edges if pi[u] + w == pi[v]]
     closed = {u for (u, v) in tight if u == v}

@@ -366,6 +366,39 @@ def hom_oracle(alg, x, y, n: int, p: int) -> int:
     return cycles - boundaries
 
 
+# -- the Euler form on K_0, from path counts and terms alone --
+
+
+def cartan(alg) -> dict[tuple[str, str], int]:
+    """C[a, b]: the number of paths from b to a that contain no relation,
+    which is dim Hom(P_a, P_b).  The paths are grown arrow by arrow from
+    the quiver and the relations, not read off the algebra's basis."""
+    vertices, arrows = alg.quiver.vertices, alg.quiver.arrows
+    out = {(a, b): 0 for a in vertices for b in vertices}
+    frontier = [(v, v, ()) for v in vertices]  # (start, end, arrow names)
+    while frontier:
+        grown = []
+        for start, end, path in frontier:
+            out[end, start] += 1
+            for arr in arrows:
+                longer = path + (arr.id,)
+                if arr.source == end and not any(longer[-len(rel):] == rel
+                                                 for rel in alg.relations):
+                    grown.append((start, arr.target, longer))
+        frontier = grown
+    return out
+
+
+def k0_class(x) -> dict[str, int]:
+    """[X] = sum_i (-1)^i [X^i]: each vertex's summands of X, counted with
+    the sign of their degree."""
+    out: dict[str, int] = {}
+    for d, vs in x.degrees.items():
+        for v in vs:
+            out[v] = out.get(v, 0) + (-1) ** d
+    return out
+
+
 def rank_oracle_gauss(mat: np.ndarray, p: int) -> int:
     """Rank over GF(p) via pure-Python row reduction; used where minor
     enumeration would be too slow, still independent of the library

@@ -11,7 +11,7 @@ from derhed.generators import (a2_projective_resolutions,
 from derhed.linalg import PrimeField
 from derhed.quiver import Arrow, MonomialAlgebra, Quiver
 
-from oracles import hom_oracle
+from oracles import cartan, hom_oracle, k0_class
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +289,44 @@ def test_direct_sum_homs_match_oracle(dual, family, p):
             assert not is_indecomposable(s, fld), s.name
         for z, x in enumerate(xs):
             assert are_isomorphic(x, s, fld) == (z == i or (z == j and k == 0)), (x.name, s.name)
+
+
+def euler_families(p):
+    """C1..C6, the A_2 resolutions, the A_3 shortcut complexes and Kronecker
+    bands, each family with its direct sums X + Y[k] (SUM_PLAN)."""
+    dual, kr = dual_numbers_algebra(), kronecker()
+    families = [
+        [dual_numbers_chain(dual, l) for l in range(1, 7)],
+        a2_projective_resolutions()[1],
+        a3_shortcut_complexes()[1],
+        [kronecker_band(kr, p, c0, c1) for c0, c1 in ((0, 0), (1, 0), (2, 3), (p - 1, 5))],
+    ]
+    for xs in families:
+        yield xs + [direct_sum(xs[i], shift_complex(xs[j], k, p), f"{xs[i].name}+{xs[j].name}[{k}]")
+                    for i, j, k in SUM_PLAN]
+
+
+def test_euler_form_of_the_hom_tables(fld):
+    """sum_n (-1)^n dim Hom(X, Y[n]) over the whole support of the hom
+    complex equals [X]^T C [Y], which reads only the terms of X and Y and
+    the path counts C: the hom tables agree with it in aggregate, the
+    differentials aside.  C transposed misses on some pairs, so the
+    orientation is checked too."""
+    cases = transposed_misses = 0
+    for xs in euler_families(fld.p):
+        c = cartan(xs[0].algebra)
+        for x in xs:
+            for y in xs:
+                dims = _hom_dims(x, y, min(y.degrees) - max(x.degrees),
+                                 max(y.degrees) - min(x.degrees), fld)
+                chi = sum((-1) ** n * d for n, d in dims.items())
+                kx, ky = k0_class(x), k0_class(y)
+                assert chi == sum(kx[a] * c[a, b] * ky[b] for a in kx for b in ky), (
+                    x.name, y.name)
+                transposed_misses += chi != sum(kx[a] * c[b, a] * ky[b] for a in kx for b in ky)
+                cases += 1
+    assert cases == 10**2 + 7**2 + 11**2 + 8**2
+    assert transposed_misses > 0
 
 
 def test_dual_numbers_graph_matches_per_call_dims(dual, fld):

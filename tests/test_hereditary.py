@@ -6,15 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from derhed import hereditary, paths
 from derhed.complexes import build_shiftgraph_from_complexes
 from derhed.generators import (gen_a2_from_complexes, gen_dual_numbers,
                                gen_dynkin_an, gen_example_a2,
                                gen_semisimple_block)
 from derhed.hereditary import (Heart, IncompleteHeart, NegativeWalkAtSource,
-                               NotABlock, UnreachableOrbit, _degree_witness,
+                               NotABlock, UnreachableOrbit, _constraint_edges,
                                check_hereditary, cohomology, extract_heart,
                                truncate, verify_heart)
-from derhed.paths import NEG_INF, POS_INF, PathEngine
+from derhed.paths import NEG_INF, POS_INF, PathEngine, _potential
 from derhed.shiftgraph import (AbelianData, HomEdge, ObjRef, Orbit, ShiftGraph,
                                expand_hereditary)
 
@@ -392,6 +393,61 @@ def test_ext2_refutes_the_seven_complexes(window):
     assert "witness" not in rep.to_dict()
 
 
+def test_ext2_refutation_reads_the_constraints_once(monkeypatch):
+    # one relaxation run over the constraint edges decides the degree
+    # check and hands back the cycle that the degree witness lists
+    reads = []
+    real = hereditary._constraint_edges
+
+    class Reads(list):
+        def __iter__(self):
+            reads.append(len(self))
+            return super().__iter__()
+
+    def counted(g, blk):
+        hom, constraints = real(g, blk)
+        return hom, Reads(constraints)
+
+    monkeypatch.setattr(hereditary, "_constraint_edges", counted)
+    g = build_shiftgraph_from_complexes(*a3_shortcut_complexes(), 3)
+    [blk] = PathEngine(g).blocks()
+    rep = check_hereditary(g, blk)
+    assert rep.verdict == "not-hereditary"
+    assert oracles.check_degree_witness(g, rep.degree_witness)
+    assert len(reads) == 1
+
+
+def count_potentials(monkeypatch) -> list[list[str]]:
+    """The sorted nodes of each _potential call from here on, also through
+    the name hereditary imports."""
+    calls = []
+    real = paths._potential
+
+    def counting(nodes, edges):
+        calls.append(sorted(nodes))
+        return real(nodes, edges)
+
+    for mod in (paths, hereditary):
+        monkeypatch.setattr(mod, "_potential", counting)
+    return calls
+
+
+def test_one_potential_per_hereditary_block(monkeypatch):
+    # the potential that finds no negative orbit in a block is the one its
+    # heart reads; only a block with a negative orbit is split into its
+    # strongly connected components
+    calls = count_potentials(monkeypatch)
+    g = one_way(("A", "B", 0), ("B", "C", -1), ("C", "A", 2))
+    rep = check_hereditary(g, ["A", "B", "C"])
+    assert rep.verdict == "hereditary" and calls == [["A", "B", "C"]]
+    assert rep.heart.offsets == {"A": 0, "B": 0, "C": -1}
+    calls.clear()
+    g = one_way(("A", "B", 0), ("B", "A", -1), ("B", "C", 0))
+    rep = check_hereditary(g, ["A", "B", "C"])
+    assert rep.indicator == {"A": True, "B": True, "C": False}
+    assert calls[0] == ["A", "B", "C"] and sorted(calls[1:]) == [["A", "B"], ["C"]]
+
+
 def test_degree_check_on_genuine_blocks_only():
     # the canonical heart puts B -> C in degree 2, but B moved down by one
     # gives degrees 1, 0 and 1: hereditary, no degree witness, and that
@@ -452,4 +508,4 @@ def test_degree_check_refutes_no_genuine_generator():
         eng = PathEngine(g)
         for blk in eng.blocks():
             assert check_hereditary(g, blk, engine=eng).degree_witness is None
-            assert _degree_witness(g, blk) is None
+            assert isinstance(_potential(blk, _constraint_edges(g, blk)[1]), dict)
