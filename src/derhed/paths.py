@@ -23,11 +23,12 @@ hereditary.check_hereditary) share one FIFO label-correcting loop
 (_relax), which finds a potential or hands back the negative cycle its
 parent pointers close.  A walk at -inf pumps that cycle between two
 breadth-first legs (_bfs_tree).  min_weight and the finite witnesses
-keep a Bellman-Ford per source over the edges into the orbits the
-source's negative orbits do not reach, whose predecessor labels give
-the walks.  Tarjan's strongly connected components (_sccs) also give
-the blocks, from the links run both ways, and the directing orbits,
-from _components of the non-invertible edges.
+come from the same loop, run once per source over the edges into the
+orbits that the source's negative orbits do not reach, with a label
+that folds weight and hom steps into one integer; its parent pointers
+give the walks.  Tarjan's strongly connected components (_sccs) also
+give the blocks, from the links run both ways, and the directing
+orbits, from _components of the non-invertible edges.
 """
 
 from __future__ import annotations
@@ -109,10 +110,16 @@ class PathEngine:
     Each source is solved once, over the edges of its own block; targets
     in other blocks are at +inf.  The -inf targets are the forward closure
     of the block's negative orbits (_negative_in) that the source reaches,
-    and a Bellman-Ford over the edges into the other orbits gives the
-    rest.  The engine keeps these solves and, per block, its potential
-    (_pi) or a negative cycle of each negative component (_negative_in),
-    which the -inf witnesses pump; check_hereditary reads the potential.
+    and one _relax over the edges into the other orbits gives the rest.
+    With n = |block|, an edge of weight w enters it as w * n + 1, so a
+    walk's label is its weight * n plus its hom steps.  Those edges hold
+    no negative cycle, so a least walk in (weight, steps) order is simple
+    and has steps < n; the least label is then that walk's, label // n is
+    its weight, and the parent pointers unwind to a walk of least weight
+    with the fewest hom steps.  The engine keeps these solves and, per
+    block, its potential (_pi) or a negative cycle of each negative
+    component (_negative_in), which the -inf witnesses pump;
+    check_hereditary reads the potential.
     """
 
     def __init__(self, g: ShiftGraph):
@@ -151,30 +158,18 @@ class PathEngine:
         i = self._block_of[s]
         block = self._blocks[i]
         # -inf: the forward closure of the negative orbits that s reaches;
-        # the edges into the other orbits hold no negative cycle
+        # the rest is relaxed on labels weight * n + hom steps
         negative = self._negative_in(i)
         neg = _bfs_tree(self.succ, *(v for v in _bfs_tree(self.succ, s) if v in negative))
-        edges = [e for e in self._block_edges[i] if e[1] not in neg]
-        # label-correcting relaxation with (weight, hom-steps) labels:
-        # weight first, then fewer hom steps, so witnesses are minimal.
-        dist: dict[str, tuple[float, int]] = {v: (POS_INF, 0) for v in block}
-        pred: dict[str, tuple[str, int]] = {}
-        dist[s] = (0, 0)
-        for _ in range(len(block)):
-            changed = False
-            for (u, v, w) in edges:
-                du = dist[u]
-                if du[0] == POS_INF:
-                    continue
-                cand = (du[0] + w, du[1] + 1)
-                if cand < dist[v]:
-                    dist[v] = cand
-                    pred[v] = (u, w)
-                    changed = True
-            if not changed:
-                break
-        self._dist_cache[s] = {v: (NEG_INF if v in neg else dist[v][0]) for v in block}
-        self._pred_cache[s] = pred
+        n = len(block)
+        region = {u: [(v, w * n + 1) for (v, w) in self.succ[u] if v not in neg] for u in block}
+        dist = dict.fromkeys(block, POS_INF)
+        dist[s] = 0
+        parent: dict[str, tuple[str, int]] = {}
+        _relax(region, dist, parent)
+        self._dist_cache[s] = {v: NEG_INF if v in neg else POS_INF if d == POS_INF else d // n
+                               for v, d in dist.items()}
+        self._pred_cache[s] = {v: (u, (w - 1) // n) for v, (u, w) in parent.items()}
 
     def min_weight(self, x: str, y: str) -> float:
         """Minimum total weight of a walk from orbit x to orbit y; walks of
@@ -299,7 +294,7 @@ def _potential(nodes: list[str], edges) -> dict[str, int] | list[tuple[str, str,
     succ: dict[str, list[tuple[str, int]]] = {v: [] for v in nodes}
     for (u, v, w) in edges:
         succ[u].append((v, w))
-    return _relax(succ, dict.fromkeys(nodes, 0))
+    return _relax(succ, dict.fromkeys(nodes, 0), {})
 
 
 def _distances(succ: dict[str, list[tuple[str, int]]], nodes: list[str],
@@ -309,14 +304,18 @@ def _distances(succ: dict[str, list[tuple[str, int]]], nodes: list[str],
     cycle, and succ leads from nodes only to nodes."""
     dist = dict.fromkeys(nodes, POS_INF)
     dist[source] = 0
-    return _relax(succ, dist)
+    return _relax(succ, dist, {})
 
 
-def _relax(succ: dict[str, list[tuple[str, int]]], dist: dict[str, float]):
+def _relax(succ: dict[str, list[tuple[str, int]]], dist: dict[str, float],
+           parent: dict[str, tuple[str, int]]):
     """Bellman-Ford from the finite labels of dist along succ's (node,
     weight) lists, scanning nodes from a FIFO queue: dist, lowered in place
     to exact least walk weights, or the first cycle the parent pointers
     close (_parent_cycle); every such cycle is negative (Tarjan 1981).
+    parent, empty on entry, keeps the pointers: each lowered node maps to
+    the edge (u, w) that last lowered it, so on a returned dist they
+    unwind (_unwind) to a least walk from a root.
     After every len(dist) relaxations the pointers are walked from the
     last relaxed node (Cherkassky and Goldberg 1999).  The hop bound
     guarantees the end: a label walk of len(dist) edges repeats a node
@@ -327,7 +326,6 @@ def _relax(succ: dict[str, list[tuple[str, int]]], dist: dict[str, float]):
     just relaxed."""
     n = len(dist)
     hops = dict.fromkeys(dist, 0)
-    parent: dict[str, tuple[str, int]] = {}
     queue = deque(v for v, d in dist.items() if d != POS_INF)
     queued = set(queue)
     relaxed, every = 0, n
@@ -336,8 +334,9 @@ def _relax(succ: dict[str, list[tuple[str, int]]], dist: dict[str, float]):
         queued.discard(u)
         du, hu = dist[u], hops[u] + 1
         for (v, w) in succ[u]:
-            if du + w < dist[v]:
-                dist[v] = du + w
+            dv = du + w
+            if dv < dist[v]:
+                dist[v] = dv
                 hops[v] = hu
                 parent[v] = (u, w)
                 if hu >= n:

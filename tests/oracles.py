@@ -130,6 +130,20 @@ def min_weight_oracle(g, x: str, y: str) -> float:
     return best[y]
 
 
+def min_steps_oracle(g, x: str, y: str, weight: int) -> int | None:
+    """The least k <= |orbits| with a k-step hom-edge walk x -> y of total
+    weight `weight`, by dynamic programming over exact step counts: the
+    set of (orbit, weight) pairs that k-step walks from x end at, grown
+    one hom edge at a time; None when no such k exists."""
+    ends = {(x, 0)}
+    for k in range(len(g.orbit_ids()) + 1):
+        if (y, weight) in ends:
+            return k
+        ends = {(b, t + e.weight) for (u, t) in ends
+                for (a, b), edges in g.homs.items() if a == u for e in edges}
+    return None
+
+
 def directing_oracle(g) -> set:
     """Orbits with no closed walk of length >= 1 made of non-invertible hom
     edges and total weight <= 0 (shift steps pad it up to 0), and not
