@@ -277,14 +277,14 @@ def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
     return _hom_dims(x, y, n, n, fld or PrimeField())[n]
 
 
-def _hom_reps(x: ProjComplex, y: ProjComplex, n: int, fld: PrimeField):
-    """Hom-space data: (the blocks of the degree-n maps, a list of chain
-    maps whose classes form a basis of Hom_K, the sparse rows of the
-    boundary d_(n-1), one per coordinate, and its column count)."""
+def _hom_reps(x: ProjComplex, y: ProjComplex, fld: PrimeField):
+    """Hom-space data in degree 0: (the blocks of the degree-0 maps, chain
+    maps whose classes form a basis of Hom_K(X, Y), the sparse rows of
+    the boundary d_(-1), one per coordinate, and its column count)."""
     alg = x.algebra
-    prev, src, nxt = (_hom_blocks(alg, x, y, m) for m in (n - 1, n, n + 1))
-    z = fld.nullspace(_hom_boundary(alg, x, y, n, src, nxt, fld.p), src[1])
-    bmat, nb = _hom_boundary(alg, x, y, n - 1, prev, src, fld.p), prev[1]
+    prev, src, nxt = (_hom_blocks(alg, x, y, m) for m in (-1, 0, 1))
+    z = fld.nullspace(_hom_boundary(alg, x, y, 0, src, nxt, fld.p), src[1])
+    bmat, nb = _hom_boundary(alg, x, y, -1, prev, src, fld.p), prev[1]
     _, pivots = fld.rref(_beside(bmat, nb, z))
     return src, [z[c - nb] for c in pivots if c >= nb], bmat, nb
 
@@ -323,7 +323,7 @@ class EndAlgebra:
     def __init__(self, x: ProjComplex, fld: PrimeField):
         self.x = x
         self.fld = fld
-        self.blocks, self.reps, bmat, self._nb = _hom_reps(x, x, 0, fld)
+        self.blocks, self.reps, bmat, self._nb = _hom_reps(x, x, fld)
         # reps: a basis b_0, ..., b_(dim-1) of End, as cycles in ambient coordinates
         self.dim = len(self.reps)
         self._solve_basis = _beside(bmat, self._nb, self.reps)
@@ -493,8 +493,8 @@ def _isomorphic(end: EndAlgebra, y: ProjComplex) -> bool:
     whether they span End(X); no radical is needed.  No composite
     (Hom(X, Y) or Hom(Y, X) is 0) answers False."""
     x, fld = end.x, end.fld
-    f_blocks, f_reps, *_ = _hom_reps(x, y, 0, fld)
-    g_blocks, g_reps, *_ = _hom_reps(y, x, 0, fld)
+    f_blocks, f_reps, *_ = _hom_reps(x, y, fld)
+    g_blocks, g_reps, *_ = _hom_reps(y, x, fld)
     comps = [_compose_coords(x.algebra, fld, f, f_blocks, g, g_blocks, end.blocks)
              for f in f_reps for g in g_reps]
     return bool(comps) and fld.rank(end.to_quotient(comps)) == end.dim

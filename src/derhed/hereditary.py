@@ -198,12 +198,9 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     # The winner is a candidate, so when no solved row is admissible, no
     # row is.
     pi = eng._pi[i]
-    tight: dict[str, list[tuple[str, int]]] = {v: [] for v in blk}
-    for (u, v, w) in eng._block_edges[i]:
-        if pi[u] + w == pi[v]:
-            tight[u].append((v, w))
+    tight = {u: [(v, w) for (v, w) in eng.succ[u] if pi[u] + w == pi[v]] for u in blk}
     bounds, reached = [], set()
-    for comp in reversed(_sccs(blk, [(u, v) for u in blk for (v, _w) in tight[u]])):
+    for comp in reversed(_sccs(tight)):
         x = min((v for v in comp if pi[v] == 0), default=None)
         if x is None or x in reached:
             continue
@@ -226,8 +223,8 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     verdict = "hereditary-within-window" if g.windowed else "hereditary"
     degree_witness = None
     if g.genuine and max(check.m_values, default=0) >= 2:
-        hom, constraints = _constraint_edges(g, blk)
-        pi = _potential(blk, constraints)
+        hom, constraints = _constraint_edges(eng.succ, blk)
+        pi = _potential(constraints)
         if isinstance(pi, list):
             degree_witness = _degree_witness(hom, pi)
             verdict = "not-hereditary"
@@ -238,13 +235,17 @@ def check_hereditary(g: ShiftGraph, block: list[str],
                             heart_check=check, degree_witness=degree_witness)
 
 
-def _constraint_edges(g: ShiftGraph, blk: list[str]):
-    """The hom edges (a, b, w) of the block, and with them the constraint
-    edges (a, b, w) and (b, a, 1 - w): offsets d put every hom edge in
-    heart degree m = w + d_a - d_b in {0, 1} exactly when they are a
-    potential of the constraint edges."""
-    hom = [(a, b, e.weight) for a in blk for b in g.targets(a) for e in g.homs[(a, b)]]
-    return hom, hom + [(b, a, 1 - w) for (a, b, w) in hom]
+def _constraint_edges(succ: dict[str, list[tuple[str, int]]], blk: list[str]):
+    """The hom edges (a, b, w) of the block along succ, and the successor
+    lists of the constraint edges (a, b, w) and (b, a, 1 - w): offsets d
+    put every hom edge in heart degree m = w + d_a - d_b in {0, 1} exactly
+    when they are a potential of the constraint edges.  Each orbit's list
+    holds its own hom edges, then the reversed ones in hom-edge order."""
+    hom = [(a, b, w) for a in blk for (b, w) in succ[a]]
+    constraints = {a: list(succ[a]) for a in blk}
+    for (a, b, w) in hom:
+        constraints[b].append((a, 1 - w))
+    return hom, constraints
 
 
 def _degree_witness(hom: list[tuple[str, str, int]], cycle: list) -> list[dict]:

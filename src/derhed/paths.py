@@ -13,22 +13,24 @@ hom-edge graph), so every solve relaxes only the edges of the source's
 block.  Periodic orbits need no special case: their mandatory invertible
 self-edges at weights -p and +p already form a negative closed walk.
 
-Whether an orbit lies on a negative closed walk is decided per block:
-one potential over the block's edges settles a block with none, and
-only a block without one is split into strongly connected components
-(_components), since a closed walk stays in one component.  These runs
-and the solves behind the canonical heart (_distances, from sources of
-the block's tight edges under its potential; see
-hereditary.check_hereditary) share one FIFO label-correcting loop
-(_relax), which finds a potential or hands back the negative cycle its
-parent pointers close.  A walk at -inf pumps that cycle between two
-breadth-first legs (_bfs_tree).  min_weight and the finite witnesses
-come from the same loop, run once per source over the edges into the
-orbits that the source's negative orbits do not reach, with a label
-that folds weight and hom steps into one integer; its parent pointers
-give the walks.  Tarjan's strongly connected components (_sccs) also
-give the blocks, from the links run both ways, and the directing
-orbits, from _components of the non-invertible edges.
+Every graph here is successor lists {u: [(v, w), ...]} in (orbit,
+weight) order, keyed by node in the order the solves take them; a
+block's are its orbits' entries of the engine's (succ).  Whether an
+orbit lies on a negative closed walk is decided per block: one potential
+over the block settles a block with none, and only a block without one
+is split into strongly connected components (_components), since a
+closed walk stays in one component.  These runs and the solves behind
+the canonical heart (_distances, from sources of the block's tight edges
+under its potential; see hereditary.check_hereditary) share one FIFO
+label-correcting loop (_relax), which finds a potential or hands back
+the negative cycle its parent pointers close.  A walk at -inf pumps that
+cycle between two breadth-first legs (_bfs_tree).  min_weight and the
+finite witnesses come from the same loop, run once per source over the
+edges into the orbits that the source's negative orbits do not reach,
+with a label that folds weight and hom steps into one integer; its
+parent pointers give the walks.  Tarjan's strongly connected components
+(_sccs) also give the blocks, from the links run both ways, and the
+directing orbits, from _components of the non-invertible edges.
 """
 
 from __future__ import annotations
@@ -107,11 +109,12 @@ class DegeneratePeriodic(NamedTuple):
 class PathEngine:
     """Shortest-walk machinery over one immutable shift-graph.
 
-    Each source is solved once, over the edges of its own block; targets
-    in other blocks are at +inf.  The -inf targets are the forward closure
-    of the block's negative orbits (_negative_in) that the source reaches,
-    and one _relax over the edges into the other orbits gives the rest.
-    With n = |block|, an edge of weight w enters it as w * n + 1, so a
+    One graph, the successor lists (succ), serves every block: no block
+    keeps an edge list.  Each source is solved once, over its own block;
+    targets in other blocks are at +inf.  The -inf targets are the
+    forward closure of the block's negative orbits (_negative_in) that
+    the source reaches, and one _relax over the edges into the other
+    orbits gives the rest.  With n = |block|, an edge of weight w enters it as w * n + 1, so a
     walk's label is its weight * n plus its hom steps.  Those edges hold
     no negative cycle, so a least walk in (weight, steps) order is simple
     and has steps < n; the least label is then that walk's, label // n is
@@ -124,16 +127,11 @@ class PathEngine:
 
     def __init__(self, g: ShiftGraph):
         self.g = g
-        edges = sorted((a, b, e.weight)
-                       for (a, b), hom_edges in g.homs.items() for e in hom_edges)
-        self.succ: dict[str, list[tuple[str, int]]] = {v: [] for v in sorted(g.orbit_ids())}
-        for (a, b, w) in edges:
-            self.succ[a].append((b, w))
+        self.succ: dict[str, list[tuple[str, int]]] = {
+            a: [(b, e.weight) for b in g.targets(a) for e in g.homs[(a, b)]]
+            for a in sorted(g.orbit_ids())}
         self._blocks = _blocks_of(g)
         self._block_of = {v: i for i, blk in enumerate(self._blocks) for v in blk}
-        self._block_edges: list[list[tuple[str, str, int]]] = [[] for _ in self._blocks]
-        for e in edges:
-            self._block_edges[self._block_of[e[0]]].append(e)
         self._dist_cache: dict[str, dict[str, float]] = {}
         self._pred_cache: dict[str, dict[str, tuple[str, int]]] = {}
         self._negative: dict[int, dict[str, list[tuple[str, str, int]]]] = {}
@@ -143,10 +141,6 @@ class PathEngine:
 
     def blocks(self) -> list[list[str]]:
         return [list(b) for b in self._blocks]
-
-    def _edges_of(self, v: str) -> list[tuple[str, str, int]]:
-        """The edges of v's block, in the global sorted order."""
-        return self._block_edges[self._block_of[v]]
 
     # -- shortest walks --
 
@@ -184,12 +178,12 @@ class PathEngine:
         negative cycle of its strongly connected component; none when the
         block has a potential, which _pi[i] keeps."""
         if i not in self._negative:
-            blk, edges = self._blocks[i], self._block_edges[i]
-            pi = _potential(blk, edges)
+            succ = {v: self.succ[v] for v in self._blocks[i]}
+            pi = _potential(succ)
             if isinstance(pi, dict):
                 self._pi[i], self._negative[i] = pi, {}
             else:
-                self._negative[i] = {v: cycle for comp, _, cycle in _components(blk, edges)
+                self._negative[i] = {v: cycle for comp, _, cycle in _components(succ)
                                      if isinstance(cycle, list) for v in comp}
         return self._negative[i]
 
@@ -217,8 +211,9 @@ class PathEngine:
         # -inf: pump a negative cycle lying between x and y.
         dist = self._dist_cache[x]
         rev = {v: [] for v in dist}
-        for (u, v, w) in self._edges_of(x):
-            rev[v].append((u, w))
+        for u in dist:
+            for (v, w) in self.succ[u]:
+                rev[v].append((u, w))
         negative = self._negative_in(self._block_of[x])
         cycle = negative[min(v for v in _bfs_tree(rev, y)
                              if v in negative and dist[v] != POS_INF)]
@@ -266,9 +261,12 @@ def _unwind(pred: dict[str, tuple[str, int]], s: str, t: str) -> list[tuple[str,
 def _blocks_of(g: ShiftGraph) -> list[list[str]]:
     """The sorted connected components of the hom-edge graph: the strongly
     connected components of its links between distinct orbits, run both ways."""
-    links = [e for (a, b), hom_edges in g.homs.items() if a != b and hom_edges
-             for e in ((a, b), (b, a))]
-    return sorted(sorted(comp) for comp in _sccs(g.orbit_ids(), links))
+    links: dict[str, list[tuple[str, int]]] = {v: [] for v in g.orbit_ids()}
+    for (a, b), hom_edges in g.homs.items():
+        if a != b and hom_edges:
+            links[a].append((b, 0))
+            links[b].append((a, 0))
+    return sorted(sorted(comp) for comp in _sccs(links))
 
 
 def _bfs_tree(adj: dict[str, list[tuple[str, int]]], *starts: str) -> dict:
@@ -286,15 +284,14 @@ def _bfs_tree(adj: dict[str, list[tuple[str, int]]], *starts: str) -> dict:
     return tree
 
 
-def _potential(nodes: list[str], edges) -> dict[str, int] | list[tuple[str, str, int]]:
-    """pi with pi[v] <= pi[u] + w on every edge (u, v, w), or a negative
-    cycle of the edges from _relax: the least weight of a walk into each
-    node, walks of length zero included (a virtual source with a weight-0
-    edge to every node), so pi <= 0."""
-    succ: dict[str, list[tuple[str, int]]] = {v: [] for v in nodes}
-    for (u, v, w) in edges:
-        succ[u].append((v, w))
-    return _relax(succ, dict.fromkeys(nodes, 0), {})
+def _potential(succ: dict[str, list[tuple[str, int]]]
+               ) -> dict[str, int] | list[tuple[str, str, int]]:
+    """pi with pi[v] <= pi[u] + w on every edge (v, w) of succ[u], or a
+    negative cycle of succ from _relax: the least weight of a walk into
+    each node, walks of length zero included (a virtual source with a
+    weight-0 edge to every node), so pi <= 0.  succ leads from its nodes
+    only to its nodes, and they are relaxed in its order."""
+    return _relax(succ, dict.fromkeys(succ, 0), {})
 
 
 def _distances(succ: dict[str, list[tuple[str, int]]], nodes: list[str],
@@ -372,17 +369,15 @@ def _parent_cycle(parent: dict[str, tuple[str, int]], v: str) -> list[tuple[str,
     return cycle[k:] + cycle[:k]
 
 
-def _sccs(nodes: list[str], edges) -> list[list[str]]:
-    """The strongly connected components of the edges (u, v, ...) on nodes,
-    by Tarjan's algorithm with an explicit stack.  A finished node's index
-    becomes +inf, so later edges into it lower no low-link."""
-    succ: dict[str, list[str]] = {v: [] for v in nodes}
-    for e in edges:
-        succ[e[0]].append(e[1])
+def _sccs(succ: dict[str, list[tuple[str, int]]]) -> list[list[str]]:
+    """The strongly connected components of succ's (node, weight) lists,
+    by Tarjan's algorithm (Tarjan 1972) with an explicit stack, rooted in
+    succ's node order.  A finished node's index becomes +inf, so later
+    edges into it lower no low-link."""
     index: dict[str, float] = {}
     low: dict[str, float] = {}
     stack, comps = [], []
-    for root in nodes:
+    for root in succ:
         if root in index:
             continue
         index[root] = low[root] = len(index)
@@ -390,7 +385,7 @@ def _sccs(nodes: list[str], edges) -> list[list[str]]:
         work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            for u in it:
+            for (u, _w) in it:
                 if u not in index:
                     index[u] = low[u] = len(index)
                     stack.append(u)
@@ -411,18 +406,18 @@ def _sccs(nodes: list[str], edges) -> list[list[str]]:
     return comps
 
 
-def _components(nodes: list[str], edges) -> list[tuple[list[str], list, dict | list]]:
-    """Each strongly connected component of the edges (u, v, w) on nodes,
-    with its inner edges and their _potential, a negative cycle when they
-    have none.  A closed walk stays in one component, so an orbit lies on
-    a negative closed walk exactly when its component has no potential."""
-    comps = _sccs(nodes, edges)
+def _components(succ: dict[str, list[tuple[str, int]]]
+                ) -> list[tuple[list[str], dict, dict | list]]:
+    """Each strongly connected component of succ, in Tarjan's order, with
+    its inner successor lists and their _potential, a negative cycle when
+    they have none.  A closed walk stays in one component, so an orbit
+    lies on a negative closed walk exactly when its component has no
+    potential."""
+    comps = _sccs(succ)
     comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
-    inner: list[list[tuple[str, str, int]]] = [[] for _ in comps]
-    for e in edges:
-        if comp_of[e[0]] == comp_of[e[1]]:
-            inner[comp_of[e[0]]].append(e)
-    return [(comp, es, _potential(comp, es)) for comp, es in zip(comps, inner)]
+    inners = [{u: [(v, w) for (v, w) in succ[u] if comp_of[v] == k] for u in comp}
+              for k, comp in enumerate(comps)]
+    return [(comp, inner, _potential(inner)) for comp, inner in zip(comps, inners)]
 
 
 # -- public operations --
@@ -455,14 +450,13 @@ def directing_objects(g: ShiftGraph) -> set[str]:
     weighs 0 iff every edge on it is tight, pi(u) + w = pi(v): the orbits
     on a tight self-edge or in a tight component of two or more orbits
     are not directing, and the rest are."""
-    proper = [(a, b, e.weight) for (a, b), hom_edges in g.homs.items()
-              for e in hom_edges if not e.all_iso]
-    free: list[str] = []
-    tight: list[tuple[str, str]] = []
-    for comp, edges, pi in _components(g.orbit_ids(), proper):
+    proper = {a: [(b, e.weight) for b in g.targets(a) for e in g.homs[(a, b)] if not e.all_iso]
+              for a in g.orbit_ids()}
+    tight: dict[str, list[tuple[str, int]]] = {}
+    for comp, inner, pi in _components(proper):
         if isinstance(pi, dict) and all(g.orbit(v).period is None for v in comp):
-            free += comp
-            tight += [(u, v) for (u, v, w) in edges if pi[u] + w == pi[v]]
-    closed = {u for (u, v) in tight if u == v}
-    closed.update(v for comp in _sccs(free, tight) if len(comp) > 1 for v in comp)
-    return set(free) - closed
+            tight.update({u: [(v, w) for (v, w) in inner[u] if pi[u] + w == pi[v]]
+                          for u in comp})
+    closed = {u for u, out in tight.items() for (v, _w) in out if v == u}
+    closed.update(v for comp in _sccs(tight) if len(comp) > 1 for v in comp)
+    return set(tight) - closed

@@ -193,8 +193,9 @@ class Representation:
     The constructor copies dims and maps, filling in 0 for a missing
     vertex and a zero matrix for a missing arrow, so the caller's dicts
     are never changed.  It refuses a dimension that is not a non-negative
-    int, a bool included.  It also records, once, the sparse data the Hom
-    system reads (see _hom_ext):
+    int, or a map entry that is not an int, a bool or a float included.
+    It also records, once, the sparse data the Hom system reads (see
+    _hom_ext):
 
     - ``_support``: the (vertex, dim) pairs with M_v != 0, in vertex order;
     - ``_cols``: for each arrow (id, s, t) with M_s != 0, in arrow order,
@@ -230,10 +231,13 @@ class Representation:
             if m is None:
                 m = [[0] * cols for _ in range(rows)]
             else:
-                m = [[int(x) for x in row] for row in m]
+                m = [list(row) for row in m]
                 if len(m) != rows or any(len(row) != cols for row in m):
                     raise ValueError(
                         f"map for arrow {a.id} is not of shape ({rows}, {cols})")
+                bad = [x for row in m for x in row if type(x) is not int]
+                if bad:
+                    raise ValueError(f"map for arrow {a.id} has {bad[0]!r}, not an int")
             self.maps[a.id] = m
             if cols:
                 self._cols.append((*a, [[(k, row[j]) for k, row in enumerate(m) if row[j]]

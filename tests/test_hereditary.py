@@ -399,13 +399,13 @@ def test_ext2_refutation_reads_the_constraints_once(monkeypatch):
     reads = []
     real = hereditary._constraint_edges
 
-    class Reads(list):
+    class Reads(dict):
         def __iter__(self):
             reads.append(len(self))
             return super().__iter__()
 
-    def counted(g, blk):
-        hom, constraints = real(g, blk)
+    def counted(succ, blk):
+        hom, constraints = real(succ, blk)
         return hom, Reads(constraints)
 
     monkeypatch.setattr(hereditary, "_constraint_edges", counted)
@@ -423,9 +423,9 @@ def count_potentials(monkeypatch) -> list[list[str]]:
     calls = []
     real = paths._potential
 
-    def counting(nodes, edges):
-        calls.append(sorted(nodes))
-        return real(nodes, edges)
+    def counting(succ):
+        calls.append(sorted(succ))
+        return real(succ)
 
     for mod in (paths, hereditary):
         monkeypatch.setattr(mod, "_potential", counting)
@@ -508,4 +508,54 @@ def test_degree_check_refutes_no_genuine_generator():
         eng = PathEngine(g)
         for blk in eng.blocks():
             assert check_hereditary(g, blk, engine=eng).degree_witness is None
-            assert isinstance(_potential(blk, _constraint_edges(g, blk)[1]), dict)
+            assert isinstance(_potential(_constraint_edges(eng.succ, blk)[1]), dict)
+
+
+def _report(verdict, offsets, m_values, degree_witness=None):
+    """The to_dict of a check_hereditary report on a block with no
+    negative orbit, whose heart_check finds no violation."""
+    out = {"verdict": verdict, "negative_walk_indicator": dict.fromkeys(offsets, False),
+           "heart": {"block": sorted(offsets), "offsets": offsets},
+           "heart_check": {"ok": True, "violations": [], "m_values": m_values}}
+    if degree_witness is not None:
+        out["degree_witness"] = [{"from": u, "to": v, "weight": w, "direction": d}
+                                 for (u, v, w, d) in degree_witness]
+    return out
+
+
+# Full reports on genuine random blocks, keyed by k in the seed 10**6 + k,
+# whose bytes rest on the order of the degree check's relaxation: the
+# cycle behind a degree witness (k = 35 and 44), and the constraint
+# potential that replaces a canonical heart with a degree m >= 2 (k = 1
+# and 133)
+PINNED_DEGREE_REPORTS = {
+    35: _report("not-hereditary", {"O0": 1, "O1": 0, "O2": 0, "O3": 0, "O4": 0, "O5": 0},
+                {0: 13, 1: 6, 2: 6, 3: 2, 4: 1},
+                [("O1", "O0", 2, "reversed"), ("O4", "O1", 2, "reversed"),
+                 ("O2", "O4", 2, "reversed"), ("O5", "O2", 3, "reversed"),
+                 ("O0", "O5", 3, "reversed")]),
+    44: _report("not-hereditary", {"O0": 2, "O1": 2, "O2": 0, "O3": 3, "O4": 0, "O5": 0},
+                {0: 13, 1: 3, 2: 4, 3: 3, 4: 1, 5: 1},
+                [("O3", "O0", 2, "reversed"), ("O4", "O3", 3, "reversed"),
+                 ("O4", "O1", 2, "forward"), ("O0", "O1", 2, "reversed")]),
+    1: _report("hereditary", {"O0": -1, "O1": 0, "O2": -2}, {0: 4, 1: 3}),
+    133: _report("hereditary", {"O0": 2, "O1": 0, "O2": 4, "O3": 4}, {0: 5, 1: 5}),
+}
+
+
+def test_degree_check_reports_are_pinned():
+    for k, want in PINNED_DEGREE_REPORTS.items():
+        g = oracles.random_graph(np.random.default_rng(10**6 + k), max_orbits=6,
+                                 periodic_prob=0.0, w_lo=0)
+        g.genuine = True
+        blk = want["heart"]["block"]
+        assert PathEngine(g).blocks() == [blk]
+        rep = check_hereditary(g, blk)
+        assert rep.to_dict() == want
+        if rep.degree_witness is not None:
+            assert oracles.check_degree_witness(g, rep.degree_witness)
+        # the canonical heart, which a graph that is not genuine keeps, has a
+        # degree m >= 2 on each of them
+        g.genuine = False
+        canonical = check_hereditary(g, blk)
+        assert canonical.verdict == "hereditary" and max(canonical.heart_check.m_values) >= 2

@@ -48,6 +48,11 @@ def test_constructor_checks():
     for bad in (-1, 1.5, True):
         with pytest.raises(ValueError, match="non-negative int"):
             Representation(alg, {"1": bad})
+    # an entry that is not an int is refused, not truncated: 0.4 read as 0
+    # would turn the interval module k -> k into the sum of two simples
+    for bad in (0.4, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="not an int"):
+            Representation(alg, {"1": 1, "2": 1}, {"a1": [[bad]]})
     m = Representation(alg, {"1": 1})
     assert m.dims == {"1": 1, "2": 0}
     assert m.maps["a1"] == []  # no rows: the target space is 0
