@@ -19,11 +19,11 @@ print("A_3 heart offsets:", heart.offsets)
 # A formal object splits along the heart into shifted cohomologies.
 obj = Counter({ObjRef("M1_1", 2): 1, ObjRef("M1_3", 0): 2, ObjRef("M2_2", -1): 1})
 print("\nFormal object:", {f"{r.orbit}[{r.offset}]": m for r, m in obj.items()})
-for degree, part in cohomology(graph, heart, obj).items():
+for degree, part in cohomology(heart, obj).items():
     print(f"  H^{degree}:", {f"{r.orbit}[{r.offset}]": m for r, m in part.items()})
 
-low = truncate(graph, heart, obj, 0, "le")
-high = truncate(graph, heart, obj, 1, "ge")
+low = truncate(heart, obj, 0, "le")
+high = truncate(heart, obj, 1, "ge")
 print("tau<=0 + tau>=1 reassembles the object:", low + high == obj)
 
 print("\nDirecting orbits of A_3:", sorted(directing_objects(graph)))

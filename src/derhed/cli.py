@@ -192,11 +192,9 @@ def _cmd_heart(args):
     from .hereditary import extract_heart, verify_heart
 
     g = _load_graph(args.file)
-    engine = PathEngine(g)
     source = _known_orbit(g, args.source)
-    blk = next(b for b in engine.blocks() if source in b)
-    heart = extract_heart(g, blk, source, engine=engine)
-    check = verify_heart(g, heart, blk)
+    heart = extract_heart(g, source)
+    check = verify_heart(g, heart)
     return {"source": source, "heart": heart.to_dict(),
             "heart_check": check.to_dict()}, g, 0
 
@@ -288,9 +286,9 @@ def _cmd_hom(args):
             c = ProjComplex.from_dict(alg, _load_json(path))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed complex file {path}: {exc}") from exc
-        rep = check_complex(c, fld.p)
-        if not rep.ok:
-            raise InputError(f"invalid complex {path}: {'; '.join(rep.errors)}")
+        errors = check_complex(c, fld.p)
+        if errors:
+            raise InputError(f"invalid complex {path}: {'; '.join(errors)}")
         complexes.append(c)
     x, y = complexes
     dim = hom_k_dim(x, y, args.shift, fld)

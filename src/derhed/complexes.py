@@ -74,7 +74,8 @@ class ProjComplex:
                  diffs: dict[int, list[list[AlgElem]]] | None = None, name: str = ""):
         self.algebra = algebra
         self.degrees = dict(sorted((int(d), list(vs)) for d, vs in degrees.items() if vs))
-        self.diffs = {int(d): m for d, m in (diffs or {}).items()}
+        self.diffs = {int(d): [[dict(e) for e in row] for row in m]
+                      for d, m in (diffs or {}).items()}
         self.name = name
         known = set(self.algebra.quiver.vertices)
         bad = sorted({v for vs in self.degrees.values() for v in vs} - known)
@@ -147,37 +148,29 @@ def shift_complex(c: ProjComplex, k: int, p: int) -> ProjComplex:
                        name=c.name)
 
 
-class ComplexReport:
-    def __init__(self):
-        self.errors: list[str] = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def check_complex(c: ProjComplex, p: int | None = None) -> ComplexReport:
-    """Validate vertex compatibility of all entries and d o d = 0 in every
-    degree, exactly via the multiplication table."""
+def check_complex(c: ProjComplex, p: int | None = None) -> list[str]:
+    """The errors of a complex, none when it is valid: vertex compatibility
+    of all entries and d o d = 0 in every degree, exactly via the
+    multiplication table."""
     p = p or PrimeField().p
     alg = c.algebra
-    rep = ComplexReport()
+    errors: list[str] = []
     for d in sorted(c.diffs):
         src, tgt = c.summands(d), c.summands(d + 1)
         m = c.diffs[d]
         if len(m) != len(src) or any(len(row) != len(tgt) for row in m):
-            rep.errors.append(f"degree {d}: differential shape mismatch")
+            errors.append(f"degree {d}: differential shape mismatch")
             continue
         for i, row in enumerate(m):
             for j, e in enumerate(row):
                 for idx in e:
                     bp = alg.basis[idx]
                     if bp.source != tgt[j] or bp.target != src[i]:
-                        rep.errors.append(
+                        errors.append(
                             f"degree {d}: entry ({i}, {j}) not in "
                             f"e_{tgt[j]} A e_{src[i]}")
-    if rep.errors:
-        return rep
+    if errors:
+        return errors
     for d, d1 in sorted(c.diffs.items()):
         d2 = c.diffs.get(d + 1)
         if d2 is None:
@@ -190,8 +183,8 @@ def check_complex(c: ProjComplex, p: int | None = None) -> ComplexReport:
                     for b, cc in term.items():
                         acc[b] = (acc.get(b, 0) + cc) % p
                 if any(v % p for v in acc.values()):
-                    rep.errors.append(f"degree {d}: d o d is nonzero at ({i}, {k})")
-    return rep
+                    errors.append(f"degree {d}: d o d is nonzero at ({i}, {k})")
+    return errors
 
 
 # -- hom complex assembly --
@@ -407,17 +400,17 @@ def _matpow_mod(m: list[list[int]], e: int, fld: PrimeField) -> list[list[int]]:
 def is_indecomposable(x: ProjComplex, fld: PrimeField | None = None) -> bool:
     """Whether End(X) in the homotopy category is local."""
     fld = fld or PrimeField()
-    rep = check_complex(x, fld.p)
-    if not rep.ok:
-        raise ValueError("invalid complex: " + "; ".join(rep.errors))
+    errors = check_complex(x, fld.p)
+    if errors:
+        raise ValueError("invalid complex: " + "; ".join(errors))
     return EndAlgebra(x, fld).is_local()
 
 
-def build_shiftgraph_from_complexes(alg: MonomialAlgebra, reps: list[ProjComplex],
-                                    window: int, fld: PrimeField | None = None,
+def build_shiftgraph_from_complexes(reps: list[ProjComplex], window: int,
+                                    fld: PrimeField | None = None,
                                     name: str = "") -> ShiftGraph:
     """Package homotopy-category hom dimensions of the given
-    indecomposable complexes into a shift-graph.
+    indecomposable complexes, all over one algebra, into a shift-graph.
 
     Each complex is normalized so its top nonzero degree is 0.  Hom
     support outside |n| <= window is unknown, so the graph is flagged
@@ -436,11 +429,10 @@ def build_shiftgraph_from_complexes(alg: MonomialAlgebra, reps: list[ProjComplex
     normed = []
     ends = []
     for k, x in enumerate(reps):
-        if x.algebra is not alg:
-            raise AlgebraMismatch("complex not over the given algebra")
-        rep = check_complex(x, fld.p)
-        if not rep.ok:
-            raise ValueError(f"invalid complex {x.name or k}: " + "; ".join(rep.errors))
+        _check_same_algebra(reps[0], x)
+        errors = check_complex(x, fld.p)
+        if errors:
+            raise ValueError(f"invalid complex {x.name or k}: " + "; ".join(errors))
         if x.is_zero():
             raise ValueError("zero complex has no orbit")
         # X[top] has top degree 0; shift_complex copies, so naming the copy

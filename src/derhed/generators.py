@@ -121,9 +121,8 @@ def gen_dual_numbers(max_length: int, window: int,
     fld = fld or PrimeField()
     alg = dual_numbers_algebra()
     reps = [dual_numbers_chain(alg, l) for l in range(1, max_length + 1)]
-    g = build_shiftgraph_from_complexes(alg, reps, window, fld,
-                                        name=f"dual_numbers(L{max_length},w{window})")
-    return g
+    return build_shiftgraph_from_complexes(reps, window, fld,
+                                           name=f"dual_numbers(L{max_length},w{window})")
 
 
 def gen_semisimple_block(period: int, end_dim: int = 1,
@@ -159,6 +158,5 @@ def gen_a2_from_complexes(window: int = 2, fld: PrimeField | None = None) -> Shi
     """The A_2 shift-graph recomputed through the homotopy engine; agrees
     with gen_example_a2 edge for edge."""
     fld = fld or PrimeField()
-    alg, reps = a2_projective_resolutions()
-    return build_shiftgraph_from_complexes(alg, reps, window, fld,
-                                           name=f"a2_complexes(w{window})")
+    _, reps = a2_projective_resolutions()
+    return build_shiftgraph_from_complexes(reps, window, fld, name=f"a2_complexes(w{window})")

@@ -93,25 +93,14 @@ class HereditaryReport:
         return out
 
 
-def _require_block(engine: PathEngine, block: list[str]) -> list[str]:
-    blk = sorted(block)
-    i = engine._block_of.get(blk[0]) if blk else None
-    if i is None or engine._blocks[i] != blk:
-        raise NotABlock(f"{blk} is not a block of this graph")
-    return blk
-
-
-def extract_heart(g: ShiftGraph, block: list[str], source: str,
-                  engine: PathEngine | None = None) -> Heart:
-    """Heart offsets d_Y = min walk weight from the source orbit."""
+def extract_heart(g: ShiftGraph, source: str, engine: PathEngine | None = None) -> Heart:
+    """Heart offsets d_Y = min walk weight from the source orbit, over the
+    orbits Y of its block."""
     eng = engine or PathEngine(g)
-    blk = _require_block(eng, block)
-    if source not in blk:
-        raise NotABlock(f"source {source} does not lie in the block")
-    if eng.min_weight(source, source) == NEG_INF:
+    if eng.min_weight(source, source) == NEG_INF:  # UnknownOrbit for an unknown source
         raise NegativeWalkAtSource(f"{source} lies on a negative closed walk")
     offsets = {}
-    for y in blk:
+    for y in eng._blocks[eng._block_of[source]]:
         d = eng.min_weight(source, y)
         if d == NEG_INF:
             raise NegativeWalkAtSource(
@@ -124,24 +113,20 @@ def extract_heart(g: ShiftGraph, block: list[str], source: str,
     return Heart(offsets)
 
 
-def verify_heart(g: ShiftGraph, heart: Heart, block: list[str] | None = None) -> HeartCheck:
+def verify_heart(g: ShiftGraph, heart: Heart) -> HeartCheck:
     """Admissibility condition on the candidate heart: every hom edge
-    (Y, Z, w) gives a nonzero element of Hom(heart, heart[m]) with
-    m = w + d_Y - d_Z, and the heart is admissible iff every m >= 0.
+    (Y, Z, w) between orbits of the heart gives a nonzero element of
+    Hom(heart, heart[m]) with m = w + d_Y - d_Z, and the heart is
+    admissible iff every m >= 0.
 
     The multiset of occurring m values is reported; on genuine hereditary
     instances it is contained in {0, 1}."""
-    scope = sorted(heart.offsets) if block is None else sorted(block)
-    missing = [x for x in scope if x not in heart.offsets]
-    if missing:
-        raise IncompleteHeart(missing)
-    in_scope = set(scope)
     violations = []
     ms: Counter = Counter()
-    # the hom pairs inside the scope, in (a, b)-sorted order
-    for a in sorted(in_scope):
+    # the hom pairs between the heart's orbits, in (a, b)-sorted order
+    for a in sorted(heart.offsets):
         for b in g.targets(a):
-            if b not in in_scope:
+            if b not in heart.offsets:
                 continue
             for e in g.homs[(a, b)]:
                 m = e.weight + heart.offsets[a] - heart.offsets[b]
@@ -167,8 +152,10 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     potential of the constraint edges, shifted to put the canonical source
     at 0, is reported as the heart, with every degree in {0, 1}."""
     eng = engine or PathEngine(g)
-    blk = _require_block(eng, block)
-    i = eng._block_of[blk[0]]
+    blk = sorted(block)
+    i = eng._block_of.get(blk[0]) if blk else None
+    if i is None or eng._blocks[i] != blk:
+        raise NotABlock(f"{blk} is not a block of this graph")
     negative = eng._negative_in(i)
     indicator = {x: (x in negative) for x in blk}
     if negative:
@@ -219,7 +206,7 @@ def check_hereditary(g: ShiftGraph, block: list[str],
         raise UnreachableOrbit(f"no orbit of {blk} reaches every other orbit")
     (_, source), row = best
     heart = Heart({y: int(w) for y, w in zip(blk, row)})
-    check = verify_heart(g, heart, blk)
+    check = verify_heart(g, heart)
     verdict = "hereditary-within-window" if g.windowed else "hereditary"
     degree_witness = None
     if g.genuine and max(check.m_values, default=0) >= 2:
@@ -230,7 +217,7 @@ def check_hereditary(g: ShiftGraph, block: list[str],
             verdict = "not-hereditary"
         else:
             heart = Heart({y: pi[y] - pi[source] for y in blk})
-            check = verify_heart(g, heart, blk)
+            check = verify_heart(g, heart)
     return HereditaryReport(verdict=verdict, indicator=indicator, heart=heart,
                             heart_check=check, degree_witness=degree_witness)
 
@@ -263,7 +250,7 @@ def _degree_witness(hom: list[tuple[str, str, int]], cycle: list) -> list[dict]:
             for (u, v, w) in cycle]
 
 
-def cohomology(g: ShiftGraph, heart: Heart, obj: FormalObject) -> dict[int, FormalObject]:
+def cohomology(heart: Heart, obj: FormalObject) -> dict[int, FormalObject]:
     """Split a formal object along the heart: the component (Y, n)
     contributes the heart object (Y, d_Y) in degree p = d_Y - n."""
     missing = sorted({r.orbit for r in obj if r.orbit not in heart.offsets})
@@ -277,8 +264,7 @@ def cohomology(g: ShiftGraph, heart: Heart, obj: FormalObject) -> dict[int, Form
     return {p: c for p, c in sorted(out.items())}
 
 
-def truncate(g: ShiftGraph, heart: Heart, obj: FormalObject, n: int,
-             side: str) -> FormalObject:
+def truncate(heart: Heart, obj: FormalObject, n: int, side: str) -> FormalObject:
     """Keep the components in heart degrees <= n (side "le") or >= n
     (side "ge"); truncations partition the object degreewise."""
     if side not in ("le", "ge"):

@@ -17,11 +17,10 @@ P_v -> P_w is given by left multiplication with a path from w to v.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import Counter
+from typing import NamedTuple
 
 from .linalg import PrimeField
-
-DEFAULT_PATH_BOUND = 64
 
 
 class InfiniteDimensional(Exception):
@@ -79,9 +78,16 @@ class BasisPath(NamedTuple):
 class MonomialAlgebra:
     """Path algebra of a quiver modulo monomial (zero-path) relations.
 
-    Finite dimensionality is enforced at construction: if a relation-free
-    path longer than ``bound`` exists, the enumeration would not
-    terminate and InfiniteDimensional is raised.
+    Finite dimensionality is decided exactly (Ufnarovski 1982).  Let L be
+    the longest relation (1 when there are none).  A path of L or more
+    arrows is relation-free exactly when each of its L-arrow windows is,
+    so it walks the window graph, whose nodes are the c relation-free
+    paths of L - 1 arrows and whose edges are those of L arrows, each from
+    its first L - 1 arrows to its last.  A cycle there, sought once the
+    enumeration reaches L arrows, raises InfiniteDimensional; without one
+    no relation-free path has more than c + L - 2 arrows.  Two basis paths
+    with one label (an arrow "a*b" beside a*b, or "e_v" beside e_v) raise
+    ValueError.
 
     The product table ``_mul`` is built at construction too: ``_mul[i]``
     maps j to the index of basis[i] * basis[j] for every nonzero product.
@@ -92,16 +98,18 @@ class MonomialAlgebra:
     ``_slot[i]`` is the place of path i in its list (hom-complex offsets).
     """
 
-    def __init__(self, quiver: Quiver, relations: list[tuple[str, ...]],
-                 bound: int = DEFAULT_PATH_BOUND):
+    def __init__(self, quiver: Quiver, relations: list[tuple[str, ...]]):
         for rel in relations:
             if len(rel) < 2:
                 raise ValueError("relations must be paths of length >= 2")
             self._check_composable(quiver, rel)
         self.quiver = quiver
         self.relations = tuple(tuple(r) for r in relations)
-        self.basis, steps = self._enumerate_basis(bound)
+        self.basis, steps = self._enumerate_basis()
         self.index = {bp.label: i for i, bp in enumerate(self.basis)}
+        if len(self.index) < len(self.basis):
+            label = next(bp.label for i, bp in enumerate(self.basis) if self.index[bp.label] != i)
+            raise ValueError(f"two basis paths share the label {label!r}")
         self._between: dict[tuple[str, str], list[int]] = {}
         self._slot: list[int] = []
         for i, bp in enumerate(self.basis):
@@ -124,20 +132,19 @@ class MonomialAlgebra:
                     return False
         return True
 
-    def _enumerate_basis(self, bound: int) -> tuple[list[BasisPath],
-                                                    list[tuple[int, str] | None]]:
+    def _enumerate_basis(self) -> tuple[list[BasisPath], list[tuple[int, str] | None]]:
         """The basis, by length (so a path comes after its prefix), and per
-        path its (prefix index, last arrow), None for a trivial path."""
+        path its (prefix index, last arrow), None for a trivial path;
+        InfiniteDimensional on a cycle of the window graph (see the class)."""
         out = [BasisPath(v, v, ()) for v in self.quiver.vertices]
         steps: list[tuple[int, str] | None] = [None] * len(out)
         frontier = range(len(out))
         by_source: dict[str, list[Arrow]] = {v: [] for v in self.quiver.vertices}
         for a in self.quiver.arrows:
             by_source[a.source].append(a)
-        length = 0
+        length, longest = 0, max(map(len, self.relations), default=1)
         while frontier:
-            length += 1
-            start = len(out)
+            length, start, nodes = length + 1, len(out), frontier
             for i in frontier:
                 source, target, arrows = out[i]
                 for a in by_source[target]:
@@ -146,9 +153,16 @@ class MonomialAlgebra:
                         out.append(BasisPath(source, a.target, path))
                         steps.append((i, a.id))
             frontier = range(start, len(out))
-            if frontier and length > bound:
-                raise InfiniteDimensional(
-                    f"relation-free paths of length > {bound} exist")
+            if frontier and length == longest:
+                # the window graph, a node per index of nodes
+                node = {(out[i].target, out[i].arrows): i for i in nodes}
+                succ = {i: [] for i in nodes}
+                for k in frontier:
+                    succ[steps[k][0]].append(node[out[k].target, out[k].arrows[1:]])
+                if _has_cycle(succ):
+                    raise InfiniteDimensional(
+                        "relation-free paths of every length exist: "
+                        f"their {length}-arrow windows close a cycle")
         return out, steps
 
     def _product_table(self, steps: list[tuple[int, str] | None]) -> list[dict[int, int]]:
@@ -176,13 +190,18 @@ class MonomialAlgebra:
             table.append(row)
         return table
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
-    def mul_basis(self, i: int, j: int) -> Optional[int]:
-        """Index of basis[i] * basis[j] (concatenation), or None for zero."""
-        return self._mul[i].get(j)
+def _has_cycle(succ: dict[int, list[int]]) -> bool:
+    """Whether the graph with these successor lists has a cycle: removing
+    the nodes without an incoming edge, one by one, leaves some (Kahn 1962)."""
+    indeg = Counter(v for vs in succ.values() for v in vs)
+    order = [u for u in succ if not indeg[u]]
+    for u in order:  # grows while it is read
+        for v in succ[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                order.append(v)
+    return len(order) < len(succ)
 
 
 class Representation:

@@ -188,6 +188,41 @@ def enumerate_hom_walks(g, x: str, max_steps: int):
     return out
 
 
+# -- monomial algebras: relation-free paths by the definition --
+
+
+def _contains_relation(arrows: tuple, relations) -> bool:
+    return any(arrows[s:s + len(r)] == tuple(r)
+               for r in relations for s in range(len(arrows) - len(r) + 1))
+
+
+def relation_free_path_of(q, relations, n: int) -> bool:
+    """Whether the quiver q has a relation-free path of n arrows, by n
+    steps over the set of (end vertex, last L - 1 arrows) of the
+    relation-free paths so far, L the longest relation: a new arrow can
+    only complete a relation that ends with it, within its last L arrows."""
+    keep = max(map(len, relations), default=1) - 1
+    states = {(v, ()) for v in q.vertices}
+    for _ in range(n):
+        states = {(a.target, (tail + (a.id,))[max(0, len(tail) + 1 - keep):])
+                  for (v, tail) in states for a in q.arrows if a.source == v
+                  if not _contains_relation(tail + (a.id,), relations)}
+    return bool(states)
+
+
+def relation_free_paths(q, relations) -> set:
+    """Every relation-free path of q as (source, arrow ids), grown arrow by
+    arrow from the trivial paths (a prefix of a relation-free path is
+    relation-free); only terminates when there are finitely many."""
+    out, todo = set(), [(v, v, ()) for v in q.vertices]
+    while todo:
+        source, end, arrows = todo.pop()
+        out.add((source, arrows))
+        todo.extend((source, a.target, arrows + (a.id,)) for a in q.arrows
+                    if a.source == end and not _contains_relation(arrows + (a.id,), relations))
+    return out
+
+
 # -- homotopy-category hom dimension at the vector-space level --
 
 

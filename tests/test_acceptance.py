@@ -203,13 +203,13 @@ def test_criterion_8_truncation_partition(announce):
                 ref = ObjRef(ids[int(rng.integers(len(ids)))],
                              int(rng.integers(-3, 4)))
                 obj[ref] += int(rng.integers(1, 4))
-            full = cohomology(g, heart, obj)
+            full = cohomology(heart, obj)
             for n in range(-2, 3):
-                low = truncate(g, heart, obj, n, "le")
-                high = truncate(g, heart, obj, n + 1, "ge")
+                low = truncate(heart, obj, n, "le")
+                high = truncate(heart, obj, n + 1, "ge")
                 assert low + high == obj
-                lc = cohomology(g, heart, low)
-                hc = cohomology(g, heart, high)
+                lc = cohomology(heart, low)
+                hc = cohomology(heart, high)
                 assert all(p <= n for p in lc)
                 assert all(p >= n + 1 for p in hc)
                 merged = {}

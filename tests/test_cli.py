@@ -116,7 +116,7 @@ def test_check_refutes_the_seven_complexes(capsys, tmp_path):
     from derhed.complexes import build_shiftgraph_from_complexes
     from test_complexes import a3_shortcut_complexes
 
-    g = build_shiftgraph_from_complexes(*a3_shortcut_complexes(), 3)
+    g = build_shiftgraph_from_complexes(a3_shortcut_complexes()[1], 3)
     inst = tmp_path / "a3.json"
     inst.write_text(g.to_json())
     code, rep = run_cli(capsys, "check", str(inst), "--assert-hereditary")
@@ -526,6 +526,30 @@ def test_hom_malformed_algebra_exit_2(capsys, tmp_path):
         assert code == 2 and rep["error"]["type"] == "input", bad_dict
 
 
+def test_hom_colliding_labels_exit_2(capsys, tmp_path):
+    """An arrow whose id is also the label of another basis path is
+    refused: with an arrow a*b beside a*b, the complex file's "a*b" would
+    name either, and with an arrow e_1, the idempotent e_1 is hidden."""
+    arrows = [{"id": "a", "from": "1", "to": "2"}, {"id": "b", "from": "2", "to": "3"},
+              {"id": "a*b", "from": "1", "to": "3"}]
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"vertices": ["1", "2", "3"], "arrows": arrows}))
+    x, y = tmp_path / "x.json", tmp_path / "y.json"
+    x.write_text(json.dumps({"name": "X", "degrees": {"-1": ["3"], "0": ["1"]},
+                             "differentials": {"-1": [[[["a*b", 1]]]]}}))
+    y.write_text(json.dumps({"name": "Y", "degrees": {"-1": ["2"], "0": ["1"]},
+                             "differentials": {"-1": [[[["a", 1]]]]}}))
+    code, rep = run_cli(capsys, "hom", str(alg), str(x), str(y))
+    assert code == 2 and rep["error"]["type"] == "input"
+    assert "share the label 'a*b'" in rep["error"]["message"]
+    alg.write_text(json.dumps({"vertices": ["1", "2"],
+                               "arrows": [{"id": "e_1", "from": "1", "to": "2"}]}))
+    x.write_text(json.dumps({"name": "P1", "degrees": {"0": ["1"]}}))
+    code, rep = run_cli(capsys, "hom", str(alg), str(x), str(x))
+    assert code == 2 and rep["error"]["type"] == "input"
+    assert "share the label 'e_1'" in rep["error"]["message"]
+
+
 def test_gen_dual_field_too_small_exit_2(capsys, tmp_path, monkeypatch):
     # End(C_1) over the dual numbers has dimension 2, so p = 2 is too small
     monkeypatch.setenv("DERHED_FIELD_CHAR", "2")
@@ -546,14 +570,48 @@ def test_field_char_above_bound_exit_2(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "a3.json").exists()
 
 
-def run_child(*argv, cwd=None):
+def run_child(*argv, cwd=None, timeout=None):
     """A fresh interpreter that imports the same derhed as this test,
     installed or not."""
     src = os.path.dirname(os.path.dirname(derhed.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, cwd=cwd,
+                          text=True, cwd=cwd, timeout=timeout,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def test_hom_two_free_loops_exit_2(tmp_path):
+    """Two free loops give paths of every length: a fresh `hom` process
+    refuses the algebra at once, where enumerating its 2**k paths of
+    each length k up to a fixed cap ran out of memory."""
+    alg = tmp_path / "loops.json"
+    alg.write_text(json.dumps({"vertices": ["v"],
+                               "arrows": [{"id": "x", "from": "v", "to": "v"},
+                                          {"id": "y", "from": "v", "to": "v"}]}))
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"name": "P", "degrees": {"0": ["v"]}}))
+    proc = run_child("-m", "derhed.cli", "hom", str(alg), str(p), str(p), timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "input" and "every length" in err["message"]
+
+
+def test_hom_linear_a66_exit_0(tmp_path):
+    """The linear A_66 is finite dimensional, with a path of 65 arrows:
+    a fresh `hom` process accepts it, and Hom(P_66, P_1) is spanned by
+    that path."""
+    n = 66
+    alg = tmp_path / "a66.json"
+    alg.write_text(json.dumps({
+        "vertices": [str(v) for v in range(1, n + 1)],
+        "arrows": [{"id": f"a{i}", "from": str(i), "to": str(i + 1)} for i in range(1, n)]}))
+    for v in (1, n):
+        (tmp_path / f"p{v}.json").write_text(json.dumps({"name": f"P{v}",
+                                                         "degrees": {"0": [str(v)]}}))
+    proc = run_child("-m", "derhed.cli", "hom", str(alg), str(tmp_path / f"p{n}.json"),
+                     str(tmp_path / "p1.json"), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["dim"] == 1
 
 
 def test_console_script_entry_point(a2_files):

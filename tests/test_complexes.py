@@ -1,10 +1,10 @@
 import pytest
 
-from derhed.complexes import (EndAlgebra, FieldTooSmall, ProjComplex,
-                              _compose_coords, _hom_blocks, _hom_boundary,
-                              _hom_dims, are_isomorphic,
-                              check_complex, hom_k_dim, is_indecomposable,
-                              shift_complex)
+from derhed.complexes import (AlgebraMismatch, EndAlgebra, FieldTooSmall,
+                              ProjComplex, _compose_coords, _hom_blocks,
+                              _hom_boundary, _hom_dims, are_isomorphic,
+                              build_shiftgraph_from_complexes, check_complex,
+                              hom_k_dim, is_indecomposable, shift_complex)
 from derhed.generators import (a2_projective_resolutions,
                                dual_numbers_algebra, dual_numbers_chain,
                                gen_dual_numbers)
@@ -40,18 +40,18 @@ def interval_resolution(alg, n, a, b, name=""):
 
 def test_check_complex_ok(dual, fld):
     for l in (1, 2, 3):
-        assert check_complex(dual_numbers_chain(dual, l), fld.p).ok
+        assert check_complex(dual_numbers_chain(dual, l), fld.p) == []
 
 
 def test_check_complex_rejects_nonzero_square(dual, fld):
     ei = dual.index["e_v"]
     # a single unit differential is a valid (contractible) complex
     c = ProjComplex(dual, {-1: ["v"], 0: ["v"]}, {-1: [[{ei: 1}]]})
-    assert check_complex(c, fld.p).ok
+    assert check_complex(c, fld.p) == []
     # two unit differentials compose to a unit, not zero
     c2 = ProjComplex(dual, {-2: ["v"], -1: ["v"], 0: ["v"]},
                      {-2: [[{ei: 1}]], -1: [[{ei: 1}]]})
-    assert not check_complex(c2, fld.p).ok
+    assert check_complex(c2, fld.p)
 
 
 def test_check_complex_vertex_mismatch(fld):
@@ -59,15 +59,15 @@ def test_check_complex_vertex_mismatch(fld):
     ai = alg.index["a1"]
     # a1 goes 1 -> 2; using it as a map P_1 -> P_2 is vertex-incompatible
     c = ProjComplex(alg, {-1: ["1"], 0: ["2"]}, {-1: [[{ai: 1}]]})
-    assert not check_complex(c, fld.p).ok
+    assert check_complex(c, fld.p)
     ok = ProjComplex(alg, {-1: ["2"], 0: ["1"]}, {-1: [[{ai: 1}]]})
-    assert check_complex(ok, fld.p).ok
+    assert check_complex(ok, fld.p) == []
 
 
 def test_check_complex_shape_mismatch(dual, fld):
     ai = dual.index["a"]
     c = ProjComplex(dual, {-1: ["v", "v"], 0: ["v"]}, {-1: [[{ai: 1}]]})
-    assert not check_complex(c, fld.p).ok
+    assert check_complex(c, fld.p)
 
 
 # -- hom dimensions --
@@ -136,7 +136,7 @@ def test_a3_shortcut_matches_oracle(fld):
     every ordered pair of the seven complexes and every n in -3..3."""
     alg, xs = a3_shortcut_complexes()
     for x in xs:
-        assert check_complex(x, fld.p).ok, x.name
+        assert check_complex(x, fld.p) == [], x.name
     nonzero = 0
     for x in xs:
         for y in xs:
@@ -171,7 +171,7 @@ def test_missing_differential_is_zero(fld):
                       {-1: [[{alg.index["a"]: 1}]]}, name="gap")
     xs = reps + [split, gap]
     for x in xs:
-        assert check_complex(x, fld.p).ok, x.name
+        assert check_complex(x, fld.p) == [], x.name
         for y in xs:
             for n in range(-3, 4):
                 assert hom_k_dim(x, y, n, fld) == hom_oracle(alg, x, y, n, fld.p), (
@@ -282,7 +282,7 @@ def test_direct_sum_homs_match_oracle(dual, family, p):
     sums = [direct_sum(xs[i], shift_complex(xs[j], k, p), f"{xs[i].name}+{xs[j].name}[{k}]")
             for i, j, k in SUM_PLAN]
     for s in sums:
-        assert check_complex(s, p).ok, s.name
+        assert check_complex(s, p) == [], s.name
     assert assert_homs_match_oracle(alg, xs + sums, fld) > 0
     for s, (i, j, k) in zip(sums, SUM_PLAN):
         if p > 3:  # the trace-form radical needs p > dim End
@@ -371,7 +371,7 @@ def test_shift_invariance(dual, fld):
     for k in (-2, -1, 1, 2):
         xs = shift_complex(c2, k, fld.p)
         ys = shift_complex(c3, k, fld.p)
-        assert check_complex(xs, fld.p).ok
+        assert check_complex(xs, fld.p) == []
         for nn in (-1, 0, 1):
             assert hom_k_dim(xs, ys, nn, fld) == hom_k_dim(c2, c3, nn, fld)
             assert hom_k_dim(c2, ys, nn, fld) == hom_k_dim(c2, c3, nn + k, fld)
@@ -552,3 +552,56 @@ def test_from_dict_refuses_non_string_name(name):
         ProjComplex.from_dict(alg, {"name": name, "degrees": {"0": ["1"]}})
     assert ProjComplex.from_dict(alg, {"degrees": {"0": ["1"]}}).name == ""
     assert ProjComplex.from_dict(alg, {"name": "P", "degrees": {"0": ["1"]}}).name == "P"
+
+
+def test_constructor_copies_differentials(dual):
+    """The constructor copies the differentials, as Representation copies
+    its maps: setting the caller's entry to 0 afterwards would turn C2
+    into P + P[1], whose End has dimension 4."""
+    ai = dual.index["a"]
+    diffs = {-1: [[{ai: 1}]]}
+    c2 = ProjComplex(dual, {-1: ["v"], 0: ["v"]}, diffs, name="C2")
+    assert hom_k_dim(c2, c2, 0) == 2
+    diffs[-1][0][0][ai] = 0
+    assert c2.diffs == {-1: [[{ai: 1}]]}
+    assert hom_k_dim(c2, c2, 0) == 2
+
+
+def test_from_dict_refuses_unknown_basis_path(dual):
+    d = dual_numbers_chain(dual, 2).to_dict()
+    d["differentials"]["-1"] = [[[["b", 1]]]]
+    with pytest.raises(ValueError, match="unknown basis path 'b'"):
+        ProjComplex.from_dict(dual, d)
+
+
+def test_complexes_over_two_algebras_are_refused(dual, fld):
+    # equal algebras built twice are still two algebras
+    x, y = dual_numbers_chain(dual, 1), dual_numbers_chain(dual_numbers_algebra(), 2)
+    with pytest.raises(AlgebraMismatch):
+        hom_k_dim(x, y, 0, fld)
+    with pytest.raises(AlgebraMismatch):
+        are_isomorphic(x, y, fld)
+    with pytest.raises(AlgebraMismatch):
+        build_shiftgraph_from_complexes([x, y], 1, fld)
+
+
+def square_of_units(alg, name=""):
+    """P -> P -> P with both maps the unit: d o d is the unit, not 0."""
+    ei = alg.index["e_v"]
+    return ProjComplex(alg, {-2: ["v"], -1: ["v"], 0: ["v"]},
+                       {-2: [[{ei: 1}]], -1: [[{ei: 1}]]}, name=name)
+
+
+def test_is_indecomposable_refuses_invalid_complex(dual, fld):
+    with pytest.raises(ValueError, match="^invalid complex: degree -2: d o d is nonzero"):
+        is_indecomposable(square_of_units(dual), fld)
+
+
+def test_builder_refuses_invalid_zero_and_same_named_complexes(dual, fld):
+    c1 = dual_numbers_chain(dual, 1)
+    with pytest.raises(ValueError, match="^invalid complex Sq: degree -2"):
+        build_shiftgraph_from_complexes([c1, square_of_units(dual, "Sq")], 1, fld)
+    with pytest.raises(ValueError, match="^zero complex has no orbit$"):
+        build_shiftgraph_from_complexes([c1, ProjComplex(dual, {})], 1, fld)
+    with pytest.raises(ValueError, match="^duplicate complex names$"):
+        build_shiftgraph_from_complexes([c1, dual_numbers_chain(dual, 2, name="C1")], 1, fld)

@@ -117,7 +117,7 @@ def test_complex_builder_rejects_decomposables(fld):
     alg = dual_numbers_algebra()
     double = ProjComplex(alg, {0: ["v", "v"]}, {}, name="D")
     with pytest.raises(ValueError):
-        build_shiftgraph_from_complexes(alg, [double], 1, fld)
+        build_shiftgraph_from_complexes([double], 1, fld)
 
 
 def test_complex_builder_rejects_shift_duplicates(fld):
@@ -127,18 +127,18 @@ def test_complex_builder_rejects_shift_duplicates(fld):
     c1 = dual_numbers_chain(alg, 1)
     c1_again = dual_numbers_chain(alg, 1, name="C1b")
     with pytest.raises(ValueError, match=r"^C1 and C1b are isomorphic up to shift 0$"):
-        build_shiftgraph_from_complexes(alg, [c1, c1_again], 1, fld)
+        build_shiftgraph_from_complexes([c1, c1_again], 1, fld)
     # C1 plus a contractible summand in degrees 0, 1.  The builder's
     # normalization, shift_complex(x, top), moves it to degrees -1, 0,
     # where it is isomorphic to C1[1]: the shift found is n != 0
     c1plus = ProjComplex(alg, {0: ["v", "v"], 1: ["v"]},
                          {0: [[{}], [{alg.index["e_v"]: 1}]]}, name="C1plus")
     with pytest.raises(ValueError, match=r"^C1 and C1plus are isomorphic up to shift -1$"):
-        build_shiftgraph_from_complexes(alg, [c1, c1plus], 1, fld)
+        build_shiftgraph_from_complexes([c1, c1plus], 1, fld)
     with pytest.raises(ValueError, match=r"^C1plus and C1 are isomorphic up to shift 1$"):
-        build_shiftgraph_from_complexes(alg, [c1plus, c1], 1, fld)
+        build_shiftgraph_from_complexes([c1plus, c1], 1, fld)
     c2 = dual_numbers_chain(alg, 2)
-    g = build_shiftgraph_from_complexes(alg, [c2, c1plus], 1, fld)
+    g = build_shiftgraph_from_complexes([c2, c1plus], 1, fld)
     assert sorted(g.orbit_ids()) == ["C1plus", "C2"]
 
 
@@ -153,17 +153,17 @@ def test_complex_builder_normalizes_top_degree_to_zero(fld):
     moved.name = "C3up"
     assert moved.top_degree() == 1
     with pytest.raises(ValueError, match=r"^C3 and C3up are isomorphic up to shift 0$"):
-        build_shiftgraph_from_complexes(alg, [c3, moved], 0, fld)
+        build_shiftgraph_from_complexes([c3, moved], 0, fld)
 
 
 def test_complex_builder_leaves_caller_names(fld):
     # nameless complexes are named X0, X1, ... in the graph, not in place
     alg = dual_numbers_algebra()
     reps = [dual_numbers_chain(alg, 1, name="X0"), dual_numbers_chain(alg, 2, name="X1")]
-    want = build_shiftgraph_from_complexes(alg, reps, 1, fld).to_json()
+    want = build_shiftgraph_from_complexes(reps, 1, fld).to_json()
     for x in reps:
         x.name = ""
-    assert build_shiftgraph_from_complexes(alg, reps, 1, fld).to_json() == want
+    assert build_shiftgraph_from_complexes(reps, 1, fld).to_json() == want
     assert [x.name for x in reps] == ["", ""]
 
 
@@ -171,6 +171,6 @@ def test_field_char_propagates():
     fld = PrimeField(101)
     g = gen_dynkin_an(2, ">", fld)
     assert g.field_char == 101
-    alg, reps = a2_projective_resolutions()
-    g2 = build_shiftgraph_from_complexes(alg, reps, 1, fld)
+    _, reps = a2_projective_resolutions()
+    g2 = build_shiftgraph_from_complexes(reps, 1, fld)
     assert g2.field_char == 101

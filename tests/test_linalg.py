@@ -30,6 +30,13 @@ def test_characteristic_bound():
     assert PrimeField(LARGEST_PRIME).p == LARGEST_PRIME
 
 
+def test_small_non_primes_refused():
+    # 1 is below the least prime, and 9 is odd with a divisor 3
+    for p in (1, 9):
+        with pytest.raises(ValueError, match=f"must be prime, got {p}"):
+            PrimeField(p)
+
+
 def test_small_field():
     f5 = PrimeField(5)
     # 7 and -1 reduce to 2 and 4, and the row scales by 1/2 = 3

@@ -11,7 +11,8 @@ from derhed.paths import (NEG_INF, POS_INF, DegenerateAperiodic,
                           DegeneratePeriodic, NonDegenerate, PathEngine,
                           classify_degenerate, directing_objects)
 from derhed.shiftgraph import (AbelianData, HomEdge, ObjRef, Orbit, ShiftGraph,
-                               UnreachableOrbit, expand_hereditary, validate)
+                               UnknownOrbit, UnreachableOrbit, expand_hereditary,
+                               validate)
 
 import oracles
 
@@ -120,6 +121,27 @@ def test_classify_degenerate(a2):
     assert cls2.end_dim == 1
 
     assert isinstance(classify_degenerate(a2, ["I", "S1", "S2"]), NonDegenerate)
+
+
+def test_classify_single_orbit_with_a_proper_self_edge():
+    # one orbit, but its weight-1 self-edge is not invertible
+    g = ShiftGraph("loop", [Orbit("X")], {("X", "X"): (HomEdge(0, 1, all_iso=True),
+                                                     HomEdge(1, 1))})
+    cls = classify_degenerate(g, ["X"])
+    assert isinstance(cls, NonDegenerate)
+    assert cls.to_dict() == {"kind": "non-degenerate"}
+
+
+def test_unknown_orbits_and_missing_walks(a2):
+    eng = PathEngine(a2)
+    with pytest.raises(UnknownOrbit):
+        eng.min_weight("nope", "S1")  # an unknown source
+    with pytest.raises(UnknownOrbit):
+        eng.min_weight("S1", "nope")  # an unknown target
+    # the least walk from S1 to S2 weighs 1, so none weighs 0 or less
+    assert eng.min_weight("S1", "S2") == 1
+    assert eng.walk_with_weight("S1", "S2", 0) is None
+    assert eng.walk_with_weight("S1", "S2", 1) is not None
 
 
 def test_directing(a2, dual):

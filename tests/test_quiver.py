@@ -1,5 +1,6 @@
 import copy
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from derhed.quiver import (Arrow, InfiniteDimensional, MonomialAlgebra, Quiver,
 from derhed.generators import _an_quiver, _interval_names_and_reps
 
 from oracles import (concat_product, euler_form, ext_formula, hom_ext_oracle,
-                     hom_formula)
+                     hom_formula, relation_free_path_of, relation_free_paths)
 
 
 def a2_algebra():
@@ -81,7 +82,7 @@ def test_constructor_leaves_its_arguments_alone():
 
 def test_a2_basis():
     alg = a2_algebra()
-    assert alg.dim == 3
+    assert len(alg.basis) == 3
     assert sorted(bp.label for bp in alg.basis) == ["a1", "e_1", "e_2"]
 
 
@@ -94,25 +95,136 @@ def test_dual_numbers_basis():
 def test_free_loop_is_infinite_dimensional():
     q = Quiver(("v",), (Arrow("a", "v", "v"),))
     with pytest.raises(InfiniteDimensional):
-        MonomialAlgebra(q, [], bound=32)
+        MonomialAlgebra(q, [])
+    q = Quiver(("v",), (Arrow("x", "v", "v"), Arrow("y", "v", "v")))
+    with pytest.raises(InfiniteDimensional, match="1-arrow windows close a cycle"):
+        MonomialAlgebra(q, [])  # L = 1: refused at one arrow
 
 
-def test_bound_allows_paths_of_exactly_bound_arrows():
-    # the longest path of a linear A_n has n - 1 arrows
-    q = Quiver(("1", "2", "3"), (Arrow("a1", "1", "2"), Arrow("a2", "2", "3")))
-    assert MonomialAlgebra(q, [], bound=2).dim == 6
-    with pytest.raises(InfiniteDimensional):
-        MonomialAlgebra(q, [], bound=1)
-    assert linear_an(65).dim == 65 * 66 // 2  # the default bound is 64
+def test_cyclic_quiver_without_relations_is_infinite_dimensional():
+    q = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                                 Arrow("c", "3", "1")))
+    with pytest.raises(InfiniteDimensional, match="1-arrow windows close a cycle"):
+        MonomialAlgebra(q, [])
+    # a*b*c = 0 bounds every path going round: the longest is b*c*a*b
+    alg = MonomialAlgebra(q, [("a", "b", "c")])
+    assert len(alg.basis) == 12 and "b*c*a*b" in alg.index
+    # every path of two arrows is zero: radical square zero, dimension 6
+    assert len(MonomialAlgebra(q, [("a", "b"), ("b", "c"), ("c", "a")]).basis) == 6
+
+
+def test_two_loops_modulo_x_squared_is_infinite_dimensional():
+    # x*y*x*y*... avoids x*x: the windows x*y and y*x close a cycle, and
+    # the refusal comes at L = 2 arrows
+    q = Quiver(("v",), (Arrow("x", "v", "v"), Arrow("y", "v", "v")))
+    with pytest.raises(InfiniteDimensional, match="2-arrow windows close a cycle"):
+        MonomialAlgebra(q, [("x", "x")])
+
+
+@pytest.mark.parametrize("n", [66, 100])
+def test_long_linear_an_is_finite_dimensional(n):
+    # its longest path has n - 1 arrows, beyond any fixed cap of 64
+    alg = linear_an(n)
+    assert len(alg.basis) == n * (n + 1) // 2
+    assert max(len(bp.arrows) for bp in alg.basis) == n - 1
+
+
+def test_stated_bound_is_exact():
+    # without a cycle of windows no relation-free path has more than
+    # c + L - 2 arrows, c the number of paths of L - 1 arrows, and finite
+    # algebras reach it: linear A_n (c = n vertices, L = 1, n - 1 arrows),
+    # the dual numbers (c = 1, L = 2, the path a) and the 3-cycle modulo
+    # a*b*c (c = 3, L = 3, b*c*a*b)
+    for n in range(2, 7):
+        assert max(len(bp.arrows) for bp in linear_an(n).basis) == n - 1
+    loop = Quiver(("v",), (Arrow("a", "v", "v"),))
+    assert max(len(bp.arrows) for bp in MonomialAlgebra(loop, [("a", "a")]).basis) == 1
+    q = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                                 Arrow("c", "3", "1")))
+    assert max(len(bp.arrows) for bp in MonomialAlgebra(q, [("a", "b", "c")]).basis) == 4
+    # a cycle is refused at L arrows, however long the paths leading to it:
+    # a loop at the end of A_n
+    for n in range(2, 7):
+        q = linear_an(n).quiver
+        q = Quiver(q.vertices, q.arrows + (Arrow("z", str(n), str(n)),))
+        with pytest.raises(InfiniteDimensional, match="1-arrow windows close a cycle"):
+            MonomialAlgebra(q, [])
+    # four loops modulo one relation of three arrows: refused at three
+    # arrows, where c + L - 1 = 18 arrows would mean about 4**18 paths
+    q = Quiver(("v",), tuple(Arrow(f"a{i}", "v", "v") for i in range(4)))
+    with pytest.raises(InfiniteDimensional, match="3-arrow windows close a cycle"):
+        MonomialAlgebra(q, [("a0", "a0", "a1")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_finite_dimension_matches_long_path_oracle(seed):
+    """On random quivers with up to 3 vertices, 4 arrows (loops allowed)
+    and relations of 2 or 3 arrows: InfiniteDimensional exactly when a
+    relation-free path of 64 arrows exists, and otherwise the basis is
+    every relation-free path."""
+    rng = random.Random(seed)
+    vertices = tuple(str(v) for v in range(1, rng.randint(1, 3) + 1))
+    arrows = tuple(Arrow(f"a{i}", rng.choice(vertices), rng.choice(vertices))
+                   for i in range(rng.randint(0, 4)))
+    relations = []
+    for _ in range(rng.randint(0, 3) if arrows else 0):
+        rel = [rng.choice(arrows)]
+        for _ in range(rng.randint(1, 2)):
+            nxt = [a for a in arrows if a.source == rel[-1].target]
+            if nxt:
+                rel.append(rng.choice(nxt))
+        if len(rel) > 1:
+            relations.append(tuple(a.id for a in rel))
+    q = Quiver(vertices, arrows)
+    if relation_free_path_of(q, relations, 64):
+        with pytest.raises(InfiniteDimensional):
+            MonomialAlgebra(q, relations)
+    else:
+        alg = MonomialAlgebra(q, relations)
+        assert ({(bp.source, bp.arrows) for bp in alg.basis}
+                == relation_free_paths(q, relations))
+
+
+def test_basis_labels_are_unique():
+    # an arrow named like the composite a*b, or like the idempotent e_1,
+    # would make one label name two basis paths
+    q = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                                 Arrow("a*b", "1", "3")))
+    with pytest.raises(ValueError, match="share the label 'a\\*b'"):
+        MonomialAlgebra(q, [])
+    assert len(MonomialAlgebra(q, [("a", "b")]).basis) == 6  # a*b is zero
+    q = Quiver(("1", "2"), (Arrow("e_1", "1", "2"),))
+    with pytest.raises(ValueError, match="share the label 'e_1'"):
+        MonomialAlgebra(q, [])
+    with pytest.raises(ValueError, match="share the label"):
+        algebra_from_dict({"vertices": ["1", "2"],
+                           "arrows": [{"id": "e_2", "from": "1", "to": "2"}]})
+
+
+def test_unknown_arrow_and_bad_relations_are_refused():
+    q = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
+    with pytest.raises(KeyError):
+        q.arrow("c")
+    with pytest.raises(ValueError, match="length >= 2"):
+        MonomialAlgebra(q, [("a",)])
+    with pytest.raises(ValueError, match="arrows b, a are not composable"):
+        MonomialAlgebra(q, [("b", "a")])
+
+
+def test_hom_ext_refuses_two_quivers():
+    m, n = interval(linear_an(2), 2, 1, 2), interval(linear_an(3), 3, 1, 2)
+    with pytest.raises(ValueError, match="different quivers"):
+        rep_hom_dim(m, n)
 
 
 def test_mul_basis():
     alg = a2_algebra()
     e1, e2, a = alg.index["e_1"], alg.index["e_2"], alg.index["a1"]
-    assert alg.mul_basis(e1, a) == a  # concatenation e_1 then a
-    assert alg.mul_basis(a, e2) == a
-    assert alg.mul_basis(a, a) is None
-    assert alg.mul_basis(e2, a) is None
+    assert alg._mul[e1].get(a) == a  # concatenation e_1 then a
+    assert alg._mul[a].get(e2) == a
+    assert alg._mul[a].get(a) is None
+    assert alg._mul[e2].get(a) is None
 
 
 def two_loops():
@@ -138,26 +250,26 @@ def a3_with_shortcut():
     two_loops,
 ], ids=["dual", "a8", "a3-shortcut", "two-loops"])
 def test_product_table_is_concatenation(make):
-    """mul_basis, read from the table built at construction, equals the
+    """The product table built at construction equals the
     concatenation rule on every ordered pair of basis paths, None
     included, and the table stores the nonzero products only."""
     alg = make()
     nonzero = 0
-    for i in range(alg.dim):
-        for j in range(alg.dim):
+    for i in range(len(alg.basis)):
+        for j in range(len(alg.basis)):
             want = concat_product(alg, i, j)
-            assert alg.mul_basis(i, j) == want, (alg.basis[i], alg.basis[j])
+            assert alg._mul[i].get(j) == want, (alg.basis[i], alg.basis[j])
             nonzero += want is not None
     assert sum(map(len, alg._mul)) == nonzero
 
 
 def test_two_loops_basis():
     alg = two_loops()
-    assert alg.dim == 15
+    assert len(alg.basis) == 15
     assert max(len(bp.arrows) for bp in alg.basis) == 5
     xxyy, x = alg.index["x*x*y*y"], alg.index["x"]
-    assert alg.mul_basis(xxyy, x) == alg.index["x*x*y*y*x"]
-    assert alg.mul_basis(x, xxyy) is None  # contains x^3
+    assert alg._mul[xxyy].get(x) == alg.index["x*x*y*y*x"]
+    assert alg._mul[x].get(xxyy) is None  # contains x^3
 
 
 def test_a2_hand_values(fld):
@@ -224,12 +336,11 @@ def test_hom_minus_ext_is_euler_form(n, fld):
 
 
 def _algebra(vertices, arrows):
-    """The path algebra when the quiver is acyclic (on at most 4 vertices a
-    path then has at most 3 arrows), else the algebra with radical square
-    zero."""
+    """The path algebra when the quiver is acyclic, else the algebra with
+    radical square zero."""
     q = Quiver(tuple(vertices), tuple(Arrow(*a) for a in arrows))
     try:
-        return MonomialAlgebra(q, [], bound=3)
+        return MonomialAlgebra(q, [])
     except InfiniteDimensional:
         return MonomialAlgebra(q, [(a.id, b.id) for a in q.arrows for b in q.arrows
                                    if a.target == b.source])
@@ -316,7 +427,7 @@ def test_algebra_dict_round_trip():
     d = algebra_to_dict(alg)
     alg2 = algebra_from_dict(d)
     assert algebra_to_dict(alg2) == d
-    assert alg2.dim == alg.dim
+    assert len(alg2.basis) == len(alg.basis)
     with pytest.raises(ValueError):
         algebra_from_dict({"vertices": ["v"]})
 

@@ -1,4 +1,5 @@
 import importlib
+import re
 import runpy
 from pathlib import Path
 
@@ -18,3 +19,13 @@ def test_every_traced_name_resolves():
             assert leaf in vars(getattr(mod, owner)), name
         else:
             assert callable(getattr(mod, leaf, None)), name
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_runs():
+    # the README's one python block, the Library example, runs as written
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
