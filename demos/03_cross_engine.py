@@ -1,10 +1,11 @@
 """Walkthrough: two independent hom engines agree on A_2.
 
-The abelian route computes Hom and Ext^1 between quiver representations
-and expands them into the derived-category shift-graph.  The homotopy
-route never sees a representation: it takes projective resolutions and
-measures chain maps modulo homotopy.  The resulting graphs coincide edge
-for edge.
+The abelian route knits the mesh category of ZA_2: Hom and Ext^1 between
+the indecomposable modules are read off hammocks, with no linear
+algebra, and expanded into the derived-category shift-graph.  The
+homotopy route never sees a module: it takes projective resolutions and
+measures chain maps modulo homotopy, by ranks over GF(p).  The resulting
+graphs coincide edge for edge.
 
 Run:  python demos/03_cross_engine.py
 """

@@ -1,11 +1,13 @@
 """Trusted generators of genuine shift-graph instances.
 
-The abelian route enumerates the interval representations of an A_n
-quiver (any orientation), computes Hom and Ext^1 dimensions exactly, and
-expands to the derived-category shift-graph.  The homotopy route builds
-perfect complexes over a monomial algebra and measures homs in the
-homotopy category; the dual numbers are its canonical non-hereditary
-instance.
+The abelian route knits the mesh category of ZQ for an A_n quiver Q (any
+orientation): the hammocks of its vertices give the indecomposable
+modules with their Hom and Ext^1 dimensions exactly, with no linear
+algebra, and the tables expand to the derived-category shift-graph.  The
+GF(p) Hom systems of quiver.Representation are the tests' check on it.
+The homotopy route builds perfect complexes over a monomial algebra and
+measures homs in the homotopy category; the dual numbers are its
+canonical non-hereditary instance.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from .complexes import ProjComplex, build_shiftgraph_from_complexes
 from .hereditary import Heart
 from .linalg import PrimeField
-from .quiver import Arrow, MonomialAlgebra, Quiver, Representation, _hom_ext
+from .quiver import Arrow, MonomialAlgebra, Quiver
 from .shiftgraph import (AbelianData, HomEdge, Orbit, ShiftGraph,
                          expand_hereditary)
 
@@ -34,22 +36,62 @@ def _an_quiver(n: int, orientation: str) -> Quiver:
     return Quiver(tuple(str(v) for v in range(1, n + 1)), tuple(arrows))
 
 
-def _interval_rep(alg, n: int, a: int, b: int) -> Representation:
-    dims = {str(v): (1 if a <= v <= b else 0) for v in range(1, n + 1)}
-    maps = {}
-    for arrow in alg.quiver.arrows:
-        s, t = int(arrow.source), int(arrow.target)
-        if a <= s <= b and a <= t <= b:
-            maps[arrow.id] = [[1]]
-    return Representation(alg, dims, maps)
+def _knit(quiver: Quiver) -> dict[str, dict[tuple[str, int], int]]:
+    """The hammock of each vertex of a Dynkin quiver Q, knitted on ZQ^op
+    with no linear algebra (Ringel 1984, LNM 1099).
 
+    D^b(kQ) is the mesh category of ZQ (Happel 1987), written here as
+    ZQ^op: an arrow s -> t of Q gives arrows (t, k) -> (s, k) and
+    (s, k) -> (t, k + 1), tau (v, k) = (v, k - 1), and P_v = (v, 0).  The
+    hammock of i maps each (j, k) with h_i(j, k) = dim Hom(P_i, (j, k)) != 0
+    to that dimension.  It is knitted one slice k at a time by h(z) =
+    max(0, sum_{y -> z} h(y) - h(tau z)), each slice ordered so that every
+    arrow's target comes before its source, and it ends at the first zero
+    slice.  Its keys come in slice order, so its last key is its sink S P_i,
+    the last nonzero entry of its last slice.  tau is an automorphism of ZQ,
+    so Hom((i, k), (j, l)) = h_i(j, l - k) for every pair of objects.
 
-def _interval_names_and_reps(alg, n: int):
-    out = []
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            out.append((f"M{a}_{b}", _interval_rep(alg, n, a, b)))
-    return out
+    RuntimeError unless every support has exactly one sink, or when a
+    value exceeds 6, the largest coefficient of a positive root: on any
+    other quiver the hammocks would never end."""
+    out_of: dict[str, list[str]] = {v: [] for v in quiver.vertices}
+    into: dict[str, list[str]] = {v: [] for v in quiver.vertices}
+    for a in quiver.arrows:
+        out_of[a.source].append(a.target)
+        into[a.target].append(a.source)
+    # the slice order: Q's sinks first, then each vertex once its targets are in
+    left = {v: len(ts) for v, ts in out_of.items()}
+    order = [v for v in quiver.vertices if not left[v]]
+    for t in order:  # grows while it is read
+        for s in into[t]:
+            left[s] -= 1
+            if not left[s]:
+                order.append(s)
+    hammocks = {}
+    for i in quiver.vertices:
+        h: dict[tuple[str, int], int] = {}
+        k, prev = 0, dict.fromkeys(order, 0)
+        while True:
+            cur: dict[str, int] = {}
+            for v in order:
+                # into (v, k): (t, k) for v -> t and (s, k - 1) for s -> v
+                cur[v] = 1 if (v, k) == (i, 0) else max(
+                    0, sum(cur[t] for t in out_of[v])
+                    + sum(prev[s] for s in into[v]) - prev[v])
+            if not any(cur.values()):
+                break
+            if max(cur.values()) > 6:
+                raise RuntimeError(f"the hammock of {i} does not end: Q is not Dynkin")
+            h.update(((v, k), x) for v, x in cur.items() if x)
+            k, prev = k + 1, cur
+        # out of (v, k): (s, k) for s -> v and (t, k + 1) for v -> t
+        sinks = [(v, k) for v, k in h
+                 if not any((s, k) in h for s in into[v])
+                 and not any((t, k + 1) in h for t in out_of[v])]
+        if len(sinks) != 1:
+            raise RuntimeError(f"the hammock of {i} has {len(sinks)} sinks")
+        hammocks[i] = h
+    return hammocks
 
 
 def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,
@@ -57,27 +99,41 @@ def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,
     """Shift-graph of the bounded derived category of the A_n path algebra
     with the given orientation word over {>, <}.
 
-    The n(n+1)/2 interval representations exhaust the indecomposables.
-    One Hom system per ordered pair gives Hom and Ext^1 as its kernel and
-    cokernel (the algebra is hereditary); the diagonal of the Hom table
-    re-verifies each one indecomposable before the hereditary expansion."""
+    The tables come from the hammocks of _knit.  The modules are the
+    objects of the projectives' hammocks, dim M_v = h_v(M), and each is
+    named M{a}_{b} after its support [a, b]; RuntimeError unless they are
+    the n(n+1)/2 distinct thin intervals.  For M = (j, k) and N = (l, m),
+    Hom(M, N) = h_j(l, m - k), and Ext^1(M, N) = Hom(M, N[1]) with N[1] =
+    tau^-1 S N, S N the sink of N's hammock (the algebra is hereditary)."""
     fld = fld or PrimeField()
     q = _an_quiver(n, orientation)
-    alg = MonomialAlgebra(q, [])
-    items = _interval_names_and_reps(alg, n)
-    if names:
-        items = [(names.get(nm, nm), rep) for nm, rep in items]
-    objs = tuple(nm for nm, _ in items)
+    hammock = _knit(q)
+    modules = dict.fromkeys(z for v in q.vertices for z in hammock[v])
+    at: dict[tuple[int, int], tuple[str, int]] = {}
+    for z in modules:
+        dim = [hammock[v].get(z, 0) for v in q.vertices]
+        ones = [i for i, d in enumerate(dim, 1) if d == 1]
+        if len(ones) == sum(dim) == ones[-1] - ones[0] + 1:
+            at[(ones[0], ones[-1])] = z
+    if not len(at) == len(modules) == n * (n + 1) // 2:
+        raise RuntimeError("the modules are not the n(n+1)/2 distinct thin intervals")
+    names = names or {}
+    items = []  # (name, N = (l, m), N[1] = (s, m1)) per module, by support
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            l, m = at[(a, b)]
+            s, m_s = next(reversed(hammock[l]))  # S N = (s, m_s + m)
+            nm = f"M{a}_{b}"
+            items.append((names.get(nm, nm), l, m, s, m_s + m + 1))
+    objs = tuple(item[0] for item in items)
     hom = {}
     ext1 = {}
-    for nm_a, ra in items:
-        for nm_b, rb in items:
-            h, e = _hom_ext(ra, rb, fld)
-            if ra is rb and h != 1:
-                raise RuntimeError(f"interval module {nm_a} failed the indecomposability check")
-            if h:
+    for nm_a, j, k, _, _ in items:
+        h_j = hammock[j]
+        for nm_b, l, m, s, m1 in items:
+            if h := h_j.get((l, m - k)):
                 hom[(nm_a, nm_b)] = h
-            if e:
+            if e := h_j.get((s, m1 - k)):
                 ext1[(nm_a, nm_b)] = e
     return expand_hereditary(AbelianData(objs, hom, ext1),
                              name=f"A{n}({orientation})", field_char=fld.p)

@@ -99,10 +99,13 @@ class MonomialAlgebra:
     """
 
     def __init__(self, quiver: Quiver, relations: list[tuple[str, ...]]):
+        arrow = {a.id: a for a in quiver.arrows}
         for rel in relations:
             if len(rel) < 2:
                 raise ValueError("relations must be paths of length >= 2")
-            self._check_composable(quiver, rel)
+            for a, b in zip(rel, rel[1:]):
+                if arrow[a].target != arrow[b].source:
+                    raise ValueError(f"arrows {a}, {b} are not composable")
         self.quiver = quiver
         self.relations = tuple(tuple(r) for r in relations)
         self.basis, steps = self._enumerate_basis()
@@ -118,30 +121,23 @@ class MonomialAlgebra:
             paths.append(i)
         self._mul = self._product_table(steps)
 
-    @staticmethod
-    def _check_composable(quiver: Quiver, arrows: tuple[str, ...]):
-        for a, b in zip(arrows, arrows[1:]):
-            if quiver.arrow(a).target != quiver.arrow(b).source:
-                raise ValueError(f"arrows {a}, {b} are not composable")
-
-    def _relation_free(self, arrows: tuple[str, ...]) -> bool:
-        for rel in self.relations:
-            k = len(rel)
-            for i in range(len(arrows) - k + 1):
-                if arrows[i:i + k] == rel:
-                    return False
-        return True
-
     def _enumerate_basis(self) -> tuple[list[BasisPath], list[tuple[int, str] | None]]:
         """The basis, by length (so a path comes after its prefix), and per
         path its (prefix index, last arrow), None for a trivial path;
-        InfiniteDimensional on a cycle of the window graph (see the class)."""
+        InfiniteDimensional on a cycle of the window graph (see the class).
+        A path grows from a relation-free prefix, so it is relation-free
+        unless one of the relations that end at its last arrow is a suffix
+        of it: each path meets only those, and the work is linear in the
+        basis when each arrow ends few relations."""
         out = [BasisPath(v, v, ()) for v in self.quiver.vertices]
         steps: list[tuple[int, str] | None] = [None] * len(out)
         frontier = range(len(out))
         by_source: dict[str, list[Arrow]] = {v: [] for v in self.quiver.vertices}
         for a in self.quiver.arrows:
             by_source[a.source].append(a)
+        ending: dict[str, list[tuple[str, ...]]] = {}
+        for rel in self.relations:
+            ending.setdefault(rel[-1], []).append(rel)
         length, longest = 0, max(map(len, self.relations), default=1)
         while frontier:
             length, start, nodes = length + 1, len(out), frontier
@@ -149,7 +145,7 @@ class MonomialAlgebra:
                 source, target, arrows = out[i]
                 for a in by_source[target]:
                     path = arrows + (a.id,)
-                    if self._relation_free(path):
+                    if not any(path[-len(rel):] == rel for rel in ending.get(a.id, ())):
                         out.append(BasisPath(source, a.target, path))
                         steps.append((i, a.id))
             frontier = range(start, len(out))

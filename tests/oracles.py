@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own algorithms: ranks
 come from minor enumeration, walk weights from bounded dynamic
 programming plus explicit simple-cycle search, and homotopy-category hom
-dimensions from vector-space-level chain-map equations.
+dimensions from vector-space-level chain-map equations.  The one
+exception is an_tables, which runs the library's linear-algebra route
+(quiver._hom_ext) as the check on the knitted gen_dynkin_an.
 """
 
 from __future__ import annotations
@@ -528,6 +530,42 @@ def ext_formula(n, a, b, c, d):
     top = 1 if (b + 1 <= n and c <= b + 1 <= d) else 0
     mid = 1 if (c <= a <= d) else 0
     return top - mid + hom_formula(a, b, c, d)
+
+
+def interval_reps(alg, n: int) -> list:
+    """[(M{a}_{b}, the interval representation on [a, b])] over an A_n
+    algebra with vertices "1".."n", by a and then b: dimension 1 on [a, b]
+    and the identity on each arrow inside it."""
+    from derhed.quiver import Representation
+
+    out = []
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            dims = {str(v): int(a <= v <= b) for v in range(1, n + 1)}
+            maps = {arrow.id: [[1]] for arrow in alg.quiver.arrows
+                    if a <= int(arrow.source) <= b and a <= int(arrow.target) <= b}
+            out.append((f"M{a}_{b}", Representation(alg, dims, maps)))
+    return out
+
+
+def an_tables(n: int, word: str, fld):
+    """The AbelianData of the A_n path algebra with this orientation word,
+    by linear algebra: one GF(p) Hom system (quiver._hom_ext) per ordered
+    pair of interval modules gives Hom and Ext^1."""
+    from derhed.generators import _an_quiver
+    from derhed.quiver import MonomialAlgebra, _hom_ext
+    from derhed.shiftgraph import AbelianData
+
+    items = interval_reps(MonomialAlgebra(_an_quiver(n, word), []), n)
+    hom, ext1 = {}, {}
+    for nm_a, ra in items:
+        for nm_b, rb in items:
+            h, e = _hom_ext(ra, rb, fld)
+            if h:
+                hom[(nm_a, nm_b)] = h
+            if e:
+                ext1[(nm_a, nm_b)] = e
+    return AbelianData(tuple(nm for nm, _ in items), hom, ext1)
 
 
 # -- cone closure by scanning every orbit --

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,11 +7,12 @@ from derhed.complexes import build_shiftgraph_from_complexes
 from derhed.generators import (a2_projective_resolutions, dual_numbers_algebra,
                                dual_numbers_chain, gen_a2_from_complexes,
                                gen_dual_numbers, gen_dynkin_an, gen_example_a2,
-                               gen_semisimple_block)
+                               gen_semisimple_block, _knit)
 from derhed.linalg import PrimeField
-from derhed.shiftgraph import validate
+from derhed.quiver import Arrow, Quiver
+from derhed.shiftgraph import expand_hereditary, validate
 
-from oracles import ext_formula, hom_formula
+from oracles import an_tables, euler_form, ext_formula, hom_formula
 
 
 def test_an_orbit_count_and_validity():
@@ -23,29 +25,81 @@ def test_an_orbit_count_and_validity():
             assert rep.ok and rep.warnings == []
 
 
-def test_an_one_hom_solve_per_ordered_pair(monkeypatch):
-    import derhed.generators
+def test_an_knits_without_linear_algebra(monkeypatch):
+    import derhed.linalg
     import derhed.quiver
 
-    calls = []
-    hom_calls = []
-    real, real_hom = derhed.quiver._hom_ext, derhed.quiver.rep_hom_dim
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen_dynkin_an ran linear algebra")
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    monkeypatch.setattr(derhed.quiver, "_hom_ext", refuse)
+    monkeypatch.setattr(derhed.linalg, "_eliminate", refuse)
+    g = gen_dynkin_an(8, "><<>><>")
+    assert len(g.orbits) == 36
 
-    def counting_hom(*args, **kwargs):
-        hom_calls.append(args)
-        return real_hom(*args, **kwargs)
 
-    monkeypatch.setattr(derhed.generators, "_hom_ext", counting)
-    monkeypatch.setattr(derhed.quiver, "_hom_ext", counting)
-    monkeypatch.setattr(derhed.quiver, "rep_hom_dim", counting_hom)
-    g = gen_dynkin_an(4, ">><")
-    assert len(g.orbits) == 10
-    assert len(calls) == len(g.orbits) ** 2
-    assert hom_calls == []
+@pytest.mark.parametrize("p, top", [(32003, 8), (2, 5), (3, 5)])
+def test_an_knitting_matches_linear_algebra(p, top):
+    # every orientation, byte for byte against one GF(p) Hom system per
+    # ordered pair of interval modules
+    fld = PrimeField(p)
+    for n in range(2, top + 1):
+        for word in map("".join, itertools.product("><", repeat=n - 1)):
+            want = expand_hereditary(an_tables(n, word, fld), name=f"A{n}({word})",
+                                     field_char=p)
+            assert gen_dynkin_an(n, word, fld).to_json() == want.to_json(), word
+
+
+def _dynkin_quiver(kind, n, seed):
+    """D_n or E_n with vertices "1".."n": the path 1 - ... - (n - 1) and the
+    vertex n joined to n - 2 (D) or to 3 (E), each edge oriented by coin."""
+    rng = random.Random(seed)
+    edges = [(v, v + 1) for v in range(1, n - 1)] + [(n - 2 if kind == "D" else 3, n)]
+    arrows = []
+    for i, (u, v) in enumerate(edges):
+        u, v = (u, v) if rng.random() < 0.5 else (v, u)
+        arrows.append(Arrow(f"a{i}", str(u), str(v)))
+    return Quiver(tuple(str(v) for v in range(1, n + 1)), tuple(arrows))
+
+
+@pytest.mark.parametrize("kind, n, roots", [("D", 4, 12), ("D", 5, 20), ("D", 7, 42),
+                                            ("E", 6, 36), ("E", 7, 63), ("E", 8, 120)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_knitting_beyond_an(kind, n, roots, seed):
+    q = _dynkin_quiver(kind, n, seed)
+    hammock = _knit(q)
+    for i, h in hammock.items():
+        sinks = [(v, k) for v, k in h
+                 if not any((a.source, k) in h for a in q.arrows if a.target == v)
+                 and not any((a.target, k + 1) in h for a in q.arrows if a.source == v)]
+        assert sinks == [next(reversed(h))], i
+    # the modules are the objects of the projectives' hammocks, one per
+    # positive root (Gabriel 1972), with dim M_v = h_v(M)
+    dims = {z: {v: hammock[v].get(z, 0) for v in q.vertices}
+            for v in q.vertices for z in hammock[v]}
+    assert len(dims) == roots
+    # dim Hom(M, N) - dim Ext^1(M, N) is the Euler form, with M = (j, k),
+    # N = (l, m) and Ext^1(M, N) = Hom(M, N[1]), N[1] = tau^-1 of the sink
+    for j, k in dims:
+        for l, m in dims:
+            s, m_s = next(reversed(hammock[l]))
+            hom = hammock[j].get((l, m - k), 0)
+            ext = hammock[j].get((s, m_s + m + 1 - k), 0)
+            assert hom - ext == euler_form(q, dims[j, k], dims[l, m])
+
+
+@pytest.mark.parametrize("arrows", [
+    [("a1", "1", "c"), ("a2", "2", "c"), ("a3", "3", "c"), ("a4", "4", "c")],  # D~4
+    [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "c"), ("d", "1", "c")],  # A~3
+    [("a", "1", "c"), ("b", "1", "c")],  # the Kronecker quiver
+])
+def test_knitting_refuses_a_non_dynkin_quiver(arrows):
+    # the preprojective dimension vectors grow without bound, so the
+    # knitting would never reach a zero slice
+    arrows = tuple(Arrow(*a) for a in arrows)
+    q = Quiver(tuple(sorted({v for a in arrows for v in a[1:]})), arrows)
+    with pytest.raises(RuntimeError, match="Q is not Dynkin"):
+        _knit(q)
 
 
 def test_an_linear_matches_formulas():

@@ -10,10 +10,11 @@ from derhed.linalg import PrimeField
 from derhed.quiver import (Arrow, InfiniteDimensional, MonomialAlgebra, Quiver,
                            Representation, _hom_ext, algebra_from_dict,
                            algebra_to_dict, euler_ext1_dim, rep_hom_dim)
-from derhed.generators import _an_quiver, _interval_names_and_reps
+from derhed.generators import _an_quiver
 
 from oracles import (concat_product, euler_form, ext_formula, hom_ext_oracle,
-                     hom_formula, relation_free_path_of, relation_free_paths)
+                     hom_formula, interval_reps, relation_free_path_of,
+                     relation_free_paths)
 
 
 def a2_algebra():
@@ -186,6 +187,32 @@ def test_finite_dimension_matches_long_path_oracle(seed):
                 == relation_free_paths(q, relations))
 
 
+class CountedId(str):
+    """A relation's arrow id that counts the comparisons made with it."""
+
+    compared = 0
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        CountedId.compared += 1
+        return str.__eq__(self, other)
+
+
+@pytest.mark.parametrize("n", [250, 500, 1000])
+def test_relation_comparisons_grow_linearly(n):
+    # linear A_n modulo all its n - 3 paths of three arrows: the basis is
+    # the n vertices, n - 1 arrows and n - 2 paths of two arrows; a scan of
+    # every relation for every path would compare about n**2 ids
+    q = Quiver(tuple(str(v) for v in range(1, n + 1)),
+               tuple(Arrow(f"a{i}", str(i), str(i + 1)) for i in range(1, n)))
+    relations = [tuple(CountedId(f"a{j}") for j in (i, i + 1, i + 2))
+                 for i in range(1, n - 2)]
+    CountedId.compared = 0
+    alg = MonomialAlgebra(q, relations)
+    assert len(alg.basis) == 3 * n - 3
+    assert CountedId.compared <= 12 * n
+
+
 def test_basis_labels_are_unique():
     # an arrow named like the composite a*b, or like the idempotent e_1,
     # would make one label name two basis paths
@@ -328,7 +355,7 @@ def test_hom_minus_ext_is_euler_form(n, fld):
     # columns minus rows is the Euler form of the dimension vectors
     for word in itertools.product("><", repeat=n - 1):
         alg = MonomialAlgebra(_an_quiver(n, "".join(word)), [])
-        reps = [rep for _, rep in _interval_names_and_reps(alg, n)]
+        reps = [rep for _, rep in interval_reps(alg, n)]
         for m in reps:
             for nn in reps:
                 assert (rep_hom_dim(m, nn, fld) - euler_ext1_dim(m, nn, fld)
