@@ -104,7 +104,8 @@ def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,
     named M{a}_{b} after its support [a, b]; RuntimeError unless they are
     the n(n+1)/2 distinct thin intervals.  For M = (j, k) and N = (l, m),
     Hom(M, N) = h_j(l, m - k), and Ext^1(M, N) = Hom(M, N[1]) with N[1] =
-    tau^-1 S N, S N the sink of N's hammock (the algebra is hereditary)."""
+    tau^-1 S N, S N the sink of N's hammock (the algebra is hereditary).
+    Both tables are filled from the support of each module's hammock."""
     fld = fld or PrimeField()
     q = _an_quiver(n, orientation)
     hammock = _knit(q)
@@ -126,15 +127,18 @@ def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,
             nm = f"M{a}_{b}"
             items.append((names.get(nm, nm), l, m, s, m_s + m + 1))
     objs = tuple(item[0] for item in items)
+    module_at = {(l, m): nm for nm, l, m, _, _ in items}  # N -> its name
+    shift_at = {(s, m1): nm for nm, _, _, s, m1 in items}  # N[1] -> N's name
     hom = {}
     ext1 = {}
     for nm_a, j, k, _, _ in items:
-        h_j = hammock[j]
-        for nm_b, l, m, s, m1 in items:
-            if h := h_j.get((l, m - k)):
-                hom[(nm_a, nm_b)] = h
-            if e := h_j.get((s, m1 - k)):
-                ext1[(nm_a, nm_b)] = e
+        # the support of Hom(M, -) is M's hammock, moved by tau^-k
+        for (v, d), x in hammock[j].items():
+            z = (v, d + k)
+            if (nm_b := module_at.get(z)) is not None:
+                hom[(nm_a, nm_b)] = x
+            if (nm_b := shift_at.get(z)) is not None:
+                ext1[(nm_a, nm_b)] = x
     return expand_hereditary(AbelianData(objs, hom, ext1),
                              name=f"A{n}({orientation})", field_char=fld.p)
 

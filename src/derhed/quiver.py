@@ -54,12 +54,6 @@ class Quiver(_Quiver):
                 raise ValueError(f"arrow {a.id} uses undeclared vertex")
         return super().__new__(cls, vertices, arrows)
 
-    def arrow(self, arrow_id: str) -> Arrow:
-        for a in self.arrows:
-            if a.id == arrow_id:
-                return a
-        raise KeyError(arrow_id)
-
 
 class BasisPath(NamedTuple):
     """A relation-free path: source vertex, target vertex, arrow ids."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import NamedTuple
 
 # The instance schema's default field_char; derhed.linalg imports it from
@@ -53,7 +54,10 @@ class IncompleteHeart(Exception):
 # Value records are NamedTuples and mutable records plain classes, which
 # need no module beyond typing: every CLI call pays for its own startup.
 # A value record that validates its fields does so in __new__ on a thin
-# subclass, since a NamedTuple body cannot define __new__.
+# subclass, since a NamedTuple body cannot define __new__.  The bulk
+# builders (from_dict, expand_hereditary) make each HomEdge with
+# tuple.__new__, which skips that Python-level call, and check dim >= 1
+# themselves: a new check in HomEdge.__new__ belongs in them too.
 
 
 class _HomEdge(NamedTuple):
@@ -123,7 +127,9 @@ class ShiftGraph:
         for (a, b), edges in homs.items():
             if a not in self._by_id or b not in self._by_id:
                 raise UnknownOrbit(f"hom edge between undeclared orbits {a}, {b}")
-            norm[(a, b)] = tuple(sorted(edges, key=lambda e: e.weight))
+            edges = tuple(edges)
+            # a stable sort by weight (field 0); one edge is already in order
+            norm[(a, b)] = edges if len(edges) < 2 else tuple(sorted(edges, key=itemgetter(0)))
         self.homs = norm
         self._targets: dict[str, list[str]] = {o.id: [] for o in orbits}
         for (a, b) in sorted(norm):
@@ -203,8 +209,10 @@ class ShiftGraph:
         field of the wrong JSON type or a (from, to) pair listed twice:
         name, id, from and to are strings; weight, dim, end_dim, field_char
         and a non-null period are integers (a bool is not); all_iso,
-        genuine and windowed are bools."""
+        genuine and windowed are bools.  It refuses dim < 1 itself, with
+        HomEdge's message, and builds each edge without HomEdge.__new__."""
         bad = "malformed shift-graph instance"
+        new_edge = tuple.__new__
         try:
             orbits = []
             for o in d["orbits"]:
@@ -230,8 +238,10 @@ class ShiftGraph:
                         raise ValueError(
                             f"{bad}: edge {e!r} from {a} to {b} needs an integer "
                             f"weight and dim and a bool all_iso")
-                    edges.append(HomEdge(w, dim, iso))
-                homs[(a, b)] = tuple(edges)
+                    if dim < 1:
+                        raise ValueError("hom edges record nonzero hom-spaces: dim >= 1")
+                    edges.append(new_edge(HomEdge, (w, dim, iso)))
+                homs[(a, b)] = edges
             name = d.get("name", "")
             if type(name) is not str:
                 raise ValueError(f"{bad}: name {name!r} is not a string")
@@ -360,19 +370,21 @@ def expand_hereditary(data: AbelianData, name: str = "",
             raise ValueError(f"hom({x}, {x}) must be >= 1")
     orbits = [Orbit(x, period=None, end_dim=data.hom[(x, x)]) for x in data.objects]
     homs: dict[tuple[str, str], tuple[HomEdge, ...]] = {}
+    # the tests h > 0 and e1 > 0 below are HomEdge's dim >= 1, so each
+    # edge is built with tuple.__new__, without HomEdge.__new__
+    hom, ext1, new_edge = data.hom.get, data.ext1.get, tuple.__new__
     for a in data.objects:
         for b in data.objects:
-            edges = []
-            h = data.hom.get((a, b), 0)
+            key, edges = (a, b), ()
+            h = hom(key, 0)
             if h > 0:
                 # the division-ring check beyond dimension 1 is out of
                 # reach of dimension data; flag only the 1-dimensional case.
-                iso = a == b and h == 1
-                edges.append(HomEdge(0, h, all_iso=iso))
-            e1 = data.ext1.get((a, b), 0)
+                edges = (new_edge(HomEdge, (0, h, a == b and h == 1)),)
+            e1 = ext1(key, 0)
             if e1 > 0:
-                edges.append(HomEdge(1, e1))
+                edges += (new_edge(HomEdge, (1, e1, False)),)
             if edges:
-                homs[(a, b)] = tuple(edges)
+                homs[key] = edges
     return ShiftGraph(name=name, orbits=orbits, homs=homs,
                       genuine=True, windowed=False, field_char=field_char)

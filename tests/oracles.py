@@ -727,6 +727,15 @@ WRONG_FIELD_TYPES = [
     ("field_char", 101.9),
 ]
 
+# One field of an instance dict per entry, set to a value of the right type
+# that the records refuse, with the message ShiftGraph.from_dict gives.
+REFUSED_FIELD_VALUES = [
+    ("dim", 0, "hom edges record nonzero hom-spaces: dim >= 1"),
+    ("dim", -1, "hom edges record nonzero hom-spaces: dim >= 1"),
+    ("end_dim", 0, "end_dim >= 1 (identity morphism)"),
+    ("period", 0, "period must be a positive integer"),
+]
+
 
 def with_field(inst: dict, field: str, value) -> dict:
     """A deep copy of an instance dict with field set to value in the

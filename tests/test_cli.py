@@ -406,6 +406,17 @@ def test_validate_wrong_field_type_exit_2(capsys, tmp_path, field, value):
     assert "malformed shift-graph instance" in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("field,value,message", oracles.REFUSED_FIELD_VALUES,
+                         ids=[f"{f}={v}" for f, v, _ in oracles.REFUSED_FIELD_VALUES])
+def test_validate_refused_field_value_exit_2(capsys, tmp_path, field, value, message):
+    inst = derhed.gen_semisimple_block(2).to_dict()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(oracles.with_field(inst, field, value)))
+    code, rep = run_cli(capsys, "validate", str(bad))
+    assert code == 2 and rep["error"]["type"] == "input"
+    assert rep["error"]["message"] == message
+
+
 def test_validate_duplicate_hom_pair_exit_2(capsys, tmp_path, a2_files):
     inst = json.loads(a2_files[0].read_text())
     inst["homs"].append(inst["homs"][0])

@@ -231,8 +231,8 @@ def test_basis_labels_are_unique():
 
 def test_unknown_arrow_and_bad_relations_are_refused():
     q = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
-    with pytest.raises(KeyError):
-        q.arrow("c")
+    with pytest.raises(KeyError, match="'c'"):
+        MonomialAlgebra(q, [("a", "c")])
     with pytest.raises(ValueError, match="length >= 2"):
         MonomialAlgebra(q, [("a",)])
     with pytest.raises(ValueError, match="arrows b, a are not composable"):

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from derhed.generators import (gen_a2_from_complexes, gen_dual_numbers,
                                gen_dynkin_an, gen_example_a2,
                                gen_semisimple_block)
+from derhed.linalg import PrimeField
 from derhed.paths import (DegenerateAperiodic, DegeneratePeriodic,
                           NonDegenerate, PathStep)
 from derhed.quiver import Arrow, BasisPath, Quiver
@@ -253,6 +256,77 @@ def test_from_dict_refuses_wrong_field_type(field, value):
     ShiftGraph.from_dict(inst)
     with pytest.raises(ValueError, match="malformed shift-graph instance"):
         ShiftGraph.from_dict(oracles.with_field(inst, field, value))
+
+
+@pytest.mark.parametrize("field,value,message", oracles.REFUSED_FIELD_VALUES,
+                         ids=[f"{f}={v}" for f, v, _ in oracles.REFUSED_FIELD_VALUES])
+def test_from_dict_refuses_field_value(field, value, message):
+    inst = gen_semisimple_block(2).to_dict()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ShiftGraph.from_dict(oracles.with_field(inst, field, value))
+
+
+@pytest.fixture
+def count_edge_records(monkeypatch) -> list[int]:
+    """Counts the calls of HomEdge.__new__, the checking constructor."""
+    calls = [0]
+    new = HomEdge.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(HomEdge, "__new__", counting)
+    return calls
+
+
+def test_bulk_builders_skip_the_checking_constructor(count_edge_records):
+    # 540 edges in each graph, none through HomEdge.__new__: the bulk
+    # builders check dim >= 1 themselves
+    g = gen_dynkin_an(8, "><><<>>")
+    assert count_edge_records == [0]
+    back = ShiftGraph.from_dict(g.to_dict())
+    assert count_edge_records == [0]
+    assert back.to_json() == g.to_json()
+    assert sum(map(len, g.homs.values())) == 540
+    assert all(type(e) is HomEdge for edges in back.homs.values() for e in edges)
+    with pytest.raises(ValueError, match="dim >= 1"):
+        HomEdge(0, 0)
+    assert HomEdge(0, 1) == (0, 1, False) and count_edge_records == [2]
+
+
+@pytest.mark.parametrize("kind", [tuple, list, iter])
+def test_edge_order_parity(kind):
+    # a stable sort by weight, whatever iterable holds a pair's edges
+    edges = [HomEdge(2, 1), HomEdge(0, 1, all_iso=True), HomEdge(-1, 3),
+             HomEdge(2, 4), HomEdge(-1, 2)]
+    g = ShiftGraph("g", [Orbit("X"), Orbit("Y")], {
+        ("X", "X"): kind(edges[:2]), ("Y", "Y"): kind(edges[1:2]),
+        ("X", "Y"): kind(edges), ("Y", "X"): kind([]),
+    })
+    assert g.edges_between("X", "X") == (edges[1], edges[0])
+    assert g.edges_between("Y", "Y") == (edges[1],)
+    assert g.edges_between("X", "Y") == (edges[2], edges[4], edges[1], edges[0], edges[3])
+    assert g.edges_between("Y", "X") == ()
+    assert all(type(v) is tuple for v in g.homs.values())
+    assert "duplicate weights on hom edges X -> Y" in validate(g).errors
+    assert g.to_json() == json.dumps(g.to_dict(), indent=2, sort_keys=True)
+
+
+def test_gen_an_bytes_are_pinned():
+    # every orientation with n = 2..8 at two fields, and the A_2 example;
+    # each text must survive its own round trip
+    digest = hashlib.sha256()
+    texts = [gen_dynkin_an(n, "".join(word), PrimeField(p)).to_json()
+             for p in (2, 32003) for n in range(2, 9)
+             for word in itertools.product("><", repeat=n - 1)]
+    texts.append(gen_example_a2()[0].to_json())
+    for text in texts:
+        assert ShiftGraph.from_dict(json.loads(text)).to_json() == text
+        digest.update(text.encode() + b"\n")
+    assert len(texts) == 509
+    assert digest.hexdigest() == (
+        "3500f9b9551403dedfee8e858825b71602391ea565b49474385554a66d58bcfa")
 
 
 def test_expand_hereditary_structure():
