@@ -248,7 +248,6 @@ def _cmd_gen(args):
     from .complexes import FieldTooSmall
     from .generators import (gen_dual_numbers, gen_dynkin_an, gen_example_a2,
                              gen_semisimple_block)
-    from .quiver import InfiniteDimensional
 
     fld, heart = _field(), []
     try:
@@ -263,7 +262,7 @@ def _cmd_gen(args):
             g = gen_dual_numbers(args.max_length, args.window, fld)
         else:
             g = gen_semisimple_block(args.period, args.end_dim, fld)
-    except (ValueError, InfiniteDimensional) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
     except FieldTooSmall as exc:
         raise InputError(f"{exc}; set DERHED_FIELD_CHAR to a larger prime") from exc

@@ -414,9 +414,13 @@ def build_shiftgraph_from_complexes(reps: list[ProjComplex], window: int,
 
     Each complex is normalized so its top nonzero degree is 0.  Hom
     support outside |n| <= window is unknown, so the graph is flagged
-    windowed.  Nonzero bounded complexes are never isomorphic to a proper
-    shift of themselves (the minimal representative's degree support would
-    move), so all orbits are aperiodic.
+    windowed.  A window below 0 raises ValueError.  After normalizing,
+    each complex lies in degrees -span..0, so Hom(X, Y[n]) = 0 for
+    |n| > span, and the work stops at the largest span: a wider window
+    changes nothing but the caller's name.  Nonzero bounded complexes are
+    never isomorphic to a proper shift of themselves (the minimal
+    representative's degree support would move), so all orbits are
+    aperiodic.
 
     The work is one End(X) per complex, whose locality is the
     indecomposability test and whose dimension is end_dim, and one table
@@ -425,6 +429,8 @@ def build_shiftgraph_from_complexes(reps: list[ProjComplex], window: int,
     dim End X_i = dim End X_j = dim Hom(X_j, X_i[-n]), so the exact
     isomorphism test runs only where those four numbers agree.
     """
+    if window < 0:
+        raise ValueError(f"window must be >= 0, not {window}")
     fld = fld or PrimeField()
     normed = []
     ends = []
@@ -448,6 +454,7 @@ def build_shiftgraph_from_complexes(reps: list[ProjComplex], window: int,
     ids = [x.name for x in normed]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate complex names")
+    window = min(window, max((-min(x.degrees) for x in normed), default=0))
     table = {(i, j): _hom_dims(x, y, -window, window, fld)
              for i, x in enumerate(normed) for j, y in enumerate(normed)}
     for i in range(len(normed)):

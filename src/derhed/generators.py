@@ -15,7 +15,7 @@ from __future__ import annotations
 from .complexes import ProjComplex, build_shiftgraph_from_complexes
 from .hereditary import Heart
 from .linalg import PrimeField
-from .quiver import Arrow, MonomialAlgebra, Quiver
+from .quiver import Arrow, MonomialAlgebra, Quiver, _peel
 from .shiftgraph import (AbelianData, HomEdge, Orbit, ShiftGraph,
                          expand_hereditary)
 
@@ -60,13 +60,7 @@ def _knit(quiver: Quiver) -> dict[str, dict[tuple[str, int], int]]:
         out_of[a.source].append(a.target)
         into[a.target].append(a.source)
     # the slice order: Q's sinks first, then each vertex once its targets are in
-    left = {v: len(ts) for v, ts in out_of.items()}
-    order = [v for v in quiver.vertices if not left[v]]
-    for t in order:  # grows while it is read
-        for s in into[t]:
-            left[s] -= 1
-            if not left[s]:
-                order.append(s)
+    order = _peel(into)
     hammocks = {}
     for i in quiver.vertices:
         h: dict[tuple[str, int], int] = {}

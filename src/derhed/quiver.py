@@ -149,7 +149,7 @@ class MonomialAlgebra:
                 succ = {i: [] for i in nodes}
                 for k in frontier:
                     succ[steps[k][0]].append(node[out[k].target, out[k].arrows[1:]])
-                if _has_cycle(succ):
+                if len(_peel(succ)) < len(succ):
                     raise InfiniteDimensional(
                         "relation-free paths of every length exist: "
                         f"their {length}-arrow windows close a cycle")
@@ -181,9 +181,12 @@ class MonomialAlgebra:
         return table
 
 
-def _has_cycle(succ: dict[int, list[int]]) -> bool:
-    """Whether the graph with these successor lists has a cycle: removing
-    the nodes without an incoming edge, one by one, leaves some (Kahn 1962)."""
+def _peel(succ: dict) -> list:
+    """The nodes of the graph with these successor lists, each after every
+    node with an edge into it (parallel edges counted), found by removing
+    the nodes without an incoming edge one by one (Kahn 1962).  A node on
+    a cycle, or reached from one, is never removed and is left out, so the
+    graph has a cycle exactly when the order is shorter than succ."""
     indeg = Counter(v for vs in succ.values() for v in vs)
     order = [u for u in succ if not indeg[u]]
     for u in order:  # grows while it is read
@@ -191,7 +194,7 @@ def _has_cycle(succ: dict[int, list[int]]) -> bool:
             indeg[v] -= 1
             if not indeg[v]:
                 order.append(v)
-    return len(order) < len(succ)
+    return order
 
 
 class Representation:
@@ -203,15 +206,6 @@ class Representation:
     vertex and a zero matrix for a missing arrow, so the caller's dicts
     are never changed.  It refuses a dimension that is not a non-negative
     int, or a map entry that is not an int, a bool or a float included.
-    It also records, once, the sparse data the Hom system reads (see
-    _hom_ext):
-
-    - ``_support``: the (vertex, dim) pairs with M_v != 0, in vertex order;
-    - ``_cols``: for each arrow (id, s, t) with M_s != 0, in arrow order,
-      the tuple (id, s, t, columns), where columns[j] lists the
-      (k, M_a[k][j]) with M_a[k][j] != 0;
-    - ``_rows[id]``: for each arrow with M_t != 0, the list whose entry i
-      lists the (k, M_a[i][k]) with M_a[i][k] != 0.
     """
 
     def __init__(self, algebra: MonomialAlgebra, dims: dict[str, int],
@@ -232,8 +226,6 @@ class Representation:
                     f"dimension at vertex {v} must be a non-negative int, not {d!r}")
         for v in q.vertices:
             self.dims.setdefault(v, 0)
-        self._cols: list[tuple[str, str, str, list[list[tuple[int, int]]]]] = []
-        self._rows: dict[str, list[list[tuple[int, int]]]] = {}
         for a in q.arrows:
             m = self.maps.get(a.id)
             rows, cols = self.dims[a.target], self.dims[a.source]
@@ -248,13 +240,6 @@ class Representation:
                 if bad:
                     raise ValueError(f"map for arrow {a.id} has {bad[0]!r}, not an int")
             self.maps[a.id] = m
-            if cols:
-                self._cols.append((*a, [[(k, row[j]) for k, row in enumerate(m) if row[j]]
-                                        for j in range(cols)]))
-            if rows:
-                self._rows[a.id] = [[(k, x) for k, x in enumerate(row) if x]
-                                    for row in m]
-        self._support = tuple((v, self.dims[v]) for v in q.vertices if self.dims[v])
 
 
 def _hom_ext(m: Representation, n: Representation, fld: PrimeField) -> tuple[int, int]:
@@ -268,39 +253,39 @@ def _hom_ext(m: Representation, n: Representation, fld: PrimeField) -> tuple[int
     per entry of each target (Ringel's standard exact sequence; the
     cokernel is Ext^1 only when the algebra has no relations).
 
-    The system is assembled from the data each Representation records at
-    construction: unknowns are numbered only at the vertices in both
-    supports, rows are written only for the arrows with M_s(a) != 0 and
-    N_t(a) != 0 (every other target is 0), and each coefficient comes from
-    the nonzero entries of a column of M_a or a row of N_a.
+    Unknowns are numbered only at the vertices where M_v and N_v are both
+    nonzero, rows are written only for the arrows with M_s(a) != 0 and
+    N_t(a) != 0 (every other target is 0), and each coefficient is a
+    nonzero entry of a column of M_a or a row of N_a.
     """
     if m.algebra is not n.algebra and m.algebra.quiver != n.algebra.quiver:
         raise ValueError("representations live over different quivers")
+    q = m.algebra.quiver
     offsets: dict[str, int] = {}
     total = 0
-    for v, mv in m._support:
-        if nv := n.dims[v]:
+    for v in q.vertices:
+        if (mv := m.dims[v]) and (nv := n.dims[v]):
             offsets[v] = total
             total += nv * mv
     rows: list[dict[int, int]] = []
-    for aid, s, t, mcols in m._cols:
-        nrows = n._rows.get(aid)
-        if nrows is None:
-            continue
+    for aid, s, t in q.arrows:
         # one row per entry (i, j) of f_t M_a - N_a f_s, as a dict {unknown:
-        # coefficient}; a column of M_a is empty when M_t = 0, and a row of
-        # N_a when N_s = 0, so a missing offset is never read (only a loop,
-        # s = t, can leave a zero in a row)
+        # coefficient}, so none when M_s = 0 or N_t = 0; M_a has no rows
+        # when M_t = 0, and a row of N_a no entries when N_s = 0, so a
+        # missing offset is never read (only a loop, s = t, can leave a
+        # zero in a row)
         ot, os_ = offsets.get(t), offsets.get(s)
         mt, nc = m.dims[t], m.dims[s]
-        for i, nrow in enumerate(nrows):
-            for j, mcol in enumerate(mcols):
+        ma = m.maps[aid]
+        for i, nrow in enumerate(n.maps[aid]):
+            for j in range(nc):
                 # (f_t M_a)[i, j] = sum_k f_t[i, k] * M_a[k, j]
-                row = {ot + i * mt + k: x for k, x in mcol}
+                row = {ot + i * mt + k: mrow[j] for k, mrow in enumerate(ma) if mrow[j]}
                 # (N_a f_s)[i, j] = sum_k N_a[i, k] * f_s[k, j]
-                for k, x in nrow:
-                    c = os_ + k * nc + j
-                    row[c] = row.get(c, 0) - x
+                for k, x in enumerate(nrow):
+                    if x:
+                        c = os_ + k * nc + j
+                        row[c] = row.get(c, 0) - x
                 rows.append(row)
     rank = fld.rank(rows)
     return total - rank, len(rows) - rank

@@ -364,27 +364,23 @@ def expand_hereditary(data: AbelianData, name: str = "",
     """Expand abelian hom/ext data to the shift-graph of the bounded
     derived category: weight-0 edges carry Hom, weight-1 edges carry
     Ext^1, and nothing else is nonzero because every object splits into
-    shifted cohomologies over a hereditary abelian category."""
+    shifted cohomologies over a hereditary abelian category.  A nonzero
+    table entry whose key names an object outside objects raises
+    UnknownOrbit."""
     for x in data.objects:
         if data.hom.get((x, x), 0) < 1:
             raise ValueError(f"hom({x}, {x}) must be >= 1")
     orbits = [Orbit(x, period=None, end_dim=data.hom[(x, x)]) for x in data.objects]
-    homs: dict[tuple[str, str], tuple[HomEdge, ...]] = {}
     # the tests h > 0 and e1 > 0 below are HomEdge's dim >= 1, so each
     # edge is built with tuple.__new__, without HomEdge.__new__
-    hom, ext1, new_edge = data.hom.get, data.ext1.get, tuple.__new__
-    for a in data.objects:
-        for b in data.objects:
-            key, edges = (a, b), ()
-            h = hom(key, 0)
-            if h > 0:
-                # the division-ring check beyond dimension 1 is out of
-                # reach of dimension data; flag only the 1-dimensional case.
-                edges = (new_edge(HomEdge, (0, h, a == b and h == 1)),)
-            e1 = ext1(key, 0)
-            if e1 > 0:
-                edges += (new_edge(HomEdge, (1, e1, False)),)
-            if edges:
-                homs[key] = edges
+    new_edge = tuple.__new__
+    homs: dict[tuple[str, str], tuple[HomEdge, ...]] = {
+        # the division-ring check beyond dimension 1 is out of reach of
+        # dimension data; flag only the 1-dimensional case.
+        (a, b): (new_edge(HomEdge, (0, h, a == b and h == 1)),)
+        for (a, b), h in data.hom.items() if h > 0}
+    for key, e1 in data.ext1.items():
+        if e1 > 0:
+            homs[key] = homs.get(key, ()) + (new_edge(HomEdge, (1, e1, False)),)
     return ShiftGraph(name=name, orbits=orbits, homs=homs,
                       genuine=True, windowed=False, field_char=field_char)

@@ -572,6 +572,15 @@ def test_gen_dual_field_too_small_exit_2(capsys, tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_gen_dual_negative_window_exit_2(capsys, tmp_path):
+    out = tmp_path / "dual.json"
+    code, rep = run_cli(capsys, "gen", "dual", "--max-length", "2", "--window", "-1",
+                        "--out", str(out))
+    assert code == 2 and rep["error"]["type"] == "input"
+    assert "window must be >= 0" in rep["error"]["message"]
+    assert not out.exists()
+
+
 def test_field_char_above_bound_exit_2(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("DERHED_FIELD_CHAR", "2147483647")
     code, rep = run_cli(capsys, "gen", "an", "--n", "3", "--orientation", "><",

@@ -145,6 +145,26 @@ def test_dual_numbers_graph():
         gen_dual_numbers(1, 2)
 
 
+def test_dual_numbers_work_stops_at_the_degree_span(monkeypatch):
+    # the chains lie in degrees -2..0, so Hom(X, Y[n]) = 0 for |n| > 2 and a
+    # window of 1,000 builds the same block tables as a window of 2
+    import derhed.complexes
+
+    calls = []
+    blocks = derhed.complexes._hom_blocks
+    monkeypatch.setattr(derhed.complexes, "_hom_blocks",
+                        lambda *args: calls.append(args) or blocks(*args))
+    seen = []
+    for window in (2, 1000):
+        calls.clear()
+        g = gen_dual_numbers(3, window)
+        assert g.name == f"dual_numbers(L3,w{window})"
+        seen.append((len(calls), g.homs))
+    assert seen[0] == seen[1]
+    with pytest.raises(ValueError, match="window must be >= 0"):
+        gen_dual_numbers(3, -1)
+
+
 def test_semisimple_block():
     g = gen_semisimple_block(4, end_dim=2)
     assert validate(g).ok

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from derhed.linalg import PrimeField
 from derhed.quiver import (Arrow, InfiniteDimensional, MonomialAlgebra, Quiver,
-                           Representation, _hom_ext, algebra_from_dict,
+                           Representation, _hom_ext, _peel, algebra_from_dict,
                            algebra_to_dict, euler_ext1_dim, rep_hom_dim)
 from derhed.generators import _an_quiver
 
@@ -120,6 +120,35 @@ def test_two_loops_modulo_x_squared_is_infinite_dimensional():
     q = Quiver(("v",), (Arrow("x", "v", "v"), Arrow("y", "v", "v")))
     with pytest.raises(InfiniteDimensional, match="2-arrow windows close a cycle"):
         MonomialAlgebra(q, [("x", "x")])
+
+
+@pytest.mark.parametrize("succ, want", [
+    ({"1": ["2"], "2": ["3"], "3": []}, ["1", "2", "3"]),
+    # the Kronecker quiver: c waits for both parallel edges
+    ({"1": ["c", "c"], "c": []}, ["1", "c"]),
+    # a parallel pair counted once would release b before c is peeled
+    ({"a": ["b", "b"], "c": ["b"], "b": []}, ["a", "c", "b"]),
+    # x and y close a cycle, and z lies after it: all three are left out
+    ({"s": ["x"], "x": ["y"], "y": ["x", "z"], "z": [], "w": []}, ["s", "w"]),
+    ({"a": ["a"]}, []),
+])
+def test_peel_is_kahn_order(succ, want):
+    assert _peel(succ) == want
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_peel_orders_every_edge_of_a_random_dag(seed):
+    rng = random.Random(seed)
+    nodes = list(range(12))
+    rng.shuffle(nodes)
+    rank = {v: i for i, v in enumerate(nodes)}
+    succ = {v: [u for u in nodes for _ in range(rng.randint(0, 2))
+                if rank[u] > rank[v] and rng.random() < 0.3]
+            for v in range(12)}
+    order = _peel(succ)
+    assert sorted(order) == list(range(12))
+    place = {v: i for i, v in enumerate(order)}
+    assert all(place[u] < place[v] for u in succ for v in succ[u])
 
 
 @pytest.mark.parametrize("n", [66, 100])

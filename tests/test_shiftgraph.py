@@ -225,7 +225,7 @@ def test_to_json_an_is_json_dumps(n, word):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: gen_dual_numbers(4, 2), lambda: gen_dual_numbers(3, -1),
+    lambda: gen_dual_numbers(4, 2), lambda: ShiftGraph("bare", [Orbit("X")], {}),
     lambda: gen_a2_from_complexes(2), lambda: gen_semisimple_block(3, 2),
     lambda: gen_example_a2()[0],
 ])
@@ -346,3 +346,14 @@ def test_expand_hereditary_structure():
 def test_expand_hereditary_requires_identity():
     with pytest.raises(ValueError):
         expand_hereditary(AbelianData(("M",), {}, {}))
+
+
+@pytest.mark.parametrize("hom, ext1", [
+    ({("M", "M"): 1, ("M", "Z"): 1}, {}),
+    ({("M", "M"): 1}, {("Z", "M"): 1}),
+])
+def test_expand_hereditary_refuses_an_undeclared_object(hom, ext1):
+    # the edges come from the tables' keys, so a key naming an object
+    # outside objects is an error, not a pair silently left out
+    with pytest.raises(UnknownOrbit, match="Z"):
+        expand_hereditary(AbelianData(("M",), hom, ext1))
