@@ -21,9 +21,9 @@ from .shiftgraph import (IncompleteHeart, NegativeWalkAtSource, NotABlock,
                          ObjRef, ShiftGraph, UnknownOrbit, UnreachableOrbit,
                          validate)
 
-# Each command imports only what it runs: hereditary inside `check`, `heart`
-# and `verify-heart`, and the GF(p) modules (linalg, quiver, complexes,
-# generators) inside `gen` and `hom`.  No command loads numpy.
+# Each command imports only what it runs: hereditary in `check`, `heart` and
+# `verify-heart`; linalg, quiver and generators in `gen` (hereditary too for
+# `gen a2`, complexes for `gen dual`) and complexes in `hom`.  No numpy.
 
 
 class InputError(Exception):
@@ -245,9 +245,9 @@ def _cmd_directing(args):
 
 
 def _cmd_gen(args):
-    from .complexes import FieldTooSmall
     from .generators import (gen_dual_numbers, gen_dynkin_an, gen_example_a2,
                              gen_semisimple_block)
+    from .linalg import FieldTooSmall
 
     fld, heart = _field(), []
     try:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import operator
 from typing import Optional
 
-from .linalg import PrimeField
+from .linalg import FieldTooSmall, PrimeField
 from .quiver import MonomialAlgebra
 from .shiftgraph import HomEdge, Orbit, ShiftGraph
 
@@ -47,11 +47,6 @@ AlgElem = dict[int, int]
 
 class AlgebraMismatch(Exception):
     pass
-
-
-class FieldTooSmall(Exception):
-    """The field characteristic does not exceed the endomorphism-algebra
-    dimension, so the trace-form radical computation is not valid."""
 
 
 def _compose(alg: MonomialAlgebra, first: AlgElem, second: AlgElem, p: int) -> AlgElem:

@@ -7,17 +7,24 @@ algebra, and the tables expand to the derived-category shift-graph.  The
 GF(p) Hom systems of quiver.Representation are the tests' check on it.
 The homotopy route builds perfect complexes over a monomial algebra and
 measures homs in the homotopy category; the dual numbers are its
-canonical non-hereditary instance.
+canonical non-hereditary instance.  Its functions import complexes when
+called, and gen_example_a2 imports hereditary for its Heart, so the
+abelian route loads neither.
 """
 
 from __future__ import annotations
 
-from .complexes import ProjComplex, build_shiftgraph_from_complexes
-from .hereditary import Heart
+from graphlib import TopologicalSorter
+from typing import TYPE_CHECKING
+
 from .linalg import PrimeField
-from .quiver import Arrow, MonomialAlgebra, Quiver, _peel
+from .quiver import Arrow, MonomialAlgebra, Quiver
 from .shiftgraph import (AbelianData, HomEdge, Orbit, ShiftGraph,
                          expand_hereditary)
+
+if TYPE_CHECKING:
+    from .complexes import ProjComplex
+    from .hereditary import Heart
 
 
 def _an_quiver(n: int, orientation: str) -> Quiver:
@@ -53,14 +60,15 @@ def _knit(quiver: Quiver) -> dict[str, dict[tuple[str, int], int]]:
 
     RuntimeError unless every support has exactly one sink, or when a
     value exceeds 6, the largest coefficient of a positive root: on any
-    other quiver the hammocks would never end."""
+    other acyclic quiver the hammocks would never end.  An oriented cycle
+    raises graphlib's CycleError."""
     out_of: dict[str, list[str]] = {v: [] for v in quiver.vertices}
     into: dict[str, list[str]] = {v: [] for v in quiver.vertices}
     for a in quiver.arrows:
         out_of[a.source].append(a.target)
         into[a.target].append(a.source)
     # the slice order: Q's sinks first, then each vertex once its targets are in
-    order = _peel(into)
+    order = list(TopologicalSorter(out_of).static_order())
     hammocks = {}
     for i in quiver.vertices:
         h: dict[tuple[str, int], int] = {}
@@ -142,6 +150,7 @@ def gen_example_a2(fld: PrimeField | None = None) -> tuple[ShiftGraph, Heart]:
     injective), I (length two), S2 (simple projective), together with the
     inadmissible heart {S1@0, S2@0, I@1}: shifting I up creates a nonzero
     morphism S2 -> (I[1])[-1]."""
+    from .hereditary import Heart
     g = gen_dynkin_an(2, ">", fld,
                       names={"M1_1": "S1", "M1_2": "I", "M2_2": "S2"})
     g.name = "example_a2"
@@ -158,6 +167,7 @@ def dual_numbers_algebra():
 def dual_numbers_chain(alg, length: int, name: str = "") -> ProjComplex:
     """The complex R -> R -> ... -> R (length terms, differential the
     loop) in degrees -(length-1)..0."""
+    from .complexes import ProjComplex
     ai = alg.index["a"]
     degrees = {d: ["v"] for d in range(-(length - 1), 1)}
     diffs = {d: [[{ai: 1}]] for d in range(-(length - 1), 0)}
@@ -170,6 +180,7 @@ def gen_dual_numbers(max_length: int, window: int,
     restricted to the alpha-differential chains C_1..C_max_length and the
     hom window |n| <= window.  Not hereditary: C_2 carries a weight -1
     self-edge."""
+    from .complexes import build_shiftgraph_from_complexes
     if max_length < 2:
         raise ValueError("max_length must be >= 2")
     fld = fld or PrimeField()
@@ -199,6 +210,7 @@ def a2_projective_resolutions():
     """The A_2 path algebra together with projective resolutions of its
     three indecomposables, named to match gen_example_a2: S2 = P_2 and
     I = P_1 are stalks, S1 resolves as P_2 -> P_1."""
+    from .complexes import ProjComplex
     q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
     alg = MonomialAlgebra(q, [])
     ai = alg.index["a"]
@@ -211,6 +223,7 @@ def a2_projective_resolutions():
 def gen_a2_from_complexes(window: int = 2, fld: PrimeField | None = None) -> ShiftGraph:
     """The A_2 shift-graph recomputed through the homotopy engine; agrees
     with gen_example_a2 edge for edge."""
+    from .complexes import build_shiftgraph_from_complexes
     fld = fld or PrimeField()
     _, reps = a2_projective_resolutions()
     return build_shiftgraph_from_complexes(reps, window, fld, name=f"a2_complexes(w{window})")

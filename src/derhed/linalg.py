@@ -97,6 +97,11 @@ def _reduced(m: list[Row], p: int) -> tuple[list[int], dict[int, dict[int, int]]
     return cols, pivots
 
 
+class FieldTooSmall(Exception):
+    """The field characteristic does not exceed the endomorphism-algebra
+    dimension, so the trace-form radical computation is not valid."""
+
+
 class PrimeField:
     """Arithmetic and Gaussian elimination over GF(p)."""
 

@@ -151,10 +151,12 @@ class PathEngine:
             return
         i = self._block_of[s]
         block = self._blocks[i]
-        # -inf: the forward closure of the negative orbits that s reaches;
-        # the rest is relaxed on labels weight * n + hom steps
+        # -inf: the forward closure of the negative orbits that s reaches
+        # (none in a block with a potential); the rest is relaxed on labels
+        # weight * n + hom steps
         negative = self._negative_in(i)
-        neg = _bfs_tree(self.succ, *(v for v in _bfs_tree(self.succ, s) if v in negative))
+        neg = _bfs_tree(self.succ, *(v for v in _bfs_tree(self.succ, s)
+                                     if v in negative)) if negative else {}
         n = len(block)
         region = {u: [(v, w * n + 1) for (v, w) in self.succ[u] if v not in neg] for u in block}
         dist = dict.fromkeys(block, POS_INF)

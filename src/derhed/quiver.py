@@ -17,7 +17,7 @@ P_v -> P_w is given by left multiplication with a path from w to v.
 
 from __future__ import annotations
 
-from collections import Counter
+from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple
 
 from .linalg import PrimeField
@@ -149,10 +149,12 @@ class MonomialAlgebra:
                 succ = {i: [] for i in nodes}
                 for k in frontier:
                     succ[steps[k][0]].append(node[out[k].target, out[k].arrows[1:]])
-                if len(_peel(succ)) < len(succ):
+                try:
+                    TopologicalSorter(succ).prepare()
+                except CycleError:
                     raise InfiniteDimensional(
                         "relation-free paths of every length exist: "
-                        f"their {length}-arrow windows close a cycle")
+                        f"their {length}-arrow windows close a cycle") from None
         return out, steps
 
     def _product_table(self, steps: list[tuple[int, str] | None]) -> list[dict[int, int]]:
@@ -179,22 +181,6 @@ class MonomialAlgebra:
                     row[j] = k
             table.append(row)
         return table
-
-
-def _peel(succ: dict) -> list:
-    """The nodes of the graph with these successor lists, each after every
-    node with an edge into it (parallel edges counted), found by removing
-    the nodes without an incoming edge one by one (Kahn 1962).  A node on
-    a cycle, or reached from one, is never removed and is left out, so the
-    graph has a cycle exactly when the order is shorter than succ."""
-    indeg = Counter(v for vs in succ.values() for v in vs)
-    order = [u for u in succ if not indeg[u]]
-    for u in order:  # grows while it is read
-        for v in succ[u]:
-            indeg[v] -= 1
-            if not indeg[v]:
-                order.append(v)
-    return order
 
 
 class Representation:

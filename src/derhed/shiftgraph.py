@@ -364,15 +364,21 @@ def expand_hereditary(data: AbelianData, name: str = "",
     """Expand abelian hom/ext data to the shift-graph of the bounded
     derived category: weight-0 edges carry Hom, weight-1 edges carry
     Ext^1, and nothing else is nonzero because every object splits into
-    shifted cohomologies over a hereditary abelian category.  A nonzero
-    table entry whose key names an object outside objects raises
-    UnknownOrbit."""
+    shifted cohomologies over a hereditary abelian category.  A table
+    entry that is not a non-negative int (a bool included) raises
+    ValueError, and a nonzero one whose key names an object outside
+    objects raises UnknownOrbit."""
+    for kind, table in (("hom", data.hom), ("ext1", data.ext1)):
+        for key, d in table.items():
+            if type(d) is not int or d < 0:
+                raise ValueError(f"{kind}{key} must be a non-negative int, not {d!r}")
     for x in data.objects:
         if data.hom.get((x, x), 0) < 1:
             raise ValueError(f"hom({x}, {x}) must be >= 1")
     orbits = [Orbit(x, period=None, end_dim=data.hom[(x, x)]) for x in data.objects]
-    # the tests h > 0 and e1 > 0 below are HomEdge's dim >= 1, so each
-    # edge is built with tuple.__new__, without HomEdge.__new__
+    # the entries are ints, checked above, and the tests h > 0 and e1 > 0
+    # below are HomEdge's dim >= 1, so each edge is built with
+    # tuple.__new__, without HomEdge.__new__
     new_edge = tuple.__new__
     homs: dict[tuple[str, str], tuple[HomEdge, ...]] = {
         # the division-ring check beyond dimension 1 is out of reach of

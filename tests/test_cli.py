@@ -661,18 +661,19 @@ argvs = [["validate", inst], ["blocks", inst], ["dist", inst, "S1", "S2"],
 if commands in ("heart", "every"):
     argvs += [["check", inst], ["heart", inst, "--from", "I"],
               ["verify-heart", inst, "--heart", heart]]
-if commands == "every":
+if commands in ("abelian", "every"):
     argvs += [["gen", "an", "--n", "3", "--orientation", "><", "--out", "an.json"],
-              ["gen", "a2", "--out", "a2.json", "--bad-heart-out", "bad.json"],
+              ["gen", "semisimple", "--period", "2", "--out", "ss.json"]]
+if commands == "every":
+    argvs += [["gen", "a2", "--out", "a2.json", "--bad-heart-out", "bad.json"],
               ["gen", "dual", "--max-length", "3", "--window", "1", "--out", "dual.json"],
-              ["gen", "semisimple", "--period", "2", "--out", "ss.json"],
               ["hom", "alg.json", "p2.json", "p1.json", "--shift", "0"],
               ["hom", "alg.json", "p1.json", "p2.json", "--shift", "1"]]
 for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
 added = sorted(set(forbidden) & (set(sys.modules) - before))
-assert not added, f"path-only commands imported {added}"
+assert not added, f"{commands} commands imported {added}"
 print("ok")
 """
 
@@ -690,6 +691,16 @@ def test_walk_commands_never_import_hereditary(a2_files):
     # validate, blocks, dist, path, classify and directing run no heart code
     proc = run_child("-c", PATH_ONLY_CHILD, *map(str, a2_files), "walks",
                      "numpy", "dataclasses", "derhed.hereditary")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_abelian_gen_never_imports_the_homotopy_engine(a2_files, tmp_path):
+    # gen an and gen semisimple write their tables without the homotopy
+    # engine (complexes) or the heart layer (hereditary)
+    proc = run_child("-c", PATH_ONLY_CHILD, *map(str, a2_files), "abelian",
+                     "numpy", "dataclasses", "derhed.complexes", "derhed.hereditary",
+                     cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
 

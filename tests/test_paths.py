@@ -75,6 +75,25 @@ def test_dual_negative_everywhere(dual):
             assert eng.min_weight(x, y) == NEG_INF
 
 
+def test_block_with_a_potential_runs_no_reach_search(monkeypatch, dual):
+    # with no negative orbit in the block, the -inf closure is empty
+    # without a breadth-first search from the source
+    calls = []
+    real = paths._bfs_tree
+
+    def counting(adj, *starts):
+        calls.append(starts)
+        return real(adj, *starts)
+
+    monkeypatch.setattr(paths, "_bfs_tree", counting)
+    eng = PathEngine(gen_dynkin_an(4, "><>"))
+    assert eng.min_weight("M1_1", "M4_4") == 2
+    assert calls == []
+    assert PathEngine(dual).min_weight("C2", "C1") == NEG_INF
+    # from C2, then from the negative orbits it reaches
+    assert calls[0] == ("C2",) and sorted(calls[1]) == ["C1", "C2", "C3"]
+
+
 def test_dual_path_report_witness(dual):
     eng = PathEngine(dual)
     src, dst = ObjRef("C2", 1), ObjRef("C2", 0)

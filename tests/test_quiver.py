@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from derhed.linalg import PrimeField
 from derhed.quiver import (Arrow, InfiniteDimensional, MonomialAlgebra, Quiver,
-                           Representation, _hom_ext, _peel, algebra_from_dict,
+                           Representation, _hom_ext, algebra_from_dict,
                            algebra_to_dict, euler_ext1_dim, rep_hom_dim)
 from derhed.generators import _an_quiver
 
@@ -122,33 +122,19 @@ def test_two_loops_modulo_x_squared_is_infinite_dimensional():
         MonomialAlgebra(q, [("x", "x")])
 
 
-@pytest.mark.parametrize("succ, want", [
-    ({"1": ["2"], "2": ["3"], "3": []}, ["1", "2", "3"]),
-    # the Kronecker quiver: c waits for both parallel edges
-    ({"1": ["c", "c"], "c": []}, ["1", "c"]),
-    # a parallel pair counted once would release b before c is peeled
-    ({"a": ["b", "b"], "c": ["b"], "b": []}, ["a", "c", "b"]),
-    # x and y close a cycle, and z lies after it: all three are left out
-    ({"s": ["x"], "x": ["y"], "y": ["x", "z"], "z": [], "w": []}, ["s", "w"]),
-    ({"a": ["a"]}, []),
-])
-def test_peel_is_kahn_order(succ, want):
-    assert _peel(succ) == want
-
-
 @pytest.mark.parametrize("seed", range(20))
-def test_peel_orders_every_edge_of_a_random_dag(seed):
+def test_random_acyclic_quiver_is_finite_dimensional(seed):
+    # 12 vertices in a random order, arrows only forward, some of them
+    # parallel: accepted, and the basis is every path
     rng = random.Random(seed)
-    nodes = list(range(12))
+    nodes = [str(v) for v in range(12)]
     rng.shuffle(nodes)
-    rank = {v: i for i, v in enumerate(nodes)}
-    succ = {v: [u for u in nodes for _ in range(rng.randint(0, 2))
-                if rank[u] > rank[v] and rng.random() < 0.3]
-            for v in range(12)}
-    order = _peel(succ)
-    assert sorted(order) == list(range(12))
-    place = {v: i for i, v in enumerate(order)}
-    assert all(place[u] < place[v] for u in succ for v in succ[u])
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]
+             for _ in range(rng.randint(0, 2)) if rng.random() < 0.3]
+    q = Quiver(tuple(sorted(nodes)),
+               tuple(Arrow(f"a{i}", u, v) for i, (u, v) in enumerate(pairs)))
+    alg = MonomialAlgebra(q, [])
+    assert {(bp.source, bp.arrows) for bp in alg.basis} == relation_free_paths(q, [])
 
 
 @pytest.mark.parametrize("n", [66, 100])
@@ -179,6 +165,11 @@ def test_stated_bound_is_exact():
         q = Quiver(q.vertices, q.arrows + (Arrow("z", str(n), str(n)),))
         with pytest.raises(InfiniteDimensional, match="1-arrow windows close a cycle"):
             MonomialAlgebra(q, [])
+    # and a cycle x -> y -> x between s -> x and y -> z, with w apart
+    q = Quiver(("s", "x", "y", "z", "w"), (Arrow("a", "s", "x"), Arrow("b", "x", "y"),
+                                           Arrow("c", "y", "x"), Arrow("d", "y", "z")))
+    with pytest.raises(InfiniteDimensional, match="1-arrow windows close a cycle"):
+        MonomialAlgebra(q, [])
     # four loops modulo one relation of three arrows: refused at three
     # arrows, where c + L - 1 = 18 arrows would mean about 4**18 paths
     q = Quiver(("v",), tuple(Arrow(f"a{i}", "v", "v") for i in range(4)))

@@ -330,9 +330,10 @@ def test_gen_an_bytes_are_pinned():
 
 
 def test_expand_hereditary_structure():
+    # a zero entry is allowed and gives no edge
     data = AbelianData(("M", "N"),
-                       {("M", "M"): 1, ("N", "N"): 2, ("M", "N"): 1},
-                       {("N", "M"): 3})
+                       {("M", "M"): 1, ("N", "N"): 2, ("M", "N"): 1, ("N", "M"): 0},
+                       {("N", "M"): 3, ("M", "N"): 0})
     g = expand_hereditary(data, name="toy")
     assert g.genuine and not g.windowed
     assert g.orbit("N").end_dim == 2
@@ -346,6 +347,19 @@ def test_expand_hereditary_structure():
 def test_expand_hereditary_requires_identity():
     with pytest.raises(ValueError):
         expand_hereditary(AbelianData(("M",), {}, {}))
+
+
+@pytest.mark.parametrize("objects, hom, ext1, key", [
+    (("M", "N"), {("M", "M"): 1, ("N", "N"): 1, ("M", "N"): -1}, {}, "hom('M', 'N')"),
+    (("M", "N"), {("M", "M"): 1, ("N", "N"): 1}, {("N", "M"): -2}, "ext1('N', 'M')"),
+    (("X",), {("X", "X"): True}, {}, "hom('X', 'X')"),
+    (("M", "N"), {("M", "M"): 1, ("N", "N"): 1}, {("M", "N"): 1.0}, "ext1('M', 'N')"),
+], ids=["negative-hom", "negative-ext1", "bool", "float"])
+def test_expand_hereditary_refuses_entries_that_are_not_counts(objects, hom, ext1, key):
+    # no edge constructor checks the entries: a negative one would be
+    # dropped without a word, and a bool would reach to_json as true
+    with pytest.raises(ValueError, match=re.escape(key)):
+        expand_hereditary(AbelianData(objects, hom, ext1))
 
 
 @pytest.mark.parametrize("hom, ext1", [
