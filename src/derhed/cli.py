@@ -4,7 +4,10 @@ Every command reads flat JSON files, writes one JSON report to stdout
 (`--pretty` switches to an indented human-readable rendering), and exits 0
 on successful execution regardless of verdict.  Input problems exit 2 with
 a machine-readable error object; `check --assert-hereditary` exits 1 when
-the verdict is not hereditary.
+the verdict is not hereditary.  Every command that reads an instance,
+except `validate`, refuses one that `validate` rejects as an input
+problem, with the first of its errors; `validate` reports them all and
+exits 0.
 """
 
 from __future__ import annotations
@@ -62,11 +65,17 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_graph(path: str) -> ShiftGraph:
+def _load_graph(path: str, gate: bool = True) -> ShiftGraph:
+    """The instance at path; with gate set, one that validate rejects is
+    refused with its first error (warnings refuse nothing)."""
     try:
-        return ShiftGraph.from_dict(_load_json(path))
+        g = ShiftGraph.from_dict(_load_json(path))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    errors = validate(g).errors if gate else ()
+    if errors:
+        raise InputError(errors[0])
+    return g
 
 
 def _known_orbit(g: ShiftGraph, orbit: str) -> str:
@@ -157,7 +166,7 @@ def _emit(envelope: dict, pretty: bool) -> None:
 
 
 def _cmd_validate(args) -> tuple[dict, ShiftGraph, int]:
-    g = _load_graph(args.file)
+    g = _load_graph(args.file, gate=False)
     return validate(g).to_dict(), g, 0
 
 

@@ -184,10 +184,10 @@ def check_complex(c: ProjComplex, p: int | None = None) -> list[str]:
 
 # -- hom complex assembly --
 
-def _hom_blocks(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int):
+def _hom_blocks(x: ProjComplex, y: ProjComplex, n: int):
     """The blocks {(i, a, b): (offset, paths)} of the degree-n graded maps
     X -> Y, paths the basis of e_{vb} A e_{va}, and their coordinate count."""
-    between, ydeg = alg._between, y.degrees
+    between, ydeg = x.algebra._between, y.degrees
     blocks, size = {}, 0
     for i, xs in x.degrees.items():
         ys = ydeg.get(i + n)
@@ -200,8 +200,8 @@ def _hom_blocks(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int):
     return blocks, size
 
 
-def _hom_boundary(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int,
-                  src, tgt, p: int) -> list[dict[int, int]]:
+def _hom_boundary(x: ProjComplex, y: ProjComplex, n: int, src, tgt,
+                  p: int) -> list[dict[int, int]]:
     """Matrix of the hom-complex differential from degree-n maps to
     degree-(n+1) maps, f -> d_Y f - (-1)^n f d_X, given the blocks of both
     (_hom_blocks for n and n + 1), as one dict of nonzero entries per
@@ -211,7 +211,7 @@ def _hom_boundary(alg: MonomialAlgebra, x: ProjComplex, y: ProjComplex, n: int,
     and no entry gets two terms, as a path product fixes each factor."""
     (blocks, _), (tgt_blocks, size) = src, tgt
     rows: list[dict[int, int]] = [{} for _ in range(size)]
-    mul, slot, basis = alg._mul, alg._slot, alg.basis
+    mul, slot, basis = x.algebra._mul, x.algebra._slot, x.algebra.basis
     sign = -1 if n % 2 == 0 else 1  # coefficient of the f d_X term
     for (i, a, b), (off, paths) in blocks.items():
         # d_Y f: the path q, then entry (b, c) of d_Y, into block (i, a, c)
@@ -249,9 +249,8 @@ def _hom_dims(x: ProjComplex, y: ProjComplex, lo: int, hi: int,
     size[n] - rank[n] - rank[n-1].  The blocks of each degree are built
     once, and d_m is built and its nonempty rows ranked once, only when it
     has both a source and a target coordinate (else its rank is 0)."""
-    alg, p = x.algebra, fld.p
-    blk = {m: _hom_blocks(alg, x, y, m) for m in range(lo - 1, hi + 2)}
-    rank = {m: fld.rank([r for r in _hom_boundary(alg, x, y, m, blk[m], blk[m + 1], p) if r])
+    blk = {m: _hom_blocks(x, y, m) for m in range(lo - 1, hi + 2)}
+    rank = {m: fld.rank([r for r in _hom_boundary(x, y, m, blk[m], blk[m + 1], fld.p) if r])
             if blk[m][1] and blk[m + 1][1] else 0
             for m in range(lo - 1, hi + 1)}
     return {n: blk[n][1] - rank[n] - rank[n - 1] for n in range(lo, hi + 1)}
@@ -269,10 +268,9 @@ def _hom_reps(x: ProjComplex, y: ProjComplex, fld: PrimeField):
     """Hom-space data in degree 0: (the blocks of the degree-0 maps, chain
     maps whose classes form a basis of Hom_K(X, Y), the sparse rows of
     the boundary d_(-1), one per coordinate, and its column count)."""
-    alg = x.algebra
-    prev, src, nxt = (_hom_blocks(alg, x, y, m) for m in (-1, 0, 1))
-    z = fld.nullspace(_hom_boundary(alg, x, y, 0, src, nxt, fld.p), src[1])
-    bmat, nb = _hom_boundary(alg, x, y, -1, prev, src, fld.p), prev[1]
+    prev, src, nxt = (_hom_blocks(x, y, m) for m in (-1, 0, 1))
+    z = fld.nullspace(_hom_boundary(x, y, 0, src, nxt, fld.p), src[1])
+    bmat, nb = _hom_boundary(x, y, -1, prev, src, fld.p), prev[1]
     _, pivots = fld.rref(_beside(bmat, nb, z))
     return src, [z[c - nb] for c in pivots if c >= nb], bmat, nb
 

@@ -14,6 +14,7 @@ for the infinite effective support.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from json.encoder import encode_basestring_ascii
@@ -153,33 +154,11 @@ class ShiftGraph:
 
     # -- serialization (the authoritative instance JSON schema) --
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "field_char": self.field_char,
-            "genuine": self.genuine,
-            "windowed": self.windowed,
-            "orbits": [
-                {"id": o.id, "period": o.period, "end_dim": o.end_dim}
-                for o in sorted(self.orbits, key=lambda o: o.id)
-            ],
-            "homs": [
-                {
-                    "from": a,
-                    "to": b,
-                    "edges": [
-                        {"weight": e.weight, "dim": e.dim, "all_iso": e.all_iso}
-                        for e in self.homs[(a, b)]
-                    ],
-                }
-                for (a, b) in sorted(self.homs)
-            ],
-        }
-
     def to_json(self) -> str:
-        """json.dumps(self.to_dict(), indent=2, sort_keys=True), written out
-        field by field: with indent set, json drops its C encoder for the
-        pure-Python one.  Keys appear in sorted order; strings go through
+        """The instance JSON, the one writer of the format; to_dict is its
+        parsed form.  The text is json.dumps(self.to_dict(), indent=2,
+        sort_keys=True), written out field by field: with indent set, json
+        drops its C encoder for the pure-Python one.  Strings go through
         the C escaper that json.dumps itself uses."""
         q = encode_basestring_ascii
         orbits = [
@@ -202,6 +181,10 @@ class ShiftGraph:
                 f'  "name": {q(self.name)},\n'
                 f'  "orbits": {_json_array(orbits, "  ")},\n'
                 f'  "windowed": {_JSON_BOOL[self.windowed]}\n}}')
+
+    def to_dict(self) -> dict:
+        """The parsed form of to_json."""
+        return json.loads(self.to_json())
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShiftGraph":

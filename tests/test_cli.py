@@ -427,6 +427,76 @@ def test_validate_duplicate_hom_pair_exit_2(capsys, tmp_path, a2_files):
     assert "is listed twice" in rep["error"]["message"]
 
 
+def _instance(orbits, homs):
+    """An instance file's JSON: orbits as (id, period), homs as
+    {(from, to): [(weight, all_iso), ...]} with every dim 1."""
+    return {"orbits": [{"id": o, "period": p} for o, p in orbits],
+            "homs": [{"from": a, "to": b,
+                      "edges": [{"weight": w, "dim": 1, "all_iso": iso} for w, iso in edges]}
+                     for (a, b), edges in homs.items()]}
+
+
+IDENTITIES = {("A", "A"): [(0, True)], ("B", "B"): [(0, True)]}
+
+# one instance per kind of validate error, with the first error validate
+# gives on it; the last is periodic with no edges at all, three errors
+REJECTED = {
+    "missing-identity": (
+        _instance([("A", None), ("B", None)], {("A", "A"): [(0, True)]}),
+        "missing identity: orbit B has no (X, X, 0) edge"),
+    "periodic-without-closure": (
+        _instance([("A", 2)], {("A", "A"): [(0, True), (2, True)]}),
+        "periodicity closure: orbit A with period 2 lacks an all_iso edge at weight -2"),
+    "duplicate-weights": (
+        _instance([("A", None), ("B", None)],
+                  {**IDENTITIES, ("A", "B"): [(1, False), (1, False)]}),
+        "duplicate weights on hom edges A -> B"),
+    "cross-orbit-all-iso": (
+        _instance([("A", None), ("B", None)], {**IDENTITIES, ("A", "B"): [(0, True)]}),
+        "all_iso on cross-orbit edge A -> B (weight 0)"),
+    "all-iso-off-period": (
+        _instance([("A", 2)], {("A", "A"): [(-2, True), (0, True), (1, True), (2, True)]}),
+        "all_iso edge A -> A at weight 1 is not a multiple of the period"),
+    "periodic-no-edges": (
+        {"orbits": [{"id": "A", "period": 2}], "homs": []},
+        "missing identity: orbit A has no (X, X, 0) edge"),
+}
+
+# every command that reads an instance, with arguments it would accept on
+# a valid instance with these orbits
+READING_COMMANDS = [["blocks"], ["check"], ["heart", "--from", "A"],
+                    ["verify-heart", "--heart", "{heart}"], ["dist", "A", "A"],
+                    ["path", "A@1", "A@0"], ["classify"], ["directing"]]
+
+
+@pytest.mark.parametrize("inst, first", REJECTED.values(), ids=list(REJECTED))
+def test_reading_commands_refuse_what_validate_rejects(capsys, tmp_path, inst, first):
+    path, heart = tmp_path / "inst.json", tmp_path / "heart.json"
+    path.write_text(json.dumps(inst))
+    heart.write_text(json.dumps({"offsets": {o["id"]: 0 for o in inst["orbits"]}}))
+    code, rep = run_cli(capsys, "validate", str(path))
+    assert code == 0 and rep["report"]["ok"] is False
+    assert rep["report"]["errors"][0] == first
+    if not inst["homs"]:
+        assert len(rep["report"]["errors"]) == 3
+    for cmd, *args in READING_COMMANDS:
+        code, rep = run_cli(capsys, cmd, str(path), *(a.format(heart=heart) for a in args))
+        assert code == 2, cmd
+        assert rep["error"]["type"] == "input" and first in rep["error"]["message"], cmd
+
+
+def test_cone_warnings_refuse_no_command(capsys, tmp_path):
+    inst = _instance([("A", None), ("B", None)], {**IDENTITIES, ("A", "B"): [(0, False)]})
+    path, heart = tmp_path / "inst.json", tmp_path / "heart.json"
+    path.write_text(json.dumps({**inst, "genuine": True}))
+    heart.write_text(json.dumps({"offsets": {"A": 0, "B": 0}}))
+    code, rep = run_cli(capsys, "validate", str(path))
+    assert code == 0 and rep["report"]["ok"] and rep["report"]["warnings"]
+    for cmd, *args in READING_COMMANDS:
+        code, rep = run_cli(capsys, cmd, str(path), *(a.format(heart=heart) for a in args))
+        assert code == 0 and "report" in rep, cmd
+
+
 def test_heart_subcommand(capsys, a2_files):
     code, rep = run_cli(capsys, "heart", str(a2_files[0]), "--from", "I")
     assert code == 0

@@ -200,12 +200,11 @@ def test_hom_complex_squares_to_zero(dual, family, p):
         xs = [interval_resolution(alg, 3, a, b) for a in range(1, 4) for b in range(a, 4)]
     for x in xs:
         for y in xs:
-            alg = x.algebra
-            blocks = {m: _hom_blocks(alg, x, y, m) for m in range(-4, 7)}
+            blocks = {m: _hom_blocks(x, y, m) for m in range(-4, 7)}
             size = {m: blocks[m][1] for m in blocks}
             for n in range(-4, 5):
-                d_n = _hom_boundary(alg, x, y, n, blocks[n], blocks[n + 1], p)
-                d_next = _hom_boundary(alg, x, y, n + 1, blocks[n + 1], blocks[n + 2], p)
+                d_n = _hom_boundary(x, y, n, blocks[n], blocks[n + 1], p)
+                d_next = _hom_boundary(x, y, n + 1, blocks[n + 1], blocks[n + 2], p)
                 # one sparse row per target coordinate, keyed by source
                 # coordinates, holding only entries reduced into [1, p)
                 for d, src, tgt in ((d_n, n, n + 1), (d_next, n + 1, n + 2)):
