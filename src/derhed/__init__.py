@@ -16,9 +16,8 @@ import importlib
 # modules it runs: path-only code never imports hereditary, nor the GF(p)
 # modules (linalg, quiver, complexes, generators).
 _LAZY = {name: module for module, names in {
-    "shiftgraph": ["DEFAULT_PRIME", "AbelianData", "FormalObject", "HomEdge",
-                   "ObjRef", "Orbit", "ShiftGraph", "ValidationReport",
-                   "expand_hereditary", "validate"],
+    "shiftgraph": ["DEFAULT_PRIME", "AbelianData", "HomEdge", "ObjRef", "Orbit",
+                   "ShiftGraph", "ValidationReport", "expand_hereditary", "validate"],
     "paths": ["NEG_INF", "POS_INF", "DegenerateAperiodic", "DegeneratePeriodic",
               "NonDegenerate", "PathEngine", "PathReport", "classify_degenerate",
               "directing_objects"],

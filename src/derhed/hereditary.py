@@ -19,9 +19,9 @@ from __future__ import annotations
 from collections import Counter
 
 from .paths import (NEG_INF, POS_INF, PathEngine, PathStep, _bfs_tree, _distances,
-                    _potential, _sccs)
-from .shiftgraph import (FormalObject, IncompleteHeart, NegativeWalkAtSource,
-                         NotABlock, ObjRef, ShiftGraph, UnreachableOrbit)
+                    _potential, _sccs, _tight)
+from .shiftgraph import (IncompleteHeart, NegativeWalkAtSource, NotABlock, ObjRef,
+                         ShiftGraph, UnreachableOrbit)
 
 
 class Heart:
@@ -185,7 +185,7 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     # The winner is a candidate, so when no solved row is admissible, no
     # row is.
     pi = eng._pi[i]
-    tight = {u: [(v, w) for (v, w) in eng.succ[u] if pi[u] + w == pi[v]] for u in blk}
+    tight = _tight(eng.succ, pi, blk)
     bounds, reached = [], set()
     for comp in reversed(_sccs(tight)):
         x = min((v for v in comp if pi[v] == 0), default=None)
@@ -250,13 +250,13 @@ def _degree_witness(hom: list[tuple[str, str, int]], cycle: list) -> list[dict]:
             for (u, v, w) in cycle]
 
 
-def cohomology(heart: Heart, obj: FormalObject) -> dict[int, FormalObject]:
-    """Split a formal object along the heart: the component (Y, n)
-    contributes the heart object (Y, d_Y) in degree p = d_Y - n."""
+def cohomology(heart: Heart, obj: Counter) -> dict[int, Counter]:
+    """Split a formal object (a Counter of ObjRefs) along the heart: its
+    (Y, n) contributes the heart object (Y, d_Y) in degree p = d_Y - n."""
     missing = sorted({r.orbit for r in obj if r.orbit not in heart.offsets})
     if missing:
         raise IncompleteHeart(missing)
-    out: dict[int, FormalObject] = {}
+    out: dict[int, Counter] = {}
     for ref, mult in obj.items():
         d = heart.offsets[ref.orbit]
         p = d - ref.offset
@@ -264,7 +264,7 @@ def cohomology(heart: Heart, obj: FormalObject) -> dict[int, FormalObject]:
     return {p: c for p, c in sorted(out.items())}
 
 
-def truncate(heart: Heart, obj: FormalObject, n: int, side: str) -> FormalObject:
+def truncate(heart: Heart, obj: Counter, n: int, side: str) -> Counter:
     """Keep the components in heart degrees <= n (side "le") or >= n
     (side "ge"); truncations partition the object degreewise."""
     if side not in ("le", "ge"):
@@ -272,7 +272,7 @@ def truncate(heart: Heart, obj: FormalObject, n: int, side: str) -> FormalObject
     missing = sorted({r.orbit for r in obj if r.orbit not in heart.offsets})
     if missing:
         raise IncompleteHeart(missing)
-    kept: FormalObject = Counter()
+    kept: Counter = Counter()
     for ref, mult in obj.items():
         p = heart.offsets[ref.orbit] - ref.offset
         if (side == "le" and p <= n) or (side == "ge" and p >= n):

@@ -24,13 +24,13 @@ the canonical heart (_distances, from sources of the block's tight edges
 under its potential; see hereditary.check_hereditary) share one FIFO
 label-correcting loop (_relax), which finds a potential or hands back
 the negative cycle its parent pointers close.  A walk at -inf pumps that
-cycle between two breadth-first legs (_bfs_tree).  min_weight and the
-finite witnesses come from the same loop, run once per source over the
-edges into the orbits that the source's negative orbits do not reach,
-with a label that folds weight and hom steps into one integer; its
-parent pointers give the walks.  Tarjan's strongly connected components
-(_sccs) also give the blocks, from the links run both ways, and the
-directing orbits, from _components of the non-invertible edges.
+cycle between two breadth-first legs (_bfs_tree).  min_weight comes
+from the same loop, run once per source over the edges into the orbits
+that the source's negative orbits do not reach; a finite witness is a
+breadth-first walk along that solve's tight edges (_tight).  Tarjan's
+strongly connected components (_sccs) also give the blocks, from the
+links run both ways, and the directing orbits, from _components of the
+non-invertible edges.
 """
 
 from __future__ import annotations
@@ -114,12 +114,10 @@ class PathEngine:
     targets in other blocks are at +inf.  The -inf targets are the
     forward closure of the block's negative orbits (_negative_in) that
     the source reaches, and one _relax over the edges into the other
-    orbits gives the rest.  With n = |block|, an edge of weight w enters it as w * n + 1, so a
-    walk's label is its weight * n plus its hom steps.  Those edges hold
-    no negative cycle, so a least walk in (weight, steps) order is simple
-    and has steps < n; the least label is then that walk's, label // n is
-    its weight, and the parent pointers unwind to a walk of least weight
-    with the fewest hom steps.  The engine keeps these solves and, per
+    orbits gives the rest.  A walk from the source weighs the least, d(v),
+    exactly when every edge (u, v, w) on it is tight, d(u) + w = d(v), so
+    breadth-first search over the tight edges finds a least walk with the
+    fewest hom steps.  The engine keeps these solves and, per
     block, its potential (_pi) or a negative cycle of each negative
     component (_negative_in), which the -inf witnesses pump;
     check_hereditary reads the potential.
@@ -133,7 +131,6 @@ class PathEngine:
         self._blocks = _blocks_of(g)
         self._block_of = {v: i for i, blk in enumerate(self._blocks) for v in blk}
         self._dist_cache: dict[str, dict[str, float]] = {}
-        self._pred_cache: dict[str, dict[str, tuple[str, int]]] = {}
         self._negative: dict[int, dict[str, list[tuple[str, str, int]]]] = {}
         self._pi: dict[int, dict[str, int]] = {}
 
@@ -152,20 +149,17 @@ class PathEngine:
         i = self._block_of[s]
         block = self._blocks[i]
         # -inf: the forward closure of the negative orbits that s reaches
-        # (none in a block with a potential); the rest is relaxed on labels
-        # weight * n + hom steps
+        # (none in a block with a potential); the rest is relaxed over the
+        # edges into the other orbits
         negative = self._negative_in(i)
         neg = _bfs_tree(self.succ, *(v for v in _bfs_tree(self.succ, s)
                                      if v in negative)) if negative else {}
-        n = len(block)
-        region = {u: [(v, w * n + 1) for (v, w) in self.succ[u] if v not in neg] for u in block}
+        region = {u: [(v, w) for (v, w) in self.succ[u] if v not in neg] for u in block}
         dist = dict.fromkeys(block, POS_INF)
         dist[s] = 0
-        parent: dict[str, tuple[str, int]] = {}
-        _relax(region, dist, parent)
-        self._dist_cache[s] = {v: NEG_INF if v in neg else POS_INF if d == POS_INF else d // n
-                               for v, d in dist.items()}
-        self._pred_cache[s] = {v: (u, (w - 1) // n) for v, (u, w) in parent.items()}
+        _relax(region, dist)
+        dist.update(dict.fromkeys(neg, NEG_INF))
+        self._dist_cache[s] = dist
 
     def min_weight(self, x: str, y: str) -> float:
         """Minimum total weight of a walk from orbit x to orbit y; walks of
@@ -197,21 +191,24 @@ class PathEngine:
     # -- witnesses --
 
     def walk_with_weight(self, x: str, y: str, target: int) -> list[tuple[str, str, int]] | None:
-        """Hom-edge walk x -> y of total weight <= target, minimal under the
-        relaxation labels; None when min_weight(x, y) > target.  The
-        caller pads the difference with shift steps.  At -inf the orbits
-        that x reaches (read off x's solve) and that reach y (one reverse
-        BFS) hold the whole component of each negative orbit among them,
-        and the cycle kept for the least one's is pumped between BFS legs
-        x -> cycle -> y; it starts at its least orbit, so a walk from X
-        back to X with X on it has no legs."""
+        """Hom-edge walk x -> y of total weight <= target; None when
+        min_weight(x, y) > target.  The caller pads the difference with
+        shift steps.  At a finite weight, of the least walks with the
+        fewest hom steps, it is the first that breadth-first search finds
+        along the tight edges in succ's order (by target, then weight).  At
+        -inf the orbits that x reaches (read off x's solve) and that reach
+        y (one reverse BFS) hold the whole component of each negative orbit
+        among them, and the cycle kept for the least one's is pumped
+        between BFS legs x -> cycle -> y; it starts at its least orbit, so
+        a walk from X back to X with X on it has no legs."""
         mw = self.min_weight(x, y)
         if mw > target:
             return None
-        if mw != NEG_INF:
-            return _unwind(self._pred_cache[x], x, y)
-        # -inf: pump a negative cycle lying between x and y.
         dist = self._dist_cache[x]
+        if mw != NEG_INF:
+            finite = [v for v, d in dist.items() if math.isfinite(d)]
+            return _unwind(_bfs_tree(_tight(self.succ, dist, finite), x), x, y)
+        # -inf: pump a negative cycle lying between x and y.
         rev = {v: [] for v in dist}
         for u in dist:
             for (v, w) in self.succ[u]:
@@ -250,7 +247,7 @@ class PathEngine:
 # -- blocks, reachability, walk unwinding and label-correcting solves --
 
 def _unwind(pred: dict[str, tuple[str, int]], s: str, t: str) -> list[tuple[str, str, int]]:
-    """The hom edges (u, v, w) of the walk s -> t along predecessor labels."""
+    """The hom edges (u, v, w) of the walk s -> t along a _bfs_tree from s."""
     path = []
     while t != s:
         u, w = pred[t]
@@ -286,6 +283,12 @@ def _bfs_tree(adj: dict[str, list[tuple[str, int]]], *starts: str) -> dict:
     return tree
 
 
+def _tight(succ: dict[str, list[tuple[str, int]]], pi: dict[str, float],
+           nodes) -> dict[str, list[tuple[str, int]]]:
+    """Each u of nodes mapped to the (v, w) in succ[u] with pi[u] + w = pi[v]."""
+    return {u: [(v, w) for (v, w) in succ[u] if pi[u] + w == pi[v]] for u in nodes}
+
+
 def _potential(succ: dict[str, list[tuple[str, int]]]
                ) -> dict[str, int] | list[tuple[str, str, int]]:
     """pi with pi[v] <= pi[u] + w on every edge (v, w) of succ[u], or a
@@ -293,7 +296,7 @@ def _potential(succ: dict[str, list[tuple[str, int]]]
     each node, walks of length zero included (a virtual source with a
     weight-0 edge to every node), so pi <= 0.  succ leads from its nodes
     only to its nodes, and they are relaxed in its order."""
-    return _relax(succ, dict.fromkeys(succ, 0), {})
+    return _relax(succ, dict.fromkeys(succ, 0))
 
 
 def _distances(succ: dict[str, list[tuple[str, int]]], nodes: list[str],
@@ -303,27 +306,25 @@ def _distances(succ: dict[str, list[tuple[str, int]]], nodes: list[str],
     cycle, and succ leads from nodes only to nodes."""
     dist = dict.fromkeys(nodes, POS_INF)
     dist[source] = 0
-    return _relax(succ, dist, {})
+    return _relax(succ, dist)
 
 
-def _relax(succ: dict[str, list[tuple[str, int]]], dist: dict[str, float],
-           parent: dict[str, tuple[str, int]]):
+def _relax(succ: dict[str, list[tuple[str, int]]], dist: dict[str, float]):
     """Bellman-Ford from the finite labels of dist along succ's (node,
     weight) lists, scanning nodes from a FIFO queue: dist, lowered in place
     to exact least walk weights, or the first cycle the parent pointers
     close (_parent_cycle); every such cycle is negative (Tarjan 1981).
-    parent, empty on entry, keeps the pointers: each lowered node maps to
-    the edge (u, w) that last lowered it, so on a returned dist they
-    unwind (_unwind) to a least walk from a root.
-    After every len(dist) relaxations the pointers are walked from the
-    last relaxed node (Cherkassky and Goldberg 1999).  The hop bound
-    guarantees the end: a label walk of len(dist) edges repeats a node
-    whose label fell in between, so it passes a negative cycle and the
-    labels would fall for ever; from then on the pointers are walked after
-    every relaxation.  While they hold no cycle each label is at least a
-    root's plus a simple path's weight, so one forms, through the node
-    just relaxed."""
+    The pointers stay internal: each lowered node maps to the edge (u, w)
+    that last lowered it.  After every len(dist) relaxations they are
+    walked from the last relaxed node (Cherkassky and Goldberg 1999).  The
+    hop bound guarantees the end: a label walk of len(dist) edges repeats
+    a node whose label fell in between, so it passes a negative cycle and
+    the labels would fall for ever; from then on the pointers are walked
+    after every relaxation.  While they hold no cycle each label is at
+    least a root's plus a simple path's weight, so one forms, through the
+    node just relaxed."""
     n = len(dist)
+    parent: dict[str, tuple[str, int]] = {}
     hops = dict.fromkeys(dist, 0)
     queue = deque(v for v, d in dist.items() if d != POS_INF)
     queued = set(queue)
@@ -457,8 +458,7 @@ def directing_objects(g: ShiftGraph) -> set[str]:
     tight: dict[str, list[tuple[str, int]]] = {}
     for comp, inner, pi in _components(proper):
         if isinstance(pi, dict) and all(g.orbit(v).period is None for v in comp):
-            tight.update({u: [(v, w) for (v, w) in inner[u] if pi[u] + w == pi[v]]
-                          for u in comp})
+            tight.update(_tight(inner, pi, comp))
     closed = {u for u, out in tight.items() for (v, _w) in out if v == u}
     closed.update(v for comp in _sccs(tight) if len(comp) > 1 for v in comp)
     return set(tight) - closed

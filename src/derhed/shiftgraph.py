@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
@@ -99,9 +98,6 @@ class ObjRef(NamedTuple):
     orbit: str
     offset: int
 
-
-# A formal direct sum of shifted indecomposables.
-FormalObject = Counter
 
 _JSON_BOOL = {True: "true", False: "false"}
 

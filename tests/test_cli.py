@@ -216,6 +216,14 @@ def test_classify_and_directing(capsys, dual_file, tmp_path):
     capsys.readouterr()
     _, rep = run_cli(capsys, "classify", str(ss))
     assert rep["report"]["blocks"][0]["class"]["kind"] == "degenerate-periodic"
+    # one aperiodic orbit with only its identity edge: a division ring
+    dr = tmp_path / "division_ring.json"
+    dr.write_text(ShiftGraph("division_ring", [Orbit("X", end_dim=2)], {
+        ("X", "X"): (HomEdge(0, 2, all_iso=True),)}).to_json())
+    _, rep = run_cli(capsys, "classify", str(dr))
+    assert rep["report"]["blocks"][0]["class"] == {
+        "kind": "degenerate-aperiodic", "end_dim": 2,
+        "model": "derived category of a division ring"}
 
 
 def test_gen_an(capsys, tmp_path):

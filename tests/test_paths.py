@@ -575,9 +575,11 @@ def test_pinned_negative_infinity_witnesses():
 
 
 # (graph, source, target, target offset) -> (min_weight, witness as
-# (kind, orbit, offset) steps), on _pinned_block() and on A_4 oriented
-# "><>"; M2_2 -> M3_3, M1_3 -> M1_4 and M1_2 -> M2_2 each tie with other
-# walks of the same weight and the same number of hom steps
+# (kind, orbit, offset) steps), on _pinned_block(), on A_4 oriented "><>"
+# and on the seed-511 random graph; M2_2 -> M3_3, M1_3 -> M1_4, M1_2 ->
+# M2_2 and O3 -> O0 each tie with other walks of the same weight and the
+# same number of hom steps, and breadth-first search over the tight edges
+# picks the first in successor order (O2 -> O1 before O2 -> O4)
 PINNED_FINITE_WITNESSES = {
     ("pinned", "Y", "T2", 0): (0, [("start", "Y", 0), ("hom", "T1", 0), ("hom", "T2", 0)]),
     ("pinned", "T1", "T2", 2): (0, [("start", "T1", 0), ("hom", "T2", 0),
@@ -592,11 +594,15 @@ PINNED_FINITE_WITNESSES = {
                                          ("shift", "M2_2", 3)]),
     ("A4(><>)", "M1_1", "M4_4", 2): (2, [("start", "M1_1", 0), ("hom", "M2_3", 1),
                                          ("hom", "M4_4", 2)]),
+    ("random", "O3", "O0", 1): (1, [("start", "O3", 0), ("hom", "O2", -1),
+                                    ("hom", "O1", 0), ("hom", "O0", 1)]),
 }
 
 
 def test_pinned_finite_witnesses():
-    engines = {g.name: PathEngine(g) for g in (_pinned_block(), gen_dynkin_an(4, "><>"))}
+    seed511 = oracles.random_graph(np.random.default_rng(511), max_orbits=6, w_lo=-1, w_hi=3)
+    engines = {g.name: PathEngine(g)
+               for g in (_pinned_block(), gen_dynkin_an(4, "><>"), seed511)}
     for (name, x, y, off), (mw, steps) in PINNED_FINITE_WITNESSES.items():
         eng = engines[name]
         src, dst = ObjRef(x, 0), ObjRef(y, off)

@@ -71,6 +71,8 @@ def test_record_repr_and_constructor():
 def test_unknown_orbit_edge_rejected():
     with pytest.raises(UnknownOrbit):
         ShiftGraph("g", [Orbit("X")], {("X", "Y"): (HomEdge(0, 1),)})
+    with pytest.raises(UnknownOrbit, match="missing"):
+        ShiftGraph("g", [Orbit("X")], {}).orbit("missing")
 
 
 def test_duplicate_orbit_ids_rejected():
