@@ -20,9 +20,8 @@ import sys
 from . import __version__
 from .paths import (PathEngine, _encode_weight, classify_degenerate,
                     directing_objects)
-from .shiftgraph import (IncompleteHeart, NegativeWalkAtSource, NotABlock,
-                         ObjRef, ShiftGraph, UnknownOrbit, UnreachableOrbit,
-                         validate)
+from .shiftgraph import (NegativeWalkAtSource, ObjRef, ShiftGraph, UnknownOrbit,
+                         UnreachableOrbit, validate)
 
 # Each command imports only what it runs: hereditary in `check`, `heart` and
 # `verify-heart`; linalg, quiver and generators in `gen` (hereditary too for
@@ -377,8 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, g, code = args.fn(args)
-    except (InputError, UnknownOrbit, NotABlock, IncompleteHeart,
-            NegativeWalkAtSource, UnreachableOrbit) as exc:
+    except (InputError, UnknownOrbit, NegativeWalkAtSource, UnreachableOrbit) as exc:
         kind = "input" if isinstance(exc, InputError) else type(exc).__name__
         err = {"tool": "derhed", "version": __version__, "command": args.command,
                "error": {"type": kind, "message": str(exc)}}

@@ -18,10 +18,19 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .paths import (NEG_INF, POS_INF, PathEngine, PathStep, _bfs_tree, _distances,
-                    _potential, _sccs, _tight)
-from .shiftgraph import (IncompleteHeart, NegativeWalkAtSource, NotABlock, ObjRef,
-                         ShiftGraph, UnreachableOrbit)
+from .paths import (NEG_INF, POS_INF, PathEngine, PathStep, _bfs_tree, _potential,
+                    _sccs, _tight)
+from .shiftgraph import NegativeWalkAtSource, ObjRef, ShiftGraph, UnreachableOrbit
+
+
+class NotABlock(Exception):
+    pass
+
+
+class IncompleteHeart(Exception):
+    def __init__(self, missing: list[str]):
+        super().__init__(f"heart offsets missing for orbits: {missing}")
+        self.missing = missing
 
 
 class Heart:
@@ -42,6 +51,9 @@ class Heart:
         for k, v in offsets.items():
             if type(v) is not int:
                 raise TypeError(f"offset of {k} must be an integer, not {v!r}")
+        if "block" in d and d["block"] != sorted(offsets):
+            raise ValueError(f"block must be the sorted orbits of offsets, "
+                             f"{sorted(offsets)}, not {d['block']!r}")
         return cls(offsets=dict(offsets))
 
 
@@ -198,8 +210,8 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     for bound, x in sorted(bounds):
         if best and (bound, x) > best[0]:
             break
-        dist = _distances(eng.succ, blk, x)
-        row = [dist[y] for y in blk]
+        eng._run_source(x)
+        row = [eng._dist_cache[x][y] for y in blk]
         if POS_INF not in row and (best is None or (sorted(row), x) < best[0]):
             best = ((sorted(row), x), row)
     if best is None:

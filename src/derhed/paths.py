@@ -19,15 +19,16 @@ block's are its orbits' entries of the engine's (succ).  Whether an
 orbit lies on a negative closed walk is decided per block: one potential
 over the block settles a block with none, and only a block without one
 is split into strongly connected components (_components), since a
-closed walk stays in one component.  These runs and the solves behind
-the canonical heart (_distances, from sources of the block's tight edges
-under its potential; see hereditary.check_hereditary) share one FIFO
-label-correcting loop (_relax), which finds a potential or hands back
-the negative cycle its parent pointers close.  A walk at -inf pumps that
-cycle between two breadth-first legs (_bfs_tree).  min_weight comes
-from the same loop, run once per source over the edges into the orbits
-that the source's negative orbits do not reach; a finite witness is a
-breadth-first walk along that solve's tight edges (_tight).  Tarjan's
+closed walk stays in one component.  These runs and the single-source
+solves (PathEngine._run_source) share one FIFO label-correcting loop
+(_relax), which finds a potential or hands back the negative cycle its
+parent pointers close.  A walk at -inf pumps that cycle between two
+breadth-first legs (_bfs_tree).  Each source is solved once, over its
+block's succ, with the orbits that its negative orbits reach preset to
+-inf; its row serves min_weight, the witnesses and the canonical heart
+(from sources of the block's tight edges under its potential; see
+hereditary.check_hereditary), and a finite witness is a breadth-first
+walk along the row's tight edges (_tight).  Tarjan's
 strongly connected components (_sccs) also give the blocks, from the
 links run both ways, and the directing orbits, from _components of the
 non-invertible edges.
@@ -113,14 +114,14 @@ class PathEngine:
     keeps an edge list.  Each source is solved once, over its own block;
     targets in other blocks are at +inf.  The -inf targets are the
     forward closure of the block's negative orbits (_negative_in) that
-    the source reaches, and one _relax over the edges into the other
-    orbits gives the rest.  A walk from the source weighs the least, d(v),
+    the source reaches, preset so, and one _relax over the block's succ
+    gives the rest.  A walk from the source weighs the least, d(v),
     exactly when every edge (u, v, w) on it is tight, d(u) + w = d(v), so
     breadth-first search over the tight edges finds a least walk with the
-    fewest hom steps.  The engine keeps these solves and, per
-    block, its potential (_pi) or a negative cycle of each negative
-    component (_negative_in), which the -inf witnesses pump;
-    check_hereditary reads the potential.
+    fewest hom steps.  The engine keeps these solves, the heart rows of
+    check_hereditary among them, and, per block, its potential (_pi) or a
+    negative cycle of each negative component (_negative_in), which the
+    -inf witnesses pump; check_hereditary reads the potential.
     """
 
     def __init__(self, g: ShiftGraph):
@@ -147,18 +148,16 @@ class PathEngine:
         if s in self._dist_cache:
             return
         i = self._block_of[s]
-        block = self._blocks[i]
         # -inf: the forward closure of the negative orbits that s reaches
-        # (none in a block with a potential); the rest is relaxed over the
-        # edges into the other orbits
+        # (none in a block with a potential); it holds its orbits'
+        # successors and lowers no label, so _relax gives the rest
         negative = self._negative_in(i)
-        neg = _bfs_tree(self.succ, *(v for v in _bfs_tree(self.succ, s)
-                                     if v in negative)) if negative else {}
-        region = {u: [(v, w) for (v, w) in self.succ[u] if v not in neg] for u in block}
-        dist = dict.fromkeys(block, POS_INF)
+        dist = dict.fromkeys(self._blocks[i], POS_INF)
         dist[s] = 0
-        _relax(region, dist)
-        dist.update(dict.fromkeys(neg, NEG_INF))
+        if negative:
+            dist.update(dict.fromkeys(_bfs_tree(self.succ, *(
+                v for v in _bfs_tree(self.succ, s) if v in negative)), NEG_INF))
+        _relax(self.succ, dist)
         self._dist_cache[s] = dist
 
     def min_weight(self, x: str, y: str) -> float:
@@ -299,21 +298,12 @@ def _potential(succ: dict[str, list[tuple[str, int]]]
     return _relax(succ, dict.fromkeys(succ, 0))
 
 
-def _distances(succ: dict[str, list[tuple[str, int]]], nodes: list[str],
-               source: str) -> dict[str, float]:
-    """The least weight of a walk from source to each of nodes along succ,
-    +inf where there is none; the edges among nodes hold no negative
-    cycle, and succ leads from nodes only to nodes."""
-    dist = dict.fromkeys(nodes, POS_INF)
-    dist[source] = 0
-    return _relax(succ, dist)
-
-
 def _relax(succ: dict[str, list[tuple[str, int]]], dist: dict[str, float]):
-    """Bellman-Ford from the finite labels of dist along succ's (node,
-    weight) lists, scanning nodes from a FIFO queue: dist, lowered in place
-    to exact least walk weights, or the first cycle the parent pointers
-    close (_parent_cycle); every such cycle is negative (Tarjan 1981).
+    """Bellman-Ford from every label of dist below +inf along succ's
+    (node, weight) lists, scanning nodes from a FIFO queue: dist, lowered
+    in place to exact least walk weights, or the first cycle the parent
+    pointers close (_parent_cycle); every such cycle is negative (Tarjan
+    1981).  A -inf label lowers nothing, so its node only takes a turn.
     The pointers stay internal: each lowered node maps to the edge (u, w)
     that last lowered it.  After every len(dist) relaxations they are
     walked from the last relaxed node (Cherkassky and Goldberg 1999).  The

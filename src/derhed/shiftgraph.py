@@ -33,22 +33,12 @@ class UnknownOrbit(Exception):
     pass
 
 
-class NotABlock(Exception):
-    pass
-
-
 class NegativeWalkAtSource(Exception):
     pass
 
 
 class UnreachableOrbit(Exception):
     pass
-
-
-class IncompleteHeart(Exception):
-    def __init__(self, missing: list[str]):
-        super().__init__(f"heart offsets missing for orbits: {missing}")
-        self.missing = missing
 
 
 # Value records are NamedTuples and mutable records plain classes, which

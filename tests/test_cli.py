@@ -109,6 +109,23 @@ def test_verify_heart_non_integer_offsets_exit_2(capsys, tmp_path, a2_files, off
     assert "malformed heart file" in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("block", [5, ["I", "S1"], ["S1", "I", "S2"],
+                                   ["I", "S1", "S2", "S2"], None],
+                         ids=["number", "short", "unsorted", "repeated", "null"])
+def test_verify_heart_inconsistent_block_exit_2(capsys, tmp_path, a2_files, block):
+    # a present block must list the offsets' orbits, sorted; an absent one
+    # is allowed
+    offsets = {"I": 0, "S1": 0, "S2": 0}
+    heart = tmp_path / "heart.json"
+    heart.write_text(json.dumps({"block": block, "offsets": offsets}))
+    code, rep = run_cli(capsys, "verify-heart", str(a2_files[0]), "--heart", str(heart))
+    assert code == 2 and rep["error"]["type"] == "input"
+    assert "malformed heart file: block must be the sorted orbits" in rep["error"]["message"]
+    heart.write_text(json.dumps({"offsets": offsets}))
+    code, rep = run_cli(capsys, "verify-heart", str(a2_files[0]), "--heart", str(heart))
+    assert code == 0 and rep["report"]["heart"]["block"] == ["I", "S1", "S2"]
+
+
 def test_check_refutes_the_seven_complexes(capsys, tmp_path):
     # no negative walk, but no heart with every degree in {0, 1}: the
     # block is not hereditary, --assert-hereditary exits 1, and the

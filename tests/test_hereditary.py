@@ -21,7 +21,6 @@ from derhed.shiftgraph import (AbelianData, HomEdge, ObjRef, Orbit, ShiftGraph,
 
 import oracles
 from test_complexes import a3_shortcut_complexes
-from test_paths import count_solves
 
 
 @pytest.fixture(scope="module")
@@ -308,10 +307,9 @@ def _check_matches_oracle(g):
         x for x in g.orbit_ids() if oracles.min_weight_oracle(g, x, x) == NEG_INF}
 
 
-def test_long_negative_cycle(monkeypatch):
+def test_long_negative_cycle(solves):
     # one cycle of 100 orbits and total weight -1: every orbit is on it,
-    # and the refuted block runs no solve for a heart
-    sources = count_solves(monkeypatch)
+    # and the refuted block solves only the source of its witness
     ids = [f"c{i:03d}" for i in range(100)]
     g = one_way(*((ids[i], ids[(i + 1) % 100], -1 if i == 99 else 0)
                   for i in range(100)))
@@ -328,17 +326,16 @@ def test_long_negative_cycle(monkeypatch):
     eng = PathEngine(g)
     assert check_hereditary(g, ids, engine=eng).indicator == {x: True for x in ids}
     assert eng.min_weight("k00", "k39") == NEG_INF
-    assert sources == [] and set(vars(eng)) == fields
+    assert solves == ["c000", "k00"] and set(vars(eng)) == fields
 
 
-def test_heart_solves_only_from_tight_sources(monkeypatch):
-    sources = count_solves(monkeypatch)
+def test_heart_solves_only_from_tight_sources(solves):
     # a chain at weight 0 with heavier edges back: A reaches every other
     # orbit along tight edges, so one solve settles the heart
     g = one_way(("A", "B", 0), ("B", "C", 0), ("C", "D", 0),
                 ("B", "A", 1), ("C", "B", 1), ("D", "C", 1))
     rep = check_hereditary(g, ["A", "B", "C", "D"])
-    assert sources == ["A"]
+    assert solves == ["A"]
     assert rep.heart.offsets == {"A": 0, "B": 0, "C": 0, "D": 0}
     # a star of four tight sources into H, with edges back at weight
     # `back`: the rows tie, so the least id gives the heart.  Each source
@@ -346,28 +343,45 @@ def test_heart_solves_only_from_tight_sources(monkeypatch):
     # the first row meets the other bounds, at back = 2 it passes them
     star = [f"S{j}" for j in range(4)]
     for back, solved in ((1, ["S0"]), (2, star)):
-        sources.clear()
+        solves.clear()
         g = one_way(*((s, "H", 0) for s in star), *(("H", s, back) for s in star))
         rep = check_hereditary(g, ["H", *star])
-        assert sources == solved
+        assert solves == solved
         assert rep.heart.offsets == {"H": 0, "S0": 0, "S1": back, "S2": back, "S3": back}
     # two tight components {A, D} and {B, C} whose sorted rows tie: the
     # heart comes from A, the least orbit of either, not from C
-    sources.clear()
+    solves.clear()
     g = one_way(("A", "D", 0), ("D", "A", 0), ("B", "C", 0), ("C", "B", 0),
                 ("A", "B", 1), ("B", "A", 1))
     rep = check_hereditary(g, ["A", "B", "C", "D"])
-    assert sources == ["A"]
+    assert solves == ["A"]
     assert rep.heart.offsets == {"A": 0, "B": 1, "C": 1, "D": 0}
     # X, Y and Z each bound their rows; X and Z reach M at pi(M) = -2
     # along tight edges and Y does not, so Y's bound passes Z's row and
     # Y is never solved, while X's row stays above Z's bound
-    sources.clear()
+    solves.clear()
     g = one_way(("X", "M", -2), ("Y", "M", -1), ("Z", "M", -2),
                 ("M", "X", 3), ("M", "Y", 3), ("M", "Z", 5))
     rep = check_hereditary(g, ["M", "X", "Y", "Z"])
-    assert sources == ["X", "Z"]
+    assert solves == ["X", "Z"]
     assert rep.heart.offsets == {"M": -2, "X": 1, "Y": 1, "Z": 0}
+
+
+def test_heart_rows_stay_with_the_engine(solves):
+    # the rows that check solves for its heart are the engine's own: the
+    # heart, the weights and the paths from the canonical source Z solve
+    # nothing more, and the heart from Z is the one check reports
+    g = one_way(("X", "M", -2), ("Y", "M", -1), ("Z", "M", -2),
+                ("M", "X", 3), ("M", "Y", 3), ("M", "Z", 5))
+    eng = PathEngine(g)
+    rep = check_hereditary(g, ["M", "X", "Y", "Z"], engine=eng)
+    assert solves == ["X", "Z"]
+    assert extract_heart(g, "Z", engine=eng).offsets == rep.heart.offsets
+    for y in rep.heart.offsets:
+        assert eng.min_weight("Z", y) == rep.heart.offsets[y]
+        assert eng.path_report(ObjRef("Z", 0), ObjRef(y, rep.heart.offsets[y])).exists
+        assert not eng.path_report(ObjRef("Z", 1), ObjRef(y, rep.heart.offsets[y])).exists
+    assert solves == ["X", "Z"]
 
 
 def test_walks_of_length_zero_count():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from derhed import hereditary, paths
+from derhed import paths
 from derhed.generators import (gen_dual_numbers, gen_dynkin_an, gen_example_a2,
                                gen_semisimple_block)
 from derhed.hereditary import check_hereditary
@@ -229,35 +229,19 @@ def test_directing_strongly_connected_to_a_periodic_orbit():
     assert directing_objects(g) == {"C", "D"}
 
 
-def count_solves(monkeypatch) -> list[str]:
-    """The source of each single-source solve from here on: each call of
-    paths._distances, also through the name hereditary imports."""
-    sources = []
-    real = paths._distances
-
-    def counting(succ, nodes, source):
-        sources.append(source)
-        return real(succ, nodes, source)
-
-    for mod in (paths, hereditary):
-        monkeypatch.setattr(mod, "_distances", counting)
-    return sources
-
-
-def test_directing_runs_no_solve(monkeypatch, a2, dual):
-    sources = count_solves(monkeypatch)
+def test_directing_runs_no_solve(solves, a2, dual):
     for g in (a2, dual, _pinned_block()):
         directing_objects(g)
-    assert sources == []
+    assert solves == []
     check_hereditary(a2, PathEngine(a2).blocks()[0])  # the counter does see a solve
-    assert sources
+    assert solves
 
 
-def test_refuted_blocks_run_no_solve(monkeypatch):
-    # negativity is read off the components, so only a block with no
-    # negative orbit runs solves for its heart, and check still gives the
-    # oracle's indicator on the others; the engine keeps none of them
-    sources = count_solves(monkeypatch)
+def test_refuted_blocks_solve_only_their_witness_source(solves):
+    # negativity is read off the components, so a block with a negative
+    # orbit solves only the least one, the source of its witness, and check
+    # still gives the oracle's indicator; a block with none solves only
+    # rows for its heart.  Either way the engine keeps exactly those rows
     rng = np.random.default_rng(20261018)
     refuted = 0
     for _ in range(40):
@@ -266,8 +250,8 @@ def test_refuted_blocks_run_no_solve(monkeypatch):
         fields = set(vars(eng))
         for blk in eng.blocks():
             negative = {x for x in blk if oracles.min_weight_oracle(g, x, x) == NEG_INF}
-            sources.clear()
-            cached = dict(eng._dist_cache)
+            solves.clear()
+            cached = set(eng._dist_cache)
             try:
                 rep = check_hereditary(g, blk, engine=eng)
             except UnreachableOrbit:
@@ -275,10 +259,10 @@ def test_refuted_blocks_run_no_solve(monkeypatch):
             if negative:
                 refuted += 1
                 assert rep.indicator == {x: x in negative for x in blk}
-                assert sources == []
+                assert solves == [min(negative)]
             else:
-                assert sources and set(sources) <= set(blk)
-                assert eng._dist_cache == cached
+                assert solves and set(solves) <= set(blk)
+            assert set(eng._dist_cache) == cached | set(solves)
         for x in g.orbit_ids():
             for y in g.orbit_ids():
                 eng.min_weight(x, y)
