@@ -18,14 +18,16 @@ import os
 import sys
 
 from . import __version__
-from .paths import (PathEngine, _encode_weight, classify_degenerate,
-                    directing_objects)
 from .shiftgraph import (NegativeWalkAtSource, ObjRef, ShiftGraph, UnknownOrbit,
                          UnreachableOrbit, validate)
 
-# Each command imports only what it runs: hereditary in `check`, `heart` and
-# `verify-heart`; linalg, quiver and generators in `gen` (hereditary too for
-# `gen a2`, complexes for `gen dual`) and complexes in `hom`.  No numpy.
+# Each command imports only what it runs, and each process builds only its
+# own command's parser (_build_parser).  `validate` needs shiftgraph alone;
+# paths is imported by the commands that walk (`blocks`, `check`, `dist`,
+# `path`, `classify`, `directing`) and through hereditary by `check`, `heart`
+# and `verify-heart`; linalg, quiver and generators by `gen` (hereditary too
+# for `gen a2`, complexes for `gen dual`), and quiver and complexes by `hom`.
+# No numpy.
 
 
 class InputError(Exception):
@@ -170,12 +172,15 @@ def _cmd_validate(args) -> tuple[dict, ShiftGraph, int]:
 
 
 def _cmd_blocks(args):
+    from .paths import PathEngine
+
     g = _load_graph(args.file)
     return {"blocks": PathEngine(g).blocks()}, g, 0
 
 
 def _cmd_check(args):
     from .hereditary import check_hereditary
+    from .paths import PathEngine
 
     g = _load_graph(args.file)
     engine = PathEngine(g)
@@ -223,6 +228,8 @@ def _cmd_verify_heart(args):
 
 
 def _cmd_dist(args):
+    from .paths import PathEngine, _encode_weight
+
     g = _load_graph(args.file)
     w = PathEngine(g).min_weight(_known_orbit(g, args.src), _known_orbit(g, args.dst))
     return {"from": args.src, "to": args.dst,
@@ -230,6 +237,8 @@ def _cmd_dist(args):
 
 
 def _cmd_path(args):
+    from .paths import PathEngine
+
     g = _load_graph(args.file)
     src = _parse_ref(g, args.src)
     dst = _parse_ref(g, args.dst)
@@ -238,6 +247,8 @@ def _cmd_path(args):
 
 
 def _cmd_classify(args):
+    from .paths import PathEngine, classify_degenerate
+
     g = _load_graph(args.file)
     engine = PathEngine(g)
     out = []
@@ -248,6 +259,8 @@ def _cmd_classify(args):
 
 
 def _cmd_directing(args):
+    from .paths import directing_objects
+
     g = _load_graph(args.file)
     return {"directing": sorted(directing_objects(g))}, g, 0
 
@@ -303,77 +316,85 @@ def _cmd_hom(args):
             "dim": dim, "field_char": fld.p}, None, 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_FILE = (("file",), {})
+
+# Each command's handler, help and arguments, in the order of the usage
+# line; an argument is (flags, keywords) for add_argument.
+_COMMANDS = {
+    "validate": (_cmd_validate, "structural validation of an instance", [_FILE]),
+    "blocks": (_cmd_blocks, "connected blocks of the shift-graph", [_FILE]),
+    "check": (_cmd_check, "hereditary decision per block", [
+        _FILE, (("--assert-hereditary",), {
+            "action": "store_true", "help": "exit 1 unless every block is hereditary"})]),
+    "heart": (_cmd_heart, "extract a heart from a source orbit", [
+        _FILE, (("--from",), {"dest": "source", "required": True, "metavar": "ORBIT"})]),
+    "verify-heart": (_cmd_verify_heart, "check a candidate heart", [
+        _FILE, (("--heart",), {"required": True, "metavar": "HEARTFILE"})]),
+    "dist": (_cmd_dist, "minimum walk weight between two orbits", [
+        _FILE, (("src",), {"metavar": "FROM"}), (("dst",), {"metavar": "TO"})]),
+    "path": (_cmd_path, "path existence between shifted objects", [
+        _FILE, (("src",), {"metavar": "FROM@OFFSET"}), (("dst",), {"metavar": "TO@OFFSET"})]),
+    "classify": (_cmd_classify, "degenerate/non-degenerate block classes", [_FILE]),
+    "directing": (_cmd_directing, "orbits with no proper weight-0 closed walk", [_FILE]),
+    "gen": (_cmd_gen, "write a generated instance file", []),
+    "hom": (_cmd_hom, "hom dimension between two perfect complexes", [
+        (("algfile",), {"metavar": "ALGFILE"}), (("x",), {"metavar": "X.json"}),
+        (("y",), {"metavar": "Y.json"}),
+        (("--shift",), {"type": int, "default": 0, "metavar": "N"})]),
+}
+
+# `gen`'s families and their arguments; each family takes --out and
+# --pretty too.
+_GEN_FAMILIES = {
+    "an": [(("--n",), {"type": int, "required": True}),
+           (("--orientation",), {"required": True, "metavar": "WORD"})],
+    "a2": [(("--bad-heart-out",), {
+        "metavar": "FILE", "help": "also write the inadmissible heart {S1@0, S2@0, I@1}"})],
+    "dual": [(("--max-length",), {"type": int, "required": True, "dest": "max_length"}),
+             (("--window",), {"type": int, "required": True})],
+    "semisimple": [(("--period",), {"type": int, "required": True}),
+                   (("--end-dim",), {"type": int, "default": 1, "dest": "end_dim"})],
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv: when argv[0] names a command, with that
+    command's subparser alone, otherwise (no arguments, -h, --version, an
+    unknown command) with every command's.  The usage line lists every
+    command either way."""
     ap = argparse.ArgumentParser(
         prog="derhed",
         description="hereditary decision toolkit for shift-graph instances")
     ap.add_argument("--version", action="version", version=f"derhed {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    names = argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    # the one-command build names every command in its usage line by a
+    # metavar; the full build sets none, since a metavar would also rename
+    # the argument in its "invalid choice" error
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        fn, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--pretty", action="store_true",
                        help="human-readable text instead of JSON")
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("validate", _cmd_validate, help="structural validation of an instance")
-    p.add_argument("file")
-    p = add("blocks", _cmd_blocks, help="connected blocks of the shift-graph")
-    p.add_argument("file")
-    p = add("check", _cmd_check, help="hereditary decision per block")
-    p.add_argument("file")
-    p.add_argument("--assert-hereditary", action="store_true",
-                   help="exit 1 unless every block is hereditary")
-    p = add("heart", _cmd_heart, help="extract a heart from a source orbit")
-    p.add_argument("file")
-    p.add_argument("--from", dest="source", required=True, metavar="ORBIT")
-    p = add("verify-heart", _cmd_verify_heart, help="check a candidate heart")
-    p.add_argument("file")
-    p.add_argument("--heart", required=True, metavar="HEARTFILE")
-    p = add("dist", _cmd_dist, help="minimum walk weight between two orbits")
-    p.add_argument("file")
-    p.add_argument("src", metavar="FROM")
-    p.add_argument("dst", metavar="TO")
-    p = add("path", _cmd_path, help="path existence between shifted objects")
-    p.add_argument("file")
-    p.add_argument("src", metavar="FROM@OFFSET")
-    p.add_argument("dst", metavar="TO@OFFSET")
-    p = add("classify", _cmd_classify, help="degenerate/non-degenerate block classes")
-    p.add_argument("file")
-    p = add("directing", _cmd_directing, help="orbits with no proper weight-0 closed walk")
-    p.add_argument("file")
-
-    p = add("gen", _cmd_gen, help="write a generated instance file")
-    fam = p.add_subparsers(dest="family", required=True)
-    pa = fam.add_parser("an")
-    pa.add_argument("--n", type=int, required=True)
-    pa.add_argument("--orientation", required=True, metavar="WORD")
-    pb = fam.add_parser("a2")
-    pb.add_argument("--bad-heart-out", metavar="FILE",
-                    help="also write the inadmissible heart {S1@0, S2@0, I@1}")
-    pc = fam.add_parser("dual")
-    pc.add_argument("--max-length", type=int, required=True, dest="max_length")
-    pc.add_argument("--window", type=int, required=True)
-    pd = fam.add_parser("semisimple")
-    pd.add_argument("--period", type=int, required=True)
-    pd.add_argument("--end-dim", type=int, default=1, dest="end_dim")
-    for q in (pa, pb, pc, pd):
-        q.add_argument("--out", required=True, metavar="FILE")
-        # SUPPRESS keeps `gen --pretty FAMILY` from being reset to False
-        q.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
-    p.set_defaults(fn=_cmd_gen)
-
-    p = add("hom", _cmd_hom, help="hom dimension between two perfect complexes")
-    p.add_argument("algfile", metavar="ALGFILE")
-    p.add_argument("x", metavar="X.json")
-    p.add_argument("y", metavar="Y.json")
-    p.add_argument("--shift", type=int, default=0, metavar="N")
+        for flags, kw in arguments:
+            p.add_argument(*flags, **kw)
+    if "gen" in names:
+        fam = sub.choices["gen"].add_subparsers(dest="family", required=True)
+        for family, arguments in _GEN_FAMILIES.items():
+            q = fam.add_parser(family)
+            for flags, kw in arguments:
+                q.add_argument(*flags, **kw)
+            q.add_argument("--out", required=True, metavar="FILE")
+            # SUPPRESS keeps `gen --pretty FAMILY` from being reset to False
+            q.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         report, g, code = args.fn(args)
     except (InputError, UnknownOrbit, NegativeWalkAtSource, UnreachableOrbit) as exc:

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import derhed
+from derhed import cli
 from derhed.cli import main
 from derhed.paths import PathStep
 from derhed.shiftgraph import HomEdge, ObjRef, Orbit, ShiftGraph
@@ -685,6 +687,71 @@ def test_field_char_above_bound_exit_2(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "a3.json").exists()
 
 
+# a complete argv per command, after the command's name; argparse answers
+# each with its first word dropped (a missing positional) or with a word
+# added (an extra one) by itself, before any file is read
+COMMAND_SHAPES = {
+    "validate": ["a2.json"], "blocks": ["a2.json"], "check": ["a2.json"],
+    "heart": ["a2.json", "--from", "I"], "verify-heart": ["a2.json", "--heart", "h.json"],
+    "dist": ["a2.json", "S1", "S2"], "path": ["a2.json", "S1@0", "S2@1"],
+    "classify": ["a2.json"], "directing": ["a2.json"],
+    "gen": ["semisimple", "--period", "2", "--out", "g.json"],
+    "hom": ["alg.json", "x.json", "y.json"],
+}
+PARSER_ARGVS = [
+    [], ["--help"], ["--version"], ["bogus"], ["dis"],
+    *([command, "--help"] for command in COMMAND_SHAPES),
+    *(["gen", family, "--help"] for family in ("an", "a2", "dual", "semisimple")),
+    *([command, *shape[1:]] for command, shape in COMMAND_SHAPES.items()),
+    *([command, *shape, "extra"] for command, shape in COMMAND_SHAPES.items()),
+    ["gen", "an", "--n", "x", "--orientation", ">", "--out", "a.json"],
+    ["hom", "alg.json", "x.json", "y.json", "--shift", "x"],
+    ["--pretty", "dist", "a2.json", "S1", "S2"],
+    ["gen", "--pretty", "an", "-h"],
+]
+
+
+def answer(capsys, argv):
+    """main's exit code, stdout and stderr on argv."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS,
+                         ids=[" ".join(argv) or "(none)" for argv in PARSER_ARGVS])
+def test_one_command_parser_answers_as_every_command_parser(capsys, monkeypatch, argv):
+    # a process builds only the parser of the command argv[0] names, and
+    # prints the same bytes and exits with the same code as the parser of
+    # every command, usage lines included
+    names = argv[:1] if argv[:1] and argv[0] in COMMAND_SHAPES else list(COMMAND_SHAPES)
+    commands = next(a.choices for a in cli._build_parser(argv)._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert list(commands) == names
+    got = answer(capsys, argv)
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: build([]))
+    assert got == answer(capsys, argv)
+
+
+def test_usage_errors_name_every_command(capsys, monkeypatch):
+    # the top-level usage lists every command in both builds, and the
+    # error for an unknown one names the argument `command`
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = ("usage: derhed [-h] [--version]\n"
+             "              {validate,blocks,check,heart,verify-heart,dist,path,"
+             "classify,directing,gen,hom}\n"
+             "              ...\n")
+    choices = ", ".join(map(repr, COMMAND_SHAPES))
+    assert answer(capsys, ["bogus"]) == (2, "", usage + (
+        f"derhed: error: argument command: invalid choice: 'bogus' (choose from {choices})\n"))
+    assert answer(capsys, ["dist", "a2.json", "S1", "S2", "extra"]) == (
+        2, "", usage + "derhed: error: unrecognized arguments: extra\n")
+
+
 def run_child(*argv, cwd=None, timeout=None):
     """A fresh interpreter that imports the same derhed as this test,
     installed or not."""
@@ -742,8 +809,10 @@ def test_console_script_entry_point(a2_files):
 
 
 # Runs commands in one process and fails if derhed added any of the named
-# modules to sys.modules: the walk commands, with "heart" also check, heart
-# and verify-heart, and with "every" also each gen family and hom, whose
+# modules to sys.modules: validate and the walk commands, with "heart" also
+# check, heart and verify-heart, with "abelian" also gen an and gen
+# semisimple, and with "every" also each gen family and hom; "unwalked" runs
+# validate, gen an, gen semisimple, gen dual and hom alone.  The gen and hom
 # files live in the working directory.  The snapshot comes first, so a
 # module that a .pth file loads at startup does not count against derhed.
 PATH_ONLY_CHILD = """
@@ -751,19 +820,19 @@ import contextlib, io, sys
 before = set(sys.modules)
 from derhed.cli import main
 inst, heart, commands, *forbidden = sys.argv[1:]
-argvs = [["validate", inst], ["blocks", inst], ["dist", inst, "S1", "S2"],
+walks = [["validate", inst], ["blocks", inst], ["dist", inst, "S1", "S2"],
          ["path", inst, "S1@0", "S2@1"], ["classify", inst], ["directing", inst]]
-if commands in ("heart", "every"):
-    argvs += [["check", inst], ["heart", inst, "--from", "I"],
-              ["verify-heart", inst, "--heart", heart]]
-if commands in ("abelian", "every"):
-    argvs += [["gen", "an", "--n", "3", "--orientation", "><", "--out", "an.json"],
-              ["gen", "semisimple", "--period", "2", "--out", "ss.json"]]
-if commands == "every":
-    argvs += [["gen", "a2", "--out", "a2.json", "--bad-heart-out", "bad.json"],
-              ["gen", "dual", "--max-length", "3", "--window", "1", "--out", "dual.json"],
-              ["hom", "alg.json", "p2.json", "p1.json", "--shift", "0"],
-              ["hom", "alg.json", "p1.json", "p2.json", "--shift", "1"]]
+hearts = [["check", inst], ["heart", inst, "--from", "I"],
+          ["verify-heart", inst, "--heart", heart]]
+abelian = [["gen", "an", "--n", "3", "--orientation", "><", "--out", "an.json"],
+           ["gen", "semisimple", "--period", "2", "--out", "ss.json"]]
+homotopy = [["gen", "dual", "--max-length", "3", "--window", "1", "--out", "dual.json"],
+            ["hom", "alg.json", "p2.json", "p1.json", "--shift", "0"],
+            ["hom", "alg.json", "p1.json", "p2.json", "--shift", "1"]]
+a2 = [["gen", "a2", "--out", "a2.json", "--bad-heart-out", "bad.json"]]
+argvs = {"walks": walks, "heart": walks + hearts, "abelian": walks + abelian,
+         "every": walks + hearts + abelian + a2 + homotopy,
+         "unwalked": walks[:1] + abelian + homotopy}[commands]
 for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
@@ -796,6 +865,16 @@ def test_abelian_gen_never_imports_the_homotopy_engine(a2_files, tmp_path):
     proc = run_child("-c", PATH_ONLY_CHILD, *map(str, a2_files), "abelian",
                      "numpy", "dataclasses", "derhed.complexes", "derhed.hereditary",
                      cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_unwalked_commands_never_import_paths(a2_files, tmp_path):
+    # validate, gen an, gen semisimple, gen dual and hom walk no path, so
+    # they never load the path engine
+    write_a2_projectives(tmp_path)
+    proc = run_child("-c", PATH_ONLY_CHILD, *map(str, a2_files), "unwalked",
+                     "numpy", "dataclasses", "derhed.paths", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
 
