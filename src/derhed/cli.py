@@ -4,10 +4,12 @@ Every command reads flat JSON files, writes one JSON report to stdout
 (`--pretty` switches to an indented human-readable rendering), and exits 0
 on successful execution regardless of verdict.  Input problems exit 2 with
 a machine-readable error object; `check --assert-hereditary` exits 1 when
-the verdict is not hereditary.  Every command that reads an instance,
-except `validate`, refuses one that `validate` rejects as an input
-problem, with the first of its errors; `validate` reports them all and
-exits 0.
+the verdict is not hereditary.  `main` loads the instance of every
+command that reads one and hands it to the command's handler; except for
+`validate`, it first refuses an instance that `validate` rejects as an
+input problem, with the first of its errors.  `validate` reports them
+all and exits 0.  A malformed file, of any shape or depth, is an input
+problem too.
 """
 
 from __future__ import annotations
@@ -64,9 +66,11 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} nests its JSON too deeply to read") from exc
 
 
-def _load_graph(path: str, gate: bool = True) -> ShiftGraph:
+def _load_graph(path: str, gate: bool) -> ShiftGraph:
     """The instance at path; with gate set, one that validate rejects is
     refused with its first error (warnings refuse nothing)."""
     try:
@@ -166,23 +170,20 @@ def _emit(envelope: dict, pretty: bool) -> None:
 # -- command implementations --
 
 
-def _cmd_validate(args) -> tuple[dict, ShiftGraph, int]:
-    g = _load_graph(args.file, gate=False)
+def _cmd_validate(args, g: ShiftGraph) -> tuple[dict, ShiftGraph, int]:
     return validate(g).to_dict(), g, 0
 
 
-def _cmd_blocks(args):
+def _cmd_blocks(args, g):
     from .paths import PathEngine
 
-    g = _load_graph(args.file)
     return {"blocks": PathEngine(g).blocks()}, g, 0
 
 
-def _cmd_check(args):
+def _cmd_check(args, g):
     from .hereditary import check_hereditary
     from .paths import PathEngine
 
-    g = _load_graph(args.file)
     engine = PathEngine(g)
     blks = engine.blocks()
     per_block = [check_hereditary(g, b, engine=engine).to_dict() for b in blks]
@@ -201,10 +202,9 @@ def _cmd_check(args):
     return report, g, code
 
 
-def _cmd_heart(args):
+def _cmd_heart(args, g):
     from .hereditary import extract_heart, verify_heart
 
-    g = _load_graph(args.file)
     source = _known_orbit(g, args.source)
     heart = extract_heart(g, source)
     check = verify_heart(g, heart)
@@ -212,10 +212,9 @@ def _cmd_heart(args):
             "heart_check": check.to_dict()}, g, 0
 
 
-def _cmd_verify_heart(args):
+def _cmd_verify_heart(args, g):
     from .hereditary import Heart, verify_heart
 
-    g = _load_graph(args.file)
     try:
         heart = Heart.from_dict(_load_json(args.heart))
     except (KeyError, TypeError, ValueError) as exc:
@@ -227,29 +226,26 @@ def _cmd_verify_heart(args):
     return {"heart": heart.to_dict(), "heart_check": check.to_dict()}, g, 0
 
 
-def _cmd_dist(args):
+def _cmd_dist(args, g):
     from .paths import PathEngine, _encode_weight
 
-    g = _load_graph(args.file)
     w = PathEngine(g).min_weight(_known_orbit(g, args.src), _known_orbit(g, args.dst))
     return {"from": args.src, "to": args.dst,
             "min_weight": _encode_weight(w)}, g, 0
 
 
-def _cmd_path(args):
+def _cmd_path(args, g):
     from .paths import PathEngine
 
-    g = _load_graph(args.file)
     src = _parse_ref(g, args.src)
     dst = _parse_ref(g, args.dst)
     report = PathEngine(g).path_report(src, dst)
     return report.to_dict(), g, 0
 
 
-def _cmd_classify(args):
+def _cmd_classify(args, g):
     from .paths import PathEngine, classify_degenerate
 
-    g = _load_graph(args.file)
     engine = PathEngine(g)
     out = []
     for blk in engine.blocks():
@@ -258,14 +254,13 @@ def _cmd_classify(args):
     return {"blocks": out}, g, 0
 
 
-def _cmd_directing(args):
+def _cmd_directing(args, g):
     from .paths import directing_objects
 
-    g = _load_graph(args.file)
     return {"directing": sorted(directing_objects(g))}, g, 0
 
 
-def _cmd_gen(args):
+def _cmd_gen(args, _):
     from .generators import (gen_dual_numbers, gen_dynkin_an, gen_example_a2,
                              gen_semisimple_block)
     from .linalg import FieldTooSmall
@@ -291,7 +286,7 @@ def _cmd_gen(args):
     return {"written": args.out, "orbits": len(g.orbits)}, g, 0
 
 
-def _cmd_hom(args):
+def _cmd_hom(args, _):
     from .complexes import ProjComplex, check_complex, hom_k_dim
     from .quiver import InfiniteDimensional, algebra_from_dict
 
@@ -319,7 +314,8 @@ def _cmd_hom(args):
 _FILE = (("file",), {})
 
 # Each command's handler, help and arguments, in the order of the usage
-# line; an argument is (flags, keywords) for add_argument.
+# line; an argument is (flags, keywords) for add_argument.  A handler gets
+# the instance of _FILE that main loaded and gated, or None without one.
 _COMMANDS = {
     "validate": (_cmd_validate, "structural validation of an instance", [_FILE]),
     "blocks": (_cmd_blocks, "connected blocks of the shift-graph", [_FILE]),
@@ -396,7 +392,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(argv).parse_args(argv)
     try:
-        report, g, code = args.fn(args)
+        g = (_load_graph(args.file, gate=args.command != "validate")
+             if "file" in vars(args) else None)
+        report, g, code = args.fn(args, g)
     except (InputError, UnknownOrbit, NegativeWalkAtSource, UnreachableOrbit) as exc:
         kind = "input" if isinstance(exc, InputError) else type(exc).__name__
         err = {"tool": "derhed", "version": __version__, "command": args.command,

@@ -143,11 +143,10 @@ def shift_complex(c: ProjComplex, k: int, p: int) -> ProjComplex:
                        name=c.name)
 
 
-def check_complex(c: ProjComplex, p: int | None = None) -> list[str]:
+def check_complex(c: ProjComplex, p: int) -> list[str]:
     """The errors of a complex, none when it is valid: vertex compatibility
-    of all entries and d o d = 0 in every degree, exactly via the
-    multiplication table."""
-    p = p or PrimeField().p
+    of all entries and d o d = 0 in every degree over GF(p), exactly via
+    the multiplication table."""
     alg = c.algebra
     errors: list[str] = []
     for d in sorted(c.diffs):

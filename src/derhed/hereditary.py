@@ -107,13 +107,12 @@ class HereditaryReport:
 
 def extract_heart(g: ShiftGraph, source: str, engine: PathEngine | None = None) -> Heart:
     """Heart offsets d_Y = min walk weight from the source orbit, over the
-    orbits Y of its block."""
-    eng = engine or PathEngine(g)
-    if eng.min_weight(source, source) == NEG_INF:  # UnknownOrbit for an unknown source
+    orbits Y of its block: the source's row (PathEngine.row)."""
+    row = (engine or PathEngine(g)).row(source)  # UnknownOrbit for an unknown source
+    if row[source] == NEG_INF:
         raise NegativeWalkAtSource(f"{source} lies on a negative closed walk")
     offsets = {}
-    for y in eng._blocks[eng._block_of[source]]:
-        d = eng.min_weight(source, y)
+    for y, d in row.items():
         if d == NEG_INF:
             raise NegativeWalkAtSource(
                 f"walks from {source} to {y} can pass a negative closed walk")
@@ -210,8 +209,7 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     for bound, x in sorted(bounds):
         if best and (bound, x) > best[0]:
             break
-        eng._run_source(x)
-        row = [eng._dist_cache[x][y] for y in blk]
+        row = list(eng.row(x).values())
         if POS_INF not in row and (best is None or (sorted(row), x) < best[0]):
             best = ((sorted(row), x), row)
     if best is None:

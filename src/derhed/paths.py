@@ -20,9 +20,9 @@ orbit lies on a negative closed walk is decided per block: one potential
 over the block settles a block with none, and only a block without one
 is split into strongly connected components (_components), since a
 closed walk stays in one component.  These runs and the single-source
-solves (PathEngine._run_source) share one FIFO label-correcting loop
-(_relax), which finds a potential or hands back the negative cycle its
-parent pointers close.  A walk at -inf pumps that cycle between two
+solves (PathEngine.row) share one FIFO label-correcting loop (_relax),
+which finds a potential or hands back the negative cycle its parent
+pointers close.  A walk at -inf pumps that cycle between two
 breadth-first legs (_bfs_tree).  Each source is solved once, over its
 block's succ, with the orbits that its negative orbits reach preset to
 -inf; its row serves min_weight, the witnesses and the canonical heart
@@ -111,11 +111,12 @@ class PathEngine:
     """Shortest-walk machinery over one immutable shift-graph.
 
     One graph, the successor lists (succ), serves every block: no block
-    keeps an edge list.  Each source is solved once, over its own block;
-    targets in other blocks are at +inf.  The -inf targets are the
-    forward closure of the block's negative orbits (_negative_in) that
-    the source reaches, preset so, and one _relax over the block's succ
-    gives the rest.  A walk from the source weighs the least, d(v),
+    keeps an edge list.  Each source is solved once, over its own block,
+    into the row that every walk weight, witness and heart reads (row);
+    min_weight puts targets in other blocks at +inf.  The -inf targets
+    are the forward closure of the block's negative orbits (_negative_in)
+    that the source reaches, preset so, and one _relax over the block's
+    succ gives the rest.  A walk from the source weighs the least, d(v),
     exactly when every edge (u, v, w) on it is tight, d(u) + w = d(v), so
     breadth-first search over the tight edges finds a least walk with the
     fewest hom steps.  The engine keeps these solves, the heart rows of
@@ -142,31 +143,33 @@ class PathEngine:
 
     # -- shortest walks --
 
-    def _run_source(self, s: str):
-        if s not in self.g._by_id:
-            raise UnknownOrbit(s)
-        if s in self._dist_cache:
-            return
-        i = self._block_of[s]
-        # -inf: the forward closure of the negative orbits that s reaches
+    def row(self, x: str) -> dict[str, float]:
+        """The least walk weights from orbit x to each orbit of its block,
+        in block order: the engine's own cached row, solved on first use."""
+        if x not in self.g._by_id:
+            raise UnknownOrbit(x)
+        if x in self._dist_cache:
+            return self._dist_cache[x]
+        i = self._block_of[x]
+        # -inf: the forward closure of the negative orbits that x reaches
         # (none in a block with a potential); it holds its orbits'
         # successors and lowers no label, so _relax gives the rest
         negative = self._negative_in(i)
         dist = dict.fromkeys(self._blocks[i], POS_INF)
-        dist[s] = 0
+        dist[x] = 0
         if negative:
             dist.update(dict.fromkeys(_bfs_tree(self.succ, *(
-                v for v in _bfs_tree(self.succ, s) if v in negative)), NEG_INF))
+                v for v in _bfs_tree(self.succ, x) if v in negative)), NEG_INF))
         _relax(self.succ, dist)
-        self._dist_cache[s] = dist
+        self._dist_cache[x] = dist
+        return dist
 
     def min_weight(self, x: str, y: str) -> float:
         """Minimum total weight of a walk from orbit x to orbit y; walks of
         length zero count, so min_weight(x, x) <= 0 always."""
         if y not in self.g._by_id:
             raise UnknownOrbit(y)
-        self._run_source(x)
-        return self._dist_cache[x].get(y, POS_INF)
+        return self.row(x).get(y, POS_INF)
 
     def _negative_in(self, i: int) -> dict[str, list[tuple[str, str, int]]]:
         """The orbits of block i on a negative closed walk, each mapped to a
@@ -203,9 +206,9 @@ class PathEngine:
         mw = self.min_weight(x, y)
         if mw > target:
             return None
-        dist = self._dist_cache[x]
+        dist = self.row(x)
         if mw != NEG_INF:
-            finite = [v for v, d in dist.items() if math.isfinite(d)]
+            finite = [v for v, d in dist.items() if NEG_INF < d < POS_INF]
             return _unwind(_bfs_tree(_tight(self.succ, dist, finite), x), x, y)
         # -inf: pump a negative cycle lying between x and y.
         rev = {v: [] for v in dist}

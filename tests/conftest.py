@@ -12,15 +12,16 @@ def fld():
 @pytest.fixture
 def solves(monkeypatch) -> list[str]:
     """The source of each single-source solve from here on: each call of
-    PathEngine._run_source that adds a row to its engine's cache."""
+    PathEngine.row that adds a row to its engine's cache."""
     sources = []
-    real = PathEngine._run_source
+    real = PathEngine.row
 
-    def counting(self, s):
-        fresh = s not in self._dist_cache
-        real(self, s)
+    def counting(self, x):
+        fresh = x not in self._dist_cache
+        row = real(self, x)
         if fresh:
-            sources.append(s)
+            sources.append(x)
+        return row
 
-    monkeypatch.setattr(PathEngine, "_run_source", counting)
+    monkeypatch.setattr(PathEngine, "row", counting)
     return sources

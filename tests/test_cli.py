@@ -197,6 +197,27 @@ def test_periodic_sink(capsys, tmp_path):
     assert code == 2 and rep["error"]["type"] == "NegativeWalkAtSource"
 
 
+def test_path_with_weights_beyond_float_range(capsys, tmp_path):
+    # labels are exact ints, so a weight no float can hold still gives a
+    # witness: exact, and padded by two shift steps
+    big = 10**400
+    g = ShiftGraph("big", [Orbit("A"), Orbit("B")], {
+        ("A", "A"): (HomEdge(0, 1, all_iso=True),), ("B", "B"): (HomEdge(0, 1, all_iso=True),),
+        ("A", "B"): (HomEdge(big, 1),)})
+    f = tmp_path / "big.json"
+    f.write_text(g.to_json())
+    _, rep = run_cli(capsys, "dist", str(f), "A", "B")
+    assert rep["report"]["min_weight"] == big
+    for offset in (big, big + 2):
+        code, rep = run_cli(capsys, "path", str(f), "A@0", f"B@{offset}")
+        assert code == 0 and rep["report"]["exists"] is True
+        steps = [PathStep(s["kind"], ObjRef(s["orbit"], s["offset"]))
+                 for s in rep["report"]["witness"]]
+        assert oracles.check_witness(g, steps, ObjRef("A", 0), ObjRef("B", offset))
+    code, rep = run_cli(capsys, "path", str(f), "A@0", f"B@{big - 1}")
+    assert code == 0 and rep["report"]["exists"] is False
+
+
 def test_heart_from_negative_source_exit_2(capsys, dual_file):
     code, rep = run_cli(capsys, "heart", str(dual_file), "--from", "C1")
     assert code == 2
@@ -496,6 +517,14 @@ READING_COMMANDS = [["blocks"], ["check"], ["heart", "--from", "A"],
                     ["path", "A@1", "A@0"], ["classify"], ["directing"]]
 
 
+def test_reading_commands_are_every_gated_command():
+    # every command that takes the instance file, but validate, is listed,
+    # so the gate tests run each of them
+    takes_file = {name for name, (_, _, arguments) in cli._COMMANDS.items()
+                  if cli._FILE in arguments}
+    assert sorted(cmd for cmd, *_ in READING_COMMANDS) == sorted(takes_file - {"validate"})
+
+
 @pytest.mark.parametrize("inst, first", REJECTED.values(), ids=list(REJECTED))
 def test_reading_commands_refuse_what_validate_rejects(capsys, tmp_path, inst, first):
     path, heart = tmp_path / "inst.json", tmp_path / "heart.json"
@@ -617,6 +646,24 @@ def test_repeated_key_exit_2(capsys, tmp_path, a2_files, kind):
     code, rep = run_cli(capsys, *argv)
     assert code == 2 and rep["error"]["type"] == "input"
     assert "repeats the key" in rep["error"]["message"]
+
+
+def test_deeply_nested_json_exit_2(capsys, tmp_path, a2_files):
+    """A file nested deeper than the JSON parser can recurse is an input
+    error naming it, in every file argument of every command."""
+    alg, p1, _ = write_a2_projectives(tmp_path)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    inst, heart = a2_files
+    runs = [["validate", deep],
+            *([cmd, deep, *(a.format(heart=heart) for a in args)]
+              for cmd, *args in READING_COMMANDS),
+            ["verify-heart", inst, "--heart", deep],
+            ["hom", deep, p1, p1], ["hom", alg, deep, p1], ["hom", alg, p1, deep]]
+    for argv in runs:
+        code, rep = run_cli(capsys, *map(str, argv))
+        assert code == 2 and rep["error"]["type"] == "input", argv
+        assert str(deep) in rep["error"]["message"], argv
 
 
 def test_hom_malformed_algebra_exit_2(capsys, tmp_path):

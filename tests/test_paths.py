@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from derhed import paths
 from derhed.generators import (gen_dual_numbers, gen_dynkin_an, gen_example_a2,
                                gen_semisimple_block)
-from derhed.hereditary import check_hereditary
+from derhed.hereditary import check_hereditary, extract_heart
 from derhed.paths import (NEG_INF, POS_INF, DegenerateAperiodic,
                           DegeneratePeriodic, NonDegenerate, PathEngine,
                           classify_degenerate, directing_objects)
@@ -65,6 +65,21 @@ def test_two_blocks():
         eng = PathEngine(g)
         assert eng.blocks() == [["X"], ["Y"]]
         assert eng.min_weight("X", "Y") == POS_INF
+
+
+def test_row_is_the_cached_block_row(solves, a2):
+    # one solve per source: its row covers its block alone, in block
+    # order, and min_weight, walks and hearts read that same row
+    eng = PathEngine(a2)
+    row = eng.row("S1")
+    assert list(row) == eng.blocks()[0] and solves == ["S1"]
+    assert row == {y: eng.min_weight("S1", y) for y in row}
+    assert eng.row("S1") is row
+    assert eng.path_report(ObjRef("S1", 0), ObjRef("S2", 1)).exists
+    assert extract_heart(a2, "S1", engine=eng).offsets == row
+    assert solves == ["S1"]
+    with pytest.raises(UnknownOrbit):
+        eng.row("nope")
 
 
 def test_dual_negative_everywhere(dual):
