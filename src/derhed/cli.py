@@ -4,7 +4,7 @@ Every command reads flat JSON files, writes one JSON report to stdout
 (`--pretty` switches to an indented human-readable rendering), and exits 0
 on successful execution regardless of verdict.  Input problems exit 2 with
 a machine-readable error object; `check --assert-hereditary` exits 1 when
-the verdict is not hereditary.  `main` loads the instance of every
+some block is not-hereditary.  `main` loads the instance of every
 command that reads one and hands it to the command's handler; except for
 `validate`, it first refuses an instance that `validate` rejects as an
 input problem, with the first of its errors.  `validate` reports them
@@ -90,7 +90,7 @@ def _known_orbit(g: ShiftGraph, orbit: str) -> str:
 
 
 def _parse_ref(g: ShiftGraph, text: str) -> ObjRef:
-    orbit, sep, off = text.partition("@")
+    orbit, sep, off = text.rpartition("@")  # the offset follows the last @
     if not sep:
         orbit, off = text, "0"
     try:
@@ -161,10 +161,18 @@ def _render_text(value, indent: int = 0, key: str | None = None) -> list[str]:
 
 
 def _emit(envelope: dict, pretty: bool) -> None:
-    if pretty:
-        sys.stdout.write("\n".join(_render_text(envelope)) + "\n")
-    else:
-        sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+    # every int of a report is a sum of at most n ints that json.load read
+    # within Python's int-to-str digit limit, so the limit is lifted while
+    # the report is written, and input parsing keeps it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if pretty:
+            sys.stdout.write("\n".join(_render_text(envelope)) + "\n")
+        else:
+            sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- command implementations --
@@ -321,7 +329,7 @@ _COMMANDS = {
     "blocks": (_cmd_blocks, "connected blocks of the shift-graph", [_FILE]),
     "check": (_cmd_check, "hereditary decision per block", [
         _FILE, (("--assert-hereditary",), {
-            "action": "store_true", "help": "exit 1 unless every block is hereditary"})]),
+            "action": "store_true", "help": "exit 1 when some block is not-hereditary"})]),
     "heart": (_cmd_heart, "extract a heart from a source orbit", [
         _FILE, (("--from",), {"dest": "source", "required": True, "metavar": "ORBIT"})]),
     "verify-heart": (_cmd_verify_heart, "check a candidate heart", [

@@ -302,11 +302,12 @@ def _potential(succ: dict[str, list[tuple[str, int]]]
 
 
 def _relax(succ: dict[str, list[tuple[str, int]]], dist: dict[str, float]):
-    """Bellman-Ford from every label of dist below +inf along succ's
+    """Bellman-Ford from every finite label of dist along succ's
     (node, weight) lists, scanning nodes from a FIFO queue: dist, lowered
     in place to exact least walk weights, or the first cycle the parent
     pointers close (_parent_cycle); every such cycle is negative (Tarjan
-    1981).  A -inf label lowers nothing, so its node only takes a turn.
+    1981).  A -inf label lowers nothing, so its node takes no turn: -inf
+    plus an int weight past float range would overflow.
     The pointers stay internal: each lowered node maps to the edge (u, w)
     that last lowered it.  After every len(dist) relaxations they are
     walked from the last relaxed node (Cherkassky and Goldberg 1999).  The
@@ -319,7 +320,7 @@ def _relax(succ: dict[str, list[tuple[str, int]]], dist: dict[str, float]):
     n = len(dist)
     parent: dict[str, tuple[str, int]] = {}
     hops = dict.fromkeys(dist, 0)
-    queue = deque(v for v, d in dist.items() if d != POS_INF)
+    queue = deque(v for v, d in dist.items() if NEG_INF < d < POS_INF)
     queued = set(queue)
     relaxed, every = 0, n
     while queue:

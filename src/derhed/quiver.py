@@ -34,25 +34,9 @@ class Arrow(NamedTuple):
     target: str
 
 
-class _Quiver(NamedTuple):
+class Quiver(NamedTuple):
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
-
-
-class Quiver(_Quiver):
-    __slots__ = ()
-
-    def __new__(cls, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]):
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("duplicate vertex ids")
-        ids = [a.id for a in arrows]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate arrow ids")
-        vs = set(vertices)
-        for a in arrows:
-            if a.source not in vs or a.target not in vs:
-                raise ValueError(f"arrow {a.id} uses undeclared vertex")
-        return super().__new__(cls, vertices, arrows)
 
 
 class BasisPath(NamedTuple):
@@ -71,6 +55,8 @@ class BasisPath(NamedTuple):
 
 class MonomialAlgebra:
     """Path algebra of a quiver modulo monomial (zero-path) relations.
+    A quiver with a repeated vertex or arrow id, or an arrow at an
+    undeclared vertex, raises ValueError.
 
     Finite dimensionality is decided exactly (Ufnarovski 1982).  Let L be
     the longest relation (1 when there are none).  A path of L or more
@@ -93,7 +79,15 @@ class MonomialAlgebra:
     """
 
     def __init__(self, quiver: Quiver, relations: list[tuple[str, ...]]):
+        vs = set(quiver.vertices)
+        if len(vs) != len(quiver.vertices):
+            raise ValueError("duplicate vertex ids")
         arrow = {a.id: a for a in quiver.arrows}
+        if len(arrow) != len(quiver.arrows):
+            raise ValueError("duplicate arrow ids")
+        for a in quiver.arrows:
+            if a.source not in vs or a.target not in vs:
+                raise ValueError(f"arrow {a.id} uses undeclared vertex")
         for rel in relations:
             if len(rel) < 2:
                 raise ValueError("relations must be paths of length >= 2")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
@@ -41,45 +42,22 @@ class UnreachableOrbit(Exception):
     pass
 
 
-# Value records are NamedTuples and mutable records plain classes, which
-# need no module beyond typing: every CLI call pays for its own startup.
-# A value record that validates its fields does so in __new__ on a thin
-# subclass, since a NamedTuple body cannot define __new__.  The bulk
-# builders (from_dict, expand_hereditary) make each HomEdge with
-# tuple.__new__, which skips that Python-level call, and check dim >= 1
-# themselves: a new check in HomEdge.__new__ belongs in them too.
+# Records are plain NamedTuples that check nothing: ShiftGraph refuses a
+# graph holding a bad one, and the bulk builders (from_dict,
+# expand_hereditary) make each HomEdge with tuple.__new__, skipping the
+# Python-level __new__ that NamedTuple writes.
 
 
-class _HomEdge(NamedTuple):
+class HomEdge(NamedTuple):
     weight: int
     dim: int
-    all_iso: bool
+    all_iso: bool = False
 
 
-class HomEdge(_HomEdge):
-    __slots__ = ()
-
-    def __new__(cls, weight: int, dim: int, all_iso: bool = False):
-        if dim < 1:
-            raise ValueError("hom edges record nonzero hom-spaces: dim >= 1")
-        return super().__new__(cls, weight, dim, all_iso)
-
-
-class _Orbit(NamedTuple):
+class Orbit(NamedTuple):
     id: str
-    period: int | None
-    end_dim: int
-
-
-class Orbit(_Orbit):
-    __slots__ = ()
-
-    def __new__(cls, id: str, period: int | None = None, end_dim: int = 1):
-        if end_dim < 1:
-            raise ValueError("end_dim >= 1 (identity morphism)")
-        if period is not None and period < 1:
-            raise ValueError("period must be a positive integer")
-        return super().__new__(cls, id, period, end_dim)
+    period: int | None = None
+    end_dim: int = 1
 
 
 class ObjRef(NamedTuple):
@@ -98,6 +76,10 @@ def _json_array(items: list[str], indent: str) -> str:
 
 
 class ShiftGraph:
+    """An instance.  It refuses duplicate orbit ids, an edge with dim < 1
+    and an orbit with end_dim < 1 or period < 1 with ValueError, and an
+    edge between undeclared orbits with UnknownOrbit."""
+
     def __init__(self, name: str, orbits: list[Orbit],
                  homs: dict[tuple[str, str], tuple[HomEdge, ...]],
                  genuine: bool = False, windowed: bool = False,
@@ -117,6 +99,13 @@ class ShiftGraph:
             edges = tuple(edges)
             # a stable sort by weight (field 0); one edge is already in order
             norm[(a, b)] = edges if len(edges) < 2 else tuple(sorted(edges, key=itemgetter(0)))
+        if min(map(itemgetter(1), chain.from_iterable(norm.values())), default=1) < 1:
+            raise ValueError("hom edges record nonzero hom-spaces: dim >= 1")
+        for o in orbits:
+            if o.end_dim < 1:
+                raise ValueError("end_dim >= 1 (identity morphism)")
+            if o.period is not None and o.period < 1:
+                raise ValueError("period must be a positive integer")
         self.homs = norm
         self._targets: dict[str, list[str]] = {o.id: [] for o in orbits}
         for (a, b) in sorted(norm):
@@ -178,8 +167,7 @@ class ShiftGraph:
         field of the wrong JSON type or a (from, to) pair listed twice:
         name, id, from and to are strings; weight, dim, end_dim, field_char
         and a non-null period are integers (a bool is not); all_iso,
-        genuine and windowed are bools.  It refuses dim < 1 itself, with
-        HomEdge's message, and builds each edge without HomEdge.__new__."""
+        genuine and windowed are bools."""
         bad = "malformed shift-graph instance"
         new_edge = tuple.__new__
         try:
@@ -207,8 +195,6 @@ class ShiftGraph:
                         raise ValueError(
                             f"{bad}: edge {e!r} from {a} to {b} needs an integer "
                             f"weight and dim and a bool all_iso")
-                    if dim < 1:
-                        raise ValueError("hom edges record nonzero hom-spaces: dim >= 1")
                     edges.append(new_edge(HomEdge, (w, dim, iso)))
                 homs[(a, b)] = edges
             name = d.get("name", "")
@@ -345,9 +331,6 @@ def expand_hereditary(data: AbelianData, name: str = "",
         if data.hom.get((x, x), 0) < 1:
             raise ValueError(f"hom({x}, {x}) must be >= 1")
     orbits = [Orbit(x, period=None, end_dim=data.hom[(x, x)]) for x in data.objects]
-    # the entries are ints, checked above, and the tests h > 0 and e1 > 0
-    # below are HomEdge's dim >= 1, so each edge is built with
-    # tuple.__new__, without HomEdge.__new__
     new_edge = tuple.__new__
     homs: dict[tuple[str, str], tuple[HomEdge, ...]] = {
         # the division-ring check beyond dimension 1 is out of reach of

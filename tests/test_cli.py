@@ -63,6 +63,11 @@ def test_check_a2(capsys, a2_files):
 def test_check_assert_hereditary_exit_codes(capsys, a2_files, dual_file):
     code, _ = run_cli(capsys, "check", str(a2_files[0]), "--assert-hereditary")
     assert code == 0
+    # exit 1 only when some block is not-hereditary: within-window exits 0
+    win = a2_files[0].parent / "a2_windowed.json"
+    win.write_text(json.dumps({**json.loads(a2_files[0].read_text()), "windowed": True}))
+    code, rep = run_cli(capsys, "check", str(win), "--assert-hereditary")
+    assert code == 0 and rep["report"]["verdict"] == "hereditary-within-window"
     code, rep = run_cli(capsys, "check", str(dual_file), "--assert-hereditary")
     assert code == 1
     blk = rep["report"]["blocks"][0]
@@ -216,6 +221,71 @@ def test_path_with_weights_beyond_float_range(capsys, tmp_path):
         assert oracles.check_witness(g, steps, ObjRef("A", 0), ObjRef("B", offset))
     code, rep = run_cli(capsys, "path", str(f), "A@0", f"B@{big - 1}")
     assert code == 0 and rep["report"]["exists"] is False
+
+
+def test_negative_cycle_before_a_weight_beyond_float_range(capsys, tmp_path):
+    # A <-> B at -1 each puts C at -inf behind an edge no float can hold;
+    # the -inf labels take no turn, so no int meets a float
+    ident = (HomEdge(0, 1, all_iso=True),)
+    g = ShiftGraph("ovf", [Orbit(x) for x in "ABC"], {
+        **{(x, x): ident for x in "ABC"}, ("A", "B"): (HomEdge(-1, 1),),
+        ("B", "A"): (HomEdge(-1, 1),), ("B", "C"): (HomEdge(10**400, 1),)})
+    f = tmp_path / "ovf.json"
+    f.write_text(g.to_json())
+    code, rep = run_cli(capsys, "dist", str(f), "A", "C")
+    assert code == 0 and rep["report"]["min_weight"] == "-inf"
+    code, rep = run_cli(capsys, "check", str(f))
+    assert code == 0 and rep["report"]["verdict"] == "not-hereditary"
+    blk = rep["report"]["blocks"][0]
+    steps = [PathStep(s["kind"], ObjRef(s["orbit"], s["offset"]))
+             for s in blk["witness"]]
+    first, last = steps[0].at, steps[-1].at
+    assert first.orbit == last.orbit and first.offset - last.offset == 1
+    assert oracles.check_witness(g, steps, first, last)
+
+
+def test_reports_past_the_int_digit_limit(capsys, tmp_path):
+    # each weight has 4,300 digits, which json.load reads; their sum has
+    # 4,301, which the reports print in full
+    big = 5 * 10**4299
+    ident = (HomEdge(0, 1, all_iso=True),)
+    g = ShiftGraph("long", [Orbit(x) for x in "ABC"], {
+        **{(x, x): ident for x in "ABC"}, ("A", "B"): (HomEdge(big, 1),),
+        ("B", "C"): (HomEdge(big, 1),)})
+    f = tmp_path / "long.json"
+    f.write_text(g.to_json())
+    limit = sys.get_int_max_str_digits()
+    total = "1" + "0" * 4300
+    for argv, text in ((["dist", str(f), "A", "C"], f'"min_weight": {total},\n'),
+                       (["path", str(f), "A@0", "C@0"], f'"min_weight": {total},\n'),
+                       (["check", str(f), "--pretty"], f"C: {total}\n")):
+        assert main(argv) == 0
+        assert text in capsys.readouterr().out
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_path_to_an_orbit_id_with_at(capsys, tmp_path):
+    # the offset follows the last @
+    ident = (HomEdge(0, 1, all_iso=True),)
+    f = tmp_path / "at.json"
+    f.write_text(ShiftGraph("at", [Orbit("A@x"), Orbit("B")], {
+        ("A@x", "A@x"): ident, ("B", "B"): ident, ("A@x", "B"): (HomEdge(1, 1),),
+    }).to_json())
+    code, rep = run_cli(capsys, "path", str(f), "A@x@0", "B@1")
+    assert code == 0 and rep["report"]["exists"] is True
+    assert rep["report"]["witness"][0] == {"kind": "start", "orbit": "A@x", "offset": 0}
+    code, rep = run_cli(capsys, "path", str(f), "A@x", "B")
+    assert code == 2 and "offset must be an integer" in rep["error"]["message"]
+
+
+def test_gen_semisimple_refuses_end_dim_0(capsys, tmp_path):
+    # the edges are checked before the orbit, so the message is the edge's
+    out = tmp_path / "ss.json"
+    code, rep = run_cli(capsys, "gen", "semisimple", "--period", "2", "--end-dim", "0",
+                        "--out", str(out))
+    assert code == 2 and rep["error"] == {
+        "type": "input", "message": "hom edges record nonzero hom-spaces: dim >= 1"}
+    assert not out.exists()
 
 
 def test_heart_from_negative_source_exit_2(capsys, dual_file):

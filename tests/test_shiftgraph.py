@@ -23,15 +23,30 @@ import oracles
 
 
 def test_hom_edge_requires_positive_dim():
-    with pytest.raises(ValueError):
-        HomEdge(0, 0)
+    # a record checks nothing: the graph that holds it refuses it, however
+    # the edge was made
+    ident = HomEdge(0, 1, True)
+    for dim in (0, -1):
+        for edge in (HomEdge(1, dim), tuple.__new__(HomEdge, (1, dim, False)), (1, dim, False)):
+            assert edge == (1, dim, False)
+            with pytest.raises(ValueError,
+                               match=r"^hom edges record nonzero hom-spaces: dim >= 1$"):
+                ShiftGraph("g", [Orbit("X")], {("X", "X"): (ident, edge)})
+    ShiftGraph("g", [Orbit("X")], {("X", "X"): (ident, (1, 1, False))})
 
 
 def test_orbit_validation():
-    with pytest.raises(ValueError):
-        Orbit("X", end_dim=0)
-    with pytest.raises(ValueError):
-        Orbit("X", period=0)
+    ident = (HomEdge(0, 1, True),)
+    for fields, message in ((("X", None, 0), "end_dim >= 1 (identity morphism)"),
+                            (("X", 0, 1), "period must be a positive integer")):
+        for orbit in (Orbit(*fields), tuple.__new__(Orbit, fields)):
+            assert orbit == fields
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ShiftGraph("g", [orbit], {("X", "X"): ident})
+    # edges are checked before orbits
+    with pytest.raises(ValueError, match="dim >= 1"):
+        ShiftGraph("g", [Orbit("X", 0, 0)], {("X", "X"): (HomEdge(0, 0),)})
+    assert Orbit("X") == ("X", None, 1)
 
 
 VALUE_RECORDS = [
@@ -278,7 +293,7 @@ def test_from_dict_refuses_field_value(field, value, message):
 
 @pytest.fixture
 def count_edge_records(monkeypatch) -> list[int]:
-    """Counts the calls of HomEdge.__new__, the checking constructor."""
+    """Counts the calls of HomEdge.__new__, the Python-level constructor."""
     calls = [0]
     new = HomEdge.__new__
 
@@ -292,17 +307,19 @@ def count_edge_records(monkeypatch) -> list[int]:
 
 def test_bulk_builders_skip_the_checking_constructor(count_edge_records):
     # 540 edges in each graph, none through HomEdge.__new__: the bulk
-    # builders check dim >= 1 themselves
+    # builders make each HomEdge with tuple.__new__
     g = gen_dynkin_an(8, "><><<>>")
     assert count_edge_records == [0]
     back = ShiftGraph.from_dict(g.to_dict())
     assert count_edge_records == [0]
     assert back.to_json() == g.to_json()
     assert sum(map(len, g.homs.values())) == 540
-    assert all(type(e) is HomEdge for edges in back.homs.values() for e in edges)
+    for graph in (g, back):
+        assert all(type(e) is HomEdge for edges in graph.homs.values() for e in edges)
+    # the record checks nothing; the graph refuses it
+    assert HomEdge(0, 0) == (0, 0, False) and count_edge_records == [1]
     with pytest.raises(ValueError, match="dim >= 1"):
-        HomEdge(0, 0)
-    assert HomEdge(0, 1) == (0, 1, False) and count_edge_records == [2]
+        ShiftGraph.from_dict(oracles.with_field(g.to_dict(), "dim", 0))
 
 
 @pytest.mark.parametrize("kind", [tuple, list, iter])
