@@ -16,11 +16,11 @@ import importlib
 # modules it runs: path-only code never imports hereditary, nor the GF(p)
 # modules (linalg, quiver, complexes, generators).
 _LAZY = {name: module for module, names in {
-    "shiftgraph": ["DEFAULT_PRIME", "AbelianData", "HomEdge", "ObjRef", "Orbit",
-                   "ShiftGraph", "ValidationReport", "expand_hereditary", "validate"],
-    "paths": ["NEG_INF", "POS_INF", "DegenerateAperiodic", "DegeneratePeriodic",
-              "NonDegenerate", "PathEngine", "PathReport", "classify_degenerate",
-              "directing_objects"],
+    "shiftgraph": ["DEFAULT_PRIME", "HomEdge", "ObjRef", "Orbit", "ShiftGraph",
+                   "ValidationReport", "validate"],
+    "paths": ["NEG_INF", "POS_INF", "PathEngine", "PathReport", "directing_objects"],
+    "degenerate": ["DegenerateAperiodic", "DegeneratePeriodic", "NonDegenerate",
+                   "classify_degenerate"],
     "hereditary": ["Heart", "HeartCheck", "HereditaryReport", "check_hereditary",
                    "cohomology", "extract_heart", "truncate", "verify_heart"],
     "linalg": ["PrimeField"],
@@ -30,8 +30,9 @@ _LAZY = {name: module for module, names in {
     "complexes": ["EndAlgebra", "ProjComplex", "are_isomorphic",
                   "build_shiftgraph_from_complexes", "check_complex",
                   "hom_k_dim", "is_indecomposable", "shift_complex"],
-    "generators": ["gen_a2_from_complexes", "gen_dual_numbers",
-                   "gen_dynkin_an", "gen_example_a2", "gen_semisimple_block"],
+    "generators": ["AbelianData", "expand_hereditary", "gen_a2_from_complexes",
+                   "gen_dual_numbers", "gen_dynkin_an", "gen_example_a2",
+                   "gen_semisimple_block"],
 }.items() for name in names}
 
 

@@ -16,58 +16,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
-from .shiftgraph import (NegativeWalkAtSource, ObjRef, ShiftGraph, UnknownOrbit,
-                         UnreachableOrbit, validate)
+from .shiftgraph import (InputError, NegativeWalkAtSource, ObjRef, ShiftGraph,
+                         UnknownOrbit, UnreachableOrbit, _load_json, validate)
 
 # Each command imports only what it runs, and each process builds only its
 # own command's parser (_build_parser).  `validate` needs shiftgraph alone;
 # paths is imported by the commands that walk (`blocks`, `check`, `dist`,
-# `path`, `classify`, `directing`) and through hereditary by `check`, `heart`
-# and `verify-heart`; linalg, quiver and generators by `gen` (hereditary too
-# for `gen a2`, complexes for `gen dual`), and quiver and complexes by `hom`.
-# No numpy.
-
-
-class InputError(Exception):
-    pass
-
-
-def _field():
-    from .linalg import PrimeField
-
-    raw = os.environ.get("DERHED_FIELD_CHAR")
-    if raw is None:
-        return PrimeField()
-    try:
-        return PrimeField(int(raw))
-    except ValueError as exc:
-        raise InputError(f"DERHED_FIELD_CHAR: {exc}") from exc
-
-
-def _load_json(path: str) -> dict:
-    """The JSON file at path; a key given twice in one object is refused,
-    where json.load would keep the last value."""
-    def unique(pairs: list) -> dict:
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            keys = [k for k, _ in pairs]
-            key = next(k for k in keys if keys.count(k) > 1)
-            raise InputError(f"{path} repeats the key {key!r} in one object")
-        return obj
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise InputError(f"{path} nests its JSON too deeply to read") from exc
+# `path`, `classify`, `directing`), degenerate by `classify`, and through
+# hereditary by `check`, `heart` and `verify-heart`.  `gen` and `hom` run
+# from algebra_cli, with linalg: quiver and generators for `gen`
+# (hereditary too for `gen a2`, complexes for `gen dual`), and quiver and
+# complexes for `hom`.  No numpy.
 
 
 def _load_graph(path: str, gate: bool) -> ShiftGraph:
@@ -98,35 +60,6 @@ def _parse_ref(g: ShiftGraph, text: str) -> ObjRef:
     except ValueError as exc:
         raise InputError(f"bad object reference {text!r}: offset must be an integer") from exc
     return ObjRef(_known_orbit(g, orbit), offset)
-
-
-def _write(*files: tuple[str, str]) -> None:
-    """Write each (path, text), all of them or none.  A missing or read-only
-    directory, or a path that is a directory, refuses all.  Each text goes
-    to a temporary file beside its path, and the temporary files replace
-    their paths, in order, only once every one is written; on any failure
-    they are deleted.  So when two paths are the same, the last text wins."""
-    for path, _ in files:
-        if not os.access(os.path.dirname(path) or ".", os.W_OK):
-            raise InputError(f"cannot write {path}: its directory is missing or read-only")
-        if os.path.isdir(path):
-            raise InputError(f"cannot write {path}: it is a directory")
-    temps: list[str] = []
-    try:
-        for i, (path, text) in enumerate(files):
-            head, tail = os.path.split(path)
-            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
-            with open(tmp, "x", encoding="utf-8") as fh:
-                temps.append(tmp)
-                fh.write(text)
-        for (path, _), tmp in zip(files, temps):
-            os.replace(tmp, path)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
-    finally:
-        for tmp in temps:
-            if os.path.exists(tmp):
-                os.remove(tmp)
 
 
 def _envelope(command: str, report: dict, g: ShiftGraph | None = None) -> dict:
@@ -252,7 +185,8 @@ def _cmd_path(args, g):
 
 
 def _cmd_classify(args, g):
-    from .paths import PathEngine, classify_degenerate
+    from .degenerate import classify_degenerate
+    from .paths import PathEngine
 
     engine = PathEngine(g)
     out = []
@@ -268,55 +202,16 @@ def _cmd_directing(args, g):
     return {"directing": sorted(directing_objects(g))}, g, 0
 
 
-def _cmd_gen(args, _):
-    from .generators import (gen_dual_numbers, gen_dynkin_an, gen_example_a2,
-                             gen_semisimple_block)
-    from .linalg import FieldTooSmall
+def _cmd_gen(args, g):
+    from .algebra_cli import gen
 
-    fld, heart = _field(), []
-    try:
-        if args.family == "an":
-            g = gen_dynkin_an(args.n, args.orientation, fld)
-        elif args.family == "a2":
-            g, bad = gen_example_a2(fld)
-            if args.bad_heart_out:
-                heart = [(args.bad_heart_out,
-                          json.dumps(bad.to_dict(), indent=2, sort_keys=True) + "\n")]
-        elif args.family == "dual":
-            g = gen_dual_numbers(args.max_length, args.window, fld)
-        else:
-            g = gen_semisimple_block(args.period, args.end_dim, fld)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    except FieldTooSmall as exc:
-        raise InputError(f"{exc}; set DERHED_FIELD_CHAR to a larger prime") from exc
-    _write(*heart, (args.out, g.to_json() + "\n"))
-    return {"written": args.out, "orbits": len(g.orbits)}, g, 0
+    return gen(args, g)
 
 
-def _cmd_hom(args, _):
-    from .complexes import ProjComplex, check_complex, hom_k_dim
-    from .quiver import InfiniteDimensional, algebra_from_dict
+def _cmd_hom(args, g):
+    from .algebra_cli import hom
 
-    fld = _field()
-    try:
-        alg = algebra_from_dict(_load_json(args.algfile))
-    except (ValueError, InfiniteDimensional) as exc:
-        raise InputError(str(exc)) from exc
-    complexes = []
-    for path in (args.x, args.y):
-        try:
-            c = ProjComplex.from_dict(alg, _load_json(path))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed complex file {path}: {exc}") from exc
-        errors = check_complex(c, fld.p)
-        if errors:
-            raise InputError(f"invalid complex {path}: {'; '.join(errors)}")
-        complexes.append(c)
-    x, y = complexes
-    dim = hom_k_dim(x, y, args.shift, fld)
-    return {"x": x.name, "y": y.name, "shift": args.shift,
-            "dim": dim, "field_char": fld.p}, None, 0
+    return hom(args, g)
 
 
 _FILE = (("file",), {})

@@ -247,8 +247,12 @@ def _hom_dims(x: ProjComplex, y: ProjComplex, lo: int, hi: int,
     of the hom-complex boundaries d_m (lo-1 <= m <= hi): dim_n =
     size[n] - rank[n] - rank[n-1].  The blocks of each degree are built
     once, and d_m is built and its nonempty rows ranked once, only when it
-    has both a source and a target coordinate (else its rank is 0)."""
-    blk = {m: _hom_blocks(x, y, m) for m in range(lo - 1, hi + 2)}
+    has both a source and a target coordinate (else its rank is 0).  So
+    the blocks of degree lo - 1 (hi + 1) are built only when degree lo
+    (hi) has maps, since d_(lo-1) (d_hi) has no other use."""
+    blk = {m: _hom_blocks(x, y, m) for m in range(lo, hi + 1)}
+    for m, inner in ((lo - 1, lo), (hi + 1, hi)):
+        blk[m] = _hom_blocks(x, y, m) if blk[inner][1] else ({}, 0)
     rank = {m: fld.rank([r for r in _hom_boundary(x, y, m, blk[m], blk[m + 1], fld.p) if r])
             if blk[m][1] and blk[m + 1][1] else 0
             for m in range(lo - 1, hi + 1)}

@@ -3,24 +3,23 @@
 The abelian route knits the mesh category of ZQ for an A_n quiver Q (any
 orientation): the hammocks of its vertices give the indecomposable
 modules with their Hom and Ext^1 dimensions exactly, with no linear
-algebra, and the tables expand to the derived-category shift-graph.  The
-GF(p) Hom systems of quiver.Representation are the tests' check on it.
-The homotopy route builds perfect complexes over a monomial algebra and
-measures homs in the homotopy category; the dual numbers are its
-canonical non-hereditary instance.  Its functions import complexes when
-called, and gen_example_a2 imports hereditary for its Heart, so the
-abelian route loads neither.
+algebra, and expand_hereditary expands the tables to the derived-category
+shift-graph.  The GF(p) Hom systems of quiver.Representation are the
+tests' check on it.  The homotopy route builds perfect complexes over a
+monomial algebra and measures homs in the homotopy category; the dual
+numbers are its canonical non-hereditary instance.  Its functions import
+complexes when called, and gen_example_a2 imports hereditary for its
+Heart, so the abelian route loads neither.
 """
 
 from __future__ import annotations
 
 from graphlib import TopologicalSorter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .linalg import PrimeField
 from .quiver import Arrow, MonomialAlgebra, Quiver
-from .shiftgraph import (AbelianData, HomEdge, Orbit, ShiftGraph,
-                         expand_hereditary)
+from .shiftgraph import DEFAULT_PRIME, HomEdge, Orbit, ShiftGraph
 
 if TYPE_CHECKING:
     from .complexes import ProjComplex
@@ -94,6 +93,45 @@ def _knit(quiver: Quiver) -> dict[str, dict[tuple[str, int], int]]:
             raise RuntimeError(f"the hammock of {i} has {len(sinks)} sinks")
         hammocks[i] = h
     return hammocks
+
+
+class AbelianData(NamedTuple):
+    """Hom and Ext^1 dimension tables of finitely many indecomposables of
+    a hereditary abelian category."""
+
+    objects: tuple[str, ...]
+    hom: dict[tuple[str, str], int]
+    ext1: dict[tuple[str, str], int]
+
+
+def expand_hereditary(data: AbelianData, name: str = "",
+                      field_char: int = DEFAULT_PRIME) -> ShiftGraph:
+    """Expand abelian hom/ext data to the shift-graph of the bounded
+    derived category: weight-0 edges carry Hom, weight-1 edges carry
+    Ext^1, and nothing else is nonzero because every object splits into
+    shifted cohomologies over a hereditary abelian category.  A table
+    entry that is not a non-negative int (a bool included) raises
+    ValueError, and a nonzero one whose key names an object outside
+    objects raises UnknownOrbit."""
+    for kind, table in (("hom", data.hom), ("ext1", data.ext1)):
+        for key, d in table.items():
+            if type(d) is not int or d < 0:
+                raise ValueError(f"{kind}{key} must be a non-negative int, not {d!r}")
+    for x in data.objects:
+        if data.hom.get((x, x), 0) < 1:
+            raise ValueError(f"hom({x}, {x}) must be >= 1")
+    orbits = [Orbit(x, period=None, end_dim=data.hom[(x, x)]) for x in data.objects]
+    new_edge = tuple.__new__
+    homs: dict[tuple[str, str], tuple[HomEdge, ...]] = {
+        # the division-ring check beyond dimension 1 is out of reach of
+        # dimension data; flag only the 1-dimensional case.
+        (a, b): (new_edge(HomEdge, (0, h, a == b and h == 1)),)
+        for (a, b), h in data.hom.items() if h > 0}
+    for key, e1 in data.ext1.items():
+        if e1 > 0:
+            homs[key] = homs.get(key, ()) + (new_edge(HomEdge, (1, e1, False)),)
+    return ShiftGraph(name=name, orbits=orbits, homs=homs,
+                      genuine=True, windowed=False, field_char=field_char)
 
 
 def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,

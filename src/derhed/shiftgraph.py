@@ -26,8 +26,11 @@ from typing import NamedTuple
 DEFAULT_PRIME = 32003
 
 
-# The input errors of the path and heart layers, which the CLI reports with
-# exit code 2.  They live here so that handling them loads no hereditary.
+# The input errors that the CLI reports with exit code 2: those of the path
+# and heart layers, and InputError for the rest.  They live here, with the
+# CLI's JSON file reader, so that handling them loads no hereditary, and so
+# that the gen and hom front ends (algebra_cli) share them without
+# importing derhed.cli, which `python -m derhed.cli` runs as __main__.
 
 
 class UnknownOrbit(Exception):
@@ -42,10 +45,36 @@ class UnreachableOrbit(Exception):
     pass
 
 
+class InputError(Exception):
+    pass
+
+
+def _load_json(path: str) -> dict:
+    """The JSON file at path; a key given twice in one object is refused,
+    where json.load would keep the last value."""
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            key = next(k for k in keys if keys.count(k) > 1)
+            raise InputError(f"{path} repeats the key {key!r} in one object")
+        return obj
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=unique)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} nests its JSON too deeply to read") from exc
+
+
 # Records are plain NamedTuples that check nothing: ShiftGraph refuses a
-# graph holding a bad one, and the bulk builders (from_dict,
-# expand_hereditary) make each HomEdge with tuple.__new__, skipping the
-# Python-level __new__ that NamedTuple writes.
+# graph holding a bad one, and the bulk builders (from_dict and
+# generators.expand_hereditary) make each HomEdge with tuple.__new__,
+# skipping the Python-level __new__ that NamedTuple writes.
 
 
 class HomEdge(NamedTuple):
@@ -303,42 +332,3 @@ def validate(g: ShiftGraph) -> ValidationReport:
                         f"cone closure: no orbit completes the non-invertible edge "
                         f"{a} -> {b} (weight {w}) to a triangle path")
     return rep
-
-
-class AbelianData(NamedTuple):
-    """Hom and Ext^1 dimension tables of finitely many indecomposables of
-    a hereditary abelian category."""
-
-    objects: tuple[str, ...]
-    hom: dict[tuple[str, str], int]
-    ext1: dict[tuple[str, str], int]
-
-
-def expand_hereditary(data: AbelianData, name: str = "",
-                      field_char: int = DEFAULT_PRIME) -> ShiftGraph:
-    """Expand abelian hom/ext data to the shift-graph of the bounded
-    derived category: weight-0 edges carry Hom, weight-1 edges carry
-    Ext^1, and nothing else is nonzero because every object splits into
-    shifted cohomologies over a hereditary abelian category.  A table
-    entry that is not a non-negative int (a bool included) raises
-    ValueError, and a nonzero one whose key names an object outside
-    objects raises UnknownOrbit."""
-    for kind, table in (("hom", data.hom), ("ext1", data.ext1)):
-        for key, d in table.items():
-            if type(d) is not int or d < 0:
-                raise ValueError(f"{kind}{key} must be a non-negative int, not {d!r}")
-    for x in data.objects:
-        if data.hom.get((x, x), 0) < 1:
-            raise ValueError(f"hom({x}, {x}) must be >= 1")
-    orbits = [Orbit(x, period=None, end_dim=data.hom[(x, x)]) for x in data.objects]
-    new_edge = tuple.__new__
-    homs: dict[tuple[str, str], tuple[HomEdge, ...]] = {
-        # the division-ring check beyond dimension 1 is out of reach of
-        # dimension data; flag only the 1-dimensional case.
-        (a, b): (new_edge(HomEdge, (0, h, a == b and h == 1)),)
-        for (a, b), h in data.hom.items() if h > 0}
-    for key, e1 in data.ext1.items():
-        if e1 > 0:
-            homs[key] = homs.get(key, ()) + (new_edge(HomEdge, (1, e1, False)),)
-    return ShiftGraph(name=name, orbits=orbits, homs=homs,
-                      genuine=True, windowed=False, field_char=field_char)

@@ -552,9 +552,8 @@ def an_tables(n: int, word: str, fld):
     """The AbelianData of the A_n path algebra with this orientation word,
     by linear algebra: one GF(p) Hom system (quiver._hom_ext) per ordered
     pair of interval modules gives Hom and Ext^1."""
-    from derhed.generators import _an_quiver
+    from derhed.generators import AbelianData, _an_quiver
     from derhed.quiver import MonomialAlgebra, _hom_ext
-    from derhed.shiftgraph import AbelianData
 
     items = interval_reps(MonomialAlgebra(_an_quiver(n, word), []), n)
     hom, ext1 = {}, {}

@@ -13,16 +13,17 @@ import numpy as np
 import pytest
 
 from derhed.complexes import hom_k_dim
-from derhed.generators import (dual_numbers_algebra, dual_numbers_chain,
+from derhed.degenerate import (DegenerateAperiodic, DegeneratePeriodic,
+                               NonDegenerate, classify_degenerate)
+from derhed.generators import (AbelianData, dual_numbers_algebra,
+                               dual_numbers_chain, expand_hereditary,
                                gen_a2_from_complexes, gen_dual_numbers,
                                gen_dynkin_an, gen_example_a2,
                                gen_semisimple_block)
 from derhed.hereditary import check_hereditary, cohomology, truncate
 from derhed.linalg import PrimeField
-from derhed.paths import (POS_INF, DegenerateAperiodic, DegeneratePeriodic,
-                          NonDegenerate, PathEngine, classify_degenerate,
-                          directing_objects)
-from derhed.shiftgraph import AbelianData, ObjRef, expand_hereditary, validate
+from derhed.paths import POS_INF, PathEngine, directing_objects
+from derhed.shiftgraph import ObjRef, validate
 from derhed.cli import main as cli_main
 
 import oracles

@@ -996,6 +996,74 @@ def test_unwalked_commands_never_import_paths(a2_files, tmp_path):
     assert proc.stdout.strip() == "ok"
 
 
+# Each command's argv, run with the files of a2_files and
+# write_a2_projectives in the working directory, and the derhed modules
+# besides the package that it leaves in sys.modules, exactly.
+WALK = "cli shiftgraph paths"
+GEN = "algebra_cli cli generators linalg quiver shiftgraph"
+COMMAND_MODULES = {
+    "validate": ("validate a2.json", "cli shiftgraph"),
+    "blocks": ("blocks a2.json", WALK),
+    "dist": ("dist a2.json S1 S2", WALK),
+    "path": ("path a2.json S1@0 S2@1", WALK),
+    "classify": ("classify a2.json", WALK + " degenerate"),
+    "directing": ("directing a2.json", WALK),
+    "check": ("check a2.json", WALK + " hereditary"),
+    "heart": ("heart a2.json --from I", WALK + " hereditary"),
+    "verify-heart": ("verify-heart a2.json --heart bad_heart.json", WALK + " hereditary"),
+    "gen an": ("gen an --n 3 --orientation >< --out an.json", GEN),
+    "gen a2": ("gen a2 --out x.json", GEN + " hereditary paths"),
+    "gen dual": ("gen dual --max-length 3 --window 1 --out d.json", GEN + " complexes"),
+    "gen semisimple": ("gen semisimple --period 2 --out s.json", GEN),
+    "hom": ("hom alg.json p2.json p1.json",
+            "algebra_cli cli complexes linalg quiver shiftgraph"),
+}
+
+MODULES_CHILD = """
+import contextlib, io, sys
+from derhed.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0, sys.argv
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "derhed")))
+"""
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_exactly_its_modules(command, a2_files, tmp_path):
+    # a fresh process of each command loads the derhed modules it runs and
+    # no other, so an eager import cannot quietly slow every process down
+    for f in a2_files:
+        (tmp_path / f.name).write_text(f.read_text())
+    write_a2_projectives(tmp_path)
+    argv, modules = COMMAND_MODULES[command]
+    proc = run_child("-c", MODULES_CHILD, *argv.split(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(["derhed", *(f"derhed.{m}" for m in modules.split())])
+
+
+# `python -m derhed.cli` runs the CLI as __main__, as run_module does here,
+# so an import of derhed.cli would load a second copy of the CLI beside it
+RUN_AS_MAIN_CHILD = """
+import runpy, sys
+try:
+    runpy.run_module("derhed.cli", run_name="__main__", alter_sys=True)
+finally:
+    assert "derhed.cli" not in sys.modules, "derhed.cli imported beside __main__"
+"""
+
+
+@pytest.mark.parametrize("how", [("-m", "derhed.cli"), ("-c", RUN_AS_MAIN_CHILD)],
+                         ids=["-m", "run_module"])
+def test_gen_input_error_as_main_exit_2(how, tmp_path):
+    proc = run_child(*how, "gen", "dual", "--max-length", "1", "--window", "1",
+                     "--out", "x.json", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["command"] == "gen"
+    assert rep["error"] == {"type": "input", "message": "max_length must be >= 2"}
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_gen_and_hom_in_a_fresh_process(tmp_path):
     # gen and hom import the GF(p) modules on first use
     proc = run_child("-m", "derhed.cli", "gen", "an", "--n", "3",

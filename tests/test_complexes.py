@@ -91,6 +91,29 @@ def test_dual_numbers_match_oracle(dual, fld, n):
             assert hom_k_dim(x, y, n, fld) == hom_oracle(dual, x, y, n, fld.p)
 
 
+def test_hom_k_dim_builds_outer_blocks_only_beside_maps(monkeypatch, dual, fld):
+    # d_(n-1) ends in the degree-n maps and d_n starts there, so without
+    # them hom_k_dim builds one block table, not three: 612 tables, not
+    # 756, over the 252 homs of the dual-numbers chains 1..6 at shifts
+    # -3..3, with every dimension the oracle's
+    import derhed.complexes
+
+    calls = []
+    blocks = derhed.complexes._hom_blocks
+    monkeypatch.setattr(derhed.complexes, "_hom_blocks",
+                        lambda *args: calls.append(args[2]) or blocks(*args))
+    chains = [dual_numbers_chain(dual, l) for l in range(1, 7)]
+    built = 0
+    for x in chains:
+        for y in chains:
+            for n in range(-3, 4):
+                calls.clear()
+                assert hom_k_dim(x, y, n, fld) == hom_oracle(dual, x, y, n, fld.p)
+                assert calls == ([n, n - 1, n + 1] if blocks(x, y, n)[1] else [n])
+                built += len(calls)
+    assert built == 612
+
+
 @pytest.mark.parametrize("family", ["dual", "a2"])
 def test_window_table_matches_per_call_dims(dual, fld, family):
     """The builder's one table per pair equals the per-call hom_k_dim,

@@ -5,12 +5,13 @@ import pytest
 
 from derhed.complexes import build_shiftgraph_from_complexes
 from derhed.generators import (a2_projective_resolutions, dual_numbers_algebra,
-                               dual_numbers_chain, gen_a2_from_complexes,
-                               gen_dual_numbers, gen_dynkin_an, gen_example_a2,
+                               dual_numbers_chain, expand_hereditary,
+                               gen_a2_from_complexes, gen_dual_numbers,
+                               gen_dynkin_an, gen_example_a2,
                                gen_semisimple_block, _knit)
 from derhed.linalg import PrimeField
 from derhed.quiver import Arrow, Quiver
-from derhed.shiftgraph import expand_hereditary, validate
+from derhed.shiftgraph import validate
 
 from oracles import an_tables, euler_form, ext_formula, hom_formula
 

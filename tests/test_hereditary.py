@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from derhed import hereditary, paths
 from derhed.complexes import build_shiftgraph_from_complexes
-from derhed.generators import (gen_a2_from_complexes, gen_dual_numbers,
+from derhed.generators import (AbelianData, expand_hereditary,
+                               gen_a2_from_complexes, gen_dual_numbers,
                                gen_dynkin_an, gen_example_a2,
                                gen_semisimple_block)
 from derhed.hereditary import (Heart, IncompleteHeart, NegativeWalkAtSource,
@@ -16,8 +17,7 @@ from derhed.hereditary import (Heart, IncompleteHeart, NegativeWalkAtSource,
                                check_hereditary, cohomology, extract_heart,
                                truncate, verify_heart)
 from derhed.paths import NEG_INF, POS_INF, PathEngine, _potential
-from derhed.shiftgraph import (AbelianData, HomEdge, ObjRef, Orbit, ShiftGraph,
-                               UnknownOrbit, expand_hereditary)
+from derhed.shiftgraph import HomEdge, ObjRef, Orbit, ShiftGraph, UnknownOrbit
 
 import oracles
 from test_complexes import a3_shortcut_complexes

@@ -4,15 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from derhed import paths
-from derhed.generators import (gen_dual_numbers, gen_dynkin_an, gen_example_a2,
-                               gen_semisimple_block)
+from derhed.degenerate import (DegenerateAperiodic, DegeneratePeriodic,
+                               NonDegenerate, classify_degenerate)
+from derhed.generators import (AbelianData, expand_hereditary, gen_dual_numbers,
+                               gen_dynkin_an, gen_example_a2, gen_semisimple_block)
 from derhed.hereditary import check_hereditary, extract_heart
-from derhed.paths import (NEG_INF, POS_INF, DegenerateAperiodic,
-                          DegeneratePeriodic, NonDegenerate, PathEngine,
-                          classify_degenerate, directing_objects)
-from derhed.shiftgraph import (AbelianData, HomEdge, ObjRef, Orbit, ShiftGraph,
-                               UnknownOrbit, UnreachableOrbit, expand_hereditary,
-                               validate)
+from derhed.paths import NEG_INF, POS_INF, PathEngine, directing_objects
+from derhed.shiftgraph import (HomEdge, ObjRef, Orbit, ShiftGraph, UnknownOrbit,
+                               UnreachableOrbit, validate)
 
 import oracles
 

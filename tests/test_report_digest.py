@@ -16,10 +16,10 @@ import json
 import numpy as np
 
 from derhed.complexes import build_shiftgraph_from_complexes
+from derhed.degenerate import classify_degenerate
 from derhed.generators import gen_dual_numbers, gen_dynkin_an, gen_semisimple_block
 from derhed.hereditary import check_hereditary, extract_heart, verify_heart
-from derhed.paths import (PathEngine, _encode_weight, classify_degenerate,
-                          directing_objects)
+from derhed.paths import PathEngine, _encode_weight, directing_objects
 from derhed.shiftgraph import NegativeWalkAtSource, ObjRef, UnreachableOrbit
 
 import oracles

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from derhed.generators import (gen_a2_from_complexes, gen_dual_numbers,
+from derhed.degenerate import (DegenerateAperiodic, DegeneratePeriodic,
+                               NonDegenerate)
+from derhed.generators import (AbelianData, expand_hereditary,
+                               gen_a2_from_complexes, gen_dual_numbers,
                                gen_dynkin_an, gen_example_a2,
                                gen_semisimple_block)
 from derhed.linalg import PrimeField
-from derhed.paths import (DegenerateAperiodic, DegeneratePeriodic,
-                          NonDegenerate, PathStep)
+from derhed.paths import PathStep
 from derhed.quiver import Arrow, BasisPath, Quiver
-from derhed.shiftgraph import (AbelianData, HomEdge, ObjRef, Orbit,
-                               ShiftGraph, UnknownOrbit, expand_hereditary,
+from derhed.shiftgraph import (HomEdge, ObjRef, Orbit, ShiftGraph, UnknownOrbit,
                                validate)
 
 import oracles
