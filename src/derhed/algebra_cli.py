@@ -56,7 +56,7 @@ def _write(*files: tuple[str, str]) -> None:
                 os.remove(tmp)
 
 
-def gen(args, _):
+def gen(args):
     from .generators import (gen_dual_numbers, gen_dynkin_an, gen_example_a2,
                              gen_semisimple_block)
 
@@ -81,7 +81,7 @@ def gen(args, _):
     return {"written": args.out, "orbits": len(g.orbits)}, g, 0
 
 
-def hom(args, _):
+def hom(args):
     from .complexes import ProjComplex, check_complex, hom_k_dim
     from .quiver import InfiniteDimensional, algebra_from_dict
 

@@ -65,6 +65,10 @@ def _compose(alg: MonomialAlgebra, first: AlgElem, second: AlgElem, p: int) -> A
 
 
 class ProjComplex:
+    """Summands at quiver vertices, each differential of the shape they give
+    and each entry in e_w A e_v: the constructor refuses any other complex
+    with a ValueError naming the first fault.  check_complex tests d o d."""
+
     def __init__(self, algebra: MonomialAlgebra, degrees: dict[int, list[str]],
                  diffs: dict[int, list[list[AlgElem]]] | None = None, name: str = ""):
         self.algebra = algebra
@@ -76,6 +80,16 @@ class ProjComplex:
         bad = sorted({v for vs in self.degrees.values() for v in vs} - known)
         if bad:
             raise ValueError(f"summands at unknown vertices: {bad}")
+        basis = algebra.basis
+        for d, m in sorted(self.diffs.items()):
+            src, tgt = self.summands(d), self.summands(d + 1)
+            if len(m) != len(src) or any(len(row) != len(tgt) for row in m):
+                raise ValueError(f"degree {d}: differential shape mismatch")
+            for i, row in enumerate(m):
+                for j, e in enumerate(row):
+                    if any(basis[k].source != tgt[j] or basis[k].target != src[i] for k in e):
+                        raise ValueError(f"degree {d}: entry ({i}, {j}) not in "
+                                         f"e_{tgt[j]} A e_{src[i]}")
 
     def summands(self, d: int) -> list[str]:
         return self.degrees.get(d, [])
@@ -144,27 +158,11 @@ def shift_complex(c: ProjComplex, k: int, p: int) -> ProjComplex:
 
 
 def check_complex(c: ProjComplex, p: int) -> list[str]:
-    """The errors of a complex, none when it is valid: vertex compatibility
-    of all entries and d o d = 0 in every degree over GF(p), exactly via
-    the multiplication table."""
+    """The errors of a complex, none when it is valid: d o d = 0 in every
+    degree over GF(p), exactly via the multiplication table.  The shapes
+    and vertices of the entries ProjComplex itself refuses."""
     alg = c.algebra
     errors: list[str] = []
-    for d in sorted(c.diffs):
-        src, tgt = c.summands(d), c.summands(d + 1)
-        m = c.diffs[d]
-        if len(m) != len(src) or any(len(row) != len(tgt) for row in m):
-            errors.append(f"degree {d}: differential shape mismatch")
-            continue
-        for i, row in enumerate(m):
-            for j, e in enumerate(row):
-                for idx in e:
-                    bp = alg.basis[idx]
-                    if bp.source != tgt[j] or bp.target != src[i]:
-                        errors.append(
-                            f"degree {d}: entry ({i}, {j}) not in "
-                            f"e_{tgt[j]} A e_{src[i]}")
-    if errors:
-        return errors
     for d, d1 in sorted(c.diffs.items()):
         d2 = c.diffs.get(d + 1)
         if d2 is None:
@@ -173,10 +171,9 @@ def check_complex(c: ProjComplex, p: int) -> list[str]:
             for k in range(len(c.summands(d + 2))):
                 acc: AlgElem = {}
                 for j in range(len(d2)):
-                    term = _compose(alg, d1[i][j], d2[j][k], p)
-                    for b, cc in term.items():
+                    for b, cc in _compose(alg, d1[i][j], d2[j][k], p).items():
                         acc[b] = (acc.get(b, 0) + cc) % p
-                if any(v % p for v in acc.values()):
+                if any(acc.values()):
                     errors.append(f"degree {d}: d o d is nonzero at ({i}, {k})")
     return errors
 
@@ -185,7 +182,10 @@ def check_complex(c: ProjComplex, p: int) -> list[str]:
 
 def _hom_blocks(x: ProjComplex, y: ProjComplex, n: int):
     """The blocks {(i, a, b): (offset, paths)} of the degree-n graded maps
-    X -> Y, paths the basis of e_{vb} A e_{va}, and their coordinate count."""
+    X -> Y, paths the basis of e_{vb} A e_{va}, and their coordinate count.
+    Every Hom computation starts here, so it refuses two algebras."""
+    if x.algebra is not y.algebra:
+        raise AlgebraMismatch("complexes live over different algebras")
     between, ydeg = x.algebra._between, y.degrees
     blocks, size = {}, 0
     for i, xs in x.degrees.items():
@@ -205,12 +205,12 @@ def _hom_boundary(x: ProjComplex, y: ProjComplex, n: int, src, tgt,
     degree-(n+1) maps, f -> d_Y f - (-1)^n f d_X, given the blocks of both
     (_hom_blocks for n and n + 1), as one dict of nonzero entries per
     target coordinate.  Product k lands at offset + slot[k] of the target
-    block, found once per source block and differential entry; an entry off
-    the vertices of its summands (check_complex refuses it) adds nothing,
-    and no entry gets two terms, as a path product fixes each factor."""
+    block, found once per source block and differential entry (ProjComplex
+    keeps every entry on the vertices of its summands), and no entry gets
+    two terms, as a path product fixes each factor."""
     (blocks, _), (tgt_blocks, size) = src, tgt
     rows: list[dict[int, int]] = [{} for _ in range(size)]
-    mul, slot, basis = x.algebra._mul, x.algebra._slot, x.algebra.basis
+    mul, slot = x.algebra._mul, x.algebra._slot
     sign = -1 if n % 2 == 0 else 1  # coefficient of the f d_X term
     for (i, a, b), (off, paths) in blocks.items():
         # d_Y f: the path q, then entry (b, c) of d_Y, into block (i, a, c)
@@ -218,7 +218,7 @@ def _hom_boundary(x: ProjComplex, y: ProjComplex, n: int, src, tgt,
         for c, e in enumerate(dy[b] if dy is not None else ()):
             t = tgt_blocks.get((i, a, c))
             for idx, coeff in e.items() if t is not None else ():
-                if coeff % p and basis[idx].source == y.degrees[i + n + 1][c]:
+                if coeff % p:
                     products = mul[idx]
                     for col, q in enumerate(paths, off):
                         k = products.get(q)
@@ -228,17 +228,12 @@ def _hom_boundary(x: ProjComplex, y: ProjComplex, n: int, src, tgt,
         for a2, drow in enumerate(x.diffs.get(i - 1, ())):
             t = tgt_blocks.get((i - 1, a2, b))
             for idx, coeff in drow[a].items() if t is not None else ():
-                if sign * coeff % p and basis[idx].target == x.degrees[i - 1][a2]:
+                if sign * coeff % p:
                     for col, q in enumerate(paths, off):
                         k = mul[q].get(idx)
                         if k is not None:
                             rows[t[0] + slot[k]][col] = sign * coeff % p
     return rows
-
-
-def _check_same_algebra(x: ProjComplex, y: ProjComplex):
-    if x.algebra is not y.algebra:
-        raise AlgebraMismatch("complexes live over different algebras")
 
 
 def _hom_dims(x: ProjComplex, y: ProjComplex, lo: int, hi: int,
@@ -263,7 +258,6 @@ def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
               fld: PrimeField | None = None) -> int:
     """dim Hom(X, Y[n]) in the homotopy category of bounded complexes of
     projectives."""
-    _check_same_algebra(x, y)
     return _hom_dims(x, y, n, n, fld or PrimeField())[n]
 
 
@@ -431,7 +425,6 @@ def build_shiftgraph_from_complexes(reps: list[ProjComplex], window: int,
     normed = []
     ends = []
     for k, x in enumerate(reps):
-        _check_same_algebra(reps[0], x)
         errors = check_complex(x, fld.p)
         if errors:
             raise ValueError(f"invalid complex {x.name or k}: " + "; ".join(errors))
@@ -475,7 +468,6 @@ def build_shiftgraph_from_complexes(reps: list[ProjComplex], window: int,
 def are_isomorphic(x: ProjComplex, y: ProjComplex, fld: PrimeField) -> bool:
     """Iso test for indecomposable complexes: the composites X -> Y -> X
     span End(X)."""
-    _check_same_algebra(x, y)
     return _isomorphic(EndAlgebra(x, fld), y)
 
 

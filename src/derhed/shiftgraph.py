@@ -242,8 +242,8 @@ class ShiftGraph:
 
 
 class ValidationReport:
-    def __init__(self):
-        self.errors: list[str] = []
+    def __init__(self, errors: list[str] | None = None):
+        self.errors = errors or []
         self.warnings: list[str] = []
 
     @property
@@ -293,36 +293,42 @@ def _cone_witness_exists(g: ShiftGraph, residues, a: str, b: str, n: int) -> boo
     return False
 
 
-def validate(g: ShiftGraph) -> ValidationReport:
-    """Structural validation; cone-closure violations are
-    reported as warnings only when the graph claims to be genuine, since
-    windowing can hide the witness."""
-    rep = ValidationReport()
+def _structural_errors(g: ShiftGraph) -> list[str]:
+    """The errors of validate, without its cone-closure scan: the whole
+    check that the CLI gates an instance with."""
+    errors = []
     for o in g.orbits:
-        ident = [e for e in g.edges_between(o.id, o.id) if e.weight == 0]
-        if not ident:
-            rep.errors.append(f"missing identity: orbit {o.id} has no (X, X, 0) edge")
+        self_edges = g.edges_between(o.id, o.id)
+        if not any(e.weight == 0 for e in self_edges):
+            errors.append(f"missing identity: orbit {o.id} has no (X, X, 0) edge")
         if o.period is not None:
-            self_edges = g.edges_between(o.id, o.id)
             for w in (-o.period, o.period):
                 if not any(e.weight == w and e.all_iso for e in self_edges):
-                    rep.errors.append(
+                    errors.append(
                         f"periodicity closure: orbit {o.id} with period {o.period} "
                         f"lacks an all_iso edge at weight {w}")
     for (a, b), edges in g.homs.items():
         weights = [e.weight for e in edges]
         if len(set(weights)) != len(weights):
-            rep.errors.append(f"duplicate weights on hom edges {a} -> {b}")
+            errors.append(f"duplicate weights on hom edges {a} -> {b}")
         for e in edges:
             if e.all_iso and a != b:
-                rep.errors.append(
+                errors.append(
                     f"all_iso on cross-orbit edge {a} -> {b} (weight {e.weight})")
             if e.all_iso and a == b:
                 p = g.orbit(a).period
                 if (p is None and e.weight != 0) or (p is not None and e.weight % p != 0):
-                    rep.errors.append(
+                    errors.append(
                         f"all_iso edge {a} -> {a} at weight {e.weight} is not a "
                         f"multiple of the period")
+    return errors
+
+
+def validate(g: ShiftGraph) -> ValidationReport:
+    """Structural validation; cone-closure violations are
+    reported as warnings only when the graph claims to be genuine, since
+    windowing can hide the witness."""
+    rep = ValidationReport(_structural_errors(g))
     if g.genuine and rep.ok:
         residues = _cone_residues(g)
         for (a, b) in sorted(residues):

@@ -172,24 +172,6 @@ def directing_oracle(g) -> set:
             and not any(s in reach[x] and x in reach[s] for s in seeds)}
 
 
-def enumerate_hom_walks(g, x: str, max_steps: int):
-    """All hom-edge walks from x with at most max_steps steps, as
-    (endpoint, total weight, steps) tuples."""
-    out = []
-    frontier = [(x, 0)]
-    for step in range(1, max_steps + 1):
-        nxt = []
-        for (u, wt) in frontier:
-            for (a, b), edges in g.homs.items():
-                if a != u:
-                    continue
-                for e in edges:
-                    nxt.append((b, wt + e.weight))
-        out.extend((v, wt, step) for (v, wt) in nxt)
-        frontier = nxt
-    return out
-
-
 # -- monomial algebras: relation-free paths by the definition --
 
 

@@ -611,16 +611,27 @@ def test_reading_commands_refuse_what_validate_rejects(capsys, tmp_path, inst, f
         assert rep["error"]["type"] == "input" and first in rep["error"]["message"], cmd
 
 
-def test_cone_warnings_refuse_no_command(capsys, tmp_path):
+def test_cone_warnings_refuse_no_command(capsys, tmp_path, monkeypatch):
+    # the gate does not even look for the warnings: only validate runs the
+    # cone-closure scan
+    from derhed import shiftgraph
+
+    calls = []
+    scan = shiftgraph._cone_witness_exists
+    monkeypatch.setattr(shiftgraph, "_cone_witness_exists",
+                        lambda *a: calls.append(a) or scan(*a))
     inst = _instance([("A", None), ("B", None)], {**IDENTITIES, ("A", "B"): [(0, False)]})
     path, heart = tmp_path / "inst.json", tmp_path / "heart.json"
     path.write_text(json.dumps({**inst, "genuine": True}))
     heart.write_text(json.dumps({"offsets": {"A": 0, "B": 0}}))
     code, rep = run_cli(capsys, "validate", str(path))
     assert code == 0 and rep["report"]["ok"] and rep["report"]["warnings"]
+    assert calls
     for cmd, *args in READING_COMMANDS:
+        calls.clear()
         code, rep = run_cli(capsys, cmd, str(path), *(a.format(heart=heart) for a in args))
         assert code == 0 and "report" in rep, cmd
+        assert not calls, cmd
 
 
 def test_heart_subcommand(capsys, a2_files):
@@ -925,80 +936,12 @@ def test_console_script_entry_point(a2_files):
     assert rep["report"]["verdict"] == "hereditary"
 
 
-# Runs commands in one process and fails if derhed added any of the named
-# modules to sys.modules: validate and the walk commands, with "heart" also
-# check, heart and verify-heart, with "abelian" also gen an and gen
-# semisimple, and with "every" also each gen family and hom; "unwalked" runs
-# validate, gen an, gen semisimple, gen dual and hom alone.  The gen and hom
-# files live in the working directory.  The snapshot comes first, so a
-# module that a .pth file loads at startup does not count against derhed.
-PATH_ONLY_CHILD = """
-import contextlib, io, sys
-before = set(sys.modules)
-from derhed.cli import main
-inst, heart, commands, *forbidden = sys.argv[1:]
-walks = [["validate", inst], ["blocks", inst], ["dist", inst, "S1", "S2"],
-         ["path", inst, "S1@0", "S2@1"], ["classify", inst], ["directing", inst]]
-hearts = [["check", inst], ["heart", inst, "--from", "I"],
-          ["verify-heart", inst, "--heart", heart]]
-abelian = [["gen", "an", "--n", "3", "--orientation", "><", "--out", "an.json"],
-           ["gen", "semisimple", "--period", "2", "--out", "ss.json"]]
-homotopy = [["gen", "dual", "--max-length", "3", "--window", "1", "--out", "dual.json"],
-            ["hom", "alg.json", "p2.json", "p1.json", "--shift", "0"],
-            ["hom", "alg.json", "p1.json", "p2.json", "--shift", "1"]]
-a2 = [["gen", "a2", "--out", "a2.json", "--bad-heart-out", "bad.json"]]
-argvs = {"walks": walks, "heart": walks + hearts, "abelian": walks + abelian,
-         "every": walks + hearts + abelian + a2 + homotopy,
-         "unwalked": walks[:1] + abelian + homotopy}[commands]
-for argv in argvs:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0, argv
-added = sorted(set(forbidden) & (set(sys.modules) - before))
-assert not added, f"{commands} commands imported {added}"
-print("ok")
-"""
-
-
-def test_path_only_commands_never_import_numpy(a2_files, tmp_path):
-    # every command, gen and hom included: derhed has no numpy
-    write_a2_projectives(tmp_path)
-    proc = run_child("-c", PATH_ONLY_CHILD, *map(str, a2_files), "every",
-                     "numpy", "dataclasses", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
-
-
-def test_walk_commands_never_import_hereditary(a2_files):
-    # validate, blocks, dist, path, classify and directing run no heart code
-    proc = run_child("-c", PATH_ONLY_CHILD, *map(str, a2_files), "walks",
-                     "numpy", "dataclasses", "derhed.hereditary")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
-
-
-def test_abelian_gen_never_imports_the_homotopy_engine(a2_files, tmp_path):
-    # gen an and gen semisimple write their tables without the homotopy
-    # engine (complexes) or the heart layer (hereditary)
-    proc = run_child("-c", PATH_ONLY_CHILD, *map(str, a2_files), "abelian",
-                     "numpy", "dataclasses", "derhed.complexes", "derhed.hereditary",
-                     cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
-
-
-def test_unwalked_commands_never_import_paths(a2_files, tmp_path):
-    # validate, gen an, gen semisimple, gen dual and hom walk no path, so
-    # they never load the path engine
-    write_a2_projectives(tmp_path)
-    proc = run_child("-c", PATH_ONLY_CHILD, *map(str, a2_files), "unwalked",
-                     "numpy", "dataclasses", "derhed.paths", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
-
-
 # Each command's argv, run with the files of a2_files and
 # write_a2_projectives in the working directory, and the derhed modules
-# besides the package that it leaves in sys.modules, exactly.
+# besides the package that it leaves in sys.modules, exactly.  So the walk
+# commands load no heart code (hereditary), gen an and gen semisimple no
+# homotopy engine (complexes), and the commands that walk no path never
+# load the path engine (paths).
 WALK = "cli shiftgraph paths"
 GEN = "algebra_cli cli generators linalg quiver shiftgraph"
 COMMAND_MODULES = {
@@ -1019,11 +962,16 @@ COMMAND_MODULES = {
             "algebra_cli cli complexes linalg quiver shiftgraph"),
 }
 
+# The snapshot comes first, so a module that a .pth file loads at startup
+# does not count against derhed, which loads neither numpy nor dataclasses.
 MODULES_CHILD = """
 import contextlib, io, sys
+before = set(sys.modules)
 from derhed.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(sys.argv[1:]) == 0, sys.argv
+heavy = sorted({"numpy", "dataclasses"} & (set(sys.modules) - before))
+assert not heavy, f"{sys.argv[1:]} imported {heavy}"
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "derhed")))
 """
 
