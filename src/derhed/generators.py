@@ -1,15 +1,16 @@
 """Trusted generators of genuine shift-graph instances.
 
 The abelian route knits the mesh category of ZQ for an A_n quiver Q (any
-orientation): the hammocks of its vertices give the indecomposable
-modules with their Hom and Ext^1 dimensions exactly, with no linear
-algebra, and expand_hereditary expands the tables to the derived-category
-shift-graph.  The GF(p) Hom systems of quiver.Representation are the
-tests' check on it.  The homotopy route builds perfect complexes over a
-monomial algebra and measures homs in the homotopy category; the dual
-numbers are its canonical non-hereditary instance.  Its functions import
-complexes when called, and gen_example_a2 imports hereditary for its
-Heart, so the abelian route loads neither.
+orientation).  One knitting of vectors gives the hammocks of all its
+vertices, and at a module the vector is its dimension vector.  The
+hammocks give the indecomposable modules with their Hom and Ext^1
+dimensions exactly, with no linear algebra, and expand_hereditary expands
+the tables to the derived-category shift-graph.  The GF(p) Hom systems of
+quiver.Representation are the tests' check on it.  The homotopy route
+builds perfect complexes over a monomial algebra and measures homs in the
+homotopy category; the dual numbers are its canonical non-hereditary
+instance.  Its functions import complexes when called, and gen_example_a2
+imports hereditary for its Heart, so the abelian route loads neither.
 """
 
 from __future__ import annotations
@@ -43,19 +44,24 @@ def _an_quiver(n: int, orientation: str) -> Quiver:
 
 
 def _knit(quiver: Quiver) -> dict[str, dict[tuple[str, int], int]]:
-    """The hammock of each vertex of a Dynkin quiver Q, knitted on ZQ^op
-    with no linear algebra (Ringel 1984, LNM 1099).
+    """The hammock of each vertex of a Dynkin quiver Q, all from one
+    knitting on ZQ^op with no linear algebra (Ringel 1984, LNM 1099).
 
     D^b(kQ) is the mesh category of ZQ (Happel 1987), written here as
     ZQ^op: an arrow s -> t of Q gives arrows (t, k) -> (s, k) and
     (s, k) -> (t, k + 1), tau (v, k) = (v, k - 1), and P_v = (v, 0).  The
     hammock of i maps each (j, k) with h_i(j, k) = dim Hom(P_i, (j, k)) != 0
-    to that dimension.  It is knitted one slice k at a time by h(z) =
-    max(0, sum_{y -> z} h(y) - h(tau z)), each slice ordered so that every
-    arrow's target comes before its source, and it ends at the first zero
-    slice.  Its keys come in slice order, so its last key is its sink S P_i,
-    the last nonzero entry of its last slice.  tau is an automorphism of ZQ,
-    so Hom((i, k), (j, l)) = h_i(j, l - k) for every pair of objects.
+    to that dimension.  Each object z carries the vector (h_i(z))_i over
+    the vertices i of Q, which at a module M is its dimension vector, as
+    dim Hom(P_i, M) = dim M_i.  The vectors are knitted one slice k at a
+    time, coordinate by coordinate, by h(z) = max(0, sum_{y -> z} h(y) -
+    h(tau z)) with the 1 of P_i at (i, 0), each slice ordered so that every
+    arrow's target comes before its source.  A coordinate that reaches a
+    zero slice stays zero, and the knitting ends at the first slice that is
+    zero in every coordinate.  Each hammock's keys come in slice order, so
+    its last key is its sink S P_i, the last nonzero entry of its last
+    slice.  tau is an automorphism of ZQ, so Hom((i, k), (j, l)) =
+    h_i(j, l - k) for every pair of objects.
 
     RuntimeError unless every support has exactly one sink, or when a
     value exceeds 6, the largest coefficient of a positive root: on any
@@ -68,31 +74,48 @@ def _knit(quiver: Quiver) -> dict[str, dict[tuple[str, int], int]]:
         into[a.target].append(a.source)
     # the slice order: Q's sinks first, then each vertex once its targets are in
     order = list(TopologicalSorter(out_of).static_order())
-    hammocks = {}
-    for i in quiver.vertices:
-        h: dict[tuple[str, int], int] = {}
-        k, prev = 0, dict.fromkeys(order, 0)
-        while True:
-            cur: dict[str, int] = {}
-            for v in order:
-                # into (v, k): (t, k) for v -> t and (s, k - 1) for s -> v
-                cur[v] = 1 if (v, k) == (i, 0) else max(
-                    0, sum(cur[t] for t in out_of[v])
-                    + sum(prev[s] for s in into[v]) - prev[v])
-            if not any(cur.values()):
-                break
-            if max(cur.values()) > 6:
-                raise RuntimeError(f"the hammock of {i} does not end: Q is not Dynkin")
-            h.update(((v, k), x) for v, x in cur.items() if x)
-            k, prev = k + 1, cur
-        # out of (v, k): (s, k) for s -> v and (t, k + 1) for v -> t
-        sinks = [(v, k) for v, k in h
-                 if not any((s, k) in h for s in into[v])
-                 and not any((t, k + 1) in h for t in out_of[v])]
-        if len(sinks) != 1:
-            raise RuntimeError(f"the hammock of {i} has {len(sinks)} sinks")
-        hammocks[i] = h
-    return hammocks
+    vertices = quiver.vertices
+    index = {v: i for i, v in enumerate(vertices)}
+    zero = (0,) * len(vertices)
+    hammocks: list[dict[tuple[str, int], int]] = [{} for _ in vertices]
+    sinks = [0] * len(vertices)
+    k, prev = 0, dict.fromkeys(order, zero)
+    while True:
+        cur: dict[str, tuple[int, ...]] = {}
+        for v in order:
+            # the sum of the middle terms of the mesh from (v, k - 1) to
+            # (v, k): (t, k) for v -> t and (s, k - 1) for s -> v, the arrows
+            # out of (v, k - 1) and into (v, k)
+            mid = list(map(sum, zip(zero, *[cur[t] for t in out_of[v]],
+                                    *[prev[s] for s in into[v]])))
+            last = prev[v]
+            # (v, k - 1) is a sink of each hammock that holds it but none of
+            # its middle terms
+            if 0 in mid and any(last):
+                for i, (x, m) in enumerate(zip(last, mid)):
+                    if x and not m:
+                        sinks[i] += 1
+            vec = [m - x if m > x else 0 for m, x in zip(mid, last)]
+            if not k:
+                vec[index[v]] = 1
+            cur[v] = tuple(vec)
+        top = max(map(max, cur.values()), default=0)
+        if not top:
+            break
+        if top > 6:
+            i = next(i for i, col in zip(vertices, zip(*cur.values())) if max(col) > 6)
+            raise RuntimeError(f"the hammock of {i} does not end: Q is not Dynkin")
+        for v in order:
+            if any(vec := cur[v]):
+                z = (v, k)
+                for h, x in zip(hammocks, vec):
+                    if x:
+                        h[z] = x
+        k, prev = k + 1, cur
+    for i, count in zip(vertices, sinks):
+        if count != 1:
+            raise RuntimeError(f"the hammock of {i} has {count} sinks")
+    return dict(zip(vertices, hammocks))
 
 
 class AbelianData(NamedTuple):

@@ -163,7 +163,8 @@ class ShiftGraph:
         parsed form.  The text is json.dumps(self.to_dict(), indent=2,
         sort_keys=True), written out field by field: with indent set, json
         drops its C encoder for the pure-Python one.  Strings go through
-        the C escaper that json.dumps itself uses."""
+        the C escaper that json.dumps itself uses.  Each distinct edge list
+        is written once: pairs with equal lists share its text."""
         q = encode_basestring_ascii
         orbits = [
             f'    {{\n      "end_dim": {o.end_dim},\n      "id": {q(o.id)},\n'
@@ -171,12 +172,15 @@ class ShiftGraph:
             for o in sorted(self.orbits, key=lambda o: o.id)
         ]
         homs = []
+        written: dict[tuple[HomEdge, ...], str] = {}
         for (a, b) in sorted(self.homs):
-            edges = _json_array([
-                f'        {{\n          "all_iso": {_JSON_BOOL[iso]},\n'
-                f'          "dim": {dim},\n          "weight": {w}\n        }}'
-                for w, dim, iso in self.homs[(a, b)]
-            ], "      ")
+            hom = self.homs[(a, b)]
+            if (edges := written.get(hom)) is None:
+                edges = written[hom] = _json_array([
+                    f'        {{\n          "all_iso": {_JSON_BOOL[iso]},\n'
+                    f'          "dim": {dim},\n          "weight": {w}\n        }}'
+                    for w, dim, iso in hom
+                ], "      ")
             homs.append(f'    {{\n      "edges": {edges},\n      "from": {q(a)},\n'
                         f'      "to": {q(b)}\n    }}')
         return (f'{{\n  "field_char": {self.field_char},\n'

@@ -93,6 +93,7 @@ def test_knitting_beyond_an(kind, n, roots, seed):
     [("a1", "1", "c"), ("a2", "2", "c"), ("a3", "3", "c"), ("a4", "4", "c")],  # D~4
     [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "c"), ("d", "1", "c")],  # A~3
     [("a", "1", "c"), ("b", "1", "c")],  # the Kronecker quiver
+    [("a", "1", "2"), ("b", "3", "4"), ("c", "3", "4")],  # A_2 beside the Kronecker quiver
 ])
 def test_knitting_refuses_a_non_dynkin_quiver(arrows):
     # the preprojective dimension vectors grow without bound, so the
@@ -101,6 +102,20 @@ def test_knitting_refuses_a_non_dynkin_quiver(arrows):
     q = Quiver(tuple(sorted({v for a in arrows for v in a[1:]})), arrows)
     with pytest.raises(RuntimeError, match="Q is not Dynkin"):
         _knit(q)
+
+
+def test_knitting_a_disconnected_quiver():
+    # A_2's coordinates end at slice 1, while linear A_3's P_3 goes on to
+    # slice 2; each hammock is the one its component knits alone
+    a2 = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+    a3 = Quiver(("3", "4", "5"), (Arrow("b", "3", "4"), Arrow("c", "4", "5")))
+    apart = {**_knit(a2), **_knit(a3)}
+    union = _knit(Quiver(a2.vertices + a3.vertices, a2.arrows + a3.arrows))
+    assert list(union) == list(apart)
+    assert [list(h.items()) for h in union.values()] == [
+        list(h.items()) for h in apart.values()]
+    last = {i: max(k for _, k in h) for i, h in union.items()}
+    assert max(last["1"], last["2"]) < last["3"]
 
 
 def test_an_linear_matches_formulas():

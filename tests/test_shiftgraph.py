@@ -234,6 +234,17 @@ def shift_graphs(draw):
 @example(ShiftGraph("", [], {}))
 @example(ShiftGraph('q"\\[]é', [Orbit('a"\\[', 2), Orbit("ü]")],
                     {('a"\\[', "ü]"): ()}))
+# pairs that share one edge list: equal lists that are distinct objects, the
+# empty list twice, and lists that differ only in all_iso
+@example(ShiftGraph("shared", [Orbit("A"), Orbit("B")],
+                    {("A", "B"): (HomEdge(0, 2), HomEdge(1, 1)),
+                     ("B", "A"): (HomEdge(0, 2), HomEdge(1, 1)),
+                     ("B", "B"): (HomEdge(0, 2), HomEdge(1, 1))}))
+@example(ShiftGraph("empty", [Orbit("A"), Orbit("B")],
+                    {("A", "B"): (), ("B", "A"): (), ("A", "A"): (HomEdge(0, 1, True),)}))
+@example(ShiftGraph("iso", [Orbit("A"), Orbit("B")],
+                    {("A", "A"): (HomEdge(0, 1, True),), ("A", "B"): (HomEdge(0, 1, False),),
+                     ("B", "A"): (HomEdge(0, 1, True),), ("B", "B"): (HomEdge(0, 1, False),)}))
 def test_to_json_is_json_dumps(g):
     assert_json_is_dumps(g)
 
