@@ -26,10 +26,12 @@ built and ranked once) and one EndAlgebra per complex, and runs the
 exact isomorphism test only where an exact dimension filter allows an
 isomorphism.
 
-EndAlgebra builds the multiplication table of End(X) once: it composes
-every ordered pair of basis chain maps and expresses all dim**2
-composites in the End basis with one stacked solve.  The radical (trace
-form) and the locality test read their matrices off that table.
+EndAlgebra eliminates once: one echelon of the degree-0 cycles, built
+from the images of d_(-1) and then the cycles it does not yet reach,
+gives the End basis (those last rows) and reduces every composite of two
+basis chain maps to End coordinates, which fill the multiplication table.
+The radical (trace form) is read off that table, and the locality test
+reduces it modulo the radical and works in the semisimple quotient.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import operator
 from typing import Optional
 
-from .linalg import FieldTooSmall, PrimeField
+from .linalg import FieldTooSmall, PrimeField, _eliminate, _subtract
 from .quiver import MonomialAlgebra
 from .shiftgraph import HomEdge, Orbit, ShiftGraph
 
@@ -261,39 +263,60 @@ def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
     return _hom_dims(x, y, n, n, fld or PrimeField())[n]
 
 
-def _hom_reps(x: ProjComplex, y: ProjComplex, fld: PrimeField):
-    """Hom-space data in degree 0: (the blocks of the degree-0 maps, chain
-    maps whose classes form a basis of Hom_K(X, Y), the sparse rows of
-    the boundary d_(-1), one per coordinate, and its column count)."""
+def _reduce(row: dict[int, int], echelon: dict[int, dict[int, int]],
+            p: int) -> dict[int, int]:
+    """Reduce the sparse row in place at its least column against the
+    echelon row there (pivot 1) until it is zero or meets no pivot, and
+    give the coefficient taken at each pivot column."""
+    coeffs = {}
+    while row and (pivot := echelon.get(c := min(row))) is not None:
+        coeffs[c] = f = row[c]
+        _subtract(row, f, pivot, p)
+    return coeffs
+
+
+def _hom_basis(x: ProjComplex, y: ProjComplex, fld: PrimeField):
+    """(The blocks of the degree-0 maps X -> Y, an echelon {pivot column:
+    row} of the cycles of the hom complex in degree 0, and its rows off the
+    boundaries, sparse chain maps whose classes form a basis of
+    Hom_K(X, Y)).  The echelon starts from the images of the degree -1
+    coordinates under d_(-1), which span the boundaries, and each cycle of
+    d_0 it does not yet reach opens a pivot: those rows are the basis."""
+    p = fld.p
     prev, src, nxt = (_hom_blocks(x, y, m) for m in (-1, 0, 1))
-    z = fld.nullspace(_hom_boundary(x, y, 0, src, nxt, fld.p), src[1])
-    bmat, nb = _hom_boundary(x, y, -1, prev, src, fld.p), prev[1]
-    _, pivots = fld.rref(_beside(bmat, nb, z))
-    return src, [z[c - nb] for c in pivots if c >= nb], bmat, nb
-
-
-def _beside(m: list[dict[int, int]], cols: int, vectors: list[list[int]]) -> list[dict]:
-    """The sparse rows m with the vectors appended as columns cols, cols + 1, ..."""
-    return [{**row, **{cols + j: v[i] for j, v in enumerate(vectors) if v[i]}}
-            for i, row in enumerate(m)]
+    images: list[dict[int, int]] = [{} for _ in range(prev[1])]
+    for t, row in enumerate(_hom_boundary(x, y, -1, prev, src, p)):
+        for s, v in row.items():
+            images[s][t] = v
+    echelon, reps = _eliminate(images, p), []
+    for z in fld.nullspace(_hom_boundary(x, y, 0, src, nxt, p), src[1]):
+        row = {c: v for c, v in enumerate(z) if v}
+        _reduce(row, echelon, p)
+        if row:
+            inv = pow(row[c := min(row)], -1, p)
+            echelon[c] = {k: v * inv % p for k, v in row.items()}
+            reps.append(echelon[c])
+    return src, echelon, reps
 
 
 def _compose_coords(alg: MonomialAlgebra, fld: PrimeField,
-                    f: list[int], f_blocks, g: list[int], g_blocks, out) -> list[int]:
+                    f: dict[int, int], f_blocks, g: dict[int, int], g_blocks,
+                    out) -> dict[int, int]:
     """Coordinates on the blocks `out` of the composite (first f, then g)
-    of degree-0 graded maps X -> Y -> Z given on f_blocks and g_blocks:
-    block (i, a, b) of f meets blocks (i, b, c) of g in block (i, a, c)."""
-    p, slot, vec = fld.p, alg._slot, [0] * out[1]
+    of degree-0 graded maps X -> Y -> Z given sparsely on f_blocks and
+    g_blocks: block (i, a, b) of f meets blocks (i, b, c) of g in block
+    (i, a, c)."""
+    p, slot, vec = fld.p, alg._slot, {}
     g_from: dict[tuple[int, int], list] = {}
     for (i, b, c), (off, paths) in g_blocks[0].items():
         g_from.setdefault((i, b), []).append(
-            (c, {r: g[col] % p for col, r in enumerate(paths, off) if g[col] % p}))
+            (c, {r: g[col] for col, r in enumerate(paths, off) if col in g}))
     for (i, a, b), (off, paths) in f_blocks[0].items():
-        fe = {q: f[col] % p for col, q in enumerate(paths, off) if f[col] % p}
-        for c, ge in g_from.get((i, b), ()):
+        fe = {q: f[col] for col, q in enumerate(paths, off) if col in f}
+        for c, ge in g_from.get((i, b), ()) if fe else ():
             for idx, coeff in _compose(alg, fe, ge, p).items():
                 k = out[0][i, a, c][0] + slot[idx]
-                vec[k] = (vec[k] + coeff) % p
+                vec[k] = (vec.get(k, 0) + coeff) % p
     return vec
 
 
@@ -301,30 +324,35 @@ class EndAlgebra:
     """The endomorphism algebra of a complex in the homotopy category,
     with enough structure to compute its radical and to decide whether it
     is local.  An element of End is a vector of coordinates in the basis
-    `reps`."""
+    `reps`, sparse chain maps that extend an echelon of the boundaries to
+    one of the cycles (_hom_basis); that one echelon serves every
+    to_quotient."""
 
     def __init__(self, x: ProjComplex, fld: PrimeField):
         self.x = x
         self.fld = fld
-        self.blocks, self.reps, bmat, self._nb = _hom_reps(x, x, fld)
-        # reps: a basis b_0, ..., b_(dim-1) of End, as cycles in ambient coordinates
+        self.blocks, self._echelon, self.reps = _hom_basis(x, x, fld)
         self.dim = len(self.reps)
-        self._solve_basis = _beside(bmat, self._nb, self.reps)
+        self._cols = [min(r) for r in self.reps]  # each rep's pivot column
         self._struct: dict[tuple[int, int], list[int]] | None = None
         self._rad: list[list[int]] | None = None
 
-    def to_quotient(self, ambient: list[list[int]]) -> list[list[int]]:
-        """Express each of a list of ambient cycle vectors in the End
-        basis, modulo boundaries."""
-        sol = self.fld.solve(self._solve_basis, ambient, self._nb + self.dim)
-        if sol is None:
-            raise RuntimeError("vector not a cycle modulo boundaries")
-        return [v[self._nb:] for v in sol]
+    def to_quotient(self, ambient: list[dict[int, int]]) -> list[list[int]]:
+        """Express each of a list of sparse ambient cycle vectors in the
+        End basis, modulo boundaries: each is reduced against the echelon,
+        and its coefficients on the rows of reps are its coordinates.
+        RuntimeError when one leaves a remainder."""
+        p, out = self.fld.p, []
+        for v in ambient:
+            row = {c: y for c, e in v.items() if (y := e % p)}
+            coeffs = _reduce(row, self._echelon, p)
+            if row:
+                raise RuntimeError("vector not a cycle modulo boundaries")
+            out.append([coeffs.get(c, 0) for c in self._cols])
+        return out
 
     def structure(self) -> dict[tuple[int, int], list[int]]:
-        """{(i, j): b_i o b_j (apply b_j first)} in End coordinates.  All
-        dim**2 composites of basis maps go to to_quotient as one stacked
-        solve."""
+        """{(i, j): b_i o b_j (apply b_j first)} in End coordinates."""
         if self._struct is None:
             pairs = [(i, j) for i in range(self.dim) for j in range(self.dim)]
             comps = [_compose_coords(self.x.algebra, self.fld, self.reps[j], self.blocks,
@@ -353,38 +381,39 @@ class EndAlgebra:
         return self._rad
 
     def is_local(self) -> bool:
-        """Whether End is local: E/J, J the radical, is a division ring.
-        Over the prime field, E/J must be commutative with exactly one field
-        factor (the zero algebra has none).  The unit vectors off the pivots
-        of rref(J) span E modulo J, so E/J is commutative iff their
-        commutators lie in J; then x -> x^p - x is linear on E/J, and its
-        kernel, of dim - rank(J + [u^p - u for those unit vectors u]), has
-        one dimension per field factor."""
-        fld, n = self.fld, self.dim
-        rad = self.radical()
-        st = self.structure()
-        units = sorted(set(range(n)).difference(fld.rref(rad)[1]))
-        comms = [[x - y for x, y in zip(st[(i, j)], st[(j, i)])]
-                 for i in units for j in units if i < j]
-        if fld.rank(rad + comms) > len(rad):
+        """Whether End is local: E/J, J the radical, is a division ring,
+        so by Wedderburn's little theorem a field.  The classes of the
+        basis vectors b_u off the pivots of an echelon of J form a basis
+        u_0, ..., u_(k-1) of E/J, k = dim - dim J, and the structure table
+        reduced modulo J is E/J's.  E/J must be commutative; then x ->
+        x^p - x is linear on it, and its kernel has one dimension per field
+        factor (the zero algebra has none): k - rank[u_i^p - u_i], each
+        p-th power by square-and-multiply on E/J's structure constants."""
+        p = self.fld.p
+        jrows, jcols = self.fld.rref(self.radical())  # zero at the other pivots
+        units = [u for u in range(self.dim) if u not in jcols]
+        st, k = self.structure(), len(units)
+
+        def modulo_j(v: list[int]) -> list[int]:  # v less its part in J, at the units
+            return [(v[u] - sum(v[c] * r[u] for c, r in zip(jcols, jrows))) % p for u in units]
+
+        q = [[modulo_j(st[(i, j)]) for j in units] for i in units]
+        if any(q[i][j] != q[j][i] for i in range(k) for j in range(i)):
             return False  # noncommutative semisimple quotient
-        # left multiplication by b_i has columns st[(i, l)], so b_i^p is
-        # row i of the (p - 1)-th power of its transpose
+
+        def mul(a: list[int], b: list[int]) -> list[int]:
+            return [sum(x * y * q[i][j][l] for i, x in enumerate(a) if x
+                        for j, y in enumerate(b)) % p for l in range(k)]
+
         frob = []
-        for i in units:
-            power = _matpow_mod([st[(i, l)] for l in range(n)], fld.p - 1, fld)
-            frob.append([x - (k == i) for k, x in enumerate(power[i])])
-        return n - fld.rank(rad + frob) == 1
-
-
-def _matpow_mod(m: list[list[int]], e: int, fld: PrimeField) -> list[list[int]]:
-    out = fld.identity(len(m))
-    while e:
-        if e & 1:
-            out = fld.matmul(out, m)
-        m = fld.matmul(m, m)
-        e >>= 1
-    return out
+        for i in range(k):
+            unit = power = [int(j == i) for j in range(k)]
+            for bit in bin(p)[3:]:  # the bits of p after the leading 1
+                power = mul(power, power)
+                if bit == "1":
+                    power = mul(power, unit)
+            frob.append([x - (j == i) for j, x in enumerate(power)])
+        return k - self.fld.rank(frob) == 1
 
 
 def is_indecomposable(x: ProjComplex, fld: PrimeField | None = None) -> bool:
@@ -475,13 +504,13 @@ def _isomorphic(end: EndAlgebra, y: ProjComplex) -> bool:
     """Whether X = end.x, whose End is local, is a summand of Y, so
     X = Y for an indecomposable Y.  The composites X -> Y -> X span a
     two-sided ideal of End(X), which is all of End(X) exactly when it
-    holds a unit, that is when X is a summand of Y.  All composites of
-    basis maps go to to_quotient as one stacked solve, and one rank says
-    whether they span End(X); no radical is needed.  No composite
-    (Hom(X, Y) or Hom(Y, X) is 0) answers False."""
+    holds a unit, that is when X is a summand of Y.  Every composite of
+    basis maps goes to to_quotient, and one rank says whether they span
+    End(X); no radical is needed.  No composite (Hom(X, Y) or Hom(Y, X)
+    is 0) answers False."""
     x, fld = end.x, end.fld
-    f_blocks, f_reps, *_ = _hom_reps(x, y, fld)
-    g_blocks, g_reps, *_ = _hom_reps(y, x, fld)
+    f_blocks, _, f_reps = _hom_basis(x, y, fld)
+    g_blocks, _, g_reps = _hom_basis(y, x, fld)
     comps = [_compose_coords(x.algebra, fld, f, f_blocks, g, g_blocks, end.blocks)
              for f in f_reps for g in g_reps]
     return bool(comps) and fld.rank(end.to_quotient(comps)) == end.dim

@@ -172,10 +172,12 @@ def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,
     fld = fld or PrimeField()
     q = _an_quiver(n, orientation)
     hammock = _knit(q)
-    modules = dict.fromkeys(z for v in q.vertices for z in hammock[v])
+    modules: dict[tuple[str, int], list[int]] = {}  # M -> dim M, in hammock order
+    for i, v in enumerate(q.vertices):
+        for z, x in hammock[v].items():
+            modules.setdefault(z, [0] * n)[i] = x
     at: dict[tuple[int, int], tuple[str, int]] = {}
-    for z in modules:
-        dim = [hammock[v].get(z, 0) for v in q.vertices]
+    for z, dim in modules.items():
         ones = [i for i, d in enumerate(dim, 1) if d == 1]
         if len(ones) == sum(dim) == ones[-1] - ones[0] + 1:
             at[(ones[0], ones[-1])] = z

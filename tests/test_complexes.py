@@ -1,3 +1,7 @@
+import itertools
+import random
+
+import numpy as np
 import pytest
 
 from derhed.complexes import (AlgebraMismatch, EndAlgebra, FieldTooSmall,
@@ -11,7 +15,7 @@ from derhed.generators import (a2_projective_resolutions,
 from derhed.linalg import PrimeField
 from derhed.quiver import Arrow, MonomialAlgebra, Quiver
 
-from oracles import cartan, hom_oracle, k0_class
+from oracles import cartan, hom_oracle, k0_class, rank_oracle
 
 
 @pytest.fixture(scope="module")
@@ -489,8 +493,8 @@ def test_are_isomorphic(dual, fld):
 
 def test_structure_table_of_noncommutative_end(fld):
     """End(P_1 + P_2) over A_2 is the 3-dimensional upper triangular
-    algebra.  The stacked solve must give, for every pair, the product
-    b_i o b_j (b_j applied first) that a solve per pair gives."""
+    algebra.  The table must give, for every pair, the product b_i o b_j
+    (b_j applied first) that to_quotient of that one composite gives."""
     alg, _ = a2_projective_resolutions()
     end = EndAlgebra(ProjComplex(alg, {0: ["1", "2"]}), fld)
     assert end.dim == 3
@@ -504,6 +508,127 @@ def test_structure_table_of_noncommutative_end(fld):
     rad = end.radical()
     assert len(rad) == 1 and len(rad[0]) == 3
     assert not end.is_local()
+
+
+def one_vertex_loop(relation_length):
+    """k<a>/(a^relation_length): one vertex, one loop, one monomial relation."""
+    q = Quiver(("v",), (Arrow("a", "v", "v"),))
+    return MonomialAlgebra(q, [("a",) * relation_length])
+
+
+def no_arrows(n):
+    return MonomialAlgebra(Quiver(tuple(str(v) for v in range(1, n + 1)), ()), [])
+
+
+# name -> (the complex, dim End, dim J, whether End is local)
+END_CASES = {
+    **{f"C{l}": (lambda l=l: dual_numbers_chain(dual_numbers_algebra(), l), 2, 1, True)
+       for l in (1, 2, 3, 4)},
+    "P over k[a]/(a^3)": (lambda: ProjComplex(one_vertex_loop(3), {0: ["v"]}), 3, 2, True),
+    **{f"A2 {x.name}": (lambda x=x: x, 1, 0, True) for x in a2_projective_resolutions()[1]},
+    # upper triangular: E/J = k x k
+    "P1+P2 over A2": (lambda: ProjComplex(a2_projective_resolutions()[0], {0: ["1", "2"]}),
+                      3, 1, False),
+    # M_2(k): E/J is not commutative
+    "P1+P1, no arrow": (lambda: ProjComplex(no_arrows(1), {0: ["1", "1"]}), 4, 0, False),
+    # k x k: the Frobenius kernel has dimension 2
+    "P1+P2, no arrow": (lambda: ProjComplex(no_arrows(2), {0: ["1", "2"]}), 2, 0, False),
+}
+
+
+def brute_force_local(end, p):
+    """Whether every element x of End is a unit (L_x of full rank) or
+    nilpotent (L_x^dim = 0), L_x its left multiplication."""
+    st, n = end.structure(), end.dim
+    left = [np.array([[st[(i, l)][k] for l in range(n)] for k in range(n)], dtype=object)
+            for i in range(n)]
+    for x in itertools.product(range(p), repeat=n):
+        lx = sum(c * m for c, m in zip(x, left)) % p
+        power = np.identity(n, dtype=object)
+        for _ in range(n):
+            power = power.dot(lx) % p
+        if rank_oracle(lx, p) < n and power.any():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("case", END_CASES)
+def test_is_local_matches_brute_force(case):
+    """At p = 5 every element of End can be listed: End is local exactly
+    when each one is a unit or nilpotent."""
+    make, dim, rad_dim, local = END_CASES[case]
+    end = EndAlgebra(make(), PrimeField(5))
+    assert (end.dim, len(end.radical())) == (dim, rad_dim)
+    assert end.is_local() == brute_force_local(end, 5) == local
+
+
+def test_noncommutative_quotient_is_not_local():
+    """End(P1 + P1) = M_2(k) read in the basis 1, E12, E21, X = E11 + E12 +
+    E21: there x -> x^p - x, not additive on M_2(k), sends the basis to a
+    rank 3 family, one short of dim, so only the commutator check tells
+    this E/J from a field."""
+    p = 5
+    end = EndAlgebra(ProjComplex(no_arrows(1), {0: ["1", "1"]}), PrimeField(p))
+    basis = [np.array(m, dtype=object)
+             for m in ([[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [1, 0]])]
+    coords = {tuple((sum(c * m for c, m in zip(x, basis)) % p).flat): list(x)
+              for x in itertools.product(range(p), repeat=4)}
+    end._struct = {(i, j): coords[tuple((basis[i].dot(basis[j]) % p).flat)]
+                   for i in range(4) for j in range(4)}
+    frob = [coords[tuple(((np.linalg.matrix_power(m, p) - m) % p).flat)] for m in basis]
+    assert rank_oracle(np.array(frob), p) == 3 and end.radical() == []
+    assert not end.is_local() and not brute_force_local(end, p)
+
+
+def test_zero_complex_is_not_local(dual):
+    """The zero algebra has no field factor; listing its one element would
+    call it local."""
+    end = EndAlgebra(ProjComplex(dual, {}), PrimeField(5))
+    assert end.dim == 0 and not end.is_local()
+
+
+def test_end_algebra_makes_no_solve_and_no_matrix_power(monkeypatch, dual, fld):
+    """One echelon serves the End basis and every to_quotient, and the
+    p-th powers are taken in E/J, not as dense matrix powers."""
+    calls = []
+    for name in ("solve", "matmul"):
+        real = getattr(PrimeField, name)
+        monkeypatch.setattr(PrimeField, name,
+                            lambda self, *args, _n=name, _f=real: calls.append(_n) or _f(self, *args))
+    end = EndAlgebra(dual_numbers_chain(dual, 5), fld)
+    end.structure()
+    end.radical()
+    assert end.is_local() and calls == []
+
+
+def round_trip_complexes():
+    dual = dual_numbers_algebra()
+    xs = a2_projective_resolutions()[1]
+    return ([dual_numbers_chain(dual, l) for l in (1, 2, 3, 4)]
+            + [direct_sum(xs[i], shift_complex(xs[j], k, 7), f"{xs[i].name}+{xs[j].name}[{k}]")
+               for i, j, k in SUM_PLAN])
+
+
+@pytest.mark.parametrize("x", round_trip_complexes(), ids=lambda x: x.name or "C")
+def test_to_quotient_round_trip(x):
+    """sum a_i rep_i plus the image of a random degree -1 map has End
+    coordinates a; adding a vector that is not a cycle raises."""
+    fld, rng = PrimeField(7), random.Random(x.name)
+    end = EndAlgebra(x, fld)
+    prev, src, nxt = (_hom_blocks(x, x, m) for m in (-1, 0, 1))
+    d_prev = _hom_boundary(x, x, -1, prev, src, fld.p)
+    d_0 = _hom_boundary(x, x, 0, src, nxt, fld.p)
+    for _ in range(5):
+        alpha = [rng.randrange(fld.p) for _ in range(end.dim)]
+        h = [rng.randrange(fld.p) for _ in range(prev[1])]
+        v = {t: sum(h[s] * c for s, c in row.items()) for t, row in enumerate(d_prev)}
+        for a, rep in zip(alpha, end.reps):
+            for c, e in rep.items():
+                v[c] = v.get(c, 0) + a * e
+        assert end.to_quotient([v]) == [alpha]
+        for c in sorted({c for row in d_0 for c in row}):  # e_c is not a cycle
+            with pytest.raises(RuntimeError, match="not a cycle"):
+                end.to_quotient([{**v, c: v.get(c, 0) + 1}])
 
 
 def test_are_isomorphic_with_empty_radical(fld):
