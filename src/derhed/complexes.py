@@ -27,9 +27,11 @@ exact isomorphism test only where an exact dimension filter allows an
 isomorphism.
 
 EndAlgebra eliminates once: one echelon of the degree-0 cycles, built
-from the images of d_(-1) and then the cycles it does not yet reach,
-gives the End basis (those last rows) and reduces every composite of two
-basis chain maps to End coordinates, which fill the multiplication table.
+from the images of d_(-1) and then extended by the cycles it does not yet
+reach (linalg._eliminate, given the first echelon as `pivots`), gives the
+End basis (the rows the cycles added), and linalg._reduce reduces every
+composite of two basis chain maps against it to End coordinates, which
+fill the multiplication table.
 The radical (trace form) is read off that table, and the locality test
 reduces it modulo the radical and works in the semisimple quotient.
 """
@@ -39,7 +41,7 @@ from __future__ import annotations
 import operator
 from typing import Optional
 
-from .linalg import FieldTooSmall, PrimeField, _eliminate, _subtract
+from .linalg import FieldTooSmall, PrimeField, _eliminate, _reduce
 from .quiver import MonomialAlgebra
 from .shiftgraph import HomEdge, Orbit, ShiftGraph
 
@@ -263,50 +265,34 @@ def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
     return _hom_dims(x, y, n, n, fld or PrimeField())[n]
 
 
-def _reduce(row: dict[int, int], echelon: dict[int, dict[int, int]],
-            p: int) -> dict[int, int]:
-    """Reduce the sparse row in place at its least column against the
-    echelon row there (pivot 1) until it is zero or meets no pivot, and
-    give the coefficient taken at each pivot column."""
-    coeffs = {}
-    while row and (pivot := echelon.get(c := min(row))) is not None:
-        coeffs[c] = f = row[c]
-        _subtract(row, f, pivot, p)
-    return coeffs
-
-
 def _hom_basis(x: ProjComplex, y: ProjComplex, fld: PrimeField):
     """(The blocks of the degree-0 maps X -> Y, an echelon {pivot column:
     row} of the cycles of the hom complex in degree 0, and its rows off the
     boundaries, sparse chain maps whose classes form a basis of
     Hom_K(X, Y)).  The echelon starts from the images of the degree -1
-    coordinates under d_(-1), which span the boundaries, and each cycle of
-    d_0 it does not yet reach opens a pivot: those rows are the basis."""
+    coordinates under d_(-1), which span the boundaries, and a second
+    _eliminate extends it by the cycles of d_0: each one it does not yet
+    reach opens a pivot, and those rows are the basis."""
     p = fld.p
     prev, src, nxt = (_hom_blocks(x, y, m) for m in (-1, 0, 1))
     images: list[dict[int, int]] = [{} for _ in range(prev[1])]
     for t, row in enumerate(_hom_boundary(x, y, -1, prev, src, p)):
         for s, v in row.items():
             images[s][t] = v
-    echelon, reps = _eliminate(images, p), []
-    for z in fld.nullspace(_hom_boundary(x, y, 0, src, nxt, p), src[1]):
-        row = {c: v for c, v in enumerate(z) if v}
-        _reduce(row, echelon, p)
-        if row:
-            inv = pow(row[c := min(row)], -1, p)
-            echelon[c] = {k: v * inv % p for k, v in row.items()}
-            reps.append(echelon[c])
-    return src, echelon, reps
+    echelon = _eliminate(images, p)
+    start = len(echelon)
+    _eliminate(fld.nullspace(_hom_boundary(x, y, 0, src, nxt, p), src[1]), p, echelon)
+    return src, echelon, list(echelon.values())[start:]
 
 
-def _compose_coords(alg: MonomialAlgebra, fld: PrimeField,
+def _compose_coords(alg: MonomialAlgebra, p: int,
                     f: dict[int, int], f_blocks, g: dict[int, int], g_blocks,
                     out) -> dict[int, int]:
     """Coordinates on the blocks `out` of the composite (first f, then g)
     of degree-0 graded maps X -> Y -> Z given sparsely on f_blocks and
     g_blocks: block (i, a, b) of f meets blocks (i, b, c) of g in block
     (i, a, c)."""
-    p, slot, vec = fld.p, alg._slot, {}
+    slot, vec = alg._slot, {}
     g_from: dict[tuple[int, int], list] = {}
     for (i, b, c), (off, paths) in g_blocks[0].items():
         g_from.setdefault((i, b), []).append(
@@ -355,7 +341,7 @@ class EndAlgebra:
         """{(i, j): b_i o b_j (apply b_j first)} in End coordinates."""
         if self._struct is None:
             pairs = [(i, j) for i in range(self.dim) for j in range(self.dim)]
-            comps = [_compose_coords(self.x.algebra, self.fld, self.reps[j], self.blocks,
+            comps = [_compose_coords(self.x.algebra, self.fld.p, self.reps[j], self.blocks,
                                      self.reps[i], self.blocks, self.blocks)
                      for i, j in pairs]
             self._struct = dict(zip(pairs, self.to_quotient(comps)))
@@ -511,6 +497,6 @@ def _isomorphic(end: EndAlgebra, y: ProjComplex) -> bool:
     x, fld = end.x, end.fld
     f_blocks, _, f_reps = _hom_basis(x, y, fld)
     g_blocks, _, g_reps = _hom_basis(y, x, fld)
-    comps = [_compose_coords(x.algebra, fld, f, f_blocks, g, g_blocks, end.blocks)
+    comps = [_compose_coords(x.algebra, fld.p, f, f_blocks, g, g_blocks, end.blocks)
              for f in f_reps for g in g_reps]
     return bool(comps) and fld.rank(end.to_quotient(comps)) == end.dim

@@ -16,7 +16,12 @@ there, so it touches only nonzero entries.  The Hom systems of the
 homotopy and quiver engines have at most a few hundred cells and about
 a tenth of them nonzero.  rank counts the pivots of that loop; rref,
 nullspace and solve then finish with a Gauss-Jordan back-substitution
-(_reduced).  Python ints never overflow, so every product is exact.
+(_reduced).  Given an echelon as its `pivots` argument, _eliminate
+extends it in place; _reduce reduces one row against an echelon without
+extending it and records the coefficient taken at each pivot.  The
+homotopy engine builds its End bases and End coordinates with these two,
+so no other module reduces rows.  Python ints never overflow, so every
+product is exact.
 
 The default characteristic 32003 is large enough that trace-form radical
 computations downstream stay valid (p must exceed every
@@ -61,12 +66,16 @@ def _subtract(row: dict[int, int], f: int, pivot: dict[int, int], p: int) -> Non
             del row[k]  # f * y is nonzero, so k was in the row
 
 
-def _eliminate(m: list[Row], p: int) -> dict[int, dict[int, int]]:
+def _eliminate(m: list[Row], p: int,
+               pivots: dict[int, dict[int, int]] | None = None) -> dict[int, dict[int, int]]:
     """Forward elimination over GF(p): {pivot column: echelon row}, each
     row a dict of nonzero entries whose least column is its pivot, scaled
     to 1.  Each row of m in turn is reduced at its least column against
-    the pivot row there until it is zero or opens a new pivot."""
-    pivots: dict[int, dict[int, int]] = {}
+    the pivot row there until it is zero or opens a new pivot.  Given an
+    echelon `pivots` of this form, the rows of m extend it in place, each
+    new pivot after the old ones in key order, and it is returned."""
+    if pivots is None:
+        pivots = {}
     for row in m:
         items = row.items() if isinstance(row, dict) else enumerate(row)
         row = {c: y for c, x in items if (y := x % p)}
@@ -82,6 +91,18 @@ def _eliminate(m: list[Row], p: int) -> dict[int, dict[int, int]]:
                 break
             _subtract(row, row[c], pivot, p)
     return pivots
+
+
+def _reduce(row: dict[int, int], echelon: dict[int, dict[int, int]],
+            p: int) -> dict[int, int]:
+    """Reduce the sparse row in place at its least column against the
+    echelon row there (pivot 1) until it is zero or meets no pivot, and
+    give the coefficient taken at each pivot column."""
+    coeffs = {}
+    while row and (pivot := echelon.get(c := min(row))) is not None:
+        coeffs[c] = f = row[c]
+        _subtract(row, f, pivot, p)
+    return coeffs
 
 
 def _reduced(m: list[Row], p: int) -> tuple[list[int], dict[int, dict[int, int]]]:
@@ -117,16 +138,6 @@ class PrimeField:
 
     def zeros(self, rows: int, cols: int) -> list[list[int]]:
         return [[0] * cols for _ in range(rows)]
-
-    def identity(self, n: int) -> list[list[int]]:
-        return [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def matmul(self, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-        """The product a b; b must have at least one row."""
-        p = self.p
-        cols = list(zip(*b))
-        return [[sum(x * y for x, y in zip(row, col)) % p for col in cols]
-                for row in a]
 
     def rref(self, m: list[Row]) -> tuple[list[list[int]], list[int]]:
         """Reduced row echelon form, one dense row per row of m with the

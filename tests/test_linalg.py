@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from derhed.linalg import DEFAULT_PRIME, MAX_PRIME, PrimeField
+from derhed.linalg import DEFAULT_PRIME, MAX_PRIME, PrimeField, _eliminate
 
 from oracles import rank_oracle, rank_oracle_gauss
 
@@ -41,7 +41,6 @@ def test_small_field():
     f5 = PrimeField(5)
     # 7 and -1 reduce to 2 and 4, and the row scales by 1/2 = 3
     assert f5.rref([[7, -1]]) == ([[1, 2]], [0])
-    assert f5.matmul([[7, -1]], [[1], [1]]) == [[1]]
 
 
 def _transpose(m, cols: int):
@@ -64,7 +63,7 @@ def test_rank_rectangular_known():
     m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert fld.rank(m) == 2
     assert fld.rank(fld.zeros(3, 3)) == 0
-    assert fld.rank(fld.identity(4)) == 4
+    assert fld.rank([[int(i == j) for j in range(4)] for i in range(4)]) == 4
 
 
 matrices = st.lists(
@@ -79,7 +78,7 @@ def test_rank_nullity(m):
     ns = fld.nullspace(m, 4)
     assert len(ns) == 4 - fld.rank(m) and all(len(v) == 4 for v in ns)
     if ns:
-        assert not any(x for row in fld.matmul(m, _transpose(ns, 4)) for x in row)
+        assert not any(x for row in _exact_product(m, _transpose(ns, 4), fld.p) for x in row)
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,10 +92,10 @@ def test_rank_column_permutation_invariant(m, perm):
 @given(matrices, st.lists(st.integers(-20, 20), min_size=4, max_size=4))
 def test_solve_consistent_systems(m, xs):
     x = [[v % fld.p] for v in xs]
-    b = [row[0] for row in fld.matmul(m, x)]
+    b = [row[0] for row in _exact_product(m, x, fld.p)]
     got = fld.solve(m, [b], 4)
     assert got is not None and len(got) == 1
-    assert [row[0] for row in fld.matmul(m, [[v] for v in got[0]])] == b
+    assert [row[0] for row in _exact_product(m, [[v] for v in got[0]], fld.p)] == b
 
 
 def test_solve_inconsistent():
@@ -110,7 +109,7 @@ def test_empty_shapes(rows, cols):
     assert len(m) == rows and all(row == [0] * cols for row in m)
     assert fld.rank(m) == 0
     ns = fld.nullspace(m, cols)
-    assert ns == fld.identity(cols)
+    assert ns == [[int(i == j) for j in range(cols)] for i in range(cols)]
     zero = [0] * rows
     assert fld.solve(m, [zero], cols) == [[0] * cols]
     assert fld.solve(m, [zero, zero], cols) == [[0] * cols, [0] * cols]
@@ -134,8 +133,6 @@ def _exact_product(a, b, p: int):
 # near the bound, entries reduce into [0, p) and every product must stay
 # exact; rank-deficient inputs are built as products of thin factors
 
-big_entries = st.integers(0, LARGEST_PRIME - 1)
-
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
@@ -148,13 +145,6 @@ def test_rank_near_bound_against_oracle(rows, cols, inner, seed):
     assert big.rank(m) == rank_oracle(m, LARGEST_PRIME)
     full = rng.integers(0, LARGEST_PRIME, size=(rows, cols)).tolist()
     assert big.rank(full) == rank_oracle(full, LARGEST_PRIME)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.lists(big_entries, min_size=3, max_size=3), min_size=1, max_size=4),
-       st.lists(st.lists(big_entries, min_size=2, max_size=2), min_size=3, max_size=3))
-def test_matmul_exact_near_bound(a_rows, b_rows):
-    assert big.matmul(a_rows, b_rows) == _exact_product(a_rows, b_rows, LARGEST_PRIME)
 
 
 # the RREF of a matrix is unique, so the kernel is tested by properties that
@@ -310,7 +300,8 @@ def test_dict_rows_edge_shapes(p):
             for sparse in ([{}] * rows, [{c: 0 for c in range(cols)}] * rows,
                            [{c: p * (c + 1) for c in range(cols)}] * rows):
                 _assert_same_answers(f, dense, sparse, cols, [[0] * rows, [1] * rows])
-                assert f.rank(sparse) == 0 and f.nullspace(sparse, cols) == f.identity(cols)
+                assert f.rank(sparse) == 0 and f.nullspace(sparse, cols) == [
+                    [int(i == j) for j in range(cols)] for i in range(cols)]
     # the only pivot is in the last column, with entries >= p and negative
     dense = [[0, 0, 0, p + 3], [0, 0, 0, -(p + 3)], [p, -p, 0, 0]]
     sparse = [{3: p + 3}, {0: 0, 3: -(p + 3)}, {0: p, 1: -p}]
@@ -318,3 +309,38 @@ def test_dict_rows_edge_shapes(p):
     _assert_same_answers(f, dense, sparse, 4, [[1, -1, 0], [1, 0, 0]])
     assert f.solve(sparse, [[1, -1, 0]], 4) == [[0, 0, 0, pow(p + 3, -1, p)]]
     assert f.solve(sparse, [[1, 0, 0]], 4) is None
+
+
+# _eliminate(m2, p, e) extends the echelon e of m1 in place, so an echelon
+# built in two calls is the one-call echelon of the rows m1 + m2, with the
+# same rows, pivots and pivot order
+
+
+@st.composite
+def two_row_lists(draw):
+    p = draw(st.sampled_from([2, 3, 32003, LARGEST_PRIME]))
+    cols = draw(st.integers(0, 6))
+    entries = st.one_of(st.just(0), st.integers(-3 * p, -1), st.integers(0, 3 * p))
+
+    def rows():
+        out = []
+        for row in draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                                 max_size=5)):
+            # a list, or a dict that keeps some of its zeros
+            keep = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+            out.append(row if draw(st.booleans())
+                       else {c: x for c, x in enumerate(row) if x or keep[c]})
+        return out
+
+    return p, rows(), rows()
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_row_lists())
+@example((5, [[0, 1]], [{0: 2, 1: -2}]))  # the new pivot's column precedes the old one's
+@example((3, [], [[0, 0], {0: 3}]))
+def test_eliminate_extends_an_echelon(case):
+    p, m1, m2 = case
+    e = _eliminate(m1, p)
+    assert _eliminate(m2, p, e) is e
+    assert list(e.items()) == list(_eliminate(m1 + m2, p).items())
