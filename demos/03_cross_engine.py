@@ -1,8 +1,8 @@
 """Walkthrough: two independent hom engines agree on A_2.
 
 The abelian route knits the mesh category of ZA_2: Hom and Ext^1 between
-the indecomposable modules are read off hammocks, with no linear
-algebra, and expanded into the derived-category shift-graph.  The
+the indecomposable modules are read off its dimension vectors, with no
+linear algebra, and expanded into the derived-category shift-graph.  The
 homotopy route never sees a module: it takes projective resolutions and
 measures chain maps modulo homotopy, by ranks over GF(p).  The resulting
 graphs coincide edge for edge.

@@ -1,16 +1,16 @@
 """Trusted generators of genuine shift-graph instances.
 
 The abelian route knits the mesh category of ZQ for an A_n quiver Q (any
-orientation).  One knitting of vectors gives the hammocks of all its
-vertices, and at a module the vector is its dimension vector.  The
-hammocks give the indecomposable modules with their Hom and Ext^1
-dimensions exactly, with no linear algebra, and expand_hereditary expands
-the tables to the derived-category shift-graph.  The GF(p) Hom systems of
-quiver.Representation are the tests' check on it.  The homotopy route
-builds perfect complexes over a monomial algebra and measures homs in the
-homotopy category; the dual numbers are its canonical non-hereditary
-instance.  Its functions import complexes when called, and gen_example_a2
-imports hereditary for its Heart, so the abelian route loads neither.
+orientation).  One knitting gives the indecomposable modules with their
+dimension vectors, and the vectors give every Hom and, by the
+Auslander-Reiten formula, every Ext^1 dimension exactly, with no linear
+algebra; expand_hereditary expands the tables to the derived-category
+shift-graph.  The GF(p) Hom systems of quiver.Representation are the
+tests' check on it.  The homotopy route builds perfect complexes over a
+monomial algebra and measures homs in the homotopy category; the dual
+numbers are its canonical non-hereditary instance.  Its functions import
+complexes when called, and gen_example_a2 imports hereditary for its
+Heart, so the abelian route loads neither.
 """
 
 from __future__ import annotations
@@ -43,30 +43,28 @@ def _an_quiver(n: int, orientation: str) -> Quiver:
     return Quiver(tuple(str(v) for v in range(1, n + 1)), tuple(arrows))
 
 
-def _knit(quiver: Quiver) -> dict[str, dict[tuple[str, int], int]]:
-    """The hammock of each vertex of a Dynkin quiver Q, all from one
-    knitting on ZQ^op with no linear algebra (Ringel 1984, LNM 1099).
+def _knit(quiver: Quiver) -> dict[tuple[str, int], tuple[int, ...]]:
+    """The vector (h_i(z))_i of each object z of ZQ^op with h_i(z) = dim
+    Hom(P_i, z) != 0 for some vertex i of the Dynkin quiver Q, in slice
+    order, all from one knitting with no linear algebra (Ringel 1984, LNM
+    1099).
 
     D^b(kQ) is the mesh category of ZQ (Happel 1987), written here as
     ZQ^op: an arrow s -> t of Q gives arrows (t, k) -> (s, k) and
     (s, k) -> (t, k + 1), tau (v, k) = (v, k - 1), and P_v = (v, 0).  The
-    hammock of i maps each (j, k) with h_i(j, k) = dim Hom(P_i, (j, k)) != 0
-    to that dimension.  Each object z carries the vector (h_i(z))_i over
-    the vertices i of Q, which at a module M is its dimension vector, as
-    dim Hom(P_i, M) = dim M_i.  The vectors are knitted one slice k at a
-    time, coordinate by coordinate, by h(z) = max(0, sum_{y -> z} h(y) -
-    h(tau z)) with the 1 of P_i at (i, 0), each slice ordered so that every
-    arrow's target comes before its source.  A coordinate that reaches a
-    zero slice stays zero, and the knitting ends at the first slice that is
-    zero in every coordinate.  Each hammock's keys come in slice order, so
-    its last key is its sink S P_i, the last nonzero entry of its last
-    slice.  tau is an automorphism of ZQ, so Hom((i, k), (j, l)) =
-    h_i(j, l - k) for every pair of objects.
+    objects returned are the indecomposable modules, and each vector is a
+    dimension vector, as dim Hom(P_i, M) = dim M_i.  The vectors are
+    knitted one slice k at a time, coordinate by coordinate, by h(z) =
+    max(0, sum_{y -> z} h(y) - h(tau z)) with the 1 of P_i at (i, 0), each
+    slice ordered so that every arrow's target comes before its source.  A
+    coordinate that reaches a zero slice stays zero, and the knitting ends
+    at the first slice that is zero in every coordinate.  tau is an
+    automorphism of ZQ, so Hom((i, k), (j, l)) = h_i(j, l - k) for every
+    pair of objects.
 
-    RuntimeError unless every support has exactly one sink, or when a
-    value exceeds 6, the largest coefficient of a positive root: on any
-    other acyclic quiver the hammocks would never end.  An oriented cycle
-    raises graphlib's CycleError."""
+    RuntimeError when a value exceeds 6, the largest coefficient of a
+    positive root: on any other connected acyclic quiver the knitting would
+    never end.  An oriented cycle raises graphlib's CycleError."""
     out_of: dict[str, list[str]] = {v: [] for v in quiver.vertices}
     into: dict[str, list[str]] = {v: [] for v in quiver.vertices}
     for a in quiver.arrows:
@@ -77,8 +75,7 @@ def _knit(quiver: Quiver) -> dict[str, dict[tuple[str, int], int]]:
     vertices = quiver.vertices
     index = {v: i for i, v in enumerate(vertices)}
     zero = (0,) * len(vertices)
-    hammocks: list[dict[tuple[str, int], int]] = [{} for _ in vertices]
-    sinks = [0] * len(vertices)
+    vectors: dict[tuple[str, int], tuple[int, ...]] = {}
     k, prev = 0, dict.fromkeys(order, zero)
     while True:
         cur: dict[str, tuple[int, ...]] = {}
@@ -86,36 +83,20 @@ def _knit(quiver: Quiver) -> dict[str, dict[tuple[str, int], int]]:
             # the sum of the middle terms of the mesh from (v, k - 1) to
             # (v, k): (t, k) for v -> t and (s, k - 1) for s -> v, the arrows
             # out of (v, k - 1) and into (v, k)
-            mid = list(map(sum, zip(zero, *[cur[t] for t in out_of[v]],
-                                    *[prev[s] for s in into[v]])))
-            last = prev[v]
-            # (v, k - 1) is a sink of each hammock that holds it but none of
-            # its middle terms
-            if 0 in mid and any(last):
-                for i, (x, m) in enumerate(zip(last, mid)):
-                    if x and not m:
-                        sinks[i] += 1
-            vec = [m - x if m > x else 0 for m, x in zip(mid, last)]
+            mid = map(sum, zip(zero, *[cur[t] for t in out_of[v]],
+                               *[prev[s] for s in into[v]]))
+            vec = [m - x if m > x else 0 for m, x in zip(mid, prev[v])]
             if not k:
                 vec[index[v]] = 1
             cur[v] = tuple(vec)
         top = max(map(max, cur.values()), default=0)
         if not top:
-            break
+            return vectors
         if top > 6:
             i = next(i for i, col in zip(vertices, zip(*cur.values())) if max(col) > 6)
             raise RuntimeError(f"the hammock of {i} does not end: Q is not Dynkin")
-        for v in order:
-            if any(vec := cur[v]):
-                z = (v, k)
-                for h, x in zip(hammocks, vec):
-                    if x:
-                        h[z] = x
+        vectors.update(((v, k), vec) for v, vec in cur.items() if any(vec))
         k, prev = k + 1, cur
-    for i, count in zip(vertices, sinks):
-        if count != 1:
-            raise RuntimeError(f"the hammock of {i} has {count} sinks")
-    return dict(zip(vertices, hammocks))
 
 
 class AbelianData(NamedTuple):
@@ -162,49 +143,43 @@ def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,
     """Shift-graph of the bounded derived category of the A_n path algebra
     with the given orientation word over {>, <}.
 
-    The tables come from the hammocks of _knit.  The modules are the
-    objects of the projectives' hammocks, dim M_v = h_v(M), and each is
-    named M{a}_{b} after its support [a, b]; RuntimeError unless they are
-    the n(n+1)/2 distinct thin intervals.  For M = (j, k) and N = (l, m),
-    Hom(M, N) = h_j(l, m - k), and Ext^1(M, N) = Hom(M, N[1]) with N[1] =
-    tau^-1 S N, S N the sink of N's hammock (the algebra is hereditary).
-    Both tables are filled from the support of each module's hammock."""
+    The modules and their dimension vectors are the objects and vectors of
+    _knit, and each module is named M{a}_{b} after its support [a, b];
+    RuntimeError unless they are the n(n+1)/2 distinct thin intervals.
+    For each module X = (v, k) and each object (v, d) with h_u(v, d) = x
+    != 0, Hom((u, k - d), X) = x and, by the Auslander-Reiten formula
+    Ext^1(X, Y) = D Hom(Y, tau X), Ext^1(X, (u, k - 1 - d)) = x, each set
+    when that object is a module.  No other pair of modules has a nonzero
+    Hom or Ext^1 (the algebra is hereditary)."""
     fld = fld or PrimeField()
     q = _an_quiver(n, orientation)
-    hammock = _knit(q)
-    modules: dict[tuple[str, int], list[int]] = {}  # M -> dim M, in hammock order
-    for i, v in enumerate(q.vertices):
-        for z, x in hammock[v].items():
-            modules.setdefault(z, [0] * n)[i] = x
+    dims = _knit(q)
     at: dict[tuple[int, int], tuple[str, int]] = {}
-    for z, dim in modules.items():
+    for z, dim in dims.items():
         ones = [i for i, d in enumerate(dim, 1) if d == 1]
         if len(ones) == sum(dim) == ones[-1] - ones[0] + 1:
             at[(ones[0], ones[-1])] = z
-    if not len(at) == len(modules) == n * (n + 1) // 2:
+    if not len(at) == len(dims) == n * (n + 1) // 2:
         raise RuntimeError("the modules are not the n(n+1)/2 distinct thin intervals")
     names = names or {}
-    items = []  # (name, N = (l, m), N[1] = (s, m1)) per module, by support
+    name_of = {}  # module -> its name, by support
     for a in range(1, n + 1):
         for b in range(a, n + 1):
-            l, m = at[(a, b)]
-            s, m_s = next(reversed(hammock[l]))  # S N = (s, m_s + m)
             nm = f"M{a}_{b}"
-            items.append((names.get(nm, nm), l, m, s, m_s + m + 1))
-    objs = tuple(item[0] for item in items)
-    module_at = {(l, m): nm for nm, l, m, _, _ in items}  # N -> its name
-    shift_at = {(s, m1): nm for nm, _, _, s, m1 in items}  # N[1] -> N's name
+            name_of[at[(a, b)]] = names.get(nm, nm)
+    # v -> each (u, d, x) with x = h_u(v, d) != 0
+    at_vertex: dict[str, list[tuple[str, int, int]]] = {}
+    for (v, d), dim in dims.items():
+        at_vertex.setdefault(v, []).extend((u, d, x) for u, x in zip(q.vertices, dim) if x)
     hom = {}
     ext1 = {}
-    for nm_a, j, k, _, _ in items:
-        # the support of Hom(M, -) is M's hammock, moved by tau^-k
-        for (v, d), x in hammock[j].items():
-            z = (v, d + k)
-            if (nm_b := module_at.get(z)) is not None:
-                hom[(nm_a, nm_b)] = x
-            if (nm_b := shift_at.get(z)) is not None:
-                ext1[(nm_a, nm_b)] = x
-    return expand_hereditary(AbelianData(objs, hom, ext1),
+    for (v, k), nm in name_of.items():
+        for u, d, x in at_vertex[v]:
+            if (nm_a := name_of.get((u, k - d))) is not None:
+                hom[(nm_a, nm)] = x
+            if (nm_b := name_of.get((u, k - 1 - d))) is not None:
+                ext1[(nm, nm_b)] = x
+    return expand_hereditary(AbelianData(tuple(name_of.values()), hom, ext1),
                              name=f"A{n}({orientation})", field_char=fld.p)
 
 

@@ -136,9 +136,6 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    def zeros(self, rows: int, cols: int) -> list[list[int]]:
-        return [[0] * cols for _ in range(rows)]
-
     def rref(self, m: list[Row]) -> tuple[list[list[int]], list[int]]:
         """Reduced row echelon form, one dense row per row of m with the
         zero rows last, and the list of pivot columns.  The rows are as
@@ -148,7 +145,7 @@ class PrimeField:
         width = max((max(row, default=-1) + 1 if isinstance(row, dict) else len(row)
                      for row in m), default=0)
         rows = [[reduced[c].get(k, 0) for k in range(width)] for c in pivots]
-        return rows + self.zeros(len(m) - len(rows), width), pivots
+        return rows + [[0] * width for _ in range(len(m) - len(rows))], pivots
 
     def rank(self, m: list[Row]) -> int:
         return len(_eliminate(m, self.p))

@@ -68,25 +68,28 @@ def _dynkin_quiver(kind, n, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_knitting_beyond_an(kind, n, roots, seed):
     q = _dynkin_quiver(kind, n, seed)
-    hammock = _knit(q)
+    # the modules are the knitted objects, one per positive root (Gabriel
+    # 1972), each with its dimension vector
+    dims = _knit(q)
+    assert len(dims) == roots
+    vec = {z: dict(zip(q.vertices, dim)) for z, dim in dims.items()}
+    # the hammock of i, read off the vectors, has one sink S P_i, its last key
+    hammock = {i: {z: d[i] for z, d in vec.items() if d[i]} for i in q.vertices}
     for i, h in hammock.items():
         sinks = [(v, k) for v, k in h
                  if not any((a.source, k) in h for a in q.arrows if a.target == v)
                  and not any((a.target, k + 1) in h for a in q.arrows if a.source == v)]
         assert sinks == [next(reversed(h))], i
-    # the modules are the objects of the projectives' hammocks, one per
-    # positive root (Gabriel 1972), with dim M_v = h_v(M)
-    dims = {z: {v: hammock[v].get(z, 0) for v in q.vertices}
-            for v in q.vertices for z in hammock[v]}
-    assert len(dims) == roots
-    # dim Hom(M, N) - dim Ext^1(M, N) is the Euler form, with M = (j, k),
-    # N = (l, m) and Ext^1(M, N) = Hom(M, N[1]), N[1] = tau^-1 of the sink
+    # for M = (j, k) and N = (l, m), Ext^1(M, N) = D Hom(N, tau M) is the
+    # Hom(M, N[1]) of N[1] = tau^-1 S N, and dim Hom(M, N) - dim Ext^1(M, N)
+    # is the Euler form
     for j, k in dims:
         for l, m in dims:
             s, m_s = next(reversed(hammock[l]))
             hom = hammock[j].get((l, m - k), 0)
-            ext = hammock[j].get((s, m_s + m + 1 - k), 0)
-            assert hom - ext == euler_form(q, dims[j, k], dims[l, m])
+            ext = hammock[l].get((j, k - 1 - m), 0)
+            assert ext == hammock[j].get((s, m_s + m + 1 - k), 0)
+            assert hom - ext == euler_form(q, vec[j, k], vec[l, m])
 
 
 @pytest.mark.parametrize("arrows", [
@@ -105,17 +108,22 @@ def test_knitting_refuses_a_non_dynkin_quiver(arrows):
 
 
 def test_knitting_a_disconnected_quiver():
-    # A_2's coordinates end at slice 1, while linear A_3's P_3 goes on to
-    # slice 2; each hammock is the one its component knits alone
+    # each component knits as it would alone: the union's objects at its
+    # vertices, their vectors cut to its coordinates, are its own knitting
+    # in order, and their other coordinates are 0
     a2 = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
     a3 = Quiver(("3", "4", "5"), (Arrow("b", "3", "4"), Arrow("c", "4", "5")))
-    apart = {**_knit(a2), **_knit(a3)}
-    union = _knit(Quiver(a2.vertices + a3.vertices, a2.arrows + a3.arrows))
-    assert list(union) == list(apart)
-    assert [list(h.items()) for h in union.values()] == [
-        list(h.items()) for h in apart.values()]
-    last = {i: max(k for _, k in h) for i, h in union.items()}
-    assert max(last["1"], last["2"]) < last["3"]
+    both = Quiver(a2.vertices + a3.vertices, a2.arrows + a3.arrows)
+    union = _knit(both)
+    last = []
+    for c in (a2, a3):
+        mine = [i for i, v in enumerate(both.vertices) if v in c.vertices]
+        objs = [(z, d) for z, d in union.items() if z[0] in c.vertices]
+        assert [(z, tuple(d[i] for i in mine)) for z, d in objs] == list(_knit(c).items())
+        assert not any(x for _, d in objs for i, x in enumerate(d) if i not in mine)
+        last.append(max(k for (_, k), _ in objs))
+    # A_2's objects end at slice 1, while linear A_3's P_3 goes on to slice 2
+    assert last == [1, 2]
 
 
 def test_an_linear_matches_formulas():

@@ -62,7 +62,7 @@ def test_rank_against_minor_oracle():
 def test_rank_rectangular_known():
     m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert fld.rank(m) == 2
-    assert fld.rank(fld.zeros(3, 3)) == 0
+    assert fld.rank([[0] * 3 for _ in range(3)]) == 0
     assert fld.rank([[int(i == j) for j in range(4)] for i in range(4)]) == 4
 
 
@@ -105,7 +105,7 @@ def test_solve_inconsistent():
 
 @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
 def test_empty_shapes(rows, cols):
-    m = fld.zeros(rows, cols)
+    m = [[0] * cols for _ in range(rows)]
     assert len(m) == rows and all(row == [0] * cols for row in m)
     assert fld.rank(m) == 0
     ns = fld.nullspace(m, cols)
@@ -296,7 +296,7 @@ def test_dict_rows_edge_shapes(p):
     # all-zero matrices, as empty dicts and as dicts of explicit zeros
     for cols in (0, 1, 3):
         for rows in (1, 3):
-            dense = f.zeros(rows, cols)
+            dense = [[0] * cols for _ in range(rows)]
             for sparse in ([{}] * rows, [{c: 0 for c in range(cols)}] * rows,
                            [{c: p * (c + 1) for c in range(cols)}] * rows):
                 _assert_same_answers(f, dense, sparse, cols, [[0] * rows, [1] * rows])
