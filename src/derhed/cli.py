@@ -25,7 +25,7 @@ from .shiftgraph import (InputError, NegativeWalkAtSource, ObjRef, ShiftGraph, U
 # Each command imports only what it runs, and each process builds only its
 # own command's parser (_build_parser).  `validate` needs shiftgraph alone;
 # paths is imported by the commands that walk (`blocks`, `check`, `dist`,
-# `path`, `classify`, `directing`), degenerate by `classify`, and through
+# `path`, `classify`, `directing`, `heart`), degenerate by `classify`, and
 # hereditary by `check`, `heart` and `verify-heart`.  `gen` and `hom` run
 # from algebra_cli, with linalg: quiver and generators for `gen`
 # (hereditary too for `gen a2`, complexes for `gen dual`), and quiver and

@@ -21,19 +21,19 @@ of sparse rows, one dict of nonzero entries per target coordinate, as the
 GF(p) kernels take them.  Every path product comes from the algebra's table.
 
 build_shiftgraph_from_complexes works from one window table of hom
-dimensions per ordered pair of complexes (each hom-complex boundary
-built and ranked once) and one EndAlgebra per complex, and runs the
-exact isomorphism test only where an exact dimension filter allows an
-isomorphism.
+dimensions per ordered pair of complexes and one EndAlgebra per complex,
+and tests isomorphism only where the dimensions allow one.
 
 EndAlgebra eliminates once: one echelon of the degree-0 cycles, built
-from the images of d_(-1) and then extended by the cycles it does not yet
-reach (linalg._eliminate, given the first echelon as `pivots`), gives the
-End basis (the rows the cycles added), and linalg._reduce reduces every
-composite of two basis chain maps against it to End coordinates, which
-fill the multiplication table.
-The radical (trace form) is read off that table, and the locality test
-reduces it modulo the radical and works in the semisimple quotient.
+from the images of d_(-1) and extended by the sparse kernel of d_0
+(linalg._eliminate), gives the End basis (the rows the kernel added),
+and linalg._reduce reduces the composites of basis maps against it to
+End coordinates, which fill the multiplication table.  The radical
+(trace form) is read off that table, and the locality test works modulo
+it.  Every composite, check_complex's d o d included, comes from one
+product of graded maps, _product; each basis map is split into blocks
+once (_split).  _hom_boundary keeps its own loop, as it writes each
+product straight into a boundary row.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import operator
 from typing import Optional
 
-from .linalg import FieldTooSmall, PrimeField, _eliminate, _reduce
+from .linalg import FieldTooSmall, PrimeField, _eliminate, _kernel, _reduce
 from .quiver import MonomialAlgebra
 from .shiftgraph import HomEdge, Orbit, ShiftGraph
 
@@ -53,19 +53,24 @@ class AlgebraMismatch(Exception):
     pass
 
 
-def _compose(alg: MonomialAlgebra, first: AlgElem, second: AlgElem, p: int) -> AlgElem:
-    """Composite of module maps: apply `first`, then `second`.  With maps
-    acting by left multiplication this is the algebra product second * first
-    (concatenate `second`, then `first`) on coefficient dicts."""
-    out: AlgElem = {}
-    mul = alg._mul
-    for i, ci in second.items():
-        products = mul[i]
-        for j, cj in first.items():
-            k = products.get(j)
-            if k is not None:
-                out[k] = (out.get(k, 0) + ci * cj) % p
-    return {k: c for k, c in out.items() if c}
+def _product(alg: MonomialAlgebra, f: dict, g: dict, n: int, p: int) -> dict:
+    """The composite, first f then g, of graded maps held as {(i, a): {b:
+    AlgElem}} (entry b from summand a of degree i; a missing one is zero),
+    f of degree n: entry (i, a, b) of f meets entries (i + n, b, c) of g
+    in entry (i, a, c) of the result {(i, a, c): AlgElem}, mod p, zeros
+    kept.  Each term is the algebra product (path of g) * (path of f)."""
+    mul, out = alg._mul, {}
+    for (i, a), row in f.items():
+        for b, fe in row.items():
+            for c, ge in g.get((i + n, b), {}).items():
+                e = out.setdefault((i, a, c), {})
+                for x, cx in ge.items():
+                    products = mul[x]
+                    for y, cy in fe.items():
+                        k = products.get(y)
+                        if k is not None:
+                            e[k] = (e.get(k, 0) + cx * cy) % p
+    return out
 
 
 class ProjComplex:
@@ -163,23 +168,13 @@ def shift_complex(c: ProjComplex, k: int, p: int) -> ProjComplex:
 
 def check_complex(c: ProjComplex, p: int) -> list[str]:
     """The errors of a complex, none when it is valid: d o d = 0 in every
-    degree over GF(p), exactly via the multiplication table.  The shapes
-    and vertices of the entries ProjComplex itself refuses."""
-    alg = c.algebra
-    errors: list[str] = []
-    for d, d1 in sorted(c.diffs.items()):
-        d2 = c.diffs.get(d + 1)
-        if d2 is None:
-            continue  # a missing differential is zero
-        for i in range(len(d1)):
-            for k in range(len(c.summands(d + 2))):
-                acc: AlgElem = {}
-                for j in range(len(d2)):
-                    for b, cc in _compose(alg, d1[i][j], d2[j][k], p).items():
-                        acc[b] = (acc.get(b, 0) + cc) % p
-                if any(acc.values()):
-                    errors.append(f"degree {d}: d o d is nonzero at ({i}, {k})")
-    return errors
+    degree over GF(p), exactly via the multiplication table, with d read
+    as a graded map of degree 1 (a missing differential is zero).  The
+    shapes and vertices of the entries ProjComplex itself refuses."""
+    d = {(i, a): dict(enumerate(row)) for i, m in c.diffs.items() for a, row in enumerate(m)}
+    return [f"degree {i}: d o d is nonzero at ({a}, {k})"
+            for (i, a, k), e in sorted(_product(c.algebra, d, d, 1, p).items())
+            if any(e.values())]
 
 
 # -- hom complex assembly --
@@ -281,29 +276,24 @@ def _hom_basis(x: ProjComplex, y: ProjComplex, fld: PrimeField):
             images[s][t] = v
     echelon = _eliminate(images, p)
     start = len(echelon)
-    _eliminate(fld.nullspace(_hom_boundary(x, y, 0, src, nxt, p), src[1]), p, echelon)
+    _eliminate(_kernel(_hom_boundary(x, y, 0, src, nxt, p), src[1], p), p, echelon)
     return src, echelon, list(echelon.values())[start:]
 
 
-def _compose_coords(alg: MonomialAlgebra, p: int,
-                    f: dict[int, int], f_blocks, g: dict[int, int], g_blocks,
-                    out) -> dict[int, int]:
-    """Coordinates on the blocks `out` of the composite (first f, then g)
-    of degree-0 graded maps X -> Y -> Z given sparsely on f_blocks and
-    g_blocks: block (i, a, b) of f meets blocks (i, b, c) of g in block
-    (i, a, c)."""
-    slot, vec = alg._slot, {}
-    g_from: dict[tuple[int, int], list] = {}
-    for (i, b, c), (off, paths) in g_blocks[0].items():
-        g_from.setdefault((i, b), []).append(
-            (c, {r: g[col] for col, r in enumerate(paths, off) if col in g}))
-    for (i, a, b), (off, paths) in f_blocks[0].items():
-        fe = {q: f[col] for col, q in enumerate(paths, off) if col in f}
-        for c, ge in g_from.get((i, b), ()) if fe else ():
-            for idx, coeff in _compose(alg, fe, ge, p).items():
-                k = out[0][i, a, c][0] + slot[idx]
-                vec[k] = (vec.get(k, 0) + coeff) % p
-    return vec
+def _split(v: dict[int, int], blocks) -> dict:
+    """The graded map {(i, a): {b: AlgElem}} of coordinates v on blocks."""
+    out: dict = {}
+    for (i, a, b), (off, paths) in blocks[0].items():
+        e = {q: v[col] for col, q in enumerate(paths, off) if col in v}
+        if e:
+            out.setdefault((i, a), {})[b] = e
+    return out
+
+
+def _coords(alg: MonomialAlgebra, h: dict, blocks) -> dict[int, int]:
+    """The coordinates on blocks of a _product h (path k at offset + slot[k])."""
+    slot, table = alg._slot, blocks[0]
+    return {table[key][0] + slot[k]: coeff for key, e in h.items() for k, coeff in e.items()}
 
 
 class EndAlgebra:
@@ -340,9 +330,10 @@ class EndAlgebra:
     def structure(self) -> dict[tuple[int, int], list[int]]:
         """{(i, j): b_i o b_j (apply b_j first)} in End coordinates."""
         if self._struct is None:
+            alg, p = self.x.algebra, self.fld.p
+            maps = [_split(r, self.blocks) for r in self.reps]
             pairs = [(i, j) for i in range(self.dim) for j in range(self.dim)]
-            comps = [_compose_coords(self.x.algebra, self.fld.p, self.reps[j], self.blocks,
-                                     self.reps[i], self.blocks, self.blocks)
+            comps = [_coords(alg, _product(alg, maps[j], maps[i], 0, p), self.blocks)
                      for i, j in pairs]
             self._struct = dict(zip(pairs, self.to_quotient(comps)))
         return self._struct
@@ -405,8 +396,7 @@ class EndAlgebra:
 def is_indecomposable(x: ProjComplex, fld: PrimeField | None = None) -> bool:
     """Whether End(X) in the homotopy category is local."""
     fld = fld or PrimeField()
-    errors = check_complex(x, fld.p)
-    if errors:
+    if errors := check_complex(x, fld.p):
         raise ValueError("invalid complex: " + "; ".join(errors))
     return EndAlgebra(x, fld).is_local()
 
@@ -440,8 +430,7 @@ def build_shiftgraph_from_complexes(reps: list[ProjComplex], window: int,
     normed = []
     ends = []
     for k, x in enumerate(reps):
-        errors = check_complex(x, fld.p)
-        if errors:
+        if errors := check_complex(x, fld.p):
             raise ValueError(f"invalid complex {x.name or k}: " + "; ".join(errors))
         if x.is_zero():
             raise ValueError("zero complex has no orbit")
@@ -494,9 +483,8 @@ def _isomorphic(end: EndAlgebra, y: ProjComplex) -> bool:
     basis maps goes to to_quotient, and one rank says whether they span
     End(X); no radical is needed.  No composite (Hom(X, Y) or Hom(Y, X)
     is 0) answers False."""
-    x, fld = end.x, end.fld
-    f_blocks, _, f_reps = _hom_basis(x, y, fld)
-    g_blocks, _, g_reps = _hom_basis(y, x, fld)
-    comps = [_compose_coords(x.algebra, fld.p, f, f_blocks, g, g_blocks, end.blocks)
-             for f in f_reps for g in g_reps]
+    x, fld, alg = end.x, end.fld, end.x.algebra
+    fs, gs = ([_split(r, blocks) for r in reps]
+              for blocks, _, reps in (_hom_basis(x, y, fld), _hom_basis(y, x, fld)))
+    comps = [_coords(alg, _product(alg, f, g, 0, fld.p), end.blocks) for f in fs for g in gs]
     return bool(comps) and fld.rank(end.to_quotient(comps)) == end.dim

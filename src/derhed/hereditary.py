@@ -17,10 +17,12 @@ refuted when there is none (see _degree_witness).
 from __future__ import annotations
 
 from collections import Counter
+from typing import TYPE_CHECKING
 
-from .paths import (NEG_INF, POS_INF, PathEngine, PathStep, _bfs_tree, _potential,
-                    _sccs, _tight)
 from .shiftgraph import NegativeWalkAtSource, ObjRef, ShiftGraph, UnreachableOrbit
+
+if TYPE_CHECKING:  # paths loads only where a walk runs: extract_heart, check_hereditary
+    from .paths import PathEngine, PathStep
 
 
 class NotABlock(Exception):
@@ -108,6 +110,7 @@ class HereditaryReport:
 def extract_heart(g: ShiftGraph, source: str, engine: PathEngine | None = None) -> Heart:
     """Heart offsets d_Y = min walk weight from the source orbit, over the
     orbits Y of its block: the source's row (PathEngine.row)."""
+    from .paths import NEG_INF, POS_INF, PathEngine
     row = (engine or PathEngine(g)).row(source)  # UnknownOrbit for an unknown source
     if row[source] == NEG_INF:
         raise NegativeWalkAtSource(f"{source} lies on a negative closed walk")
@@ -162,6 +165,7 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     heart has every degree in {0, 1} (see _degree_witness); otherwise a
     potential of the constraint edges, shifted to put the canonical source
     at 0, is reported as the heart, with every degree in {0, 1}."""
+    from .paths import POS_INF, PathEngine, _bfs_tree, _potential, _sccs, _tight
     eng = engine or PathEngine(g)
     blk = sorted(block)
     i = eng._block_of.get(blk[0]) if blk else None

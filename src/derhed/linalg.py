@@ -7,8 +7,8 @@ a family of vectors (the basis a nullspace returns, the right-hand sides
 and solutions of a stacked solve) is a list of vectors.  A matrix with
 no rows has no width, and a dict row names no width, so nullspace and
 solve take the column count from the caller.  Every function here
-reduces its input mod p, so entries may be any ints, and every result is
-dense, with entries in [0, p).
+reduces its input mod p, so entries may be any ints, and every result of
+PrimeField is dense, with entries in [0, p).
 
 Gaussian elimination runs one forward loop, _eliminate, over sparse
 rows: each row is reduced at its least column against the pivot row
@@ -16,12 +16,14 @@ there, so it touches only nonzero entries.  The Hom systems of the
 homotopy and quiver engines have at most a few hundred cells and about
 a tenth of them nonzero.  rank counts the pivots of that loop; rref,
 nullspace and solve then finish with a Gauss-Jordan back-substitution
-(_reduced).  Given an echelon as its `pivots` argument, _eliminate
-extends it in place; _reduce reduces one row against an echelon without
-extending it and records the coefficient taken at each pivot.  The
-homotopy engine builds its End bases and End coordinates with these two,
-so no other module reduces rows.  Python ints never overflow, so every
-product is exact.
+(_reduced), and nullspace is the dense view of _kernel, which gives each
+basis vector as a sparse row.  Given an echelon as its `pivots`
+argument, _eliminate extends it in place; _reduce reduces one row
+against an echelon without extending it and records the coefficient
+taken at each pivot.  The homotopy engine builds its End bases from
+_kernel's rows and its End coordinates with these two, so no other
+module reduces rows.  Python ints never overflow, so every product is
+exact.
 
 The default characteristic 32003 is large enough that trace-form radical
 computations downstream stay valid (p must exceed every
@@ -118,6 +120,18 @@ def _reduced(m: list[Row], p: int) -> tuple[list[int], dict[int, dict[int, int]]
     return cols, pivots
 
 
+def _kernel(m: list[Row], cols: int, p: int) -> list[dict[int, int]]:
+    """A basis of {v : m v = 0}, m with cols columns: cols - rank(m) sparse
+    rows, one per free column, ascending, each holding its nonzero entries."""
+    _, reduced = _reduced(m, p)
+    basis = {fc: {fc: 1} for fc in range(cols) if fc not in reduced}
+    for pc, row in reduced.items():
+        for fc, x in row.items():
+            if fc != pc:
+                basis[fc][pc] = -x % p
+    return list(basis.values())
+
+
 class FieldTooSmall(Exception):
     """The field characteristic does not exceed the endomorphism-algebra
     dimension, so the trace-form radical computation is not valid."""
@@ -151,16 +165,8 @@ class PrimeField:
         return len(_eliminate(m, self.p))
 
     def nullspace(self, m: list[Row], cols: int) -> list[list[int]]:
-        """A basis of {v : m v = 0} for a matrix with cols columns, as a
-        list of cols - rank(m) vectors (none for a full-rank square m)."""
-        _, reduced = _reduced(m, self.p)
-        basis = {fc: [int(c == fc) for c in range(cols)]
-                 for fc in range(cols) if fc not in reduced}
-        for pc, row in reduced.items():
-            for fc, x in row.items():
-                if fc != pc:
-                    basis[fc][pc] = -x % self.p
-        return list(basis.values())
+        """_kernel's basis of {v : m v = 0}, m with cols columns, dense."""
+        return [[v.get(c, 0) for c in range(cols)] for v in _kernel(m, cols, self.p)]
 
     def solve(self, a: list[Row], bs: list[list[int]],
               cols: int) -> list[list[int]] | None:

@@ -953,9 +953,9 @@ COMMAND_MODULES = {
     "directing": ("directing a2.json", WALK),
     "check": ("check a2.json", WALK + " hereditary"),
     "heart": ("heart a2.json --from I", WALK + " hereditary"),
-    "verify-heart": ("verify-heart a2.json --heart bad_heart.json", WALK + " hereditary"),
+    "verify-heart": ("verify-heart a2.json --heart bad_heart.json", "cli shiftgraph hereditary"),
     "gen an": ("gen an --n 3 --orientation >< --out an.json", GEN),
-    "gen a2": ("gen a2 --out x.json", GEN + " hereditary paths"),
+    "gen a2": ("gen a2 --out x.json", GEN + " hereditary"),
     "gen dual": ("gen dual --max-length 3 --window 1 --out d.json", GEN + " complexes"),
     "gen semisimple": ("gen semisimple --period 2 --out s.json", GEN),
     "hom": ("hom alg.json p2.json p1.json",

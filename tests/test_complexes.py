@@ -1,21 +1,25 @@
+import hashlib
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
 from derhed.complexes import (AlgebraMismatch, EndAlgebra, FieldTooSmall,
-                              ProjComplex, _compose_coords, _hom_blocks,
+                              ProjComplex, _hom_blocks,
                               _hom_boundary, _hom_dims, are_isomorphic,
                               build_shiftgraph_from_complexes, check_complex,
                               hom_k_dim, is_indecomposable, shift_complex)
 from derhed.generators import (a2_projective_resolutions,
                                dual_numbers_algebra, dual_numbers_chain,
-                               gen_dual_numbers)
+                               gen_a2_from_complexes, gen_dual_numbers)
 from derhed.linalg import PrimeField
 from derhed.quiver import Arrow, MonomialAlgebra, Quiver
+from derhed.shiftgraph import ShiftGraph
 
-from oracles import cartan, hom_oracle, k0_class, rank_oracle
+from oracles import (_coords_to_matrix, _diff_matrix, _map_coords, _matrix_to_coords,
+                     _proj_basis, _space, cartan, hom_oracle, k0_class, rank_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +60,74 @@ def test_check_complex_rejects_nonzero_square(dual, fld):
     c2 = ProjComplex(dual, {-2: ["v"], -1: ["v"], 0: ["v"]},
                      {-2: [[{ei: 1}]], -1: [[{ei: 1}]]})
     assert check_complex(c2, fld.p)
+
+
+def oracle_faults(c, p):
+    """The (degree d, summand i of d, summand k of d + 2) whose block of
+    d_(d+1) d_d, as vector-space matrices, is nonzero mod p."""
+    alg, out = c.algebra, []
+    for d in sorted(c.degrees):
+        dd = _diff_matrix(alg, c, d + 1, p) @ _diff_matrix(alg, c, d, p) % p
+        src, _ = _space(alg, c, d)
+        tgt, _ = _space(alg, c, d + 2)
+        for i, (sv, so) in enumerate(src):
+            for k, (tv, to) in enumerate(tgt):
+                if dd[to:to + len(_proj_basis(alg, tv)), so:so + len(_proj_basis(alg, sv))].any():
+                    out.append((d, i, k))
+    return out
+
+
+def messages(faults):
+    return [f"degree {d}: d o d is nonzero at ({i}, {k})" for d, i, k in faults]
+
+
+def test_check_complex_names_every_fault(dual):
+    """Faults in degrees -3 and 0, a cancellation inside one entry sum,
+    products a * a = 0, coefficients that vanish mod 2 or mod 3, and no
+    d_(-1), so degrees -2 and -1 have nothing to check."""
+    e, a = dual.index["e_v"], dual.index["a"]
+    c = ProjComplex(dual, {d: ["v", "v"] for d in range(-3, 3)}, {
+        -3: [[{e: 1}, {a: 1}], [{a: 1}, {a: 1}]],
+        -2: [[{e: 1}, {a: 2}], [{e: -1}, {}]],
+        0: [[{a: 1}, {e: 3}], [{}, {a: 1}]],
+        1: [[{a: 1}, {e: 1}], [{a: 1}, {}]],
+    })
+    expected = {
+        2: [(-3, 0, 0), (0, 0, 0), (0, 0, 1)],
+        3: [(-3, 0, 0), (-3, 0, 1), (0, 0, 1)],
+        32003: [(-3, 0, 0), (-3, 0, 1), (0, 0, 0), (0, 0, 1)],
+    }
+    for p, faults in expected.items():
+        assert oracle_faults(c, p) == faults
+        assert check_complex(c, p) == messages(faults)
+    assert check_complex(c, 32003) == [
+        "degree -3: d o d is nonzero at (0, 0)", "degree -3: d o d is nonzero at (0, 1)",
+        "degree 0: d o d is nonzero at (0, 0)", "degree 0: d o d is nonzero at (0, 1)"]
+
+
+def random_complexes(alg, rng, count):
+    """Complexes over alg with random entries on up to four degrees, each
+    differential left out with probability 0.15: many have d o d != 0."""
+    vertices = list(alg.quiver.vertices)
+    for _ in range(count):
+        lo = rng.randrange(-3, 1)
+        degs = {d: [rng.choice(vertices) for _ in range(rng.randrange(1, 4))]
+                for d in range(lo, lo + rng.randrange(2, 5))}
+        diffs = {d: [[{k: rng.randrange(-4, 5) for k in alg._between.get((b, a), ())
+                       if rng.random() < 0.6} for b in degs[d + 1]] for a in degs[d]]
+                 for d in degs if d + 1 in degs and rng.random() < 0.85}
+        yield ProjComplex(alg, degs, diffs)
+
+
+def test_check_complex_matches_oracle_on_random_complexes(dual):
+    rng, seen = random.Random(43), 0
+    for alg in (dual, linear_an(3), one_vertex_loop(3), a2_projective_resolutions()[0]):
+        for c in random_complexes(alg, rng, 40):
+            for p in (2, 3, 32003):
+                faults = oracle_faults(c, p)
+                assert check_complex(c, p) == messages(faults)
+                seen += bool(faults)
+    assert seen > 100
 
 
 def test_check_complex_vertex_mismatch(fld):
@@ -366,6 +438,21 @@ def test_dual_numbers_graph_matches_per_call_dims(dual, fld):
                 assert edges.get(n, 0) == hom_k_dim(x, y, n, fld)
 
 
+def test_homotopy_route_bytes_are_pinned():
+    # gen dual over a grid of lengths, windows and fields, and gen a2 from
+    # complexes at every window; each text must survive its own round trip
+    digest = hashlib.sha256()
+    texts = [gen_dual_numbers(length, window, PrimeField(p)).to_json()
+             for length in range(2, 11) for window in range(4) for p in (3, 5, 101, 32003)]
+    texts += [gen_a2_from_complexes(window).to_json() for window in range(4)]
+    for text in texts:
+        assert ShiftGraph.from_dict(json.loads(text)).to_json() == text
+        digest.update(text.encode() + b"\n")
+    assert len(texts) == 148
+    assert digest.hexdigest() == (
+        "f20044b2d9497f1c133489a639b2309ab0fb9575c0cfd8f330424d9daf5871ac")
+
+
 def test_a2_projectives(fld):
     alg, (s1, i, s2) = a2_projective_resolutions()
     # i is the stalk of P_1, s2 the stalk of P_2
@@ -491,19 +578,39 @@ def test_are_isomorphic(dual, fld):
     assert not are_isomorphic(c1, shift_complex(c1, 1, 2), tiny)
 
 
+def oracle_composite(end, i, j, p):
+    """The coordinates of b_i o b_j (b_j applied first) on end.blocks, from
+    the product of the two maps as per-degree vector-space matrices."""
+    x, alg, out = end.x, end.x.algebra, {}
+    for d in x.degrees:
+        coords = _map_coords(alg, x, x, d, d)
+        cols = [end.blocks[0][d, a, b][0] + end.blocks[0][d, a, b][1].index(g)
+                for a, b, g in coords]
+
+        def matrix(rep):
+            return _coords_to_matrix(alg, x, x, d, d, coords, [rep.get(c, 0) for c in cols], p)
+
+        prod = matrix(end.reps[i]) @ matrix(end.reps[j]) % p
+        out.update(zip(cols, _matrix_to_coords(alg, x, x, d, d, coords, prod, p)))
+    return out
+
+
+def assert_structure_matches_oracle(end):
+    st = end.structure()
+    assert sorted(st) == [(i, j) for i in range(end.dim) for j in range(end.dim)]
+    for (i, j), prod in st.items():
+        assert prod == end.to_quotient([oracle_composite(end, i, j, end.fld.p)])[0]
+
+
 def test_structure_table_of_noncommutative_end(fld):
     """End(P_1 + P_2) over A_2 is the 3-dimensional upper triangular
-    algebra.  The table must give, for every pair, the product b_i o b_j
-    (b_j applied first) that to_quotient of that one composite gives."""
+    algebra.  The table must give, for every pair, the End coordinates of
+    the product b_i o b_j (b_j applied first) composed by the oracle."""
     alg, _ = a2_projective_resolutions()
     end = EndAlgebra(ProjComplex(alg, {0: ["1", "2"]}), fld)
     assert end.dim == 3
+    assert_structure_matches_oracle(end)
     st = end.structure()
-    assert sorted(st) == [(i, j) for i in range(3) for j in range(3)]
-    for (i, j), prod in st.items():
-        comp = _compose_coords(alg, fld.p, end.reps[j], end.blocks,
-                               end.reps[i], end.blocks, end.blocks)
-        assert prod == end.to_quotient([comp])[0]
     assert any(st[(i, j)] != st[(j, i)] for i in range(3) for j in range(i))
     rad = end.radical()
     assert len(rad) == 1 and len(rad[0]) == 3
@@ -518,6 +625,19 @@ def one_vertex_loop(relation_length):
 
 def no_arrows(n):
     return MonomialAlgebra(Quiver(tuple(str(v) for v in range(1, n + 1)), ()), [])
+
+
+def structure_cases():
+    dual = dual_numbers_algebra()
+    return ([dual_numbers_chain(dual, l, name=f"C{l}") for l in (1, 2, 3, 4)]
+            + a2_projective_resolutions()[1]
+            + [ProjComplex(one_vertex_loop(3), {0: ["v"]}, name="P over k[a]/(a^3)")])
+
+
+@pytest.mark.parametrize("p", [5, 32003])
+@pytest.mark.parametrize("x", structure_cases(), ids=lambda x: x.name)
+def test_structure_table_matches_oracle(x, p):
+    assert_structure_matches_oracle(EndAlgebra(x, PrimeField(p)))
 
 
 # name -> (the complex, dim End, dim J, whether End is local)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from derhed.linalg import DEFAULT_PRIME, MAX_PRIME, PrimeField, _eliminate
+from derhed.linalg import DEFAULT_PRIME, MAX_PRIME, PrimeField, _eliminate, _kernel
 
 from oracles import rank_oracle, rank_oracle_gauss
 
@@ -288,6 +288,26 @@ def dense_and_sparse(draw):
 @example((PrimeField(3), [], [], 4, [[]]))
 def test_dict_rows_answer_as_dense_rows(case):
     _assert_same_answers(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_and_sparse())
+@example((PrimeField(5), [[0, 0, 7]], [{2: 7}], 3, []))
+@example((PrimeField(3), [], [], 4, []))
+def test_kernel_is_the_sparse_nullspace(case):
+    # one row per free column, ascending, 1 there and 0 at the other free
+    # columns, and no zero entry anywhere; each row solves m v = 0, and
+    # the dense rows are nullspace's
+    f, dense, sparse, cols, _ = case
+    rows = _kernel(sparse, cols, f.p)
+    free = [c for c in range(cols) if c not in f.rref(dense)[1]]
+    assert len(free) == cols - rank_oracle(np.array(dense).reshape(len(dense), cols), f.p)
+    assert [{c: r[c] for c in free if c in r} for r in rows] == [{c: 1} for c in free]
+    assert all(0 < x < f.p for r in rows for x in r.values())
+    vectors = [[r.get(c, 0) for c in range(cols)] for r in rows]
+    for v in vectors:
+        assert all(sum(x * y for x, y in zip(row, v)) % f.p == 0 for row in dense)
+    assert vectors == f.nullspace(dense, cols) == f.nullspace(sparse, cols)
 
 
 @pytest.mark.parametrize("p", [2, 5, 32003, LARGEST_PRIME])
