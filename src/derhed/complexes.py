@@ -8,32 +8,31 @@ of degree d to summand j of degree d+1 and lies in e_w A e_v, v and w the
 vertices of the source and target summands (module maps between
 projectives act by left multiplication, see quiver.py).
 
-hom_k_dim computes Hom(X, Y[n]) in the homotopy category as the n-th
-cohomology of the total hom complex: degree-n maps modulo those of the
-form d s + (-1)^(n-1) s d.  Everything reduces to rank and nullspace over
-the configured prime field.  The degree-m maps have one coordinate per
-(degree i, X-summand a, Y-summand b at i+m, basis path of e_{vb} A
-e_{va}), in blocks: _hom_blocks gives each (i, a, b) with a path an
+Hom(X, Y[n]) in the homotopy category is always the n-th cohomology of the
+total hom complex: degree-n maps X -> Y modulo those of the form
+d s + (-1)^(n-1) s d; End(X) is degree 0.  Everything reduces to rank and
+nullspace over the configured prime field.  The degree-m maps have one
+coordinate per (degree i, X-summand a, Y-summand b at i+m, basis path of
+e_{vb} A e_{va}), in blocks: _hom_blocks gives each (i, a, b) with a path an
 offset, ascending with i, then a, then b (which fixes the End basis), and
-path k of the block sits at offset + alg._slot[k].  The blocks of degree
-m are built once and shared by the boundaries d_(m-1) and d_m, each a list
-of sparse rows, one dict of nonzero entries per target coordinate, as the
-GF(p) kernels take them.  Every path product comes from the algebra's table.
+path k of the block sits at offset + alg._slot[k].  The blocks of degree m
+are built once and shared by the boundaries d_(m-1) and d_m, each a list of
+sparse rows, one dict of nonzero entries per target coordinate, as the GF(p)
+kernels take them.  Every path product comes from the algebra's table.
 
 build_shiftgraph_from_complexes works from one window table of hom
 dimensions per ordered pair of complexes and one EndAlgebra per complex,
 and tests isomorphism only where the dimensions allow one.
 
-EndAlgebra eliminates once: one echelon of the degree-0 cycles, built
-from the images of d_(-1) and extended by the sparse kernel of d_0
-(linalg._eliminate), gives the End basis (the rows the kernel added),
-and linalg._reduce reduces the composites of basis maps against it to
-End coordinates, which fill the multiplication table.  The radical
-(trace form) is read off that table, and the locality test works modulo
-it.  Every composite, check_complex's d o d included, comes from one
-product of graded maps, _product; each basis map is split into blocks
-once (_split).  _hom_boundary keeps its own loop, as it writes each
-product straight into a boundary row.
+_hom_basis eliminates once: one echelon of the degree-n cycles, built from
+the images of d_(n-1) and extended by the sparse kernel of d_n
+(linalg._eliminate), gives a basis of Hom(X, Y[n]), the rows the kernel
+added.  EndAlgebra takes n = 0, and linalg._reduce reduces the composites
+of basis maps against its echelon to End coordinates, which fill the
+multiplication table.  The radical (trace form) is read off that table, and
+the locality test works modulo it.  Every composite but _hom_boundary's,
+which go straight into a boundary row, comes from one product of graded
+maps, _product, and each basis map is split into blocks once (_split).
 """
 
 from __future__ import annotations
@@ -260,23 +259,23 @@ def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
     return _hom_dims(x, y, n, n, fld or PrimeField())[n]
 
 
-def _hom_basis(x: ProjComplex, y: ProjComplex, fld: PrimeField):
-    """(The blocks of the degree-0 maps X -> Y, an echelon {pivot column:
-    row} of the cycles of the hom complex in degree 0, and its rows off the
-    boundaries, sparse chain maps whose classes form a basis of
-    Hom_K(X, Y)).  The echelon starts from the images of the degree -1
-    coordinates under d_(-1), which span the boundaries, and a second
-    _eliminate extends it by the cycles of d_0: each one it does not yet
-    reach opens a pivot, and those rows are the basis."""
+def _hom_basis(x: ProjComplex, y: ProjComplex, n: int, fld: PrimeField):
+    """(The blocks of the degree-n maps X -> Y, an echelon {pivot column:
+    row} of the cycles of the hom complex in degree n, and its rows off the
+    boundaries, sparse cycles whose classes form a basis of Hom(X, Y[n])).
+    The echelon starts from the images of the degree n - 1 coordinates
+    under d_(n-1), which span the boundaries, and a second _eliminate
+    extends it by the cycles of d_n: each one it does not yet reach opens
+    a pivot, and those rows are the basis."""
     p = fld.p
-    prev, src, nxt = (_hom_blocks(x, y, m) for m in (-1, 0, 1))
+    prev, src, nxt = (_hom_blocks(x, y, m) for m in (n - 1, n, n + 1))
     images: list[dict[int, int]] = [{} for _ in range(prev[1])]
-    for t, row in enumerate(_hom_boundary(x, y, -1, prev, src, p)):
+    for t, row in enumerate(_hom_boundary(x, y, n - 1, prev, src, p)):
         for s, v in row.items():
             images[s][t] = v
     echelon = _eliminate(images, p)
     start = len(echelon)
-    _eliminate(_kernel(_hom_boundary(x, y, 0, src, nxt, p), src[1], p), p, echelon)
+    _eliminate(_kernel(_hom_boundary(x, y, n, src, nxt, p), src[1], p), p, echelon)
     return src, echelon, list(echelon.values())[start:]
 
 
@@ -307,7 +306,7 @@ class EndAlgebra:
     def __init__(self, x: ProjComplex, fld: PrimeField):
         self.x = x
         self.fld = fld
-        self.blocks, self._echelon, self.reps = _hom_basis(x, x, fld)
+        self.blocks, self._echelon, self.reps = _hom_basis(x, x, 0, fld)
         self.dim = len(self.reps)
         self._cols = [min(r) for r in self.reps]  # each rep's pivot column
         self._struct: dict[tuple[int, int], list[int]] | None = None
@@ -422,7 +421,8 @@ def build_shiftgraph_from_complexes(reps: list[ProjComplex], window: int,
     {n: dim Hom(X, Y[n])} over |n| <= window per ordered pair, which gives
     the edges.  An isomorphism X_i -> X_j[n] forces dim Hom(X_i, X_j[n]) =
     dim End X_i = dim End X_j = dim Hom(X_j, X_i[-n]), so the exact
-    isomorphism test runs only where those four numbers agree.
+    isomorphism test, which reads degree n on the normalized complexes,
+    runs only where those four numbers agree.
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, not {window}")
@@ -455,7 +455,7 @@ def build_shiftgraph_from_complexes(reps: list[ProjComplex], window: int,
             for n in range(-window, window + 1):
                 # ends are local, so these dimensions are all nonzero
                 if (table[i, j][n] == ends[i].dim == ends[j].dim == table[j, i][-n]
-                        and _isomorphic(ends[i], shift_complex(normed[j], n, fld.p))):
+                        and _isomorphic(ends[i], normed[j], n)):
                     raise ValueError(
                         f"{ids[i]} and {ids[j]} are isomorphic up to shift {n}")
     orbits = [Orbit(ids[i], period=None, end_dim=end.dim) for i, end in enumerate(ends)]
@@ -472,19 +472,19 @@ def build_shiftgraph_from_complexes(reps: list[ProjComplex], window: int,
 def are_isomorphic(x: ProjComplex, y: ProjComplex, fld: PrimeField) -> bool:
     """Iso test for indecomposable complexes: the composites X -> Y -> X
     span End(X)."""
-    return _isomorphic(EndAlgebra(x, fld), y)
+    return _isomorphic(EndAlgebra(x, fld), y, 0)
 
 
-def _isomorphic(end: EndAlgebra, y: ProjComplex) -> bool:
-    """Whether X = end.x, whose End is local, is a summand of Y, so
-    X = Y for an indecomposable Y.  The composites X -> Y -> X span a
-    two-sided ideal of End(X), which is all of End(X) exactly when it
-    holds a unit, that is when X is a summand of Y.  Every composite of
-    basis maps goes to to_quotient, and one rank says whether they span
-    End(X); no radical is needed.  No composite (Hom(X, Y) or Hom(Y, X)
-    is 0) answers False."""
+def _isomorphic(end: EndAlgebra, y: ProjComplex, n: int) -> bool:
+    """Whether X = end.x, whose End is local, is a summand of Y[n], so
+    X = Y[n] for an indecomposable Y.  The composites of the degree-n maps
+    X -> Y and the degree -n maps Y -> X span a two-sided ideal of End(X),
+    all of it exactly when it holds a unit, that is when X is a summand of
+    Y[n].  Each composite of basis maps goes to to_quotient, and one rank
+    says whether they span End(X); no radical is needed.  No composite
+    (Hom(X, Y[n]) or Hom(Y[n], X) is 0) answers False."""
     x, fld, alg = end.x, end.fld, end.x.algebra
     fs, gs = ([_split(r, blocks) for r in reps]
-              for blocks, _, reps in (_hom_basis(x, y, fld), _hom_basis(y, x, fld)))
-    comps = [_coords(alg, _product(alg, f, g, 0, fld.p), end.blocks) for f in fs for g in gs]
+              for blocks, _, reps in (_hom_basis(x, y, n, fld), _hom_basis(y, x, -n, fld)))
+    comps = [_coords(alg, _product(alg, f, g, n, fld.p), end.blocks) for f in fs for g in gs]
     return bool(comps) and fld.rank(end.to_quotient(comps)) == end.dim

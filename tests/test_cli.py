@@ -685,6 +685,25 @@ def test_hom_misread_complex_exit_2(capsys, tmp_path):
     assert code == 0 and rep["report"]["dim"] == 1
 
 
+def test_hom_nonzero_square_exit_2(capsys, tmp_path):
+    """Over k[a]/(a^3), the chain P -a-> P -a-> P has d o d = a^2 != 0:
+    hom refuses it in either position, naming the file and the fault."""
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"vertices": ["v"],
+                               "arrows": [{"id": "a", "from": "v", "to": "v"}],
+                               "relations": [["a", "a", "a"]]}))
+    c1 = tmp_path / "c1.json"
+    c1.write_text(json.dumps({"name": "C1", "degrees": {"0": ["v"]}}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "B", "degrees": {"-2": ["v"], "-1": ["v"], "0": ["v"]},
+                               "differentials": {"-2": [[[["a", 1]]]], "-1": [[[["a", 1]]]]}}))
+    for x, y in ((bad, c1), (c1, bad)):
+        code, rep = run_cli(capsys, "hom", str(alg), str(x), str(y))
+        assert code == 2
+        assert rep["error"] == {"type": "input", "message": f"invalid complex {bad}: "
+                                "degree -2: d o d is nonzero at (0, 0)"}
+
+
 @pytest.mark.parametrize("bad_dict, msg", [
     ({"name": "X", "degrees": {" 0": ["1"], "+0": ["2"]}}, "name the same degree"),
     ({"name": "X", "degrees": {"-1": ["2"], "0": ["1"]},

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from derhed.complexes import (AlgebraMismatch, EndAlgebra, FieldTooSmall,
-                              ProjComplex, _hom_blocks,
-                              _hom_boundary, _hom_dims, are_isomorphic,
+                              ProjComplex, _hom_basis, _hom_blocks,
+                              _hom_boundary, _hom_dims, _isomorphic, are_isomorphic,
                               build_shiftgraph_from_complexes, check_complex,
                               hom_k_dim, is_indecomposable, shift_complex)
 from derhed.generators import (a2_projective_resolutions,
@@ -194,7 +194,7 @@ def test_hom_k_dim_builds_outer_blocks_only_beside_maps(monkeypatch, dual, fld):
 def test_window_table_matches_per_call_dims(dual, fld, family):
     """The builder's one table per pair equals the per-call hom_k_dim,
     the oracle, and Hom(X, Y[n]) computed as Hom(X, shift(Y, n)) in
-    degree 0, which the isomorphism gate relies on."""
+    degree 0."""
     if family == "dual":
         xs = [dual_numbers_chain(dual, l) for l in (1, 2, 3, 4)]
     else:
@@ -425,6 +425,45 @@ def test_euler_form_of_the_hom_tables(fld):
                 cases += 1
     assert cases == 10**2 + 7**2 + 11**2 + 8**2
     assert transposed_misses > 0
+
+
+@pytest.mark.parametrize("p", [5, 101])
+def test_hom_basis_at_every_degree(p):
+    """_hom_basis(x, y, n) gives hom_k_dim(x, y, n) reps at every degree
+    n, not only the End's n = 0, and each rep is a cycle: the boundary
+    d_n maps it to 0."""
+    fld, off_zero = PrimeField(p), 0
+    for xs in euler_families(p):
+        for x in xs:
+            for y in xs:
+                for n in range(-3, 4):
+                    blocks, _, reps = _hom_basis(x, y, n, fld)
+                    assert len(reps) == hom_k_dim(x, y, n, fld), (x.name, y.name, n)
+                    d_n = _hom_boundary(x, y, n, blocks, _hom_blocks(x, y, n + 1), p)
+                    assert all(sum(c * r.get(s, 0) for s, c in row.items()) % p == 0
+                               for row in d_n for r in reps), (x.name, y.name, n)
+                    off_zero += len(reps) if n else 0
+    assert off_zero > 0
+
+
+@pytest.mark.parametrize("p", [5, 101])
+def test_isomorphic_at_degree_n_matches_shifted_copy(p):
+    """The builder's iso test, _isomorphic(End X, Y, n) on the degree-n
+    maps, answers as are_isomorphic(X, Y[n]) on a shifted copy, for every
+    X with a local End and every Y of its family at n = -2..2."""
+    fld, answers = PrimeField(p), set()
+    for xs in euler_families(p):
+        for x in xs:
+            end = EndAlgebra(x, fld)
+            if end.dim >= p or not end.is_local():  # the radical needs p > dim End
+                continue
+            for y in xs:
+                for n in range(-2, 3):
+                    iso = _isomorphic(end, y, n)
+                    assert iso == are_isomorphic(x, shift_complex(y, n, p), fld), (
+                        x.name, y.name, n)
+                    answers.add((iso, n == 0))
+    assert answers == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_dual_numbers_graph_matches_per_call_dims(dual, fld):
