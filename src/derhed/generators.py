@@ -144,8 +144,8 @@ def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,
     with the given orientation word over {>, <}.
 
     The modules and their dimension vectors are the objects and vectors of
-    _knit, and each module is named M{a}_{b} after its support [a, b];
-    RuntimeError unless they are the n(n+1)/2 distinct thin intervals.
+    _knit, and in the same pass each module is named M{a}_{b} after its
+    support [a, b], the first and last nonzero coordinates of its vector.
     For each module X = (v, k) and each object (v, d) with h_u(v, d) = x
     != 0, Hom((u, k - d), X) = x and, by the Auslander-Reiten formula
     Ext^1(X, Y) = D Hom(Y, tau X), Ext^1(X, (u, k - 1 - d)) = x, each set
@@ -153,24 +153,15 @@ def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,
     Hom or Ext^1 (the algebra is hereditary)."""
     fld = fld or PrimeField()
     q = _an_quiver(n, orientation)
-    dims = _knit(q)
-    at: dict[tuple[int, int], tuple[str, int]] = {}
-    for z, dim in dims.items():
-        ones = [i for i, d in enumerate(dim, 1) if d == 1]
-        if len(ones) == sum(dim) == ones[-1] - ones[0] + 1:
-            at[(ones[0], ones[-1])] = z
-    if not len(at) == len(dims) == n * (n + 1) // 2:
-        raise RuntimeError("the modules are not the n(n+1)/2 distinct thin intervals")
     names = names or {}
-    name_of = {}  # module -> its name, by support
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            nm = f"M{a}_{b}"
-            name_of[at[(a, b)]] = names.get(nm, nm)
+    name_of = {}  # module -> its name
     # v -> each (u, d, x) with x = h_u(v, d) != 0
     at_vertex: dict[str, list[tuple[str, int, int]]] = {}
-    for (v, d), dim in dims.items():
-        at_vertex.setdefault(v, []).extend((u, d, x) for u, x in zip(q.vertices, dim) if x)
+    for (v, d), dim in _knit(q).items():
+        row = [(u, d, x) for u, x in zip(q.vertices, dim) if x]
+        nm = f"M{row[0][0]}_{row[-1][0]}"
+        name_of[(v, d)] = names.get(nm, nm)
+        at_vertex.setdefault(v, []).extend(row)
     hom = {}
     ext1 = {}
     for (v, k), nm in name_of.items():

@@ -224,10 +224,9 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     verdict = "hereditary-within-window" if g.windowed else "hereditary"
     degree_witness = None
     if g.genuine and max(check.m_values, default=0) >= 2:
-        hom, constraints = _constraint_edges(eng.succ, blk)
-        pi = _potential(constraints)
+        pi = _potential(_constraint_edges(eng.succ, blk))
         if isinstance(pi, list):
-            degree_witness = _degree_witness(hom, pi)
+            degree_witness = _degree_witness(eng.succ, pi)
             verdict = "not-hereditary"
         else:
             heart = Heart({y: pi[y] - pi[source] for y in blk})
@@ -237,44 +236,46 @@ def check_hereditary(g: ShiftGraph, block: list[str],
 
 
 def _constraint_edges(succ: dict[str, list[tuple[str, int]]], blk: list[str]):
-    """The hom edges (a, b, w) of the block along succ, and the successor
-    lists of the constraint edges (a, b, w) and (b, a, 1 - w): offsets d
-    put every hom edge in heart degree m = w + d_a - d_b in {0, 1} exactly
-    when they are a potential of the constraint edges.  Each orbit's list
-    holds its own hom edges, then the reversed ones in hom-edge order."""
-    hom = [(a, b, w) for a in blk for (b, w) in succ[a]]
+    """The successor lists, built off succ, of the constraint edges (a, b,
+    w) and (b, a, 1 - w) of each hom edge (b, w) in succ[a], a in blk:
+    offsets d put every hom edge in heart degree m = w + d_a - d_b in
+    {0, 1} exactly when they are a potential of them.  Each list holds the
+    orbit's own hom edges, then the reversed ones in blk and succ order."""
     constraints = {a: list(succ[a]) for a in blk}
-    for (a, b, w) in hom:
-        constraints[b].append((a, 1 - w))
-    return hom, constraints
+    for a in blk:
+        for (b, w) in succ[a]:
+            constraints[b].append((a, 1 - w))
+    return constraints
 
 
-def _degree_witness(hom: list[tuple[str, str, int]], cycle: list) -> list[dict]:
+def _degree_witness(succ: dict[str, list[tuple[str, int]]], cycle: list) -> list[dict]:
     """The m <= 1 half of the heart condition: in a hereditary category
     every hom edge lands in heart degree 0 or 1, since Ext^2 vanishes.  A
     negative cycle of the constraint edges (see _constraint_edges), from
-    their _potential, proves that no heart has every m in {0, 1}; it is
-    written out as the hom edges it reads, each traversed "forward" or
-    "reversed".  A partial object list or hom window only drops
-    constraints, so the proof stays sound."""
-    forward = set(hom)
+    their _potential, proves that no heart has every m in {0, 1}.  Each
+    step (u, v, w) is written as a hom edge of succ: "forward" if (v, w) is
+    in succ[u], even when it also reverses one, else "reversed".  Dropped
+    constraints (a partial object list or hom window) keep the proof sound."""
     return [{"from": u, "to": v, "weight": w, "direction": "forward"}
-            if (u, v, w) in forward else
+            if (v, w) in succ[u] else
             {"from": v, "to": u, "weight": 1 - w, "direction": "reversed"}
             for (u, v, w) in cycle]
+
+
+def _degrees(heart: Heart, obj: Counter) -> list[tuple[ObjRef, int, int]]:
+    """Each component (Y, n) of obj as (ref, mult, heart degree d_Y - n)."""
+    missing = sorted({r.orbit for r in obj if r.orbit not in heart.offsets})
+    if missing:
+        raise IncompleteHeart(missing)
+    return [(ref, mult, heart.offsets[ref.orbit] - ref.offset) for ref, mult in obj.items()]
 
 
 def cohomology(heart: Heart, obj: Counter) -> dict[int, Counter]:
     """Split a formal object (a Counter of ObjRefs) along the heart: its
     (Y, n) contributes the heart object (Y, d_Y) in degree p = d_Y - n."""
-    missing = sorted({r.orbit for r in obj if r.orbit not in heart.offsets})
-    if missing:
-        raise IncompleteHeart(missing)
     out: dict[int, Counter] = {}
-    for ref, mult in obj.items():
-        d = heart.offsets[ref.orbit]
-        p = d - ref.offset
-        out.setdefault(p, Counter())[ObjRef(ref.orbit, d)] += mult
+    for ref, mult, p in _degrees(heart, obj):
+        out.setdefault(p, Counter())[ObjRef(ref.orbit, heart.offsets[ref.orbit])] += mult
     return {p: c for p, c in sorted(out.items())}
 
 
@@ -283,12 +284,8 @@ def truncate(heart: Heart, obj: Counter, n: int, side: str) -> Counter:
     (side "ge"); truncations partition the object degreewise."""
     if side not in ("le", "ge"):
         raise ValueError('side must be "le" or "ge"')
-    missing = sorted({r.orbit for r in obj if r.orbit not in heart.offsets})
-    if missing:
-        raise IncompleteHeart(missing)
     kept: Counter = Counter()
-    for ref, mult in obj.items():
-        p = heart.offsets[ref.orbit] - ref.offset
+    for ref, mult, p in _degrees(heart, obj):
         if (side == "le" and p <= n) or (side == "ge" and p >= n):
             kept[ref] += mult
     return kept

@@ -14,8 +14,8 @@ from derhed.generators import (AbelianData, expand_hereditary,
                                gen_semisimple_block)
 from derhed.hereditary import (Heart, IncompleteHeart, NegativeWalkAtSource,
                                NotABlock, UnreachableOrbit, _constraint_edges,
-                               check_hereditary, cohomology, extract_heart,
-                               truncate, verify_heart)
+                               _degree_witness, check_hereditary, cohomology,
+                               extract_heart, truncate, verify_heart)
 from derhed.paths import NEG_INF, POS_INF, PathEngine, _potential
 from derhed.shiftgraph import HomEdge, ObjRef, Orbit, ShiftGraph, UnknownOrbit
 
@@ -172,6 +172,37 @@ def test_truncate_sides(a2):
     assert low == Counter({ObjRef("S1", 2): 1, ObjRef("I", 0): 2})
     with pytest.raises(ValueError):
         truncate(heart, obj, 0, "lt")
+
+
+def test_truncate_refuses_a_bad_side_before_a_missing_orbit():
+    # truncate reads its side first; both read the heart degrees through
+    # one check, which names the missing orbits sorted
+    heart = Heart({"S1": 0})
+    obj = Counter({ObjRef("S2", 0): 1, ObjRef("I", 1): 1, ObjRef("S1", 0): 1})
+    with pytest.raises(ValueError):
+        truncate(heart, obj, 0, "lt")
+    for split in (lambda: cohomology(heart, obj), lambda: truncate(heart, obj, 0, "ge")):
+        with pytest.raises(IncompleteHeart) as exc:
+            split()
+        assert exc.value.missing == ["I", "S2"]
+
+
+AN4 = sorted(gen_dynkin_an(4, ">><").orbit_ids())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({x: st.integers(-3, 3) for x in AN4}),
+       st.dictionaries(st.builds(ObjRef, st.sampled_from(AN4), st.integers(-5, 5)),
+                       st.integers(1, 3)))
+def test_truncate_agrees_with_cohomology(offsets, parts):
+    # the part in heart degrees <= n is as large as cohomology's parts
+    # there, and it and the part in degrees >= n + 1 make up the object
+    heart, obj = Heart(offsets), Counter(parts)
+    full = cohomology(heart, obj)
+    for n in range(-8, 9):
+        low = truncate(heart, obj, n, "le")
+        assert sum(low.values()) == sum(sum(c.values()) for p, c in full.items() if p <= n)
+        assert low + truncate(heart, obj, n + 1, "ge") == obj
 
 
 # random non-negative-weight graphs are always heart-extractable, and the
@@ -424,8 +455,7 @@ def test_ext2_refutation_reads_the_constraints_once(monkeypatch):
             return super().__iter__()
 
     def counted(succ, blk):
-        hom, constraints = real(succ, blk)
-        return hom, Reads(constraints)
+        return Reads(real(succ, blk))
 
     monkeypatch.setattr(hereditary, "_constraint_edges", counted)
     g = build_shiftgraph_from_complexes(a3_shortcut_complexes()[1], 3)
@@ -434,6 +464,17 @@ def test_ext2_refutation_reads_the_constraints_once(monkeypatch):
     assert rep.verdict == "not-hereditary"
     assert oracles.check_degree_witness(g, rep.degree_witness)
     assert len(reads) == 1
+
+
+def test_degree_witness_reads_direction_off_succ():
+    # a step that is a stored hom edge is written forward, even when it
+    # also reverses one: B -> A at 1 is stored, and reverses A -> B at 0
+    succ = {"A": [("A", 0), ("B", 0)], "B": [("A", 1), ("B", 0)]}
+    assert _degree_witness(succ, [("B", "A", 1)]) == [
+        {"from": "B", "to": "A", "weight": 1, "direction": "forward"}]
+    # B -> A at -1 is stored nowhere: it reverses A -> B at 2
+    assert _degree_witness({"A": [("B", 2)], "B": []}, [("B", "A", -1)]) == [
+        {"from": "A", "to": "B", "weight": 2, "direction": "reversed"}]
 
 
 def count_potentials(monkeypatch) -> list[list[str]]:
@@ -526,7 +567,7 @@ def test_degree_check_refutes_no_genuine_generator():
         eng = PathEngine(g)
         for blk in eng.blocks():
             assert check_hereditary(g, blk, engine=eng).degree_witness is None
-            assert isinstance(_potential(_constraint_edges(eng.succ, blk)[1]), dict)
+            assert isinstance(_potential(_constraint_edges(eng.succ, blk)), dict)
 
 
 def _report(verdict, offsets, m_values, degree_witness=None):
