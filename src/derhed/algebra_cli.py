@@ -29,15 +29,19 @@ def _field() -> PrimeField:
 
 def _write(*files: tuple[str, str]) -> None:
     """Write each (path, text), all of them or none.  A missing or read-only
-    directory, or a path that is a directory, refuses all.  Each text goes
-    to a temporary file beside its path, and the temporary files replace
-    their paths, in order, only once every one is written; on any failure
-    they are deleted.  So when two paths are the same, the last text wins."""
+    directory refuses all, and so does a path that is a directory or that
+    is not a regular file (a FIFO, a device); a symlink to a regular file,
+    not its target, is replaced.  Each text goes to a temporary file beside
+    its path, and the temporary files replace their paths, in order, only
+    once every one is written; on any failure they are deleted.  So when
+    two paths are the same, the last text wins."""
     for path, _ in files:
         if not os.access(os.path.dirname(path) or ".", os.W_OK):
             raise InputError(f"cannot write {path}: its directory is missing or read-only")
         if os.path.isdir(path):
             raise InputError(f"cannot write {path}: it is a directory")
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise InputError(f"cannot write {path}: it is not a regular file")
     temps: list[str] = []
     try:
         for i, (path, text) in enumerate(files):

@@ -175,9 +175,8 @@ def check_hereditary(g: ShiftGraph, block: list[str],
     indicator = {x: (x in negative) for x in blk}
     if negative:
         x = min(negative)
-        witness = eng.path_report(ObjRef(x, 1), ObjRef(x, 0)).witness
         return HereditaryReport(verdict="not-hereditary", indicator=indicator,
-                                witness=witness)
+                                witness=eng.path_report(ObjRef(x, 1), ObjRef(x, 0)).witness)
     # The admissible sources are those whose row of walk weights d(x, .)
     # has no +inf; the one with the least sorted row (ties broken by orbit
     # id) gives the canonical heart.  Few rows need solving.  pi, kept by
@@ -209,17 +208,17 @@ def check_hereditary(g: ShiftGraph, block: list[str],
         ahead = _bfs_tree(tight, x)
         reached.update(ahead)
         bounds.append((sorted(pi[y] if y in ahead else pi[y] + 1 for y in blk), x))
-    best = None  # ((sorted row, id), row) of the least admissible row so far
+    best = None  # (sorted row, id) of the least admissible row so far
     for bound, x in sorted(bounds):
-        if best and (bound, x) > best[0]:
+        if best and (bound, x) > best:
             break
-        row = list(eng.row(x).values())
-        if POS_INF not in row and (best is None or (sorted(row), x) < best[0]):
-            best = ((sorted(row), x), row)
+        row = sorted(eng.row(x).values())
+        if POS_INF not in row and (best is None or (row, x) < best):
+            best = (row, x)
     if best is None:
         raise UnreachableOrbit(f"no orbit of {blk} reaches every other orbit")
-    (_, source), row = best
-    heart = Heart({y: int(w) for y, w in zip(blk, row)})
+    source = best[1]
+    heart = extract_heart(g, source, eng)  # the row that the loop cached
     check = verify_heart(g, heart)
     verdict = "hereditary-within-window" if g.windowed else "hereditary"
     degree_witness = None

@@ -179,6 +179,7 @@ class PathEngine:
             return None
         dist = self.row(x)
         if mw != NEG_INF:
+            # not a shortcut: at +-inf, _tight's inf + w overflows past float range
             finite = [v for v, d in dist.items() if NEG_INF < d < POS_INF]
             return _unwind(_bfs_tree(_tight(self.succ, dist, finite), x), x, y)
         # -inf: pump a negative cycle lying between x and y.
@@ -220,7 +221,8 @@ class PathEngine:
 # -- blocks, reachability, walk unwinding and label-correcting solves --
 
 def _unwind(pred: dict[str, tuple[str, int]], s: str, t: str) -> list[tuple[str, str, int]]:
-    """The hom edges (u, v, w) of the walk s -> t along a _bfs_tree from s."""
+    """The hom edges (u, v, w) of the walk s -> t along a predecessor map {v: (u, w)}
+    rooted at s: a _bfs_tree from s, or _relax's parent pointers round a cycle through s."""
     path = []
     while t != s:
         u, w = pred[t]
@@ -318,21 +320,16 @@ def _relax(succ: dict[str, list[tuple[str, int]]], dist: dict[str, float]):
 
 
 def _parent_cycle(parent: dict[str, tuple[str, int]], v: str) -> list[tuple[str, str, int]]:
-    """The cycle of the parent pointers (v -> (u, w)) that the walk from v
-    runs into, as its edges (u, v, w) from its least node; [] when the
-    walk ends at a node with no parent."""
+    """The edges of the cycle that the walk from v along the parent pointers
+    enters, from its least edge; [] when that walk reaches a node with no parent."""
     seen = set()
     while v not in seen:
         if v not in parent:
             return []
         seen.add(v)
         v = parent[v][0]
-    cycle, x = [], v
-    while not cycle or x != v:
-        u, w = parent[x]
-        cycle.append((u, x, w))
-        x = u
-    cycle.reverse()
+    u, w = parent[v]
+    cycle = _unwind(parent, v, u) + [(u, v, w)]
     k = cycle.index(min(cycle))
     return cycle[k:] + cycle[:k]
 

@@ -2,6 +2,7 @@ import argparse
 import importlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -370,6 +371,28 @@ def test_gen_a2_writes_all_files_or_none(capsys, tmp_path, monkeypatch):
     code, _ = run_cli(capsys, "gen", "a2", "--out", str(out), "--bad-heart-out", str(out))
     assert code == 0 and sorted(os.listdir(tmp_path)) == ["a2.json", "outdir"]
     assert json.loads(out.read_text())["name"] == "example_a2"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_gen_refuses_a_path_that_is_not_a_regular_file(capsys, tmp_path):
+    """A FIFO as --out or as --bad-heart-out refuses the command before
+    anything is written, and stays a FIFO; a symlink to a regular file is
+    replaced, and its target kept."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    refusal = f"cannot write {fifo}: it is not a regular file"
+    code, rep = run_cli(capsys, "gen", "an", "--n", "3", "--orientation", "><",
+                        "--out", str(fifo))
+    assert code == 2 and rep["error"]["message"] == refusal
+    out = tmp_path / "a2.json"
+    code, rep = run_cli(capsys, "gen", "a2", "--out", str(out), "--bad-heart-out", str(fifo))
+    assert code == 2 and rep["error"]["message"] == refusal
+    assert os.listdir(tmp_path) == ["fifo"] and stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("kept")
+    link.symlink_to(target)
+    code, _ = run_cli(capsys, "gen", "an", "--n", "2", "--orientation", ">", "--out", str(link))
+    assert code == 0 and not link.is_symlink() and target.read_text() == "kept"
 
 
 @pytest.mark.parametrize("before_family", [True, False])

@@ -454,6 +454,58 @@ def test_hop_bound_exit_hands_back_a_cycle(monkeypatch):
     assert cycle == [("O0", "O2", -2), ("O2", "O3", 0), ("O3", "O1", 0), ("O1", "O0", -2)]
 
 
+def parent_cycle_oracle(parent, v):
+    """Follow the parent pointers from v: [] on reaching a node with no
+    parent, else the edges (parent[x][0], x, parent[x][1]) of the cycle
+    the walk enters, in the order they close up, from the least edge."""
+    walk = []
+    while v not in walk:
+        if v not in parent:
+            return []
+        walk.append(v)
+        v = parent[v][0]
+    nodes = walk[walk.index(v):]
+    cycle = [(parent[x][0], x, parent[x][1]) for x in reversed(nodes)]
+    k = cycle.index(min(cycle))
+    return cycle[k:] + cycle[:k]
+
+
+@st.composite
+def parent_maps(draw):
+    nodes = [f"n{i}" for i in range(draw(st.integers(1, 9)))]
+    parent = {x: (draw(st.sampled_from(nodes)), draw(st.integers(-3, 3)))
+              for x in nodes if draw(st.booleans())}
+    return parent, draw(st.sampled_from(nodes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parent_maps())
+def test_parent_cycle_matches_oracle(case):
+    parent, v = case
+    cycle = paths._parent_cycle(parent, v)
+    assert cycle == parent_cycle_oracle(parent, v)
+    assert all(parent[x] == (u, w) for (u, x, w) in cycle)
+    assert all(cycle[k][1] == cycle[(k + 1) % len(cycle)][0] for k in range(len(cycle)))
+
+
+def test_parent_cycle_pins():
+    assert paths._parent_cycle({"a": ("a", -1)}, "a") == [("a", "a", -1)]
+    # a tail t -> c into the two-cycle b <-> c, entered at c
+    parent = {"t": ("c", 2), "c": ("b", -1), "b": ("c", 0)}
+    assert paths._parent_cycle(parent, "t") == [("b", "c", -1), ("c", "b", 0)]
+    assert paths._parent_cycle({"x": ("y", 1)}, "x") == []
+
+
+def test_walk_skips_orbits_at_infinity_before_a_weight_beyond_float_range():
+    # C -> A at 10**400 with C out of A's reach: C's label stays +inf, and a
+    # tight-edge test there would take inf + 10**400, an OverflowError
+    g = proper_graph(("A", "B", 0), ("C", "A", 10**400))
+    rep = PathEngine(g).path_report(ObjRef("A", 0), ObjRef("B", 0)).to_dict()
+    assert rep == {"exists": True, "min_weight": 0, "witness": [
+        {"kind": "start", "orbit": "A", "offset": 0},
+        {"kind": "hom", "orbit": "B", "offset": 0}]}
+
+
 @settings(max_examples=50, deadline=None)
 @given(SEEDS, st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2))
 def test_padding_law_and_shift_equivariance(seed, i, j, k):
