@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import os
 
-from .linalg import FieldTooSmall, PrimeField
+from .linalg import DEFAULT_FIELD, FieldTooSmall, PrimeField
 from .shiftgraph import InputError, _load_json
 
 
 def _field() -> PrimeField:
     raw = os.environ.get("DERHED_FIELD_CHAR")
     if raw is None:
-        return PrimeField()
+        return DEFAULT_FIELD
     try:
         return PrimeField(int(raw))
     except ValueError as exc:

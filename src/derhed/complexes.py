@@ -40,7 +40,7 @@ from __future__ import annotations
 import operator
 from typing import Optional
 
-from .linalg import FieldTooSmall, PrimeField, _eliminate, _kernel, _reduce
+from .linalg import DEFAULT_FIELD, FieldTooSmall, PrimeField, _eliminate, _kernel, _reduce
 from .quiver import MonomialAlgebra
 from .shiftgraph import HomEdge, Orbit, ShiftGraph
 
@@ -253,10 +253,10 @@ def _hom_dims(x: ProjComplex, y: ProjComplex, lo: int, hi: int,
 
 
 def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
-              fld: PrimeField | None = None) -> int:
+              fld: PrimeField = DEFAULT_FIELD) -> int:
     """dim Hom(X, Y[n]) in the homotopy category of bounded complexes of
     projectives."""
-    return _hom_dims(x, y, n, n, fld or PrimeField())[n]
+    return _hom_dims(x, y, n, n, fld)[n]
 
 
 def _hom_basis(x: ProjComplex, y: ProjComplex, n: int, fld: PrimeField):
@@ -392,16 +392,15 @@ class EndAlgebra:
         return k - self.fld.rank(frob) == 1
 
 
-def is_indecomposable(x: ProjComplex, fld: PrimeField | None = None) -> bool:
+def is_indecomposable(x: ProjComplex, fld: PrimeField = DEFAULT_FIELD) -> bool:
     """Whether End(X) in the homotopy category is local."""
-    fld = fld or PrimeField()
     if errors := check_complex(x, fld.p):
         raise ValueError("invalid complex: " + "; ".join(errors))
     return EndAlgebra(x, fld).is_local()
 
 
 def build_shiftgraph_from_complexes(reps: list[ProjComplex], window: int,
-                                    fld: PrimeField | None = None,
+                                    fld: PrimeField = DEFAULT_FIELD,
                                     name: str = "") -> ShiftGraph:
     """Package homotopy-category hom dimensions of the given
     indecomposable complexes, all over one algebra, into a shift-graph.
@@ -426,7 +425,6 @@ def build_shiftgraph_from_complexes(reps: list[ProjComplex], window: int,
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, not {window}")
-    fld = fld or PrimeField()
     normed = []
     ends = []
     for k, x in enumerate(reps):

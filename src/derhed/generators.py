@@ -18,7 +18,7 @@ from __future__ import annotations
 from graphlib import TopologicalSorter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .linalg import PrimeField
+from .linalg import DEFAULT_FIELD, PrimeField
 from .quiver import Arrow, MonomialAlgebra, Quiver
 from .shiftgraph import DEFAULT_PRIME, HomEdge, Orbit, ShiftGraph
 
@@ -138,7 +138,7 @@ def expand_hereditary(data: AbelianData, name: str = "",
                       genuine=True, windowed=False, field_char=field_char)
 
 
-def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,
+def gen_dynkin_an(n: int, orientation: str, fld: PrimeField = DEFAULT_FIELD,
                   names: dict[str, str] | None = None) -> ShiftGraph:
     """Shift-graph of the bounded derived category of the A_n path algebra
     with the given orientation word over {>, <}.
@@ -151,7 +151,6 @@ def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,
     Ext^1(X, Y) = D Hom(Y, tau X), Ext^1(X, (u, k - 1 - d)) = x, each set
     when that object is a module.  No other pair of modules has a nonzero
     Hom or Ext^1 (the algebra is hereditary)."""
-    fld = fld or PrimeField()
     q = _an_quiver(n, orientation)
     names = names or {}
     name_of = {}  # module -> its name
@@ -174,7 +173,7 @@ def gen_dynkin_an(n: int, orientation: str, fld: PrimeField | None = None,
                              name=f"A{n}({orientation})", field_char=fld.p)
 
 
-def gen_example_a2(fld: PrimeField | None = None) -> tuple[ShiftGraph, Heart]:
+def gen_example_a2(fld: PrimeField = DEFAULT_FIELD) -> tuple[ShiftGraph, Heart]:
     """The A_2 instance with its three indecomposables named S1 (simple
     injective), I (length two), S2 (simple projective), together with the
     inadmissible heart {S1@0, S2@0, I@1}: shifting I up creates a nonzero
@@ -204,7 +203,7 @@ def dual_numbers_chain(alg, length: int, name: str = "") -> ProjComplex:
 
 
 def gen_dual_numbers(max_length: int, window: int,
-                     fld: PrimeField | None = None) -> ShiftGraph:
+                     fld: PrimeField = DEFAULT_FIELD) -> ShiftGraph:
     """Shift-graph of the perfect derived category of the dual numbers,
     restricted to the alpha-differential chains C_1..C_max_length and the
     hom window |n| <= window.  Not hereditary: C_2 carries a weight -1
@@ -212,7 +211,6 @@ def gen_dual_numbers(max_length: int, window: int,
     from .complexes import build_shiftgraph_from_complexes
     if max_length < 2:
         raise ValueError("max_length must be >= 2")
-    fld = fld or PrimeField()
     alg = dual_numbers_algebra()
     reps = [dual_numbers_chain(alg, l) for l in range(1, max_length + 1)]
     return build_shiftgraph_from_complexes(reps, window, fld,
@@ -220,12 +218,11 @@ def gen_dual_numbers(max_length: int, window: int,
 
 
 def gen_semisimple_block(period: int, end_dim: int = 1,
-                         fld: PrimeField | None = None) -> ShiftGraph:
+                         fld: PrimeField = DEFAULT_FIELD) -> ShiftGraph:
     """Single orbit with X = X[period]: a semisimple category with
     cyclically twisted translation.  All hom edges are invertible."""
     if period < 1:
         raise ValueError("period must be >= 1")
-    fld = fld or PrimeField()
     weights = sorted({-period, 0, period})
     edges = tuple(HomEdge(w, end_dim, all_iso=True) for w in weights)
     return ShiftGraph(
@@ -249,10 +246,9 @@ def a2_projective_resolutions():
     return alg, [s1, i, s2]
 
 
-def gen_a2_from_complexes(window: int = 2, fld: PrimeField | None = None) -> ShiftGraph:
+def gen_a2_from_complexes(window: int = 2, fld: PrimeField = DEFAULT_FIELD) -> ShiftGraph:
     """The A_2 shift-graph recomputed through the homotopy engine; agrees
     with gen_example_a2 edge for edge."""
     from .complexes import build_shiftgraph_from_complexes
-    fld = fld or PrimeField()
     _, reps = a2_projective_resolutions()
     return build_shiftgraph_from_complexes(reps, window, fld, name=f"a2_complexes(w{window})")

@@ -27,14 +27,13 @@ exact.
 
 The default characteristic 32003 is large enough that trace-form radical
 computations downstream stay valid (p must exceed every
-endomorphism-algebra dimension we ever see).  PrimeField accepts only
-p < MAX_PRIME = 2**20, so that checking primality by trial division
-costs at most about 500 divisions.
+endomorphism-algebra dimension we ever see), and DEFAULT_FIELD, GF(32003)
+built once at import, is the field of every call that names none.
+PrimeField accepts only p < MAX_PRIME = 2**20, so that checking primality
+by trial division costs at most about 500 divisions.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from .shiftgraph import DEFAULT_PRIME
 
@@ -42,9 +41,6 @@ MAX_PRIME = 2 ** 20
 Row = list[int] | dict[int, int]  # a list of entries, or {column: entry}
 
 
-# trial division runs once per p; PrimeField checks p < MAX_PRIME first,
-# so the memo holds at most one entry per integer below 2**20
-@cache
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -182,3 +178,8 @@ class PrimeField:
         # the free unknowns are 0; pivot unknown c reads its row's right side
         return [[reduced.get(c, {}).get(cols + j, 0) for c in range(cols)]
                 for j in range(len(bs))]
+
+
+# the one field of every call that names none: each PrimeField(p) checks p
+# once, so the default is built, and its primality checked, once per process
+DEFAULT_FIELD = PrimeField()

@@ -20,7 +20,7 @@ from __future__ import annotations
 from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple
 
-from .linalg import PrimeField
+from .linalg import DEFAULT_FIELD, PrimeField
 
 
 class InfiniteDimensional(Exception):
@@ -272,21 +272,21 @@ def _hom_ext(m: Representation, n: Representation, fld: PrimeField) -> tuple[int
 
 
 def rep_hom_dim(m: Representation, n: Representation,
-                fld: PrimeField | None = None) -> int:
+                fld: PrimeField = DEFAULT_FIELD) -> int:
     """dim Hom_A(M, N) over a path algebra: the dimension of the space of
     families (f_v) with f_{t(a)} M_a = N_a f_{s(a)} for every arrow a."""
-    return _hom_ext(m, n, fld or PrimeField())[0]
+    return _hom_ext(m, n, fld)[0]
 
 
 def euler_ext1_dim(m: Representation, n: Representation,
-                   fld: PrimeField | None = None) -> int:
+                   fld: PrimeField = DEFAULT_FIELD) -> int:
     """dim Ext^1_A(M, N) over a hereditary path algebra: the cokernel of
     the Hom system (see _hom_ext).  Only valid when the algebra has no
     relations."""
     if m.algebra.relations:
         raise ValueError("Ext^1 from the Hom system requires a path algebra "
                          "without relations")
-    return _hom_ext(m, n, fld or PrimeField())[1]
+    return _hom_ext(m, n, fld)[1]
 
 
 def algebra_to_dict(alg: MonomialAlgebra) -> dict:

@@ -189,6 +189,18 @@ def test_dual_numbers_work_stops_at_the_degree_span(monkeypatch):
         gen_dual_numbers(3, -1)
 
 
+def test_cone_warnings_on_windowed_instances():
+    # window 0 keeps only the degree-0 homs, so no orbit in the data
+    # completes a non-invertible edge at weight 0 and validate warns about
+    # each pair of chains; from window 1 the shifted homs complete them all
+    for length in range(2, 7):
+        counts = [len(validate(gen_dual_numbers(length, w)).warnings) for w in range(4)]
+        assert counts == [length ** 2, 0, 0, 0]
+    reps = [validate(gen_a2_from_complexes(w)) for w in range(3)]
+    assert all(rep.ok for rep in reps)
+    assert [len(rep.warnings) for rep in reps] == [2, 0, 0]
+
+
 def test_semisimple_block():
     g = gen_semisimple_block(4, end_dim=2)
     assert validate(g).ok

@@ -15,10 +15,52 @@ big = PrimeField(LARGEST_PRIME)
 
 def test_default_prime_is_prime():
     assert DEFAULT_PRIME == 32003
-    # primality is memoized per p: a repeated construction raises too
+    # a repeated construction raises too
     for _ in range(2):
         with pytest.raises(ValueError, match="prime"):
             PrimeField(32004)
+
+
+def test_calls_naming_no_field_use_the_default_field(monkeypatch):
+    # every entry point that names no field runs over linalg.DEFAULT_FIELD,
+    # with the answers of an explicit GF(DEFAULT_PRIME), and builds no field
+    from derhed import algebra_cli, linalg
+    from derhed.complexes import hom_k_dim, is_indecomposable
+    from derhed.generators import (_an_quiver, dual_numbers_algebra, dual_numbers_chain,
+                                   gen_a2_from_complexes, gen_dual_numbers, gen_dynkin_an,
+                                   gen_example_a2, gen_semisimple_block)
+    from derhed.quiver import MonomialAlgebra, euler_ext1_dim, rep_hom_dim
+    from oracles import interval_reps
+
+    alg = dual_numbers_algebra()
+    chains = [dual_numbers_chain(alg, l) for l in (1, 2, 3)]
+    (_, m), (_, n) = interval_reps(MonomialAlgebra(_an_quiver(2, ">"), []), 2)[:2]
+
+    def answers(*fld):
+        g, heart = gen_example_a2(*fld)
+        return ([hom_k_dim(x, y, k, *fld) for x in chains for y in chains
+                 for k in range(-2, 3)],
+                [h.to_json() for h in (gen_dual_numbers(3, 1, *fld),
+                                       gen_a2_from_complexes(1, *fld),
+                                       gen_dynkin_an(3, "><", *fld),
+                                       g, gen_semisimple_block(2, 1, *fld))],
+                heart.offsets, is_indecomposable(chains[1], *fld),
+                rep_hom_dim(m, n, *fld), euler_ext1_dim(m, n, *fld))
+
+    expected = answers(PrimeField(DEFAULT_PRIME))
+    built = []
+    init = PrimeField.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PrimeField, "__init__", counting_init)
+    assert answers() == expected
+    assert built == []
+    monkeypatch.delenv("DERHED_FIELD_CHAR", raising=False)
+    assert algebra_cli._field() is linalg.DEFAULT_FIELD
+    assert linalg.DEFAULT_FIELD.p == DEFAULT_PRIME
 
 
 def test_characteristic_bound():
