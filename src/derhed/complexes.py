@@ -11,14 +11,13 @@ projectives act by left multiplication, see quiver.py).
 Hom(X, Y[n]) in the homotopy category is always the n-th cohomology of the
 total hom complex: degree-n maps X -> Y modulo those of the form
 d s + (-1)^(n-1) s d; End(X) is degree 0.  Everything reduces to rank and
-nullspace over the configured prime field.  The degree-m maps have one
-coordinate per (degree i, X-summand a, Y-summand b at i+m, basis path of
-e_{vb} A e_{va}), in blocks: _hom_blocks gives each (i, a, b) with a path an
-offset, ascending with i, then a, then b (which fixes the End basis), and
-path k of the block sits at offset + alg._slot[k].  The blocks of degree m
-are built once and shared by the boundaries d_(m-1) and d_m, each a list of
-sparse rows, one dict of nonzero entries per target coordinate, as the GF(p)
-kernels take them.  Every path product comes from the algebra's table.
+nullspace over the configured prime field.  Every Hom computation makes
+one assembly, _hom_complex, which numbers the degree-m maps, a coordinate
+per (degree i, X-summand a, Y-summand b at i+m, basis path of
+e_{vb} A e_{va}) in blocks ascending with i, then a, then b (which fixes
+the End basis), and builds each boundary as sparse rows {target: {source:
+entry}}, a row only where an entry lands.  Every path product comes from
+the algebra's table.
 
 build_shiftgraph_from_complexes works from one window table of hom
 dimensions per ordered pair of complexes and one EndAlgebra per complex,
@@ -30,9 +29,9 @@ the images of d_(n-1) and extended by the sparse kernel of d_n
 added.  EndAlgebra takes n = 0, and linalg._reduce reduces the composites
 of basis maps against its echelon to End coordinates, which fill the
 multiplication table.  The radical (trace form) is read off that table, and
-the locality test works modulo it.  Every composite but _hom_boundary's,
-which go straight into a boundary row, comes from one product of graded
-maps, _product, and each basis map is split into blocks once (_split).
+the locality test works modulo it.  Every composite but the boundary's,
+which go straight into its rows, comes from one product of graded maps,
+_product, and each basis map is split into blocks once (_split).
 """
 
 from __future__ import annotations
@@ -178,78 +177,79 @@ def check_complex(c: ProjComplex, p: int) -> list[str]:
 
 # -- hom complex assembly --
 
-def _hom_blocks(x: ProjComplex, y: ProjComplex, n: int):
-    """The blocks {(i, a, b): (offset, paths)} of the degree-n graded maps
-    X -> Y, paths the basis of e_{vb} A e_{va}, and their coordinate count.
-    Every Hom computation starts here, so it refuses two algebras."""
+def _hom_complex(x: ProjComplex, y: ProjComplex, lo: int, hi: int, p: int):
+    """The hom complex X -> Y around degrees lo..hi, in one call: (blocks,
+    d).  blocks[m] = ({(i, a, b): (offset, paths)}, size) numbers degree m
+    for lo <= m <= hi, and lo - 1 (hi + 1) only when lo (hi) has maps.
+    d[m] = {target: {source: entry}} is the boundary f -> d_Y f - (-1)^m f
+    d_X from degree m to m + 1 when both have maps; product k lands at
+    offset + slot[k] of the target block, and no entry gets two terms (a
+    path product fixes each factor).  Two algebras are refused first."""
     if x.algebra is not y.algebra:
         raise AlgebraMismatch("complexes live over different algebras")
-    between, ydeg = x.algebra._between, y.degrees
-    blocks, size = {}, 0
-    for i, xs in x.degrees.items():
-        ys = ydeg.get(i + n)
-        for a, va in enumerate(xs if ys else ()):
-            for b, vb in enumerate(ys):
-                paths = between.get((vb, va))
-                if paths:
-                    blocks[i, a, b] = (size, paths)
-                    size += len(paths)
-    return blocks, size
+    between, mul, slot = x.algebra._between, x.algebra._mul, x.algebra._slot
 
+    def number(m):
+        table, size = {}, 0
+        for i, xs in x.degrees.items():
+            if ys := y.degrees.get(i + m):
+                for a, va in enumerate(xs):
+                    for b, vb in enumerate(ys):
+                        paths = between.get((vb, va))
+                        if paths:
+                            table[i, a, b] = (size, paths)
+                            size += len(paths)
+        return table, size
 
-def _hom_boundary(x: ProjComplex, y: ProjComplex, n: int, src, tgt,
-                  p: int) -> list[dict[int, int]]:
-    """Matrix of the hom-complex differential from degree-n maps to
-    degree-(n+1) maps, f -> d_Y f - (-1)^n f d_X, given the blocks of both
-    (_hom_blocks for n and n + 1), as one dict of nonzero entries per
-    target coordinate.  Product k lands at offset + slot[k] of the target
-    block, found once per source block and differential entry (ProjComplex
-    keeps every entry on the vertices of its summands), and no entry gets
-    two terms, as a path product fixes each factor."""
-    (blocks, _), (tgt_blocks, size) = src, tgt
-    rows: list[dict[int, int]] = [{} for _ in range(size)]
-    mul, slot = x.algebra._mul, x.algebra._slot
-    sign = -1 if n % 2 == 0 else 1  # coefficient of the f d_X term
-    for (i, a, b), (off, paths) in blocks.items():
-        # d_Y f: the path q, then entry (b, c) of d_Y, into block (i, a, c)
-        dy = y.diffs.get(i + n)
-        for c, e in enumerate(dy[b] if dy is not None else ()):
-            t = tgt_blocks.get((i, a, c))
-            for idx, coeff in e.items() if t is not None else ():
-                if coeff % p:
-                    products = mul[idx]
-                    for col, q in enumerate(paths, off):
-                        k = products.get(q)
-                        if k is not None:
-                            rows[t[0] + slot[k]][col] = coeff % p
-        # f d_X: entry (a2, a) of d_X, then the path q, into block (i - 1, a2, b)
-        for a2, drow in enumerate(x.diffs.get(i - 1, ())):
-            t = tgt_blocks.get((i - 1, a2, b))
-            for idx, coeff in drow[a].items() if t is not None else ():
-                if sign * coeff % p:
-                    for col, q in enumerate(paths, off):
-                        k = mul[q].get(idx)
-                        if k is not None:
-                            rows[t[0] + slot[k]][col] = sign * coeff % p
-    return rows
+    blocks = {}  # a loop, not a comprehension: see _hom_dims
+    for m in range(lo, hi + 1):
+        blocks[m] = number(m)
+    for m, inner in ((lo - 1, lo), (hi + 1, hi)):
+        if blocks[inner][1]:
+            blocks[m] = number(m)
+    d = {}
+    for m in range(lo - 1, hi + 1):
+        src, tgt = blocks.get(m), blocks.get(m + 1)
+        if not (src and tgt and src[1] and tgt[1]):
+            continue
+        tgt, rows = tgt[0], d.setdefault(m, {})
+        sign = -1 if m % 2 == 0 else 1  # coefficient of the f d_X term
+        for (i, a, b), (off, paths) in src[0].items():
+            # d_Y f: the path q, then entry (b, c) of d_Y, into block (i, a, c)
+            if (dy := y.diffs.get(i + m)) is not None:
+                for c, e in enumerate(dy[b]):
+                    t = tgt.get((i, a, c))
+                    for idx, coeff in e.items() if t is not None else ():
+                        if v := coeff % p:
+                            products = mul[idx]
+                            for col, q in enumerate(paths, off):
+                                k = products.get(q)
+                                if k is not None:
+                                    rows.setdefault(t[0] + slot[k], {})[col] = v
+            # f d_X: entry (a2, a) of d_X, then the path q, into block (i - 1, a2, b)
+            if (dx := x.diffs.get(i - 1)) is not None:
+                for a2, drow in enumerate(dx):
+                    t = tgt.get((i - 1, a2, b))
+                    for idx, coeff in drow[a].items() if t is not None else ():
+                        if v := sign * coeff % p:
+                            for col, q in enumerate(paths, off):
+                                k = mul[q].get(idx)
+                                if k is not None:
+                                    rows.setdefault(t[0] + slot[k], {})[col] = v
+    return blocks, d
 
 
 def _hom_dims(x: ProjComplex, y: ProjComplex, lo: int, hi: int,
               fld: PrimeField) -> dict[int, int]:
-    """{n: dim Hom(X, Y[n])} for lo <= n <= hi, from a table of the ranks
-    of the hom-complex boundaries d_m (lo-1 <= m <= hi): dim_n =
-    size[n] - rank[n] - rank[n-1].  The blocks of each degree are built
-    once, and d_m is built and its nonempty rows ranked once, only when it
-    has both a source and a target coordinate (else its rank is 0).  So
-    the blocks of degree lo - 1 (hi + 1) are built only when degree lo
-    (hi) has maps, since d_(lo-1) (d_hi) has no other use."""
-    blk = {m: _hom_blocks(x, y, m) for m in range(lo, hi + 1)}
-    for m, inner in ((lo - 1, lo), (hi + 1, hi)):
-        blk[m] = _hom_blocks(x, y, m) if blk[inner][1] else ({}, 0)
-    rank = {m: fld.rank([r for r in _hom_boundary(x, y, m, blk[m], blk[m + 1], fld.p) if r])
-            if blk[m][1] and blk[m + 1][1] else 0
-            for m in range(lo - 1, hi + 1)}
-    return {n: blk[n][1] - rank[n] - rank[n - 1] for n in range(lo, hi + 1)}
+    """{n: dim Hom(X, Y[n])} for lo <= n <= hi: size[n] - rank[n] - rank[n-1],
+    each boundary of one _hom_complex ranked once (any other has rank 0)."""
+    blocks, d = _hom_complex(x, y, lo, hi, fld.p)
+    rank, dims = {}, {}  # loops, not comprehensions: in Python 3.11 each is a call
+    for m, rows in d.items():
+        rank[m] = fld.rank(list(rows.values()))
+    for n in range(lo, hi + 1):
+        dims[n] = blocks[n][1] - rank.get(n, 0) - rank.get(n - 1, 0)
+    return dims
 
 
 def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
@@ -261,22 +261,21 @@ def hom_k_dim(x: ProjComplex, y: ProjComplex, n: int,
 
 def _hom_basis(x: ProjComplex, y: ProjComplex, n: int, fld: PrimeField):
     """(The blocks of the degree-n maps X -> Y, an echelon {pivot column:
-    row} of the cycles of the hom complex in degree n, and its rows off the
-    boundaries, sparse cycles whose classes form a basis of Hom(X, Y[n])).
-    The echelon starts from the images of the degree n - 1 coordinates
-    under d_(n-1), which span the boundaries, and a second _eliminate
-    extends it by the cycles of d_n: each one it does not yet reach opens
-    a pivot, and those rows are the basis."""
+    row} of the degree-n cycles, and its rows off the boundaries, sparse
+    cycles whose classes form a basis of Hom(X, Y[n])), from one
+    _hom_complex.  The echelon starts from the images of d_(n-1) in source
+    order, which span the boundaries, and a second _eliminate extends it by
+    the kernel of d_n: the rows that open a pivot are the basis."""
     p = fld.p
-    prev, src, nxt = (_hom_blocks(x, y, m) for m in (n - 1, n, n + 1))
-    images: list[dict[int, int]] = [{} for _ in range(prev[1])]
-    for t, row in enumerate(_hom_boundary(x, y, n - 1, prev, src, p)):
+    blocks, d = _hom_complex(x, y, n, n, p)
+    images: dict[int, dict[int, int]] = {}
+    for t, row in d.get(n - 1, {}).items():
         for s, v in row.items():
-            images[s][t] = v
-    echelon = _eliminate(images, p)
+            images.setdefault(s, {})[t] = v
+    echelon = _eliminate([images[s] for s in sorted(images)], p)
     start = len(echelon)
-    _eliminate(_kernel(_hom_boundary(x, y, n, src, nxt, p), src[1], p), p, echelon)
-    return src, echelon, list(echelon.values())[start:]
+    _eliminate(_kernel(list(d.get(n, {}).values()), blocks[n][1], p), p, echelon)
+    return blocks[n], echelon, list(echelon.values())[start:]
 
 
 def _split(v: dict[int, int], blocks) -> dict:

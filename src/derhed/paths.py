@@ -28,10 +28,10 @@ block's succ, with the orbits that its negative orbits reach preset to
 -inf; its row serves min_weight, the witnesses and the canonical heart
 (from sources of the block's tight edges under its potential; see
 hereditary.check_hereditary), and a finite witness is a breadth-first
-walk along the row's tight edges (_tight).  Tarjan's
-strongly connected components (_sccs) also give the blocks, from the
-links run both ways, and the directing orbits, from _components of the
-non-invertible edges.
+walk along the row's tight edges (_tight).  Breadth-first search
+(_bfs_tree) also gives the blocks, over the links run both ways, and
+Tarjan's strongly connected components (_sccs) give the directing
+orbits, from _components of the non-invertible edges.
 """
 
 from __future__ import annotations
@@ -233,14 +233,22 @@ def _unwind(pred: dict[str, tuple[str, int]], s: str, t: str) -> list[tuple[str,
 
 
 def _blocks_of(g: ShiftGraph) -> list[list[str]]:
-    """The sorted connected components of the hom-edge graph: the strongly
-    connected components of its links between distinct orbits, run both ways."""
+    """The sorted connected components of the hom-edge graph: what each
+    orbit not yet placed reaches breadth first (_bfs_tree) along its links
+    to distinct orbits, run both ways."""
     links: dict[str, list[tuple[str, int]]] = {v: [] for v in g.orbit_ids()}
     for (a, b), hom_edges in g.homs.items():
         if a != b and hom_edges:
             links[a].append((b, 0))
             links[b].append((a, 0))
-    return sorted(sorted(comp) for comp in _sccs(links))
+    seen: set[str] = set()
+    comps = []
+    for v in links:
+        if v not in seen:
+            comp = _bfs_tree(links, v)
+            seen.update(comp)
+            comps.append(sorted(comp))
+    return sorted(comps)
 
 
 def _bfs_tree(adj: dict[str, list[tuple[str, int]]], *starts: str) -> dict:

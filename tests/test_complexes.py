@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from derhed.complexes import (AlgebraMismatch, EndAlgebra, FieldTooSmall,
-                              ProjComplex, _hom_basis, _hom_blocks,
-                              _hom_boundary, _hom_dims, _isomorphic, are_isomorphic,
+                              ProjComplex, _hom_basis, _hom_complex,
+                              _hom_dims, _isomorphic, are_isomorphic,
                               build_shiftgraph_from_complexes, check_complex,
                               hom_k_dim, is_indecomposable, shift_complex)
 from derhed.generators import (a2_projective_resolutions,
@@ -174,19 +174,20 @@ def test_hom_k_dim_builds_outer_blocks_only_beside_maps(monkeypatch, dual, fld):
     # -3..3, with every dimension the oracle's
     import derhed.complexes
 
-    calls = []
-    blocks = derhed.complexes._hom_blocks
-    monkeypatch.setattr(derhed.complexes, "_hom_blocks",
-                        lambda *args: calls.append(args[2]) or blocks(*args))
+    assembled = []
+    assemble = derhed.complexes._hom_complex
+    monkeypatch.setattr(derhed.complexes, "_hom_complex",
+                        lambda *args: assembled.append(out := assemble(*args)) or out)
     chains = [dual_numbers_chain(dual, l) for l in range(1, 7)]
     built = 0
     for x in chains:
         for y in chains:
             for n in range(-3, 4):
-                calls.clear()
+                assembled.clear()
                 assert hom_k_dim(x, y, n, fld) == hom_oracle(dual, x, y, n, fld.p)
-                assert calls == ([n, n - 1, n + 1] if blocks(x, y, n)[1] else [n])
-                built += len(calls)
+                [(blocks, _)] = assembled
+                assert sorted(blocks) == ([n - 1, n, n + 1] if blocks[n][1] else [n])
+                built += len(blocks)
     assert built == 612
 
 
@@ -299,20 +300,29 @@ def test_hom_complex_squares_to_zero(dual, family, p):
         xs = [interval_resolution(alg, 3, a, b) for a in range(1, 4) for b in range(a, 4)]
     for x in xs:
         for y in xs:
-            blocks = {m: _hom_blocks(x, y, m) for m in range(-4, 7)}
+            blocks, d = _hom_complex(x, y, -3, 5, p)
             size = {m: blocks[m][1] for m in blocks}
+            # degrees -3..5 are numbered, -4 and 6 only beside maps; each
+            # table runs (i, a, b) ascending with its blocks end to end
+            assert set(blocks) == set(range(-3, 6)) | {m for m, inner in ((-4, -3), (6, 5))
+                                                        if size[inner]}
+            for table, n_coords in blocks.values():
+                assert list(table) == sorted(table)
+                ends = [off + len(paths) for off, paths in table.values()]
+                assert [off for off, _ in table.values()] == ([0] + ends)[:len(ends)]
+                assert n_coords == (ends[-1] if ends else 0)
+            # a boundary exactly where both degrees have maps, as sparse
+            # rows {target: {source: entry}}, none empty, entries in [1, p)
+            assert set(d) == {m for m in range(-4, 6) if size.get(m) and size.get(m + 1)}
+            for m, rows in d.items():
+                assert all(row and 0 <= t < size[m + 1] for t, row in rows.items())
+                assert all(0 <= c < size[m] and 0 < v < p
+                           for row in rows.values() for c, v in row.items())
             for n in range(-4, 5):
-                d_n = _hom_boundary(x, y, n, blocks[n], blocks[n + 1], p)
-                d_next = _hom_boundary(x, y, n + 1, blocks[n + 1], blocks[n + 2], p)
-                # one sparse row per target coordinate, keyed by source
-                # coordinates, holding only entries reduced into [1, p)
-                for d, src, tgt in ((d_n, n, n + 1), (d_next, n + 1, n + 2)):
-                    assert len(d) == size[tgt]
-                    assert all(0 <= c < size[src] and 0 < v < p
-                               for row in d for c, v in row.items())
+                d_n, d_next = d.get(n, {}), d.get(n + 1, {})
                 # (d_next d_n)[i][j] = sum_k d_next[i][k] d_n[k][j] = 0 mod p
-                assert all(sum(c * d_n[k].get(j, 0) for k, c in row.items()) % p == 0
-                           for row in d_next for j in range(size[n]))
+                assert all(sum(c * d_n.get(k, {}).get(j, 0) for k, c in row.items()) % p == 0
+                           for row in d_next.values() for j in range(size.get(n, 0)))
             assert _hom_dims(x, y, -3, 3, f) == {n: hom_k_dim(x, y, n, f)
                                                   for n in range(-3, 4)}
 
@@ -437,13 +447,81 @@ def test_hom_basis_at_every_degree(p):
         for x in xs:
             for y in xs:
                 for n in range(-3, 4):
-                    blocks, _, reps = _hom_basis(x, y, n, fld)
+                    _, _, reps = _hom_basis(x, y, n, fld)
                     assert len(reps) == hom_k_dim(x, y, n, fld), (x.name, y.name, n)
-                    d_n = _hom_boundary(x, y, n, blocks, _hom_blocks(x, y, n + 1), p)
+                    d_n = _hom_complex(x, y, n, n, p)[1].get(n, {})
                     assert all(sum(c * r.get(s, 0) for s, c in row.items()) % p == 0
-                               for row in d_n for r in reps), (x.name, y.name, n)
+                               for row in d_n.values() for r in reps), (x.name, y.name, n)
                     off_zero += len(reps) if n else 0
     assert off_zero > 0
+
+
+def test_one_assembly_per_hom_computation(monkeypatch, dual, fld):
+    """hom_k_dim, the window table and an End algebra each assemble the
+    hom complex once, over the degrees they read."""
+    import derhed.complexes
+
+    calls = []
+    assemble = derhed.complexes._hom_complex
+    monkeypatch.setattr(derhed.complexes, "_hom_complex",
+                        lambda *args: calls.append(args[2:4]) or assemble(*args))
+    x, y = dual_numbers_chain(dual, 3), dual_numbers_chain(dual, 4)
+    for compute, want in ((lambda: hom_k_dim(x, y, 1, fld), [(1, 1)]),
+                          (lambda: _hom_dims(x, y, -3, 3, fld), [(-3, 3)]),
+                          (lambda: EndAlgebra(x, fld), [(0, 0)])):
+        calls.clear()
+        compute()
+        assert calls == want
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (-1, 1), (-3, 3), (1, 4)])
+def test_hom_dims_ranks_each_boundary_between_maps_once(monkeypatch, fld, lo, hi):
+    """_hom_dims(x, y, lo, hi) makes one PrimeField.rank call for each
+    boundary d_m, lo - 1 <= m <= hi, whose two degrees both have maps,
+    and no more; the maps of a degree are counted with the oracle's
+    coordinates, not the engine's blocks."""
+    calls = []
+    rank = PrimeField.rank
+    monkeypatch.setattr(PrimeField, "rank", lambda self, m: calls.append(m) or rank(self, m))
+    ranked = 0
+    for xs in euler_families(fld.p):
+        alg = xs[0].algebra
+        for x in xs:
+            for y in xs:
+                maps = {m: sum(len(_map_coords(alg, x, y, d, d + m)) for d in x.degrees)
+                        for m in range(lo - 1, hi + 2)}
+                calls.clear()
+                _hom_dims(x, y, lo, hi, fld)
+                assert len(calls) == sum(1 for m in range(lo - 1, hi + 1)
+                                         if maps[m] and maps[m + 1]), (x.name, y.name)
+                assert all(type(m) is list for m in calls)
+                ranked += len(calls)
+    assert ranked > 0
+
+
+def test_window_tables_match_oracle_across_the_hom_support():
+    """On euler_families(5), each window table equals the per-degree
+    hom_k_dim and the oracle, for windows that end below, at and past
+    each edge of the hom support (Hom(X, Y[n]) = 0 unless min Y - max X
+    <= n <= max Y - min X), one over all of it and one wholly past it."""
+    fld, nonzero = PrimeField(5), 0
+    for xs in euler_families(fld.p):
+        alg = xs[0].algebra
+        for x in xs:
+            for y in xs:
+                s_lo, s_hi = min(y.degrees) - max(x.degrees), max(y.degrees) - min(x.degrees)
+                want: dict[int, int] = {}
+                for lo, hi in ((s_lo - 2, s_lo), (s_lo - 1, s_lo + 1), (s_hi - 1, s_hi + 1),
+                               (s_hi, s_hi + 2), (s_lo - 1, s_hi + 1), (s_hi + 1, s_hi + 3)):
+                    table = _hom_dims(x, y, lo, hi, fld)
+                    assert sorted(table) == list(range(lo, hi + 1))
+                    for n, dim in table.items():
+                        if n not in want:
+                            want[n] = hom_oracle(alg, x, y, n, fld.p)
+                        assert dim == hom_k_dim(x, y, n, fld) == want[n], (x.name, y.name, lo, hi)
+                assert all(want[n] == 0 for n in want if not s_lo <= n <= s_hi)
+                nonzero += sum(d > 0 for d in want.values())
+    assert nonzero > 0
 
 
 @pytest.mark.parametrize("p", [5, 101])
@@ -774,18 +852,17 @@ def test_to_quotient_round_trip(x):
     coordinates a; adding a vector that is not a cycle raises."""
     fld, rng = PrimeField(7), random.Random(x.name)
     end = EndAlgebra(x, fld)
-    prev, src, nxt = (_hom_blocks(x, x, m) for m in (-1, 0, 1))
-    d_prev = _hom_boundary(x, x, -1, prev, src, fld.p)
-    d_0 = _hom_boundary(x, x, 0, src, nxt, fld.p)
+    blocks, d = _hom_complex(x, x, 0, 0, fld.p)
+    d_prev, d_0 = d.get(-1, {}), d.get(0, {})
     for _ in range(5):
         alpha = [rng.randrange(fld.p) for _ in range(end.dim)]
-        h = [rng.randrange(fld.p) for _ in range(prev[1])]
-        v = {t: sum(h[s] * c for s, c in row.items()) for t, row in enumerate(d_prev)}
+        h = [rng.randrange(fld.p) for _ in range(blocks[-1][1])]
+        v = {t: sum(h[s] * c for s, c in row.items()) for t, row in d_prev.items()}
         for a, rep in zip(alpha, end.reps):
             for c, e in rep.items():
                 v[c] = v.get(c, 0) + a * e
         assert end.to_quotient([v]) == [alpha]
-        for c in sorted({c for row in d_0 for c in row}):  # e_c is not a cycle
+        for c in sorted({c for row in d_0.values() for c in row}):  # e_c is not a cycle
             with pytest.raises(RuntimeError, match="not a cycle"):
                 end.to_quotient([{**v, c: v.get(c, 0) + 1}])
 
