@@ -17,7 +17,12 @@ per (degree i, X-summand a, Y-summand b at i+m, basis path of
 e_{vb} A e_{va}) in blocks ascending with i, then a, then b (which fixes
 the End basis), and builds each boundary as sparse rows {target: {source:
 entry}}, a row only where an entry lands.  Every path product comes from
-the algebra's table.
+the algebra's table, and every entry is reduced into [1, p), so the rows
+are what linalg._eliminate consumes: _hom_dims ranks each boundary by
+handing it the boundary's own rows, and _hom_basis hands it the images
+and the kernel rows, none copied, since nothing reads them after.  Only
+EndAlgebra.to_quotient, whose vectors come from its caller, normalizes
+them first (linalg._sparse).
 
 build_shiftgraph_from_complexes works from one window table of hom
 dimensions per ordered pair of complexes and one EndAlgebra per complex,
@@ -39,7 +44,8 @@ from __future__ import annotations
 import operator
 from typing import Optional
 
-from .linalg import DEFAULT_FIELD, FieldTooSmall, PrimeField, _eliminate, _kernel, _reduce
+from .linalg import (DEFAULT_FIELD, FieldTooSmall, PrimeField, _eliminate, _kernel, _reduce,
+                     _sparse)
 from .quiver import MonomialAlgebra
 from .shiftgraph import HomEdge, Orbit, ShiftGraph
 
@@ -242,11 +248,13 @@ def _hom_complex(x: ProjComplex, y: ProjComplex, lo: int, hi: int, p: int):
 def _hom_dims(x: ProjComplex, y: ProjComplex, lo: int, hi: int,
               fld: PrimeField) -> dict[int, int]:
     """{n: dim Hom(X, Y[n])} for lo <= n <= hi: size[n] - rank[n] - rank[n-1],
-    each boundary of one _hom_complex ranked once (any other has rank 0)."""
-    blocks, d = _hom_complex(x, y, lo, hi, fld.p)
+    each boundary of one _hom_complex ranked once (any other has rank 0) by
+    _eliminate on its own rows, which nothing reads after."""
+    p = fld.p
+    blocks, d = _hom_complex(x, y, lo, hi, p)
     rank, dims = {}, {}  # loops, not comprehensions: in Python 3.11 each is a call
     for m, rows in d.items():
-        rank[m] = fld.rank(list(rows.values()))
+        rank[m] = len(_eliminate(rows.values(), p))
     for n in range(lo, hi + 1):
         dims[n] = blocks[n][1] - rank.get(n, 0) - rank.get(n - 1, 0)
     return dims
@@ -274,7 +282,7 @@ def _hom_basis(x: ProjComplex, y: ProjComplex, n: int, fld: PrimeField):
             images.setdefault(s, {})[t] = v
     echelon = _eliminate([images[s] for s in sorted(images)], p)
     start = len(echelon)
-    _eliminate(_kernel(list(d.get(n, {}).values()), blocks[n][1], p), p, echelon)
+    _eliminate(_kernel(d.get(n, {}).values(), blocks[n][1], p), p, echelon)
     return blocks[n], echelon, list(echelon.values())[start:]
 
 
@@ -317,8 +325,7 @@ class EndAlgebra:
         and its coefficients on the rows of reps are its coordinates.
         RuntimeError when one leaves a remainder."""
         p, out = self.fld.p, []
-        for v in ambient:
-            row = {c: y for c, e in v.items() if (y := e % p)}
+        for row in _sparse(ambient, p):
             coeffs = _reduce(row, self._echelon, p)
             if row:
                 raise RuntimeError("vector not a cycle modulo boundaries")

@@ -476,13 +476,24 @@ def test_one_assembly_per_hom_computation(monkeypatch, dual, fld):
 
 @pytest.mark.parametrize("lo, hi", [(0, 0), (-1, 1), (-3, 3), (1, 4)])
 def test_hom_dims_ranks_each_boundary_between_maps_once(monkeypatch, fld, lo, hi):
-    """_hom_dims(x, y, lo, hi) makes one PrimeField.rank call for each
+    """_hom_dims(x, y, lo, hi) makes one _eliminate call for each
     boundary d_m, lo - 1 <= m <= hi, whose two degrees both have maps,
     and no more; the maps of a degree are counted with the oracle's
-    coordinates, not the engine's blocks."""
-    calls = []
-    rank = PrimeField.rank
-    monkeypatch.setattr(PrimeField, "rank", lambda self, m: calls.append(m) or rank(self, m))
+    coordinates, not the engine's blocks.  Each call takes the rows
+    _hom_complex built for its boundary, the very dicts, uncopied."""
+    import derhed.complexes
+
+    built, calls = [], []
+    assemble, eliminate = derhed.complexes._hom_complex, derhed.complexes._eliminate
+    monkeypatch.setattr(derhed.complexes, "_hom_complex",
+                        lambda *args: built.append(out := assemble(*args)) or out)
+
+    def spying(m, *args):
+        rows = list(m)
+        calls.append(rows)
+        return eliminate(rows, *args)
+
+    monkeypatch.setattr(derhed.complexes, "_eliminate", spying)
     ranked = 0
     for xs in euler_families(fld.p):
         alg = xs[0].algebra
@@ -490,11 +501,16 @@ def test_hom_dims_ranks_each_boundary_between_maps_once(monkeypatch, fld, lo, hi
             for y in xs:
                 maps = {m: sum(len(_map_coords(alg, x, y, d, d + m)) for d in x.degrees)
                         for m in range(lo - 1, hi + 2)}
+                built.clear()
                 calls.clear()
                 _hom_dims(x, y, lo, hi, fld)
                 assert len(calls) == sum(1 for m in range(lo - 1, hi + 1)
                                          if maps[m] and maps[m + 1]), (x.name, y.name)
-                assert all(type(m) is list for m in calls)
+                [(_, d)] = built
+                boundaries = [list(rows.values()) for rows in d.values()]
+                assert len(boundaries) == len(calls)
+                assert all(len(got) == len(rows) and all(a is b for a, b in zip(got, rows))
+                           for got, rows in zip(calls, boundaries))
                 ranked += len(calls)
     assert ranked > 0
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from derhed.linalg import DEFAULT_PRIME, MAX_PRIME, PrimeField, _eliminate, _kernel
+from derhed.linalg import DEFAULT_PRIME, MAX_PRIME, PrimeField, _eliminate, _kernel, _sparse
 
 from oracles import rank_oracle, rank_oracle_gauss
 
@@ -339,9 +339,9 @@ def test_dict_rows_answer_as_dense_rows(case):
 def test_kernel_is_the_sparse_nullspace(case):
     # one row per free column, ascending, 1 there and 0 at the other free
     # columns, and no zero entry anywhere; each row solves m v = 0, and
-    # the dense rows are nullspace's
+    # the dense rows are nullspace's.  _kernel takes _sparse's rows
     f, dense, sparse, cols, _ = case
-    rows = _kernel(sparse, cols, f.p)
+    rows = _kernel(_sparse(sparse, f.p), cols, f.p)
     free = [c for c in range(cols) if c not in f.rref(dense)[1]]
     assert len(free) == cols - rank_oracle(np.array(dense).reshape(len(dense), cols), f.p)
     assert [{c: r[c] for c in free if c in r} for r in rows] == [{c: 1} for c in free]
@@ -375,7 +375,8 @@ def test_dict_rows_edge_shapes(p):
 
 # _eliminate(m2, p, e) extends the echelon e of m1 in place, so an echelon
 # built in two calls is the one-call echelon of the rows m1 + m2, with the
-# same rows, pivots and pivot order
+# same rows, pivots and pivot order; each call takes fresh _sparse rows,
+# since _eliminate consumes the rows it is given
 
 
 @st.composite
@@ -403,6 +404,82 @@ def two_row_lists(draw):
 @example((3, [], [[0, 0], {0: 3}]))
 def test_eliminate_extends_an_echelon(case):
     p, m1, m2 = case
-    e = _eliminate(m1, p)
-    assert _eliminate(m2, p, e) is e
-    assert list(e.items()) == list(_eliminate(m1 + m2, p).items())
+    e = _eliminate(_sparse(m1, p), p)
+    assert _eliminate(_sparse(m2, p), p, e) is e
+    assert list(e.items()) == list(_eliminate(_sparse(m1 + m2, p), p).items())
+
+
+# _eliminate consumes its rows, so every public entry point hands it fresh
+# _sparse copies and leaves the caller's matrix, and its right-hand sides,
+# exactly as they were: list rows, dict rows or a mix, entries anywhere
+
+
+@st.composite
+def caller_matrices(draw):
+    p = draw(st.sampled_from([2, 3, 5, 32003]))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = st.one_of(st.integers(-3 * p, -1), st.integers(p, 3 * p),
+                        st.sampled_from([0, p, -p]), st.integers(0, p - 1))
+    kind = draw(st.sampled_from(["list", "dict", "mixed"]))
+    m = []
+    for row in draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows)):
+        as_dict = kind == "dict" or (kind == "mixed" and draw(st.booleans()))
+        m.append({c: x for c, x in enumerate(row)} if as_dict else row)
+    bs = draw(st.lists(st.lists(entries, min_size=rows, max_size=rows), max_size=2))
+    return PrimeField(p), m, cols, bs
+
+
+@settings(max_examples=150, deadline=None)
+@given(caller_matrices())
+@example((PrimeField(5), [[7, -1], {0: -5, 1: 12}], 2, [[6, -9]]))
+@example((PrimeField(2), [{0: 3}, [5, 0]], 2, [[1, 3], [-1, 2]]))
+def test_entry_points_leave_the_caller_matrix_unchanged(case):
+    f, m, cols, bs = case
+    rows, before = list(m), [r.copy() for r in m]
+    bs_before = [b.copy() for b in bs]
+    f.rank(m)
+    f.rref(m)
+    f.nullspace(m, cols)
+    f.solve(m, bs, cols)
+    assert len(m) == len(rows) and all(r is s for r, s in zip(m, rows))
+    assert m == before and all(type(r) is type(s) for r, s in zip(m, before))
+    assert bs == bs_before
+
+
+def test_nullspace_and_solve_refuse_entries_past_cols():
+    f = PrimeField(7)
+    for call in (lambda: f.nullspace([{0: 1, 5: 1}], 3),
+                 lambda: f.nullspace([[1, 0, 0, 2]], 3),
+                 lambda: f.solve([[1, 0, 0, 2]], [[1]], 3),
+                 lambda: f.solve([{0: 1, 4: 1}], [[1]], 3),
+                 lambda: f.solve([[1, 0, 0], {3: -1}], [[1, 0]], 3)):
+        with pytest.raises(ValueError, match="past its 3 columns"):
+            call()
+    # an entry past cols that is zero mod p is no entry
+    assert f.nullspace([{0: 1, 5: 7}, [0, 1, 0, 0, -14]], 3) == [[0, 0, 1]]
+    assert f.solve([[1, 0, 0, 0], {0: 1, 4: 0}], [[1, 1]], 3) == [[1, 0, 0]]
+    # rank and rref take no column count and read every column
+    assert f.rank([{0: 1, 5: 1}, [1, 0, 0, 2]]) == 2
+    assert f.rref([{5: 3}]) == ([[0, 0, 0, 0, 0, 1]], [5])
+
+
+# the pivots _eliminate opens are the columns where the rank of the
+# leading columns grows, and their number is the rank, by the minor oracle;
+# each echelon row is the very row of m that opened its pivot
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_eliminate_on_sparse_rows_matches_the_oracle(p, rows, cols, data):
+    m = data.draw(st.lists(st.lists(st.integers(-2 * p, 2 * p), min_size=cols,
+                                    max_size=cols), min_size=rows, max_size=rows))
+    a = np.array(m, dtype=object).reshape(rows, cols)
+    leading = [rank_oracle(a[:, :c], p) if rows and c else 0 for c in range(cols + 1)]
+    given = _sparse(m, p)
+    pivots = _eliminate(given, p)
+    assert sorted(pivots) == [c for c in range(cols) if leading[c + 1] > leading[c]]
+    assert len(pivots) == leading[cols] == (rank_oracle(a, p) if rows and cols else 0)
+    for c, row in pivots.items():
+        assert min(row) == c and row[c] == 1 and all(0 < x < p for x in row.values())
+        assert any(row is r for r in given)
