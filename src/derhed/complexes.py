@@ -33,10 +33,11 @@ the images of d_(n-1) and extended by the sparse kernel of d_n
 (linalg._eliminate), gives a basis of Hom(X, Y[n]), the rows the kernel
 added.  EndAlgebra takes n = 0, and linalg._reduce reduces the composites
 of basis maps against its echelon to End coordinates, which fill the
-multiplication table.  The radical (trace form) is read off that table, and
-the locality test works modulo it.  Every composite but the boundary's,
-which go straight into its rows, comes from one product of graded maps,
-_product, and each basis map is split into blocks once (_split).
+multiplication table.  Its trace form, read off that table, has the
+radical J as nullspace, and is_local reads E/J off the form's one reduced
+echelon form.  Every composite but the boundary's, which go straight into
+its rows, comes from one product of graded maps, _product, and each basis
+map is split into blocks once (_split).
 """
 
 from __future__ import annotations
@@ -343,43 +344,42 @@ class EndAlgebra:
             self._struct = dict(zip(pairs, self.to_quotient(comps)))
         return self._struct
 
-    def radical(self) -> list[list[int]]:
-        """A basis of the Jacobson radical via the trace form of the
-        regular representation; valid since p > dim.  Computed once per
-        instance."""
+    def _trace_form(self) -> list[list[int]]:
+        """The trace form tr(L_i L_j), L_i left multiplication by b_i, whose
+        kernel is the Jacobson radical J; FieldTooSmall unless p > dim."""
         p, n = self.fld.p, self.dim
         if p <= n:
             raise FieldTooSmall(f"characteristic {p} <= dim End = {n}")
+        st = self.structure()
+        # L_i has column l = st[(i, l)], so tr(L_i L_j) = sum_{k,l}
+        # st[(i, l)][k] * st[(j, k)][l]: L_i read row by row dotted with
+        # L_j read column by column
+        by_rows = [[st[(i, l)][k] for k in range(n) for l in range(n)] for i in range(n)]
+        by_cols = [[e for k in range(n) for e in st[(j, k)]] for j in range(n)]
+        return [[sum(map(operator.mul, r, c)) % p for c in by_cols] for r in by_rows]
+
+    def radical(self) -> list[list[int]]:
+        """A basis of the Jacobson radical, the nullspace of the trace form
+        (valid since p > dim).  Computed once per instance."""
         if self._rad is None:
-            st = self.structure()
-            # left multiplication L_i by b_i has column l = st[(i, l)], so
-            # tr(L_i L_j) = sum_{k,l} st[(i, l)][k] * st[(j, k)][l]: L_i read
-            # row by row dotted with L_j read column by column
-            by_rows = [[st[(i, l)][k] for k in range(n) for l in range(n)]
-                       for i in range(n)]
-            by_cols = [[e for k in range(n) for e in st[(j, k)]] for j in range(n)]
-            t = [[sum(map(operator.mul, r, c)) % p for c in by_cols] for r in by_rows]
-            self._rad = self.fld.nullspace(t, n)
+            self._rad = self.fld.nullspace(self._trace_form(), self.dim)
         return self._rad
 
     def is_local(self) -> bool:
         """Whether End is local: E/J, J the radical, is a division ring,
-        so by Wedderburn's little theorem a field.  The classes of the
-        basis vectors b_u off the pivots of an echelon of J form a basis
-        u_0, ..., u_(k-1) of E/J, k = dim - dim J, and the structure table
-        reduced modulo J is E/J's.  E/J must be commutative; then x ->
-        x^p - x is linear on it, and its kernel has one dimension per field
-        factor (the zero algebra has none): k - rank[u_i^p - u_i], each
-        p-th power by square-and-multiply on E/J's structure constants."""
+        so by Wedderburn's little theorem a field.  One elimination of the
+        trace form gives E/J: J is its kernel, so v -> R v, R the k nonzero
+        rows of its reduced echelon form, maps E onto E/J = GF(p)^k with
+        kernel J and each b_u, u the i-th pivot column, to the i-th unit
+        vector u_i; so R st[(u, v)] are E/J's structure constants.  E/J
+        must be commutative; then x -> x^p - x is linear on it, and its
+        kernel has one dimension per field factor (the zero algebra has
+        none): k - rank[u_i^p - u_i], each p-th power by square-and-multiply."""
         p = self.fld.p
-        jrows, jcols = self.fld.rref(self.radical())  # zero at the other pivots
-        units = [u for u in range(self.dim) if u not in jcols]
+        rows, units = self.fld.rref(self._trace_form())
         st, k = self.structure(), len(units)
-
-        def modulo_j(v: list[int]) -> list[int]:  # v less its part in J, at the units
-            return [(v[u] - sum(v[c] * r[u] for c, r in zip(jcols, jrows))) % p for u in units]
-
-        q = [[modulo_j(st[(i, j)]) for j in units] for i in units]
+        q = [[[sum(map(operator.mul, r, st[(u, v)])) % p for r in rows[:k]] for v in units]
+             for u in units]
         if any(q[i][j] != q[j][i] for i in range(k) for j in range(i)):
             return False  # noncommutative semisimple quotient
 

@@ -833,6 +833,87 @@ def test_noncommutative_quotient_is_not_local():
     assert not end.is_local() and not brute_force_local(end, p)
 
 
+def gf25_times_gf5(x, y):
+    """(a + b w, c) in GF(25) x GF(5), w^2 = 2, as (a, b, c)."""
+    (a, b, c), (d, e, f) = x, y
+    return [a * d + 2 * b * e, a * e + b * d, c * f]
+
+
+def gf25_dual(x, y):
+    """(a + b w) + (c + d w) eps in GF(25)[eps]/(eps^2), w^2 = 2, as
+    (a, b, c, d)."""
+    def times(u, v):  # in GF(25)
+        return [u[0] * v[0] + 2 * u[1] * v[1], u[0] * v[1] + u[1] * v[0]]
+
+    head = times(x[:2], y[:2])
+    return head + [s + t for s, t in zip(times(x[:2], y[2:]), times(x[2:], y[:2]))]
+
+
+@pytest.mark.parametrize("complex_, mul, basis, rad_dim, local", [
+    # w eps, w, 1 + eps, w + eps: J is spanned by b_0 and b_3 - b_1
+    (lambda: ProjComplex(no_arrows(1), {0: ["1", "1"]}), gf25_dual,
+     [(0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0)], 2, True),
+    # (1, 1), (w, 1), (0, 1)
+    (lambda: ProjComplex(a2_projective_resolutions()[0], {0: ["1", "2"]}), gf25_times_gf5,
+     [(1, 0, 1), (0, 1, 1), (0, 0, 1)], 0, False),
+], ids=["GF(25)[eps]", "GF(25) x GF(5)"])
+def test_residue_field_larger_than_gf_p(complex_, mul, basis, rad_dim, local):
+    """At p = 5, 2 is not a square, so GF(5)[w]/(w^2 - 2) = GF(25): E/J
+    has a factor of dimension 2 over GF(p), which the Frobenius kernel
+    counts once.  The tables, in a basis that mixes J with its
+    complement, are injected into End algebras of the same dimension, as
+    in test_noncommutative_quotient_is_not_local."""
+    p = 5
+    end = EndAlgebra(complex_(), PrimeField(p))
+    coords = {tuple(sum(c * b[k] for c, b in zip(x, basis)) % p for k in range(end.dim)): list(x)
+              for x in itertools.product(range(p), repeat=end.dim)}
+    end._struct = {(i, j): coords[tuple(c % p for c in mul(basis[i], basis[j]))]
+                   for i in range(end.dim) for j in range(end.dim)}
+    assert len(end.radical()) == rad_dim
+    assert end.is_local() == brute_force_local(end, p) == local
+
+
+# the radical of each End algebra, as radical() returns it
+RADICALS = {"C1": [[0, 1]], **{f"C{l}": [[1, 0]] for l in range(2, 11)},
+            "P over k[a]/(a^3)": [[0, 1, 0], [0, 0, 1]],
+            "A2 S1": [], "A2 I": [], "A2 S2": [], "P1+P2 over A2": [[0, 1, 0]],
+            "P1+P1, no arrow": [], "P1+P2, no arrow": []}
+
+
+def test_is_local_eliminates_the_trace_form_once(monkeypatch):
+    """is_local makes one rref, of the trace form, and reads E/J off it:
+    no nullspace and no radical().  The E/J it reads has dimension dim -
+    dim J, and radical() still gives the vectors in RADICALS."""
+    calls, ranks = [], []
+    real_rref, real_nullspace, real_radical = (PrimeField.rref, PrimeField.nullspace,
+                                               EndAlgebra.radical)
+
+    def rref(self, m):
+        calls.append("rref")
+        out = real_rref(self, m)
+        ranks.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(PrimeField, "rref", rref)
+    monkeypatch.setattr(PrimeField, "nullspace",
+                        lambda self, *a: calls.append("nullspace") or real_nullspace(self, *a))
+    monkeypatch.setattr(EndAlgebra, "radical",
+                        lambda self: calls.append("radical") or real_radical(self))
+    dual = dual_numbers_algebra()
+    cases = ([(case, make(), PrimeField(5), local)
+              for case, (make, _, _, local) in END_CASES.items()]
+             + [(f"C{l}", dual_numbers_chain(dual, l), PrimeField(), True)
+                for l in range(1, 11)])
+    for case, x, fld, local in cases:
+        end = EndAlgebra(x, fld)
+        calls.clear()
+        ranks.clear()
+        assert end.is_local() == local, case
+        assert calls == ["rref"], case
+        assert end.radical() == RADICALS[case], case
+        assert end.dim - len(end.radical()) == ranks[0], case
+
+
 def test_zero_complex_is_not_local(dual):
     """The zero algebra has no field factor; listing its one element would
     call it local."""

@@ -415,6 +415,27 @@ def test_heart_rows_stay_with_the_engine(solves):
     assert solves == ["X", "Z"]
 
 
+@pytest.mark.parametrize("falling", [True, False], ids=["falling", "rising"])
+def test_heart_search_is_linear_on_a_long_chain(monkeypatch, solves, falling):
+    # a chain of 2,000 orbits at weight 0: every edge is tight and pi is 0
+    # throughout, so every orbit is a pi = 0 candidate.  Taking the tight
+    # components in Tarjan's topological order reaches the whole chain from
+    # its head in one search and one solve, whichever way the ids run
+    # along the edges; taking the candidates in id order instead searches
+    # once from each orbit of the falling chain
+    ids = [f"o{i:04d}" for i in range(2000)]
+    g = one_way(*((b, a, 0) if falling else (a, b, 0) for a, b in zip(ids, ids[1:])))
+    eng = PathEngine(g)
+    searches = []
+    real = paths._bfs_tree
+    monkeypatch.setattr(paths, "_bfs_tree",
+                        lambda adj, *starts: searches.append(starts) or real(adj, *starts))
+    rep = check_hereditary(g, ids, engine=eng)
+    head = ids[-1] if falling else ids[0]
+    assert searches == [(head,)] and solves == [head]
+    assert rep.verdict == "hereditary" and set(rep.heart.offsets.values()) == {0}
+
+
 def test_walks_of_length_zero_count():
     # without identity edges (validate refuses such a graph, check does not
     # run validate) every orbit still reaches itself at weight 0
