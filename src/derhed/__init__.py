@@ -29,7 +29,7 @@ _LAZY = {name: module for module, names in {
                "rep_hom_dim"],
     "complexes": ["EndAlgebra", "ProjComplex", "are_isomorphic",
                   "build_shiftgraph_from_complexes", "check_complex",
-                  "hom_k_dim", "is_indecomposable", "shift_complex"],
+                  "hom_k_dim", "shift_complex"],
     "generators": ["AbelianData", "expand_hereditary", "gen_a2_from_complexes",
                    "gen_dual_numbers", "gen_dynkin_an", "gen_example_a2",
                    "gen_semisimple_block"],

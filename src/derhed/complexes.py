@@ -318,7 +318,6 @@ class EndAlgebra:
         self.dim = len(self.reps)
         self._cols = [min(r) for r in self.reps]  # each rep's pivot column
         self._struct: dict[tuple[int, int], list[int]] | None = None
-        self._rad: list[list[int]] | None = None
 
     def to_quotient(self, ambient: list[dict[int, int]]) -> list[list[int]]:
         """Express each of a list of sparse ambient cycle vectors in the
@@ -360,10 +359,8 @@ class EndAlgebra:
 
     def radical(self) -> list[list[int]]:
         """A basis of the Jacobson radical, the nullspace of the trace form
-        (valid since p > dim).  Computed once per instance."""
-        if self._rad is None:
-            self._rad = self.fld.nullspace(self._trace_form(), self.dim)
-        return self._rad
+        (valid since p > dim)."""
+        return self.fld.nullspace(self._trace_form(), self.dim)
 
     def is_local(self) -> bool:
         """Whether End is local: E/J, J the radical, is a division ring,
@@ -396,13 +393,6 @@ class EndAlgebra:
                     power = mul(power, unit)
             frob.append([x - (j == i) for j, x in enumerate(power)])
         return k - self.fld.rank(frob) == 1
-
-
-def is_indecomposable(x: ProjComplex, fld: PrimeField = DEFAULT_FIELD) -> bool:
-    """Whether End(X) in the homotopy category is local."""
-    if errors := check_complex(x, fld.p):
-        raise ValueError("invalid complex: " + "; ".join(errors))
-    return EndAlgebra(x, fld).is_local()
 
 
 def build_shiftgraph_from_complexes(reps: list[ProjComplex], window: int,

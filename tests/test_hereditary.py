@@ -591,6 +591,40 @@ def test_degree_check_refutes_no_genuine_generator():
             assert isinstance(_potential(_constraint_edges(eng.succ, blk)), dict)
 
 
+def test_both_halves_agree_on_genuine_blocks():
+    # the paper's two halves decide together on a genuine block: a negative
+    # walk already makes the m >= 0 constraints infeasible, and the degree
+    # check decides the rest, so check refutes a block exactly when its
+    # constraint edges have no potential
+    graphs = [gen_dynkin_an(n, "".join(word)) for n in range(2, 7)
+              for word in itertools.product("<>", repeat=n - 1)]
+    graphs += [gen_dual_numbers(length, window) for length in range(2, 7) for window in range(4)]
+    graphs += [gen_semisimple_block(period, end_dim) for period in range(1, 6)
+               for end_dim in (1, 2)]
+    graphs += [build_shiftgraph_from_complexes(a3_shortcut_complexes()[1], window)
+               for window in range(4)]
+    rng = np.random.default_rng(0)
+    for k in range(400):
+        w_lo, w_hi, edge_prob = [(-3, 3, 0.35), (0, 2, 0.2)][k % 2]
+        g = oracles.random_graph(rng, max_orbits=6, w_lo=w_lo, w_hi=w_hi, edge_prob=edge_prob,
+                                 periodic_prob=0.2 if k % 3 == 0 else 0.0)
+        g.genuine = True
+        graphs.append(g)
+    seen = Counter()
+    for g in graphs:
+        assert g.genuine
+        eng = PathEngine(g)
+        for blk in eng.blocks():
+            try:
+                rep = check_hereditary(g, blk, engine=eng)
+            except UnreachableOrbit:
+                continue
+            cycle = isinstance(_potential(_constraint_edges(eng.succ, blk)), list)
+            assert (rep.verdict == "not-hereditary") == cycle, (g.name, blk)
+            seen["walk" if rep.witness else "degree" if rep.degree_witness else "heart"] += 1
+    assert min(seen["walk"], seen["degree"], seen["heart"]) > 0, seen
+
+
 def _report(verdict, offsets, m_values, degree_witness=None):
     """The to_dict of a check_hereditary report on a block with no
     negative orbit, whose heart_check finds no violation."""
