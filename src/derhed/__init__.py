@@ -30,9 +30,8 @@ _LAZY = {name: module for module, names in {
     "complexes": ["EndAlgebra", "ProjComplex", "are_isomorphic",
                   "build_shiftgraph_from_complexes", "check_complex",
                   "hom_k_dim", "shift_complex"],
-    "generators": ["AbelianData", "expand_hereditary", "gen_a2_from_complexes",
-                   "gen_dual_numbers", "gen_dynkin_an", "gen_example_a2",
-                   "gen_semisimple_block"],
+    "generators": ["expand_hereditary", "gen_a2_from_complexes", "gen_dual_numbers",
+                   "gen_dynkin_an", "gen_example_a2", "gen_semisimple_block"],
 }.items() for name in names}
 
 

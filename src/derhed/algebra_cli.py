@@ -67,16 +67,16 @@ def gen(args):
     fld, heart = _field(), []
     try:
         if args.family == "an":
-            g = gen_dynkin_an(args.n, args.orientation, fld)
+            g = gen_dynkin_an(args.n, args.orientation, fld.p)
         elif args.family == "a2":
-            g, bad = gen_example_a2(fld)
+            g, bad = gen_example_a2(fld.p)
             if args.bad_heart_out:
                 heart = [(args.bad_heart_out,
                           json.dumps(bad.to_dict(), indent=2, sort_keys=True) + "\n")]
         elif args.family == "dual":
             g = gen_dual_numbers(args.max_length, args.window, fld)
         else:
-            g = gen_semisimple_block(args.period, args.end_dim, fld)
+            g = gen_semisimple_block(args.period, args.end_dim, fld.p)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     except FieldTooSmall as exc:

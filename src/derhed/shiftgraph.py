@@ -105,9 +105,10 @@ def _json_array(items: list[str], indent: str) -> str:
 
 
 class ShiftGraph:
-    """An instance.  It refuses duplicate orbit ids, an edge with dim < 1
-    and an orbit with end_dim < 1 or period < 1 with ValueError, and an
-    edge between undeclared orbits with UnknownOrbit."""
+    """An instance.  It refuses duplicate orbit ids, an edge with dim < 1,
+    an orbit with end_dim < 1 or period < 1 and a field_char that is not
+    an int (a bool is not) with ValueError, and an edge between undeclared
+    orbits with UnknownOrbit."""
 
     def __init__(self, name: str, orbits: list[Orbit],
                  homs: dict[tuple[str, str], tuple[HomEdge, ...]],
@@ -135,6 +136,8 @@ class ShiftGraph:
                 raise ValueError("end_dim >= 1 (identity morphism)")
             if o.period is not None and o.period < 1:
                 raise ValueError("period must be a positive integer")
+        if type(field_char) is not int:
+            raise ValueError(f"field_char must be an int, not {field_char!r}")
         self.homs = norm
         self._targets: dict[str, list[str]] = {o.id: [] for o in orbits}
         for (a, b) in sorted(norm):

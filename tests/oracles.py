@@ -531,10 +531,11 @@ def interval_reps(alg, n: int) -> list:
 
 
 def an_tables(n: int, word: str, fld):
-    """The AbelianData of the A_n path algebra with this orientation word,
-    by linear algebra: one GF(p) Hom system (quiver._hom_ext) per ordered
-    pair of interval modules gives Hom and Ext^1."""
-    from derhed.generators import AbelianData, _an_quiver
+    """The objects, Hom table and Ext^1 table of the A_n path algebra with
+    this orientation word, by linear algebra: one GF(p) Hom system
+    (quiver._hom_ext) per ordered pair of interval modules gives Hom and
+    Ext^1."""
+    from derhed.generators import _an_quiver
     from derhed.quiver import MonomialAlgebra, _hom_ext
 
     items = interval_reps(MonomialAlgebra(_an_quiver(n, word), []), n)
@@ -546,7 +547,7 @@ def an_tables(n: int, word: str, fld):
                 hom[(nm_a, nm_b)] = h
             if e:
                 ext1[(nm_a, nm_b)] = e
-    return AbelianData(tuple(nm for nm, _ in items), hom, ext1)
+    return tuple(nm for nm, _ in items), hom, ext1
 
 
 # -- cone closure by scanning every orbit --

@@ -15,10 +15,9 @@ import pytest
 from derhed.complexes import hom_k_dim
 from derhed.degenerate import (DegenerateAperiodic, DegeneratePeriodic,
                                NonDegenerate, classify_degenerate)
-from derhed.generators import (AbelianData, dual_numbers_algebra,
-                               dual_numbers_chain, expand_hereditary,
-                               gen_a2_from_complexes, gen_dual_numbers,
-                               gen_dynkin_an, gen_example_a2,
+from derhed.generators import (dual_numbers_algebra, dual_numbers_chain,
+                               expand_hereditary, gen_a2_from_complexes,
+                               gen_dual_numbers, gen_dynkin_an, gen_example_a2,
                                gen_semisimple_block)
 from derhed.hereditary import check_hereditary, cohomology, truncate
 from derhed.linalg import PrimeField
@@ -52,7 +51,7 @@ def dynkin_instances():
     out = []
     for n in range(2, 7):
         for bits in itertools.product("><", repeat=n - 1):
-            out.append(gen_dynkin_an(n, "".join(bits), FLD))
+            out.append(gen_dynkin_an(n, "".join(bits), FLD.p))
     return out
 
 
@@ -63,7 +62,7 @@ def dual_graph():
 
 def all_genuine_instances(dynkin_instances, dual_graph):
     insts = list(dynkin_instances)
-    insts.append(gen_example_a2(FLD)[0])
+    insts.append(gen_example_a2(FLD.p)[0])
     insts.append(dual_graph)
     insts.extend(gen_semisimple_block(p) for p in (1, 2, 3, 4))
     return insts
@@ -193,7 +192,7 @@ def test_criterion_7_oracle_equivalence(announce):
 
 def test_criterion_8_truncation_partition(announce):
     with announce(8, "truncation partition on A_3"):
-        g = gen_dynkin_an(3, ">>", FLD)
+        g = gen_dynkin_an(3, ">>", FLD.p)
         rep = check_hereditary(g, sorted(g.orbit_ids()))
         heart = rep.heart
         rng = np.random.default_rng(42)
@@ -222,7 +221,7 @@ def test_criterion_8_truncation_partition(announce):
 
 def test_criterion_9_cross_engine_agreement(announce):
     with announce(9, "abelian and homotopy A_2 graphs agree"):
-        abelian, _ = gen_example_a2(FLD)
+        abelian, _ = gen_example_a2(FLD.p)
         homotopy = gen_a2_from_complexes(window=2, fld=FLD)
         assert sorted(homotopy.orbit_ids()) == sorted(abelian.orbit_ids())
         assert homotopy.homs == abelian.homs
@@ -240,7 +239,7 @@ def test_criterion_10_degenerate_classification(announce):
                 assert isinstance(cls, DegeneratePeriodic)
                 assert cls.period == n and cls.end_dim == d
                 assert check_hereditary(g, ["X"]).verdict == "not-hereditary"
-        single = expand_hereditary(AbelianData(("X",), {("X", "X"): 1}, {}))
+        single = expand_hereditary(("X",), {("X", "X"): 1}, {})
         cls = classify_degenerate(single, ["X"])
         assert isinstance(cls, DegenerateAperiodic)
         rep = check_hereditary(single, ["X"])

@@ -289,6 +289,15 @@ def test_gen_semisimple_refuses_end_dim_0(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_gen_semisimple_refuses_period_0(capsys, tmp_path):
+    # ShiftGraph's orbit check is the one gate
+    out = tmp_path / "ss.json"
+    code, rep = run_cli(capsys, "gen", "semisimple", "--period", "0", "--out", str(out))
+    assert code == 2 and rep["error"] == {
+        "type": "input", "message": "period must be a positive integer"}
+    assert not out.exists()
+
+
 def test_heart_from_negative_source_exit_2(capsys, dual_file):
     code, rep = run_cli(capsys, "heart", str(dual_file), "--from", "C1")
     assert code == 2
@@ -837,6 +846,29 @@ def test_gen_dual_field_too_small_exit_2(capsys, tmp_path, monkeypatch):
     assert code == 2 and rep["error"]["type"] == "input"
     assert "characteristic 2" in rep["error"]["message"]
     assert not out.exists()
+
+
+def test_gen_dual_max_length_cap(capsys, tmp_path, monkeypatch):
+    # the work grows with max_length's value: the cap is written, and
+    # anything past it exits 2 before a complex is built
+    from derhed import generators
+    out = tmp_path / "dual.json"
+    cap = generators.MAX_DUAL_LENGTH
+    code, rep = run_cli(capsys, "gen", "dual", "--max-length", str(cap), "--window", "0",
+                        "--out", str(out))
+    assert code == 0 and rep["report"]["orbits"] == cap
+    out.unlink()
+
+    def refuse():
+        raise AssertionError("gen dual built its algebra past the cap")
+
+    monkeypatch.setattr(generators, "dual_numbers_algebra", refuse)
+    for length in (cap + 1, 10**6):
+        code, rep = run_cli(capsys, "gen", "dual", "--max-length", str(length),
+                            "--window", "0", "--out", str(out))
+        assert code == 2 and rep["error"] == {
+            "type": "input", "message": f"max_length must be <= {cap}"}
+        assert not out.exists()
 
 
 def test_gen_dual_negative_window_exit_2(capsys, tmp_path):

@@ -5,9 +5,11 @@ sizes of the files that argv names.
 
 The xfail cases break the contract today: each ends in a traceback or
 prints a witness that grows with a weight or an offset, not with the
-input.  ROADMAP item 11 (run-length witnesses) mends them, and each is
-strict, so it fails once it passes.  The README's command lines are the
-control, and they must hold to the same bound."""
+input.  ROADMAP item 11 (run-length witnesses) mends the witnesses, and
+item 1 (count the algebra, refuse above a cap) the algebra that `hom`
+builds whole.  Each is strict, so it fails once it passes.  The README's
+command lines are the control, and they must hold to the same bound, as
+must the gates that refuse a large number at once."""
 
 import json
 import resource
@@ -22,6 +24,7 @@ C0, C1 = 4096, 8  # bytes: one envelope, plus 8 per byte of input and argv
 CHILD_AS, CHILD_CPU_S = 2**30, 30  # the child's own limits: a runaway fails, it cannot hang
 
 ITEM_11 = "ROADMAP item 11: a witness is written step by step"
+ITEM_1 = "ROADMAP item 1: hom builds the whole algebra before it answers"
 
 
 def identity(x: str) -> dict:
@@ -57,6 +60,22 @@ BROKEN = {
     "path-long-offset": ({}, ["gen a2 --out a2.json", "path a2.json S2@0 S1@10000"]),
 }
 
+# the complete acyclic quiver on 26 vertices, i -> j for i < j and no
+# relations (13,989 bytes): its dimension 2**26 - 1 is finite, but hom
+# builds every basis path and product before it answers
+COMPLETE_QUIVER = {
+    "vertices": [str(i) for i in range(26)],
+    "arrows": [{"id": f"a{i}_{j}", "from": str(i), "to": str(j)}
+               for i in range(26) for j in range(i + 1, 26)],
+    "relations": []}
+# under a 1.5 GB limit the child ran 13.9 s before its MemoryError; under
+# this one it fails the same way, exit 1 and no report, in about 2.4 s
+COMPLETE_QUIVER_AS = 256 * 2**20
+
+# lines that name a number far past a command's bound: each exits 2 at once
+BOUNDED = ["gen dual --max-length 1000000 --window 0 --out d.json",
+           "gen an --n 1000000 --orientation '>' --out an.json"]
+
 # the README's hom files: the A_2 algebra 1 -> 2, S1 = P_2 -> P_1 and P_2
 HOM_FILES = {
     "alg.json": {"vertices": ["1", "2"], "arrows": [{"id": "a", "from": "1", "to": "2"}],
@@ -75,14 +94,14 @@ def readme_lines() -> list[str]:
             if line.startswith("derhed ")]
 
 
-def limit_child() -> None:
-    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS, CHILD_AS))
-    resource.setrlimit(resource.RLIMIT_CPU, (CHILD_CPU_S, CHILD_CPU_S))
+def run_contract(line: str, cwd: Path, address_space: int = CHILD_AS) -> int:
+    """Run `python -m derhed.cli` on one command line in cwd, with at most
+    address_space bytes of memory, assert the contract on what it prints,
+    and return its exit code."""
+    def limit_child() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+        resource.setrlimit(resource.RLIMIT_CPU, (CHILD_CPU_S, CHILD_CPU_S))
 
-
-def run_contract(line: str, cwd: Path) -> None:
-    """Run `python -m derhed.cli` on one command line in cwd and assert
-    the contract on what it prints."""
     argv = shlex.split(line, comments=True)
     inputs = sum((cwd / a).stat().st_size for a in argv if (cwd / a).is_file())
     proc = run_child("-m", "derhed.cli", *argv, cwd=cwd, timeout=60, preexec_fn=limit_child)
@@ -96,6 +115,7 @@ def run_contract(line: str, cwd: Path) -> None:
     size = len(proc.stdout.encode())
     budget = C0 + C1 * (inputs + sum(len(a.encode()) for a in argv))
     assert size <= budget, (line, size, budget)
+    return proc.returncode
 
 
 def write_files(files: dict, cwd: Path) -> None:
@@ -118,3 +138,17 @@ def test_readme_command_lines_hold_to_the_contract(tmp_path):
     write_files(HOM_FILES, tmp_path)
     for line in lines:
         run_contract(line, tmp_path)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_1)
+def test_hom_on_the_complete_quiver_holds_to_the_contract(tmp_path):
+    files = {"alg.json": COMPLETE_QUIVER,
+             "P0.json": {"name": "P0", "degrees": {"0": ["0"]}, "differentials": {}}}
+    write_files(files, tmp_path)
+    run_contract("hom alg.json P0.json P0.json", tmp_path, address_space=COMPLETE_QUIVER_AS)
+
+
+@pytest.mark.parametrize("line", BOUNDED)
+def test_bounded_arguments_hold_to_the_contract(line, tmp_path):
+    assert run_contract(line, tmp_path) == 2
+    assert not any(tmp_path.iterdir())

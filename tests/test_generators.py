@@ -46,9 +46,9 @@ def test_an_knitting_matches_linear_algebra(p, top):
     fld = PrimeField(p)
     for n in range(2, top + 1):
         for word in map("".join, itertools.product("><", repeat=n - 1)):
-            want = expand_hereditary(an_tables(n, word, fld), name=f"A{n}({word})",
+            want = expand_hereditary(*an_tables(n, word, fld), name=f"A{n}({word})",
                                      field_char=p)
-            assert gen_dynkin_an(n, word, fld).to_json() == want.to_json(), word
+            assert gen_dynkin_an(n, word, p).to_json() == want.to_json(), word
 
 
 def _dynkin_quiver(kind, n, seed):
@@ -285,7 +285,7 @@ def test_complex_builder_leaves_caller_names(fld):
 
 def test_field_char_propagates():
     fld = PrimeField(101)
-    g = gen_dynkin_an(2, ">", fld)
+    g = gen_dynkin_an(2, ">", fld.p)
     assert g.field_char == 101
     _, reps = a2_projective_resolutions()
     g2 = build_shiftgraph_from_complexes(reps, 1, fld)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from derhed import hereditary, paths
 from derhed.complexes import build_shiftgraph_from_complexes
-from derhed.generators import (AbelianData, expand_hereditary,
-                               gen_a2_from_complexes, gen_dual_numbers,
-                               gen_dynkin_an, gen_example_a2,
+from derhed.generators import (expand_hereditary, gen_a2_from_complexes,
+                               gen_dual_numbers, gen_dynkin_an, gen_example_a2,
                                gen_semisimple_block)
 from derhed.hereditary import (Heart, IncompleteHeart, NegativeWalkAtSource,
                                NotABlock, UnreachableOrbit, _constraint_edges,
@@ -137,7 +136,7 @@ def test_semisimple_not_hereditary():
 
 
 def test_single_aperiodic_orbit_hereditary():
-    g = expand_hereditary(AbelianData(("X",), {("X", "X"): 1}, {}))
+    g = expand_hereditary(("X",), {("X", "X"): 1}, {})
     rep = check_hereditary(g, ["X"])
     assert rep.verdict == "hereditary"
     assert rep.heart.offsets == {"X": 0}

@@ -37,13 +37,15 @@ def test_calls_naming_no_field_use_the_default_field(monkeypatch):
     (_, m), (_, n) = interval_reps(MonomialAlgebra(_an_quiver(2, ">"), []), 2)[:2]
 
     def answers(*fld):
-        g, heart = gen_example_a2(*fld)
+        # the abelian generators take the characteristic alone
+        chars = [f.p for f in fld]
+        g, heart = gen_example_a2(*chars)
         return ([hom_k_dim(x, y, k, *fld) for x in chains for y in chains
                  for k in range(-2, 3)],
                 [h.to_json() for h in (gen_dual_numbers(3, 1, *fld),
                                        gen_a2_from_complexes(1, *fld),
-                                       gen_dynkin_an(3, "><", *fld),
-                                       g, gen_semisimple_block(2, 1, *fld))],
+                                       gen_dynkin_an(3, "><", *chars),
+                                       g, gen_semisimple_block(2, 1, *chars))],
                 heart.offsets,
                 rep_hom_dim(m, n, *fld), euler_ext1_dim(m, n, *fld))
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from derhed import paths
 from derhed.degenerate import (DegenerateAperiodic, DegeneratePeriodic,
                                NonDegenerate, classify_degenerate)
-from derhed.generators import (AbelianData, expand_hereditary, gen_dual_numbers,
+from derhed.generators import (expand_hereditary, gen_dual_numbers,
                                gen_dynkin_an, gen_example_a2, gen_semisimple_block)
 from derhed.hereditary import check_hereditary, extract_heart
 from derhed.paths import NEG_INF, POS_INF, PathEngine, directing_objects
@@ -151,7 +151,7 @@ def test_classify_degenerate(a2):
     assert isinstance(cls, DegeneratePeriodic)
     assert cls.period == 3 and cls.end_dim == 2
 
-    single = expand_hereditary(AbelianData(("X",), {("X", "X"): 1}, {}))
+    single = expand_hereditary(("X",), {("X", "X"): 1}, {})
     cls2 = classify_degenerate(single, ["X"])
     assert isinstance(cls2, DegenerateAperiodic)
     assert cls2.end_dim == 1

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from derhed.degenerate import (DegenerateAperiodic, DegeneratePeriodic,
                                NonDegenerate)
-from derhed.generators import (AbelianData, expand_hereditary,
-                               gen_a2_from_complexes, gen_dual_numbers,
-                               gen_dynkin_an, gen_example_a2,
+from derhed.generators import (expand_hereditary, gen_a2_from_complexes,
+                               gen_dual_numbers, gen_dynkin_an, gen_example_a2,
                                gen_semisimple_block)
 from derhed.linalg import PrimeField
 from derhed.paths import PathStep
@@ -57,7 +56,6 @@ VALUE_RECORDS = [
     lambda: NonDegenerate(),
     lambda: DegenerateAperiodic(2),
     lambda: DegeneratePeriodic(2, 1),
-    lambda: AbelianData(("M",), {("M", "M"): 1}, {}),
     lambda: Arrow("a", "1", "2"),
     lambda: Quiver(("1", "2"), (Arrow("a", "1", "2"),)),
     lambda: BasisPath("1", "2", ("a",)),
@@ -69,8 +67,7 @@ VALUE_RECORDS = [
 def test_value_records(make):
     a, b = make(), make()
     assert a == b and a is not b
-    if not isinstance(a, AbelianData):  # its tables are dicts
-        assert hash(a) == hash(b)
+    assert hash(a) == hash(b)
     for name in (*a._fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
@@ -356,7 +353,7 @@ def test_gen_an_bytes_are_pinned():
     # every orientation with n = 2..8 at two fields, and the A_2 example;
     # each text must survive its own round trip
     digest = hashlib.sha256()
-    texts = [gen_dynkin_an(n, "".join(word), PrimeField(p)).to_json()
+    texts = [gen_dynkin_an(n, "".join(word), p).to_json()
              for p in (2, 32003) for n in range(2, 9)
              for word in itertools.product("><", repeat=n - 1)]
     texts.append(gen_example_a2()[0].to_json())
@@ -370,10 +367,9 @@ def test_gen_an_bytes_are_pinned():
 
 def test_expand_hereditary_structure():
     # a zero entry is allowed and gives no edge
-    data = AbelianData(("M", "N"),
-                       {("M", "M"): 1, ("N", "N"): 2, ("M", "N"): 1, ("N", "M"): 0},
-                       {("N", "M"): 3, ("M", "N"): 0})
-    g = expand_hereditary(data, name="toy")
+    g = expand_hereditary(("M", "N"),
+                          {("M", "M"): 1, ("N", "N"): 2, ("M", "N"): 1, ("N", "M"): 0},
+                          {("N", "M"): 3, ("M", "N"): 0}, name="toy")
     assert g.genuine and not g.windowed
     assert g.orbit("N").end_dim == 2
     assert g.edges_between("M", "N") == (HomEdge(0, 1),)
@@ -384,8 +380,25 @@ def test_expand_hereditary_structure():
 
 
 def test_expand_hereditary_requires_identity():
-    with pytest.raises(ValueError):
-        expand_hereditary(AbelianData(("M",), {}, {}))
+    # ShiftGraph's end_dim check is the one gate
+    for hom in ({}, {("M", "M"): 0}):
+        with pytest.raises(ValueError, match=r"^end_dim >= 1 \(identity morphism\)$"):
+            expand_hereditary(("M",), hom, {})
+
+
+@pytest.mark.parametrize("field_char", [True, 5.0, PrimeField(5)], ids=repr)
+def test_field_char_must_be_an_int(field_char):
+    # to_json writes field_char as it is: True and PrimeField(5) would make
+    # text that json.loads refuses, and 5.0 text that from_dict refuses
+    message = f"^field_char must be an int, not {re.escape(repr(field_char))}$"
+    for make in (
+            lambda: ShiftGraph("g", [Orbit("X")], {}, field_char=field_char),
+            lambda: expand_hereditary(("X",), {("X", "X"): 1}, {}, field_char=field_char),
+            lambda: gen_dynkin_an(2, ">", field_char),
+            lambda: gen_example_a2(field_char),
+            lambda: gen_semisimple_block(2, 1, field_char)):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 @pytest.mark.parametrize("objects, hom, ext1, key", [
@@ -398,7 +411,7 @@ def test_expand_hereditary_refuses_entries_that_are_not_counts(objects, hom, ext
     # no edge constructor checks the entries: a negative one would be
     # dropped without a word, and a bool would reach to_json as true
     with pytest.raises(ValueError, match=re.escape(key)):
-        expand_hereditary(AbelianData(objects, hom, ext1))
+        expand_hereditary(objects, hom, ext1)
 
 
 @pytest.mark.parametrize("hom, ext1", [
@@ -409,4 +422,4 @@ def test_expand_hereditary_refuses_an_undeclared_object(hom, ext1):
     # the edges come from the tables' keys, so a key naming an object
     # outside objects is an error, not a pair silently left out
     with pytest.raises(UnknownOrbit, match="Z"):
-        expand_hereditary(AbelianData(("M",), hom, ext1))
+        expand_hereditary(("M",), hom, ext1)
