@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -55,8 +56,8 @@ def _load_json(path: str) -> dict:
     def unique(pairs: list) -> dict:
         obj = dict(pairs)
         if len(obj) < len(pairs):
-            keys = [k for k, _ in pairs]
-            key = next(k for k in keys if keys.count(k) > 1)
+            count = Counter(k for k, _ in pairs)
+            key = next(k for k, _ in pairs if count[k] > 1)
             raise InputError(f"{path} repeats the key {key!r} in one object")
         return obj
 
@@ -261,23 +262,14 @@ class ValidationReport:
         return {"ok": self.ok, "errors": self.errors, "warnings": self.warnings}
 
 
-def _cone_residues(g: ShiftGraph) -> dict[tuple[str, str], tuple[list[int], int]]:
-    """(a, b) -> (non-invertible stored weights from a to b, the modulus
-    under which the effective, periodicity-translated support repeats) for
-    every stored pair.  The modulus is the gcd of the periods of a and b;
-    0 means no periodic translation applies."""
-    period = {o.id: o.period or 0 for o in g.orbits}
-    return {
-        (a, b): ([w for w, _, iso in edges if not iso],
-                 math.gcd(period[a], period[b]))
-        for (a, b), edges in g.homs.items()
-    }
-
-
-def _cone_witness_exists(g: ShiftGraph, residues, a: str, b: str, n: int) -> bool:
+def _cone_witness_exists(g: ShiftGraph, period: dict[str, int], a: str, b: str,
+                         n: int) -> bool:
     """Whether some orbit Z admits non-invertible hom edges (b, Z, m) and
-    (Z, a, n') with m + n' = 1 - n up to periodicity translation; residues
-    is the table of _cone_residues.
+    (Z, a, n') with m + n' = 1 - n modulo the gcd of the periods of a, b
+    and Z, where that gcd is nonzero; period maps each orbit to its period,
+    0 if it has none.  This is validate's residue walk: its bitsets have
+    tested the exact matches (u + v = 1 - n), so a Z whose gcd is 0 is
+    skipped.
 
     This is the shape forced by forming the cone of a nonzero
     non-invertible morphism X -> Y[n]: the triangle provides nonzero
@@ -285,18 +277,13 @@ def _cone_witness_exists(g: ShiftGraph, residues, a: str, b: str, n: int) -> boo
     Z'."""
     target = 1 - n
     for z in g.targets(b):  # an orbit z without a (b, z) pair has no weights
-        back = residues.get((z, a))
-        if back is None:  # nor one without a (z, a) pair
+        mod, back = math.gcd(period[a], period[b], period[z]), g.homs.get((z, a))
+        if not mod or back is None:  # nor one without a (z, a) pair
             continue
-        (w1, m1), (w2, m2) = residues[(b, z)], back
-        mod = math.gcd(m1, m2)
-        for u in w1:
-            for v in w2:
-                if mod == 0:
-                    if u + v == target:
-                        return True
-                elif (u + v - target) % mod == 0:
-                    return True
+        for u, _, iso in g.homs[(b, z)]:
+            if not iso and any(not iso2 and (u + v - target) % mod == 0
+                               for v, _, iso2 in back):
+                return True
     return False
 
 
@@ -304,44 +291,79 @@ def _structural_errors(g: ShiftGraph) -> list[str]:
     """The errors of validate, without its cone-closure scan: the whole
     check that the CLI gates an instance with."""
     errors = []
+    homs, period = g.homs, {}
     for o in g.orbits:
-        self_edges = g.edges_between(o.id, o.id)
-        if not any(e.weight == 0 for e in self_edges):
+        p = period[o.id] = o.period
+        self_edges = homs.get((o.id, o.id), ())
+        if not any(w == 0 for w, _, _ in self_edges):
             errors.append(f"missing identity: orbit {o.id} has no (X, X, 0) edge")
-        if o.period is not None:
-            for w in (-o.period, o.period):
-                if not any(e.weight == w and e.all_iso for e in self_edges):
+        if p is not None:
+            for w in (-p, p):
+                if not any(v == w and iso for v, _, iso in self_edges):
                     errors.append(
-                        f"periodicity closure: orbit {o.id} with period {o.period} "
+                        f"periodicity closure: orbit {o.id} with period {p} "
                         f"lacks an all_iso edge at weight {w}")
-    for (a, b), edges in g.homs.items():
-        weights = [e.weight for e in edges]
-        if len(set(weights)) != len(weights):
+    for (a, b), edges in homs.items():
+        if len(edges) > 1 and len({w for w, _, _ in edges}) < len(edges):
             errors.append(f"duplicate weights on hom edges {a} -> {b}")
-        for e in edges:
-            if e.all_iso and a != b:
+        for w, _, iso in edges:
+            if not iso:
+                continue
+            p = period[a]
+            if a != b:
+                errors.append(f"all_iso on cross-orbit edge {a} -> {b} (weight {w})")
+            elif (p is None and w != 0) or (p is not None and w % p != 0):
                 errors.append(
-                    f"all_iso on cross-orbit edge {a} -> {b} (weight {e.weight})")
-            if e.all_iso and a == b:
-                p = g.orbit(a).period
-                if (p is None and e.weight != 0) or (p is not None and e.weight % p != 0):
-                    errors.append(
-                        f"all_iso edge {a} -> {a} at weight {e.weight} is not a "
-                        f"multiple of the period")
+                    f"all_iso edge {a} -> {a} at weight {w} is not a "
+                    f"multiple of the period")
     return errors
+
+
+def _cone_warnings(g: ShiftGraph) -> list[str]:
+    """validate's cone-closure scan of a structurally valid g, by the
+    bitset test that validate's docstring states."""
+    bit = {o.id: 1 << i for i, o in enumerate(g.orbits)}
+    out = {o.id: {} for o in g.orbits}
+    into = {o.id: {} for o in g.orbits}
+    for (a, b), hom in g.homs.items():
+        fwd, back, bit_a, bit_b = out[a], into[b], bit[a], bit[b]
+        for w, _, iso in hom:
+            if not iso:
+                fwd[w] = fwd.get(w, 0) | bit_b
+                back[w] = back.get(w, 0) | bit_a
+    period = {o.id: o.period or 0 for o in g.orbits}
+    periodic = any(period.values())
+    missing = []
+    for (a, b), hom in g.homs.items():
+        back, fwd = into[a], out[b].items()
+        for n, _, iso in hom:
+            if iso:
+                continue
+            for m, z in fwd:
+                if z & back.get(1 - n - m, 0):
+                    break
+            else:
+                if not (periodic and _cone_witness_exists(g, period, a, b, n)):
+                    missing.append((a, b, n))
+    missing.sort()  # the pairs in order, each pair's edges by weight
+    return [f"cone closure: no orbit completes the non-invertible edge "
+            f"{a} -> {b} (weight {n}) to a triangle path" for a, b, n in missing]
 
 
 def validate(g: ShiftGraph) -> ValidationReport:
     """Structural validation; cone-closure violations are
     reported as warnings only when the graph claims to be genuine, since
-    windowing can hide the witness."""
+    windowing can hide the witness.
+
+    The cone scan is a bitset test.  One pass over the hom pairs builds,
+    per orbit b and weight m, the int OUT[b][m] whose bit z is set when
+    b -> z is a non-invertible edge of weight m, and IN[a][m] for the edges
+    z -> a.  A second pass tests each non-invertible edge (a, b, n): it has
+    a witness when OUT[b][m] & IN[a][1 - n - m] is nonzero for some m.  An
+    exact match is a witness under any modulus, so only on a graph with a
+    periodic orbit do the edges this leaves open go on to the residue walk
+    of _cone_witness_exists; on an aperiodic graph the walk never runs."""
     rep = ValidationReport(_structural_errors(g))
     if g.genuine and rep.ok:
-        residues = _cone_residues(g)
-        for (a, b) in sorted(residues):
-            for w in residues[(a, b)][0]:
-                if not _cone_witness_exists(g, residues, a, b, w):
-                    rep.warnings.append(
-                        f"cone closure: no orbit completes the non-invertible edge "
-                        f"{a} -> {b} (weight {w}) to a triangle path")
+        rep.warnings = _cone_warnings(g)
     return rep

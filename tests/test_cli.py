@@ -649,8 +649,8 @@ def test_cone_warnings_refuse_no_command(capsys, tmp_path, monkeypatch):
     from derhed import shiftgraph
 
     calls = []
-    scan = shiftgraph._cone_witness_exists
-    monkeypatch.setattr(shiftgraph, "_cone_witness_exists",
+    scan = shiftgraph._cone_warnings
+    monkeypatch.setattr(shiftgraph, "_cone_warnings",
                         lambda *a: calls.append(a) or scan(*a))
     inst = _instance([("A", None), ("B", None)], {**IDENTITIES, ("A", "B"): [(0, False)]})
     path, heart = tmp_path / "inst.json", tmp_path / "heart.json"
@@ -778,6 +778,17 @@ def test_repeated_key_exit_2(capsys, tmp_path, a2_files, kind):
     code, rep = run_cli(capsys, *argv)
     assert code == 2 and rep["error"]["type"] == "input"
     assert "repeats the key" in rep["error"]["message"]
+
+
+def test_repeated_key_names_the_first_repeated_key(tmp_path):
+    # the first key in file order that occurs twice: "a", though the second
+    # "b" comes before the second "a"
+    from derhed.shiftgraph import InputError, _load_json
+
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"a": 1, "b": 2, "b": 3, "a": 4}')
+    with pytest.raises(InputError, match=r"repeats the key 'a' in one object$"):
+        _load_json(str(bad))
 
 
 def test_deeply_nested_json_exit_2(capsys, tmp_path, a2_files):

@@ -152,3 +152,12 @@ def test_hom_on_the_complete_quiver_holds_to_the_contract(tmp_path):
 def test_bounded_arguments_hold_to_the_contract(line, tmp_path):
     assert run_contract(line, tmp_path) == 2
     assert not any(tmp_path.iterdir())
+
+
+def test_repeated_key_in_a_large_object_holds_to_the_contract(tmp_path):
+    # about 1 MB in one object whose last key is given twice: finding the
+    # repeated key takes one pass over the keys, not one count per key
+    keys = ", ".join(f'"k{i}": 0' for i in range(80_000))
+    (tmp_path / "big.json").write_text("{" + keys + ', "k79999": 1}')
+    assert (tmp_path / "big.json").stat().st_size > 10**6
+    assert run_contract("validate big.json", tmp_path) == 2

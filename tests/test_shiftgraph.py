@@ -164,6 +164,109 @@ def test_cone_warnings_match_oracle():
     assert periodic_warned > 10
 
 
+def _forbid_residue_walk(monkeypatch):
+    # on an aperiodic graph the bitsets decide every edge alone
+    from derhed import shiftgraph
+
+    def walk(g, period, a, b, n):
+        raise AssertionError(f"residue walk on an aperiodic graph: {a} -> {b} ({n})")
+    monkeypatch.setattr(shiftgraph, "_cone_witness_exists", walk)
+
+
+def test_cone_scan_matches_oracle_on_aperiodic_graphs(monkeypatch):
+    # up to 30 orbits, none periodic; the residue walk never runs
+    _forbid_residue_walk(monkeypatch)
+    warned = witnessed = 0
+    for seed in range(40):
+        g = oracles.random_graph(np.random.default_rng(seed), max_orbits=30, edge_prob=0.2)
+        g = ShiftGraph(g.name, g.orbits, g.homs, genuine=True)
+        warnings = validate(g).warnings
+        assert warnings == oracles.cone_warnings_oracle(g), seed
+        warned += len(warnings)
+        witnessed += sum(not e.all_iso for e in itertools.chain(*g.homs.values())) - len(warnings)
+    assert warned > 1000 and witnessed > 1000
+
+
+# the weights of the resource contract's extreme cases: an exact match
+# needs big-int sums, and a residue one a big weight modulo a small period
+EXTREME_WEIGHTS = (0, 1, -1, 2, -2, 10**21, -10**21, 10**400, -10**400)
+
+
+def _extreme_graph(rng, n: int) -> ShiftGraph:
+    ids = [f"O{i}" for i in range(n)]
+    period = {a: int(rng.integers(1, 4)) if rng.random() < 0.4 else None for a in ids}
+    homs = {}
+    for a, b in itertools.product(ids, ids):
+        p = period[a]
+        iso = set() if a != b else {0} if p is None else {-p, 0, p}
+        weights = {w for w in EXTREME_WEIGHTS if rng.random() < 0.15} | iso
+        if weights:
+            homs[(a, b)] = tuple(HomEdge(w, 1, w in iso) for w in sorted(weights))
+    return ShiftGraph("extreme", [Orbit(a, period[a]) for a in ids], homs, genuine=True)
+
+
+def test_cone_scan_matches_oracle_on_extreme_weights(monkeypatch):
+    # periods 1-3 on about 40% of the orbits: the residue walk runs, and
+    # must find the witnesses that only a modulus gives
+    from derhed import shiftgraph
+
+    walk, found = shiftgraph._cone_witness_exists, []
+    monkeypatch.setattr(shiftgraph, "_cone_witness_exists",
+                        lambda *args: found.append(walk(*args)) or found[-1])
+    warned = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        g = _extreme_graph(rng, int(rng.integers(1, 9)))
+        rep = validate(g)
+        assert rep.ok and rep.warnings == oracles.cone_warnings_oracle(g), seed
+        warned += len(rep.warnings)
+    assert warned > 100 and found.count(True) > 100 and found.count(False) > 100
+
+
+def test_cone_scan_matches_oracle_on_repo_instances(monkeypatch):
+    # the dual numbers at L = 2..8, w = 0..3, A_2 from complexes at
+    # w = 0..3 and every orientation of A_n with n = 2..6: all aperiodic
+    graphs = [gen_dual_numbers(length, w) for length in range(2, 9) for w in range(4)]
+    graphs += [gen_a2_from_complexes(w) for w in range(4)]
+    graphs += [gen_dynkin_an(n, "".join(word)) for n in range(2, 7)
+               for word in itertools.product("><", repeat=n - 1)]
+    assert len(graphs) == 94 and all(g.genuine for g in graphs)
+    _forbid_residue_walk(monkeypatch)
+    warnings = [validate(g).warnings for g in graphs]
+    assert warnings == [oracles.cone_warnings_oracle(g) for g in graphs]
+    assert sum(map(len, warnings)) == 205
+
+
+def _line_bundle_window(weights: tuple[int, ...], lo: int, hi: int) -> ShiftGraph:
+    """The line bundles O(x) on the weighted projective line X(weights),
+    x = sum l_i x_i + l c in normal form (0 <= l_i < p_i) with lo <= l < hi,
+    by ROADMAP item 18's closed formula: Hom(O(x), O(y)) = S_{y - x} and
+    Ext^1(O(x), O(y)) = S_{x + w - y} with w = sum (p_i - 1) x_i - 2c,
+    where dim S_z = l + 1 for z in normal form, 0 when l < 0."""
+    def dim_s(coords, l):
+        return max(0, l + 1 + sum(c // p for c, p in zip(coords, weights)))
+
+    objs = [(a, l) for l in range(lo, hi) for a in itertools.product(*map(range, weights))]
+    name = {x: f"O({','.join(map(str, x[0]))};{x[1]})" for x in objs}
+    hom, ext1 = {}, {}
+    for (x, l), (y, m) in itertools.product(objs, objs):
+        key = (name[(x, l)], name[(y, m)])
+        hom[key] = dim_s([j - i for i, j in zip(x, y)], m - l)
+        ext1[key] = dim_s([i + p - 1 - j for i, j, p in zip(x, y, weights)], l - 2 - m)
+    return expand_hereditary(tuple(name.values()), hom, ext1, name=f"X{weights}")
+
+
+def test_cone_scan_on_line_bundle_windows():
+    # a small window against the oracle, and the dense (2, 3, 7) window,
+    # where the cones of most edges lie outside it, with its count pinned
+    small = _line_bundle_window((2, 2, 2), -1, 2)
+    warnings = validate(small).warnings
+    assert warnings and warnings == oracles.cone_warnings_oracle(small)
+    g = _line_bundle_window((2, 3, 7), -2, 3)
+    assert (len(g.orbits), sum(map(len, g.homs.values()))) == (210, 36309)
+    assert len(validate(g).warnings) == 2143
+
+
 def test_edges_sorted_by_weight():
     g = ShiftGraph("g", [Orbit("X")], {
         ("X", "X"): (HomEdge(1, 1), HomEdge(0, 1, all_iso=True), HomEdge(-2, 1)),
